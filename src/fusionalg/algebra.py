@@ -351,9 +351,13 @@ def subalgebra_from_subspace(
     d = sub.dim
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
+    ambient_table = ambient.product_table()
+    sparse_basis = [sparse_of_vec(b) for b in sub.basis]
+    n = ambient.dim
     for i in range(d):
         for j in range(d):
-            prod = ambient.mult_vec(sub.basis[i], sub.basis[j])
+            sparse_prod = mul_sparse(ambient_table, sparse_basis[i], sparse_basis[j])
+            prod = tuple(sparse_prod.get(k, Q0) for k in range(n))
             coords = sub.coordinates(prod)
             if coords is None:
                 raise ClosureError(i, j, prod)

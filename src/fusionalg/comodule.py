@@ -426,7 +426,8 @@ def check_strong_connection(
 
     ell_cols = [sparse_of_vec(ell.column(j)) for j in range(dh)]
     delta_cols = [sparse_of_vec(c.coaction.column(j)) for j in range(dp)]
-    dl_cols = [sparse_of_vec(delta_L(c).column(j)) for j in range(dp)]
+    dl = delta_L(c)
+    dl_cols = [sparse_of_vec(dl.column(j)) for j in range(dp)]
     cop_cols = [sparse_of_vec(h.coproduct.column(j)) for j in range(dh)]
     ptab = p.product_table()
     eps = h.counit.rows[0]

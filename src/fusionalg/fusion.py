@@ -220,8 +220,44 @@ class _Reducer:
             return None
         return tuple(coords)
 
-    def contains(self, vec: dict[int, Fraction]) -> bool:
-        return self.coordinates(vec) is not None
+
+def _tensor_coordinates(
+    left: _Reducer, right: _Reducer, vec: dict[int, Fraction]
+) -> tuple[Fraction, ...] | None:
+    """Coordinates of a sparse vector of A (x) B in U (x) V, one tensor
+    factor at a time, where ``left`` reduces by U ⊂ A and ``right`` by
+    V ⊂ B; None when the vector falls outside.
+
+    Each column x[·, j] is reduced by U to coefficients α_k(j), then each
+    row α_k(·) is reduced by V to c_kl.  The result is ordered k major,
+    as in the basis ``Subspace.kron`` builds for U (x) V: coordinates in a
+    basis are unique and that basis is the Kronecker product of the
+    echelon bases, so this equals reducing by it without building its
+    ambient² vectors.
+    Passing a full subspace on one side tests membership in U (x) B or
+    A (x) V.
+    """
+    nb = right.sub.ambient.dim
+    columns: dict[int, dict[int, Fraction]] = {}
+    for key, val in vec.items():
+        i, j = divmod(key, nb)
+        columns.setdefault(j, {})[i] = val
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, col in columns.items():
+        alpha = left.coordinates(col)
+        if alpha is None:
+            return None
+        for k, a in enumerate(alpha):
+            if a:
+                rows.setdefault(k, {})[j] = a
+    dv = right.sub.dim
+    coords = [Q0] * (left.sub.dim * dv)
+    for k, row in rows.items():
+        c = right.coordinates(row)
+        if c is None:
+            return None
+        coords[k * dv : (k + 1) * dv] = c
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------- plain fusion
@@ -299,7 +335,8 @@ def _restrict_last_leg(
     witness = subalgebra_from_subspace(ambient_alg, carrier, label_prefix=prefix)
     dh = hopf.dim
     cop_cols = [sparse_of_vec(hopf.coproduct.column(a)) for a in range(dh)]
-    reducer = _Reducer(carrier.kron(Subspace.full(hopf.space)))
+    carrier_red = _Reducer(carrier)
+    hopf_red = _Reducer(Subspace.full(hopf.space))
     cols = []
     for vec in carrier.basis:
         img: dict[int, Fraction] = {}
@@ -315,7 +352,7 @@ def _restrict_last_leg(
                     img.pop(key, None)
                 else:
                     img[key] = nv
-        coords = reducer.coordinates(img)
+        coords = _tensor_coordinates(carrier_red, hopf_red, img)
         if coords is None:
             raise AssertionError("carrier is not stable under the coaction")
         cols.append(coords)
@@ -462,15 +499,13 @@ def lift_connection(
                                 )
         columns.append(col)
 
-    full_amb = Subspace.full(fusion.ambient.space)
-    displays = (
-        _Reducer(fusion.cond_one.kron(full_amb)),
-        _Reducer(fusion.cond_zero.kron(full_amb)),
-        _Reducer(full_amb.kron(fusion.cond_one)),
-        _Reducer(full_amb.kron(fusion.cond_zero)),
-    )
+    full_amb = _Reducer(Subspace.full(fusion.ambient.space))
+    one = _Reducer(fusion.cond_one)
+    zero = _Reducer(fusion.cond_zero)
+    displays = ((one, full_amb), (zero, full_amb), (full_amb, one), (full_amb, zero))
     corestricts = tuple(
-        all(reducer.contains(col) for col in columns) for reducer in displays
+        all(_tensor_coordinates(left, right, col) is not None for col in columns)
+        for left, right in displays
     )
     if not all(corestricts):
         names = (
@@ -482,10 +517,10 @@ def lift_connection(
         failed = ", ".join(n for n, ok in zip(names, corestricts) if not ok)
         raise AssertionError(f"lifted image leaves the carrier: {failed}")
 
-    carrier_sq = _Reducer(fusion.carrier.kron(fusion.carrier))
+    carrier_red = _Reducer(fusion.carrier)
     ef_cols = []
     for col in columns:
-        coords = carrier_sq.coordinates(col)
+        coords = _tensor_coordinates(carrier_red, carrier_red, col)
         if coords is None:
             raise AssertionError(
                 "lifted image passes the boundary displays but misses the carrier square"
@@ -682,7 +717,8 @@ def pullback_identification(
     # coaction on the fiber product, restricted from the blockwise one
     delta_lo = lower.comodule.coaction
     delta_hi = upper.comodule.coaction
-    reducer = _Reducer(fiber_carrier.kron(Subspace.full(h.space)))
+    fiber_red = _Reducer(fiber_carrier)
+    hopf_red = _Reducer(Subspace.full(h.space))
     fiber_cols = []
     for vec in fiber_carrier.basis:
         img: dict[int, Fraction] = {}
@@ -707,7 +743,7 @@ def pullback_identification(
                         img.pop(key, None)
                     else:
                         img[key] = nv
-        coords = reducer.coordinates(img)
+        coords = _tensor_coordinates(fiber_red, hopf_red, img)
         if coords is None:
             raise AssertionError("fiber product is not a subcomodule")
         fiber_cols.append(coords)

@@ -79,18 +79,6 @@ def basis_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u):
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
@@ -206,15 +194,6 @@ class LinearMap:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def columns_sparse(self) -> list[list[tuple[int, Fraction]]]:
-        """Per-column lists of (row, value) nonzeros."""
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.source.dim)]
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v != 0:
-                    cols[j].append((i, v))
-        return cols
-
     def rows_sparse(self) -> list[list[tuple[int, Fraction]]]:
         return [
             [(j, v) for j, v in enumerate(row) if v != 0] for row in self.rows
@@ -322,9 +301,6 @@ class LinearMap:
             for i, row in enumerate(self.rows)
             for j, v in enumerate(row)
         )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
 
 
 def flip_map(a: Space, b: Space) -> LinearMap:

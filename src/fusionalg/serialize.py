@@ -49,6 +49,7 @@ from .comodule import (
 )
 from .fusion import (
     BaseWithEnds,
+    _exact_sqrt,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
@@ -792,6 +793,11 @@ def _verify_theorem_main(scn: Scenario, result: dict) -> list[str]:
     ]
     if len(profile) != m + 1 or profile[0] != 0 or profile[-1] != 1:
         problems.append("result.profile is not a profile on the chain 0..m")
+    for i, v in enumerate(profile):
+        if _exact_sqrt(1 - v * v) is None:
+            problems.append(
+                f"result.profile[{i}]: 1 - s^2 = {1 - v * v} is not a rational square"
+            )
     ell = sparse_map_from_obj(
         _get(result, "input_connection", "result"),
         com.hopf.space,

@@ -4,10 +4,19 @@ piecewise halves, and the pullback picture."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionalg.algebra import check_algebra, function_algebra, scalar_algebra
+from fusionalg.algebra import (
+    FDAlgebra,
+    check_algebra,
+    function_algebra,
+    scalar_algebra,
+    sparse_of_vec,
+)
 from fusionalg.classical import diagonal_join, fun_comodule
 from fusionalg.comodule import (
+    ComoduleAlgebra,
     check_comodule,
     coinvariants,
     is_principal,
@@ -15,6 +24,8 @@ from fusionalg.comodule import (
 )
 from fusionalg.fusion import (
     PreconditionError,
+    _Reducer,
+    _tensor_coordinates,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
@@ -29,8 +40,8 @@ from fusionalg.fusion import (
     verify_theorem_main,
 )
 from fusionalg.groups import FiniteGroup, FiniteGSet
-from fusionalg.hopf import trivial_hopf
-from fusionalg.linalg import LinearMap, Subspace, basis_vec
+from fusionalg.hopf import check_hopf, group_hopf, make_hopf, trivial_hopf
+from fusionalg.linalg import LinearMap, Space, Subspace, basis_vec, tensor_vec
 
 Q = Fraction
 
@@ -195,6 +206,74 @@ def test_fusion_coinvariants_count_join_orbits():
     assert coinvariants_of_fusion(ef2).algebra.dim == 4
 
 
+# ---------------------------------------------------------------- tensor coordinates
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def subspaces(draw, n: int) -> Subspace:
+    """The span of 0..n random rational vectors in a space of dimension n."""
+    count = draw(st.integers(0, n))
+    vectors = draw(
+        st.lists(
+            st.lists(RATIONALS, min_size=n, max_size=n),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return Subspace.from_vectors(Space.of_dim(n), vectors)
+
+
+def first_non_pivot(sub: Subspace) -> int:
+    return min(set(range(sub.ambient.dim)) - set(sub.pivots))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tensor_coordinates_match_the_kron_reducer(data):
+    na = data.draw(st.integers(1, 4))
+    nb = data.draw(st.integers(1, 4))
+    u = data.draw(subspaces(na))
+    v = data.draw(subspaces(nb))
+    left, right = _Reducer(u), _Reducer(v)
+    reference = _Reducer(u.kron(v))
+
+    coeffs = data.draw(
+        st.lists(RATIONALS, min_size=u.dim * v.dim, max_size=u.dim * v.dim)
+    )
+    inside = [Q(0)] * (na * nb)
+    for k, uk in enumerate(u.basis):
+        for l, vl in enumerate(v.basis):
+            for idx, x in enumerate(tensor_vec(uk, vl)):
+                inside[idx] += coeffs[k * v.dim + l] * x
+    inside = sparse_of_vec(inside)
+    assert _tensor_coordinates(left, right, inside) == tuple(coeffs)
+    assert reference.coordinates(inside) == tuple(coeffs)
+
+    anywhere = sparse_of_vec(
+        data.draw(st.lists(RATIONALS, min_size=na * nb, max_size=na * nb))
+    )
+    assert _tensor_coordinates(left, right, anywhere) == reference.coordinates(
+        anywhere
+    )
+
+    if u.dim and v.dim < nb:
+        # in U (x) B but not in U (x) V
+        x = sparse_of_vec(tensor_vec(u.basis[0], basis_vec(nb, first_non_pivot(v))))
+        assert _tensor_coordinates(left, right, x) is None
+        assert reference.coordinates(x) is None
+        full_b = _Reducer(Subspace.full(v.ambient))
+        assert _tensor_coordinates(left, full_b, x) is not None
+    if v.dim and u.dim < na:
+        # in A (x) V but not in U (x) V
+        x = sparse_of_vec(tensor_vec(basis_vec(na, first_non_pivot(u)), v.basis[0]))
+        assert _tensor_coordinates(left, right, x) is None
+        assert reference.coordinates(x) is None
+        full_a = _Reducer(Subspace.full(u.ambient))
+        assert _tensor_coordinates(full_a, right, x) is not None
+
+
 # ---------------------------------------------------------------- lifting
 
 def test_lift_connection_base_mismatch():
@@ -222,6 +301,22 @@ def test_lifted_connection_satisfies_all_boundary_displays():
     lifted = lift_connection(ef, pair, ell)
     assert lifted.corestricts == (True, True, True, True)
     assert lifted.report.ok, lifted.report.failures
+
+
+def test_lift_connection_rejects_a_non_connection():
+    inner = regular_comodule(2)
+    ef = build_equivariant_fusion(chain_interval(2), inner)
+    pair = make_sqrt_pair(chain_interval(2), default_profile(2))
+    p, h = inner.algebra, inner.hopf
+    rows = [[Q(0)] * h.dim for _ in range(p.dim * p.dim)]
+    rows[0 * p.dim + 1][0] = Q(1)  # row e0⊗e1, column e0
+    ell = LinearMap.from_rows(h.space, p.space.tensor(p.space), rows)
+    with pytest.raises(AssertionError) as err:
+        lift_connection(ef, pair, ell)
+    assert str(err.value) == (
+        "lifted image leaves the carrier: one-end condition on the left "
+        "factor, one-end condition on the right factor"
+    )
 
 
 # ---------------------------------------------------------------- the main statement
@@ -269,6 +364,56 @@ def test_alternate_profile_changes_lift_not_verdicts():
     assert a.lifted.map.rows != b.lifted.map.rows
     assert a.input_verdict.principal == b.input_verdict.principal
     assert a.fusion_verdict.principal == b.fusion_verdict.principal
+
+
+def sweedler_h4():
+    """Sweedler's 4-dimensional Hopf algebra on 1, g, x, gx: g² = 1,
+    x² = 0, xg = -gx, Δg = g⊗g, Δx = x⊗1 + g⊗x, S(x) = -gx."""
+    one, g, x, gx = range(4)
+    table = [[{} for _ in range(4)] for _ in range(4)]
+    for b in range(4):
+        table[one][b] = {b: Q(1)}
+        table[b][one] = {b: Q(1)}
+    table[g][g] = {one: Q(1)}
+    table[g][x] = {gx: Q(1)}
+    table[g][gx] = {x: Q(1)}
+    table[x][g] = {gx: Q(-1)}
+    table[gx][g] = {x: Q(-1)}
+    space = Space(("1", "g", "x", "gx"))
+    algebra = FDAlgebra.from_structure(space, table, (1, 0, 0, 0))
+    cop = {
+        one: {(one, one): 1},
+        g: {(g, g): 1},
+        x: {(x, one): 1, (g, x): 1},
+        gx: {(gx, g): 1, (one, gx): 1},
+    }
+    cop_cols = [[0] * 16 for _ in range(4)]
+    for b, terms in cop.items():
+        for (l, r), v in terms.items():
+            cop_cols[b][l * 4 + r] = v
+    coproduct = LinearMap.from_columns(space, space.tensor(space), cop_cols)
+    counit = LinearMap.from_rows(space, Space.scalar(), [(1, 1, 0, 0)])
+    antipode = LinearMap.from_columns(
+        space, space, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)]
+    )
+    return make_hopf(algebra, coproduct, counit, antipode)
+
+
+@pytest.mark.parametrize(
+    "hopf, m",
+    [(sweedler_h4, 2), (lambda: group_hopf(FiniteGroup.symmetric(3)), 1)],
+    ids=["sweedler-h4-m2", "kS3-m1"],
+)
+def test_verify_theorem_main_hopf_coacting_on_itself(hopf, m):
+    """Noncommutative or non-cocommutative inputs, where a slip in the
+    δ_L, S⁻¹ or tensor-ordering conventions would show."""
+    h = hopf()
+    assert check_hopf(h).ok
+    inner = ComoduleAlgebra(h.algebra, h, h.coproduct)
+    cert = verify_theorem_main(inner, m)
+    assert cert.lifted.report.ok, cert.lifted.report.failures
+    assert cert.lifted.corestricts == (True, True, True, True)
+    assert cert.fusion_verdict.principal
 
 
 # ---------------------------------------------------------------- halves and pullback

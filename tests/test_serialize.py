@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fusionalg.classical import fun_comodule
+from fusionalg.cli import entry
 from fusionalg.groups import FiniteGroup, FiniteGSet
 from fusionalg.hopf import function_hopf
 from fusionalg.algebra import function_algebra
@@ -291,3 +292,25 @@ def test_verify_certificate_envelope_errors():
                 "result": {},
             }
         )
+
+
+def test_verify_certificate_rejects_a_profile_without_exact_square_root(tmp_path):
+    com = fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2)))
+    scn = {
+        "kind": "scenario",
+        "id": "lift-z2-m2",
+        "operation": "theorem-main",
+        "inputs": {"comodule": comodule_to_obj(com)},
+        "params": {"m": 2},
+    }
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(scn))
+    cert_path = tmp_path / "cert.json"
+    assert entry(["fusion", str(scn_path), "--output", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    ok, problems = verify_certificate(cert)
+    assert ok, problems
+    cert["result"]["profile"][1] = "1/2"  # 1 - 1/4 = 3/4 is not a rational square
+    ok, problems = verify_certificate(cert)
+    assert not ok
+    assert any(p.startswith("result.profile[1]") for p in problems), problems
