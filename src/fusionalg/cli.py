@@ -19,80 +19,26 @@ import sys
 import time
 from pathlib import Path
 
-from .comodule import (
-    StrongConnection,
-    canonical_map,
-    is_principal,
-    solve_strong_connection,
-)
-from .classical import (
-    diagonal_join_freeness,
-    discrete_join,
-    fun_comodule,
-    fun_of_join_vs_fusion,
-    gauged_join_iso,
-    is_free,
-)
-from .fusion import (
-    PreconditionError,
-    build_equivariant_fusion,
-    build_fusion,
-    chain_interval,
-    coinvariants_of_fusion,
-    pullback_identification,
-    sqrt_pair_from_vectors,
-    verify_theorem_main,
-)
+from .fusion import PreconditionError
 from .serialize import (
+    EXIT_AXIOM_FAILURE,
+    EXIT_BAD_INPUT,
+    EXIT_OK,
+    EXIT_REFUSED,
+    OPERATIONS,
     InputFormatError,
-    Scenario,
-    algebra_from_obj,
     canonical_json,
-    check_document_obj,
-    comodule_from_obj,
-    gset_from_obj,
-    infeasibility_to_obj,
-    load_document,
+    load_raw,
     make_certificate,
-    param_int,
-    param_profile,
-    principality_result,
-    rational_from_obj,
-    rational_to_obj,
-    scenario_base,
-    sparse_map_to_obj,
+    prepare,
+    scenario_from_obj,
     verify_certificate,
     write_certificate,
 )
 
-EXIT_OK = 0
-EXIT_AXIOM_FAILURE = 1
-EXIT_BAD_INPUT = 2
-EXIT_INFEASIBLE = 3
-EXIT_REFUSED = 4
 
-_FUSION_OPERATIONS = ("fusion", "equivariant-fusion", "theorem-main", "pullback")
-_CLASSICAL_OPERATIONS = (
-    "freeness",
-    "discrete-join",
-    "gauged-join-iso",
-    "join-vs-fusion",
-    "diagonal-join-freeness",
-)
-
-
-def _load_scenario(path, allowed: tuple[str, ...]) -> tuple[Scenario, dict]:
-    kind, raw, parsed = load_document(path)
-    if kind != "scenario":
-        raise InputFormatError(
-            f"{path}: expected a scenario document, got kind {kind!r}"
-        )
-    if parsed.operation not in allowed:
-        raise InputFormatError(
-            f"{path}: operation {parsed.operation!r} does not belong to this "
-            "command; expected one of " + ", ".join(allowed)
-        )
-    return parsed, raw
+def _operations(command: str) -> list[str]:
+    return [name for name, op in OPERATIONS.items() if op.command == command]
 
 
 def _finish(args, scenario_obj, result, lines, code, started) -> int:
@@ -107,343 +53,76 @@ def _finish(args, scenario_obj, result, lines, code, started) -> int:
     return code
 
 
-# ---------------------------------------------------------------- check
+def _run_scenario(args, scenario_obj: dict, started: float) -> int:
+    """Run a scenario of this command; inputs that fail their axioms
+    are reported and nothing runs."""
+    scn = scenario_from_obj(scenario_obj)
+    if OPERATIONS[scn.operation].command != args.command:
+        raise InputFormatError(
+            f"{args.file}: operation {scn.operation!r} does not belong to this "
+            "command; expected one of " + ", ".join(_operations(args.command))
+        )
+    op, parsed, failed = prepare(scn)
+    if failed:
+        for name, kind, failures in failed:
+            for f in failures:
+                print(f"FAIL {f.axiom}: {f.detail}")
+            print(f"input {name} fails the {kind} axioms; nothing to solve")
+        return EXIT_AXIOM_FAILURE
+    result, lines, code = op.run(parsed)
+    return _finish(args, scenario_obj, result, lines, code, started)
+
+
+def _document_scenario(args, inputs: dict, params: dict) -> dict:
+    """A document given on the command line, wrapped in a scenario of
+    the operation named like the command."""
+    return {
+        "kind": "scenario",
+        "id": Path(args.file).stem,
+        "operation": args.command,
+        "inputs": inputs,
+        "params": params,
+    }
+
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    kind, raw, _ = load_document(args.file)
+    kind, raw = load_raw(args.file)
     if kind in ("scenario", "certificate"):
         raise InputFormatError(
             f"{args.file}: check takes an algebra, hopf, comodule, group, "
             f"or gset document, not a {kind}"
         )
-    kind, failures = check_document_obj(raw, str(args.file))
-    scenario_obj = {
-        "kind": "scenario",
-        "id": Path(args.file).stem,
-        "operation": "check",
-        "inputs": {"target": raw},
-        "params": {},
-    }
-    result = {
-        "target_kind": kind,
-        "ok": not failures,
-        "failures": [
-            {"axiom": f.axiom, "detail": f.detail} for f in failures
-        ],
-    }
-    lines = [f"checked: {kind}"]
-    for f in failures:
-        lines.append(f"FAIL {f.axiom}: {f.detail}")
-    lines.append(
-        "check passed" if not failures else f"check failed: {len(failures)} axiom(s)"
-    )
-    code = EXIT_OK if not failures else EXIT_AXIOM_FAILURE
-    return _finish(args, scenario_obj, result, lines, code, started)
+    return _run_scenario(args, _document_scenario(args, {"target": raw}, {}), started)
 
-
-# ---------------------------------------------------------------- solve
 
 def cmd_solve_connection(args) -> int:
     started = time.perf_counter()
-    kind, raw, com = load_document(args.file)
+    kind, raw = load_raw(args.file)
     if kind != "comodule":
         raise InputFormatError(
             f"{args.file}: expected a comodule document, got kind {kind!r}"
         )
-    _, failures = check_document_obj(raw, str(args.file))
-    if failures:
-        for f in failures:
-            print(f"FAIL {f.axiom}: {f.detail}")
-        print("input fails the comodule axioms; nothing to solve")
-        return EXIT_AXIOM_FAILURE
-    outcome = solve_strong_connection(com, require_unital=args.unital)
-    scenario_obj = {
-        "kind": "scenario",
-        "id": Path(args.file).stem,
-        "operation": "solve-connection",
-        "inputs": {"comodule": raw},
-        "params": {"unital": bool(args.unital)},
-    }
-    result = {
-        "dims": {"algebra": com.algebra.dim, "hopf": com.hopf.dim},
-        "unital_required": bool(args.unital),
-        "feasible": isinstance(outcome, StrongConnection),
-        "connection": None,
-        "connection_unital": None,
-        "infeasibility": None,
-    }
-    if isinstance(outcome, StrongConnection):
-        result["connection"] = sparse_map_to_obj(outcome.map)
-        result["connection_unital"] = outcome.unital
-        lines = [
-            f"strong connection found "
-            f"(unital: {'yes' if outcome.unital else 'no'})"
-        ]
-        code = EXIT_OK
-    else:
-        result["infeasibility"] = infeasibility_to_obj(outcome)
-        lines = [
-            "certified infeasible: contradiction exposed at row "
-            f"{outcome.row_index} by {len(outcome.farkas)} multipliers "
-            f"(residual {outcome.residual})"
-        ]
-        code = EXIT_INFEASIBLE
-    return _finish(args, scenario_obj, result, lines, code, started)
+    scenario_obj = _document_scenario(
+        args, {"comodule": raw}, {"unital": bool(args.unital)}
+    )
+    return _run_scenario(args, scenario_obj, started)
 
 
-# ---------------------------------------------------------------- fusion
-
-def _run_fusion(scn: Scenario):
-    base = scenario_base(scn)
-    left = algebra_from_obj(scn.inputs.get("left"), "inputs.left")
-    right = algebra_from_obj(scn.inputs.get("right"), "inputs.right")
-    fusion = build_fusion(base, left, right)
-    result = {
-        "dims": {
-            "left": left.dim,
-            "right": right.dim,
-            "base": base.dim,
-            "ambient": fusion.ambient.dim,
-            "fusion": fusion.algebra.dim,
-        },
-        "carrier_pivots": list(fusion.carrier.pivots),
-    }
-    lines = [
-        f"fusion of dimensions {left.dim} and {right.dim} over a base of "
-        f"dimension {base.dim}",
-        f"fusion dimension: {fusion.algebra.dim}",
-    ]
-    return result, lines, EXIT_OK
-
-
-def _run_equivariant_fusion(scn: Scenario):
-    base = scenario_base(scn)
-    com = comodule_from_obj(scn.inputs.get("comodule"), "inputs.comodule")
-    fusion = build_equivariant_fusion(base, com)
-    coinv = coinvariants_of_fusion(fusion)
-    result = {
-        "dims": {
-            "inner": com.algebra.dim,
-            "hopf": com.hopf.dim,
-            "base": base.dim,
-            "ambient": fusion.ambient.dim,
-            "fusion": fusion.comodule.algebra.dim,
-        },
-        "carrier_pivots": list(fusion.carrier.pivots),
-        "coinvariants_dim": coinv.subspace.dim,
-    }
-    lines = [
-        f"equivariant fusion dimension: {fusion.comodule.algebra.dim}",
-        f"coinvariant subalgebra dimension: {coinv.subspace.dim}",
-    ]
-    return result, lines, EXIT_OK
-
-
-def _run_theorem_main(scn: Scenario):
-    com = comodule_from_obj(scn.inputs.get("comodule"), "inputs.comodule")
-    m = param_int(scn.params, "m", "params")
-    profile = param_profile(scn.params, "params")
-    sqrt_obj = scn.params.get("sqrt")
-    sqrt = None
-    if sqrt_obj is not None:
-        if profile is not None:
-            raise InputFormatError(
-                "params: give either a profile or a sqrt pair, not both"
-            )
-        base = chain_interval(m)
-        s = [
-            rational_from_obj(v, f"params.sqrt.s[{i}]")
-            for i, v in enumerate(sqrt_obj.get("s", ()))
-        ]
-        sp = [
-            rational_from_obj(v, f"params.sqrt.s_prime[{i}]")
-            for i, v in enumerate(sqrt_obj.get("s_prime", ()))
-        ]
-        sqrt = sqrt_pair_from_vectors(base, s, sp)
-    cert = verify_theorem_main(com, m, profile=profile, sqrt=sqrt)
-    ef_dim = cert.fusion.comodule.algebra.dim
-    result = {
-        "m": m,
-        "profile": [rational_to_obj(v) for v in cert.profile],
-        "dims": {
-            "inner": com.algebra.dim,
-            "hopf": com.hopf.dim,
-            "fusion": ef_dim,
-        },
-        "input_connection": sparse_map_to_obj(cert.input_verdict.connection.map),
-        "input_connection_unital": cert.input_verdict.connection.unital,
-        "lifted_connection": sparse_map_to_obj(cert.lifted.map),
-        "corestricts": list(cert.lifted.corestricts),
-        "fusion_connection": sparse_map_to_obj(cert.fusion_verdict.connection.map),
-        "fusion_num_unknowns": cert.fusion_verdict.num_unknowns,
-        "fusion_num_rows": cert.fusion_verdict.num_rows,
-    }
-    lines = [
-        f"input comodule is principal (dimension {com.algebra.dim})",
-        f"equivariant fusion dimension: {ef_dim}",
-        "lifted connection passes every axiom; the solver agrees the "
-        "fusion is principal",
-    ]
-    return result, lines, EXIT_OK
-
-
-def _run_pullback(scn: Scenario):
-    com = comodule_from_obj(scn.inputs.get("comodule"), "inputs.comodule")
-    m_lower = param_int(scn.params, "m_lower", "params")
-    m_upper = param_int(scn.params, "m_upper", "params")
-    ident = pullback_identification(com, m_lower, m_upper)
-    result = {
-        "m_lower": m_lower,
-        "m_upper": m_upper,
-        "dims": {
-            "lower": ident.lower.comodule.algebra.dim,
-            "upper": ident.upper.comodule.algebra.dim,
-            "fiber": ident.fiber.comodule.algebra.dim,
-            "fusion": ident.fusion.comodule.algebra.dim,
-        },
-        "glue": sparse_map_to_obj(ident.glue),
-    }
-    lines = [
-        f"lower half dimension: {ident.lower.comodule.algebra.dim}",
-        f"upper half dimension: {ident.upper.comodule.algebra.dim}",
-        f"fiber product dimension: {ident.fiber.comodule.algebra.dim}",
-        "fiber product identified with the fusion over the joined chain",
-    ]
-    return result, lines, EXIT_OK
-
-
-def cmd_fusion(args) -> int:
+def cmd_scenario(args) -> int:
     started = time.perf_counter()
-    scn, raw = _load_scenario(args.file, _FUSION_OPERATIONS)
-    runners = {
-        "fusion": _run_fusion,
-        "equivariant-fusion": _run_equivariant_fusion,
-        "theorem-main": _run_theorem_main,
-        "pullback": _run_pullback,
-    }
-    result, lines, code = runners[scn.operation](scn)
-    return _finish(args, raw, result, lines, code, started)
-
-
-# ---------------------------------------------------------------- classical
-
-def _run_freeness(scn: Scenario):
-    gset = gset_from_obj(scn.inputs.get("gset"), "inputs.gset")
-    com = fun_comodule(gset)
-    free = is_free(gset)
-    bijective = canonical_map(com).bijective
-    verdict = is_principal(com)
-    if not (free == bijective == verdict.principal):
-        raise AssertionError(
-            "freeness, bijectivity, and principality disagree"
+    kind, raw = load_raw(args.file)
+    if kind != "scenario":
+        raise InputFormatError(
+            f"{args.file}: expected a scenario document, got kind {kind!r}"
         )
-    result = {
-        "size": gset.size,
-        "order": gset.group.order,
-        "free": free,
-        "canonical_bijective": bijective,
-        **principality_result(verdict),
-    }
-    lines = [
-        f"action of a group of order {gset.group.order} on {gset.size} points",
-        f"free: {'yes' if free else 'no'} (canonical map bijective: "
-        f"{'yes' if bijective else 'no'}; connection "
-        f"{'found' if verdict.principal else 'refuted'})",
-    ]
-    return result, lines, EXIT_OK if free else EXIT_INFEASIBLE
-
-
-def _run_discrete_join(scn: Scenario):
-    nx = param_int(scn.params, "nx", "params")
-    ny = param_int(scn.params, "ny", "params")
-    m = param_int(scn.params, "m", "params")
-    join = discrete_join(nx, ny, m)
-    result = {
-        "nx": nx,
-        "ny": ny,
-        "m": m,
-        "size": join.size,
-        "points": list(join.points),
-    }
-    lines = [f"join of {nx} and {ny} points over the chain 0..{m}: "
-             f"{join.size} points"]
-    return result, lines, EXIT_OK
-
-
-def _run_gauged_join_iso(scn: Scenario):
-    gset = gset_from_obj(scn.inputs.get("gset"), "inputs.gset")
-    m = param_int(scn.params, "m", "params")
-    iso = gauged_join_iso(gset, m)
-    result = {
-        "m": m,
-        "size": iso.diagonal.size,
-        "point_map": list(iso.point_map),
-    }
-    lines = [
-        f"diagonal and gauged joins on {iso.diagonal.size} points are "
-        "equivariantly isomorphic"
-    ]
-    return result, lines, EXIT_OK
-
-
-def _run_join_vs_fusion(scn: Scenario):
-    nx = param_int(scn.params, "nx", "params")
-    ny = param_int(scn.params, "ny", "params")
-    m = param_int(scn.params, "m", "params")
-    iso = fun_of_join_vs_fusion(nx, ny, m)
-    result = {
-        "nx": nx,
-        "ny": ny,
-        "m": m,
-        "dims": {"join": iso.join.size, "fusion": iso.fusion.algebra.dim},
-        "iso": sparse_map_to_obj(iso.map),
-    }
-    lines = [
-        f"functions on the {iso.join.size}-point join are isomorphic to "
-        "the fusion of the two function algebras"
-    ]
-    return result, lines, EXIT_OK
-
-
-def _run_diagonal_join_freeness(scn: Scenario):
-    gset = gset_from_obj(scn.inputs.get("gset"), "inputs.gset")
-    m = param_int(scn.params, "m", "params")
-    freeness = diagonal_join_freeness(gset, m)
-    result = {
-        "m": m,
-        "join_size": freeness.join.size,
-        "join_free": freeness.join_free,
-        "both_hold": freeness.both_hold,
-        **principality_result(freeness.fusion_verdict),
-    }
-    lines = [
-        f"diagonal join on {freeness.join.size} points",
-        f"combinatorially free: {'yes' if freeness.join_free else 'no'}; "
-        f"fusion principal: "
-        f"{'yes' if freeness.fusion_verdict.principal else 'no'}",
-    ]
-    return result, lines, EXIT_OK if freeness.both_hold else EXIT_INFEASIBLE
-
-
-def cmd_classical(args) -> int:
-    started = time.perf_counter()
-    scn, raw = _load_scenario(args.file, _CLASSICAL_OPERATIONS)
-    runners = {
-        "freeness": _run_freeness,
-        "discrete-join": _run_discrete_join,
-        "gauged-join-iso": _run_gauged_join_iso,
-        "join-vs-fusion": _run_join_vs_fusion,
-        "diagonal-join-freeness": _run_diagonal_join_freeness,
-    }
-    result, lines, code = runners[scn.operation](scn)
-    return _finish(args, raw, result, lines, code, started)
+    return _run_scenario(args, raw, started)
 
 
 # ---------------------------------------------------------------- verify
 
 def cmd_verify_certificate(args) -> int:
-    kind, raw, _ = load_document(args.file)
+    kind, raw = load_raw(args.file)
     if kind != "certificate":
         raise InputFormatError(
             f"{args.file}: expected a certificate, got kind {kind!r}"
@@ -504,21 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_solve_connection)
 
-    p = sub.add_parser(
-        "fusion",
-        parents=[common],
-        help="run a fusion scenario: " + ", ".join(_FUSION_OPERATIONS),
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_fusion)
-
-    p = sub.add_parser(
-        "classical",
-        parents=[common],
-        help="run a discrete scenario: " + ", ".join(_CLASSICAL_OPERATIONS),
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classical)
+    for command, what in (("fusion", "fusion"), ("classical", "discrete")):
+        p = sub.add_parser(
+            command,
+            parents=[common],
+            help=f"run a {what} scenario: " + ", ".join(_operations(command)),
+        )
+        p.add_argument("file")
+        p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser(
         "verify-certificate",

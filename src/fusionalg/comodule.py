@@ -377,16 +377,29 @@ def connection_system(
     return system
 
 
-def _connection_from_values(c: ComoduleAlgebra, values) -> StrongConnection:
-    p, h = c.algebra, c.hopf
-    dp, dh = p.dim, h.dim
-    sq = p.space.tensor(p.space)
+def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
+    """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
+    return ell.apply(c.hopf.algebra.unit) == tensor_vec(c.algebra.unit, c.algebra.unit)
+
+
+def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
+    """Build the connection system and solve it: the system, and a
+    re-checked connection or the refutation."""
+    system = connection_system(c, require_unital)
+    outcome = system.solve()
+    if isinstance(outcome, Infeasibility):
+        return system, outcome
+    dp, dh = c.algebra.dim, c.hopf.dim
     rows = tuple(
-        tuple(values[r * dh + col] for col in range(dh)) for r in range(dp * dp)
+        tuple(outcome[r * dh + col] for col in range(dh)) for r in range(dp * dp)
     )
-    ell = LinearMap(h.space, sq, rows)
-    unital = ell.apply(h.algebra.unit) == tensor_vec(p.unit, p.unit)
-    return StrongConnection(c, ell, unital)
+    ell = LinearMap(c.hopf.space, c.algebra.space.tensor(c.algebra.space), rows)
+    report = check_strong_connection(c, ell, require_unital=require_unital)
+    if not report.ok:
+        raise AssertionError(
+            f"solver produced an invalid connection: {report.failures}"
+        )
+    return system, StrongConnection(c, ell, connection_unital(c, ell))
 
 
 def solve_strong_connection(
@@ -397,17 +410,7 @@ def solve_strong_connection(
     The returned solution is canonical for the given comodule: the
     deterministic solver makes repeated runs reproduce it exactly.
     """
-    system = connection_system(c, require_unital)
-    outcome = system.solve()
-    if isinstance(outcome, Infeasibility):
-        return outcome
-    conn = _connection_from_values(c, outcome)
-    report = check_strong_connection(c, conn.map, require_unital=require_unital)
-    if not report.ok:
-        raise AssertionError(
-            f"solver produced an invalid connection: {report.failures}"
-        )
-    return conn
+    return _solve_connection(c, require_unital)[1]
 
 
 def check_strong_connection(
@@ -513,9 +516,8 @@ def check_strong_connection(
             )
             break
 
-    if require_unital:
-        if ell.apply(h.algebra.unit) != tensor_vec(p.unit, p.unit):
-            failures.append(Failure("unital", "ℓ(1) is not 1⊗1"))
+    if require_unital and not connection_unital(c, ell):
+        failures.append(Failure("unital", "ℓ(1) is not 1⊗1"))
 
     return CheckReport(not failures, tuple(failures))
 
@@ -563,17 +565,13 @@ def is_principal(c: ComoduleAlgebra) -> PrincipalityVerdict:
     equivalent to bijectivity of the canonical map; either way the
     verdict carries a checkable witness.
     """
-    system = connection_system(c, require_unital=False)
-    outcome = system.solve()
-    dp, dh = c.algebra.dim, c.hopf.dim
-    if isinstance(outcome, Infeasibility):
-        return PrincipalityVerdict(
-            c, False, None, outcome, dp * dp * dh, len(system)
-        )
-    conn = _connection_from_values(c, outcome)
-    report = check_strong_connection(c, conn.map)
-    if not report.ok:
-        raise AssertionError(
-            f"solver produced an invalid connection: {report.failures}"
-        )
-    return PrincipalityVerdict(c, True, conn, None, dp * dp * dh, len(system))
+    system, outcome = _solve_connection(c, require_unital=False)
+    principal = isinstance(outcome, StrongConnection)
+    return PrincipalityVerdict(
+        c,
+        principal,
+        outcome if principal else None,
+        None if principal else outcome,
+        c.algebra.dim ** 2 * c.hopf.dim,
+        len(system),
+    )

@@ -1,4 +1,4 @@
-"""File formats and replayable result certificates.
+"""File formats, the scenario operations, and replayable certificates.
 
 Input documents are JSON with a ``kind`` field naming what they carry:
 ``algebra``, ``hopf``, ``comodule``, ``group``, ``gset``, or
@@ -7,19 +7,25 @@ string; floats are rejected because they are approximate.  A value of
 the form ``{"path": "other.json"}`` anywhere in a document is replaced
 by the content of that file, resolved relative to the referring file.
 
+:data:`OPERATIONS` holds every operation a scenario can name: which
+command runs it, the input documents it reads, how its parameters are
+parsed, how it runs, and how a recorded result is replayed.  Running
+and replaying share the parse, so an input is decoded and checked
+against its axioms once, in one place.
+
 A certificate records one run — the fully inlined scenario, the
 result data (dimensions, verdicts, and the witness matrices in sparse
 form), the tool version, and the elapsed time.  Certificates serialize
 to canonical JSON (sorted keys, no whitespace), so two runs of the
 same scenario produce byte-identical files apart from the recorded
-``timing_seconds``.  :func:`verify_certificate` replays one by checking
-the recorded witnesses against the axioms they claim to satisfy; it
-never re-runs the solver.
+``timing_seconds``.  :func:`verify_certificate` replays one; it never
+re-runs the solver.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,27 +41,38 @@ from .algebra import (
 )
 from .classical import (
     diagonal_join,
+    diagonal_join_freeness,
     discrete_join,
     fun_comodule,
+    fun_of_join_vs_fusion,
     gauged_join,
+    gauged_join_iso,
     is_free,
 )
 from .comodule import (
     ComoduleAlgebra,
+    StrongConnection,
     canonical_map,
     check_comodule,
     check_strong_connection,
     connection_system,
+    connection_unital,
+    is_principal,
+    solve_strong_connection,
 )
 from .fusion import (
     BaseWithEnds,
-    _exact_sqrt,
+    PreconditionError,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
     chain_interval,
     coinvariants_of_fusion,
+    default_profile,
+    make_sqrt_pair,
     pullback_identification,
+    sqrt_pair_from_vectors,
+    verify_theorem_main,
 )
 from .groups import FiniteGroup, FiniteGSet
 from .hopf import HopfAlgebra, check_hopf, make_hopf
@@ -407,23 +424,6 @@ def gset_from_obj(obj, where: str = "gset") -> FiniteGSet:
 
 # ---------------------------------------------------------------- scenarios
 
-OPERATIONS = frozenset(
-    {
-        "check",
-        "solve-connection",
-        "fusion",
-        "equivariant-fusion",
-        "theorem-main",
-        "pullback",
-        "freeness",
-        "discrete-join",
-        "gauged-join-iso",
-        "join-vs-fusion",
-        "diagonal-join-freeness",
-    }
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One named run: an operation with raw inputs and parameters.
@@ -438,11 +438,7 @@ class Scenario:
     params: dict
 
 
-def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
-    kind = _get(obj, "kind", where, "scenario")
-    if kind != "scenario":
-        _fail(where, f"expected kind \"scenario\", got {kind!r}")
-    sid = _str_from_obj(_get(obj, "id", where), f"{where}.id")
+def _operation_name(obj, where: str) -> str:
     op = _str_from_obj(_get(obj, "operation", where), f"{where}.operation")
     if op not in OPERATIONS:
         _fail(
@@ -450,6 +446,15 @@ def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
             f"unknown operation {op!r}; expected one of "
             + ", ".join(sorted(OPERATIONS)),
         )
+    return op
+
+
+def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
+    kind = _get(obj, "kind", where, "scenario")
+    if kind != "scenario":
+        _fail(where, f"expected kind \"scenario\", got {kind!r}")
+    sid = _str_from_obj(_get(obj, "id", where), f"{where}.id")
+    op = _operation_name(obj, where)
     inputs = _get(obj, "inputs", where, {})
     params = _get(obj, "params", where, {})
     if not isinstance(inputs, dict):
@@ -459,30 +464,9 @@ def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
     return Scenario(sid, op, inputs, params)
 
 
-def scenario_to_obj(s: Scenario) -> dict:
-    return {
-        "kind": "scenario",
-        "id": s.id,
-        "operation": s.operation,
-        "inputs": s.inputs,
-        "params": s.params,
-    }
-
-
 def param_int(params: dict, name: str, where: str, minimum: int = 1) -> int:
     return _int_from_obj(
         _get(params, name, where), f"{where}.{name}", minimum
-    )
-
-
-def param_profile(params: dict, where: str) -> tuple[Fraction, ...] | None:
-    obj = _get(params, "profile", where, None)
-    if obj is None:
-        return None
-    entries = _list_from_obj(obj, f"{where}.profile")
-    return tuple(
-        rational_from_obj(v, f"{where}.profile[{i}]")
-        for i, v in enumerate(entries)
     )
 
 
@@ -505,6 +489,15 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
         return base_with_ends(algebra, end_zero, end_one)
     except ValueError as exc:
         _fail(where, str(exc))
+
+
+def _param_base(scn: Scenario) -> tuple[BaseWithEnds]:
+    """The base a fusion scenario runs over: an inline raw base under
+    ``params.base``, or the chain 0..m for ``params.m``."""
+    raw = scn.params.get("base")
+    if raw is not None:
+        return (base_from_obj(raw, "params.base"),)
+    return (chain_interval(param_int(scn.params, "m", "params")),)
 
 
 # ---------------------------------------------------------------- loading
@@ -555,12 +548,9 @@ _PARSERS = {
 }
 
 
-def load_document(path) -> tuple[str, dict, object]:
-    """Load a JSON document: ``(kind, raw object, parsed value)``.
-
-    Path references are inlined before parsing, so the raw object is
-    always self-contained.  Certificates are returned unparsed.
-    """
+def load_raw(path) -> tuple[str, dict]:
+    """Load a JSON document without decoding it: ``(kind, raw object)``,
+    with path references inlined, so the object is self-contained."""
     raw = load_json(path)
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: expected a JSON object at top level")
@@ -571,9 +561,17 @@ def load_document(path) -> tuple[str, dict, object]:
             f"{path}: unknown kind {kind!r}; expected one of "
             + ", ".join(sorted(_PARSERS))
         )
+    return kind, raw
+
+
+def load_document(path) -> tuple[str, dict, object]:
+    """Load a JSON document: ``(kind, raw object, parsed value)``.
+
+    Certificates are returned unparsed.
+    """
+    kind, raw = load_raw(path)
     parser = _PARSERS[kind]
-    parsed = raw if parser is None else parser(raw, kind)
-    return kind, raw, parsed
+    return kind, raw, raw if parser is None else parser(raw, kind)
 
 
 # ---------------------------------------------------------------- certificates
@@ -633,362 +631,424 @@ def infeasibility_from_obj(obj, where: str) -> Infeasibility:
     return Infeasibility(row_index, farkas, residual)
 
 
+def _witness_result(outcome: StrongConnection | Infeasibility) -> dict:
+    """A found connection, or the refutation of every connection."""
+    found = isinstance(outcome, StrongConnection)
+    return {
+        "connection": sparse_map_to_obj(outcome.map) if found else None,
+        "connection_unital": outcome.unital if found else None,
+        "infeasibility": None if found else infeasibility_to_obj(outcome),
+    }
+
+
 def principality_result(verdict) -> dict:
     """The serializable core of a principality verdict."""
-    out = {
+    return {
         "principal": verdict.principal,
         "num_unknowns": verdict.num_unknowns,
         "num_rows": verdict.num_rows,
-        "connection": None,
-        "connection_unital": None,
-        "infeasibility": None,
+        **_witness_result(verdict.connection or verdict.infeasibility),
     }
-    if verdict.connection is not None:
-        out["connection"] = sparse_map_to_obj(verdict.connection.map)
-        out["connection_unital"] = verdict.connection.unital
-    if verdict.infeasibility is not None:
-        out["infeasibility"] = infeasibility_to_obj(verdict.infeasibility)
-    return out
 
 
-# ---------------------------------------------------------------- replay
+# ---------------------------------------------------------------- axiom checks
 
-def _replay_connection(
-    com: ComoduleAlgebra,
-    result: dict,
-    where: str,
-    problems: list[str],
-    require_unital: bool = False,
-) -> None:
-    """Check a recorded connection or Farkas certificate against the
-    comodule, appending any discrepancies to ``problems``."""
-    sp = com.algebra.space
-    conn_obj = result.get("connection")
-    inf_obj = result.get("infeasibility")
-    if conn_obj is not None:
-        ell = sparse_map_from_obj(
-            conn_obj, com.hopf.space, sp.tensor(sp), f"{where}.connection"
+def parse_checked(obj, where: str, kind: str | None = None):
+    """Decode a document and run the axiom battery of its kind:
+    ``(kind, value, failures)``.
+
+    ``kind`` is read from the document unless given.  Algebras, Hopf
+    algebras, and comodule algebras get their named axiom checks (a
+    comodule also checks its Hopf algebra); group and action tables get
+    their table axioms, and come back with no value when they fail them.
+    Shape and type problems raise :class:`InputFormatError`.
+    """
+    if kind is None:
+        kind = _str_from_obj(_get(obj, "kind", where), f"{where}.kind")
+    if kind == "algebra":
+        value = algebra_from_obj(obj, where)
+        failures = list(check_algebra(value).failures)
+    elif kind == "hopf":
+        value = hopf_from_obj(obj, where)
+        failures = list(check_hopf(value).failures)
+    elif kind == "comodule":
+        value = comodule_from_obj(obj, where)
+        failures = list(check_hopf(value.hopf).failures) + list(
+            check_comodule(value).failures
         )
-        report = check_strong_connection(com, ell, require_unital)
-        if not report.ok:
-            problems.append(
-                f"{where}: recorded connection fails "
-                + ", ".join(report.axioms_failed())
-            )
-    elif inf_obj is not None:
-        inf = infeasibility_from_obj(inf_obj, f"{where}.infeasibility")
-        system = connection_system(com, require_unital)
-        if not (0 <= inf.row_index < len(system)):
-            problems.append(f"{where}: infeasibility row index out of range")
-            return
-        if any(not 0 <= i < len(system) for i in inf.farkas):
-            problems.append(f"{where}: multiplier row index out of range")
-            return
-        coeffs, rhs = system.combine(inf.farkas)
-        if coeffs:
-            problems.append(
-                f"{where}: multiplier combination does not cancel the unknowns"
-            )
-        if rhs == 0:
-            problems.append(
-                f"{where}: multiplier combination has zero right-hand side"
-            )
-        elif rhs != inf.residual:
-            problems.append(
-                f"{where}: recombined residual {rhs} differs from the "
-                f"recorded {inf.residual}"
-            )
+    elif kind == "group":
+        value, failures = group_check_from_obj(obj, where)
+    elif kind == "gset":
+        value, failures = gset_check_from_obj(obj, where)
     else:
-        problems.append(f"{where}: records neither a connection nor a refutation")
-
-
-def _expect_equal(problems: list[str], where: str, recorded, actual) -> None:
-    if recorded != actual:
-        problems.append(f"{where}: recorded {recorded!r}, replay found {actual!r}")
+        raise InputFormatError(f"{where}: cannot check kind {kind!r}")
+    return kind, value, failures
 
 
 def check_document_obj(obj, where: str = "input") -> tuple[str, list[Failure]]:
-    """Run the axiom battery matching a document's kind.
-
-    Algebras, Hopf algebras, and comodule algebras get their named
-    axiom checks (a comodule also checks its Hopf algebra); group and
-    action tables get their table axioms.  Shape and type problems
-    raise :class:`InputFormatError`; axiom violations are returned.
-    """
-    kind = _str_from_obj(_get(obj, "kind", where), f"{where}.kind")
-    if kind == "algebra":
-        failures = list(check_algebra(algebra_from_obj(obj, where)).failures)
-    elif kind == "hopf":
-        failures = list(check_hopf(hopf_from_obj(obj, where)).failures)
-    elif kind == "comodule":
-        com = comodule_from_obj(obj, where)
-        failures = list(check_hopf(com.hopf).failures) + list(
-            check_comodule(com).failures
-        )
-    elif kind == "group":
-        failures = group_check_from_obj(obj, where)[1]
-    elif kind == "gset":
-        failures = gset_check_from_obj(obj, where)[1]
-    else:
-        raise InputFormatError(f"{where}: cannot check kind {kind!r}")
+    """Run the axiom battery matching a document's kind (see
+    :func:`parse_checked`): ``(kind, failures)``."""
+    kind, _, failures = parse_checked(obj, where)
     return kind, failures
 
 
-def _verify_check(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    target = _get(scn.inputs, "target", "inputs")
-    _, failures = check_document_obj(target, "inputs.target")
-    _expect_equal(problems, "result.ok", result.get("ok"), not failures)
-    recorded = result.get("failures", [])
-    recorded_axioms = sorted(
-        _str_from_obj(_get(f, "axiom", "result.failures"), "result.failures")
-        for f in recorded
+# ---------------------------------------------------------------- operations
+
+EXIT_OK = 0
+EXIT_AXIOM_FAILURE = 1
+EXIT_BAD_INPUT = 2
+EXIT_INFEASIBLE = 3
+EXIT_REFUSED = 4
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One scenario operation, as the command line runs it and as
+    :func:`verify_certificate` replays it.
+
+    ``inputs`` names the input documents and their kinds; each is
+    decoded once and its axioms checked.  ``parse(scn)`` validates the
+    parameters; the inputs in order, then the parameters, are the
+    arguments of ``run(args)``, which returns ``(result, lines, exit
+    code)``.  An operation whose result carries a witness has
+    ``replay(args, result)``, which yields problems without solving; any
+    other is replayed by running it again and comparing the results
+    field by field.
+    """
+
+    command: str
+    inputs: tuple[tuple[str, str], ...]
+    run: Callable
+    replay: Callable | None = None
+    parse: Callable = lambda scn: ()
+
+
+def _ints(*names: str) -> Callable:
+    """A parse of the named positive integer parameters."""
+    return lambda scn: tuple(param_int(scn.params, name, "params") for name in names)
+
+
+def _run_check(args):
+    (target,) = args
+    kind, failures = check_document_obj(target, "inputs.target")
+    result = {
+        "target_kind": kind,
+        "ok": not failures,
+        "failures": [
+            {"axiom": f.axiom, "detail": f.detail} for f in failures
+        ],
+    }
+    lines = [f"checked: {kind}"]
+    for f in failures:
+        lines.append(f"FAIL {f.axiom}: {f.detail}")
+    lines.append(
+        "check passed" if not failures else f"check failed: {len(failures)} axiom(s)"
     )
-    _expect_equal(
-        problems,
-        "result.failures",
-        recorded_axioms,
-        sorted(f.axiom for f in failures),
-    )
-    return problems
+    return result, lines, EXIT_OK if not failures else EXIT_AXIOM_FAILURE
 
 
-def _verify_solve_connection(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    com = comodule_from_obj(_get(scn.inputs, "comodule", "inputs"), "inputs.comodule")
-    unital = _bool_from_obj(
-        scn.params.get("unital", False), "params.unital"
-    )
-    _expect_equal(
-        problems, "result.unital_required", result.get("unital_required"), unital
-    )
-    dims = result.get("dims", {})
-    _expect_equal(problems, "result.dims.algebra", dims.get("algebra"), com.algebra.dim)
-    _expect_equal(problems, "result.dims.hopf", dims.get("hopf"), com.hopf.dim)
-    feasible = result.get("feasible")
-    if feasible is not (result.get("connection") is not None):
-        problems.append("result.feasible disagrees with the recorded witness")
-    _replay_connection(com, result, "result", problems, unital)
-    return problems
+def _solve_facts(com: ComoduleAlgebra, unital: bool) -> dict:
+    return {
+        "dims": {"algebra": com.algebra.dim, "hopf": com.hopf.dim},
+        "unital_required": unital,
+    }
 
 
-def _theorem_fusion(scn: Scenario):
-    com = comodule_from_obj(_get(scn.inputs, "comodule", "inputs"), "inputs.comodule")
-    m = param_int(scn.params, "m", "params")
-    return com, m, build_equivariant_fusion(chain_interval(m), com)
-
-
-def _verify_theorem_main(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    com, m, fusion = _theorem_fusion(scn)
-    sp = com.algebra.space
-    ef = fusion.comodule.algebra.space
-    dims = result.get("dims", {})
-    _expect_equal(problems, "result.dims.inner", dims.get("inner"), com.algebra.dim)
-    _expect_equal(problems, "result.dims.hopf", dims.get("hopf"), com.hopf.dim)
-    _expect_equal(problems, "result.dims.fusion", dims.get("fusion"), ef.dim)
-    profile = [
-        rational_from_obj(v, f"result.profile[{i}]")
-        for i, v in enumerate(_list_from_obj(result.get("profile"), "result.profile"))
+def _run_solve_connection(args):
+    com, unital = args
+    outcome = solve_strong_connection(com, require_unital=unital)
+    result = {
+        **_solve_facts(com, unital),
+        "feasible": isinstance(outcome, StrongConnection),
+        **_witness_result(outcome),
+    }
+    if isinstance(outcome, StrongConnection):
+        lines = [
+            f"strong connection found "
+            f"(unital: {'yes' if outcome.unital else 'no'})"
+        ]
+        return result, lines, EXIT_OK
+    lines = [
+        "certified infeasible: contradiction exposed at row "
+        f"{outcome.row_index} by {len(outcome.farkas)} multipliers "
+        f"(residual {outcome.residual})"
     ]
-    if len(profile) != m + 1 or profile[0] != 0 or profile[-1] != 1:
-        problems.append("result.profile is not a profile on the chain 0..m")
-    for i, v in enumerate(profile):
-        if _exact_sqrt(1 - v * v) is None:
-            problems.append(
-                f"result.profile[{i}]: 1 - s^2 = {1 - v * v} is not a rational square"
-            )
-    ell = sparse_map_from_obj(
-        _get(result, "input_connection", "result"),
-        com.hopf.space,
-        sp.tensor(sp),
-        "result.input_connection",
-    )
-    report = check_strong_connection(com, ell)
-    if not report.ok:
-        problems.append(
-            "result.input_connection fails " + ", ".join(report.axioms_failed())
-        )
-    lifted = sparse_map_from_obj(
-        _get(result, "lifted_connection", "result"),
-        com.hopf.space,
-        ef.tensor(ef),
-        "result.lifted_connection",
-    )
-    lifted_report = check_strong_connection(fusion.comodule, lifted)
-    if not lifted_report.ok:
-        problems.append(
-            "result.lifted_connection fails "
-            + ", ".join(lifted_report.axioms_failed())
-        )
-    _replay_connection(
-        fusion.comodule,
-        {"connection": _get(result, "fusion_connection", "result")},
-        "result.fusion_connection",
-        problems,
-    )
-    return problems
+    return result, lines, EXIT_INFEASIBLE
 
 
-def scenario_base(scn: Scenario) -> BaseWithEnds:
-    """The base a fusion scenario runs over: an inline raw base under
-    ``params.base``, or the chain 0..m for ``params.m``."""
-    raw = scn.params.get("base")
-    if raw is not None:
-        return base_from_obj(raw, "params.base")
-    return chain_interval(param_int(scn.params, "m", "params"))
+def _replay_solve_connection(args, result):
+    com, unital = args
+    yield from _compare(result, _solve_facts(com, unital), "result")
+    if result.get("feasible") is not (result.get("connection") is not None):
+        yield "result.feasible disagrees with the recorded witness"
+    yield from _replay_connection(com, result, unital)
 
 
-def _verify_fusion(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    base = scenario_base(scn)
-    left = algebra_from_obj(_get(scn.inputs, "left", "inputs"), "inputs.left")
-    right = algebra_from_obj(_get(scn.inputs, "right", "inputs"), "inputs.right")
+def _run_fusion(args):
+    left, right, base = args
     fusion = build_fusion(base, left, right)
-    dims = result.get("dims", {})
-    _expect_equal(problems, "result.dims.left", dims.get("left"), left.dim)
-    _expect_equal(problems, "result.dims.right", dims.get("right"), right.dim)
-    _expect_equal(problems, "result.dims.base", dims.get("base"), base.dim)
-    _expect_equal(
-        problems, "result.dims.fusion", dims.get("fusion"), fusion.algebra.dim
-    )
-    _expect_equal(
-        problems,
-        "result.carrier_pivots",
-        result.get("carrier_pivots"),
-        list(fusion.carrier.pivots),
-    )
-    return problems
+    result = {
+        "dims": {
+            "left": left.dim,
+            "right": right.dim,
+            "base": base.dim,
+            "ambient": fusion.ambient.dim,
+            "fusion": fusion.algebra.dim,
+        },
+        "carrier_pivots": list(fusion.carrier.pivots),
+    }
+    lines = [
+        f"fusion of dimensions {left.dim} and {right.dim} over a base of "
+        f"dimension {base.dim}",
+        f"fusion dimension: {fusion.algebra.dim}",
+    ]
+    return result, lines, EXIT_OK
 
 
-def _verify_equivariant_fusion(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    base = scenario_base(scn)
-    com = comodule_from_obj(_get(scn.inputs, "comodule", "inputs"), "inputs.comodule")
+def _run_equivariant_fusion(args):
+    com, base = args
     fusion = build_equivariant_fusion(base, com)
-    dims = result.get("dims", {})
-    _expect_equal(problems, "result.dims.inner", dims.get("inner"), com.algebra.dim)
-    _expect_equal(problems, "result.dims.hopf", dims.get("hopf"), com.hopf.dim)
-    _expect_equal(problems, "result.dims.base", dims.get("base"), base.dim)
-    _expect_equal(
-        problems,
-        "result.dims.fusion",
-        dims.get("fusion"),
-        fusion.comodule.algebra.dim,
-    )
-    _expect_equal(
-        problems,
-        "result.carrier_pivots",
-        result.get("carrier_pivots"),
-        list(fusion.carrier.pivots),
-    )
-    _expect_equal(
-        problems,
-        "result.coinvariants_dim",
-        result.get("coinvariants_dim"),
-        coinvariants_of_fusion(fusion).subspace.dim,
-    )
-    return problems
+    coinv = coinvariants_of_fusion(fusion)
+    result = {
+        "dims": {
+            "inner": com.algebra.dim,
+            "hopf": com.hopf.dim,
+            "base": base.dim,
+            "ambient": fusion.ambient.dim,
+            "fusion": fusion.comodule.algebra.dim,
+        },
+        "carrier_pivots": list(fusion.carrier.pivots),
+        "coinvariants_dim": coinv.subspace.dim,
+    }
+    lines = [
+        f"equivariant fusion dimension: {fusion.comodule.algebra.dim}",
+        f"coinvariant subalgebra dimension: {coinv.subspace.dim}",
+    ]
+    return result, lines, EXIT_OK
 
 
-def _verify_pullback(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    com = comodule_from_obj(_get(scn.inputs, "comodule", "inputs"), "inputs.comodule")
-    m_lower = param_int(scn.params, "m_lower", "params")
-    m_upper = param_int(scn.params, "m_upper", "params")
+def _parse_theorem_main(scn: Scenario):
+    """m and the square-root pair on the chain 0..m: from
+    ``params.profile``, from ``params.sqrt`` (the vectors s and s'), or
+    from the default profile."""
+    m = param_int(scn.params, "m", "params")
+    profile = _get(scn.params, "profile", "params", None)
+    sqrt = _get(scn.params, "sqrt", "params", None)
+    if sqrt is None:
+        where, make = "params.profile", make_sqrt_pair
+        if profile is None:
+            vectors = (default_profile(m),)
+        else:
+            vectors = (vector_from_obj(profile, m + 1, where),)
+    elif profile is not None:
+        _fail("params", "give either a profile or a sqrt pair, not both")
+    else:
+        where, make = "params.sqrt", sqrt_pair_from_vectors
+        vectors = tuple(
+            vector_from_obj(_get(sqrt, key, where), m + 1, f"{where}.{key}")
+            for key in ("s", "s_prime")
+        )
+    try:
+        pair = make(chain_interval(m), *vectors)
+    except ValueError as exc:
+        _fail(where, str(exc))
+    return m, pair
+
+
+def _theorem_facts(com: ComoduleAlgebra, m: int, profile, ef_dim: int) -> dict:
+    return {
+        "m": m,
+        "profile": [rational_to_obj(v) for v in profile],
+        "dims": {"inner": com.algebra.dim, "hopf": com.hopf.dim, "fusion": ef_dim},
+    }
+
+
+def _run_theorem_main(args):
+    com, m, sqrt = args
+    cert = verify_theorem_main(com, m, sqrt=sqrt)
+    ef_dim = cert.fusion.comodule.algebra.dim
+    result = {
+        **_theorem_facts(com, m, cert.profile, ef_dim),
+        "input_connection": sparse_map_to_obj(cert.input_verdict.connection.map),
+        "input_connection_unital": cert.input_verdict.connection.unital,
+        "lifted_connection": sparse_map_to_obj(cert.lifted.map),
+        "corestricts": list(cert.lifted.corestricts),
+        "fusion_connection": sparse_map_to_obj(cert.fusion_verdict.connection.map),
+        "fusion_num_unknowns": cert.fusion_verdict.num_unknowns,
+        "fusion_num_rows": cert.fusion_verdict.num_rows,
+    }
+    lines = [
+        f"input comodule is principal (dimension {com.algebra.dim})",
+        f"equivariant fusion dimension: {ef_dim}",
+        "lifted connection passes every axiom; the solver agrees the "
+        "fusion is principal",
+    ]
+    return result, lines, EXIT_OK
+
+
+def _replay_theorem_main(args, result):
+    com, m, sqrt = args
+    ef = build_equivariant_fusion(sqrt.base, com).comodule
+    yield from _compare(
+        result,
+        {
+            **_theorem_facts(com, m, sqrt.vanish_at_zero, ef.algebra.dim),
+            "corestricts": [True] * 4,
+            "fusion_num_unknowns": ef.algebra.dim ** 2 * com.hopf.dim,
+        },
+        "result",
+    )
+    ell, problems = _check_connection(
+        com, _get(result, "input_connection", "result"), "result.input_connection"
+    )
+    yield from problems
+    yield from _compare(
+        result, {"input_connection_unital": connection_unital(com, ell)}, "result"
+    )
+    for key in ("lifted_connection", "fusion_connection"):
+        yield from _check_connection(ef, _get(result, key, "result"), f"result.{key}")[1]
+
+
+def _run_pullback(args):
+    com, m_lower, m_upper = args
     ident = pullback_identification(com, m_lower, m_upper)
-    dims = result.get("dims", {})
-    _expect_equal(
-        problems, "result.dims.lower", dims.get("lower"), ident.lower.comodule.algebra.dim
-    )
-    _expect_equal(
-        problems, "result.dims.upper", dims.get("upper"), ident.upper.comodule.algebra.dim
-    )
-    _expect_equal(
-        problems, "result.dims.fiber", dims.get("fiber"), ident.fiber.comodule.algebra.dim
-    )
-    _expect_equal(
-        problems,
-        "result.dims.fusion",
-        dims.get("fusion"),
-        ident.fusion.comodule.algebra.dim,
-    )
-    _expect_equal(
-        problems,
-        "result.glue",
-        result.get("glue"),
-        sparse_map_to_obj(ident.glue),
-    )
-    return problems
+    result = {
+        "m_lower": m_lower,
+        "m_upper": m_upper,
+        "dims": {
+            "lower": ident.lower.comodule.algebra.dim,
+            "upper": ident.upper.comodule.algebra.dim,
+            "fiber": ident.fiber.comodule.algebra.dim,
+            "fusion": ident.fusion.comodule.algebra.dim,
+        },
+        "glue": sparse_map_to_obj(ident.glue),
+    }
+    lines = [
+        f"lower half dimension: {ident.lower.comodule.algebra.dim}",
+        f"upper half dimension: {ident.upper.comodule.algebra.dim}",
+        f"fiber product dimension: {ident.fiber.comodule.algebra.dim}",
+        "fiber product identified with the fusion over the joined chain",
+    ]
+    return result, lines, EXIT_OK
 
 
-def _verify_freeness(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    gset = gset_from_obj(_get(scn.inputs, "gset", "inputs"), "inputs.gset")
-    free = is_free(gset)
+def _freeness_facts(gset: FiniteGSet, com: ComoduleAlgebra) -> dict:
+    return {
+        "size": gset.size,
+        "order": gset.group.order,
+        "free": is_free(gset),
+        "canonical_bijective": canonical_map(com).bijective,
+    }
+
+
+def _run_freeness(args):
+    (gset,) = args
     com = fun_comodule(gset)
-    _expect_equal(problems, "result.free", result.get("free"), free)
-    _expect_equal(
-        problems,
-        "result.canonical_bijective",
-        result.get("canonical_bijective"),
-        canonical_map(com).bijective,
-    )
-    _expect_equal(problems, "result.principal", result.get("principal"), free)
-    if result.get("principal") is not (result.get("connection") is not None):
-        problems.append("result.principal disagrees with the recorded witness")
-    _replay_connection(com, result, "result", problems)
-    return problems
+    facts = _freeness_facts(gset, com)
+    free, bijective = facts["free"], facts["canonical_bijective"]
+    verdict = is_principal(com)
+    if not (free == bijective == verdict.principal):
+        raise AssertionError(
+            "freeness, bijectivity, and principality disagree"
+        )
+    result = {**facts, **principality_result(verdict)}
+    lines = [
+        f"action of a group of order {gset.group.order} on {gset.size} points",
+        f"free: {'yes' if free else 'no'} (canonical map bijective: "
+        f"{'yes' if bijective else 'no'}; connection "
+        f"{'found' if verdict.principal else 'refuted'})",
+    ]
+    return result, lines, EXIT_OK if free else EXIT_INFEASIBLE
 
 
-def _verify_discrete_join(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    nx = param_int(scn.params, "nx", "params")
-    ny = param_int(scn.params, "ny", "params")
-    m = param_int(scn.params, "m", "params")
+def _replay_freeness(args, result):
+    (gset,) = args
+    com = fun_comodule(gset)
+    facts = _freeness_facts(gset, com)
+    yield from _compare(result, {**facts, "principal": facts["free"]}, "result")
+    yield from _replay_principality(com, result)
+
+
+def _run_discrete_join(args):
+    nx, ny, m = args
     join = discrete_join(nx, ny, m)
-    _expect_equal(problems, "result.size", result.get("size"), join.size)
-    _expect_equal(
-        problems, "result.points", result.get("points"), list(join.points)
-    )
-    return problems
+    result = {
+        "nx": nx,
+        "ny": ny,
+        "m": m,
+        "size": join.size,
+        "points": list(join.points),
+    }
+    lines = [f"join of {nx} and {ny} points over the chain 0..{m}: "
+             f"{join.size} points"]
+    return result, lines, EXIT_OK
 
 
-def _verify_gauged_join_iso(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    gset = gset_from_obj(_get(scn.inputs, "gset", "inputs"), "inputs.gset")
-    m = param_int(scn.params, "m", "params")
+def _run_gauged_join_iso(args):
+    gset, m = args
+    iso = gauged_join_iso(gset, m)
+    result = {
+        "m": m,
+        "size": iso.diagonal.size,
+        "point_map": list(iso.point_map),
+    }
+    lines = [
+        f"diagonal and gauged joins on {iso.diagonal.size} points are "
+        "equivariantly isomorphic"
+    ]
+    return result, lines, EXIT_OK
+
+
+def _replay_gauged_join_iso(args, result):
+    gset, m = args
     diag = diagonal_join(gset, m)
     gau = gauged_join(gset, m)
+    yield from _compare(result, {"m": m, "size": diag.size}, "result")
     pm = _list_from_obj(result.get("point_map"), "result.point_map", diag.size)
     pm = [
         _int_from_obj(v, f"result.point_map[{i}]", 0) for i, v in enumerate(pm)
     ]
     if sorted(pm) != list(range(diag.size)):
-        problems.append("result.point_map is not a bijection")
-        return problems
-    ok = all(
+        yield "result.point_map is not a bijection"
+    elif not all(
         pm[diag.act[p][g]] == gau.act[pm[p]][g]
         for p in range(diag.size)
         for g in range(gset.group.order)
-    )
-    if not ok:
-        problems.append("result.point_map is not equivariant")
-    return problems
+    ):
+        yield "result.point_map is not equivariant"
 
 
-def _verify_join_vs_fusion(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    nx = param_int(scn.params, "nx", "params")
-    ny = param_int(scn.params, "ny", "params")
-    m = param_int(scn.params, "m", "params")
+def _run_join_vs_fusion(args):
+    nx, ny, m = args
+    iso = fun_of_join_vs_fusion(nx, ny, m)
+    result = {
+        "nx": nx,
+        "ny": ny,
+        "m": m,
+        "dims": {"join": iso.join.size, "fusion": iso.fusion.algebra.dim},
+        "iso": sparse_map_to_obj(iso.map),
+    }
+    lines = [
+        f"functions on the {iso.join.size}-point join are isomorphic to "
+        "the fusion of the two function algebras"
+    ]
+    return result, lines, EXIT_OK
+
+
+def _replay_join_vs_fusion(args, result):
+    nx, ny, m = args
     join = discrete_join(nx, ny, m)
     functions = function_algebra(join.size, tuple(f"δ{p}" for p in join.points))
     fusion = build_fusion(chain_interval(m), function_algebra(nx), function_algebra(ny))
-    dims = result.get("dims", {})
-    _expect_equal(problems, "result.dims.join", dims.get("join"), join.size)
-    _expect_equal(
-        problems, "result.dims.fusion", dims.get("fusion"), fusion.algebra.dim
+    yield from _compare(
+        result,
+        {
+            "nx": nx,
+            "ny": ny,
+            "m": m,
+            "dims": {"join": join.size, "fusion": fusion.algebra.dim},
+        },
+        "result",
     )
     iso = sparse_map_from_obj(
         _get(result, "iso", "result"),
@@ -998,67 +1058,236 @@ def _verify_join_vs_fusion(scn: Scenario, result: dict) -> list[str]:
     )
     report = check_hom(AlgebraHom(functions, fusion.algebra, iso))
     if not (report.ok and report.bijective):
-        problems.append("result.iso is not an algebra isomorphism")
-    return problems
+        yield "result.iso is not an algebra isomorphism"
 
 
-def _verify_diagonal_join_freeness(scn: Scenario, result: dict) -> list[str]:
-    problems: list[str] = []
-    gset = gset_from_obj(_get(scn.inputs, "gset", "inputs"), "inputs.gset")
-    m = param_int(scn.params, "m", "params")
+def _run_diagonal_join_freeness(args):
+    gset, m = args
+    freeness = diagonal_join_freeness(gset, m)
+    result = {
+        "m": m,
+        "join_size": freeness.join.size,
+        "join_free": freeness.join_free,
+        "both_hold": freeness.both_hold,
+        **principality_result(freeness.fusion_verdict),
+    }
+    lines = [
+        f"diagonal join on {freeness.join.size} points",
+        f"combinatorially free: {'yes' if freeness.join_free else 'no'}; "
+        f"fusion principal: "
+        f"{'yes' if freeness.fusion_verdict.principal else 'no'}",
+    ]
+    return result, lines, EXIT_OK if freeness.both_hold else EXIT_INFEASIBLE
+
+
+def _replay_diagonal_join_freeness(args, result):
+    gset, m = args
     if not is_free(gset):
-        problems.append("inputs.gset: the action is not free")
-        return problems
+        yield "inputs.gset: the action is not free"
+        return
     join = diagonal_join(gset, m)
-    _expect_equal(
-        problems, "result.join_free", result.get("join_free"), is_free(join)
+    join_free = is_free(join)
+    yield from _compare(
+        result,
+        {
+            "m": m,
+            "join_size": join.size,
+            "join_free": join_free,
+            "both_hold": join_free and result.get("principal") is True,
+        },
+        "result",
     )
     fusion = build_equivariant_fusion(chain_interval(m), fun_comodule(gset))
-    if result.get("principal") is not (result.get("connection") is not None):
-        problems.append("result.principal disagrees with the recorded witness")
-    _replay_connection(fusion.comodule, result, "result", problems)
-    _expect_equal(
-        problems,
-        "result.both_hold",
-        result.get("both_hold"),
-        bool(result.get("join_free")) and bool(result.get("principal")),
-    )
-    return problems
+    yield from _replay_principality(fusion.comodule, result)
 
 
-_VERIFIERS = {
-    "check": _verify_check,
-    "solve-connection": _verify_solve_connection,
-    "theorem-main": _verify_theorem_main,
-    "fusion": _verify_fusion,
-    "equivariant-fusion": _verify_equivariant_fusion,
-    "pullback": _verify_pullback,
-    "freeness": _verify_freeness,
-    "discrete-join": _verify_discrete_join,
-    "gauged-join-iso": _verify_gauged_join_iso,
-    "join-vs-fusion": _verify_join_vs_fusion,
-    "diagonal-join-freeness": _verify_diagonal_join_freeness,
+_COMODULE = (("comodule", "comodule"),)
+_GSET = (("gset", "gset"),)
+
+# The operations, in the order the command line lists them.
+OPERATIONS: dict[str, Operation] = {
+    "check": Operation(
+        "check", (), _run_check, parse=lambda scn: (_get(scn.inputs, "target", "inputs"),)
+    ),
+    "solve-connection": Operation(
+        "solve-connection", _COMODULE, _run_solve_connection, _replay_solve_connection,
+        lambda scn: (_bool_from_obj(_get(scn.params, "unital", "params", False), "params.unital"),),
+    ),
+    "fusion": Operation(
+        "fusion", (("left", "algebra"), ("right", "algebra")), _run_fusion, parse=_param_base
+    ),
+    "equivariant-fusion": Operation(
+        "fusion", _COMODULE, _run_equivariant_fusion, parse=_param_base
+    ),
+    "theorem-main": Operation(
+        "fusion", _COMODULE, _run_theorem_main, _replay_theorem_main, _parse_theorem_main
+    ),
+    "pullback": Operation(
+        "fusion", _COMODULE, _run_pullback, parse=_ints("m_lower", "m_upper")
+    ),
+    "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
+    "discrete-join": Operation(
+        "classical", (), _run_discrete_join, parse=_ints("nx", "ny", "m")
+    ),
+    "gauged-join-iso": Operation(
+        "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso, _ints("m")
+    ),
+    "join-vs-fusion": Operation(
+        "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion, _ints("nx", "ny", "m")
+    ),
+    "diagonal-join-freeness": Operation(
+        "classical", _GSET, _run_diagonal_join_freeness, _replay_diagonal_join_freeness,
+        _ints("m"),
+    ),
 }
+
+
+def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
+    """Decode and validate a scenario once, for running or replaying it.
+
+    Returns the operation, the arguments of its ``run``, and
+    ``(name, kind, failures)`` for every input document that fails its
+    axioms; an operation must not run on such inputs.
+    """
+    op = OPERATIONS[scn.operation]
+    inputs, failed = [], []
+    for name, kind in op.inputs:
+        _, value, failures = parse_checked(
+            _get(scn.inputs, name, "inputs"), f"inputs.{name}", kind
+        )
+        inputs.append(value)
+        if failures:
+            failed.append((name, kind, failures))
+    return op, (*inputs, *op.parse(scn)), failed
+
+
+# ---------------------------------------------------------------- replay
+
+def _compare(recorded, found, where: str):
+    """Yield a problem for every field of ``found`` that ``recorded``
+    does not hold with the same value and JSON type.  Objects, and lists
+    of equal length, are compared entry by entry, so a problem names the
+    innermost differing field."""
+    if isinstance(found, dict) and isinstance(recorded, dict):
+        for key, value in found.items():
+            yield from _compare(recorded.get(key), value, f"{where}.{key}")
+    elif (
+        isinstance(found, list)
+        and isinstance(recorded, list)
+        and len(found) == len(recorded)
+    ):
+        for i, (rec, value) in enumerate(zip(recorded, found)):
+            yield from _compare(rec, value, f"{where}[{i}]")
+    elif type(recorded) is not type(found) or recorded != found:
+        yield f"{where}: recorded {recorded!r}, replay found {found!r}"
+
+
+def _check_connection(com: ComoduleAlgebra, obj, where: str, require_unital=False):
+    """A recorded connection of ``com`` and the problems of its axiom
+    re-check."""
+    sp = com.algebra.space
+    ell = sparse_map_from_obj(obj, com.hopf.space, sp.tensor(sp), where)
+    report = check_strong_connection(com, ell, require_unital)
+    if report.ok:
+        return ell, []
+    return ell, [f"{where} fails " + ", ".join(report.axioms_failed())]
+
+
+def _replay_connection(
+    com: ComoduleAlgebra, result: dict, require_unital: bool = False
+):
+    """Check the recorded connection or Farkas certificate of a result
+    against the comodule; returns the rebuilt connection system of a
+    refutation."""
+    if result.get("connection") is not None:
+        ell, problems = _check_connection(
+            com, result["connection"], "result.connection", require_unital
+        )
+        yield from problems
+        found = {"connection_unital": connection_unital(com, ell), "infeasibility": None}
+        yield from _compare(result, found, "result")
+        return None
+    if result.get("infeasibility") is None:
+        yield "result: records neither a connection nor a refutation"
+        return None
+    inf = infeasibility_from_obj(result["infeasibility"], "result.infeasibility")
+    system = connection_system(com, require_unital)
+    if not (0 <= inf.row_index < len(system)):
+        yield "result: infeasibility row index out of range"
+    elif any(not 0 <= i < len(system) for i in inf.farkas):
+        yield "result: multiplier row index out of range"
+    else:
+        coeffs, rhs = system.combine(inf.farkas)
+        if coeffs:
+            yield "result: multiplier combination does not cancel the unknowns"
+        if rhs == 0:
+            yield "result: multiplier combination has zero right-hand side"
+        elif rhs != inf.residual:
+            yield (
+                f"result: recombined residual {rhs} differs from the "
+                f"recorded {inf.residual}"
+            )
+    # Elimination meets rows in order, so the row that exposed the
+    # contradiction is the last one the multipliers combine.
+    found = {"connection_unital": None, "infeasibility": {"row_index": max(inf.farkas, default=None)}}
+    yield from _compare(result, found, "result")
+    return system
+
+
+def _replay_principality(com: ComoduleAlgebra, result: dict):
+    """The fields :func:`principality_result` records, re-derived from
+    the recorded witness; the row count only for a refutation, whose
+    replay rebuilds the system."""
+    if result.get("principal") is not (result.get("connection") is not None):
+        yield "result.principal disagrees with the recorded witness"
+    n = com.algebra.dim
+    found = {"num_unknowns": n * n * com.hopf.dim}
+    system = yield from _replay_connection(com, result)
+    if system is not None:
+        found["num_rows"] = len(system)
+    yield from _compare(result, found, "result")
 
 
 def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     """Replay a certificate against its recorded scenario.
 
-    Recorded witnesses (connections, isomorphisms, Farkas multipliers)
-    are re-checked against the axioms they claim to satisfy; recorded
-    dimensions and verdicts are recomputed where that requires no
-    solving.  Returns ``(ok, problems)``.
+    The scenario's inputs are decoded and their axioms checked, as a run
+    does.  An operation whose result needs no solving runs again, and
+    every recorded field must match.  The others re-check their
+    witnesses against the axioms they claim: connections, isomorphisms,
+    point maps and Farkas multipliers; every recorded fact that needs no
+    solving is re-derived as well.  Only ``num_rows`` of a found
+    connection and ``fusion_num_rows`` would need the solver, and are
+    taken as recorded.
+
+    Returns ``(ok, problems)``.  A certificate whose envelope is wrong
+    (kind, tool, or an unknown operation) raises
+    :class:`InputFormatError`; a malformed scenario or result inside it
+    is a problem.
     """
     if _get(cert, "kind", "certificate") != "certificate":
         _fail("certificate", "expected kind \"certificate\"")
     tool = _get(cert, "tool", "certificate")
     if _get(tool, "name", "certificate.tool") != TOOL_NAME:
         _fail("certificate.tool", f"unknown tool {tool.get('name')!r}")
-    scn = scenario_from_obj(
-        _get(cert, "scenario", "certificate"), "certificate.scenario"
-    )
+    scn_obj = _get(cert, "scenario", "certificate")
+    _operation_name(scn_obj, "certificate.scenario")
     result = _get(cert, "result", "certificate")
     if not isinstance(result, dict):
         _fail("certificate.result", "expected a JSON object")
-    problems = _VERIFIERS[scn.operation](scn, result)
+    problems: list[str] = []
+    try:
+        op, args, failed = prepare(scenario_from_obj(scn_obj, "certificate.scenario"))
+        if failed:
+            problems += [
+                f"inputs.{name}: the {kind} fails "
+                + ", ".join(f.axiom for f in failures)
+                for name, kind, failures in failed
+            ]
+        elif op.replay is not None:
+            problems.extend(op.replay(args, result))
+        else:
+            problems.extend(_compare(result, op.run(args)[0], "result"))
+    except (InputFormatError, PreconditionError) as exc:
+        problems.append(str(exc))
     return not problems, problems

@@ -18,6 +18,8 @@ from fusionalg.hopf import function_hopf
 from fusionalg.algebra import function_algebra
 from fusionalg.comodule import trivial_coaction
 from fusionalg.serialize import (
+    OPERATIONS,
+    algebra_to_obj,
     certificate_identity,
     comodule_to_obj,
     gset_to_obj,
@@ -220,6 +222,54 @@ def test_theorem_main_bad_profile(tmp_path, capsys):
     assert "not a perfect square" in capsys.readouterr().err
 
 
+def test_theorem_main_sqrt_must_be_an_object(tmp_path, capsys):
+    com = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
+    scn = scenario(
+        "theorem-main",
+        inputs={"comodule": com},
+        params={"m": 2, "sqrt": [["0", "3/5", "1"], ["1", "4/5", "0"]]},
+    )
+    path = write(tmp_path, "scn.json", scn)
+    assert entry(["fusion", path]) == 2
+    assert "params.sqrt: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("short", ["s", "s_prime"])
+def test_theorem_main_short_sqrt_vector_names_its_field(tmp_path, capsys, short):
+    com = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
+    sqrt = {"s": ["0", "3/5", "1"], "s_prime": ["1", "4/5", "0"]}
+    sqrt[short] = ["1"]
+    scn = scenario("theorem-main", inputs={"comodule": com}, params={"m": 2, "sqrt": sqrt})
+    path = write(tmp_path, "scn.json", scn)
+    assert entry(["fusion", path]) == 2
+    err = capsys.readouterr().err
+    assert f"params.sqrt.{short}: expected 3 entries, got 1" in err
+
+
+@pytest.mark.parametrize(
+    "operation, params, field, value",
+    [
+        ("equivariant-fusion", {"m": 1}, "antipode", "2"),
+        ("pullback", {"m_lower": 1, "m_upper": 1}, "antipode", "2"),
+        ("theorem-main", {"m": 1}, "antipode", "2"),
+        ("equivariant-fusion", {"m": 1}, "coproduct", "0"),
+        ("pullback", {"m_lower": 1, "m_upper": 1}, "coproduct", "0"),
+    ],
+)
+def test_scenario_input_failing_its_axioms_is_not_run(
+    tmp_path, capsys, operation, params, field, value
+):
+    com = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
+    com["hopf"][field][0][0] = value
+    path = write(tmp_path, "scn.json", scenario(operation, inputs={"comodule": com}, params=params))
+    cert_path = tmp_path / "cert.json"
+    assert entry(["fusion", path, "--output", str(cert_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL " in out
+    assert "input comodule fails the comodule axioms; nothing to solve" in out
+    assert not cert_path.exists()
+
+
 def test_pullback_scenario(tmp_path, capsys):
     com = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
     scn = scenario(
@@ -370,10 +420,92 @@ def test_verify_certificate_detects_bad_farkas(tmp_path, capsys):
     assert "certificate INVALID" in capsys.readouterr().out
 
 
+def test_verify_certificate_reports_a_lowered_m_as_invalid(tmp_path, capsys):
+    com = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
+    path = write(tmp_path, "scn.json", scenario("theorem-main", inputs={"comodule": com}, params={"m": 2}))
+    cert_path = tmp_path / "cert.json"
+    assert entry(["fusion", path, "--output", str(cert_path)]) == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["scenario"]["params"]["m"] = 1
+    lowered = write(tmp_path, "lowered.json", cert)
+    assert entry(["verify-certificate", lowered]) == 1
+    out = capsys.readouterr().out
+    assert "certificate INVALID" in out
+    assert "result.m: recorded 2, replay found 1" in out
+    assert "result.lifted_connection: shape 64x2 does not match the expected 16x2" in out
+
+
 def test_verify_certificate_rejects_other_kinds(tmp_path, capsys):
     path = write(tmp_path, "h.json", hopf_to_obj(function_hopf(FiniteGroup.cyclic(2))))
     assert entry(["verify-certificate", path]) == 2
     assert "expected a certificate" in capsys.readouterr().err
+
+
+def _small_runs():
+    """One small run of every operation: the command line arguments
+    before the file, and the document or scenario to write to it."""
+    z2 = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
+    gset = gset_to_obj(FiniteGSet.regular(FiniteGroup.cyclic(2)))
+    return {
+        "check": (["check"], hopf_to_obj(function_hopf(FiniteGroup.cyclic(2)))),
+        "solve-connection": (["solve-connection"], z2),
+        "fusion": (
+            ["fusion"],
+            scenario(
+                "fusion",
+                inputs={
+                    "left": algebra_to_obj(function_algebra(2)),
+                    "right": algebra_to_obj(function_algebra(1)),
+                },
+                params={"m": 1},
+            ),
+        ),
+        "equivariant-fusion": (
+            ["fusion"], scenario("equivariant-fusion", inputs={"comodule": z2}, params={"m": 1})
+        ),
+        "theorem-main": (
+            ["fusion"], scenario("theorem-main", inputs={"comodule": z2}, params={"m": 2})
+        ),
+        "pullback": (
+            ["fusion"],
+            scenario("pullback", inputs={"comodule": z2}, params={"m_lower": 1, "m_upper": 1}),
+        ),
+        "freeness": (["classical"], scenario("freeness", inputs={"gset": gset})),
+        "discrete-join": (
+            ["classical"], scenario("discrete-join", params={"nx": 1, "ny": 2, "m": 1})
+        ),
+        "gauged-join-iso": (
+            ["classical"], scenario("gauged-join-iso", inputs={"gset": gset}, params={"m": 1})
+        ),
+        "join-vs-fusion": (
+            ["classical"], scenario("join-vs-fusion", params={"nx": 1, "ny": 2, "m": 1})
+        ),
+        "diagonal-join-freeness": (
+            ["classical"],
+            scenario("diagonal-join-freeness", inputs={"gset": gset}, params={"m": 1}),
+        ),
+    }
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+def test_every_operation_replays_without_solving(tmp_path, capsys, monkeypatch, operation):
+    import fusionalg.fusion
+    from fusionalg.linalg import LinearSystem
+
+    command, doc = _small_runs()[operation]
+    path = write(tmp_path, "input.json", doc)
+    cert_path = tmp_path / "cert.json"
+    assert entry(command + [path, "--output", str(cert_path)]) == 0
+    assert json.loads(cert_path.read_text())["scenario"]["operation"] == operation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay must not solve or lift")
+
+    monkeypatch.setattr(LinearSystem, "solve", refuse)
+    monkeypatch.setattr(fusionalg.fusion, "lift_connection", refuse)
+    assert entry(["verify-certificate", str(cert_path)]) == 0
+    assert "certificate valid" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- wiring

@@ -314,3 +314,102 @@ def test_verify_certificate_rejects_a_profile_without_exact_square_root(tmp_path
     ok, problems = verify_certificate(cert)
     assert not ok
     assert any(p.startswith("result.profile[1]") for p in problems), problems
+
+
+def _certificate(tmp_path, command, scn):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    cert_path = tmp_path / "cert.json"
+    assert entry([command, str(path), "--output", str(cert_path)]) in (0, 3)  # 3: refuted
+    return json.loads(cert_path.read_text())
+
+
+def _scenario(op, inputs=None, params=None):
+    return {"kind": "scenario", "id": "t", "operation": op,
+            "inputs": inputs or {}, "params": params or {}}
+
+
+def _regular(n):
+    return FiniteGSet.regular(FiniteGroup.cyclic(n))
+
+
+def _set(path, value):
+    """A tampering that sets one field of a certificate."""
+    def tamper(cert):
+        *parents, last = path
+        holder = cert
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value(holder[last])
+    return tamper
+
+
+_FUSION = ("fusion", lambda: _scenario(
+    "fusion",
+    {"left": algebra_to_obj(function_algebra(2)), "right": algebra_to_obj(function_algebra(3))},
+    {"m": 2},
+))
+_EQUIVARIANT = ("fusion", lambda: _scenario(
+    "equivariant-fusion", {"comodule": comodule_to_obj(fun_comodule(_regular(2)))}, {"m": 2}
+))
+_PULLBACK = ("fusion", lambda: _scenario(
+    "pullback", {"comodule": comodule_to_obj(fun_comodule(_regular(2)))},
+    {"m_lower": 1, "m_upper": 1},
+))
+_JOIN_VS_FUSION = ("classical", lambda: _scenario("join-vs-fusion", params={"nx": 2, "ny": 2, "m": 2}))
+_FREENESS = ("classical", lambda: _scenario("freeness", {"gset": gset_to_obj(_regular(3))}))
+_DIAGONAL = ("classical", lambda: _scenario(
+    "diagonal-join-freeness", {"gset": gset_to_obj(_regular(2))}, {"m": 1}
+))
+_REFUTED = ("classical", lambda: _scenario(
+    "freeness", {"gset": gset_to_obj(FiniteGSet.trivial(FiniteGroup.cyclic(2), 2))}
+))
+_THEOREM = ("fusion", lambda: _scenario(
+    "theorem-main", {"comodule": comodule_to_obj(fun_comodule(_regular(2)))},
+    {"m": 2, "profile": ["0", "3/5", "1"]},
+))
+
+
+@pytest.mark.parametrize(
+    "run, tamper, named",
+    [
+        (_FUSION, _set(["result", "dims", "ambient"], lambda v: v + 1), "result.dims.ambient"),
+        (_EQUIVARIANT, _set(["result", "dims", "ambient"], lambda v: v + 1), "result.dims.ambient"),
+        (_PULLBACK, _set(["result", "m_lower"], lambda v: v + 1), "result.m_lower"),
+        (_JOIN_VS_FUSION, _set(["result", "m"], lambda v: v + 1), "result.m"),
+        (_FREENESS, _set(["result", "size"], lambda v: v + 1), "result.size"),
+        (_FREENESS, _set(["result", "order"], lambda v: v + 1), "result.order"),
+        (_FREENESS, _set(["result", "num_unknowns"], lambda v: v + 1), "result.num_unknowns"),
+        (_DIAGONAL, _set(["result", "join_size"], lambda v: v + 1), "result.join_size"),
+        (_REFUTED, _set(["result", "num_rows"], lambda v: v + 1), "result.num_rows"),
+        (_REFUTED, _set(["result", "infeasibility", "row_index"], lambda v: v - 1),
+         "result.infeasibility.row_index"),
+        (_THEOREM, _set(["result", "m"], lambda v: v + 1), "result.m"),
+        (_THEOREM, _set(["result", "corestricts", 0], lambda v: False), "result.corestricts[0]"),
+        (_THEOREM, _set(["result", "corestricts", 1], lambda v: 1), "result.corestricts[1]"),
+        (_THEOREM, _set(["result", "input_connection_unital"], lambda v: not v),
+         "result.input_connection_unital"),
+        (_THEOREM, _set(["result", "fusion_num_unknowns"], lambda v: v + 1),
+         "result.fusion_num_unknowns"),
+        (_THEOREM, _set(["result", "profile", 1], lambda v: "4/5"), "result.profile[1]"),
+        (_THEOREM, _set(["scenario", "params", "profile", 1], lambda v: "4/5"), "result.profile[1]"),
+    ],
+)
+def test_replay_rederives_recorded_facts(tmp_path, run, tamper, named):
+    command, scn = run
+    cert = _certificate(tmp_path, command, scn())
+    ok, problems = verify_certificate(cert)
+    assert ok, problems
+    tamper(cert)
+    ok, problems = verify_certificate(cert)
+    assert not ok
+    assert any(p.startswith(f"{named}:") for p in problems), problems
+
+
+def test_replay_reports_an_input_failing_its_axioms(tmp_path):
+    _, scn = _EQUIVARIANT
+    cert = _certificate(tmp_path, "fusion", scn())
+    cert["scenario"]["inputs"]["comodule"]["hopf"]["coproduct"][0][0] = "0"
+    ok, problems = verify_certificate(cert)
+    assert not ok
+    assert problems[0].startswith("inputs.comodule: the comodule fails "), problems
