@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     CheckReport,
     FDAlgebra,
     Failure,
     SubalgebraWitness,
-    mul_sparse,
     sparse_of_vec,
     subalgebra_from_subspace,
 )
@@ -37,6 +37,7 @@ from .linalg import (
     Q1,
     QuotientSpace,
     Subspace,
+    basis_vec,
     flip_map,
     tensor_vec,
 )
@@ -199,24 +200,20 @@ def balanced_tensor(
     sq = p.space.tensor(p.space)
     relations = []
     for b in coinv.subspace.basis:
-        left_cols = [p.mult_vec(_basis(dp, i), b) for i in range(dp)]
-        right_cols = [p.mult_vec(b, _basis(dp, j)) for j in range(dp)]
+        left_cols = [p.mult_vec(basis_vec(dp, i), b) for i in range(dp)]
+        right_cols = [p.mult_vec(b, basis_vec(dp, j)) for j in range(dp)]
         for i in range(dp):
             for j in range(dp):
                 rel = tuple(
                     x - y
                     for x, y in zip(
-                        tensor_vec(left_cols[i], _basis(dp, j)),
-                        tensor_vec(_basis(dp, i), right_cols[j]),
+                        tensor_vec(left_cols[i], basis_vec(dp, j)),
+                        tensor_vec(basis_vec(dp, i), right_cols[j]),
                     )
                 )
                 relations.append(rel)
     killed = Subspace.from_vectors(sq, relations)
     return BalancedTensor(c, coinv, QuotientSpace.from_killed(sq, killed))
-
-
-def _basis(n: int, i: int):
-    return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
 def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
@@ -288,6 +285,11 @@ class StrongConnection:
     unital: bool
 
 
+def _integral(rows, den: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of Fractions times ``den``, a common denominator."""
+    return [[(j, v.numerator * (den // v.denominator)) for j, v in row] for row in rows]
+
+
 def connection_system(
     c: ComoduleAlgebra, require_unital: bool
 ) -> LinearSystem:
@@ -298,28 +300,43 @@ def connection_system(
     splitting property against the lifted canonical map, and (optionally)
     unitality.  Rows that would be identically zero are skipped, which is
     deterministic and keeps replays aligned.
+
+    The structure maps are scaled once to integers over their common
+    denominator D, so every row is built in integer arithmetic: the
+    colinearity rows over D, the splitting and unit rows (products of
+    two structure constants) over D².
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
-    delta_rows = c.coaction.rows_sparse()  # index x·dH+a -> [(q, val)]
-    dl_rows = delta_L(c).rows_sparse()  # index a·dP+u -> [(p, val)]
-    mult_rows = p.mult.rows_sparse()  # index u -> [(p·dP+w, val)]
-    unit_p = p.unit
-    unit_h = sparse_of_vec(h.algebra.unit)
+    maps = [
+        c.coaction.rows_sparse(),  # index x·dH+a -> [(q, val)]
+        delta_L(c).rows_sparse(),  # index a·dP+u -> [(p, val)]
+        p.mult.rows_sparse(),  # index u -> [(p·dP+w, val)]
+        h.coproduct.rows_sparse(),  # index leg1·dH+leg2 -> [(col, val)]
+        [list(enumerate(p.unit)), list(enumerate(h.algebra.unit))],
+    ]
+    den = lcm(*(v.denominator for rows in maps for row in rows for _, v in row))
+    delta_rows, dl_rows, mult_rows, cop_rows, units = (_integral(m, den) for m in maps)
+    unit_p = [v for _, v in units[0]]
+    unit_h = [(col, v) for col, v in units[1] if v]
 
-    by_second: list[list[list[tuple[int, Fraction]]]] = [
+    by_second: list[list[list[tuple[int, int]]]] = [
         [[] for _ in range(dh)] for _ in range(dh)
     ]
-    by_first: list[list[list[tuple[int, Fraction]]]] = [
+    by_first: list[list[list[tuple[int, int]]]] = [
         [[] for _ in range(dh)] for _ in range(dh)
     ]
-    for col in range(dh):
-        for idx, val in sparse_of_vec(h.coproduct.column(col)).items():
-            leg1, leg2 = divmod(idx, dh)
+    for idx, row in enumerate(cop_rows):
+        leg1, leg2 = divmod(idx, dh)
+        for col, val in row:
             by_second[col][leg2].append((leg1, val))
             by_first[col][leg1].append((leg2, val))
+
+    def add(coeffs: dict[int, int], rhs: int, row_den: int) -> None:
+        if rhs or any(coeffs.values()):
+            system.add_int_row(coeffs, rhs, row_den)
 
     # right colinearity: (id⊗δ)∘ell = (ell⊗id)∘Δ
     for u in range(dp):
@@ -327,13 +344,11 @@ def connection_system(
             for a in range(dh):
                 drow = delta_rows[x * dh + a]
                 for col in range(dh):
-                    coeffs: dict[int, Fraction] = {}
-                    for q, val in drow:
-                        _acc(coeffs, (u * dp + q) * dh + col, val)
+                    coeffs = {(u * dp + q) * dh + col: val for q, val in drow}
                     for b, val in by_second[col][a]:
-                        _acc(coeffs, (u * dp + x) * dh + b, -val)
-                    if coeffs:
-                        system.add_row(coeffs, Q0)
+                        key = (u * dp + x) * dh + b
+                        coeffs[key] = coeffs.get(key, 0) - val
+                    add(coeffs, 0, den)
 
     # left colinearity: (δ_L⊗id)∘ell = (id⊗ell)∘Δ
     for a in range(dh):
@@ -341,38 +356,32 @@ def connection_system(
             lrow = dl_rows[a * dp + u]
             for v in range(dp):
                 for col in range(dh):
-                    coeffs = {}
-                    for pi, val in lrow:
-                        _acc(coeffs, (pi * dp + v) * dh + col, val)
+                    coeffs = {(pi * dp + v) * dh + col: val for pi, val in lrow}
                     for d, val in by_first[col][a]:
-                        _acc(coeffs, (u * dp + v) * dh + d, -val)
-                    if coeffs:
-                        system.add_row(coeffs, Q0)
+                        key = (u * dp + v) * dh + d
+                        coeffs[key] = coeffs.get(key, 0) - val
+                    add(coeffs, 0, den)
 
     # splitting: (m⊗id)∘(id⊗δ)∘ell = 1 ⊗ (-)
     for u in range(dp):
         for a in range(dh):
-            lc_row: dict[int, Fraction] = {}
+            lc_row: dict[int, int] = {}
             for pw, mval in mult_rows[u]:
                 pi, w = divmod(pw, dp)
                 for q, dval in delta_rows[w * dh + a]:
-                    _acc(lc_row, pi * dp + q, mval * dval)
+                    key = pi * dp + q
+                    lc_row[key] = lc_row.get(key, 0) + mval * dval
             for col in range(dh):
                 coeffs = {r * dh + col: val for r, val in lc_row.items()}
-                rhs = unit_p[u] if a == col else Q0
-                if coeffs or rhs != 0:
-                    system.add_row(coeffs, rhs)
+                add(coeffs, unit_p[u] * den if a == col else 0, den * den)
 
     if require_unital:
         for p1 in range(dp):
             for p2 in range(dp):
                 coeffs = {
-                    (p1 * dp + p2) * dh + col: val
-                    for col, val in unit_h.items()
+                    (p1 * dp + p2) * dh + col: val * den for col, val in unit_h
                 }
-                rhs = unit_p[p1] * unit_p[p2]
-                if coeffs or rhs != 0:
-                    system.add_row(coeffs, rhs)
+                add(coeffs, unit_p[p1] * unit_p[p2], den * den)
 
     return system
 

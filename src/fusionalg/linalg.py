@@ -519,11 +519,22 @@ class Infeasibility:
 class LinearSystem:
     """Sparse exact linear system solved by deterministic elimination.
 
-    Rows are stored scaled to integers.  Forward elimination reduces each
-    row in insertion order against the pivot rows accumulated so far, pivoting on
-    the least unknown index; the solution assigns zero to all free
-    unknowns and back-substitutes.  The whole procedure is deterministic,
-    so identical systems yield identical solutions bit for bit.
+    Every row is stored as integers ``(coeffs, rhs, scale)``: the row's
+    rational coefficients and right-hand side times ``scale``, the least
+    common multiple of their denominators.  :meth:`add_int_row` takes a
+    row already scaled to integers over some denominator and divides out
+    the common factor; :meth:`add_row` is the same entry for rational
+    rows.  Forward elimination reduces each row in insertion order
+    against the pivot rows accumulated so far, pivoting on the least
+    unknown index, with integer arithmetic throughout; the solution
+    assigns zero to all free unknowns and back-substitutes.  The whole
+    procedure is deterministic, so identical systems yield identical
+    solutions bit for bit.
+
+    An infeasible system is eliminated a second time with provenance:
+    each working row carries integer multipliers of the stored rows over
+    one running denominator, and only the returned Farkas certificate is
+    converted to multipliers of the rational rows.
     """
 
     def __init__(self, num_unknowns: int):
@@ -533,16 +544,24 @@ class LinearSystem:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
-        clean = {c: v for c, v in coeffs.items() if v != 0}
-        scale = 1
-        for v in clean.values():
-            scale = lcm(scale, v.denominator)
-        scale = lcm(scale, rhs.denominator)
-        int_coeffs = {c: int(v * scale) for c, v in clean.items()}
-        int_rhs = int(rhs * scale)
-        self._rows.append((int_coeffs, int_rhs, scale))
+    def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
+        """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``)."""
+        clean = {c: v for c, v in coeffs.items() if v}
+        g = gcd(den, rhs, *clean.values())
+        if g > 1:
+            clean = {c: v // g for c, v in clean.items()}
+            rhs //= g
+            den //= g
+        self._rows.append((clean, rhs, den))
         return len(self._rows) - 1
+
+    def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
+        den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        return self.add_int_row(
+            {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()},
+            rhs.numerator * (den // rhs.denominator),
+            den,
+        )
 
     def row_as_fractions(self, idx: int) -> tuple[dict[int, Fraction], Fraction]:
         coeffs, rhs, scale = self._rows[idx]
@@ -551,27 +570,32 @@ class LinearSystem:
             Fraction(rhs, scale),
         )
 
+    def _combine_int(self, mults: dict[int, int]) -> tuple[dict[int, int], int]:
+        """The combination of the stored integer rows with integer
+        multipliers."""
+        acc: dict[int, int] = {}
+        rhs = 0
+        for idx, q in mults.items():
+            coeffs, row_rhs, _ = self._rows[idx]
+            for c, v in coeffs.items():
+                acc[c] = acc.get(c, 0) + q * v
+            rhs += q * row_rhs
+        return {c: v for c, v in acc.items() if v}, rhs
+
     def combine(self, farkas: dict[int, Fraction]) -> tuple[dict[int, Fraction], Fraction]:
         """Evaluate a multiplier combination against the original rows."""
-        acc: dict[int, Fraction] = {}
-        rhs = Q0
-        for idx, mult in farkas.items():
-            coeffs, row_rhs = self.row_as_fractions(idx)
-            for c, v in coeffs.items():
-                nv = acc.get(c, Q0) + mult * v
-                if nv == 0:
-                    acc.pop(c, None)
-                else:
-                    acc[c] = nv
-            rhs += mult * row_rhs
-        return acc, rhs
+        # The multiplier of stored row k is farkas[k] / scale_k; bring
+        # them all over one denominator and combine in integers.
+        per_row = {k: Fraction(v) / self._rows[k][2] for k, v in farkas.items()}
+        den = lcm(*(v.denominator for v in per_row.values()))
+        coeffs, rhs = self._combine_int(
+            {k: v.numerator * (den // v.denominator) for k, v in per_row.items()}
+        )
+        return {c: Fraction(v, den) for c, v in coeffs.items()}, Fraction(rhs, den)
 
     @staticmethod
     def _normalize(coeffs: dict[int, int], rhs: int) -> tuple[dict[int, int], int, int]:
-        g = 0
-        for v in coeffs.values():
-            g = gcd(g, v)
-        g = gcd(g, rhs)
+        g = gcd(rhs, *coeffs.values())
         if g > 1:
             coeffs = {c: v // g for c, v in coeffs.items()}
             rhs //= g
@@ -579,14 +603,19 @@ class LinearSystem:
             g = 1
         return coeffs, rhs, g
 
-    def _run(self, upto: int | None, track):
-        """Forward elimination; returns ('infeasible', ...) or pivot data."""
-        pivots: dict[int, tuple[dict[int, int], int, dict[int, Fraction] | None]] = {}
+    def _run(self, upto: int | None, track: bool):
+        """Forward elimination; returns ('infeasible', ...) or pivot data.
+
+        With ``track``, each working row carries ``(mults, den)``: it
+        equals the combination of the stored rows with integer
+        multipliers ``mults`` divided by ``den``, kept in lowest terms.
+        """
+        pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
         end = len(self._rows) if upto is None else upto + 1
         for idx in range(end):
-            coeffs, rhs, scale = self._rows[idx]
+            coeffs, rhs, _ = self._rows[idx]
             coeffs = dict(coeffs)
-            prov: dict[int, Fraction] | None = {idx: Fraction(scale)} if track else None
+            mults, den = ({idx: 1}, 1) if track else (None, 1)
             while coeffs:
                 j = min(coeffs)
                 hit = pivots.get(j)
@@ -607,45 +636,71 @@ class LinearSystem:
                         new.pop(c, None)
                 rhs = mr * rhs - mp * pr
                 coeffs = new
+                g2 = 1
+                if coeffs:
+                    coeffs, rhs, g2 = self._normalize(coeffs, rhs)
                 if track:
-                    newp = {k: mr * v for k, v in prov.items()}
-                    for k, v in pp.items():
-                        nv = newp.get(k, Q0) - mp * v
+                    pm, pden = pp
+                    # mr·(mults/den) − mp·(pm/pden), then divided by g2.
+                    common = lcm(den, pden)
+                    fr = mr * (common // den)
+                    fp = mp * (common // pden)
+                    newp = {k: fr * v for k, v in mults.items()}
+                    for k, v in pm.items():
+                        nv = newp.get(k, 0) - fp * v
                         if nv:
                             newp[k] = nv
                         else:
                             newp.pop(k, None)
-                    prov = newp
-                if coeffs:
-                    coeffs, rhs, g2 = self._normalize(coeffs, rhs)
-                    if track and g2 > 1:
-                        prov = {k: v / g2 for k, v in prov.items()}
+                    den = common * g2
+                    g3 = gcd(den, *newp.values())
+                    if g3 > 1:
+                        newp = {k: v // g3 for k, v in newp.items()}
+                        den //= g3
+                    mults = newp
             if coeffs:
                 lead = min(coeffs)
                 if coeffs[lead] < 0:
                     coeffs = {c: -v for c, v in coeffs.items()}
                     rhs = -rhs
                     if track:
-                        prov = {k: -v for k, v in prov.items()}
-                pivots[lead] = (coeffs, rhs, prov)
+                        mults = {k: -v for k, v in mults.items()}
+                pivots[lead] = (coeffs, rhs, (mults, den) if track else None)
             elif rhs != 0:
-                return ("infeasible", idx, rhs, prov)
+                return ("infeasible", idx, rhs, (mults, den) if track else None)
         return ("ok", pivots)
 
     def solve(self):
-        """Return a tuple of Fraction values, or an Infeasibility."""
+        """Return a tuple of Fraction values, or an Infeasibility.
+
+        A refutation is checked before it is returned: its multipliers
+        must cancel every unknown and leave a nonzero right-hand side.
+        """
         outcome = self._run(None, track=False)
         if outcome[0] == "infeasible":
             _, idx, _, _ = outcome
             redo = self._run(idx, track=True)
             if redo[0] != "infeasible":
-                raise AssertionError("infeasibility did not reproduce under provenance")
-            _, idx2, rhs2, prov = redo
+                raise AssertionError(
+                    "infeasibility did not reproduce under provenance: the fast "
+                    f"pass met a contradiction at row {idx}, the provenance pass "
+                    f"none in rows 0..{idx}"
+                )
+            _, idx2, _, (mults, den) = redo
             if idx2 != idx:
-                raise AssertionError("provenance pass diverged from the fast pass")
-            # Express the residual relative to the original (fraction) rows.
-            _, residual = self.combine(prov)
-            return Infeasibility(idx, prov, residual)
+                raise AssertionError(
+                    "provenance pass diverged from the fast pass: contradiction "
+                    f"at row {idx2} under provenance, at row {idx} without"
+                )
+            coeffs, rhs = self._combine_int(mults)
+            if coeffs or rhs == 0:
+                raise AssertionError(
+                    f"Farkas multipliers of the contradiction at row {idx} do not "
+                    f"refute the system: {len(coeffs)} unknowns left, "
+                    f"right-hand side {rhs}"
+                )
+            farkas = {k: Fraction(q * self._rows[k][2], den) for k, q in mults.items()}
+            return Infeasibility(idx, farkas, Fraction(rhs, den))
         _, pivots = outcome
         values = [Q0] * self.num_unknowns
         for col in sorted(pivots, reverse=True):

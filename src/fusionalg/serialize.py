@@ -491,13 +491,48 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
         _fail(where, str(exc))
 
 
-def _param_base(scn: Scenario) -> tuple[BaseWithEnds]:
+# The largest fusion ambient C (x) P (x) H a scenario may ask for: the
+# base points times the fiber, (m+1)·dim P·dim H over the chain 0..m.
+# The ambient algebra is a dense n×n² structure-constant grid, so 128
+# allows about 2·10⁶ entries; the largest scenario in data/ and in the
+# benchmark references (O(S3) and kS3 at m = 1) has 72.
+MAX_AMBIENT_DIM = 128
+
+
+def _within_budget(where: str, dim: int) -> None:
+    """Refuse a fusion whose ambient dimension exceeds the budget,
+    before anything is built."""
+    if dim > MAX_AMBIENT_DIM:
+        _fail(
+            where,
+            f"the fusion ambient dimension {dim} exceeds the budget of "
+            f"{MAX_AMBIENT_DIM}",
+        )
+
+
+def _fiber_dim(inputs) -> int:
+    """Dimension of the fiber P (x) H of a comodule, or P (x) Q of two
+    algebras, that a fusion places over each base point."""
+    dim = 1
+    for value in inputs:
+        if isinstance(value, ComoduleAlgebra):
+            dim *= value.algebra.dim * value.hopf.dim
+        else:
+            dim *= value.dim
+    return dim
+
+
+def _param_base(scn: Scenario, inputs) -> tuple[BaseWithEnds]:
     """The base a fusion scenario runs over: an inline raw base under
     ``params.base``, or the chain 0..m for ``params.m``."""
     raw = scn.params.get("base")
     if raw is not None:
-        return (base_from_obj(raw, "params.base"),)
-    return (chain_interval(param_int(scn.params, "m", "params")),)
+        base = base_from_obj(raw, "params.base")
+        _within_budget("params.base", base.dim * _fiber_dim(inputs))
+        return (base,)
+    m = param_int(scn.params, "m", "params")
+    _within_budget("params.m", (m + 1) * _fiber_dim(inputs))
+    return (chain_interval(m),)
 
 
 # ---------------------------------------------------------------- loading
@@ -707,25 +742,35 @@ class Operation:
     :func:`verify_certificate` replays it.
 
     ``inputs`` names the input documents and their kinds; each is
-    decoded once and its axioms checked.  ``parse(scn)`` validates the
-    parameters; the inputs in order, then the parameters, are the
-    arguments of ``run(args)``, which returns ``(result, lines, exit
-    code)``.  An operation whose result carries a witness has
-    ``replay(args, result)``, which yields problems without solving; any
-    other is replayed by running it again and comparing the results
-    field by field.
+    decoded once and its axioms checked.  ``parse(scn, inputs)``
+    validates the parameters against the decoded inputs, refusing a
+    fusion beyond :data:`MAX_AMBIENT_DIM`; the inputs in order, then the
+    parameters, are the arguments of ``run(args)``, which returns
+    ``(result, lines, exit code)``.  An operation whose result carries a
+    witness has ``replay(args, result)``, which yields problems without
+    solving; any other is replayed by running it again and comparing the
+    results field by field.
     """
 
     command: str
     inputs: tuple[tuple[str, str], ...]
     run: Callable
     replay: Callable | None = None
-    parse: Callable = lambda scn: ()
+    parse: Callable = lambda scn, inputs: ()
 
 
-def _ints(*names: str) -> Callable:
-    """A parse of the named positive integer parameters."""
-    return lambda scn: tuple(param_int(scn.params, name, "params") for name in names)
+def _ints(*names: str, ambient: Callable | None = None) -> Callable:
+    """A parse of the named positive integer parameters.  For an
+    operation that builds a fusion, ``ambient(*args)`` is the dimension
+    of its largest ambient, computed from the arguments of ``run``."""
+
+    def parse(scn: Scenario, inputs) -> tuple[int, ...]:
+        values = tuple(param_int(scn.params, name, "params") for name in names)
+        if ambient is not None:
+            _within_budget("params", ambient(*inputs, *values))
+        return values
+
+    return parse
 
 
 def _run_check(args):
@@ -827,11 +872,12 @@ def _run_equivariant_fusion(args):
     return result, lines, EXIT_OK
 
 
-def _parse_theorem_main(scn: Scenario):
+def _parse_theorem_main(scn: Scenario, inputs):
     """m and the square-root pair on the chain 0..m: from
     ``params.profile``, from ``params.sqrt`` (the vectors s and s'), or
     from the default profile."""
     m = param_int(scn.params, "m", "params")
+    _within_budget("params.m", (m + 1) * _fiber_dim(inputs))
     profile = _get(scn.params, "profile", "params", None)
     sqrt = _get(scn.params, "sqrt", "params", None)
     if sqrt is None:
@@ -1107,11 +1153,14 @@ _GSET = (("gset", "gset"),)
 # The operations, in the order the command line lists them.
 OPERATIONS: dict[str, Operation] = {
     "check": Operation(
-        "check", (), _run_check, parse=lambda scn: (_get(scn.inputs, "target", "inputs"),)
+        "check", (), _run_check,
+        parse=lambda scn, inputs: (_get(scn.inputs, "target", "inputs"),),
     ),
     "solve-connection": Operation(
         "solve-connection", _COMODULE, _run_solve_connection, _replay_solve_connection,
-        lambda scn: (_bool_from_obj(_get(scn.params, "unital", "params", False), "params.unital"),),
+        lambda scn, inputs: (
+            _bool_from_obj(_get(scn.params, "unital", "params", False), "params.unital"),
+        ),
     ),
     "fusion": Operation(
         "fusion", (("left", "algebra"), ("right", "algebra")), _run_fusion, parse=_param_base
@@ -1123,7 +1172,11 @@ OPERATIONS: dict[str, Operation] = {
         "fusion", _COMODULE, _run_theorem_main, _replay_theorem_main, _parse_theorem_main
     ),
     "pullback": Operation(
-        "fusion", _COMODULE, _run_pullback, parse=_ints("m_lower", "m_upper")
+        "fusion", _COMODULE, _run_pullback,
+        parse=_ints(
+            "m_lower", "m_upper",
+            ambient=lambda com, lo, hi: (lo + hi + 1) * _fiber_dim((com,)),
+        ),
     ),
     "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
     "discrete-join": Operation(
@@ -1133,11 +1186,12 @@ OPERATIONS: dict[str, Operation] = {
         "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso, _ints("m")
     ),
     "join-vs-fusion": Operation(
-        "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion, _ints("nx", "ny", "m")
+        "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion,
+        _ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
     ),
     "diagonal-join-freeness": Operation(
         "classical", _GSET, _run_diagonal_join_freeness, _replay_diagonal_join_freeness,
-        _ints("m"),
+        _ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
     ),
 }
 
@@ -1158,7 +1212,7 @@ def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
         inputs.append(value)
         if failures:
             failed.append((name, kind, failures))
-    return op, (*inputs, *op.parse(scn)), failed
+    return op, (*inputs, *op.parse(scn, tuple(inputs))), failed
 
 
 # ---------------------------------------------------------------- replay

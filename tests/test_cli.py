@@ -436,6 +436,49 @@ def test_verify_certificate_reports_a_lowered_m_as_invalid(tmp_path, capsys):
     assert "result.lifted_connection: shape 64x2 does not match the expected 16x2" in out
 
 
+# Parameters that take each fusion-building operation of _small_runs
+# just past MAX_AMBIENT_DIM = 128, with the ambient dimension they ask for.
+_OVER_BUDGET = {
+    "fusion": ({"m": 64}, 130),  # 65 points · 2 · 1
+    "equivariant-fusion": ({"m": 32}, 132),  # 33 · 2 · 2
+    "theorem-main": ({"m": 100}, 404),
+    "pullback": ({"m_lower": 16, "m_upper": 16}, 132),  # joined chain: 33 · 4
+    "join-vs-fusion": ({"nx": 1, "ny": 2, "m": 64}, 130),
+    "diagonal-join-freeness": ({"m": 32}, 132),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_OVER_BUDGET))
+def test_fusion_beyond_the_dimension_budget_is_refused(tmp_path, capsys, monkeypatch, operation):
+    import fusionalg.serialize
+
+    def refuse(m):
+        raise AssertionError("the budget must be checked before the base is built")
+
+    monkeypatch.setattr(fusionalg.serialize, "chain_interval", refuse)
+    command, doc = _small_runs()[operation]
+    params, dim = _OVER_BUDGET[operation]
+    doc["params"].update(params)
+    path = write(tmp_path, "input.json", doc)
+    assert entry(command + [path]) == 2
+    assert f"fusion ambient dimension {dim} exceeds the budget of 128" in capsys.readouterr().err
+
+
+def test_verify_certificate_reports_a_fusion_beyond_the_budget_as_invalid(tmp_path, capsys):
+    command, doc = _small_runs()["theorem-main"]
+    path = write(tmp_path, "scn.json", doc)
+    cert_path = tmp_path / "cert.json"
+    assert entry(command + [path, "--output", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert["scenario"]["params"]["m"] = 100
+    raised = write(tmp_path, "raised.json", cert)
+    capsys.readouterr()
+    assert entry(["verify-certificate", raised]) == 1
+    out = capsys.readouterr().out
+    assert "certificate INVALID" in out
+    assert "params.m: the fusion ambient dimension 404 exceeds the budget of 128" in out
+
+
 def test_verify_certificate_rejects_other_kinds(tmp_path, capsys):
     path = write(tmp_path, "h.json", hopf_to_obj(function_hopf(FiniteGroup.cyclic(2))))
     assert entry(["verify-certificate", path]) == 2

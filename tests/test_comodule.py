@@ -1,6 +1,9 @@
 """Comodule algebras: coinvariants, the canonical map, and strong connections."""
 
+import json
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -22,15 +25,17 @@ from fusionalg.comodule import (
     trivial_coaction,
 )
 from fusionalg.groups import FiniteGroup, FiniteGSet
-from fusionalg.hopf import function_hopf, trivial_hopf
+from fusionalg.hopf import function_hopf, make_hopf, trivial_hopf
 from fusionalg.linalg import (
     Infeasibility,
     LinearMap,
+    LinearSystem,
     Space,
     Subspace,
     basis_vec,
     tensor_vec,
 )
+from fusionalg.serialize import comodule_to_obj
 
 Q = Fraction
 
@@ -365,3 +370,105 @@ def test_verdict_invariant_under_basis_permutation():
     assert v1.principal == v2.principal
     assert v1.num_unknowns == v2.num_unknowns
     assert v1.num_rows == v2.num_rows
+
+
+# ---------------------------------------------------------------- rescaled bases
+
+def _rescaled_map(f: LinearMap, src, tgt) -> LinearMap:
+    """The matrix of f in the bases e'_j = src[j]·e_j and e'_i = tgt[i]·e_i."""
+    return LinearMap(f.source, f.target, tuple(
+        tuple(v * src[j] / tgt[i] for j, v in enumerate(row))
+        for i, row in enumerate(f.rows)
+    ))
+
+
+def _squares(a, b):
+    return [x * y for x in a for y in b]
+
+
+def _rescaled_algebra(a: FDAlgebra, s) -> FDAlgebra:
+    return FDAlgebra(
+        a.space,
+        _rescaled_map(a.mult, _squares(s, s), s),
+        tuple(u / x for u, x in zip(a.unit, s)),
+    )
+
+
+def rescaled_comodule(c: ComoduleAlgebra, p_scales, h_scales) -> ComoduleAlgebra:
+    """The same comodule in the bases e'_i = p_scales[i]·e_i of P and
+    h'_a = h_scales[a]·h_a of H, so its structure constants get the
+    denominators of the scales."""
+    h = c.hopf
+    hopf = make_hopf(
+        _rescaled_algebra(h.algebra, h_scales),
+        _rescaled_map(h.coproduct, h_scales, _squares(h_scales, h_scales)),
+        _rescaled_map(h.counit, h_scales, (Q(1),)),
+        _rescaled_map(h.antipode, h_scales, h_scales),
+    )
+    return ComoduleAlgebra(
+        _rescaled_algebra(c.algebra, p_scales),
+        hopf,
+        _rescaled_map(c.coaction, p_scales, _squares(p_scales, h_scales)),
+    )
+
+
+def nonfree_z2_comodule() -> ComoduleAlgebra:
+    g = FiniteGroup.cyclic(2)
+    return fun_comodule(
+        FiniteGSet.disjoint_union(FiniteGSet.regular(g), FiniteGSet.trivial(g, 1))
+    )
+
+
+# Each comodule moved to a rescaled basis: how to build it, and the
+# scales of the bases of P and of H.
+RESCALED = {
+    "nonfree-z2": (nonfree_z2_comodule, (Q(1, 3), Q(5, 2), Q(2, 7)), (Q(1), Q(3, 2))),
+    "regular-z3": (
+        lambda: regular_comodule(3), (Q(5, 2), Q(1, 3), Q(-4)), (Q(1), Q(2, 3), Q(7))
+    ),
+}
+
+
+def rescaled(name: str) -> ComoduleAlgebra:
+    make, p_scales, h_scales = RESCALED[name]
+    return rescaled_comodule(make(), p_scales, h_scales)
+
+
+def test_golden_rescaled_input_is_the_rescaled_nonfree_z2_set():
+    """``tests/golden/comodule_rescaled_nonfree_z2.json`` is O(Z2) acting
+    on one free orbit and one fixed point, in a rescaled basis."""
+    path = Path(__file__).parent / "golden" / "comodule_rescaled_nonfree_z2.json"
+    assert json.loads(path.read_text()) == comodule_to_obj(rescaled("nonfree-z2"))
+
+
+@pytest.mark.parametrize("name", sorted(RESCALED))
+def test_verdicts_survive_a_rescaled_basis(name):
+    c, original = rescaled(name), RESCALED[name][0]()
+    assert check_comodule(c).ok
+    for unital in (False, True):
+        system = connection_system(c, unital)
+        assert any(scale != 1 for _, _, scale in system._rows)
+        assert len(system) == len(connection_system(original, unital))
+        outcome = solve_strong_connection(c, require_unital=unital)
+        expected = solve_strong_connection(original, require_unital=unital)
+        assert isinstance(outcome, Infeasibility) == isinstance(expected, Infeasibility)
+        if isinstance(outcome, Infeasibility):
+            coeffs, rhs = system.combine(outcome.farkas)
+            assert coeffs == {} and rhs == outcome.residual != 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [nonfree_z2_comodule, partial(two_orbit_comodule, 2), *(partial(rescaled, n) for n in RESCALED)],
+    ids=["nonfree-z2", "two-orbit-z2", *(f"rescaled-{n}" for n in RESCALED)],
+)
+def test_connection_rows_are_stored_as_their_fraction_form(make):
+    """Every row of the integer-built connection system is the row that
+    adding its rational form stores."""
+    c = make()
+    for unital in (False, True):
+        system = connection_system(c, unital)
+        for i in range(len(system)):
+            again = LinearSystem(system.num_unknowns)
+            again.add_row(*system.row_as_fractions(i))
+            assert again._rows == [system._rows[i]]

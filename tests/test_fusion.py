@@ -229,7 +229,7 @@ def first_non_pivot(sub: Subspace) -> int:
     return min(set(range(sub.ambient.dim)) - set(sub.pivots))
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_tensor_coordinates_match_the_kron_reducer(data):
     na = data.draw(st.integers(1, 4))

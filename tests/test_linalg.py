@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionalg.linalg import (
     Infeasibility,
@@ -365,3 +368,147 @@ def test_linear_system_random_consistency():
                 coeffs, rhs = sys.row_as_fractions(i)
                 assert sum(c * out[j] for j, c in coeffs.items()) == rhs
     assert feasible_seen > 0 and infeasible_seen > 0
+
+
+def _reference_triple(coeffs, rhs):
+    """A rational row stored as integers: times the least common multiple
+    of its denominators, zero coefficients dropped."""
+    clean = {c: v for c, v in coeffs.items() if v != 0}
+    scale = lcm(rhs.denominator, *(v.denominator for v in clean.values()))
+    return {c: int(v * scale) for c, v in clean.items()}, int(rhs * scale), scale
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=100)
+@given(
+    coeffs=st.dictionaries(st.integers(0, 7), rationals, max_size=6),
+    rhs=rationals,
+    extra=st.integers(1, 30),
+)
+def test_integer_rows_are_stored_like_rational_rows(coeffs, rhs, extra):
+    """A row given as integers over any denominator, and the same row
+    given as Fractions, are stored as the same (coeffs, rhs, scale)."""
+    expected = _reference_triple(coeffs, rhs)
+    den = extra * lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+    as_ints = LinearSystem(8)
+    as_ints.add_int_row({c: int(v * den) for c, v in coeffs.items()}, int(rhs * den), den)
+    as_fractions = LinearSystem(8)
+    as_fractions.add_row(coeffs, rhs)
+    assert as_ints._rows == as_fractions._rows == [expected]
+
+
+def _reference_farkas(system, upto):
+    """Provenance of the contradiction at row ``upto``, tracked as
+    Fraction multipliers of the rational rows through the same
+    elimination the solver runs."""
+    pivots = {}
+    for idx in range(upto + 1):
+        coeffs, rhs, scale = system._rows[idx]
+        coeffs = dict(coeffs)
+        prov = {idx: Fraction(scale)}
+        while coeffs and min(coeffs) in pivots:
+            j = min(coeffs)
+            pc, pr, pp = pivots[j]
+            g = gcd(coeffs[j], pc[j])
+            mr, mp = pc[j] // g, coeffs[j] // g
+            new = {c: mr * v for c, v in coeffs.items()}
+            for c, v in pc.items():
+                new[c] = new.get(c, 0) - mp * v
+            coeffs = {c: v for c, v in new.items() if v}
+            rhs = mr * rhs - mp * pr
+            new_prov = {k: mr * v for k, v in prov.items()}
+            for k, v in pp.items():
+                nv = new_prov.get(k, 0) - mp * v
+                if nv:
+                    new_prov[k] = nv
+                else:
+                    new_prov.pop(k, None)
+            prov = new_prov
+            if coeffs:
+                g = gcd(rhs, *coeffs.values())
+                coeffs = {c: v // g for c, v in coeffs.items()}
+                rhs //= g
+                prov = {k: v / g for k, v in prov.items()}
+        if coeffs:
+            sign = -1 if coeffs[min(coeffs)] < 0 else 1
+            pivots[min(coeffs)] = (
+                {c: sign * v for c, v in coeffs.items()},
+                sign * rhs,
+                {k: sign * v for k, v in prov.items()},
+            )
+    return prov
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(
+        st.tuples(st.dictionaries(st.integers(0, 4), rationals, max_size=4), rationals),
+        min_size=1,
+        max_size=9,
+    )
+)
+def test_farkas_multipliers_match_fraction_provenance(rows):
+    """The integer provenance pass returns the multipliers, in the same
+    order, that tracking Fraction multipliers through the elimination
+    gives, and they refute the system."""
+    system = LinearSystem(5)
+    for coeffs, rhs in rows:
+        system.add_row(coeffs, rhs)
+    out = system.solve()
+    if not isinstance(out, Infeasibility):
+        return
+    reference = _reference_farkas(system, out.row_index)
+    assert list(out.farkas.items()) == list(reference.items())
+    coeffs, rhs = system.combine(out.farkas)
+    assert coeffs == {} and rhs == out.residual != 0
+
+
+def _refutable_system():
+    system = LinearSystem(2)
+    system.add_row({0: Q(1), 1: Q(1)}, Q(1))
+    system.add_row({0: Q(2), 1: Q(2)}, Q(3))
+    return system
+
+
+def test_solve_names_both_rows_when_provenance_diverges(monkeypatch):
+    system = _refutable_system()
+    run = LinearSystem._run
+
+    def shifted(self, upto, track):
+        outcome = run(self, upto, track)
+        if track:
+            return (outcome[0], outcome[1] + 7, *outcome[2:])
+        return outcome
+
+    monkeypatch.setattr(LinearSystem, "_run", shifted)
+    with pytest.raises(AssertionError, match="at row 8 under provenance, at row 1 without"):
+        system.solve()
+
+
+def test_solve_names_the_row_when_provenance_finds_no_contradiction(monkeypatch):
+    system = _refutable_system()
+    run = LinearSystem._run
+    monkeypatch.setattr(
+        LinearSystem, "_run", lambda self, upto, track: ("ok", {}) if track else run(self, upto, track)
+    )
+    with pytest.raises(AssertionError, match="contradiction at row 1, the provenance pass none"):
+        system.solve()
+
+
+def test_solve_checks_its_farkas_multipliers(monkeypatch):
+    """A refutation whose multipliers do not cancel the unknowns is an
+    internal error, not a certificate."""
+    system = _refutable_system()
+    run = LinearSystem._run
+
+    def wrong_multipliers(self, upto, track):
+        outcome = run(self, upto, track)
+        if track:
+            return (*outcome[:3], ({1: 1}, 1))
+        return outcome
+
+    monkeypatch.setattr(LinearSystem, "_run", wrong_multipliers)
+    with pytest.raises(AssertionError, match="do not refute the system: 2 unknowns left"):
+        system.solve()

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -413,3 +414,30 @@ def test_replay_reports_an_input_failing_its_axioms(tmp_path):
     ok, problems = verify_certificate(cert)
     assert not ok
     assert problems[0].startswith("inputs.comodule: the comodule fails "), problems
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # a Farkas refutation with integral rows
+        (["solve-connection", "data/comodule_trivial_z2.json"],
+         "solve-connection-comodule_trivial_z2"),
+        (["fusion", "data/scenario_theorem_main.json"], "fusion-scenario_theorem_main"),
+        # a refutation on a non-free O(Z2)-set in a rescaled basis, whose
+        # connection-system rows have denominators other than 1
+        (["solve-connection", "tests/golden/comodule_rescaled_nonfree_z2.json"],
+         "solve-connection-comodule_rescaled_nonfree_z2"),
+    ],
+)
+def test_certificates_match_golden_files(tmp_path, argv, golden):
+    """The certificates in ``tests/golden`` were written once by the
+    command line with ``--output``; a change to the system build or the
+    solver must reproduce them byte for byte apart from the timing."""
+    out = tmp_path / "cert.json"
+    entry([argv[0], str(ROOT / argv[1]), "--output", str(out)])
+    expected = json.loads((GOLDEN / f"{golden}.cert.json").read_text())
+    assert certificate_identity(json.loads(out.read_text())) == certificate_identity(expected)
