@@ -1,14 +1,17 @@
 """Finite-dimensional unital algebras presented by structure constants.
 
-An algebra is a labeled space together with a multiplication map
-A (x) A -> A and a unit vector.  All checks report named axioms and a
-concrete witness (the basis triple or pair that fails), never just a
-boolean, so callers can surface actionable diagnostics.
+An algebra is a labeled space, a unit vector, and its multiplication
+stored only as a sparse structure-constant table: ``table[i][j]`` maps
+each k to the nonzero coefficient of e_k in e_i·e_j.  Sparse vectors are
+dicts from basis index to nonzero Fraction, summed with
+:func:`accumulate`.  All checks report named axioms and a concrete
+witness (the basis triple or pair that fails), never just a boolean, so
+callers can surface actionable diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
@@ -17,7 +20,6 @@ from .linalg import (
     Q1,
     Space,
     Subspace,
-    basis_vec,
     rat,
     tensor_vec,
     zero_vec,
@@ -44,18 +46,22 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class FDAlgebra:
-    """Unital associative algebra on a labeled rational vector space."""
+    """Unital associative algebra on a labeled rational vector space.
+
+    ``table[i][j] = {k: c}`` lists the nonzero structure constants of
+    e_i·e_j; build it through :meth:`from_structure` unless it is
+    already clean.
+    """
 
     space: Space
-    mult: LinearMap  # space (x) space -> space
+    table: list[list[dict[int, Fraction]]]
     unit: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.mult.source.dim != self.space.dim ** 2:
-            raise ValueError("multiplication source must be the tensor square")
-        if self.mult.target.dim != self.space.dim:
-            raise ValueError("multiplication target must be the algebra space")
-        if len(self.unit) != self.space.dim:
+        n = self.space.dim
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValueError("structure-constant table must be dim x dim")
+        if len(self.unit) != n:
             raise ValueError("unit vector has wrong length")
 
     @property
@@ -68,38 +74,38 @@ class FDAlgebra:
 
     @staticmethod
     def from_structure(space: Space, table, unit) -> "FDAlgebra":
-        """Build from structure constants table[i][j] = {k: coeff}."""
+        """Build from structure constants table[i][j] = {k: coeff}, dropping
+        zero coefficients."""
         n = space.dim
-        sq = space.tensor(space)
-        rows = [[Q0] * (n * n) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k, v in table[i][j].items():
-                    rows[k][i * n + j] = rat(v)
-        mult = LinearMap(sq, space, tuple(tuple(r) for r in rows))
-        return FDAlgebra(space, mult, tuple(rat(x) for x in unit))
+        clean = []
+        for row in table:
+            out = []
+            for prod in row:
+                if any(not 0 <= k < n for k in prod):
+                    raise ValueError(f"structure constant index outside 0..{n - 1}")
+                out.append({k: c for k, v in prod.items() if (c := rat(v))})
+            clean.append(out)
+        return FDAlgebra(space, clean, tuple(rat(x) for x in unit))
 
     def mult_vec(self, x, y) -> tuple[Fraction, ...]:
-        return self.mult.apply(tensor_vec(x, y))
+        prod = mul_sparse(self.table, sparse_of_vec(x), sparse_of_vec(y))
+        return tuple(prod.get(k, Q0) for k in range(self.dim))
 
     def unit_map(self) -> LinearMap:
         return LinearMap.from_columns(Space.scalar(), self.space, [self.unit])
 
-    def product_table(self) -> list[list[dict[int, Fraction]]]:
-        """Structure constants: table[i][j] = sparse product of basis i, j."""
-        n = self.dim
-        table: list[list[dict[int, Fraction]]] = [
-            [{} for _ in range(n)] for _ in range(n)
-        ]
-        for k, row in enumerate(self.mult.rows):
-            for col, v in enumerate(row):
-                if v != 0:
-                    table[col // n][col % n][k] = v
-        return table
-
 
 def sparse_of_vec(vec) -> dict[int, Fraction]:
     return {i: v for i, v in enumerate(vec) if v != 0}
+
+
+def accumulate(acc: dict, key, val) -> None:
+    """Add ``val`` at ``key`` of a sparse vector, dropping a zero sum."""
+    nv = acc.get(key, Q0) + val
+    if nv == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = nv
 
 
 def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -110,18 +116,14 @@ def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[in
         for j, b in y.items():
             ab = a * b
             for k, c in row[j].items():
-                nv = acc.get(k, Q0) + ab * c
-                if nv == 0:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = nv
+                accumulate(acc, k, ab * c)
     return acc
 
 
 def check_algebra(alg: FDAlgebra) -> CheckReport:
     """Associativity plus two-sided unit, with the first failing witness."""
     n = alg.dim
-    table = alg.product_table()
+    table = alg.table
     failures: list[Failure] = []
     unit = sparse_of_vec(alg.unit)
 
@@ -178,28 +180,25 @@ def scalar_algebra() -> FDAlgebra:
 
 
 def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
-    """Componentwise product on A (x) B."""
-    da, db = a.dim, b.dim
-    ta, tb = a.product_table(), b.product_table()
-    space = a.space.tensor(b.space)
-    n = da * db
-    rows = [[Q0] * (n * n) for _ in range(n)]
-    for i in range(da):
-        for k in range(da):
-            pa = ta[i][k]
+    """Componentwise product on A (x) B: (e_i (x) f_j)·(e_k (x) f_l) is
+    e_i·e_k (x) f_j·f_l, so the table has nnz(A)·nnz(B) constants."""
+    db = b.dim
+    n = a.dim * db
+    table: list[list[dict[int, Fraction]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row_a in enumerate(a.table):
+        for k, pa in enumerate(row_a):
             if not pa:
                 continue
-            for j in range(db):
-                for l in range(db):
-                    pb = tb[j][l]
-                    if not pb:
-                        continue
-                    col = (i * db + j) * n + (k * db + l)
-                    for p, va in pa.items():
-                        for q, vb in pb.items():
-                            rows[p * db + q][col] = va * vb
-    mult = LinearMap(space.tensor(space), space, tuple(tuple(r) for r in rows))
-    return FDAlgebra(space, mult, tensor_vec(a.unit, b.unit))
+            for j, row_b in enumerate(b.table):
+                out = table[i * db + j]
+                for l, pb in enumerate(row_b):
+                    if pb:
+                        out[k * db + l] = {
+                            p * db + q: va * vb
+                            for p, va in pa.items()
+                            for q, vb in pb.items()
+                        }
+    return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit))
 
 
 def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
@@ -208,18 +207,11 @@ def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     space = Space(
         tuple(f"L·{l}" for l in a.labels) + tuple(f"R·{l}" for l in b.labels)
     )
-    ta, tb = a.product_table(), b.product_table()
-    table: list[list[dict[int, Fraction]]] = [
-        [{} for _ in range(da + db)] for _ in range(da + db)
+    table = [list(row) + [{} for _ in range(db)] for row in a.table] + [
+        [{} for _ in range(da)] + [{da + k: v for k, v in prod.items()} for prod in row]
+        for row in b.table
     ]
-    for i in range(da):
-        for j in range(da):
-            table[i][j] = dict(ta[i][j])
-    for i in range(db):
-        for j in range(db):
-            table[da + i][da + j] = {da + k: v for k, v in tb[i][j].items()}
-    unit = tuple(a.unit) + tuple(b.unit)
-    return FDAlgebra.from_structure(space, table, unit)
+    return FDAlgebra(space, table, tuple(a.unit) + tuple(b.unit))
 
 
 # ---------------------------------------------------------------- homomorphisms
@@ -255,8 +247,7 @@ class HomReport:
 def check_hom(hom: AlgebraHom) -> HomReport:
     """Check f(xy) = f(x)f(y) on basis pairs and f(1) = 1, plus rank data."""
     a, b, f = hom.source, hom.target, hom.map
-    ta = a.product_table()
-    tb = b.product_table()
+    ta, tb = a.table, b.table
     f_cols = [sparse_of_vec(f.column(j)) for j in range(a.dim)]
     failures: list[Failure] = []
 
@@ -268,11 +259,7 @@ def check_hom(hom: AlgebraHom) -> HomReport:
             lhs: dict[int, Fraction] = {}
             for k, c in ta[i][j].items():
                 for p, v in f_cols[k].items():
-                    nv = lhs.get(p, Q0) + c * v
-                    if nv == 0:
-                        lhs.pop(p, None)
-                    else:
-                        lhs[p] = nv
+                    accumulate(lhs, p, c * v)
             rhs = mul_sparse(tb, f_cols[i], f_cols[j])
             if lhs != rhs:
                 failures.append(
@@ -351,12 +338,11 @@ def subalgebra_from_subspace(
     d = sub.dim
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
-    ambient_table = ambient.product_table()
     sparse_basis = [sparse_of_vec(b) for b in sub.basis]
     n = ambient.dim
     for i in range(d):
         for j in range(d):
-            sparse_prod = mul_sparse(ambient_table, sparse_basis[i], sparse_basis[j])
+            sparse_prod = mul_sparse(ambient.table, sparse_basis[i], sparse_basis[j])
             prod = tuple(sparse_prod.get(k, Q0) for k in range(n))
             coords = sub.coordinates(prod)
             if coords is None:

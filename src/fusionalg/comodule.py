@@ -25,6 +25,7 @@ from .algebra import (
     FDAlgebra,
     Failure,
     SubalgebraWitness,
+    accumulate,
     sparse_of_vec,
     subalgebra_from_subspace,
 )
@@ -33,12 +34,10 @@ from .linalg import (
     Infeasibility,
     LinearMap,
     LinearSystem,
-    Q0,
     Q1,
     QuotientSpace,
     Subspace,
     basis_vec,
-    flip_map,
     tensor_vec,
 )
 
@@ -64,14 +63,6 @@ def trivial_coaction(algebra: FDAlgebra, hopf: HopfAlgebra) -> ComoduleAlgebra:
     return ComoduleAlgebra(algebra, hopf, coaction)
 
 
-def _acc(d: dict, key, val) -> None:
-    nv = d.get(key, Q0) + val
-    if nv == 0:
-        d.pop(key, None)
-    else:
-        d[key] = nv
-
-
 def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     """Named axioms: coaction_multiplicative, coaction_unital,
     coaction_coassociative, coaction_counital.
@@ -84,8 +75,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     failures: list[Failure] = []
     dcols = [sparse_of_vec(c.coaction.column(j)) for j in range(dp)]
     cop_cols = [sparse_of_vec(h.coproduct.column(j)) for j in range(dh)]
-    ptab = p.product_table()
-    htab = h.algebra.product_table()
+    ptab, htab = p.table, h.algebra.table
     eps = h.counit.rows[0]
 
     mult_ok = True
@@ -96,7 +86,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
             lhs: dict[int, Fraction] = {}
             for k2, v in ptab[i][j].items():
                 for key, w in dcols[k2].items():
-                    _acc(lhs, key, v * w)
+                    accumulate(lhs, key, v * w)
             rhs: dict[int, Fraction] = {}
             for pa, va in dcols[i].items():
                 pi, ai = divmod(pa, dh)
@@ -105,7 +95,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
                     vab = va * vb
                     for u, mv in ptab[pi][qi].items():
                         for w, hv in htab[ai][bi].items():
-                            _acc(rhs, u * dh + w, vab * mv * hv)
+                            accumulate(rhs, u * dh + w, vab * mv * hv)
             if lhs != rhs:
                 failures.append(
                     Failure(
@@ -120,7 +110,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     delta_unit: dict[int, Fraction] = {}
     for i, v in sparse_of_vec(p.unit).items():
         for key, w in dcols[i].items():
-            _acc(delta_unit, key, v * w)
+            accumulate(delta_unit, key, v * w)
     expected_unit = sparse_of_vec(tensor_vec(p.unit, h.algebra.unit))
     if delta_unit != expected_unit:
         failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
@@ -131,9 +121,9 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
         for pa, val in dcols[j].items():
             pi, ai = divmod(pa, dh)
             for qb, w in dcols[pi].items():
-                _acc(lhs, qb * dh + ai, val * w)
+                accumulate(lhs, qb * dh + ai, val * w)
             for bc, w in cop_cols[ai].items():
-                _acc(rhs, pi * dh * dh + bc, val * w)
+                accumulate(rhs, pi * dh * dh + bc, val * w)
         if lhs != rhs:
             failures.append(
                 Failure(
@@ -149,7 +139,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
         for pa, val in dcols[j].items():
             pi, ai = divmod(pa, dh)
             if eps[ai] != 0:
-                _acc(out, pi, val * eps[ai])
+                accumulate(out, pi, val * eps[ai])
         if out != {j: Q1}:
             failures.append(
                 Failure(
@@ -216,11 +206,29 @@ def balanced_tensor(
     return BalancedTensor(c, coinv, QuotientSpace.from_killed(sq, killed))
 
 
+def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
+    """Sparse columns of P (x) V -> P (x) W, x (x) v -> x·f(v)' (x) f(v)'',
+    for a map f: V -> P (x) W."""
+    width = f.target.dim // p.dim
+    images = [sparse_of_vec(f.column(j)) for j in range(f.source.dim)]
+    cols = []
+    for x in range(p.dim):
+        for image in images:
+            col: dict[int, Fraction] = {}
+            for key, val in image.items():
+                q, a = divmod(key, width)
+                for k, coeff in p.table[x][q].items():
+                    accumulate(col, k * width + a, val * coeff)
+            cols.append(col)
+    return cols
+
+
 def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
     """The map P (x) P -> P (x) H sending x (x) y to x·y_(0) (x) y_(1)."""
-    inner = LinearMap.identity(c.algebra.space).kron(c.coaction)
-    outer = c.algebra.mult.kron(LinearMap.identity(c.hopf.space))
-    return outer.compose(inner)
+    p = c.algebra
+    return LinearMap.from_sparse_columns(
+        p.space.tensor(p.space), p.space.tensor(c.hopf.space), _times_first_leg(p, c.coaction)
+    )
 
 
 @dataclass(frozen=True)
@@ -273,9 +281,17 @@ def delta_L(c: ComoduleAlgebra) -> LinearMap:
     if c.hopf.antipode_inv is None:
         raise ValueError("left coaction needs an invertible antipode")
     p, h = c.algebra, c.hopf
-    fl = flip_map(p.space, h.space)
-    twist = c.hopf.antipode_inv.kron(LinearMap.identity(p.space))
-    return twist.compose(fl).compose(c.coaction)
+    dp, dh = p.dim, h.dim
+    s_inv = [sparse_of_vec(h.antipode_inv.column(a)) for a in range(dh)]
+    cols = []
+    for x in range(dp):
+        col: dict[int, Fraction] = {}
+        for qa, val in sparse_of_vec(c.coaction.column(x)).items():
+            q, a = divmod(qa, dh)
+            for b, s in s_inv[a].items():
+                accumulate(col, b * dp + q, val * s)
+        cols.append(col)
+    return LinearMap.from_sparse_columns(p.space, h.space.tensor(p.space), cols)
 
 
 @dataclass(frozen=True)
@@ -310,10 +326,15 @@ def connection_system(
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
+    products: list[list[tuple[int, Fraction]]] = [[] for _ in range(dp)]
+    for i, row in enumerate(p.table):
+        for j, prod in enumerate(row):
+            for k, val in prod.items():
+                products[k].append((i * dp + j, val))
     maps = [
         c.coaction.rows_sparse(),  # index x·dH+a -> [(q, val)]
         delta_L(c).rows_sparse(),  # index a·dP+u -> [(p, val)]
-        p.mult.rows_sparse(),  # index u -> [(p·dP+w, val)]
+        products,  # index u -> [(p·dP+w, val)]
         h.coproduct.rows_sparse(),  # index leg1·dH+leg2 -> [(col, val)]
         [list(enumerate(p.unit)), list(enumerate(h.algebra.unit))],
     ]
@@ -441,7 +462,7 @@ def check_strong_connection(
     dl = delta_L(c)
     dl_cols = [sparse_of_vec(dl.column(j)) for j in range(dp)]
     cop_cols = [sparse_of_vec(h.coproduct.column(j)) for j in range(dh)]
-    ptab = p.product_table()
+    ptab = p.table
     eps = h.counit.rows[0]
     unit_p = sparse_of_vec(p.unit)
 
@@ -451,12 +472,12 @@ def check_strong_connection(
         for r, val in ell_cols[col].items():
             u, q = divmod(r, dp)
             for xa, w in delta_cols[q].items():
-                _acc(lhs, u * dp * dh + xa, val * w)
+                accumulate(lhs, u * dp * dh + xa, val * w)
         for ba, w in cop_cols[col].items():
             b, a = divmod(ba, dh)
             for r, val in ell_cols[b].items():
                 u, x = divmod(r, dp)
-                _acc(rhs, (u * dp + x) * dh + a, val * w)
+                accumulate(rhs, (u * dp + x) * dh + a, val * w)
         if lhs != rhs:
             failures.append(
                 Failure(
@@ -473,12 +494,12 @@ def check_strong_connection(
         for r, val in ell_cols[col].items():
             pi, v = divmod(r, dp)
             for au, w in dl_cols[pi].items():
-                _acc(lhs, au * dp + v, val * w)
+                accumulate(lhs, au * dp + v, val * w)
         for ad, w in cop_cols[col].items():
             a, d = divmod(ad, dh)
             for r, val in ell_cols[d].items():
                 u, v = divmod(r, dp)
-                _acc(rhs, (a * dp + u) * dp + v, val * w)
+                accumulate(rhs, (a * dp + u) * dp + v, val * w)
         if lhs != rhs:
             failures.append(
                 Failure(
@@ -496,7 +517,7 @@ def check_strong_connection(
             for wa, dval in delta_cols[q].items():
                 w, a = divmod(wa, dh)
                 for u, mv in ptab[pi][w].items():
-                    _acc(acc, u * dh + a, val * dval * mv)
+                    accumulate(acc, u * dh + a, val * dval * mv)
         target = {u * dh + col: v for u, v in unit_p.items()}
         if acc != target:
             failures.append(
@@ -513,7 +534,7 @@ def check_strong_connection(
         for r, val in ell_cols[col].items():
             pi, q = divmod(r, dp)
             for u, mv in ptab[pi][q].items():
-                _acc(acc, u, val * mv)
+                accumulate(acc, u, val * mv)
         target = {u: eps[col] * v for u, v in unit_p.items()} if eps[col] != 0 else {}
         if acc != target:
             failures.append(
@@ -543,9 +564,10 @@ def translation_inverse(
     if can is None:
         can = canonical_map(c)
     p = c.algebra
-    inner = LinearMap.identity(p.space).kron(ell)  # P⊗H -> P⊗(P⊗P)
-    outer = p.mult.kron(LinearMap.identity(p.space))  # (P⊗P)⊗P -> P⊗P
-    t = can.balanced.quotient.projection.compose(outer).compose(inner)
+    lifted = LinearMap.from_sparse_columns(
+        p.space.tensor(c.hopf.space), p.space.tensor(p.space), _times_first_leg(p, ell)
+    )
+    t = can.balanced.quotient.projection.compose(lifted)
     if not t.compose(can.map).is_identity():
         raise AssertionError(
             "translation inverse fails on the balanced tensor side"

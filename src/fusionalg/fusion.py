@@ -25,6 +25,7 @@ from .algebra import (
     AlgebraHom,
     FDAlgebra,
     SubalgebraWitness,
+    accumulate,
     check_hom,
     direct_sum_algebra,
     function_algebra,
@@ -211,11 +212,7 @@ class _Reducer:
             if c:
                 coords[i] = c
                 for idx, val in row:
-                    nv = vec.get(idx, Q0) - c * val
-                    if nv == 0:
-                        vec.pop(idx, None)
-                    else:
-                        vec[idx] = nv
+                    accumulate(vec, idx, -c * val)
         if vec:
             return None
         return tuple(coords)
@@ -229,11 +226,10 @@ def _tensor_coordinates(
     V ⊂ B; None when the vector falls outside.
 
     Each column x[·, j] is reduced by U to coefficients α_k(j), then each
-    row α_k(·) is reduced by V to c_kl.  The result is ordered k major,
-    as in the basis ``Subspace.kron`` builds for U (x) V: coordinates in a
-    basis are unique and that basis is the Kronecker product of the
-    echelon bases, so this equals reducing by it without building its
-    ambient² vectors.
+    row α_k(·) is reduced by V to c_kl.  These are the coordinates in the
+    basis u_k (x) v_l of U (x) V, ordered k major, where u and v are the
+    echelon bases: coordinates in a basis are unique, so this equals
+    reducing by that basis without building its ambient² vectors.
     Passing a full subspace on one side tests membership in U (x) B or
     A (x) V.
     """
@@ -345,13 +341,7 @@ def _restrict_last_leg(
                 continue
             x, a = divmod(idx, dh)
             for bc, w in cop_cols[a].items():
-                b, c2 = divmod(bc, dh)
-                key = (x * dh + b) * dh + c2
-                nv = img.get(key, Q0) + val * w
-                if nv == 0:
-                    img.pop(key, None)
-                else:
-                    img[key] = nv
+                accumulate(img, x * dh * dh + bc, val * w)
         coords = _tensor_coordinates(carrier_red, hopf_red, img)
         if coords is None:
             raise AssertionError("carrier is not stable under the coaction")
@@ -463,15 +453,6 @@ def lift_connection(
     columns: list[dict[int, Fraction]] = []
     for c in range(dh):
         col: dict[int, Fraction] = {}
-
-        def put(i1: int, i2: int, val: Fraction) -> None:
-            key = i1 * amb_dim + i2
-            nv = col.get(key, Q0) + val
-            if nv == 0:
-                col.pop(key, None)
-            else:
-                col[key] = nv
-
         for abd, v3 in legs3_cols[c].items():
             ab, d = divmod(abd, dh)
             a, b = divmod(ab, dh)
@@ -480,21 +461,21 @@ def lift_connection(
                     p1, p2 = divmod(r, dp)
                     w = v3 * sv * lv
                     for k1, sk1 in s.items():
-                        i1 = (k1 * dp + p1) * dh + a2
+                        block = ((k1 * dp + p1) * dh + a2) * amb_dim
                         for k2, sk2 in s.items():
-                            put(i1, (k2 * dp + p2) * dh + d, w * sk1 * sk2)
+                            accumulate(col, block + (k2 * dp + p2) * dh + d, w * sk1 * sk2)
         for ab, v2 in cop_cols[c].items():
             a, b = divmod(ab, dh)
             for a2, sv in s_cols[a].items():
                 w = v2 * sv
                 for u1, uv1 in unit_p.items():
                     for k1, sk1 in sp.items():
-                        i1 = (k1 * dp + u1) * dh + a2
+                        block = ((k1 * dp + u1) * dh + a2) * amb_dim
                         for u2, uv2 in unit_p.items():
                             for k2, sk2 in sp.items():
-                                put(
-                                    i1,
-                                    (k2 * dp + u2) * dh + b,
+                                accumulate(
+                                    col,
+                                    block + (k2 * dp + u2) * dh + b,
                                     w * uv1 * uv2 * sk1 * sk2,
                                 )
         columns.append(col)
@@ -727,22 +708,10 @@ def pullback_identification(
                 continue
             if j < d1:
                 for pa, w in sparse_of_vec(delta_lo.column(j)).items():
-                    p1, a = divmod(pa, dh)
-                    key = p1 * dh + a
-                    nv = img.get(key, Q0) + val * w
-                    if nv == 0:
-                        img.pop(key, None)
-                    else:
-                        img[key] = nv
+                    accumulate(img, pa, val * w)
             else:
                 for pa, w in sparse_of_vec(delta_hi.column(j - d1)).items():
-                    p2, a = divmod(pa, dh)
-                    key = (d1 + p2) * dh + a
-                    nv = img.get(key, Q0) + val * w
-                    if nv == 0:
-                        img.pop(key, None)
-                    else:
-                        img[key] = nv
+                    accumulate(img, d1 * dh + pa, val * w)
         coords = _tensor_coordinates(fiber_red, hopf_red, img)
         if coords is None:
             raise AssertionError("fiber product is not a subcomodule")
@@ -774,12 +743,7 @@ def pullback_identification(
             k, ph = divmod(idx, dph)
             if k == 0:
                 continue  # shared fiber: already present from the lower part
-            key = (m_lower + k) * dph + ph
-            nv = img.get(key, Q0) + val
-            if nv == 0:
-                img.pop(key, None)
-            else:
-                img[key] = nv
+            accumulate(img, (m_lower + k) * dph + ph, val)
         coords = big_reducer.coordinates(img)
         if coords is None:
             raise AssertionError("glued section leaves the fusion carrier")

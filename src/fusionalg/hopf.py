@@ -20,6 +20,7 @@ from .algebra import (
     CheckReport,
     FDAlgebra,
     Failure,
+    accumulate,
     check_algebra,
     function_algebra,
     mul_sparse,
@@ -87,7 +88,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     """
     failures: list[Failure] = list(check_algebra(h.algebra).failures)
     n = h.dim
-    table = h.algebra.product_table()
+    table = h.algebra.table
     delta = _coproduct_columns(h)
     eps = h.counit.rows[0]
     s_cols = [sparse_of_vec(h.antipode.column(j)) for j in range(n)]
@@ -100,20 +101,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
             for ab, d in delta[p].items():
-                key = ab * n + q
-                nv = lhs.get(key, Q0) + c * d
-                if nv == 0:
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = nv
+                accumulate(lhs, ab * n + q, c * d)
             for ab, d in delta[q].items():
-                a, b = divmod(ab, n)
-                key = (p * n + a) * n + b
-                nv = rhs.get(key, Q0) + c * d
-                if nv == 0:
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = nv
+                accumulate(rhs, p * n * n + ab, c * d)
         if lhs != rhs:
             failures.append(
                 Failure(
@@ -131,17 +121,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
             if eps[p] != 0:
-                nv = left.get(q, Q0) + c * eps[p]
-                if nv == 0:
-                    left.pop(q, None)
-                else:
-                    left[q] = nv
+                accumulate(left, q, c * eps[p])
             if eps[q] != 0:
-                nv = right.get(p, Q0) + c * eps[q]
-                if nv == 0:
-                    right.pop(p, None)
-                else:
-                    right[p] = nv
+                accumulate(right, p, c * eps[q])
         target = {i: Q1}
         if left != target:
             failures.append(
@@ -164,12 +146,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
                 ab = a * b
                 for u, cu in table[p][r].items():
                     for v, cv in table[q][s].items():
-                        key = u * n + v
-                        nv = acc.get(key, Q0) + ab * cu * cv
-                        if nv == 0:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = nv
+                        accumulate(acc, u * n + v, ab * cu * cv)
         return acc
 
     mult_ok = True
@@ -180,11 +157,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
             lhs = {}
             for k, c in table[i][j].items():
                 for key, d in delta[k].items():
-                    nv = lhs.get(key, Q0) + c * d
-                    if nv == 0:
-                        lhs.pop(key, None)
-                    else:
-                        lhs[key] = nv
+                    accumulate(lhs, key, c * d)
             rhs = tensor_square_product(delta[i], delta[j])
             if lhs != rhs:
                 failures.append(
@@ -200,11 +173,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     delta_unit: dict[int, Fraction] = {}
     for i, c in unit.items():
         for key, d in delta[i].items():
-            nv = delta_unit.get(key, Q0) + c * d
-            if nv == 0:
-                delta_unit.pop(key, None)
-            else:
-                delta_unit[key] = nv
+            accumulate(delta_unit, key, c * d)
     unit_sq = {
         p * n + q: a * b for p, a in unit.items() for q, b in unit.items()
     }
@@ -238,17 +207,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
             for k, v in mul_sparse(table, s_cols[p], {q: Q1}).items():
-                nv = left_acc.get(k, Q0) + c * v
-                if nv == 0:
-                    left_acc.pop(k, None)
-                else:
-                    left_acc[k] = nv
+                accumulate(left_acc, k, c * v)
             for k, v in mul_sparse(table, {p: Q1}, s_cols[q]).items():
-                nv = right_acc.get(k, Q0) + c * v
-                if nv == 0:
-                    right_acc.pop(k, None)
-                else:
-                    right_acc[k] = nv
+                accumulate(right_acc, k, c * v)
         target = {k: eps[i] * v for k, v in unit.items()} if eps[i] != 0 else {}
         if left_acc != target:
             failures.append(

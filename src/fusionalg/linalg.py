@@ -8,7 +8,7 @@ One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
 major, so the pair (i, j) flattens to ``i * dim(W) + j``.  With this
 convention kron is strictly associative on coordinates, i.e.
-``kron(kron(a, b), c)`` and ``kron(a, kron(b, c))`` are the same matrix,
+``a.kron(b).kron(c)`` and ``a.kron(b.kron(c))`` are the same matrix,
 and compositions across re-bracketed tensor factors need no shuffling.
 
 Subspaces carry their basis in reduced row echelon form (monic pivots,
@@ -35,10 +35,6 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def rat_str(value: Fraction) -> str:
-    return str(value)
 
 
 # ---------------------------------------------------------------- spaces
@@ -180,6 +176,15 @@ class LinearMap:
         return LinearMap(source, target, rows)
 
     @staticmethod
+    def from_sparse_columns(source: Space, target: Space, cols) -> "LinearMap":
+        """The map whose column j is the sparse vector ``cols[j]``."""
+        rows = [[Q0] * source.dim for _ in range(target.dim)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        return LinearMap(source, target, tuple(map(tuple, rows)))
+
+    @staticmethod
     def identity(space: Space) -> "LinearMap":
         n = space.dim
         return LinearMap(space, space, tuple(basis_vec(n, i) for i in range(n)))
@@ -187,9 +192,6 @@ class LinearMap:
     @staticmethod
     def zero(source: Space, target: Space) -> "LinearMap":
         return LinearMap(source, target, tuple(zero_vec(source.dim) for _ in range(target.dim)))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
@@ -233,25 +235,11 @@ class LinearMap:
                     out[i][c] += v * w
         return LinearMap(other.source, self.target, tuple(tuple(r) for r in out))
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return self.compose(other)
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        if self.rows and other.rows and (
-            self.source.dim != other.source.dim or self.target.dim != other.target.dim
-        ):
-            raise ValueError("dimension mismatch in sum")
-        rows = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        return LinearMap(self.source, self.target, rows)
-
     def sub(self, other: "LinearMap") -> "LinearMap":
         if self.source.dim != other.source.dim or self.target.dim != other.target.dim:
             raise ValueError("dimension mismatch in difference")
         rows = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         return LinearMap(self.source, self.target, rows)
-
-    def scale(self, c: Fraction) -> "LinearMap":
-        return LinearMap(self.source, self.target, tuple(tuple(c * x for x in row) for row in self.rows))
 
     def kron(self, other: "LinearMap") -> "LinearMap":
         """Tensor product of maps in the global left-major ordering."""
@@ -301,18 +289,6 @@ class LinearMap:
             for i, row in enumerate(self.rows)
             for j, v in enumerate(row)
         )
-
-
-def flip_map(a: Space, b: Space) -> LinearMap:
-    """The braiding A (x) B -> B (x) A, (i, j) |-> (j, i)."""
-    na, nb = a.dim, b.dim
-    src = a.tensor(b)
-    tgt = b.tensor(a)
-    rows = [[Q0] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(nb):
-            rows[j * na + i][i * nb + j] = Q1
-    return LinearMap(src, tgt, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------- subspaces
@@ -380,11 +356,6 @@ class Subspace:
             return None
         return tuple(coords)
 
-    def inclusion(self) -> LinearMap:
-        """The basis vectors as a map (coordinate space -> ambient)."""
-        coord_space = Space(tuple(f"[{self.ambient.labels[p]}]" for p in self.pivots))
-        return LinearMap.from_columns(coord_space, self.ambient, list(self.basis))
-
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient.dim != other.ambient.dim:
             raise ValueError("ambient mismatch in intersection")
@@ -410,28 +381,6 @@ class Subspace:
             vectors.append(tuple(acc))
         return Subspace.from_vectors(self.ambient, vectors)
 
-    def kron(self, other: "Subspace") -> "Subspace":
-        """Tensor product of subspaces; RREF is preserved by construction."""
-        amb = self.ambient.tensor(other.ambient)
-        n2 = other.ambient.dim
-        basis = tuple(
-            tensor_vec(u, v) for u in self.basis for v in other.basis
-        )
-        pivots = tuple(p * n2 + q for p in self.pivots for q in other.pivots)
-        return Subspace(amb, basis, pivots)
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersection(v)
-
-
-def kernel(f: LinearMap) -> Subspace:
-    return f.kernel()
-
-
-def kron(f: LinearMap, g: LinearMap) -> LinearMap:
-    return f.kron(g)
-
 
 def preimage(f: LinearMap, w: Subspace) -> Subspace:
     """The subspace {x : f(x) in W} of the source."""
@@ -439,26 +388,6 @@ def preimage(f: LinearMap, w: Subspace) -> Subspace:
         raise ValueError("ambient mismatch in preimage")
     q = QuotientSpace.from_killed(f.target, w)
     return q.projection.compose(f).kernel()
-
-
-def solve(f: LinearMap, y):
-    """Solve f(x) = y exactly.
-
-    Returns (particular solution, kernel subspace) or None when there is
-    no solution.  The particular solution is the echelon one with all
-    free variables set to zero.
-    """
-    if len(y) != f.target.dim:
-        raise ValueError("dimension mismatch in solve")
-    n = f.source.dim
-    aug = [list(row) + [y[i]] for i, row in enumerate(f.rows)]
-    rr, pivots = rref(aug)
-    x = [Q0] * n
-    for row, p in zip(rr, pivots):
-        if p == n:
-            return None  # a row reduced to 0 = 1
-        x[p] = row[n]
-    return tuple(x), f.kernel()
 
 
 # ---------------------------------------------------------------- quotients

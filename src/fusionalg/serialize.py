@@ -231,12 +231,11 @@ def _labels_from_obj(obj, where: str) -> tuple[str, ...]:
 
 
 def algebra_to_obj(a: FDAlgebra) -> dict:
-    table = a.product_table()
     mult = [
         [i, j, k, rational_to_obj(v)]
-        for i in range(a.dim)
-        for j in range(a.dim)
-        for k, v in sorted(table[i][j].items())
+        for i, row in enumerate(a.table)
+        for j, prod in enumerate(row)
+        for k, v in sorted(prod.items())
     ]
     return {
         "kind": "algebra",
@@ -493,9 +492,13 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 
 # The largest fusion ambient C (x) P (x) H a scenario may ask for: the
 # base points times the fiber, (m+1)·dim P·dim H over the chain 0..m.
-# The ambient algebra is a dense n×n² structure-constant grid, so 128
-# allows about 2·10⁶ entries; the largest scenario in data/ and in the
-# benchmark references (O(S3) and kS3 at m = 1) has 72.
+# The ambient stores only its (m+1)·nnz(P)·nnz(H) nonzero structure
+# constants; what grows densely with the ambient dimension n is the
+# carrier, whose echelon basis vectors have length n, and the connection
+# system of the fusion.  At 128, O(Z4) theorem-main at m = 7 takes about
+# 12 s and 130 MB (Python 3.11, shared 2-vCPU virtual machine).  The
+# largest scenario in data/ and in the benchmark references (O(S3) and
+# kS3 at m = 1) has 72.
 MAX_AMBIENT_DIM = 128
 
 

@@ -82,11 +82,9 @@ def test_matrix_algebra_axioms():
 
 def test_check_algebra_flags_broken_associativity():
     alg = matrix_algebra_2x2()
-    rows = [list(r) for r in alg.mult.rows]
-    rows[0][0] += Q(1)  # perturb e11·e11
-    broken = FDAlgebra(
-        alg.space, LinearMap(alg.mult.source, alg.mult.target, tuple(map(tuple, rows))), alg.unit
-    )
+    table = [[dict(prod) for prod in row] for row in alg.table]
+    table[0][0][0] += Q(1)  # perturb e11·e11
+    broken = FDAlgebra.from_structure(alg.space, table, alg.unit)
     report = check_algebra(broken)
     assert not report.ok
     assert "associativity" in report.axioms_failed() or set(
@@ -96,7 +94,7 @@ def test_check_algebra_flags_broken_associativity():
 
 def test_check_algebra_flags_broken_unit():
     alg = function_algebra(2)
-    broken = FDAlgebra(alg.space, alg.mult, (Q(1), Q(0)))
+    broken = FDAlgebra(alg.space, alg.table, (Q(1), Q(0)))
     report = check_algebra(broken)
     assert not report.ok
     failed = set(report.axioms_failed())
@@ -124,7 +122,7 @@ def test_tensor_algebra_literally_associative():
     right = tensor_algebra(a, tensor_algebra(b, c))
     assert left.space == right.space
     assert left.unit == right.unit
-    assert left.mult.rows == right.mult.rows
+    assert left.table == right.table
 
 
 def test_tensor_algebra_corner_embeddings():
@@ -205,7 +203,7 @@ def test_check_hom_flags_failures():
     assert not rep.ok
     assert not rep.unital
     # doubling is unital off: 2·(fg) != (2f)(2g) in general
-    double = LinearMap.identity(a.space).scale(Q(2))
+    double = LinearMap.from_rows(a.space, a.space, [[Q(2), Q(0)], [Q(0), Q(2)]])
     rep2 = check_hom(AlgebraHom(a, a, double))
     assert not rep2.ok
     assert not rep2.multiplicative
@@ -252,11 +250,28 @@ def test_subalgebra_rejects_non_closed_span():
     assert err.product == (Q(1), Q(0), Q(0), Q(1))
 
 
-def test_product_table_matches_mult():
+def test_mult_vec_matches_table():
     alg = matrix_algebra_2x2()
-    table = alg.product_table()
+    x = (Q(1, 2), Q(0), Q(-3), Q(2))
+    y = (Q(0), Q(5), Q(1), Q(-1, 3))
+    expect = [Q(0)] * 4
     for i in range(4):
         for j in range(4):
+            for k, c in alg.table[i][j].items():
+                expect[k] += x[i] * y[j] * c
             dense = alg.mult_vec(basis_vec(4, i), basis_vec(4, j))
-            sparse = table[i][j]
-            assert {k: v for k, v in enumerate(dense) if v != 0} == sparse
+            assert {k: v for k, v in enumerate(dense) if v != 0} == alg.table[i][j]
+    assert alg.mult_vec(x, y) == tuple(expect)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_from_structure_rejects_an_index_outside_the_basis(k):
+    with pytest.raises(ValueError):
+        FDAlgebra.from_structure(Space(("a", "b")), [[{k: 1}, {}], [{}, {}]], (1, 1))
+
+
+def test_algebra_rejects_a_table_of_the_wrong_shape():
+    space = Space(("a", "b"))
+    for table in ([[{}, {}]], [[{}, {}], [{}]], [[{}, {}, {}], [{}, {}, {}]]):
+        with pytest.raises(ValueError):
+            FDAlgebra(space, table, (Q(1), Q(1)))

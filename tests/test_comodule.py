@@ -353,12 +353,12 @@ def test_verdict_invariant_under_basis_permutation():
     )
     pm_inv = pm.inverse()
     ident_h = LinearMap.identity(c.hopf.space)
-    new_mult = pm.compose(c.algebra.mult).compose(pm_inv.kron(pm_inv))
-    new_alg = FDAlgebra(
-        c.algebra.space,
-        LinearMap(c.algebra.mult.source, c.algebra.mult.target, new_mult.rows),
-        pm.apply(c.algebra.unit),
-    )
+    # e_perm[i]·e_perm[j] is the image of e_i·e_j
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(c.algebra.table):
+        for j, prod in enumerate(row):
+            table[perm[i]][perm[j]] = {perm[k]: v for k, v in prod.items()}
+    new_alg = FDAlgebra.from_structure(c.algebra.space, table, pm.apply(c.algebra.unit))
     new_coaction = pm.kron(ident_h).compose(c.coaction).compose(pm_inv)
     permuted = ComoduleAlgebra(
         new_alg,
@@ -387,11 +387,12 @@ def _squares(a, b):
 
 
 def _rescaled_algebra(a: FDAlgebra, s) -> FDAlgebra:
-    return FDAlgebra(
-        a.space,
-        _rescaled_map(a.mult, _squares(s, s), s),
-        tuple(u / x for u, x in zip(a.unit, s)),
-    )
+    """e'_i·e'_j = s_i·s_j·e_i·e_j, so the constant of e'_k gains s_i·s_j/s_k."""
+    table = [
+        [{k: v * s[i] * s[j] / s[k] for k, v in prod.items()} for j, prod in enumerate(row)]
+        for i, row in enumerate(a.table)
+    ]
+    return FDAlgebra.from_structure(a.space, table, tuple(u / x for u, x in zip(a.unit, s)))
 
 
 def rescaled_comodule(c: ComoduleAlgebra, p_scales, h_scales) -> ComoduleAlgebra:

@@ -1,7 +1,9 @@
 """Fusion of algebras over a two-pointed base, equivariant fusion, lifting,
 piecewise halves, and the pullback picture."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,13 @@ from fusionalg.algebra import (
 from fusionalg.classical import diagonal_join, fun_comodule
 from fusionalg.comodule import (
     ComoduleAlgebra,
+    canonical_map,
     check_comodule,
     coinvariants,
+    delta_L,
     is_principal,
+    lifted_canonical,
+    translation_inverse,
     trivial_coaction,
 )
 from fusionalg.fusion import (
@@ -42,6 +48,7 @@ from fusionalg.fusion import (
 from fusionalg.groups import FiniteGroup, FiniteGSet
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf, trivial_hopf
 from fusionalg.linalg import LinearMap, Space, Subspace, basis_vec, tensor_vec
+from fusionalg.serialize import comodule_from_obj
 
 Q = Fraction
 
@@ -229,6 +236,37 @@ def first_non_pivot(sub: Subspace) -> int:
     return min(set(range(sub.ambient.dim)) - set(sub.pivots))
 
 
+def subspace_kron(u: Subspace, v: Subspace) -> Subspace:
+    """U (x) V with the Kronecker product of the echelon bases, k major:
+    the basis whose coordinates ``_tensor_coordinates`` returns.  It is
+    again in echelon form, so it is a ``Subspace`` as it stands."""
+    n2 = v.ambient.dim
+    basis = tuple(tensor_vec(a, b) for a in u.basis for b in v.basis)
+    pivots = tuple(p * n2 + q for p in u.pivots for q in v.pivots)
+    return Subspace(u.ambient.tensor(v.ambient), basis, pivots)
+
+
+def test_subspace_kron_pivots():
+    s1 = Space.of_dim(3, "a")
+    s2 = Space.of_dim(3, "b")
+    u = Subspace.from_vectors(s1, [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(3))])
+    v = Subspace.from_vectors(s2, [(Q(1), Q(1), Q(0))])
+    w = subspace_kron(u, v)
+    assert w.ambient == s1.tensor(s2)
+    assert w.dim == u.dim * v.dim
+    assert w.pivots == tuple(
+        p * 3 + q for p in u.pivots for q in v.pivots
+    )
+    # the product basis spans exactly the tensor products
+    for a in u.basis:
+        for b in v.basis:
+            assert w.contains(tensor_vec(a, b))
+    direct = Subspace.from_vectors(
+        w.ambient, [tensor_vec(a, b) for a in u.basis for b in v.basis]
+    )
+    assert w == direct
+
+
 @settings(max_examples=80)
 @given(data=st.data())
 def test_tensor_coordinates_match_the_kron_reducer(data):
@@ -237,7 +275,7 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
     u = data.draw(subspaces(na))
     v = data.draw(subspaces(nb))
     left, right = _Reducer(u), _Reducer(v)
-    reference = _Reducer(u.kron(v))
+    reference = _Reducer(subspace_kron(u, v))
 
     coeffs = data.draw(
         st.lists(RATIONALS, min_size=u.dim * v.dim, max_size=u.dim * v.dim)
@@ -474,3 +512,66 @@ def test_pullback_identification_dimensions():
     out12 = pullback_identification(inner, 1, 2)
     assert out12.fusion.comodule.algebra.dim == 12
     assert out12.glue.inverse() is not None
+
+
+# ---------------------------------------------------------------- dense references
+
+def dense_mult(alg: FDAlgebra) -> LinearMap:
+    """The multiplication as a dense map A (x) A -> A."""
+    n = alg.dim
+    rows = [[Q(0)] * (n * n) for _ in range(n)]
+    for i, row in enumerate(alg.table):
+        for j, prod in enumerate(row):
+            for k, v in prod.items():
+                rows[k][i * n + j] = v
+    return LinearMap.from_rows(alg.space.tensor(alg.space), alg.space, rows)
+
+
+def flip_map(a: Space, b: Space) -> LinearMap:
+    """The braiding A (x) B -> B (x) A, (i, j) -> (j, i)."""
+    na, nb = a.dim, b.dim
+    cols = [basis_vec(na * nb, j * na + i) for i in range(na) for j in range(nb)]
+    return LinearMap.from_columns(a.tensor(b), b.tensor(a), cols)
+
+
+def self_coaction(h) -> ComoduleAlgebra:
+    return ComoduleAlgebra(h.algebra, h, h.coproduct)
+
+
+def rescaled_nonfree_z2() -> ComoduleAlgebra:
+    """O(Z2) on one free orbit and one fixed point, in a rescaled basis."""
+    path = Path(__file__).parent / "golden" / "comodule_rescaled_nonfree_z2.json"
+    return comodule_from_obj(json.loads(path.read_text()))
+
+
+REFERENCE_COMODULES = {
+    "regular-z3": lambda: regular_comodule(3),
+    "rescaled-nonfree-z2": rescaled_nonfree_z2,
+    "sweedler-h4": lambda: self_coaction(sweedler_h4()),
+    "kS3": lambda: self_coaction(group_hopf(FiniteGroup.symmetric(3))),
+    "fusion-z2-m1": lambda: build_equivariant_fusion(
+        chain_interval(1), regular_comodule(2)
+    ).comodule,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMODULES))
+def test_table_built_maps_match_the_dense_formulas(name):
+    """The lifted canonical map, δ_L and the translation inverse, built
+    through the product table, equal their dense Kronecker formulas."""
+    c = REFERENCE_COMODULES[name]()
+    p, h = c.algebra, c.hopf
+    id_p, id_h = LinearMap.identity(p.space), LinearMap.identity(h.space)
+    mult = dense_mult(p)
+    lifted = mult.kron(id_h).compose(id_p.kron(c.coaction))
+    assert lifted_canonical(c).rows == lifted.rows
+    twist = h.antipode_inv.kron(id_p).compose(flip_map(p.space, h.space))
+    assert delta_L(c).rows == twist.compose(c.coaction).rows
+    verdict = is_principal(c)
+    assert verdict.principal == (name != "rescaled-nonfree-z2")
+    if verdict.principal:
+        can = canonical_map(c)
+        ell = verdict.connection.map
+        projection = can.balanced.quotient.projection
+        t = projection.compose(mult.kron(id_p)).compose(id_p.kron(ell))
+        assert translation_inverse(c, ell, can).rows == t.rows

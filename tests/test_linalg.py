@@ -16,14 +16,9 @@ from fusionalg.linalg import (
     Space,
     Subspace,
     basis_vec,
-    flip_map,
-    kron,
     preimage,
     rat,
-    rat_str,
     rref,
-    solve,
-    subspace_intersection,
     tensor_vec,
 )
 
@@ -47,9 +42,9 @@ def test_rat_parsing_and_printing():
     assert rat("3/5") == Q(3, 5)
     assert rat(7) == Q(7)
     assert rat(Q(-1, 2)) == Q(-1, 2)
-    assert rat_str(Q(3, 5)) == "3/5"
-    assert rat_str(Q(4)) == "4"
-    assert rat_str(Q(-2, 7)) == "-2/7"
+    assert str(rat("6/10")) == "3/5"
+    assert str(rat(4)) == "4"
+    assert str(rat("-2/7")) == "-2/7"
 
 
 def test_space_equality_is_structural():
@@ -101,7 +96,6 @@ def test_compose_apply_agree():
         f = random_map(rng, a, b)
         g = random_map(rng, b, c)
         h = g.compose(f)
-        assert h == g @ f
         for j in range(a.dim):
             v = basis_vec(a.dim, j)
             assert h.apply(v) == g.apply(f.apply(v))
@@ -125,7 +119,6 @@ def test_kron_on_basis_tensors():
         f = random_map(rng, a, c)
         g = random_map(rng, b, d)
         fg = f.kron(g)
-        assert fg == kron(f, g)
         for i in range(a.dim):
             for j in range(b.dim):
                 v = tensor_vec(basis_vec(a.dim, i), basis_vec(b.dim, j))
@@ -146,16 +139,6 @@ def test_kron_bilinear_composition():
         assert lhs.rows == rhs.rows
 
 
-def test_flip_map_swaps_factors():
-    a, b = Space.of_dim(2, "a"), Space.of_dim(3, "b")
-    fl = flip_map(a, b)
-    u = (Q(1), Q(2))
-    v = (Q(3), Q(4), Q(5))
-    assert fl.apply(tensor_vec(u, v)) == tensor_vec(v, u)
-    back = flip_map(b, a)
-    assert back.compose(fl).is_identity()
-
-
 def test_inverse_round_trip_and_singular():
     rng = random.Random(505)
     s = Space.of_dim(4, "s")
@@ -169,7 +152,7 @@ def test_inverse_round_trip_and_singular():
                     lower[i][j] = Q(rng.randint(-2, 2))
                 if i < j:
                     upper[i][j] = Q(rng.randint(-2, 2))
-        f = LinearMap.from_rows(s, s, lower) @ LinearMap.from_rows(s, s, upper)
+        f = LinearMap.from_rows(s, s, lower).compose(LinearMap.from_rows(s, s, upper))
         inv = f.inverse()
         assert inv is not None
         assert inv.compose(f).is_identity()
@@ -178,29 +161,6 @@ def test_inverse_round_trip_and_singular():
         s, s, [[Q(1)] * 4, [Q(1)] * 4, [Q(0)] * 4, [Q(0)] * 4]
     )
     assert singular.inverse() is None
-
-
-def test_solve_feasible_and_infeasible():
-    rng = random.Random(606)
-    for _ in range(25):
-        src = Space.of_dim(rng.randint(1, 4), "s")
-        tgt = Space.of_dim(rng.randint(1, 4), "t")
-        f = random_map(rng, src, tgt)
-        x = tuple(Q(rng.randint(-2, 2)) for _ in range(src.dim))
-        y = f.apply(x)
-        out = solve(f, y)
-        assert out is not None
-        particular, ker = out
-        assert f.apply(particular) == y
-        assert ker.dim == src.dim - f.rank()
-        for k in ker.basis:
-            shifted = tuple(p + v for p, v in zip(particular, k))
-            assert f.apply(shifted) == y
-    # a target outside the image has no solution
-    s2 = Space.of_dim(2, "s")
-    t2 = Space.of_dim(2, "t")
-    proj = LinearMap.from_rows(s2, t2, [[Q(1), Q(0)], [Q(0), Q(0)]])
-    assert solve(proj, (Q(0), Q(1))) is None
 
 
 def test_preimage_of_image_is_everything():
@@ -234,7 +194,7 @@ def test_subspace_equality_and_membership():
     coords = u.coordinates((Q(3), Q(3), Q(-1)))
     assert coords == (Q(3), Q(-1))
     assert u.coordinates((Q(1), Q(0), Q(0))) is None
-    incl = u.inclusion()
+    incl = LinearMap.from_columns(Space.of_dim(u.dim, "c"), s, u.basis)
     assert incl.apply(coords) == (Q(3), Q(3), Q(-1))
 
 
@@ -249,34 +209,13 @@ def test_intersection_commutative_idempotent():
             s, [tuple(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
         )
         uv = u.intersection(v)
-        assert uv == subspace_intersection(v, u)
+        assert uv == v.intersection(u)
         assert u.intersection(u) == u
         for w in uv.basis:
             assert u.contains(w) and v.contains(w)
         # dimension formula dim(u) + dim(v) = dim(u+v) + dim(u∩v)
         joined = Subspace.from_vectors(s, list(u.basis) + list(v.basis))
         assert u.dim + v.dim == joined.dim + uv.dim
-
-
-def test_subspace_kron_pivots():
-    s1 = Space.of_dim(3, "a")
-    s2 = Space.of_dim(3, "b")
-    u = Subspace.from_vectors(s1, [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(3))])
-    v = Subspace.from_vectors(s2, [(Q(1), Q(1), Q(0))])
-    w = u.kron(v)
-    assert w.ambient == s1.tensor(s2)
-    assert w.dim == u.dim * v.dim
-    assert w.pivots == tuple(
-        p * 3 + q for p in u.pivots for q in v.pivots
-    )
-    # the product basis spans exactly the tensor products
-    for a in u.basis:
-        for b in v.basis:
-            assert w.contains(tensor_vec(a, b))
-    direct = Subspace.from_vectors(
-        w.ambient, [tensor_vec(a, b) for a in u.basis for b in v.basis]
-    )
-    assert w == direct
 
 
 def test_quotient_projection_section():

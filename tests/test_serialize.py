@@ -76,7 +76,7 @@ def test_sparse_map_validation():
     src = Space.of_dim(2, "s")
     tgt = Space.of_dim(2, "t")
     good = {"rows": 2, "cols": 2, "entries": [[0, 0, "1"]]}
-    assert sparse_map_from_obj(good, src, tgt, "m").entry(0, 0) == 1
+    assert sparse_map_from_obj(good, src, tgt, "m").rows[0][0] == 1
     with pytest.raises(InputFormatError):
         sparse_map_from_obj({"rows": 3, "cols": 2, "entries": []}, src, tgt, "m")
     with pytest.raises(InputFormatError):
@@ -99,7 +99,15 @@ def test_algebra_round_trip():
     back = algebra_from_obj(obj)
     assert back.space == alg.space
     assert back.unit == alg.unit
-    assert back.mult.rows == alg.mult.rows
+    assert back.table == alg.table
+    assert algebra_to_obj(back) == obj
+
+
+def test_explicit_zero_constants_are_not_stored():
+    obj = algebra_to_obj(function_algebra(3))
+    padded = dict(obj, mult=obj["mult"] + [[0, 1, 2, "0"], [2, 2, 0, "0/5"]])
+    back = algebra_from_obj(padded)
+    assert back.table == function_algebra(3).table
     assert algebra_to_obj(back) == obj
 
 
@@ -431,6 +439,12 @@ GOLDEN = ROOT / "tests" / "golden"
         # connection-system rows have denominators other than 1
         (["solve-connection", "tests/golden/comodule_rescaled_nonfree_z2.json"],
          "solve-connection-comodule_rescaled_nonfree_z2"),
+        # a direct sum, a hom check and the glue map
+        (["fusion", "data/scenario_pullback.json"], "fusion-scenario_pullback"),
+        (["classical", "data/scenario_join_vs_fusion.json"],
+         "classical-scenario_join_vs_fusion"),
+        (["classical", "data/scenario_diagonal_join_freeness.json"],
+         "classical-scenario_diagonal_join_freeness"),
     ],
 )
 def test_certificates_match_golden_files(tmp_path, argv, golden):
