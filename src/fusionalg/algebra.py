@@ -2,11 +2,10 @@
 
 An algebra is a labeled space, a unit vector, and its multiplication
 stored only as a sparse structure-constant table: ``table[i][j]`` maps
-each k to the nonzero coefficient of e_k in e_i·e_j.  Sparse vectors are
-dicts from basis index to nonzero Fraction, summed with
-:func:`accumulate`.  All checks report named axioms and a concrete
-witness (the basis triple or pair that fails), never just a boolean, so
-callers can surface actionable diagnostics.
+each k to the nonzero coefficient of e_k in e_i·e_j, a sparse vector in
+the sense of :mod:`fusionalg.linalg`.  All checks report named axioms and
+a concrete witness (the basis triple or pair that fails), never just a
+boolean, so callers can surface actionable diagnostics.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from .linalg import (
     Q1,
     Space,
     Subspace,
+    accumulate,
     rat,
+    sparse_of_vec,
     tensor_vec,
     zero_vec,
 )
@@ -93,19 +94,6 @@ class FDAlgebra:
 
     def unit_map(self) -> LinearMap:
         return LinearMap.from_columns(Space.scalar(), self.space, [self.unit])
-
-
-def sparse_of_vec(vec) -> dict[int, Fraction]:
-    return {i: v for i, v in enumerate(vec) if v != 0}
-
-
-def accumulate(acc: dict, key, val) -> None:
-    """Add ``val`` at ``key`` of a sparse vector, dropping a zero sum."""
-    nv = acc.get(key, Q0) + val
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -338,19 +326,16 @@ def subalgebra_from_subspace(
     d = sub.dim
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
-    sparse_basis = [sparse_of_vec(b) for b in sub.basis]
-    n = ambient.dim
-    for i in range(d):
-        for j in range(d):
-            sparse_prod = mul_sparse(ambient.table, sparse_basis[i], sparse_basis[j])
-            prod = tuple(sparse_prod.get(k, Q0) for k in range(n))
+    for i, left in enumerate(sub.basis):
+        for j, right in enumerate(sub.basis):
+            prod = mul_sparse(ambient.table, left, right)
             coords = sub.coordinates(prod)
             if coords is None:
-                raise ClosureError(i, j, prod)
-            table[i][j] = {k: v for k, v in enumerate(coords) if v != 0}
-    unit_coords = sub.coordinates(ambient.unit)
+                raise ClosureError(i, j, (prod.get(k, Q0) for k in range(ambient.dim)))
+            table[i][j] = coords
+    unit_coords = sub.coordinates(sparse_of_vec(ambient.unit))
     unital = unit_coords is not None
-    unit = unit_coords if unital else zero_vec(d)
-    algebra = FDAlgebra.from_structure(space, table, unit)
-    inclusion = LinearMap.from_columns(space, ambient.space, list(sub.basis))
+    unit = tuple(unit_coords.get(i, Q0) for i in range(d)) if unital else zero_vec(d)
+    algebra = FDAlgebra(space, table, unit)
+    inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
     return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraHom, FDAlgebra, check_hom, function_algebra, tensor_algebra
+from .algebra import AlgebraHom, FDAlgebra, check_hom, function_algebra
 from .comodule import (
     ComoduleAlgebra,
     PrincipalityVerdict,
@@ -27,7 +27,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet, cyclic_actions, is_free
 from .hopf import function_hopf
-from .linalg import LinearMap, Q0, Q1, Subspace
+from .linalg import LinearMap, Q0, Q1
 
 __all__ = [
     "FiniteGroup",
@@ -263,20 +263,19 @@ def fun_of_join_vs_fusion(nx: int, ny: int, m: int) -> JoinFusionIso:
     )
     if fusion.algebra.dim != join.size:
         raise AssertionError("join size and fusion dimension disagree")
-    amb_dim = fusion.ambient.dim
+    # the indicator of z pulls back to the indicator of its triples
+    indicators: list[dict] = [{} for _ in range(join.size)]
+    for k in range(m + 1):
+        for x in range(nx):
+            for y in range(ny):
+                indicators[join.point_index(k, x, y)][(k * nx + x) * ny + y] = Q1
     cols = []
-    for z in range(join.size):
-        vec = [Q0] * amb_dim
-        for k in range(m + 1):
-            for x in range(nx):
-                for y in range(ny):
-                    if join.point_index(k, x, y) == z:
-                        vec[(k * nx + x) * ny + y] = Q1
-        coords = fusion.carrier.coordinates(tuple(vec))
+    for vec in indicators:
+        coords = fusion.carrier.coordinates(vec)
         if coords is None:
             raise AssertionError("pulled-back indicator leaves the carrier")
         cols.append(coords)
-    iso = LinearMap.from_columns(
+    iso = LinearMap.from_sparse_columns(
         functions.space, fusion.algebra.space, cols
     )
     report = check_hom(AlgebraHom(functions, fusion.algebra, iso))

@@ -16,6 +16,7 @@ infeasible system comes with a certified contradiction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,8 +26,7 @@ from .algebra import (
     FDAlgebra,
     Failure,
     SubalgebraWitness,
-    accumulate,
-    sparse_of_vec,
+    mul_sparse,
     subalgebra_from_subspace,
 )
 from .hopf import HopfAlgebra
@@ -35,9 +35,11 @@ from .linalg import (
     LinearMap,
     LinearSystem,
     Q1,
-    QuotientSpace,
+    Space,
     Subspace,
-    basis_vec,
+    accumulate,
+    rref,
+    sparse_of_vec,
     tensor_vec,
 )
 
@@ -172,38 +174,58 @@ def coinvariants(c: ComoduleAlgebra) -> SubalgebraWitness:
 
 @dataclass(frozen=True)
 class BalancedTensor:
-    """P (x)_B P as an explicit quotient of P (x) P."""
+    """P (x)_B P as P (x) P modulo the balanced relations.
+
+    The class of a vector is its remainder after reduction by ``killed``;
+    that remainder lives on the coordinates that are not pivots of
+    ``killed``, and those coordinates, in order, are the basis of
+    ``space``.
+    """
 
     comodule: ComoduleAlgebra
     coinvariants: SubalgebraWitness
-    quotient: QuotientSpace
+    killed: Subspace  # spanned by the relations (x·b) (x) y - x (x) (b·y)
+
+    @property
+    def reps(self) -> tuple[int, ...]:
+        """The coordinates of P (x) P that name the classes."""
+        pivots = set(self.killed.pivots)
+        return tuple(c for c in range(self.killed.ambient.dim) if c not in pivots)
+
+    @property
+    def space(self) -> Space:
+        labels = self.killed.ambient.labels
+        return Space(tuple(f"[{labels[c]}]" for c in self.reps))
+
+    def project(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The class of a sparse vector of P (x) P, in the basis of ``space``."""
+        _, remainder = self.killed.decompose(vec)
+        # the non-pivot coordinate c is preceded by c - (pivots below c) others
+        pivots = self.killed.pivots
+        return {c - bisect_left(pivots, c): v for c, v in remainder.items()}
 
 
 def balanced_tensor(
     c: ComoduleAlgebra, coinv: SubalgebraWitness | None = None
 ) -> BalancedTensor:
-    """Quotient of P (x) P by the relations (x·b) (x) y - x (x) (b·y)."""
+    """P (x) P modulo the relations (x·b) (x) y - x (x) (b·y), for basis
+    vectors x, y of P and b of B."""
     if coinv is None:
         coinv = coinvariants(c)
     p = c.algebra
     dp = p.dim
-    sq = p.space.tensor(p.space)
     relations = []
     for b in coinv.subspace.basis:
-        left_cols = [p.mult_vec(basis_vec(dp, i), b) for i in range(dp)]
-        right_cols = [p.mult_vec(b, basis_vec(dp, j)) for j in range(dp)]
+        left = [mul_sparse(p.table, {i: Q1}, b) for i in range(dp)]
+        right = [mul_sparse(p.table, b, {j: Q1}) for j in range(dp)]
         for i in range(dp):
             for j in range(dp):
-                rel = tuple(
-                    x - y
-                    for x, y in zip(
-                        tensor_vec(left_cols[i], basis_vec(dp, j)),
-                        tensor_vec(basis_vec(dp, i), right_cols[j]),
-                    )
-                )
+                rel = {k * dp + j: v for k, v in left[i].items()}
+                for k, v in right[j].items():
+                    accumulate(rel, i * dp + k, -v)
                 relations.append(rel)
-    killed = Subspace.from_vectors(sq, relations)
-    return BalancedTensor(c, coinv, QuotientSpace.from_killed(sq, killed))
+    killed = Subspace(p.space.tensor(p.space), *rref(relations))
+    return BalancedTensor(c, coinv, killed)
 
 
 def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
@@ -221,6 +243,15 @@ def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
                     accumulate(col, k * width + a, val * coeff)
             cols.append(col)
     return cols
+
+
+def _image(cols: list[dict[int, Fraction]], vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The image of a sparse vector under the map with sparse columns ``cols``."""
+    out: dict[int, Fraction] = {}
+    for j, x in vec.items():
+        for i, v in cols[j].items():
+            accumulate(out, i, v * x)
+    return out
 
 
 def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
@@ -253,23 +284,26 @@ def canonical_map(c: ComoduleAlgebra) -> CanonicalMap:
     """
     coinv = coinvariants(c)
     bal = balanced_tensor(c, coinv)
-    lifted = lifted_canonical(c)
-    for rel in bal.quotient.killed.basis:
-        if any(v != 0 for v in lifted.apply(rel)):
+    p = c.algebra
+    lifted = _times_first_leg(p, c.coaction)
+    for rel in bal.killed.basis:
+        if _image(lifted, rel):
             raise AssertionError(
                 "canonical map is not well defined on the balanced quotient"
             )
-    descended = lifted.compose(bal.quotient.section)
-    if lifted.rows != descended.compose(bal.quotient.projection).rows:
-        raise AssertionError("canonical map does not factor the lifted map")
-    rank = descended.rank()
+    reps = bal.reps
+    descended = [lifted[r] for r in reps]
+    for j, col in enumerate(lifted):
+        if _image(descended, bal.project({j: Q1})) != col:
+            raise AssertionError("canonical map does not factor the lifted map")
+    rank = len(rref(descended)[1])
     return CanonicalMap(
         c,
         coinv,
         bal,
-        descended,
-        injective=rank == bal.quotient.space.dim,
-        surjective=rank == c.algebra.dim * c.hopf.dim,
+        LinearMap.from_sparse_columns(bal.space, p.space.tensor(c.hopf.space), descended),
+        injective=rank == len(reps),
+        surjective=rank == p.dim * c.hopf.dim,
     )
 
 
@@ -563,11 +597,12 @@ def translation_inverse(
     """
     if can is None:
         can = canonical_map(c)
-    p = c.algebra
-    lifted = LinearMap.from_sparse_columns(
-        p.space.tensor(c.hopf.space), p.space.tensor(p.space), _times_first_leg(p, ell)
+    bal = can.balanced
+    t = LinearMap.from_sparse_columns(
+        c.algebra.space.tensor(c.hopf.space),
+        bal.space,
+        [bal.project(col) for col in _times_first_leg(c.algebra, ell)],
     )
-    t = can.balanced.quotient.projection.compose(lifted)
     if not t.compose(can.map).is_identity():
         raise AssertionError(
             "translation inverse fails on the balanced tensor side"

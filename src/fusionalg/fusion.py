@@ -25,12 +25,10 @@ from .algebra import (
     AlgebraHom,
     FDAlgebra,
     SubalgebraWitness,
-    accumulate,
     check_hom,
     direct_sum_algebra,
     function_algebra,
     scalar_algebra,
-    sparse_of_vec,
     subalgebra_from_subspace,
     tensor_algebra,
 )
@@ -47,11 +45,12 @@ from .hopf import HopfAlgebra, sweedler_legs
 from .linalg import (
     LinearMap,
     Q0,
-    Q1,
     Space,
     Subspace,
+    accumulate,
     basis_vec,
     preimage,
+    sparse_of_vec,
     tensor_vec,
 )
 
@@ -191,49 +190,24 @@ def default_profile(m: int) -> tuple[Fraction, ...]:
     return (Fraction(0),) + (interior,) * (m - 1) + (Fraction(1),)
 
 
-# ---------------------------------------------------------------- sparse reduction
-
-class _Reducer:
-    """Coordinates of sparse vectors in an echelon subspace."""
-
-    def __init__(self, sub: Subspace):
-        self.sub = sub
-        self.rows = [
-            [(idx, v) for idx, v in enumerate(row) if v != 0]
-            for row in sub.basis
-        ]
-
-    def coordinates(self, vec: dict[int, Fraction]):
-        """Dense coordinate tuple, or None when the vector falls outside."""
-        vec = dict(vec)
-        coords = [Q0] * self.sub.dim
-        for i, (p, row) in enumerate(zip(self.sub.pivots, self.rows)):
-            c = vec.get(p)
-            if c:
-                coords[i] = c
-                for idx, val in row:
-                    accumulate(vec, idx, -c * val)
-        if vec:
-            return None
-        return tuple(coords)
-
+# ---------------------------------------------------------------- tensor coordinates
 
 def _tensor_coordinates(
-    left: _Reducer, right: _Reducer, vec: dict[int, Fraction]
-) -> tuple[Fraction, ...] | None:
-    """Coordinates of a sparse vector of A (x) B in U (x) V, one tensor
-    factor at a time, where ``left`` reduces by U ⊂ A and ``right`` by
-    V ⊂ B; None when the vector falls outside.
+    left: Subspace, right: Subspace, vec: dict[int, Fraction]
+) -> dict[int, Fraction] | None:
+    """Sparse coordinates of a sparse vector of A (x) B in U (x) V, one
+    tensor factor at a time, where U = ``left`` ⊂ A and V = ``right`` ⊂ B;
+    None when the vector falls outside.
 
     Each column x[·, j] is reduced by U to coefficients α_k(j), then each
     row α_k(·) is reduced by V to c_kl.  These are the coordinates in the
-    basis u_k (x) v_l of U (x) V, ordered k major, where u and v are the
+    basis u_k (x) v_l of U (x) V, keyed k·dim V + l, where u and v are the
     echelon bases: coordinates in a basis are unique, so this equals
     reducing by that basis without building its ambient² vectors.
     Passing a full subspace on one side tests membership in U (x) B or
     A (x) V.
     """
-    nb = right.sub.ambient.dim
+    nb = right.ambient.dim
     columns: dict[int, dict[int, Fraction]] = {}
     for key, val in vec.items():
         i, j = divmod(key, nb)
@@ -243,17 +217,17 @@ def _tensor_coordinates(
         alpha = left.coordinates(col)
         if alpha is None:
             return None
-        for k, a in enumerate(alpha):
-            if a:
-                rows.setdefault(k, {})[j] = a
-    dv = right.sub.dim
-    coords = [Q0] * (left.sub.dim * dv)
-    for k, row in rows.items():
-        c = right.coordinates(row)
+        for k, a in alpha.items():
+            rows.setdefault(k, {})[j] = a
+    dv = right.dim
+    coords: dict[int, Fraction] = {}
+    for k in sorted(rows):
+        c = right.coordinates(rows[k])
         if c is None:
             return None
-        coords[k * dv : (k + 1) * dv] = c
-    return tuple(coords)
+        for l, v in c.items():
+            coords[k * dv + l] = v
+    return coords
 
 
 # ---------------------------------------------------------------- plain fusion
@@ -331,23 +305,20 @@ def _restrict_last_leg(
     witness = subalgebra_from_subspace(ambient_alg, carrier, label_prefix=prefix)
     dh = hopf.dim
     cop_cols = [sparse_of_vec(hopf.coproduct.column(a)) for a in range(dh)]
-    carrier_red = _Reducer(carrier)
-    hopf_red = _Reducer(Subspace.full(hopf.space))
+    full_h = Subspace.full(hopf.space)
     cols = []
     for vec in carrier.basis:
         img: dict[int, Fraction] = {}
-        for idx, val in enumerate(vec):
-            if val == 0:
-                continue
+        for idx, val in vec.items():
             x, a = divmod(idx, dh)
             for bc, w in cop_cols[a].items():
                 accumulate(img, x * dh * dh + bc, val * w)
-        coords = _tensor_coordinates(carrier_red, hopf_red, img)
+        coords = _tensor_coordinates(carrier, full_h, img)
         if coords is None:
             raise AssertionError("carrier is not stable under the coaction")
         cols.append(coords)
     space = witness.algebra.space
-    coaction = LinearMap.from_columns(space, space.tensor(hopf.space), cols)
+    coaction = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols)
     com = ComoduleAlgebra(witness.algebra, hopf, coaction)
     report = check_comodule(com)
     if not report.ok:
@@ -480,9 +451,8 @@ def lift_connection(
                                 )
         columns.append(col)
 
-    full_amb = _Reducer(Subspace.full(fusion.ambient.space))
-    one = _Reducer(fusion.cond_one)
-    zero = _Reducer(fusion.cond_zero)
+    full_amb = Subspace.full(fusion.ambient.space)
+    one, zero = fusion.cond_one, fusion.cond_zero
     displays = ((one, full_amb), (zero, full_amb), (full_amb, one), (full_amb, zero))
     corestricts = tuple(
         all(_tensor_coordinates(left, right, col) is not None for col in columns)
@@ -498,17 +468,16 @@ def lift_connection(
         failed = ", ".join(n for n, ok in zip(names, corestricts) if not ok)
         raise AssertionError(f"lifted image leaves the carrier: {failed}")
 
-    carrier_red = _Reducer(fusion.carrier)
     ef_cols = []
     for col in columns:
-        coords = _tensor_coordinates(carrier_red, carrier_red, col)
+        coords = _tensor_coordinates(fusion.carrier, fusion.carrier, col)
         if coords is None:
             raise AssertionError(
                 "lifted image passes the boundary displays but misses the carrier square"
             )
         ef_cols.append(coords)
     ef_space = fusion.comodule.algebra.space
-    lifted = LinearMap.from_columns(
+    lifted = LinearMap.from_sparse_columns(
         h.space, ef_space.tensor(ef_space), ef_cols
     )
     report = check_strong_connection(fusion.comodule, lifted)
@@ -674,7 +643,6 @@ def pullback_identification(
     lower = _build_half(base_lower, inner, "zero", "lo")
     upper = _build_half(base_upper, inner, "one", "hi")
 
-    fiber_space_ph = lower.ambient.space  # C_A (x) P (x) H ambient; PH lives inside
     ident_ph = LinearMap.identity(
         inner.algebra.space.tensor(h.space)
     )
@@ -696,28 +664,25 @@ def pullback_identification(
     fiber_witness = subalgebra_from_subspace(sum_alg, fiber_carrier, "pb")
 
     # coaction on the fiber product, restricted from the blockwise one
-    delta_lo = lower.comodule.coaction
-    delta_hi = upper.comodule.coaction
-    fiber_red = _Reducer(fiber_carrier)
-    hopf_red = _Reducer(Subspace.full(h.space))
+    delta_cols = [
+        sparse_of_vec(lower.comodule.coaction.column(j)) for j in range(d1)
+    ] + [
+        {d1 * dh + pa: w for pa, w in sparse_of_vec(upper.comodule.coaction.column(j)).items()}
+        for j in range(d2)
+    ]
+    full_h = Subspace.full(h.space)
     fiber_cols = []
     for vec in fiber_carrier.basis:
         img: dict[int, Fraction] = {}
-        for j, val in enumerate(vec):
-            if val == 0:
-                continue
-            if j < d1:
-                for pa, w in sparse_of_vec(delta_lo.column(j)).items():
-                    accumulate(img, pa, val * w)
-            else:
-                for pa, w in sparse_of_vec(delta_hi.column(j - d1)).items():
-                    accumulate(img, d1 * dh + pa, val * w)
-        coords = _tensor_coordinates(fiber_red, hopf_red, img)
+        for j, val in vec.items():
+            for pa, w in delta_cols[j].items():
+                accumulate(img, pa, val * w)
+        coords = _tensor_coordinates(fiber_carrier, full_h, img)
         if coords is None:
             raise AssertionError("fiber product is not a subcomodule")
         fiber_cols.append(coords)
     fspace = fiber_witness.algebra.space
-    fiber_coaction = LinearMap.from_columns(
+    fiber_coaction = LinearMap.from_sparse_columns(
         fspace, fspace.tensor(h.space), fiber_cols
     )
     fiber_com = ComoduleAlgebra(fiber_witness.algebra, h, fiber_coaction)
@@ -728,27 +693,25 @@ def pullback_identification(
     )
 
     fusion = build_equivariant_fusion(chain_interval(m_lower + m_upper), inner)
-    big_reducer = _Reducer(fusion.carrier)
     glue_cols = []
     for vec in fiber_carrier.basis:
-        lower_amb = lower.inclusion.apply(vec[:d1])
-        upper_amb = upper.inclusion.apply(vec[d1:])
+        # each half's inclusion sends coordinate j to its j-th carrier vector
         img = {}
-        for idx, val in enumerate(lower_amb):
-            if val != 0:
-                img[idx] = val  # levels 0..m_lower keep their place
-        for idx, val in enumerate(upper_amb):
-            if val == 0:
-                continue
-            k, ph = divmod(idx, dph)
-            if k == 0:
-                continue  # shared fiber: already present from the lower part
-            accumulate(img, (m_lower + k) * dph + ph, val)
-        coords = big_reducer.coordinates(img)
+        for j, val in vec.items():
+            if j < d1:
+                # levels 0..m_lower keep their place
+                for idx, x in lower.carrier.basis[j].items():
+                    accumulate(img, idx, val * x)
+            else:
+                for idx, x in upper.carrier.basis[j - d1].items():
+                    # level 0 is the shared fiber, present from the lower part
+                    if idx >= dph:
+                        accumulate(img, m_lower * dph + idx, val * x)
+        coords = fusion.carrier.coordinates(img)
         if coords is None:
             raise AssertionError("glued section leaves the fusion carrier")
         glue_cols.append(coords)
-    glue = LinearMap.from_columns(
+    glue = LinearMap.from_sparse_columns(
         fspace, fusion.comodule.algebra.space, glue_cols
     )
 

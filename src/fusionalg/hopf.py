@@ -20,14 +20,12 @@ from .algebra import (
     CheckReport,
     FDAlgebra,
     Failure,
-    accumulate,
     check_algebra,
     function_algebra,
     mul_sparse,
-    sparse_of_vec,
 )
 from .groups import FiniteGroup
-from .linalg import LinearMap, Q0, Q1, Space
+from .linalg import LinearMap, Q0, Q1, Space, accumulate, sparse_of_vec
 
 
 @dataclass(frozen=True)

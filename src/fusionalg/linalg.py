@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals with labeled bases.
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  Vectors are tuples of Fractions.  A linear map f: V -> W is
-stored as a dim(W) x dim(V) row-major grid acting on column vectors.
+denominator).  A linear map f: V -> W is stored as a dim(W) x dim(V)
+row-major grid acting on column vectors, and the vectors it takes and
+returns are dense tuples of Fractions.  Everything else is sparse: a
+sparse vector is a dict from basis index to nonzero Fraction, summed with
+:func:`accumulate`.
 
 One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
@@ -11,14 +14,15 @@ convention kron is strictly associative on coordinates, i.e.
 ``a.kron(b).kron(c)`` and ``a.kron(b.kron(c))`` are the same matrix,
 and compositions across re-bracketed tensor factors need no shuffling.
 
-Subspaces carry their basis in reduced row echelon form (monic pivots,
-zeros above and below), which makes subspace equality a literal tuple
-comparison and membership a single reduction sweep.
+Subspaces carry their basis as sparse rows in reduced row echelon form
+(monic pivots, zeros above and below), which makes subspace equality a
+literal comparison, and coordinates and remainder one reduction sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -75,10 +79,6 @@ def basis_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
-def vec_is_zero(u) -> bool:
-    return all(a == 0 for a in u)
-
-
 def tensor_vec(u, v) -> tuple[Fraction, ...]:
     """u (x) v in the flattened left-major ordering."""
     n2 = len(v)
@@ -93,56 +93,70 @@ def tensor_vec(u, v) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def sparse_of_vec(vec) -> dict[int, Fraction]:
+    return {i: v for i, v in enumerate(vec) if v != 0}
+
+
+def accumulate(acc: dict, key, val) -> None:
+    """Add ``val`` at ``key`` of a sparse vector, dropping a zero sum."""
+    nv = acc.get(key, Q0) + val
+    if nv == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = nv
+
+
+def _subtract(vec: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
+    """vec -= c·row in place, dropping the entries that cancel."""
+    for k, v in row.items():
+        accumulate(vec, k, -c * v)
+
+
 # ---------------------------------------------------------------- echelon
 
-def rref(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    n_cols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+def rref(rows) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """Reduced row echelon form of sparse rows: (nonzero rows, pivot
+    columns), each row monic at its pivot, its least column, and zero at
+    every other pivot.
+
+    Each row is reduced by the rows kept so far; a remainder becomes a new
+    row, pivoting on its least column, which is then cleared from the
+    others.  The reduced echelon form of a span is unique, so the order of
+    the rows does not change the result.
+    """
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        vec = dict(row)
+        # a kept row is zero at every other pivot, so clearing one pivot
+        # never changes the entry at another
+        for p in [k for k in vec if k in echelon]:
+            _subtract(vec, vec[p], echelon[p])
+        if not vec:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        lead = mat[r][c]
-        if lead != 1:
-            mat[r] = [x / lead for x in mat[r]]
-        row_r = mat[r]
-        for i in range(len(mat)):
-            if i == r:
-                continue
-            f = mat[i][c]
-            if f != 0:
-                mat[i] = [x - f * y for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+        lead = min(vec)
+        scale = vec[lead]
+        if scale != 1:
+            vec = {k: v / scale for k, v in vec.items()}
+        for other in echelon.values():
+            c = other.get(lead)
+            if c:
+                _subtract(other, c, vec)
+        echelon[lead] = vec
+    pivots = tuple(sorted(echelon))
+    return tuple(echelon[p] for p in pivots), pivots
 
 
-def _kernel_vectors(rows, n_cols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the solution space of (rows) x = 0."""
+def _kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
+    """Basis of the solution space of (rows) x = 0, one vector per free
+    column."""
     rr, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    out = []
-    for f in free:
-        v = [Q0] * n_cols
-        v[f] = Q1
-        for row, p in zip(rr, pivots):
-            if row[f] != 0:
-                v[p] = -row[f]
-        out.append(tuple(v))
-    return out
+    free = {f: {f: Q1} for f in range(n_cols) if f not in pivot_set}
+    for row, p in zip(rr, pivots):
+        for f, v in row.items():
+            if f != p:
+                free[f][p] = -v
+    return list(free.values())
 
 
 # ---------------------------------------------------------------- maps
@@ -261,24 +275,25 @@ class LinearMap:
         return LinearMap(src, tgt, tuple(tuple(r) for r in out))
 
     def rank(self) -> int:
-        _, pivots = rref(self.rows)
-        return len(pivots)
+        return len(rref(map(sparse_of_vec, self.rows))[1])
 
     def kernel(self) -> "Subspace":
-        return Subspace.from_vectors(self.source, _kernel_vectors(self.rows, self.source.dim))
+        vectors = _kernel_vectors(map(sparse_of_vec, self.rows), self.source.dim)
+        return Subspace(self.source, *rref(vectors))
 
     def image(self) -> "Subspace":
-        return Subspace.from_vectors(self.target, [self.column(j) for j in range(self.source.dim)])
+        columns = (sparse_of_vec(self.column(j)) for j in range(self.source.dim))
+        return Subspace(self.target, *rref(columns))
 
     def inverse(self) -> "LinearMap | None":
         n = self.source.dim
         if self.target.dim != n:
             return None
-        aug = [list(row) + list(basis_vec(n, i)) for i, row in enumerate(self.rows)]
+        aug = ({**sparse_of_vec(row), n + i: Q1} for i, row in enumerate(self.rows))
         rr, pivots = rref(aug)
-        if tuple(pivots) != tuple(range(n)):
+        if pivots != tuple(range(n)):
             return None
-        inv_rows = tuple(tuple(row[n:]) for row in rr)
+        inv_rows = tuple(tuple(row.get(n + j, Q0) for j in range(n)) for row in rr)
         return LinearMap(self.target, self.source, inv_rows)
 
     def is_identity(self) -> bool:
@@ -297,27 +312,28 @@ class LinearMap:
 class Subspace:
     """A subspace with a reduced-row-echelon basis (canonical form).
 
+    ``basis[i]`` is the sparse echelon row whose pivot is ``pivots[i]``.
     Equality of subspaces is literal equality of the dataclass fields;
     the RREF normalization makes that sound.
     """
 
     ambient: Space
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[dict[int, Fraction], ...]
     pivots: tuple[int, ...]
 
     @staticmethod
     def from_vectors(ambient: Space, vectors) -> "Subspace":
+        """The span of dense vectors."""
         vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient.dim:
                 raise ValueError("ambient mismatch in subspace construction")
-        basis, pivots = rref(vecs)
-        return Subspace(ambient, basis, pivots)
+        return Subspace(ambient, *rref(map(sparse_of_vec, vecs)))
 
     @staticmethod
     def full(space: Space) -> "Subspace":
         n = space.dim
-        return Subspace(space, tuple(basis_vec(n, i) for i in range(n)), tuple(range(n)))
+        return Subspace(space, tuple({i: Q1} for i in range(n)), tuple(range(n)))
 
     @staticmethod
     def zero(space: Space) -> "Subspace":
@@ -327,34 +343,34 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vec) -> tuple[Fraction, ...]:
-        """Remainder of vec after killing all pivot coordinates."""
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                for idx, x in enumerate(row):
-                    if x != 0:
-                        v[idx] -= c * x
-        return tuple(v)
+    @cached_property
+    def _row_of_pivot(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.pivots)}
 
-    def contains(self, vec) -> bool:
-        return vec_is_zero(self.reduce(vec))
+    def decompose(
+        self, vec: dict[int, Fraction]
+    ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        """Split a sparse vector as Σ coords[i]·basis[i] + remainder.
 
-    def coordinates(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
-        v = list(vec)
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c != 0:
-                for idx, x in enumerate(row):
-                    if x != 0:
-                        v[idx] -= c * x
-        if not vec_is_zero(v):
-            return None
-        return tuple(coords)
+        Returns ``(coords, remainder)``: the coordinates, keyed by basis
+        index in increasing order, and a remainder that is zero at every
+        pivot.  The vector lies in the subspace exactly when the
+        remainder is empty.
+        """
+        remainder = dict(vec)
+        coords = {}
+        row_of = self._row_of_pivot
+        # subtracting one basis row leaves every other pivot entry as it was
+        for p in sorted(k for k in vec if k in row_of):
+            i = row_of[p]
+            coords[i] = vec[p]
+            _subtract(remainder, vec[p], self.basis[i])
+        return coords, remainder
+
+    def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """Sparse coordinates of vec in the echelon basis, or None if outside."""
+        coords, remainder = self.decompose(vec)
+        return None if remainder else coords
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient.dim != other.ambient.dim:
@@ -363,69 +379,34 @@ class Subspace:
         if du == 0 or dv == 0:
             return Subspace.zero(self.ambient)
         # Solve sum a_i u_i = sum b_j v_j: kernel of [U^T | -V^T].
-        rows = []
-        for r in range(self.ambient.dim):
-            rows.append(
-                [self.basis[k][r] for k in range(du)]
-                + [-other.basis[j][r] for j in range(dv)]
-            )
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.ambient.dim)]
+        for k, u in enumerate(self.basis):
+            for r, x in u.items():
+                rows[r][k] = x
+        for j, v in enumerate(other.basis):
+            for r, x in v.items():
+                rows[r][du + j] = -x
         vectors = []
         for w in _kernel_vectors(rows, du + dv):
-            acc = [Q0] * self.ambient.dim
-            for k in range(du):
-                a = w[k]
-                if a != 0:
-                    for idx, x in enumerate(self.basis[k]):
-                        if x != 0:
-                            acc[idx] += a * x
-            vectors.append(tuple(acc))
-        return Subspace.from_vectors(self.ambient, vectors)
+            acc: dict[int, Fraction] = {}
+            for k, a in w.items():
+                if k < du:
+                    _subtract(acc, -a, self.basis[k])  # acc += a·u_k
+            vectors.append(acc)
+        return Subspace(self.ambient, *rref(vectors))
 
 
 def preimage(f: LinearMap, w: Subspace) -> Subspace:
-    """The subspace {x : f(x) in W} of the source."""
+    """The subspace {x : f(x) in W} of the source: the kernel of f
+    followed by reduction modulo W."""
     if w.ambient.dim != f.target.dim:
         raise ValueError("ambient mismatch in preimage")
-    q = QuotientSpace.from_killed(f.target, w)
-    return q.projection.compose(f).kernel()
-
-
-# ---------------------------------------------------------------- quotients
-
-@dataclass(frozen=True)
-class QuotientSpace:
-    """Ambient/killed with an explicit projection and section.
-
-    The section maps quotient basis vectors to the ambient coordinates not
-    used as pivots of the killed subspace, so projection . section = id.
-    """
-
-    ambient: Space
-    killed: Subspace
-    space: Space
-    projection: LinearMap
-    section: LinearMap
-
-    @staticmethod
-    def from_killed(ambient: Space, killed: Subspace) -> "QuotientSpace":
-        if killed.ambient.dim != ambient.dim:
-            raise ValueError("ambient mismatch in quotient")
-        n = ambient.dim
-        pivot_set = set(killed.pivots)
-        reps = [c for c in range(n) if c not in pivot_set]
-        space = Space(tuple(f"[{ambient.labels[c]}]" for c in reps))
-        # projection: reduce each ambient basis vector by the killed rows,
-        # then read off the representative coordinates.
-        proj_cols = []
-        for j in range(n):
-            red = killed.reduce(basis_vec(n, j))
-            proj_cols.append(tuple(red[c] for c in reps))
-        projection = LinearMap.from_columns(ambient, space, proj_cols)
-        section = LinearMap.from_columns(space, ambient, [basis_vec(n, c) for c in reps])
-        q = QuotientSpace(ambient, killed, space, projection, section)
-        if not projection.compose(section).is_identity():
-            raise AssertionError("quotient section failed to split the projection")
-        return q
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j in range(f.source.dim):
+        _, remainder = w.decompose(sparse_of_vec(f.column(j)))
+        for c, v in remainder.items():
+            rows.setdefault(c, {})[j] = v
+    return Subspace(f.source, *rref(_kernel_vectors(rows.values(), f.source.dim)))
 
 
 # ---------------------------------------------------------------- sparse systems

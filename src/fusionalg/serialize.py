@@ -493,12 +493,15 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # The largest fusion ambient C (x) P (x) H a scenario may ask for: the
 # base points times the fiber, (m+1)·dim P·dim H over the chain 0..m.
 # The ambient stores only its (m+1)·nnz(P)·nnz(H) nonzero structure
-# constants; what grows densely with the ambient dimension n is the
-# carrier, whose echelon basis vectors have length n, and the connection
-# system of the fusion.  At 128, O(Z4) theorem-main at m = 7 takes about
-# 12 s and 130 MB (Python 3.11, shared 2-vCPU virtual machine).  The
-# largest scenario in data/ and in the benchmark references (O(S3) and
-# kS3 at m = 1) has 72.
+# constants and the carrier only the nonzero entries of its sparse
+# echelon rows; what grows with the ambient dimension n is the number
+# of carrier rows, the dense maps with n columns (the end evaluations
+# and the carrier's inclusion) and the connection system of the fusion.
+# At 128, O(Z4) theorem-main at m = 7 takes about 8 s and 130 MB
+# (Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
+# data/ and in the benchmark references (O(S3) and kS3 at m = 1) has 72.
+# The joins of finite sets are bounded by the same number: the points of
+# a join are at most the ambient of the fusion of its function algebras.
 MAX_AMBIENT_DIM = 128
 
 
@@ -765,7 +768,9 @@ class Operation:
 def _ints(*names: str, ambient: Callable | None = None) -> Callable:
     """A parse of the named positive integer parameters.  For an
     operation that builds a fusion, ``ambient(*args)`` is the dimension
-    of its largest ambient, computed from the arguments of ``run``."""
+    of its largest ambient, computed from the arguments of ``run``; a
+    join is bounded by the ambient of the fusion it models, which has
+    at least as many points."""
 
     def parse(scn: Scenario, inputs) -> tuple[int, ...]:
         values = tuple(param_int(scn.params, name, "params") for name in names)
@@ -1183,10 +1188,12 @@ OPERATIONS: dict[str, Operation] = {
     ),
     "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
     "discrete-join": Operation(
-        "classical", (), _run_discrete_join, parse=_ints("nx", "ny", "m")
+        "classical", (), _run_discrete_join,
+        parse=_ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
     ),
     "gauged-join-iso": Operation(
-        "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso, _ints("m")
+        "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso,
+        _ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
     ),
     "join-vs-fusion": Operation(
         "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion,

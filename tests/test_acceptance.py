@@ -27,6 +27,7 @@ import json
 import time
 from fractions import Fraction
 
+import dense_reference as ref
 from fusionalg.algebra import AlgebraHom, check_hom
 from fusionalg.classical import (
     diagonal_join_freeness,
@@ -298,13 +299,16 @@ def test_criterion_7_pullback_of_halves():
             got = Subspace.from_vectors(
                 ambient,
                 [
-                    half.inclusion.apply(b)
+                    half.inclusion.apply(ref.dense(b, half.inclusion.source.dim))
                     for b in coinvariants(half.comodule).subspace.basis
                 ],
             )
             expect = Subspace.from_vectors(
                 ambient,
-                [embed_base_vector(b, dh, unit_h) for b in base_wit.subspace.basis],
+                [
+                    embed_base_vector(ref.dense(b, base_wit.ambient.dim), dh, unit_h)
+                    for b in base_wit.subspace.basis
+                ],
             )
             assert got == expect
     elapsed = time.perf_counter() - start

@@ -479,6 +479,60 @@ def test_verify_certificate_reports_a_fusion_beyond_the_budget_as_invalid(tmp_pa
     assert "params.m: the fusion ambient dimension 404 exceeds the budget of 128" in out
 
 
+def _refuse_to_build_joins(monkeypatch):
+    import fusionalg.classical
+    import fusionalg.serialize
+
+    def refuse(*args):
+        raise AssertionError("the budget must be checked before a join is built")
+
+    for module in (fusionalg.classical, fusionalg.serialize):
+        for name in ("discrete_join", "diagonal_join", "gauged_join"):
+            monkeypatch.setattr(module, name, refuse)
+
+
+# The join operations are bounded by the ambient of the fusion they
+# model: (m+1)·nx·ny and (m+1)·|X|·|G|, both 2·(10**9 + 1) or more here.
+_JOIN_OVER_BUDGET = {
+    "discrete-join": 2 * (10**9 + 1),  # nx = 1, ny = 2
+    "gauged-join-iso": 4 * (10**9 + 1),  # regular Z2
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_JOIN_OVER_BUDGET))
+def test_join_beyond_the_dimension_budget_is_refused(tmp_path, capsys, monkeypatch, operation):
+    _refuse_to_build_joins(monkeypatch)
+    command, doc = _small_runs()[operation]
+    doc["params"]["m"] = 10**9
+    path = write(tmp_path, "input.json", doc)
+    assert entry(command + [path]) == 2
+    dim = _JOIN_OVER_BUDGET[operation]
+    assert (
+        f"params: the fusion ambient dimension {dim} exceeds the budget of 128"
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("operation", sorted(_JOIN_OVER_BUDGET))
+def test_verify_certificate_reports_a_join_beyond_the_budget_as_invalid(
+    tmp_path, capsys, monkeypatch, operation
+):
+    command, doc = _small_runs()[operation]
+    path = write(tmp_path, "scn.json", doc)
+    cert_path = tmp_path / "cert.json"
+    assert entry(command + [path, "--output", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert["scenario"]["params"]["m"] = 10**9
+    raised = write(tmp_path, "raised.json", cert)
+    capsys.readouterr()
+    _refuse_to_build_joins(monkeypatch)
+    assert entry(["verify-certificate", raised]) == 1
+    out = capsys.readouterr().out
+    assert "certificate INVALID" in out
+    dim = _JOIN_OVER_BUDGET[operation]
+    assert f"params: the fusion ambient dimension {dim} exceeds the budget of 128" in out
+
+
 def test_verify_certificate_rejects_other_kinds(tmp_path, capsys):
     path = write(tmp_path, "h.json", hopf_to_obj(function_hopf(FiniteGroup.cyclic(2))))
     assert entry(["verify-certificate", path]) == 2

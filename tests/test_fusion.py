@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 from fusionalg.algebra import (
     FDAlgebra,
     check_algebra,
     function_algebra,
     scalar_algebra,
-    sparse_of_vec,
 )
 from fusionalg.classical import diagonal_join, fun_comodule
 from fusionalg.comodule import (
@@ -30,7 +30,6 @@ from fusionalg.comodule import (
 )
 from fusionalg.fusion import (
     PreconditionError,
-    _Reducer,
     _tensor_coordinates,
     base_with_ends,
     build_equivariant_fusion,
@@ -47,7 +46,14 @@ from fusionalg.fusion import (
 )
 from fusionalg.groups import FiniteGroup, FiniteGSet
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf, trivial_hopf
-from fusionalg.linalg import LinearMap, Space, Subspace, basis_vec, tensor_vec
+from fusionalg.linalg import (
+    LinearMap,
+    Space,
+    Subspace,
+    basis_vec,
+    rref,
+    sparse_of_vec,
+)
 from fusionalg.serialize import comodule_from_obj
 
 Q = Fraction
@@ -172,8 +178,8 @@ def test_fusion_with_one_point_chain_drops_middle():
 def test_fusion_carrier_is_a_subalgebra_of_the_ambient():
     fusion = build_fusion(chain_interval(2), function_algebra(2), function_algebra(2))
     assert fusion.carrier.dim == fusion.algebra.dim
-    for b in fusion.carrier.basis:
-        assert fusion.carrier.contains(b)
+    for i, b in enumerate(fusion.carrier.basis):
+        assert fusion.carrier.coordinates(b) == {i: Q(1)}
     assert fusion.inclusion.source.dim == fusion.algebra.dim
     assert fusion.inclusion.target.dim == fusion.ambient.dim
 
@@ -236,12 +242,17 @@ def first_non_pivot(sub: Subspace) -> int:
     return min(set(range(sub.ambient.dim)) - set(sub.pivots))
 
 
+def sparse_tensor(a: dict, b: dict, n2: int) -> dict:
+    """a (x) b for sparse vectors, b of length n2."""
+    return {p * n2 + q: x * y for p, x in a.items() for q, y in b.items()}
+
+
 def subspace_kron(u: Subspace, v: Subspace) -> Subspace:
     """U (x) V with the Kronecker product of the echelon bases, k major:
     the basis whose coordinates ``_tensor_coordinates`` returns.  It is
     again in echelon form, so it is a ``Subspace`` as it stands."""
     n2 = v.ambient.dim
-    basis = tuple(tensor_vec(a, b) for a in u.basis for b in v.basis)
+    basis = tuple(sparse_tensor(a, b, n2) for a in u.basis for b in v.basis)
     pivots = tuple(p * n2 + q for p in u.pivots for q in v.pivots)
     return Subspace(u.ambient.tensor(v.ambient), basis, pivots)
 
@@ -260,9 +271,9 @@ def test_subspace_kron_pivots():
     # the product basis spans exactly the tensor products
     for a in u.basis:
         for b in v.basis:
-            assert w.contains(tensor_vec(a, b))
-    direct = Subspace.from_vectors(
-        w.ambient, [tensor_vec(a, b) for a in u.basis for b in v.basis]
+            assert w.coordinates(sparse_tensor(a, b, 3)) is not None
+    direct = Subspace(
+        w.ambient, *rref(sparse_tensor(a, b, 3) for a in u.basis for b in v.basis)
     )
     assert w == direct
 
@@ -274,8 +285,7 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
     nb = data.draw(st.integers(1, 4))
     u = data.draw(subspaces(na))
     v = data.draw(subspaces(nb))
-    left, right = _Reducer(u), _Reducer(v)
-    reference = _Reducer(subspace_kron(u, v))
+    reference = subspace_kron(u, v)
 
     coeffs = data.draw(
         st.lists(RATIONALS, min_size=u.dim * v.dim, max_size=u.dim * v.dim)
@@ -283,33 +293,31 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
     inside = [Q(0)] * (na * nb)
     for k, uk in enumerate(u.basis):
         for l, vl in enumerate(v.basis):
-            for idx, x in enumerate(tensor_vec(uk, vl)):
+            for idx, x in sparse_tensor(uk, vl, nb).items():
                 inside[idx] += coeffs[k * v.dim + l] * x
     inside = sparse_of_vec(inside)
-    assert _tensor_coordinates(left, right, inside) == tuple(coeffs)
-    assert reference.coordinates(inside) == tuple(coeffs)
+    assert _tensor_coordinates(u, v, inside) == sparse_of_vec(coeffs)
+    assert reference.coordinates(inside) == sparse_of_vec(coeffs)
 
     anywhere = sparse_of_vec(
         data.draw(st.lists(RATIONALS, min_size=na * nb, max_size=na * nb))
     )
-    assert _tensor_coordinates(left, right, anywhere) == reference.coordinates(
+    assert _tensor_coordinates(u, v, anywhere) == reference.coordinates(
         anywhere
     )
 
     if u.dim and v.dim < nb:
         # in U (x) B but not in U (x) V
-        x = sparse_of_vec(tensor_vec(u.basis[0], basis_vec(nb, first_non_pivot(v))))
-        assert _tensor_coordinates(left, right, x) is None
+        x = sparse_tensor(u.basis[0], {first_non_pivot(v): Q(1)}, nb)
+        assert _tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
-        full_b = _Reducer(Subspace.full(v.ambient))
-        assert _tensor_coordinates(left, full_b, x) is not None
+        assert _tensor_coordinates(u, Subspace.full(v.ambient), x) is not None
     if v.dim and u.dim < na:
         # in A (x) V but not in U (x) V
-        x = sparse_of_vec(tensor_vec(basis_vec(na, first_non_pivot(u)), v.basis[0]))
-        assert _tensor_coordinates(left, right, x) is None
+        x = sparse_tensor({first_non_pivot(u): Q(1)}, v.basis[0], nb)
+        assert _tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
-        full_a = _Reducer(Subspace.full(u.ambient))
-        assert _tensor_coordinates(full_a, right, x) is not None
+        assert _tensor_coordinates(Subspace.full(u.ambient), v, x) is not None
 
 
 # ---------------------------------------------------------------- lifting
@@ -489,14 +497,14 @@ def test_piecewise_coinvariants_match_bases():
             got = Subspace.from_vectors(
                 ambient,
                 [
-                    half.inclusion.apply(b)
+                    half.inclusion.apply(ref.dense(b, half.inclusion.source.dim))
                     for b in coinvariants(half.comodule).subspace.basis
                 ],
             )
             expect = Subspace.from_vectors(
                 ambient,
                 [
-                    embed_base_vector(b, dh, unit_h)
+                    embed_base_vector(ref.dense(b, base_wit.ambient.dim), dh, unit_h)
                     for b in base_wit.subspace.basis
                 ],
             )
@@ -557,8 +565,10 @@ REFERENCE_COMODULES = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_COMODULES))
 def test_table_built_maps_match_the_dense_formulas(name):
-    """The lifted canonical map, δ_L and the translation inverse, built
-    through the product table, equal their dense Kronecker formulas."""
+    """The lifted canonical map, δ_L, the balanced projection, the
+    canonical map and the translation inverse, built through the product
+    table and by reduction, equal their dense Kronecker and quotient
+    formulas."""
     c = REFERENCE_COMODULES[name]()
     p, h = c.algebra, c.hopf
     id_p, id_h = LinearMap.identity(p.space), LinearMap.identity(h.space)
@@ -569,9 +579,20 @@ def test_table_built_maps_match_the_dense_formulas(name):
     assert delta_L(c).rows == twist.compose(c.coaction).rows
     verdict = is_principal(c)
     assert verdict.principal == (name != "rescaled-nonfree-z2")
+    can = canonical_map(c)
+    bal = can.balanced
+    n = p.dim * p.dim
+    rows, section = ref.quotient(
+        [ref.dense(b, n) for b in bal.killed.basis], bal.killed.pivots, n
+    )
+    projection = LinearMap(p.space.tensor(p.space), bal.space, rows)
+    for j in range(n):
+        assert bal.project({j: Q(1)}) == sparse_of_vec(projection.column(j))
+    # the canonical map is the lifted one on the section, and factors it
+    descended = lifted.compose(LinearMap.from_columns(bal.space, p.space.tensor(p.space), section))
+    assert can.map.rows == descended.rows
+    assert descended.compose(projection).rows == lifted.rows
     if verdict.principal:
-        can = canonical_map(c)
         ell = verdict.connection.map
-        projection = can.balanced.quotient.projection
         t = projection.compose(mult.kron(id_p)).compose(id_p.kron(ell))
         assert translation_inverse(c, ell, can).rows == t.rows

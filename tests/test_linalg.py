@@ -1,4 +1,5 @@
-"""Exact linear algebra: maps, subspaces, quotients, and the sparse solver."""
+"""Exact linear algebra: maps, sparse echelon subspaces, quotients, and
+the sparse solver."""
 
 import random
 from fractions import Fraction
@@ -8,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
+from fusionalg.comodule import BalancedTensor
 from fusionalg.linalg import (
     Infeasibility,
     LinearMap,
     LinearSystem,
-    QuotientSpace,
     Space,
     Subspace,
     basis_vec,
     preimage,
     rat,
     rref,
+    sparse_of_vec,
     tensor_vec,
 )
 
@@ -79,14 +82,16 @@ def test_rref_shape_and_pivots():
         (Q(1), Q(1), Q(1)),
         (Q(1), Q(3), Q(5)),
     ]
-    basis, pivots = rref(rows)
+    basis, pivots = rref(map(sparse_of_vec, rows))
     assert pivots == (0, 1)
-    assert basis[0] == (Q(1), Q(0), Q(-1))
-    assert basis[1] == (Q(0), Q(1), Q(2))
+    assert basis[0] == {0: Q(1), 2: Q(-1)}
+    assert basis[1] == {1: Q(1), 2: Q(2)}
     # pivot columns of a reduced basis are unit columns
     for r, p in enumerate(pivots):
         for s in range(len(basis)):
-            assert basis[s][p] == (Q(1) if s == r else Q(0))
+            assert basis[s].get(p, Q(0)) == (Q(1) if s == r else Q(0))
+    # no zeros are stored, so equal spans give equal rows
+    assert all(v != 0 for row in basis for v in row.values())
 
 
 def test_compose_apply_agree():
@@ -179,8 +184,8 @@ def test_preimage_membership():
     line = Subspace.from_vectors(t, [(Q(1), Q(0))])
     pre = preimage(f, line)
     for v in pre.basis:
-        img = f.apply(v)
-        assert line.contains(img)
+        img = f.apply(ref.dense(v, s.dim))
+        assert line.coordinates(sparse_of_vec(img)) is not None
     assert pre.dim == 2  # kernel (dim 1) plus one transversal direction
 
 
@@ -189,13 +194,15 @@ def test_subspace_equality_and_membership():
     u = Subspace.from_vectors(s, [(Q(1), Q(1), Q(0)), (Q(0), Q(0), Q(1))])
     v = Subspace.from_vectors(s, [(Q(2), Q(2), Q(2)), (Q(0), Q(0), Q(5))])
     assert u == v  # reduced bases make equal spans literally equal
-    assert u.contains((Q(3), Q(3), Q(-1)))
-    assert not u.contains((Q(1), Q(0), Q(0)))
-    coords = u.coordinates((Q(3), Q(3), Q(-1)))
-    assert coords == (Q(3), Q(-1))
-    assert u.coordinates((Q(1), Q(0), Q(0))) is None
-    incl = LinearMap.from_columns(Space.of_dim(u.dim, "c"), s, u.basis)
-    assert incl.apply(coords) == (Q(3), Q(3), Q(-1))
+    inside = {0: Q(3), 1: Q(3), 2: Q(-1)}
+    coords = u.coordinates(inside)
+    assert coords == {0: Q(3), 1: Q(-1)}
+    assert u.decompose(inside) == (coords, {})
+    assert u.coordinates({0: Q(1)}) is None
+    # the remainder is zero at every pivot
+    assert u.decompose({0: Q(1)}) == ({0: Q(1)}, {1: Q(-1)})
+    incl = LinearMap.from_sparse_columns(Space.of_dim(u.dim, "c"), s, u.basis)
+    assert incl.apply(ref.dense(coords, u.dim)) == (Q(3), Q(3), Q(-1))
 
 
 def test_intersection_commutative_idempotent():
@@ -212,10 +219,16 @@ def test_intersection_commutative_idempotent():
         assert uv == v.intersection(u)
         assert u.intersection(u) == u
         for w in uv.basis:
-            assert u.contains(w) and v.contains(w)
+            assert u.coordinates(w) is not None and v.coordinates(w) is not None
         # dimension formula dim(u) + dim(v) = dim(u+v) + dim(u∩v)
-        joined = Subspace.from_vectors(s, list(u.basis) + list(v.basis))
+        joined = Subspace(s, *rref(u.basis + v.basis))
         assert u.dim + v.dim == joined.dim + uv.dim
+
+
+def quotient_by(killed: Subspace) -> BalancedTensor:
+    """The balanced-tensor projection, which needs only the killed
+    subspace, applied to an arbitrary one."""
+    return BalancedTensor(None, None, killed)
 
 
 def test_quotient_projection_section():
@@ -223,15 +236,112 @@ def test_quotient_projection_section():
     killed = Subspace.from_vectors(
         s, [(Q(1), Q(-1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(0))]
     )
-    q = QuotientSpace.from_killed(s, killed)
+    q = quotient_by(killed)
     assert q.space.dim == 2
-    assert q.projection.compose(q.section).is_identity()
+    assert q.space.labels == ("[s1]", "[s3]")
+    # the section sends the i-th class to its representative coordinate
+    for i, c in enumerate(q.reps):
+        assert q.project({c: Q(1)}) == {i: Q(1)}
     for k in killed.basis:
-        assert all(v == 0 for v in q.projection.apply(k))
+        assert q.project(k) == {}
     # a class and its representative project equally
-    vec = (Q(5), Q(2), Q(7), Q(1))
-    shifted = tuple(a + b for a, b in zip(vec, killed.basis[0]))
-    assert q.projection.apply(vec) == q.projection.apply(shifted)
+    vec = {0: Q(5), 1: Q(2), 2: Q(7), 3: Q(1)}
+    shifted = {i: vec[i] + killed.basis[0].get(i, Q(0)) for i in vec}
+    assert q.project(vec) == q.project(shifted) == {0: Q(7), 1: Q(1)}
+
+
+# Rational entries, mostly zero, for matrices compared against the dense
+# reference routines.
+ENTRIES = st.one_of(
+    st.just(Q(0)), st.just(Q(0)), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+@st.composite
+def rational_matrices(draw, n_rows=None, n_cols=None):
+    """A matrix whose rows include zero rows, repeated rows and rescaled
+    copies of other rows, in a drawn order."""
+    n = n_cols if n_cols is not None else draw(st.integers(1, 5))
+    row = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    scale = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    for kind, k, c in draw(
+        st.lists(st.tuples(st.sampled_from("zrs"), st.integers(0, 9), scale), max_size=3)
+    ):
+        src = rows[k % len(rows)]
+        rows.append((Q(0),) * n if kind == "z" else src if kind == "r" else tuple(c * x for x in src))
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    if n_rows is not None:
+        rows = (rows * n_rows)[:n_rows]
+    return rows
+
+
+def as_subspace(space: Space, dense_echelon) -> Subspace:
+    basis, pivots = dense_echelon
+    return Subspace(space, tuple(sparse_of_vec(b) for b in basis), pivots)
+
+
+@settings(max_examples=150)
+@given(rows=rational_matrices())
+def test_sparse_echelon_matches_the_dense_reference(rows):
+    """Basis, pivots, rank and kernel agree with dense Gauss–Jordan."""
+    n = len(rows[0])
+    basis, pivots = rref(map(sparse_of_vec, rows))
+    dense_basis, dense_pivots = ref.rref(rows)
+    assert pivots == dense_pivots
+    assert basis == tuple(sparse_of_vec(b) for b in dense_basis)
+    source, target = Space.of_dim(n, "s"), Space.of_dim(len(rows), "t")
+    f = LinearMap(source, target, tuple(rows))
+    assert f.rank() == len(dense_pivots)
+    assert f.kernel() == as_subspace(source, ref.kernel(rows, n))
+    assert Subspace.from_vectors(source, rows) == as_subspace(source, (dense_basis, dense_pivots))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_sparse_inverse_matches_the_dense_reference(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(rational_matrices(n_rows=n, n_cols=n))
+    s = Space.of_dim(n, "s")
+    inv = LinearMap(s, s, tuple(rows)).inverse()
+    expected = ref.inverse(rows)
+    assert (inv.rows if inv is not None else None) == expected
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_sparse_intersection_and_preimage_match_the_dense_reference(data):
+    n = data.draw(st.integers(1, 5))
+    u_rows = data.draw(rational_matrices(n_cols=n))
+    v_rows = data.draw(rational_matrices(n_cols=n))
+    s = Space.of_dim(n, "s")
+    u, v = Subspace.from_vectors(s, u_rows), Subspace.from_vectors(s, v_rows)
+    expected = ref.intersection(ref.rref(u_rows)[0], ref.rref(v_rows)[0], n)
+    assert u.intersection(v) == as_subspace(s, expected)
+    # f: k^m -> k^n has the columns of a drawn matrix
+    m = data.draw(st.integers(1, 4))
+    f_rows = data.draw(rational_matrices(n_rows=n, n_cols=m))
+    f = LinearMap(Space.of_dim(m, "x"), s, tuple(f_rows))
+    assert preimage(f, u) == as_subspace(f.source, ref.preimage(f_rows, m, *ref.rref(u_rows)))
+
+
+@settings(max_examples=100)
+@given(rows=rational_matrices(), vectors=st.data())
+def test_balanced_projection_matches_the_dense_quotient(rows, vectors):
+    """The projection by reduction equals the dense quotient projection,
+    on basis vectors and on drawn vectors, and the quotient keeps the
+    non-pivot coordinates."""
+    n = len(rows[0])
+    killed = Subspace.from_vectors(Space.of_dim(n, "s"), rows)
+    projection, section = ref.quotient(*ref.rref(rows), n)
+    q = quotient_by(killed)
+    assert len(q.reps) == len(section) == n - killed.dim
+    for j in range(n):
+        assert q.project({j: Q(1)}) == {i: row[j] for i, row in enumerate(projection) if row[j]}
+    vec = vectors.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    expected = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in projection]
+    assert q.project(sparse_of_vec(vec)) == sparse_of_vec(expected)
 
 
 def test_linear_system_deterministic_solution():

@@ -1,6 +1,9 @@
 """JSON codecs, path inlining, canonical certificates, and replay checks."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -445,6 +448,12 @@ GOLDEN = ROOT / "tests" / "golden"
          "classical-scenario_join_vs_fusion"),
         (["classical", "data/scenario_diagonal_join_freeness.json"],
          "classical-scenario_diagonal_join_freeness"),
+        # the canonical map's bijectivity, on a free and on a non-free
+        # G-set (Z4 on a free orbit and on Z4/Z2)
+        (["classical", "tests/golden/scenario_freeness_regular_z3.json"],
+         "classical-scenario_freeness_regular_z3"),
+        (["classical", "tests/golden/scenario_freeness_nonfree_z4.json"],
+         "classical-scenario_freeness_nonfree_z4"),
     ],
 )
 def test_certificates_match_golden_files(tmp_path, argv, golden):
@@ -455,3 +464,27 @@ def test_certificates_match_golden_files(tmp_path, argv, golden):
     entry([argv[0], str(ROOT / argv[1]), "--output", str(out)])
     expected = json.loads((GOLDEN / f"{golden}.cert.json").read_text())
     assert certificate_identity(json.loads(out.read_text())) == certificate_identity(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fusion", "data/scenario_theorem_main.json"],
+        ["solve-connection", "tests/golden/comodule_rescaled_nonfree_z2.json"],
+    ],
+)
+def test_certificates_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    """Sparse elimination iterates dicts; a certificate written under
+    one string-hash seed equals one written under another."""
+    identities = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"cert-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionalg.cli", argv[0], str(ROOT / argv[1]), "--output", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.exists(), proc.stderr
+        identities.append(certificate_identity(json.loads(out.read_text())))
+    assert identities[0] == identities[1]
