@@ -27,7 +27,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet, cyclic_actions, is_free
 from .hopf import function_hopf
-from .linalg import LinearMap, Q0, Q1
+from .linalg import LinearMap, Q1
 
 __all__ = [
     "FiniteGroup",
@@ -54,14 +54,12 @@ def fun_comodule(gset: FiniteGSet) -> ComoduleAlgebra:
     group = gset.group
     p = function_algebra(gset.size, tuple(f"δ{name}" for name in gset.points))
     h = function_hopf(group)
-    dp, dh = gset.size, group.order
-    rows = [[Q0] * dp for _ in range(dp * dh)]
-    for x in range(dp):
+    dh = group.order
+    cols: list[dict] = [{} for _ in range(gset.size)]
+    for x in range(gset.size):
         for g in range(dh):
-            rows[x * dh + g][gset.act[x][g]] = Q1
-    coaction = LinearMap(
-        p.space, p.space.tensor(h.space), tuple(tuple(r) for r in rows)
-    )
+            cols[gset.act[x][g]][x * dh + g] = Q1
+    coaction = LinearMap.from_sparse_columns(p.space, p.space.tensor(h.space), cols)
     com = ComoduleAlgebra(p, h, coaction)
     report = check_comodule(com)
     if not report.ok:

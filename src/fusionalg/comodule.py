@@ -56,13 +56,15 @@ class ComoduleAlgebra:
             raise ValueError("coaction has wrong shape")
 
 
+def _unit_embedding(algebra: FDAlgebra, hopf: HopfAlgebra) -> LinearMap:
+    """The map P -> P (x) H, x -> x (x) 1."""
+    k = LinearMap.identity(algebra.space).kron(hopf.algebra.unit_map())
+    return LinearMap.from_sparse_columns(algebra.space, algebra.space.tensor(hopf.space), k.cols)
+
+
 def trivial_coaction(algebra: FDAlgebra, hopf: HopfAlgebra) -> ComoduleAlgebra:
     """P with every element coinvariant: x -> x (x) 1."""
-    k = LinearMap.identity(algebra.space).kron(hopf.algebra.unit_map())
-    coaction = LinearMap(
-        algebra.space, algebra.space.tensor(hopf.space), k.rows
-    )
-    return ComoduleAlgebra(algebra, hopf, coaction)
+    return ComoduleAlgebra(algebra, hopf, _unit_embedding(algebra, hopf))
 
 
 def check_comodule(c: ComoduleAlgebra) -> CheckReport:
@@ -75,20 +77,17 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     failures: list[Failure] = []
-    dcols = [sparse_of_vec(c.coaction.column(j)) for j in range(dp)]
-    cop_cols = [sparse_of_vec(h.coproduct.column(j)) for j in range(dh)]
+    dcols = c.coaction.cols
+    cop_cols = h.coproduct.cols
     ptab, htab = p.table, h.algebra.table
-    eps = h.counit.rows[0]
+    eps = h.counit_values
 
     mult_ok = True
     for i in range(dp):
         if not mult_ok:
             break
         for j in range(dp):
-            lhs: dict[int, Fraction] = {}
-            for k2, v in ptab[i][j].items():
-                for key, w in dcols[k2].items():
-                    accumulate(lhs, key, v * w)
+            lhs = c.coaction.apply(ptab[i][j])
             rhs: dict[int, Fraction] = {}
             for pa, va in dcols[i].items():
                 pi, ai = divmod(pa, dh)
@@ -109,12 +108,8 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
                 mult_ok = False
                 break
 
-    delta_unit: dict[int, Fraction] = {}
-    for i, v in sparse_of_vec(p.unit).items():
-        for key, w in dcols[i].items():
-            accumulate(delta_unit, key, v * w)
     expected_unit = sparse_of_vec(tensor_vec(p.unit, h.algebra.unit))
-    if delta_unit != expected_unit:
+    if c.coaction.apply(sparse_of_vec(p.unit)) != expected_unit:
         failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
 
     for j in range(dp):
@@ -159,12 +154,8 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
 
 def coinvariants(c: ComoduleAlgebra) -> SubalgebraWitness:
     """The subalgebra B = {x : δ(x) = x⊗1}, with its induced structure."""
-    p, h = c.algebra, c.hopf
-    embed = LinearMap.identity(p.space).kron(h.algebra.unit_map())
-    ker = c.coaction.sub(
-        LinearMap(c.coaction.source, c.coaction.target, embed.rows)
-    ).kernel()
-    witness = subalgebra_from_subspace(p, ker, label_prefix="b")
+    ker = c.coaction.sub(_unit_embedding(c.algebra, c.hopf)).kernel()
+    witness = subalgebra_from_subspace(c.algebra, ker, label_prefix="b")
     if not witness.unital:
         raise AssertionError("coinvariants failed to contain the unit")
     return witness
@@ -232,10 +223,9 @@ def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
     """Sparse columns of P (x) V -> P (x) W, x (x) v -> x·f(v)' (x) f(v)'',
     for a map f: V -> P (x) W."""
     width = f.target.dim // p.dim
-    images = [sparse_of_vec(f.column(j)) for j in range(f.source.dim)]
     cols = []
     for x in range(p.dim):
-        for image in images:
+        for image in f.cols:
             col: dict[int, Fraction] = {}
             for key, val in image.items():
                 q, a = divmod(key, width)
@@ -243,23 +233,6 @@ def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
                     accumulate(col, k * width + a, val * coeff)
             cols.append(col)
     return cols
-
-
-def _image(cols: list[dict[int, Fraction]], vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The image of a sparse vector under the map with sparse columns ``cols``."""
-    out: dict[int, Fraction] = {}
-    for j, x in vec.items():
-        for i, v in cols[j].items():
-            accumulate(out, i, v * x)
-    return out
-
-
-def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
-    """The map P (x) P -> P (x) H sending x (x) y to x·y_(0) (x) y_(1)."""
-    p = c.algebra
-    return LinearMap.from_sparse_columns(
-        p.space.tensor(p.space), p.space.tensor(c.hopf.space), _times_first_leg(p, c.coaction)
-    )
 
 
 @dataclass(frozen=True)
@@ -285,25 +258,29 @@ def canonical_map(c: ComoduleAlgebra) -> CanonicalMap:
     coinv = coinvariants(c)
     bal = balanced_tensor(c, coinv)
     p = c.algebra
-    lifted = _times_first_leg(p, c.coaction)
+    p_h = p.space.tensor(c.hopf.space)
+    # x (x) y -> x·y_(0) (x) y_(1) on P (x) P
+    lifted = LinearMap.from_sparse_columns(
+        p.space.tensor(p.space), p_h, _times_first_leg(p, c.coaction)
+    )
     for rel in bal.killed.basis:
-        if _image(lifted, rel):
+        if lifted.apply(rel):
             raise AssertionError(
                 "canonical map is not well defined on the balanced quotient"
             )
     reps = bal.reps
-    descended = [lifted[r] for r in reps]
-    for j, col in enumerate(lifted):
-        if _image(descended, bal.project({j: Q1})) != col:
+    descended = LinearMap.from_sparse_columns(bal.space, p_h, [lifted.cols[r] for r in reps])
+    for j, col in enumerate(lifted.cols):
+        if descended.apply(bal.project({j: Q1})) != col:
             raise AssertionError("canonical map does not factor the lifted map")
-    rank = len(rref(descended)[1])
+    rank = descended.rank()
     return CanonicalMap(
         c,
         coinv,
         bal,
-        LinearMap.from_sparse_columns(bal.space, p.space.tensor(c.hopf.space), descended),
+        descended,
         injective=rank == len(reps),
-        surjective=rank == p.dim * c.hopf.dim,
+        surjective=rank == p_h.dim,
     )
 
 
@@ -316,11 +293,11 @@ def delta_L(c: ComoduleAlgebra) -> LinearMap:
         raise ValueError("left coaction needs an invertible antipode")
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
-    s_inv = [sparse_of_vec(h.antipode_inv.column(a)) for a in range(dh)]
+    s_inv = h.antipode_inv.cols
     cols = []
-    for x in range(dp):
+    for coaction_x in c.coaction.cols:
         col: dict[int, Fraction] = {}
-        for qa, val in sparse_of_vec(c.coaction.column(x)).items():
+        for qa, val in coaction_x.items():
             q, a = divmod(qa, dh)
             for b, s in s_inv[a].items():
                 accumulate(col, b * dp + q, val * s)
@@ -335,9 +312,14 @@ class StrongConnection:
     unital: bool
 
 
-def _integral(rows, den: int) -> list[list[tuple[int, int]]]:
-    """Sparse rows of Fractions times ``den``, a common denominator."""
-    return [[(j, v.numerator * (den // v.denominator)) for j, v in row] for row in rows]
+def _integral_rows(cols, n_rows: int, den: int) -> list[list[tuple[int, int]]]:
+    """The rows of the matrix with sparse columns ``cols`` times ``den``,
+    a common denominator: row i lists (j, entry) in increasing j."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i].append((j, v.numerator * (den // v.denominator)))
+    return rows
 
 
 def connection_system(
@@ -360,22 +342,22 @@ def connection_system(
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
-    products: list[list[tuple[int, Fraction]]] = [[] for _ in range(dp)]
-    for i, row in enumerate(p.table):
-        for j, prod in enumerate(row):
-            for k, val in prod.items():
-                products[k].append((i * dp + j, val))
+    # the structure maps by their sparse columns, with their row counts
     maps = [
-        c.coaction.rows_sparse(),  # index x·dH+a -> [(q, val)]
-        delta_L(c).rows_sparse(),  # index a·dP+u -> [(p, val)]
-        products,  # index u -> [(p·dP+w, val)]
-        h.coproduct.rows_sparse(),  # index leg1·dH+leg2 -> [(col, val)]
-        [list(enumerate(p.unit)), list(enumerate(h.algebra.unit))],
+        (c.coaction.cols, dp * dh),  # row x·dH+a -> [(q, val)]
+        (delta_L(c).cols, dh * dp),  # row a·dP+u -> [(p, val)]
+        ([prod for row in p.table for prod in row], dp),  # row u -> [(p·dP+w, val)]
+        (h.coproduct.cols, dh * dh),  # row leg1·dH+leg2 -> [(col, val)]
     ]
-    den = lcm(*(v.denominator for rows in maps for row in rows for _, v in row))
-    delta_rows, dl_rows, mult_rows, cop_rows, units = (_integral(m, den) for m in maps)
-    unit_p = [v for _, v in units[0]]
-    unit_h = [(col, v) for col, v in units[1] if v]
+    den = lcm(
+        *(v.denominator for cols, _ in maps for col in cols for v in col.values()),
+        *(v.denominator for v in p.unit + h.algebra.unit),
+    )
+    delta_rows, dl_rows, mult_rows, cop_rows = (_integral_rows(*m, den) for m in maps)
+    unit_p = [v.numerator * (den // v.denominator) for v in p.unit]
+    unit_h = [
+        (col, v.numerator * (den // v.denominator)) for col, v in enumerate(h.algebra.unit) if v
+    ]
 
     by_second: list[list[list[tuple[int, int]]]] = [
         [[] for _ in range(dh)] for _ in range(dh)
@@ -443,7 +425,8 @@ def connection_system(
 
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
-    return ell.apply(c.hopf.algebra.unit) == tensor_vec(c.algebra.unit, c.algebra.unit)
+    unit_pp = sparse_of_vec(tensor_vec(c.algebra.unit, c.algebra.unit))
+    return ell.apply(sparse_of_vec(c.hopf.algebra.unit)) == unit_pp
 
 
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
@@ -453,11 +436,13 @@ def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
     outcome = system.solve()
     if isinstance(outcome, Infeasibility):
         return system, outcome
-    dp, dh = c.algebra.dim, c.hopf.dim
-    rows = tuple(
-        tuple(outcome[r * dh + col] for col in range(dh)) for r in range(dp * dp)
+    # unknown (r, col) sits at r·dH + col, so column col is every dH-th value
+    dh = c.hopf.dim
+    ell = LinearMap.from_sparse_columns(
+        c.hopf.space,
+        c.algebra.space.tensor(c.algebra.space),
+        (dict(enumerate(outcome[col::dh])) for col in range(dh)),
     )
-    ell = LinearMap(c.hopf.space, c.algebra.space.tensor(c.algebra.space), rows)
     report = check_strong_connection(c, ell, require_unital=require_unital)
     if not report.ok:
         raise AssertionError(
@@ -491,13 +476,12 @@ def check_strong_connection(
         raise ValueError("connection has wrong shape")
     failures: list[Failure] = []
 
-    ell_cols = [sparse_of_vec(ell.column(j)) for j in range(dh)]
-    delta_cols = [sparse_of_vec(c.coaction.column(j)) for j in range(dp)]
-    dl = delta_L(c)
-    dl_cols = [sparse_of_vec(dl.column(j)) for j in range(dp)]
-    cop_cols = [sparse_of_vec(h.coproduct.column(j)) for j in range(dh)]
+    ell_cols = ell.cols
+    delta_cols = c.coaction.cols
+    dl_cols = delta_L(c).cols
+    cop_cols = h.coproduct.cols
     ptab = p.table
-    eps = h.counit.rows[0]
+    eps = h.counit_values
     unit_p = sparse_of_vec(p.unit)
 
     for col in range(dh):

@@ -44,12 +44,13 @@ from .comodule import (
 from .hopf import HopfAlgebra, sweedler_legs
 from .linalg import (
     LinearMap,
-    Q0,
+    Q1,
     Space,
     Subspace,
     accumulate,
     basis_vec,
     preimage,
+    rref,
     sparse_of_vec,
     tensor_vec,
 )
@@ -92,12 +93,9 @@ def base_with_ends(
         report = check_hom(AlgebraHom(algebra, scalars, end))
         if not report.ok:
             raise ValueError(f"the {name} end is not an algebra character")
-    combined = LinearMap.from_rows(
-        algebra.space,
-        Space(("ev0", "ev1")),
-        [end_zero.rows[0], end_one.rows[0]],
-    )
-    if combined.rank() != 2:
+    # a character's values on the basis, as a sparse vector of the dual
+    values = [{j: col[0] for j, col in enumerate(e.cols) if col} for e in (end_zero, end_one)]
+    if len(rref(values)[1]) != 2:
         raise ValueError("the two end characters are not independent")
     return BaseWithEnds(algebra, end_zero, end_one)
 
@@ -108,11 +106,11 @@ def chain_interval(m: int) -> BaseWithEnds:
         raise ValueError("a chain interval needs at least two points")
     labels = tuple(f"t={k}/{m}" for k in range(m + 1))
     algebra = function_algebra(m + 1, labels)
-    end_zero = LinearMap.from_rows(
-        algebra.space, Space.scalar(), [basis_vec(m + 1, 0)]
-    )
-    end_one = LinearMap.from_rows(
-        algebra.space, Space.scalar(), [basis_vec(m + 1, m)]
+    end_zero, end_one = (
+        LinearMap.from_sparse_columns(
+            algebra.space, Space.scalar(), ({0: Q1} if k == end else {} for k in range(m + 1))
+        )
+        for end in (0, m)
     )
     return base_with_ends(algebra, end_zero, end_one)
 
@@ -139,9 +137,9 @@ def sqrt_pair_from_vectors(base: BaseWithEnds, s, s_prime) -> SqrtPair:
         raise ValueError("the squares do not sum to the unit")
     if alg.mult_vec(s, s_prime) != alg.mult_vec(s_prime, s):
         raise ValueError("the pair does not commute")
-    if base.end_zero.apply(s) != (Q0,):
+    if base.end_zero.apply(sparse_of_vec(s)):
         raise ValueError("s does not vanish at the zero end")
-    if base.end_one.apply(s_prime) != (Q0,):
+    if base.end_one.apply(sparse_of_vec(s_prime)):
         raise ValueError("s' does not vanish at the one end")
     return SqrtPair(base, s, s_prime)
 
@@ -294,32 +292,26 @@ class EquivariantFusion:
     inclusion: LinearMap
 
 
-def _restrict_last_leg(
-    ambient_alg: FDAlgebra,
+def _restrict_coaction(
+    ambient: FDAlgebra,
+    coaction: LinearMap,
     hopf: HopfAlgebra,
     carrier: Subspace,
     prefix: str,
 ) -> tuple[SubalgebraWitness, ComoduleAlgebra]:
-    """Subalgebra structure plus the coaction restricted from
-    id (x) Δ on an ambient whose last tensor leg is H."""
-    witness = subalgebra_from_subspace(ambient_alg, carrier, label_prefix=prefix)
-    dh = hopf.dim
-    cop_cols = [sparse_of_vec(hopf.coproduct.column(a)) for a in range(dh)]
+    """Subalgebra structure on ``carrier`` plus the restriction of
+    ``coaction``, a coaction of ``hopf`` on the ambient algebra."""
+    witness = subalgebra_from_subspace(ambient, carrier, label_prefix=prefix)
     full_h = Subspace.full(hopf.space)
     cols = []
     for vec in carrier.basis:
-        img: dict[int, Fraction] = {}
-        for idx, val in vec.items():
-            x, a = divmod(idx, dh)
-            for bc, w in cop_cols[a].items():
-                accumulate(img, x * dh * dh + bc, val * w)
-        coords = _tensor_coordinates(carrier, full_h, img)
+        coords = _tensor_coordinates(carrier, full_h, coaction.apply(vec))
         if coords is None:
             raise AssertionError("carrier is not stable under the coaction")
         cols.append(coords)
     space = witness.algebra.space
-    coaction = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols)
-    com = ComoduleAlgebra(witness.algebra, hopf, coaction)
+    restricted = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols)
+    com = ComoduleAlgebra(witness.algebra, hopf, restricted)
     report = check_comodule(com)
     if not report.ok:
         raise AssertionError(
@@ -330,12 +322,13 @@ def _restrict_last_leg(
 
 def _end_conditions(
     base: BaseWithEnds, inner: ComoduleAlgebra
-) -> tuple[FDAlgebra, Subspace, Subspace]:
-    """Ambient algebra and the two half conditions cutting out the
-    equivariant carrier."""
+) -> tuple[FDAlgebra, LinearMap, Subspace, Subspace]:
+    """Ambient algebra, its coaction id (x) Δ, and the two half
+    conditions cutting out the equivariant carrier."""
     p, h = inner.algebra, inner.hopf
     fiber = tensor_algebra(p, h.algebra)
     ambient = tensor_algebra(base.algebra, fiber)
+    coaction = LinearMap.identity(base.algebra.space.tensor(p.space)).kron(h.coproduct)
     ident = LinearMap.identity(fiber.space)
     w_one = inner.coaction.image()
     w_zero = Subspace.from_vectors(
@@ -344,15 +337,15 @@ def _end_conditions(
     )
     cond_one = preimage(base.end_one.kron(ident), w_one)
     cond_zero = preimage(base.end_zero.kron(ident), w_zero)
-    return ambient, cond_one, cond_zero
+    return ambient, coaction, cond_one, cond_zero
 
 
 def build_equivariant_fusion(
     base: BaseWithEnds, inner: ComoduleAlgebra
 ) -> EquivariantFusion:
-    ambient, cond_one, cond_zero = _end_conditions(base, inner)
+    ambient, coaction, cond_one, cond_zero = _end_conditions(base, inner)
     carrier = cond_one.intersection(cond_zero)
-    witness, com = _restrict_last_leg(ambient, inner.hopf, carrier, "ef")
+    witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, "ef")
     return EquivariantFusion(
         base,
         inner,
@@ -415,11 +408,10 @@ def lift_connection(
     s = sparse_of_vec(sqrt.vanish_at_zero)
     sp = sparse_of_vec(sqrt.vanish_at_one)
     unit_p = sparse_of_vec(inner.algebra.unit)
-    s_cols = [sparse_of_vec(h.antipode.column(a)) for a in range(dh)]
-    ell_cols = [sparse_of_vec(ell.column(a)) for a in range(dh)]
-    legs3 = sweedler_legs(h, 3)
-    legs3_cols = [sparse_of_vec(legs3.column(a)) for a in range(dh)]
-    cop_cols = [sparse_of_vec(h.coproduct.column(a)) for a in range(dh)]
+    s_cols = h.antipode.cols
+    ell_cols = ell.cols
+    legs3_cols = sweedler_legs(h, 3).cols
+    cop_cols = h.coproduct.cols
 
     columns: list[dict[int, Fraction]] = []
     for c in range(dh):
@@ -566,9 +558,9 @@ class RestrictedComodule:
 def _build_half(
     base: BaseWithEnds, inner: ComoduleAlgebra, end: str, prefix: str
 ) -> RestrictedComodule:
-    ambient, cond_one, cond_zero = _end_conditions(base, inner)
+    ambient, coaction, cond_one, cond_zero = _end_conditions(base, inner)
     carrier = cond_zero if end == "zero" else cond_one
-    witness, com = _restrict_last_leg(ambient, inner.hopf, carrier, prefix)
+    witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, prefix)
     return RestrictedComodule(ambient, carrier, com, witness.inclusion)
 
 
@@ -653,41 +645,20 @@ def pullback_identification(
         lower.comodule.algebra, upper.comodule.algebra
     )
     d1 = lower.comodule.algebra.dim
-    d2 = upper.comodule.algebra.dim
-    boundary_cols = [top_of_lower.column(j) for j in range(d1)] + [
-        tuple(-v for v in bottom_of_upper.column(j)) for j in range(d2)
-    ]
-    boundary = LinearMap.from_columns(
-        sum_alg.space, ident_ph.target, boundary_cols
+    minus_bottom = [{i: -v for i, v in col.items()} for col in bottom_of_upper.cols]
+    boundary = LinearMap.from_sparse_columns(
+        sum_alg.space, ident_ph.target, top_of_lower.cols + tuple(minus_bottom)
     )
     fiber_carrier = boundary.kernel()
-    fiber_witness = subalgebra_from_subspace(sum_alg, fiber_carrier, "pb")
 
-    # coaction on the fiber product, restricted from the blockwise one
-    delta_cols = [
-        sparse_of_vec(lower.comodule.coaction.column(j)) for j in range(d1)
-    ] + [
-        {d1 * dh + pa: w for pa, w in sparse_of_vec(upper.comodule.coaction.column(j)).items()}
-        for j in range(d2)
-    ]
-    full_h = Subspace.full(h.space)
-    fiber_cols = []
-    for vec in fiber_carrier.basis:
-        img: dict[int, Fraction] = {}
-        for j, val in vec.items():
-            for pa, w in delta_cols[j].items():
-                accumulate(img, pa, val * w)
-        coords = _tensor_coordinates(fiber_carrier, full_h, img)
-        if coords is None:
-            raise AssertionError("fiber product is not a subcomodule")
-        fiber_cols.append(coords)
-    fspace = fiber_witness.algebra.space
-    fiber_coaction = LinearMap.from_sparse_columns(
-        fspace, fspace.tensor(h.space), fiber_cols
+    # the blockwise coaction on the direct sum, restricted to the fiber product
+    blockwise = LinearMap.from_sparse_columns(
+        sum_alg.space,
+        sum_alg.space.tensor(h.space),
+        list(lower.comodule.coaction.cols)
+        + [{d1 * dh + pa: w for pa, w in col.items()} for col in upper.comodule.coaction.cols],
     )
-    fiber_com = ComoduleAlgebra(fiber_witness.algebra, h, fiber_coaction)
-    if not check_comodule(fiber_com).ok:
-        raise AssertionError("fiber product coaction violates comodule axioms")
+    fiber_witness, fiber_com = _restrict_coaction(sum_alg, blockwise, h, fiber_carrier, "pb")
     fiber = RestrictedComodule(
         sum_alg, fiber_carrier, fiber_com, fiber_witness.inclusion
     )
@@ -712,7 +683,7 @@ def pullback_identification(
             raise AssertionError("glued section leaves the fusion carrier")
         glue_cols.append(coords)
     glue = LinearMap.from_sparse_columns(
-        fspace, fusion.comodule.algebra.space, glue_cols
+        fiber_com.algebra.space, fusion.comodule.algebra.space, glue_cols
     )
 
     if glue.inverse() is None:
@@ -726,8 +697,8 @@ def pullback_identification(
         )
     ident_h = LinearMap.identity(h.space)
     lhs = fusion.comodule.coaction.compose(glue)
-    rhs = glue.kron(ident_h).compose(fiber_coaction)
-    if lhs.rows != rhs.rows:
+    rhs = glue.kron(ident_h).compose(fiber_com.coaction)
+    if lhs.cols != rhs.cols:
         raise AssertionError("gluing map does not intertwine the coactions")
 
     return PullbackIdentification(inner, lower, upper, fiber, fusion, glue)

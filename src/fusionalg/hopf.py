@@ -48,6 +48,11 @@ class HopfAlgebra:
     def labels(self) -> tuple[str, ...]:
         return self.algebra.labels
 
+    @property
+    def counit_values(self) -> list[Fraction]:
+        """ε(e_i) for each basis vector e_i."""
+        return [col.get(0, Q0) for col in self.counit.cols]
+
 
 def make_hopf(
     algebra: FDAlgebra,
@@ -72,10 +77,6 @@ def make_hopf(
 
 # ---------------------------------------------------------------- checks
 
-def _coproduct_columns(h: HopfAlgebra) -> list[dict[int, Fraction]]:
-    return [sparse_of_vec(h.coproduct.column(j)) for j in range(h.dim)]
-
-
 def check_hopf(h: HopfAlgebra) -> CheckReport:
     """Full axiom battery; each failed axiom appears once, by name.
 
@@ -87,9 +88,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     failures: list[Failure] = list(check_algebra(h.algebra).failures)
     n = h.dim
     table = h.algebra.table
-    delta = _coproduct_columns(h)
-    eps = h.counit.rows[0]
-    s_cols = [sparse_of_vec(h.antipode.column(j)) for j in range(n)]
+    delta = h.coproduct.cols
+    eps = h.counit_values
+    s_cols = h.antipode.cols
     unit = sparse_of_vec(h.algebra.unit)
 
     # coassociativity: both iterated coproducts agree on every basis vector
@@ -152,10 +153,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         if not mult_ok:
             break
         for j in range(n):
-            lhs = {}
-            for k, c in table[i][j].items():
-                for key, d in delta[k].items():
-                    accumulate(lhs, key, c * d)
+            lhs = h.coproduct.apply(table[i][j])
             rhs = tensor_square_product(delta[i], delta[j])
             if lhs != rhs:
                 failures.append(
@@ -168,14 +166,10 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
                 mult_ok = False
                 break
 
-    delta_unit: dict[int, Fraction] = {}
-    for i, c in unit.items():
-        for key, d in delta[i].items():
-            accumulate(delta_unit, key, c * d)
     unit_sq = {
         p * n + q: a * b for p, a in unit.items() for q, b in unit.items()
     }
-    if delta_unit != unit_sq:
+    if h.coproduct.apply(unit) != unit_sq:
         failures.append(Failure("coproduct_unital", "Δ(1) is not 1⊗1"))
 
     eps_mult_ok = True
@@ -241,22 +235,15 @@ def function_hopf(group: FiniteGroup) -> HopfAlgebra:
     labels = tuple(f"δ{name}" for name in group.names)
     algebra = function_algebra(n, labels)
     space = algebra.space
-    sq = space.tensor(space)
-    cop_rows = [[Q0] * n for _ in range(n * n)]
+    cop_cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            cop_rows[a * n + b][group.table[a][b]] = Q1
-    coproduct = LinearMap(space, sq, tuple(tuple(r) for r in cop_rows))
-    counit = LinearMap(
-        space,
-        Space.scalar(),
-        (tuple(Q1 if g == group.identity else Q0 for g in range(n)),),
+            cop_cols[group.table[a][b]][a * n + b] = Q1
+    coproduct = LinearMap.from_sparse_columns(space, space.tensor(space), cop_cols)
+    counit = LinearMap.from_sparse_columns(
+        space, Space.scalar(), ({0: Q1} if g == group.identity else {} for g in range(n))
     )
-    anti_rows = [[Q0] * n for _ in range(n)]
-    for g in range(n):
-        anti_rows[group.inverse[g]][g] = Q1
-    antipode = LinearMap(space, space, tuple(tuple(r) for r in anti_rows))
-    return make_hopf(algebra, coproduct, counit, antipode)
+    return make_hopf(algebra, coproduct, counit, _inversion(group, space))
 
 
 def group_hopf(group: FiniteGroup) -> HopfAlgebra:
@@ -268,17 +255,17 @@ def group_hopf(group: FiniteGroup) -> HopfAlgebra:
     ]
     unit = tuple(Q1 if g == group.identity else Q0 for g in range(n))
     algebra = FDAlgebra.from_structure(space, table, unit)
-    sq = space.tensor(space)
-    cop_rows = [[Q0] * n for _ in range(n * n)]
-    for g in range(n):
-        cop_rows[g * n + g][g] = Q1
-    coproduct = LinearMap(space, sq, tuple(tuple(r) for r in cop_rows))
-    counit = LinearMap(space, Space.scalar(), ((Q1,) * n,))
-    anti_rows = [[Q0] * n for _ in range(n)]
-    for g in range(n):
-        anti_rows[group.inverse[g]][g] = Q1
-    antipode = LinearMap(space, space, tuple(tuple(r) for r in anti_rows))
-    return make_hopf(algebra, coproduct, counit, antipode)
+    coproduct = LinearMap.from_sparse_columns(
+        space, space.tensor(space), ({g * n + g: Q1} for g in range(n))
+    )
+    counit = LinearMap.from_sparse_columns(space, Space.scalar(), ({0: Q1} for _ in range(n)))
+    return make_hopf(algebra, coproduct, counit, _inversion(group, space))
+
+
+def _inversion(group: FiniteGroup, space: Space) -> LinearMap:
+    """The antipode of both group constructions: e_g -> e_{g^-1}."""
+    cols = ({group.inverse[g]: Q1} for g in range(group.order))
+    return LinearMap.from_sparse_columns(space, space, cols)
 
 
 def trivial_hopf() -> HopfAlgebra:

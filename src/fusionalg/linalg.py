@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals with labeled bases.
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  A linear map f: V -> W is stored as a dim(W) x dim(V)
-row-major grid acting on column vectors, and the vectors it takes and
-returns are dense tuples of Fractions.  Everything else is sparse: a
-sparse vector is a dict from basis index to nonzero Fraction, summed with
-:func:`accumulate`.
+denominator).  A sparse vector is a dict from basis index to nonzero
+Fraction, summed with :func:`accumulate`.  A linear map f: V -> W is
+stored as its dim(V) columns, each the sparse image of a basis vector,
+and it takes and returns sparse vectors; a dense row-major matrix enters
+and leaves only at the document boundary.
 
 One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
@@ -161,148 +161,138 @@ def _kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
 
 # ---------------------------------------------------------------- maps
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearMap:
-    """A linear map given by its matrix in the source/target bases."""
+    """A linear map given by the sparse columns of its matrix.
+
+    ``cols[j]`` is the image of the j-th source basis vector, a sparse
+    vector of the target with no zeros stored, so literal equality of the
+    fields is equality of maps.  A dense row-major matrix enters only
+    through the constructor and leaves only through :attr:`rows`.
+    """
 
     source: Space
     target: Space
-    rows: tuple[tuple[Fraction, ...], ...]
+    cols: tuple[dict[int, Fraction], ...]
 
-    def __post_init__(self):
-        if len(self.rows) != self.target.dim:
+    def __init__(self, source: Space, target: Space, rows):
+        """The map whose dense row-major matrix is ``rows``."""
+        if len(rows) != target.dim:
             raise ValueError("dimension mismatch: wrong number of rows")
-        for row in self.rows:
-            if len(row) != self.source.dim:
+        cols: list[dict[int, Fraction]] = [{} for _ in range(source.dim)]
+        for i, row in enumerate(rows):
+            if len(row) != source.dim:
                 raise ValueError("dimension mismatch: wrong row length")
+            for j, v in enumerate(row):
+                if v != 0:
+                    cols[j][i] = v
+        self._set(source, target, cols)
 
-    @staticmethod
-    def from_rows(source: Space, target: Space, rows) -> "LinearMap":
-        frozen = tuple(tuple(rat(x) for x in row) for row in rows)
-        return LinearMap(source, target, frozen)
-
-    @staticmethod
-    def from_columns(source: Space, target: Space, cols) -> "LinearMap":
-        cols = [tuple(col) for col in cols]
-        rows = tuple(
-            tuple(rat(col[i]) for col in cols) for i in range(target.dim)
-        )
-        return LinearMap(source, target, rows)
+    def _set(self, source: Space, target: Space, cols) -> None:
+        cols = tuple({i: v for i, v in col.items() if v != 0} for col in cols)
+        if len(cols) != source.dim:
+            raise ValueError("dimension mismatch: wrong number of columns")
+        if any(not 0 <= i < target.dim for col in cols for i in col):
+            raise ValueError("dimension mismatch: column entry outside the target")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "cols", cols)
 
     @staticmethod
     def from_sparse_columns(source: Space, target: Space, cols) -> "LinearMap":
         """The map whose column j is the sparse vector ``cols[j]``."""
-        rows = [[Q0] * source.dim for _ in range(target.dim)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return LinearMap(source, target, tuple(map(tuple, rows)))
+        f = object.__new__(LinearMap)
+        f._set(source, target, cols)
+        return f
+
+    @staticmethod
+    def from_rows(source: Space, target: Space, rows) -> "LinearMap":
+        return LinearMap(source, target, [tuple(map(rat, row)) for row in rows])
+
+    @staticmethod
+    def from_columns(source: Space, target: Space, cols) -> "LinearMap":
+        cols = [tuple(map(rat, col)) for col in cols]
+        if any(len(col) != target.dim for col in cols):
+            raise ValueError("dimension mismatch: wrong column length")
+        return LinearMap.from_sparse_columns(source, target, map(sparse_of_vec, cols))
 
     @staticmethod
     def identity(space: Space) -> "LinearMap":
-        n = space.dim
-        return LinearMap(space, space, tuple(basis_vec(n, i) for i in range(n)))
+        return LinearMap.from_sparse_columns(space, space, ({i: Q1} for i in range(space.dim)))
 
-    @staticmethod
-    def zero(source: Space, target: Space) -> "LinearMap":
-        return LinearMap(source, target, tuple(zero_vec(source.dim) for _ in range(target.dim)))
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense row-major matrix."""
+        return tuple(
+            tuple(col.get(i, Q0) for col in self.cols) for i in range(self.target.dim)
+        )
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def rows_sparse(self) -> list[list[tuple[int, Fraction]]]:
-        return [
-            [(j, v) for j, v in enumerate(row) if v != 0] for row in self.rows
-        ]
-
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        if len(vec) != self.source.dim:
-            raise ValueError("dimension mismatch in apply")
-        out = [Q0] * self.target.dim
-        for j, x in enumerate(vec):
-            if x == 0:
-                continue
-            for i, row in enumerate(self.rows):
-                v = row[j]
-                if v != 0:
-                    out[i] += v * x
-        return tuple(out)
+    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The image of a sparse vector."""
+        out: dict[int, Fraction] = {}
+        for j, x in vec.items():
+            for i, v in self.cols[j].items():
+                accumulate(out, i, v * x)
+        return out
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self . other)."""
         if other.target.dim != self.source.dim:
             raise ValueError("dimension mismatch in composition")
-        n_rows = self.target.dim
-        n_cols = other.source.dim
-        out = [[Q0] * n_cols for _ in range(n_rows)]
-        for j in range(self.source.dim):
-            orow = other.rows[j]
-            if not any(orow):
-                continue
-            snz = [(i, self.rows[i][j]) for i in range(n_rows) if self.rows[i][j] != 0]
-            if not snz:
-                continue
-            for c, w in enumerate(orow):
-                if w == 0:
-                    continue
-                for i, v in snz:
-                    out[i][c] += v * w
-        return LinearMap(other.source, self.target, tuple(tuple(r) for r in out))
+        return LinearMap.from_sparse_columns(
+            other.source, self.target, [self.apply(col) for col in other.cols]
+        )
 
     def sub(self, other: "LinearMap") -> "LinearMap":
         if self.source.dim != other.source.dim or self.target.dim != other.target.dim:
             raise ValueError("dimension mismatch in difference")
-        rows = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        return LinearMap(self.source, self.target, rows)
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            col = dict(a)
+            _subtract(col, Q1, b)
+            cols.append(col)
+        return LinearMap.from_sparse_columns(self.source, self.target, cols)
 
     def kron(self, other: "LinearMap") -> "LinearMap":
         """Tensor product of maps in the global left-major ordering."""
-        src = self.source.tensor(other.source)
-        tgt = self.target.tensor(other.target)
-        n2r = other.target.dim
-        n2c = other.source.dim
-        out = [[Q0] * src.dim for _ in range(tgt.dim)]
-        for i, row_a in enumerate(self.rows):
-            for j, a in enumerate(row_a):
-                if a == 0:
-                    continue
-                col_base = j * n2c
-                for k, row_b in enumerate(other.rows):
-                    dest = out[i * n2r + k]
-                    for l, b in enumerate(row_b):
-                        if b != 0:
-                            dest[col_base + l] = a * b
-        return LinearMap(src, tgt, tuple(tuple(r) for r in out))
+        n2 = other.target.dim
+        cols = [
+            {i * n2 + k: a * b for i, a in fa.items() for k, b in gb.items()}
+            for fa in self.cols
+            for gb in other.cols
+        ]
+        return LinearMap.from_sparse_columns(
+            self.source.tensor(other.source), self.target.tensor(other.target), cols
+        )
 
     def rank(self) -> int:
-        return len(rref(map(sparse_of_vec, self.rows))[1])
+        return len(rref(self.cols)[1])
 
     def kernel(self) -> "Subspace":
-        vectors = _kernel_vectors(map(sparse_of_vec, self.rows), self.source.dim)
+        rows: dict[int, dict[int, Fraction]] = {}
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                rows.setdefault(i, {})[j] = v
+        vectors = _kernel_vectors(rows.values(), self.source.dim)
         return Subspace(self.source, *rref(vectors))
 
     def image(self) -> "Subspace":
-        columns = (sparse_of_vec(self.column(j)) for j in range(self.source.dim))
-        return Subspace(self.target, *rref(columns))
+        return Subspace(self.target, *rref(self.cols))
 
     def inverse(self) -> "LinearMap | None":
+        # [A^T | I] reduces to [I | (A^-1)^T]: row j carries column j of A^-1
         n = self.source.dim
         if self.target.dim != n:
             return None
-        aug = ({**sparse_of_vec(row), n + i: Q1} for i, row in enumerate(self.rows))
-        rr, pivots = rref(aug)
+        rr, pivots = rref({**col, n + j: Q1} for j, col in enumerate(self.cols))
         if pivots != tuple(range(n)):
             return None
-        inv_rows = tuple(tuple(row.get(n + j, Q0) for j in range(n)) for row in rr)
-        return LinearMap(self.target, self.source, inv_rows)
+        cols = ({k - n: v for k, v in row.items() if k >= n} for row in rr)
+        return LinearMap.from_sparse_columns(self.target, self.source, cols)
 
     def is_identity(self) -> bool:
-        if self.source.dim != self.target.dim:
-            return False
-        return all(
-            v == (Q1 if i == j else Q0)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
+        return self.source.dim == self.target.dim and all(
+            col == {j: Q1} for j, col in enumerate(self.cols)
         )
 
 
@@ -401,12 +391,8 @@ def preimage(f: LinearMap, w: Subspace) -> Subspace:
     followed by reduction modulo W."""
     if w.ambient.dim != f.target.dim:
         raise ValueError("ambient mismatch in preimage")
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j in range(f.source.dim):
-        _, remainder = w.decompose(sparse_of_vec(f.column(j)))
-        for c, v in remainder.items():
-            rows.setdefault(c, {})[j] = v
-    return Subspace(f.source, *rref(_kernel_vectors(rows.values(), f.source.dim)))
+    remainders = [w.decompose(col)[1] for col in f.cols]
+    return LinearMap.from_sparse_columns(f.source, f.target, remainders).kernel()
 
 
 # ---------------------------------------------------------------- sparse systems

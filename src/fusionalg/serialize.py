@@ -182,12 +182,9 @@ def dense_map_to_obj(m: LinearMap) -> list[list[str]]:
 
 def sparse_map_to_obj(m: LinearMap) -> dict:
     """{"rows", "cols", "entries": [[i, j, "p/q"], ...]} sorted row-major."""
-    entries = [
-        [i, j, rational_to_obj(v)]
-        for i, row in enumerate(m.rows)
-        for j, v in enumerate(row)
-        if v != 0
-    ]
+    entries = sorted(
+        [i, j, rational_to_obj(v)] for j, col in enumerate(m.cols) for i, v in col.items()
+    )
     return {"rows": m.target.dim, "cols": m.source.dim, "entries": entries}
 
 
@@ -202,7 +199,7 @@ def sparse_map_from_obj(
             f"shape {rows}x{cols} does not match the expected "
             f"{target.dim}x{source.dim}",
         )
-    dense = [[Fraction(0)] * cols for _ in range(rows)]
+    columns: list[dict[int, Fraction]] = [{} for _ in range(cols)]
     seen = set()
     for k, entry in enumerate(_list_from_obj(_get(obj, "entries", where), where)):
         ew = f"{where}.entries[{k}]"
@@ -214,8 +211,8 @@ def sparse_map_from_obj(
         if (i, j) in seen:
             _fail(ew, f"duplicate entry at ({i},{j})")
         seen.add((i, j))
-        dense[i][j] = rational_from_obj(triple[2], f"{ew}[2]")
-    return LinearMap(source, target, tuple(tuple(r) for r in dense))
+        columns[j][i] = rational_from_obj(triple[2], f"{ew}[2]")
+    return LinearMap.from_sparse_columns(source, target, columns)
 
 
 # ---------------------------------------------------------------- documents
@@ -493,27 +490,25 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # The largest fusion ambient C (x) P (x) H a scenario may ask for: the
 # base points times the fiber, (m+1)·dim P·dim H over the chain 0..m.
 # The ambient stores only its (m+1)·nnz(P)·nnz(H) nonzero structure
-# constants and the carrier only the nonzero entries of its sparse
-# echelon rows; what grows with the ambient dimension n is the number
-# of carrier rows, the dense maps with n columns (the end evaluations
-# and the carrier's inclusion) and the connection system of the fusion.
+# constants, and the carrier and every map only their nonzero entries,
+# as sparse echelon rows and sparse columns; what grows with the ambient
+# dimension n is the number of carrier rows, the n columns of the maps
+# on the ambient (the end evaluations, the coaction id (x) Δ and the
+# carrier's inclusion) and the connection system of the fusion.
 # At 128, O(Z4) theorem-main at m = 7 takes about 8 s and 130 MB
 # (Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
 # data/ and in the benchmark references (O(S3) and kS3 at m = 1) has 72.
 # The joins of finite sets are bounded by the same number: the points of
 # a join are at most the ambient of the fusion of its function algebras.
 MAX_AMBIENT_DIM = 128
+_FUSION_AMBIENT = "the fusion ambient dimension"
 
 
-def _within_budget(where: str, dim: int) -> None:
-    """Refuse a fusion whose ambient dimension exceeds the budget,
-    before anything is built."""
+def _within_budget(where: str, dim: int, measure: str = _FUSION_AMBIENT) -> None:
+    """Refuse a scenario whose size ``dim``, named by ``measure``,
+    exceeds the budget, before anything is built."""
     if dim > MAX_AMBIENT_DIM:
-        _fail(
-            where,
-            f"the fusion ambient dimension {dim} exceeds the budget of "
-            f"{MAX_AMBIENT_DIM}",
-        )
+        _fail(where, f"{measure} {dim} exceeds the budget of {MAX_AMBIENT_DIM}")
 
 
 def _fiber_dim(inputs) -> int:
@@ -765,17 +760,19 @@ class Operation:
     parse: Callable = lambda scn, inputs: ()
 
 
-def _ints(*names: str, ambient: Callable | None = None) -> Callable:
+def _ints(
+    *names: str, ambient: Callable | None = None, measure: str = _FUSION_AMBIENT
+) -> Callable:
     """A parse of the named positive integer parameters.  For an
     operation that builds a fusion, ``ambient(*args)`` is the dimension
     of its largest ambient, computed from the arguments of ``run``; a
-    join is bounded by the ambient of the fusion it models, which has
-    at least as many points."""
+    join builds no fusion and is bounded by the ambient of the one it
+    models, which has at least as many points, named by ``measure``."""
 
     def parse(scn: Scenario, inputs) -> tuple[int, ...]:
         values = tuple(param_int(scn.params, name, "params") for name in names)
         if ambient is not None:
-            _within_budget("params", ambient(*inputs, *values))
+            _within_budget("params", ambient(*inputs, *values), measure)
         return values
 
     return parse
@@ -1189,11 +1186,19 @@ OPERATIONS: dict[str, Operation] = {
     "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
     "discrete-join": Operation(
         "classical", (), _run_discrete_join,
-        parse=_ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
+        parse=_ints(
+            "nx", "ny", "m",
+            ambient=lambda nx, ny, m: (m + 1) * nx * ny,
+            measure="the join point bound (m+1)·nx·ny =",
+        ),
     ),
     "gauged-join-iso": Operation(
         "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso,
-        _ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
+        _ints(
+            "m",
+            ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order,
+            measure="the join point bound (m+1)·|X|·|G| =",
+        ),
     ),
     "join-vs-fusion": Operation(
         "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion,

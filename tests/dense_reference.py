@@ -1,8 +1,9 @@
-"""Dense echelon routines on tuples of Fractions, kept as references for
+"""Dense routines on row-major tuples of Fractions, kept as references for
 the sparse ones in ``fusionalg.linalg``: the reduced row echelon form,
 kernels, inverses, intersections, preimages and the projection onto a
 quotient, computed the way the library computed them when its subspaces
-held dense rows."""
+held dense rows, and the product and tensor product of matrices, computed
+the way it computed them when its maps held dense rows."""
 
 from fractions import Fraction
 
@@ -114,11 +115,40 @@ def quotient(killed_basis, killed_pivots, n: int):
     return projection, section
 
 
-def matmul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Q0) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+
+
+def compose(a, b, n_cols: int):
+    """The rows of a·b for b with ``n_cols`` columns, skipping zeros."""
+    n_rows = len(a)
+    out = [[Q0] * n_cols for _ in range(n_rows)]
+    for j, brow in enumerate(b):
+        if not any(brow):
+            continue
+        anz = [(i, a[i][j]) for i in range(n_rows) if a[i][j] != 0]
+        for c, w in enumerate(brow):
+            if w == 0:
+                continue
+            for i, v in anz:
+                out[i][c] += v * w
+    return tuple(tuple(r) for r in out)
+
+
+def kron(a, b, a_cols: int, b_cols: int):
+    """The rows of a (x) b in the left-major ordering, for a with
+    ``a_cols`` and b with ``b_cols`` columns."""
+    out = [[Q0] * (a_cols * b_cols) for _ in range(len(a) * len(b))]
+    for i, row_a in enumerate(a):
+        for j, x in enumerate(row_a):
+            if x == 0:
+                continue
+            for k, row_b in enumerate(b):
+                dest = out[i * len(b) + k]
+                for l, y in enumerate(row_b):
+                    if y != 0:
+                        dest[j * b_cols + l] = x * y
+    return tuple(tuple(r) for r in out)
 
 
 def preimage(f_rows, n_source: int, w_basis, w_pivots):
@@ -127,4 +157,4 @@ def preimage(f_rows, n_source: int, w_basis, w_pivots):
     projection, _ = quotient(w_basis, w_pivots, len(f_rows))
     if not projection:
         return kernel([], n_source)
-    return kernel(matmul(projection, f_rows), n_source)
+    return kernel(compose(projection, f_rows, n_source), n_source)

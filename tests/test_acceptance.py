@@ -299,7 +299,7 @@ def test_criterion_7_pullback_of_halves():
             got = Subspace.from_vectors(
                 ambient,
                 [
-                    half.inclusion.apply(ref.dense(b, half.inclusion.source.dim))
+                    ref.dense(half.inclusion.apply(b), ambient.dim)
                     for b in coinvariants(half.comodule).subspace.basis
                 ],
             )

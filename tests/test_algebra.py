@@ -13,6 +13,7 @@ from fusionalg.algebra import (
     check_hom,
     direct_sum_algebra,
     function_algebra,
+    mul_sparse,
     scalar_algebra,
     subalgebra_from_subspace,
     tensor_algebra,
@@ -138,9 +139,8 @@ def test_tensor_algebra_corner_embeddings():
     # the two corners commute elementwise and generate the product
     for i in range(a.dim):
         for j in range(b.dim):
-            x = left.apply(basis_vec(a.dim, i))
-            y = right.apply(basis_vec(b.dim, j))
-            assert t.mult_vec(x, y) == t.mult_vec(y, x)
+            x, y = left.cols[i], right.cols[j]
+            assert mul_sparse(t.table, x, y) == mul_sparse(t.table, y, x)
 
 
 def test_tensor_algebra_preserves_commutativity():
@@ -198,7 +198,7 @@ def test_check_hom_evaluation_character():
 
 def test_check_hom_flags_failures():
     a = function_algebra(2)
-    zero = LinearMap.zero(a.space, a.space)
+    zero = LinearMap.from_sparse_columns(a.space, a.space, [{}] * a.dim)
     rep = check_hom(AlgebraHom(a, a, zero))
     assert not rep.ok
     assert not rep.unital

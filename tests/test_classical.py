@@ -31,11 +31,11 @@ def test_fun_comodule_closed_form():
     n = gset.size
     dh = g.order
     for x in range(n):
-        col = c.coaction.column(x)
+        col = c.coaction.cols[x]
         for y in range(n):
             for a in range(dh):
                 expect = Q(1) if gset.apply(y, a) == x else Q(0)
-                assert col[y * dh + a] == expect
+                assert col.get(y * dh + a, Q(0)) == expect
 
 
 def test_fun_comodule_of_non_regular_actions():

@@ -491,11 +491,12 @@ def _refuse_to_build_joins(monkeypatch):
             monkeypatch.setattr(module, name, refuse)
 
 
-# The join operations are bounded by the ambient of the fusion they
-# model: (m+1)·nx·ny and (m+1)·|X|·|G|, both 2·(10**9 + 1) or more here.
+# The join operations build no fusion and are bounded by the ambient of
+# the one they model, which the refusal names as their point bound:
+# (m+1)·nx·ny and (m+1)·|X|·|G|, both 2·(10**9 + 1) or more here.
 _JOIN_OVER_BUDGET = {
-    "discrete-join": 2 * (10**9 + 1),  # nx = 1, ny = 2
-    "gauged-join-iso": 4 * (10**9 + 1),  # regular Z2
+    "discrete-join": ("(m+1)·nx·ny", 2 * (10**9 + 1)),  # nx = 1, ny = 2
+    "gauged-join-iso": ("(m+1)·|X|·|G|", 4 * (10**9 + 1)),  # regular Z2
 }
 
 
@@ -506,11 +507,10 @@ def test_join_beyond_the_dimension_budget_is_refused(tmp_path, capsys, monkeypat
     doc["params"]["m"] = 10**9
     path = write(tmp_path, "input.json", doc)
     assert entry(command + [path]) == 2
-    dim = _JOIN_OVER_BUDGET[operation]
-    assert (
-        f"params: the fusion ambient dimension {dim} exceeds the budget of 128"
-        in capsys.readouterr().err
-    )
+    bound, dim = _JOIN_OVER_BUDGET[operation]
+    err = capsys.readouterr().err
+    assert f"params: the join point bound {bound} = {dim} exceeds the budget of 128" in err
+    assert "fusion" not in err
 
 
 @pytest.mark.parametrize("operation", sorted(_JOIN_OVER_BUDGET))
@@ -529,8 +529,8 @@ def test_verify_certificate_reports_a_join_beyond_the_budget_as_invalid(
     assert entry(["verify-certificate", raised]) == 1
     out = capsys.readouterr().out
     assert "certificate INVALID" in out
-    dim = _JOIN_OVER_BUDGET[operation]
-    assert f"params: the fusion ambient dimension {dim} exceeds the budget of 128" in out
+    bound, dim = _JOIN_OVER_BUDGET[operation]
+    assert f"params: the join point bound {bound} = {dim} exceeds the budget of 128" in out
 
 
 def test_verify_certificate_rejects_other_kinds(tmp_path, capsys):

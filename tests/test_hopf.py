@@ -14,7 +14,7 @@ from fusionalg.hopf import (
     sweedler_legs,
     trivial_hopf,
 )
-from fusionalg.linalg import LinearMap, basis_vec, tensor_vec
+from fusionalg.linalg import LinearMap, basis_vec, sparse_of_vec, tensor_vec
 
 Q = Fraction
 
@@ -58,15 +58,15 @@ def test_function_hopf_closed_form():
     n = g.order
     # Δδ_c = Σ_{ab=c} δ_a⊗δ_b
     for c in range(n):
-        col = h.coproduct.column(c)
+        col = h.coproduct.cols[c]
         for a in range(n):
             for b in range(n):
                 expect = Q(1) if g.mul(a, b) == c else Q(0)
-                assert col[a * n + b] == expect
+                assert col.get(a * n + b, Q(0)) == expect
     # ε(δ_c) = [c = e]  and  S(δ_c) = δ_{c⁻¹}
     for c in range(n):
-        assert h.counit.column(c)[0] == (Q(1) if c == g.identity else Q(0))
-        assert h.antipode.column(c) == basis_vec(n, g.inv(c))
+        assert h.counit.cols[c] == ({0: Q(1)} if c == g.identity else {})
+        assert h.antipode.cols[c] == {g.inv(c): Q(1)}
 
 
 def test_group_hopf_closed_form():
@@ -74,9 +74,9 @@ def test_group_hopf_closed_form():
     h = group_hopf(g)
     n = g.order
     for c in range(n):
-        assert h.coproduct.column(c) == tensor_vec(basis_vec(n, c), basis_vec(n, c))
-        assert h.counit.column(c)[0] == Q(1)
-        assert h.antipode.column(c) == basis_vec(n, g.inv(c))
+        assert h.coproduct.cols[c] == sparse_of_vec(tensor_vec(basis_vec(n, c), basis_vec(n, c)))
+        assert h.counit.cols[c] == {0: Q(1)}
+        assert h.antipode.cols[c] == {g.inv(c): Q(1)}
     # the product is the group law on basis vectors
     for a in range(n):
         for b in range(n):
@@ -127,7 +127,7 @@ def test_make_hopf_computes_missing_inverse():
 def test_make_hopf_singular_antipode_reported():
     g = FiniteGroup.cyclic(2)
     src = function_hopf(g)
-    zero = LinearMap.zero(src.space, src.space)
+    zero = LinearMap.from_sparse_columns(src.space, src.space, [{}] * src.dim)
     h = make_hopf(src.algebra, src.coproduct, src.counit, zero)
     assert h.antipode_inv is None
     report = check_hopf(h)
@@ -138,7 +138,7 @@ def test_make_hopf_singular_antipode_reported():
 def test_make_hopf_shape_validation():
     g = FiniteGroup.cyclic(2)
     src = function_hopf(g)
-    bad = LinearMap.zero(src.space, src.space)
+    bad = LinearMap.from_sparse_columns(src.space, src.space, [{}] * src.dim)
     with pytest.raises(ValueError):
         make_hopf(src.algebra, bad, src.counit, src.antipode)
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used or re-exported."""
+"""Source hygiene: every name a module imports is used or re-exported,
+and dense matrices stay at the document boundary."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,25 @@ def test_no_unused_from_imports(path):
     }
     unused = imported - _referenced(tree) - _exported(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_dense_rows_stay_at_the_document_boundary(path):
+    """Outside linalg, maps are read by their sparse columns: only the
+    dense document codecs of serialize read the ``rows`` view, and no
+    module calls the dense ``column`` or ``rows_sparse``."""
+    tree = ast.parse(path.read_text())
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    if path.name != "serialize.py":
+        reads = sorted({node.lineno for node in attributes if node.attr == "rows"})
+        assert not reads, f"{path.name} reads .rows at lines {reads}"
+    calls = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("column", "rows_sparse")
+    ]
+    assert not calls, f"{path.name} calls dense accessors: {calls}"

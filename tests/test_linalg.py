@@ -17,7 +17,6 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
-    basis_vec,
     preimage,
     rat,
     rref,
@@ -102,7 +101,7 @@ def test_compose_apply_agree():
         g = random_map(rng, b, c)
         h = g.compose(f)
         for j in range(a.dim):
-            v = basis_vec(a.dim, j)
+            v = {j: Q(1), (j + 1) % a.dim: Q(-2, 3)}
             assert h.apply(v) == g.apply(f.apply(v))
 
 
@@ -126,9 +125,8 @@ def test_kron_on_basis_tensors():
         fg = f.kron(g)
         for i in range(a.dim):
             for j in range(b.dim):
-                v = tensor_vec(basis_vec(a.dim, i), basis_vec(b.dim, j))
-                expect = tensor_vec(f.column(i), g.column(j))
-                assert fg.apply(v) == expect
+                expect = tensor_vec(ref.dense(f.cols[i], c.dim), ref.dense(g.cols[j], d.dim))
+                assert fg.apply({i * b.dim + j: Q(1)}) == sparse_of_vec(expect)
 
 
 def test_kron_bilinear_composition():
@@ -184,8 +182,7 @@ def test_preimage_membership():
     line = Subspace.from_vectors(t, [(Q(1), Q(0))])
     pre = preimage(f, line)
     for v in pre.basis:
-        img = f.apply(ref.dense(v, s.dim))
-        assert line.coordinates(sparse_of_vec(img)) is not None
+        assert line.coordinates(f.apply(v)) is not None
     assert pre.dim == 2  # kernel (dim 1) plus one transversal direction
 
 
@@ -202,7 +199,7 @@ def test_subspace_equality_and_membership():
     # the remainder is zero at every pivot
     assert u.decompose({0: Q(1)}) == ({0: Q(1)}, {1: Q(-1)})
     incl = LinearMap.from_sparse_columns(Space.of_dim(u.dim, "c"), s, u.basis)
-    assert incl.apply(ref.dense(coords, u.dim)) == (Q(3), Q(3), Q(-1))
+    assert incl.apply(coords) == inside
 
 
 def test_intersection_commutative_idempotent():
@@ -299,14 +296,71 @@ def test_sparse_echelon_matches_the_dense_reference(rows):
 
 
 @settings(max_examples=100)
+@given(rows=rational_matrices())
+def test_dense_rows_round_trip_through_sparse_columns(rows):
+    """The constructor keeps only the nonzero entries, column by column,
+    and the dense view gives the rows back."""
+    f = LinearMap(Space.of_dim(len(rows[0]), "s"), Space.of_dim(len(rows), "t"), tuple(rows))
+    assert f.rows == tuple(rows)
+    assert f.cols == tuple(sparse_of_vec(col) for col in zip(*rows))
+    assert all(v != 0 for col in f.cols for v in col.values())
+
+
+def test_map_shapes_are_checked():
+    s, t = Space.of_dim(2, "s"), Space.of_dim(3, "t")
+    with pytest.raises(ValueError):
+        LinearMap(s, t, [[Q(1), Q(0)]] * 2)  # two rows for a 3-dimensional target
+    with pytest.raises(ValueError):
+        LinearMap(s, t, [[Q(1)]] * 3)  # rows of length 1 for a 2-dimensional source
+    with pytest.raises(ValueError):
+        LinearMap.from_sparse_columns(s, t, [{0: Q(1)}])  # one column for two
+    with pytest.raises(ValueError):
+        LinearMap.from_sparse_columns(s, t, [{0: Q(1)}, {3: Q(1)}])  # entry past the target
+    with pytest.raises(ValueError):
+        LinearMap.from_columns(s, t, [(Q(1), Q(0)), (Q(0), Q(1), Q(0))])  # a short column
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_sparse_map_operations_match_the_dense_reference(data):
+    """compose, kron, sub, rank, image and kernel on sparse columns agree
+    with the dense routines on the same rows."""
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a_rows = data.draw(rational_matrices(n_rows=n, n_cols=k))
+    b_rows = data.draw(rational_matrices(n_rows=k, n_cols=m))
+    c_rows = data.draw(rational_matrices(n_rows=n, n_cols=k))
+    sn, sk, sm = Space.of_dim(n, "n"), Space.of_dim(k, "k"), Space.of_dim(m, "m")
+    a = LinearMap(sk, sn, tuple(a_rows))
+    b = LinearMap(sm, sk, tuple(b_rows))
+    c = LinearMap(sk, sn, tuple(c_rows))
+    assert a.compose(b).rows == ref.compose(a_rows, b_rows, m)
+    assert a.kron(b).rows == ref.kron(a_rows, b_rows, k, m)
+    assert a.sub(c).rows == tuple(
+        tuple(x - y for x, y in zip(r, s)) for r, s in zip(a_rows, c_rows)
+    )
+    assert a.rank() == len(ref.rref(a_rows)[1])
+    assert a.image() == as_subspace(sn, ref.rref(list(zip(*a_rows))))
+    assert a.kernel() == as_subspace(sk, ref.kernel(a_rows, k))
+
+
+@settings(max_examples=100)
 @given(data=st.data())
 def test_sparse_inverse_matches_the_dense_reference(data):
     n = data.draw(st.integers(1, 4))
     rows = data.draw(rational_matrices(n_rows=n, n_cols=n))
     s = Space.of_dim(n, "s")
-    inv = LinearMap(s, s, tuple(rows)).inverse()
+    f = LinearMap(s, s, tuple(rows))
+    inv = f.inverse()
     expected = ref.inverse(rows)
     assert (inv.rows if inv is not None else None) == expected
+    assert f.is_identity() == (tuple(rows) == ref.identity(n))
+    if inv is not None:
+        assert inv.compose(f).is_identity() and f.compose(inv).is_identity()
+        assert inv.is_identity() == f.is_identity()
+        # one changed entry is no longer the identity
+        nudged = [list(r) for r in ref.identity(n)]
+        nudged[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += Q(1, 2)
+        assert not LinearMap(s, s, tuple(map(tuple, nudged))).is_identity()
 
 
 @settings(max_examples=100)

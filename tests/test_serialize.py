@@ -71,6 +71,8 @@ def test_sparse_map_round_trip():
     )
     obj = sparse_map_to_obj(m)
     assert obj["rows"] == 2 and obj["cols"] == 3
+    # entries are listed row-major, whatever order the columns hold them in
+    assert obj["entries"] == [[0, 0, "1/2"], [0, 2, "-3"], [1, 1, "7"]]
     back = sparse_map_from_obj(obj, src, tgt, "m")
     assert back.rows == m.rows
 
