@@ -338,6 +338,14 @@ def connection_system(
     colinearity rows over D, the splitting and unit rows (products of
     two structure constants) over D².
     """
+    return _connection_system(c, require_unital, delta_L(c).cols)
+
+
+def _connection_system(
+    c: ComoduleAlgebra, require_unital: bool, dl_cols
+) -> LinearSystem:
+    """:func:`connection_system` with the columns of :func:`delta_L`
+    given."""
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
@@ -345,7 +353,7 @@ def connection_system(
     # the structure maps by their sparse columns, with their row counts
     maps = [
         (c.coaction.cols, dp * dh),  # row x·dH+a -> [(q, val)]
-        (delta_L(c).cols, dh * dp),  # row a·dP+u -> [(p, val)]
+        (dl_cols, dh * dp),  # row a·dP+u -> [(p, val)]
         ([prod for row in p.table for prod in row], dp),  # row u -> [(p·dP+w, val)]
         (h.coproduct.cols, dh * dh),  # row leg1·dH+leg2 -> [(col, val)]
     ]
@@ -425,14 +433,17 @@ def connection_system(
 
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
-    unit_pp = sparse_of_vec(tensor_vec(c.algebra.unit, c.algebra.unit))
+    dp = c.algebra.dim
+    unit_p = sparse_of_vec(c.algebra.unit)
+    unit_pp = {i * dp + j: a * b for i, a in unit_p.items() for j, b in unit_p.items()}
     return ell.apply(sparse_of_vec(c.hopf.algebra.unit)) == unit_pp
 
 
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
     """Build the connection system and solve it: the system, and a
     re-checked connection or the refutation."""
-    system = connection_system(c, require_unital)
+    dl_cols = delta_L(c).cols
+    system = _connection_system(c, require_unital, dl_cols)
     outcome = system.solve()
     if isinstance(outcome, Infeasibility):
         return system, outcome
@@ -443,7 +454,7 @@ def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
         c.algebra.space.tensor(c.algebra.space),
         (dict(enumerate(outcome[col::dh])) for col in range(dh)),
     )
-    report = check_strong_connection(c, ell, require_unital=require_unital)
+    report = _check_strong_connection(c, ell, require_unital, dl_cols)
     if not report.ok:
         raise AssertionError(
             f"solver produced an invalid connection: {report.failures}"
@@ -470,6 +481,14 @@ def check_strong_connection(
     Named axioms: right_colinearity, left_colinearity, splitting,
     counit_product, and (when requested) unital.
     """
+    return _check_strong_connection(c, ell, require_unital, delta_L(c).cols)
+
+
+def _check_strong_connection(
+    c: ComoduleAlgebra, ell: LinearMap, require_unital: bool, dl_cols
+) -> CheckReport:
+    """:func:`check_strong_connection` with the columns of
+    :func:`delta_L` given."""
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
@@ -478,7 +497,6 @@ def check_strong_connection(
 
     ell_cols = ell.cols
     delta_cols = c.coaction.cols
-    dl_cols = delta_L(c).cols
     cop_cols = h.coproduct.cols
     ptab = p.table
     eps = h.counit_values

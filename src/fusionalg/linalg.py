@@ -412,6 +412,24 @@ class Infeasibility:
     residual: Fraction
 
 
+def _combine_owned(
+    vec: dict[int, int], fv: int, fo: int, other: dict[int, int]
+) -> dict[int, int]:
+    """fv·vec − fo·other with the entries that cancel dropped.  ``vec``
+    must be owned by the caller: it is updated in place when ``fv`` is 1,
+    and copied, scaled, otherwise; either way the keys come out in the
+    same order."""
+    if fv != 1:
+        vec = {c: fv * v for c, v in vec.items()}
+    for c, v in other.items():
+        nv = vec.get(c, 0) - fo * v
+        if nv:
+            vec[c] = nv
+        else:
+            vec.pop(c, None)
+    return vec
+
+
 class LinearSystem:
     """Sparse exact linear system solved by deterministic elimination.
 
@@ -423,14 +441,22 @@ class LinearSystem:
     rows.  Forward elimination reduces each row in insertion order
     against the pivot rows accumulated so far, pivoting on the least
     unknown index, with integer arithmetic throughout; the solution
-    assigns zero to all free unknowns and back-substitutes.  The whole
-    procedure is deterministic, so identical systems yield identical
-    solutions bit for bit.
+    assigns zero to all free unknowns and back-substitutes.  A reduction
+    step scales the working row by ``b/g`` and subtracts ``a/g`` times the
+    pivot row (``a``, ``b`` the two leading entries, ``g`` their gcd); when
+    the scale is 1 the working row, always a copy, is updated in place.
+    Stored rows and pivot rows are never changed.  The whole procedure is
+    deterministic, so identical systems yield identical solutions bit
+    for bit.
 
     An infeasible system is eliminated a second time with provenance:
     each working row carries integer multipliers of the stored rows over
     one running denominator, and only the returned Farkas certificate is
-    converted to multipliers of the rational rows.
+    converted to multipliers of the rational rows.  Elimination never
+    mixes rows that share no unknown, even through other rows, so this
+    second pass runs only over the contradiction row's connected
+    component among the rows up to it, in their original order; its
+    multipliers are those of the full pass, key order included.
     """
 
     def __init__(self, num_unknowns: int):
@@ -441,7 +467,15 @@ class LinearSystem:
         return len(self._rows)
 
     def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
-        """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``)."""
+        """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``,
+        unknowns in ``0..num_unknowns-1``)."""
+        if den <= 0:
+            raise ValueError(f"row denominator must be positive, got {den}")
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= self.num_unknowns):
+            bad = next(c for c in coeffs if not 0 <= c < self.num_unknowns)
+            raise ValueError(
+                f"unknown {bad} is outside 0..{self.num_unknowns - 1}"
+            )
         clean = {c: v for c, v in coeffs.items() if v}
         g = gcd(den, rhs, *clean.values())
         if g > 1:
@@ -499,16 +533,38 @@ class LinearSystem:
             g = 1
         return coeffs, rhs, g
 
+    def _component(self, idx: int) -> list[int]:
+        """The rows 0..idx that share unknowns with row ``idx``, directly
+        or through other rows, in increasing order."""
+        row_cols = [coeffs for coeffs, _, _ in self._rows[: idx + 1]]
+        rows_of: list[list[int]] = [[] for _ in range(self.num_unknowns)]
+        for k, coeffs in enumerate(row_cols):
+            for c in coeffs:
+                rows_of[c].append(k)
+        seen_cols: set[int] = set()
+        seen_rows = {idx}
+        stack = [idx]
+        while stack:
+            for c in row_cols[stack.pop()]:
+                if c not in seen_cols:
+                    seen_cols.add(c)
+                    for k in rows_of[c]:
+                        if k not in seen_rows:
+                            seen_rows.add(k)
+                            stack.append(k)
+        return sorted(seen_rows)
+
     def _run(self, upto: int | None, track: bool):
         """Forward elimination; returns ('infeasible', ...) or pivot data.
 
         With ``track``, each working row carries ``(mults, den)``: it
         equals the combination of the stored rows with integer
         multipliers ``mults`` divided by ``den``, kept in lowest terms.
+        A pass up to a row eliminates only that row's component.
         """
         pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
-        end = len(self._rows) if upto is None else upto + 1
-        for idx in range(end):
+        rows = range(len(self._rows)) if upto is None else self._component(upto)
+        for idx in rows:
             coeffs, rhs, _ = self._rows[idx]
             coeffs = dict(coeffs)
             mults, den = ({idx: 1}, 1) if track else (None, 1)
@@ -523,15 +579,8 @@ class LinearSystem:
                 g = gcd(a, b)
                 mr = b // g
                 mp = a // g
-                new = {c: mr * v for c, v in coeffs.items()}
-                for c, v in pc.items():
-                    nv = new.get(c, 0) - mp * v
-                    if nv:
-                        new[c] = nv
-                    else:
-                        new.pop(c, None)
+                coeffs = _combine_owned(coeffs, mr, mp, pc)
                 rhs = mr * rhs - mp * pr
-                coeffs = new
                 g2 = 1
                 if coeffs:
                     coeffs, rhs, g2 = self._normalize(coeffs, rhs)
@@ -539,21 +588,14 @@ class LinearSystem:
                     pm, pden = pp
                     # mr·(mults/den) − mp·(pm/pden), then divided by g2.
                     common = lcm(den, pden)
-                    fr = mr * (common // den)
-                    fp = mp * (common // pden)
-                    newp = {k: fr * v for k, v in mults.items()}
-                    for k, v in pm.items():
-                        nv = newp.get(k, 0) - fp * v
-                        if nv:
-                            newp[k] = nv
-                        else:
-                            newp.pop(k, None)
+                    mults = _combine_owned(
+                        mults, mr * (common // den), mp * (common // pden), pm
+                    )
                     den = common * g2
-                    g3 = gcd(den, *newp.values())
+                    g3 = gcd(den, *mults.values())
                     if g3 > 1:
-                        newp = {k: v // g3 for k, v in newp.items()}
+                        mults = {k: v // g3 for k, v in mults.items()}
                         den //= g3
-                    mults = newp
             if coeffs:
                 lead = min(coeffs)
                 if coeffs[lead] < 0:

@@ -3,9 +3,14 @@ the sparse ones in ``fusionalg.linalg``: the reduced row echelon form,
 kernels, inverses, intersections, preimages and the projection onto a
 quotient, computed the way the library computed them when its subspaces
 held dense rows, and the product and tensor product of matrices, computed
-the way it computed them when its maps held dense rows."""
+the way it computed them when its maps held dense rows.  It also keeps
+the library's earlier exact elimination, :class:`ParentElimination`, as
+a reference for the solver's outcomes."""
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from fusionalg.linalg import Infeasibility, LinearSystem
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -158,3 +163,129 @@ def preimage(f_rows, n_source: int, w_basis, w_pivots):
     if not projection:
         return kernel([], n_source)
     return kernel(compose(projection, f_rows, n_source), n_source)
+
+
+class ParentElimination(LinearSystem):
+    """A linear system solved by the elimination the library ran before
+    unit-multiplier steps were done in place and the provenance pass was
+    restricted to the contradiction's component: every step copies the
+    working row, and the provenance pass re-runs rows 0..idx."""
+
+    @staticmethod
+    def _normalize(coeffs: dict[int, int], rhs: int) -> tuple[dict[int, int], int, int]:
+        g = gcd(rhs, *coeffs.values())
+        if g > 1:
+            coeffs = {c: v // g for c, v in coeffs.items()}
+            rhs //= g
+        else:
+            g = 1
+        return coeffs, rhs, g
+
+    def _run(self, upto: int | None, track: bool):
+        """Forward elimination; returns ('infeasible', ...) or pivot data.
+
+        With ``track``, each working row carries ``(mults, den)``: it
+        equals the combination of the stored rows with integer
+        multipliers ``mults`` divided by ``den``, kept in lowest terms.
+        """
+        pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
+        end = len(self._rows) if upto is None else upto + 1
+        for idx in range(end):
+            coeffs, rhs, _ = self._rows[idx]
+            coeffs = dict(coeffs)
+            mults, den = ({idx: 1}, 1) if track else (None, 1)
+            while coeffs:
+                j = min(coeffs)
+                hit = pivots.get(j)
+                if hit is None:
+                    break
+                pc, pr, pp = hit
+                a = coeffs[j]
+                b = pc[j]
+                g = gcd(a, b)
+                mr = b // g
+                mp = a // g
+                new = {c: mr * v for c, v in coeffs.items()}
+                for c, v in pc.items():
+                    nv = new.get(c, 0) - mp * v
+                    if nv:
+                        new[c] = nv
+                    else:
+                        new.pop(c, None)
+                rhs = mr * rhs - mp * pr
+                coeffs = new
+                g2 = 1
+                if coeffs:
+                    coeffs, rhs, g2 = self._normalize(coeffs, rhs)
+                if track:
+                    pm, pden = pp
+                    # mr·(mults/den) − mp·(pm/pden), then divided by g2.
+                    common = lcm(den, pden)
+                    fr = mr * (common // den)
+                    fp = mp * (common // pden)
+                    newp = {k: fr * v for k, v in mults.items()}
+                    for k, v in pm.items():
+                        nv = newp.get(k, 0) - fp * v
+                        if nv:
+                            newp[k] = nv
+                        else:
+                            newp.pop(k, None)
+                    den = common * g2
+                    g3 = gcd(den, *newp.values())
+                    if g3 > 1:
+                        newp = {k: v // g3 for k, v in newp.items()}
+                        den //= g3
+                    mults = newp
+            if coeffs:
+                lead = min(coeffs)
+                if coeffs[lead] < 0:
+                    coeffs = {c: -v for c, v in coeffs.items()}
+                    rhs = -rhs
+                    if track:
+                        mults = {k: -v for k, v in mults.items()}
+                pivots[lead] = (coeffs, rhs, (mults, den) if track else None)
+            elif rhs != 0:
+                return ("infeasible", idx, rhs, (mults, den) if track else None)
+        return ("ok", pivots)
+
+    def solve(self):
+        """Return a tuple of Fraction values, or an Infeasibility.
+
+        A refutation is checked before it is returned: its multipliers
+        must cancel every unknown and leave a nonzero right-hand side.
+        """
+        outcome = self._run(None, track=False)
+        if outcome[0] == "infeasible":
+            _, idx, _, _ = outcome
+            redo = self._run(idx, track=True)
+            if redo[0] != "infeasible":
+                raise AssertionError(
+                    "infeasibility did not reproduce under provenance: the fast "
+                    f"pass met a contradiction at row {idx}, the provenance pass "
+                    f"none in rows 0..{idx}"
+                )
+            _, idx2, _, (mults, den) = redo
+            if idx2 != idx:
+                raise AssertionError(
+                    "provenance pass diverged from the fast pass: contradiction "
+                    f"at row {idx2} under provenance, at row {idx} without"
+                )
+            coeffs, rhs = self._combine_int(mults)
+            if coeffs or rhs == 0:
+                raise AssertionError(
+                    f"Farkas multipliers of the contradiction at row {idx} do not "
+                    f"refute the system: {len(coeffs)} unknowns left, "
+                    f"right-hand side {rhs}"
+                )
+            farkas = {k: Fraction(q * self._rows[k][2], den) for k, q in mults.items()}
+            return Infeasibility(idx, farkas, Fraction(rhs, den))
+        _, pivots = outcome
+        values = [Q0] * self.num_unknowns
+        for col in sorted(pivots, reverse=True):
+            coeffs, rhs, _ = pivots[col]
+            acc = Fraction(rhs)
+            for c, v in coeffs.items():
+                if c != col:
+                    acc -= v * values[c]
+            values[col] = acc / coeffs[col]
+        return tuple(values)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionalg import comodule
 from fusionalg.algebra import FDAlgebra, function_algebra
 from fusionalg.classical import fun_comodule
 from fusionalg.comodule import (
@@ -18,6 +19,7 @@ from fusionalg.comodule import (
     check_strong_connection,
     coinvariants,
     connection_system,
+    connection_unital,
     delta_L,
     is_principal,
     solve_strong_connection,
@@ -36,7 +38,7 @@ from fusionalg.linalg import (
     sparse_of_vec,
     tensor_vec,
 )
-from fusionalg.serialize import comodule_to_obj
+from fusionalg.serialize import comodule_from_obj, comodule_to_obj, gset_from_obj
 
 Q = Fraction
 
@@ -476,3 +478,96 @@ def test_connection_rows_are_stored_as_their_fraction_form(make):
             again = LinearSystem(system.num_unknowns)
             again.add_row(*system.row_as_fractions(i))
             assert again._rows == [system._rows[i]]
+
+
+@pytest.mark.parametrize(
+    "make, principal",
+    [(partial(regular_comodule, 3), True), (nonfree_z2_comodule, False)],
+    ids=["principal", "refuted"],
+)
+def test_is_principal_builds_the_left_coaction_once(monkeypatch, make, principal):
+    """The connection system and the re-check of its solution share one
+    build of δ_L."""
+    c = make()
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return delta_L(c)
+
+    monkeypatch.setattr(comodule, "delta_L", counted)
+    assert is_principal(c).principal == principal
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(regular_comodule, 2), nonfree_z2_comodule, *(partial(rescaled, n) for n in RESCALED)],
+    ids=["regular-z2", "nonfree-z2", *(f"rescaled-{n}" for n in RESCALED)],
+)
+def test_connection_unital_compares_with_one_tensor_one(make):
+    """``connection_unital`` agrees with 1⊗1 written out densely, on the
+    solver's connection and on one that misses the unit."""
+    c = make()
+    p_unit, h_unit = c.algebra.unit, sparse_of_vec(c.hopf.algebra.unit)
+    expected = sparse_of_vec(tensor_vec(p_unit, p_unit))
+    outcome = solve_strong_connection(c, require_unital=True)
+    ells = [] if isinstance(outcome, Infeasibility) else [outcome.map]
+    target = c.algebra.space.tensor(c.algebra.space)
+    ells.append(LinearMap.from_sparse_columns(c.hopf.space, target, [{0: Q(1)}] * c.hopf.dim))
+    for ell in ells:
+        assert connection_unital(c, ell) == (ell.apply(h_unit) == expected)
+    assert connection_unital(c, ells[0]) == (len(ells) == 2)
+
+
+class _CountingRows(list):
+    """The stored rows of a system, counting the rows read one at a time."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden(name: str):
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "make, row_index, component",
+    [
+        (lambda: comodule_from_obj(_golden("comodule_rescaled_nonfree_z2")), 45, 6),
+        (lambda: fun_comodule(gset_from_obj(_golden("gset_nonfree_z4"))), 930, 50),
+    ],
+    ids=["comodule_rescaled_nonfree_z2", "gset_nonfree_z4"],
+)
+def test_provenance_pass_eliminates_only_the_contradiction_component(
+    monkeypatch, make, row_index, component
+):
+    """On the golden refutations, the tracked pass reads each row of the
+    contradiction row's component once, and no other row: 6 of the 46
+    rows up to the contradiction, and 50 of 931."""
+    system = connection_system(make(), False)
+    run = LinearSystem._run
+    reads = []
+
+    def counted(self, upto, track):
+        if not track:
+            return run(self, upto, track)
+        rows, self._rows = self._rows, _CountingRows(self._rows)
+        try:
+            return run(self, upto, track)
+        finally:
+            reads.append(self._rows.reads)
+            self._rows = rows
+
+    monkeypatch.setattr(LinearSystem, "_run", counted)
+    outcome = system.solve()
+    assert isinstance(outcome, Infeasibility)
+    assert outcome.row_index == row_index
+    assert reads == [component]

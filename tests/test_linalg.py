@@ -615,3 +615,81 @@ def test_solve_checks_its_farkas_multipliers(monkeypatch):
     monkeypatch.setattr(LinearSystem, "_run", wrong_multipliers)
     with pytest.raises(AssertionError, match="do not refute the system: 2 unknowns left"):
         system.solve()
+
+
+def test_rows_with_unknowns_out_of_range_are_refused():
+    """Rows are indexed by unknown, so an index outside 0..n-1 is refused
+    where it enters, not met later in back-substitution."""
+    system = LinearSystem(2)
+    with pytest.raises(ValueError, match="unknown 5 is outside 0..1"):
+        system.add_row({5: Q(1)}, Q(1))
+    with pytest.raises(ValueError, match="unknown -1 is outside 0..1"):
+        system.add_int_row({0: 1, -1: 2}, 1)
+    assert len(system) == 0
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_rows_over_a_non_positive_denominator_are_refused(den):
+    system = LinearSystem(1)
+    with pytest.raises(ValueError, match=f"denominator must be positive, got {den}"):
+        system.add_int_row({0: 1}, 1, den)
+    assert len(system) == 0
+
+
+BLOCK_ENTRIES = st.sampled_from(sorted({Q(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
+
+
+@st.composite
+def block_systems(draw):
+    """Rows over at least three blocks of unknowns that no row mixes,
+    the blocks' unknowns interleaved and their rows merged in a random
+    order.  Each block opens with two rows led by 2 and by 3, so that
+    elimination meets row multipliers other than 1, and repeats a
+    multiple of one of its rows, which cancels to ``0 = 0``; rows with
+    no unknowns, ``0 = 0``, are spread among them.  Every right-hand side agrees with one drawn solution except
+    on a few drawn rows, which are then off by one."""
+    n_blocks = draw(st.integers(3, 5))
+    width = draw(st.integers(2, 4))
+    blocks = []
+    for b in range(n_blocks):
+        cols = [u * n_blocks + b for u in range(width)]
+        rows = [{cols[0]: Q(2), cols[1]: Q(1)}, {cols[0]: Q(3), cols[-1]: draw(BLOCK_ENTRIES)}]
+        rows += draw(st.lists(st.dictionaries(st.sampled_from(cols), BLOCK_ENTRIES), max_size=4))
+        factor = draw(st.sampled_from([Q(1), Q(-2), Q(1, 3)]))
+        multiple = {c: factor * v for c, v in rows[draw(st.integers(0, len(rows) - 1))].items()}
+        rows.insert(draw(st.integers(2, len(rows))), multiple)
+        blocks.append(rows)
+    order = draw(st.permutations([b for b, rows in enumerate(blocks) for _ in rows]))
+    merged = [blocks[b].pop(0) for b in order]
+    for _ in range(draw(st.integers(0, 2))):
+        merged.insert(draw(st.integers(0, len(merged))), {})
+    n = n_blocks * width
+    solution = draw(st.lists(BLOCK_ENTRIES, min_size=n, max_size=n))
+    off = draw(st.sets(st.integers(0, len(merged) - 1), max_size=2))
+    return n, [
+        (coeffs, sum((v * solution[c] for c, v in coeffs.items()), Q(1) if k in off else Q(0)))
+        for k, coeffs in enumerate(merged)
+    ]
+
+
+@settings(max_examples=200)
+@given(block_systems())
+def test_elimination_matches_the_parent_elimination(system_rows):
+    """Solutions, and a refutation's row, Farkas multipliers (in order)
+    and residual, are those of the elimination that copies every
+    working row and tracks provenance over all rows up to the
+    contradiction."""
+    n, rows = system_rows
+    system = LinearSystem(n)
+    for coeffs, rhs in rows:
+        system.add_row(coeffs, rhs)
+    parent = ref.ParentElimination(n)
+    parent._rows = list(system._rows)
+    out, expected = system.solve(), parent.solve()
+    assert isinstance(out, Infeasibility) == isinstance(expected, Infeasibility)
+    if isinstance(out, Infeasibility):
+        assert out.row_index == expected.row_index
+        assert list(out.farkas.items()) == list(expected.farkas.items())
+        assert out.residual == expected.residual
+    else:
+        assert out == expected
