@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .linalg import (
     LinearMap,
@@ -20,6 +21,8 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
+    integer_scaled,
+    linear_combination,
     rat,
     sparse_of_vec,
     tensor_vec,
@@ -108,47 +111,53 @@ def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[in
     return acc
 
 
+def first_failure(axiom: str, detail: str, holds, *dims) -> list[Failure]:
+    """The failure of ``axiom`` at the first index tuple of range(dims[0])
+    × range(dims[1]) × …, in lexicographic order, where ``holds(*index)``
+    is false, with ``detail`` formatted by that index; [] when it holds at
+    every one.  With no dims, ``holds()`` is called once."""
+    for w in product(*map(range, dims)):
+        if not holds(*w):
+            return [Failure(axiom, detail.format(*w), w)]
+    return []
+
+
 def check_algebra(alg: FDAlgebra) -> CheckReport:
-    """Associativity plus two-sided unit, with the first failing witness."""
+    """Associativity plus two-sided unit, with the first failing witness.
+
+    The table and the unit are scaled once to integers over their common
+    denominator D (:func:`~fusionalg.linalg.integer_scaled`).  Both sides
+    of associativity are products of two scaled constants and compare as
+    they are; 1·e_i and e_i·1, also products of two, compare with
+    D²·e_i.
+    """
     n = alg.dim
-    table = alg.table
-    failures: list[Failure] = []
-    unit = sparse_of_vec(alg.unit)
+    den, (flat, (unit,)) = integer_scaled((p for row in alg.table for p in row), (alg.unit,))
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]  # rows[i][m] = e_i·e_m
+    cols = list(zip(*rows))  # cols[k][m] = e_m·e_k
+    d2 = den * den
 
-    assoc_failure = None
-    for i in range(n):
-        if assoc_failure:
-            break
-        for j in range(n):
-            if assoc_failure:
-                break
-            left_ij = table[i][j]
-            for k in range(n):
-                lhs = mul_sparse(table, left_ij, {k: Q1})
-                rhs = mul_sparse(table, {i: Q1}, table[j][k])
-                if lhs != rhs:
-                    assoc_failure = Failure(
-                        "associativity",
-                        f"(e{i}·e{j})·e{k} differs from e{i}·(e{j}·e{k})",
-                        (i, j, k),
-                    )
-                    break
-    if assoc_failure:
-        failures.append(assoc_failure)
+    def associative(i, j, k):
+        # (e_i·e_j)·e_k against e_i·(e_j·e_k)
+        return linear_combination(cols[k], rows[i][j]) == linear_combination(
+            rows[i], rows[j][k]
+        )
 
-    for i in range(n):
-        if mul_sparse(table, unit, {i: Q1}) != {i: Q1}:
-            failures.append(
-                Failure("unit_left", f"1·e{i} is not e{i}", (i,))
-            )
-            break
-    for i in range(n):
-        if mul_sparse(table, {i: Q1}, unit) != {i: Q1}:
-            failures.append(
-                Failure("unit_right", f"e{i}·1 is not e{i}", (i,))
-            )
-            break
+    def unit_times(i, left):
+        return linear_combination(cols[i] if left else rows[i], unit) == {i: d2}
 
+    failures = (
+        first_failure(
+            "associativity",
+            "(e{0}·e{1})·e{2} differs from e{0}·(e{1}·e{2})",
+            associative,
+            n,
+            n,
+            n,
+        )
+        + first_failure("unit_left", "1·e{0} is not e{0}", lambda i: unit_times(i, True), n)
+        + first_failure("unit_right", "e{0}·1 is not e{0}", lambda i: unit_times(i, False), n)
+    )
     return CheckReport(not failures, tuple(failures))
 
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebra import (
     CheckReport,
     FDAlgebra,
     Failure,
     SubalgebraWitness,
+    first_failure,
     mul_sparse,
     subalgebra_from_subspace,
 )
@@ -38,9 +38,10 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
+    integer_scaled,
+    linear_combination,
+    nonzero,
     rref,
-    sparse_of_vec,
-    tensor_vec,
 )
 
 
@@ -73,80 +74,90 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
 
     The identification P (x) k = P is literal on coordinates because the
     scalar factor is one-dimensional.
+
+    The coaction, Δ, both tables, ε and both units are scaled once to
+    integers over their common denominator D
+    (:func:`~fusionalg.linalg.integer_scaled`), so a side that multiplies
+    k scaled constants is D^k times its value.  δ(e_i·e_j) (k = 2) is
+    multiplied by D² to meet δ(e_i)·δ(e_j) (k = 4); both sides of
+    coaction_unital and coaction_coassociative have k = 2; and
+    (id⊗ε)∘δ(e_j) compares with D²·e_j.
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
-    failures: list[Failure] = []
-    dcols = c.coaction.cols
-    cop_cols = h.coproduct.cols
-    ptab, htab = p.table, h.algebra.table
-    eps = h.counit_values
+    den, (dcols, cop_cols, ptab, htab, (eps, unit_p, unit_h)) = integer_scaled(
+        c.coaction.cols,
+        h.coproduct.cols,
+        (prod for row in p.table for prod in row),
+        (prod for row in h.algebra.table for prod in row),
+        (h.counit_values, p.unit, h.algebra.unit),
+    )
+    d2 = den * den
 
-    mult_ok = True
-    for i in range(dp):
-        if not mult_ok:
-            break
-        for j in range(dp):
-            lhs = c.coaction.apply(ptab[i][j])
-            rhs: dict[int, Fraction] = {}
-            for pa, va in dcols[i].items():
-                pi, ai = divmod(pa, dh)
-                for qb, vb in dcols[j].items():
-                    qi, bi = divmod(qb, dh)
-                    vab = va * vb
-                    for u, mv in ptab[pi][qi].items():
-                        for w, hv in htab[ai][bi].items():
-                            accumulate(rhs, u * dh + w, vab * mv * hv)
-            if lhs != rhs:
-                failures.append(
-                    Failure(
-                        "coaction_multiplicative",
-                        f"δ(e{i}·e{j}) differs from δ(e{i})·δ(e{j})",
-                        (i, j),
-                    )
-                )
-                mult_ok = False
-                break
+    def multiplicative(i, j):
+        rhs: dict[int, int] = {}
+        for pa, va in dcols[i].items():
+            pi, ai = divmod(pa, dh)
+            for qb, vb in dcols[j].items():
+                qi, bi = divmod(qb, dh)
+                vab = va * vb
+                hprod = htab[ai * dh + bi]
+                for u, mv in ptab[pi * dp + qi].items():
+                    vabm = vab * mv
+                    for w, hv in hprod.items():
+                        key = u * dh + w
+                        rhs[key] = rhs.get(key, 0) + vabm * hv
+        lhs = linear_combination(dcols, ptab[i * dp + j])
+        return {k: v * d2 for k, v in lhs.items()} == nonzero(rhs)
 
-    expected_unit = sparse_of_vec(tensor_vec(p.unit, h.algebra.unit))
-    if c.coaction.apply(sparse_of_vec(p.unit)) != expected_unit:
-        failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
-
-    for j in range(dp):
-        lhs = {}
-        rhs = {}
+    def coassociative(j):
+        lhs: dict[int, int] = {}
+        rhs: dict[int, int] = {}
         for pa, val in dcols[j].items():
             pi, ai = divmod(pa, dh)
             for qb, w in dcols[pi].items():
-                accumulate(lhs, qb * dh + ai, val * w)
+                key = qb * dh + ai
+                lhs[key] = lhs.get(key, 0) + val * w
             for bc, w in cop_cols[ai].items():
-                accumulate(rhs, pi * dh * dh + bc, val * w)
-        if lhs != rhs:
-            failures.append(
-                Failure(
-                    "coaction_coassociative",
-                    f"(δ⊗id)∘δ and (id⊗Δ)∘δ disagree on basis vector {j}",
-                    (j,),
-                )
-            )
-            break
+                key = pi * dh * dh + bc
+                rhs[key] = rhs.get(key, 0) + val * w
+        return nonzero(lhs) == nonzero(rhs)
 
-    for j in range(dp):
-        out: dict[int, Fraction] = {}
+    def counital(j):
+        out: dict[int, int] = {}
         for pa, val in dcols[j].items():
             pi, ai = divmod(pa, dh)
-            if eps[ai] != 0:
-                accumulate(out, pi, val * eps[ai])
-        if out != {j: Q1}:
-            failures.append(
-                Failure(
-                    "coaction_counital",
-                    f"(id⊗ε)∘δ is not the identity at basis vector {j}",
-                    (j,),
-                )
-            )
-            break
+            if ai in eps:
+                out[pi] = out.get(pi, 0) + val * eps[ai]
+        return nonzero(out) == {j: d2}
 
+    unit_pu = {i * dh + a: x * y for i, x in unit_p.items() for a, y in unit_h.items()}
+    failures = (
+        first_failure(
+            "coaction_multiplicative",
+            "δ(e{0}·e{1}) differs from δ(e{0})·δ(e{1})",
+            multiplicative,
+            dp,
+            dp,
+        )
+        + first_failure(
+            "coaction_unital",
+            "δ(1) is not 1⊗1",
+            lambda: linear_combination(dcols, unit_p) == unit_pu,
+        )
+        + first_failure(
+            "coaction_coassociative",
+            "(δ⊗id)∘δ and (id⊗Δ)∘δ disagree on basis vector {}",
+            coassociative,
+            dp,
+        )
+        + first_failure(
+            "coaction_counital",
+            "(id⊗ε)∘δ is not the identity at basis vector {}",
+            counital,
+            dp,
+        )
+    )
     return CheckReport(not failures, tuple(failures))
 
 
@@ -312,13 +323,13 @@ class StrongConnection:
     unital: bool
 
 
-def _integral_rows(cols, n_rows: int, den: int) -> list[list[tuple[int, int]]]:
-    """The rows of the matrix with sparse columns ``cols`` times ``den``,
-    a common denominator: row i lists (j, entry) in increasing j."""
+def _rows_of(cols: list[dict[int, int]], n_rows: int) -> list[list[tuple[int, int]]]:
+    """The rows of the matrix with sparse columns ``cols``: row i lists
+    (j, entry) in increasing j."""
     rows: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
     for j, col in enumerate(cols):
         for i, v in col.items():
-            rows[i].append((j, v.numerator * (den // v.denominator)))
+            rows[i].append((j, v))
     return rows
 
 
@@ -350,22 +361,17 @@ def _connection_system(
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
-    # the structure maps by their sparse columns, with their row counts
-    maps = [
-        (c.coaction.cols, dp * dh),  # row x·dH+a -> [(q, val)]
-        (dl_cols, dh * dp),  # row a·dP+u -> [(p, val)]
-        ([prod for row in p.table for prod in row], dp),  # row u -> [(p·dP+w, val)]
-        (h.coproduct.cols, dh * dh),  # row leg1·dH+leg2 -> [(col, val)]
-    ]
-    den = lcm(
-        *(v.denominator for cols, _ in maps for col in cols for v in col.values()),
-        *(v.denominator for v in p.unit + h.algebra.unit),
+    den, (delta, dl, mult, cop, (unit_p, unit_h)) = integer_scaled(
+        c.coaction.cols,
+        dl_cols,
+        (prod for row in p.table for prod in row),
+        h.coproduct.cols,
+        (p.unit, h.algebra.unit),
     )
-    delta_rows, dl_rows, mult_rows, cop_rows = (_integral_rows(*m, den) for m in maps)
-    unit_p = [v.numerator * (den // v.denominator) for v in p.unit]
-    unit_h = [
-        (col, v.numerator * (den // v.denominator)) for col, v in enumerate(h.algebra.unit) if v
-    ]
+    delta_rows = _rows_of(delta, dp * dh)  # row x·dH+a -> [(q, val)]
+    dl_rows = _rows_of(dl, dh * dp)  # row a·dP+u -> [(p, val)]
+    mult_rows = _rows_of(mult, dp)  # row u -> [(p·dP+w, val)]
+    cop_rows = _rows_of(cop, dh * dh)  # row leg1·dH+leg2 -> [(col, val)]
 
     by_second: list[list[list[tuple[int, int]]]] = [
         [[] for _ in range(dh)] for _ in range(dh)
@@ -418,25 +424,33 @@ def _connection_system(
                     lc_row[key] = lc_row.get(key, 0) + mval * dval
             for col in range(dh):
                 coeffs = {r * dh + col: val for r, val in lc_row.items()}
-                add(coeffs, unit_p[u] * den if a == col else 0, den * den)
+                add(coeffs, unit_p.get(u, 0) * den if a == col else 0, den * den)
 
     if require_unital:
         for p1 in range(dp):
             for p2 in range(dp):
                 coeffs = {
-                    (p1 * dp + p2) * dh + col: val * den for col, val in unit_h
+                    (p1 * dp + p2) * dh + col: val * den for col, val in unit_h.items()
                 }
-                add(coeffs, unit_p[p1] * unit_p[p2], den * den)
+                add(coeffs, unit_p.get(p1, 0) * unit_p.get(p2, 0), den * den)
 
     return system
 
 
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
-    """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
+    """Whether a map H -> P (x) P sends the unit to 1 (x) 1.
+
+    The units and ℓ are scaled to integers over their common denominator,
+    so both ℓ(1) and 1 (x) 1, products of two scaled entries, compare as
+    they are.
+    """
     dp = c.algebra.dim
-    unit_p = sparse_of_vec(c.algebra.unit)
-    unit_pp = {i * dp + j: a * b for i, a in unit_p.items() for j, b in unit_p.items()}
-    return ell.apply(sparse_of_vec(c.hopf.algebra.unit)) == unit_pp
+    _, ((unit_h, unit_p), cols) = integer_scaled(
+        (c.hopf.algebra.unit, c.algebra.unit), ell.cols
+    )
+    return linear_combination(cols, unit_h) == {
+        i * dp + j: x * y for i, x in unit_p.items() for j, y in unit_p.items()
+    }
 
 
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
@@ -480,6 +494,14 @@ def check_strong_connection(
 
     Named axioms: right_colinearity, left_colinearity, splitting,
     counit_product, and (when requested) unital.
+
+    ℓ, the coaction, δ_L, Δ, the table of P, ε and the unit of P are
+    scaled once to integers over their common denominator D
+    (:func:`~fusionalg.linalg.integer_scaled`), so a side that multiplies
+    k scaled entries is D^k times its value.  Both sides of each
+    colinearity law have k = 2; the lifted canonical map of ℓ(e_a)
+    (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
+    ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
     """
     return _check_strong_connection(c, ell, require_unital, delta_L(c).cols)
 
@@ -493,95 +515,89 @@ def _check_strong_connection(
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
-    failures: list[Failure] = []
+    den, (ell_cols, delta_cols, dl, cop_cols, ptab, (eps, unit_p)) = integer_scaled(
+        ell.cols,
+        c.coaction.cols,
+        dl_cols,
+        h.coproduct.cols,
+        (prod for row in p.table for prod in row),
+        (h.counit_values, p.unit),
+    )
+    d2 = den * den
 
-    ell_cols = ell.cols
-    delta_cols = c.coaction.cols
-    cop_cols = h.coproduct.cols
-    ptab = p.table
-    eps = h.counit_values
-    unit_p = sparse_of_vec(p.unit)
-
-    for col in range(dh):
-        lhs: dict[int, Fraction] = {}
-        rhs: dict[int, Fraction] = {}
+    def right_colinear(col):
+        lhs: dict[int, int] = {}
+        rhs: dict[int, int] = {}
         for r, val in ell_cols[col].items():
             u, q = divmod(r, dp)
+            base = u * dp * dh
             for xa, w in delta_cols[q].items():
-                accumulate(lhs, u * dp * dh + xa, val * w)
+                key = base + xa
+                lhs[key] = lhs.get(key, 0) + val * w
         for ba, w in cop_cols[col].items():
             b, a = divmod(ba, dh)
             for r, val in ell_cols[b].items():
-                u, x = divmod(r, dp)
-                accumulate(rhs, (u * dp + x) * dh + a, val * w)
-        if lhs != rhs:
-            failures.append(
-                Failure(
-                    "right_colinearity",
-                    f"(id⊗δ)∘ℓ and (ℓ⊗id)∘Δ disagree on basis vector {col}",
-                    (col,),
-                )
-            )
-            break
+                key = r * dh + a
+                rhs[key] = rhs.get(key, 0) + val * w
+        return nonzero(lhs) == nonzero(rhs)
 
-    for col in range(dh):
-        lhs = {}
-        rhs = {}
+    def left_colinear(col):
+        lhs: dict[int, int] = {}
+        rhs: dict[int, int] = {}
         for r, val in ell_cols[col].items():
             pi, v = divmod(r, dp)
-            for au, w in dl_cols[pi].items():
-                accumulate(lhs, au * dp + v, val * w)
+            for au, w in dl[pi].items():
+                key = au * dp + v
+                lhs[key] = lhs.get(key, 0) + val * w
         for ad, w in cop_cols[col].items():
             a, d = divmod(ad, dh)
+            base = a * dp * dp
             for r, val in ell_cols[d].items():
-                u, v = divmod(r, dp)
-                accumulate(rhs, (a * dp + u) * dp + v, val * w)
-        if lhs != rhs:
-            failures.append(
-                Failure(
-                    "left_colinearity",
-                    f"(δ_L⊗id)∘ℓ and (id⊗ℓ)∘Δ disagree on basis vector {col}",
-                    (col,),
-                )
-            )
-            break
+                key = base + r
+                rhs[key] = rhs.get(key, 0) + val * w
+        return nonzero(lhs) == nonzero(rhs)
 
-    for col in range(dh):
-        acc: dict[int, Fraction] = {}
+    def splits(col):
+        acc: dict[int, int] = {}
         for r, val in ell_cols[col].items():
             pi, q = divmod(r, dp)
+            row = pi * dp
             for wa, dval in delta_cols[q].items():
                 w, a = divmod(wa, dh)
-                for u, mv in ptab[pi][w].items():
-                    accumulate(acc, u * dh + a, val * dval * mv)
-        target = {u * dh + col: v for u, v in unit_p.items()}
-        if acc != target:
-            failures.append(
-                Failure(
-                    "splitting",
-                    f"the lifted canonical map does not send ℓ(e{col}) to 1⊗e{col}",
-                    (col,),
-                )
-            )
-            break
+                vd = val * dval
+                for u, mv in ptab[row + w].items():
+                    key = u * dh + a
+                    acc[key] = acc.get(key, 0) + vd * mv
+        return nonzero(acc) == {u * dh + col: v * d2 for u, v in unit_p.items()}
 
-    for col in range(dh):
-        acc = {}
-        for r, val in ell_cols[col].items():
-            pi, q = divmod(r, dp)
-            for u, mv in ptab[pi][q].items():
-                accumulate(acc, u, val * mv)
-        target = {u: eps[col] * v for u, v in unit_p.items()} if eps[col] != 0 else {}
-        if acc != target:
-            failures.append(
-                Failure(
-                    "counit_product",
-                    f"m∘ℓ misses unit∘ε on basis vector {col}",
-                    (col,),
-                )
-            )
-            break
+    def counit_product(col):
+        e = eps.get(col)
+        target = {u: e * v for u, v in unit_p.items()} if e else {}
+        return linear_combination(ptab, ell_cols[col]) == target
 
+    failures = (
+        first_failure(
+            "right_colinearity",
+            "(id⊗δ)∘ℓ and (ℓ⊗id)∘Δ disagree on basis vector {}",
+            right_colinear,
+            dh,
+        )
+        + first_failure(
+            "left_colinearity",
+            "(δ_L⊗id)∘ℓ and (id⊗ℓ)∘Δ disagree on basis vector {}",
+            left_colinear,
+            dh,
+        )
+        + first_failure(
+            "splitting",
+            "the lifted canonical map does not send ℓ(e{0}) to 1⊗e{0}",
+            splits,
+            dh,
+        )
+        + first_failure(
+            "counit_product", "m∘ℓ misses unit∘ε on basis vector {}", counit_product, dh
+        )
+    )
     if require_unital and not connection_unital(c, ell):
         failures.append(Failure("unital", "ℓ(1) is not 1⊗1"))
 

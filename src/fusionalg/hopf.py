@@ -21,11 +21,11 @@ from .algebra import (
     FDAlgebra,
     Failure,
     check_algebra,
+    first_failure,
     function_algebra,
-    mul_sparse,
 )
 from .groups import FiniteGroup
-from .linalg import LinearMap, Q0, Q1, Space, accumulate, sparse_of_vec
+from .linalg import LinearMap, Q0, Q1, Space, integer_scaled, linear_combination, nonzero
 
 
 @dataclass(frozen=True)
@@ -78,142 +78,146 @@ def make_hopf(
 # ---------------------------------------------------------------- checks
 
 def check_hopf(h: HopfAlgebra) -> CheckReport:
-    """Full axiom battery; each failed axiom appears once, by name.
+    """Full axiom battery; each failed axiom appears once, by name, with
+    its first witness.
 
     Axiom names: the three algebra axioms, then coassociativity,
     counit_left, counit_right, coproduct_multiplicative,
     coproduct_unital, counit_multiplicative, counit_unital,
     antipode_left, antipode_right, antipode_bijective.
-    """
-    failures: list[Failure] = list(check_algebra(h.algebra).failures)
-    n = h.dim
-    table = h.algebra.table
-    delta = h.coproduct.cols
-    eps = h.counit_values
-    s_cols = h.antipode.cols
-    unit = sparse_of_vec(h.algebra.unit)
 
-    # coassociativity: both iterated coproducts agree on every basis vector
-    for i in range(n):
-        lhs: dict[int, Fraction] = {}
-        rhs: dict[int, Fraction] = {}
+    The table, Δ, ε, S and the unit are scaled once to integers over
+    their common denominator D (:func:`~fusionalg.linalg.integer_scaled`),
+    so a side that multiplies k scaled constants is D^k times its value.
+    Both sides of coassociativity, coproduct_unital and
+    counit_multiplicative have k = 2; the counit laws compare with
+    D²·e_i and counit_unital with D²; Δ(e_i·e_j) (k = 2) is multiplied
+    by D² to meet Δ(e_i)·Δ(e_j) (k = 4); the antipode laws (k = 3) compare
+    with D·ε(e_i)·1.  Bijectivity of S composes the stored maps.
+    """
+    n = h.dim
+    den, (flat, delta, s_cols, (eps, unit)) = integer_scaled(
+        (p for row in h.algebra.table for p in row),
+        h.coproduct.cols,
+        h.antipode.cols,
+        (h.counit_values, h.algebra.unit),
+    )
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]  # rows[i][m] = e_i·e_m
+    cols = list(zip(*rows))  # cols[k][m] = e_m·e_k
+    d2 = den * den
+
+    # both iterated coproducts agree on every basis vector
+    def coassociative(i):
+        lhs: dict[int, int] = {}
+        rhs: dict[int, int] = {}
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
             for ab, d in delta[p].items():
-                accumulate(lhs, ab * n + q, c * d)
+                key = ab * n + q
+                lhs[key] = lhs.get(key, 0) + c * d
             for ab, d in delta[q].items():
-                accumulate(rhs, p * n * n + ab, c * d)
-        if lhs != rhs:
-            failures.append(
-                Failure(
-                    "coassociativity",
-                    f"iterated coproducts disagree on basis vector {i}",
-                    (i,),
-                )
-            )
-            break
+                key = p * n * n + ab
+                rhs[key] = rhs.get(key, 0) + c * d
+        return nonzero(lhs) == nonzero(rhs)
 
-    # counit laws: collapsing either tensor leg recovers the identity
-    for i in range(n):
-        left: dict[int, Fraction] = {}
-        right: dict[int, Fraction] = {}
+    # collapsing either tensor leg recovers the identity
+    def counital(i, left):
+        acc: dict[int, int] = {}
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
-            if eps[p] != 0:
-                accumulate(left, q, c * eps[p])
-            if eps[q] != 0:
-                accumulate(right, p, c * eps[q])
-        target = {i: Q1}
-        if left != target:
-            failures.append(
-                Failure("counit_left", f"(ε⊗id)∘Δ is not the identity at {i}", (i,))
-            )
-            break
-        if right != target:
-            failures.append(
-                Failure("counit_right", f"(id⊗ε)∘Δ is not the identity at {i}", (i,))
-            )
-            break
+            kept, dropped = (q, p) if left else (p, q)
+            if dropped in eps:
+                acc[kept] = acc.get(kept, 0) + c * eps[dropped]
+        return nonzero(acc) == {i: d2}
 
     # the coproduct is an algebra map
-    def tensor_square_product(x: dict[int, Fraction], y: dict[int, Fraction]):
-        acc: dict[int, Fraction] = {}
-        for pq, a in x.items():
+    def multiplicative(i, j):
+        rhs: dict[int, int] = {}
+        for pq, a in delta[i].items():
             p, q = divmod(pq, n)
-            for rs, b in y.items():
+            for rs, b in delta[j].items():
                 r, s = divmod(rs, n)
                 ab = a * b
-                for u, cu in table[p][r].items():
-                    for v, cv in table[q][s].items():
-                        accumulate(acc, u * n + v, ab * cu * cv)
-        return acc
+                right = rows[q][s]
+                for u, cu in rows[p][r].items():
+                    abu = ab * cu
+                    for v, cv in right.items():
+                        key = u * n + v
+                        rhs[key] = rhs.get(key, 0) + abu * cv
+        lhs = linear_combination(delta, rows[i][j])
+        return {k: v * d2 for k, v in lhs.items()} == nonzero(rhs)
 
-    mult_ok = True
-    for i in range(n):
-        if not mult_ok:
-            break
-        for j in range(n):
-            lhs = h.coproduct.apply(table[i][j])
-            rhs = tensor_square_product(delta[i], delta[j])
-            if lhs != rhs:
-                failures.append(
-                    Failure(
-                        "coproduct_multiplicative",
-                        f"Δ(e{i}·e{j}) differs from Δ(e{i})·Δ(e{j})",
-                        (i, j),
-                    )
-                )
-                mult_ok = False
-                break
+    def counit_of(vec: dict[int, int]) -> int:
+        return sum(c * eps[k] for k, c in vec.items() if k in eps)
 
-    unit_sq = {
-        p * n + q: a * b for p, a in unit.items() for q, b in unit.items()
-    }
-    if h.coproduct.apply(unit) != unit_sq:
-        failures.append(Failure("coproduct_unital", "Δ(1) is not 1⊗1"))
-
-    eps_mult_ok = True
-    for i in range(n):
-        if not eps_mult_ok:
-            break
-        for j in range(n):
-            lhs_s = sum((c * eps[k] for k, c in table[i][j].items()), Q0)
-            if lhs_s != eps[i] * eps[j]:
-                failures.append(
-                    Failure(
-                        "counit_multiplicative",
-                        f"ε(e{i}·e{j}) differs from ε(e{i})ε(e{j})",
-                        (i, j),
-                    )
-                )
-                eps_mult_ok = False
-                break
-
-    if sum((c * eps[i] for i, c in unit.items()), Q0) != Q1:
-        failures.append(Failure("counit_unital", "ε(1) is not 1"))
-
-    # antipode laws: m∘(S⊗id)∘Δ = unit∘ε = m∘(id⊗S)∘Δ
-    for i in range(n):
-        left_acc: dict[int, Fraction] = {}
-        right_acc: dict[int, Fraction] = {}
+    # m∘(S⊗id)∘Δ = unit∘ε = m∘(id⊗S)∘Δ
+    def antipode(i, left):
+        acc: dict[int, int] = {}
         for pq, c in delta[i].items():
             p, q = divmod(pq, n)
-            for k, v in mul_sparse(table, s_cols[p], {q: Q1}).items():
-                accumulate(left_acc, k, c * v)
-            for k, v in mul_sparse(table, {p: Q1}, s_cols[q]).items():
-                accumulate(right_acc, k, c * v)
-        target = {k: eps[i] * v for k, v in unit.items()} if eps[i] != 0 else {}
-        if left_acc != target:
-            failures.append(
-                Failure("antipode_left", f"m∘(S⊗id)∘Δ misses unit∘ε at {i}", (i,))
-            )
-            break
-        if right_acc != target:
-            failures.append(
-                Failure("antipode_right", f"m∘(id⊗S)∘Δ misses unit∘ε at {i}", (i,))
-            )
-            break
+            if left:
+                prod = linear_combination(cols[q], s_cols[p])  # S(e_p)·e_q
+            else:
+                prod = linear_combination(rows[p], s_cols[q])  # e_p·S(e_q)
+            for k, v in prod.items():
+                acc[k] = acc.get(k, 0) + c * v
+        e = eps.get(i, 0) * den
+        return nonzero(acc) == ({k: e * u for k, u in unit.items()} if e else {})
 
+    unit_sq = {p * n + q: a * b for p, a in unit.items() for q, b in unit.items()}
+    failures = (
+        list(check_algebra(h.algebra).failures)
+        + first_failure(
+            "coassociativity",
+            "iterated coproducts disagree on basis vector {}",
+            coassociative,
+            n,
+        )
+        + first_failure(
+            "counit_left",
+            "(ε⊗id)∘Δ is not the identity at {}",
+            lambda i: counital(i, True),
+            n,
+        )
+        + first_failure(
+            "counit_right",
+            "(id⊗ε)∘Δ is not the identity at {}",
+            lambda i: counital(i, False),
+            n,
+        )
+        + first_failure(
+            "coproduct_multiplicative",
+            "Δ(e{0}·e{1}) differs from Δ(e{0})·Δ(e{1})",
+            multiplicative,
+            n,
+            n,
+        )
+        + first_failure(
+            "coproduct_unital",
+            "Δ(1) is not 1⊗1",
+            lambda: linear_combination(delta, unit) == unit_sq,
+        )
+        + first_failure(
+            "counit_multiplicative",
+            "ε(e{0}·e{1}) differs from ε(e{0})ε(e{1})",
+            lambda i, j: counit_of(rows[i][j]) == eps.get(i, 0) * eps.get(j, 0),
+            n,
+            n,
+        )
+        + first_failure("counit_unital", "ε(1) is not 1", lambda: counit_of(unit) == d2)
+        + first_failure(
+            "antipode_left",
+            "m∘(S⊗id)∘Δ misses unit∘ε at {}",
+            lambda i: antipode(i, True),
+            n,
+        )
+        + first_failure(
+            "antipode_right",
+            "m∘(id⊗S)∘Δ misses unit∘ε at {}",
+            lambda i: antipode(i, False),
+            n,
+        )
+    )
     if h.antipode_inv is None:
         failures.append(Failure("antipode_bijective", "the antipode is singular"))
     elif not (
@@ -223,7 +227,6 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         failures.append(
             Failure("antipode_bijective", "stored inverse does not invert the antipode")
         )
-
     return CheckReport(not failures, tuple(failures))
 
 

@@ -106,6 +106,44 @@ def accumulate(acc: dict, key, val) -> None:
         acc[key] = nv
 
 
+def nonzero(vec: dict) -> dict:
+    """The entries of a sparse vector that are not zero."""
+    return {k: v for k, v in vec.items() if v}
+
+
+def linear_combination(vectors, coeffs: dict) -> dict:
+    """Σ coeffs[k]·vectors[k] for sparse vectors, with no zeros stored."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        for i, v in vectors[k].items():
+            acc[i] = acc.get(i, 0) + c * v
+    return nonzero(acc)
+
+
+def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
+    """Vectors scaled to integers over one common denominator.
+
+    Each family is an iterable of vectors, each a sparse dict or a dense
+    sequence of rationals.  Returns D, the least positive integer with
+    D·v an integer for every entry v of every vector, and each family as
+    the list of its vectors times D: sparse ``int`` vectors with no zeros
+    stored and the keys in the vector's own order.  A sum of products of
+    k entries computed on the scaled vectors is D^k times its rational
+    value, so an identity whose two sides have k and k' factors holds
+    exactly when it holds on the scaled vectors after the side with fewer
+    factors is multiplied by D^|k - k'|.
+    """
+    entries = [
+        [vec.items() if isinstance(vec, dict) else tuple(enumerate(vec)) for vec in family]
+        for family in families
+    ]
+    den = lcm(*{v.denominator for family in entries for vec in family for _, v in vec})
+    return den, [
+        [{k: v.numerator * (den // v.denominator) for k, v in vec if v} for vec in family]
+        for family in entries
+    ]
+
+
 def _subtract(vec: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
     """vec -= c·row in place, dropping the entries that cancel."""
     for k, v in row.items():
@@ -359,6 +397,9 @@ class Subspace:
 
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """Sparse coordinates of vec in the echelon basis, or None if outside."""
+        if len(self.pivots) == self.ambient.dim:
+            # the whole space: its echelon basis is the standard one
+            return {k: vec[k] for k in sorted(vec)}
         coords, remainder = self.decompose(vec)
         return None if remainder else coords
 

@@ -5,12 +5,25 @@ quotient, computed the way the library computed them when its subspaces
 held dense rows, and the product and tensor product of matrices, computed
 the way it computed them when its maps held dense rows.  It also keeps
 the library's earlier exact elimination, :class:`ParentElimination`, as
-a reference for the solver's outcomes."""
+a reference for the solver's outcomes, and the axiom batteries of
+algebras, Hopf algebras, comodule algebras and strong connections as the
+library computed them in ``Fraction`` arithmetic, as references for the
+integer-scaled ones."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from fusionalg.linalg import Infeasibility, LinearSystem
+from fusionalg.algebra import CheckReport, FDAlgebra, Failure, mul_sparse
+from fusionalg.comodule import ComoduleAlgebra, delta_L
+from fusionalg.hopf import HopfAlgebra
+from fusionalg.linalg import (
+    Infeasibility,
+    LinearMap,
+    LinearSystem,
+    accumulate,
+    sparse_of_vec,
+    tensor_vec,
+)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -289,3 +302,421 @@ class ParentElimination(LinearSystem):
                     acc -= v * values[c]
             values[col] = acc / coeffs[col]
         return tuple(values)
+
+
+# ---------------------------------------------------------------- axiom batteries
+#
+# The axiom batteries as the library computed them in Fraction arithmetic,
+# one entry at a time.  The Hopf battery checks each counit law and each
+# antipode law in a loop of its own, so a failing left law does not hide
+# the right one.
+
+def check_algebra(alg: FDAlgebra) -> CheckReport:
+    """Associativity plus two-sided unit, with the first failing witness."""
+    n = alg.dim
+    table = alg.table
+    failures: list[Failure] = []
+    unit = sparse_of_vec(alg.unit)
+
+    assoc_failure = None
+    for i in range(n):
+        if assoc_failure:
+            break
+        for j in range(n):
+            if assoc_failure:
+                break
+            left_ij = table[i][j]
+            for k in range(n):
+                lhs = mul_sparse(table, left_ij, {k: Q1})
+                rhs = mul_sparse(table, {i: Q1}, table[j][k])
+                if lhs != rhs:
+                    assoc_failure = Failure(
+                        "associativity",
+                        f"(e{i}·e{j})·e{k} differs from e{i}·(e{j}·e{k})",
+                        (i, j, k),
+                    )
+                    break
+    if assoc_failure:
+        failures.append(assoc_failure)
+
+    for i in range(n):
+        if mul_sparse(table, unit, {i: Q1}) != {i: Q1}:
+            failures.append(
+                Failure("unit_left", f"1·e{i} is not e{i}", (i,))
+            )
+            break
+    for i in range(n):
+        if mul_sparse(table, {i: Q1}, unit) != {i: Q1}:
+            failures.append(
+                Failure("unit_right", f"e{i}·1 is not e{i}", (i,))
+            )
+            break
+
+    return CheckReport(not failures, tuple(failures))
+
+
+
+def check_hopf(h: HopfAlgebra) -> CheckReport:
+    """Full axiom battery; each failed axiom appears once, by name, with
+    its first witness.
+
+    Axiom names: the three algebra axioms, then coassociativity,
+    counit_left, counit_right, coproduct_multiplicative,
+    coproduct_unital, counit_multiplicative, counit_unital,
+    antipode_left, antipode_right, antipode_bijective.
+    """
+    failures: list[Failure] = list(check_algebra(h.algebra).failures)
+    n = h.dim
+    table = h.algebra.table
+    delta = h.coproduct.cols
+    eps = h.counit_values
+    s_cols = h.antipode.cols
+    unit = sparse_of_vec(h.algebra.unit)
+
+    # coassociativity: both iterated coproducts agree on every basis vector
+    for i in range(n):
+        lhs: dict[int, Fraction] = {}
+        rhs: dict[int, Fraction] = {}
+        for pq, c in delta[i].items():
+            p, q = divmod(pq, n)
+            for ab, d in delta[p].items():
+                accumulate(lhs, ab * n + q, c * d)
+            for ab, d in delta[q].items():
+                accumulate(rhs, p * n * n + ab, c * d)
+        if lhs != rhs:
+            failures.append(
+                Failure(
+                    "coassociativity",
+                    f"iterated coproducts disagree on basis vector {i}",
+                    (i,),
+                )
+            )
+            break
+
+    # counit laws: collapsing either tensor leg recovers the identity
+    for i in range(n):
+        left: dict[int, Fraction] = {}
+        for pq, c in delta[i].items():
+            p, q = divmod(pq, n)
+            if eps[p] != 0:
+                accumulate(left, q, c * eps[p])
+        if left != {i: Q1}:
+            failures.append(
+                Failure("counit_left", f"(ε⊗id)∘Δ is not the identity at {i}", (i,))
+            )
+            break
+    for i in range(n):
+        right: dict[int, Fraction] = {}
+        for pq, c in delta[i].items():
+            p, q = divmod(pq, n)
+            if eps[q] != 0:
+                accumulate(right, p, c * eps[q])
+        if right != {i: Q1}:
+            failures.append(
+                Failure("counit_right", f"(id⊗ε)∘Δ is not the identity at {i}", (i,))
+            )
+            break
+
+    # the coproduct is an algebra map
+    def tensor_square_product(x: dict[int, Fraction], y: dict[int, Fraction]):
+        acc: dict[int, Fraction] = {}
+        for pq, a in x.items():
+            p, q = divmod(pq, n)
+            for rs, b in y.items():
+                r, s = divmod(rs, n)
+                ab = a * b
+                for u, cu in table[p][r].items():
+                    for v, cv in table[q][s].items():
+                        accumulate(acc, u * n + v, ab * cu * cv)
+        return acc
+
+    mult_ok = True
+    for i in range(n):
+        if not mult_ok:
+            break
+        for j in range(n):
+            lhs = h.coproduct.apply(table[i][j])
+            rhs = tensor_square_product(delta[i], delta[j])
+            if lhs != rhs:
+                failures.append(
+                    Failure(
+                        "coproduct_multiplicative",
+                        f"Δ(e{i}·e{j}) differs from Δ(e{i})·Δ(e{j})",
+                        (i, j),
+                    )
+                )
+                mult_ok = False
+                break
+
+    unit_sq = {
+        p * n + q: a * b for p, a in unit.items() for q, b in unit.items()
+    }
+    if h.coproduct.apply(unit) != unit_sq:
+        failures.append(Failure("coproduct_unital", "Δ(1) is not 1⊗1"))
+
+    eps_mult_ok = True
+    for i in range(n):
+        if not eps_mult_ok:
+            break
+        for j in range(n):
+            lhs_s = sum((c * eps[k] for k, c in table[i][j].items()), Q0)
+            if lhs_s != eps[i] * eps[j]:
+                failures.append(
+                    Failure(
+                        "counit_multiplicative",
+                        f"ε(e{i}·e{j}) differs from ε(e{i})ε(e{j})",
+                        (i, j),
+                    )
+                )
+                eps_mult_ok = False
+                break
+
+    if sum((c * eps[i] for i, c in unit.items()), Q0) != Q1:
+        failures.append(Failure("counit_unital", "ε(1) is not 1"))
+
+    # antipode laws: m∘(S⊗id)∘Δ = unit∘ε = m∘(id⊗S)∘Δ
+    def unit_eps(i):
+        return {k: eps[i] * v for k, v in unit.items()} if eps[i] != 0 else {}
+
+    for i in range(n):
+        left_acc: dict[int, Fraction] = {}
+        for pq, c in delta[i].items():
+            p, q = divmod(pq, n)
+            for k, v in mul_sparse(table, s_cols[p], {q: Q1}).items():
+                accumulate(left_acc, k, c * v)
+        if left_acc != unit_eps(i):
+            failures.append(
+                Failure("antipode_left", f"m∘(S⊗id)∘Δ misses unit∘ε at {i}", (i,))
+            )
+            break
+    for i in range(n):
+        right_acc: dict[int, Fraction] = {}
+        for pq, c in delta[i].items():
+            p, q = divmod(pq, n)
+            for k, v in mul_sparse(table, {p: Q1}, s_cols[q]).items():
+                accumulate(right_acc, k, c * v)
+        if right_acc != unit_eps(i):
+            failures.append(
+                Failure("antipode_right", f"m∘(id⊗S)∘Δ misses unit∘ε at {i}", (i,))
+            )
+            break
+
+    if h.antipode_inv is None:
+        failures.append(Failure("antipode_bijective", "the antipode is singular"))
+    elif not (
+        h.antipode.compose(h.antipode_inv).is_identity()
+        and h.antipode_inv.compose(h.antipode).is_identity()
+    ):
+        failures.append(
+            Failure("antipode_bijective", "stored inverse does not invert the antipode")
+        )
+
+    return CheckReport(not failures, tuple(failures))
+
+
+
+def check_comodule(c: ComoduleAlgebra) -> CheckReport:
+    """Named axioms: coaction_multiplicative, coaction_unital,
+    coaction_coassociative, coaction_counital.
+
+    The identification P (x) k = P is literal on coordinates because the
+    scalar factor is one-dimensional.
+    """
+    p, h = c.algebra, c.hopf
+    dp, dh = p.dim, h.dim
+    failures: list[Failure] = []
+    dcols = c.coaction.cols
+    cop_cols = h.coproduct.cols
+    ptab, htab = p.table, h.algebra.table
+    eps = h.counit_values
+
+    mult_ok = True
+    for i in range(dp):
+        if not mult_ok:
+            break
+        for j in range(dp):
+            lhs = c.coaction.apply(ptab[i][j])
+            rhs: dict[int, Fraction] = {}
+            for pa, va in dcols[i].items():
+                pi, ai = divmod(pa, dh)
+                for qb, vb in dcols[j].items():
+                    qi, bi = divmod(qb, dh)
+                    vab = va * vb
+                    for u, mv in ptab[pi][qi].items():
+                        for w, hv in htab[ai][bi].items():
+                            accumulate(rhs, u * dh + w, vab * mv * hv)
+            if lhs != rhs:
+                failures.append(
+                    Failure(
+                        "coaction_multiplicative",
+                        f"δ(e{i}·e{j}) differs from δ(e{i})·δ(e{j})",
+                        (i, j),
+                    )
+                )
+                mult_ok = False
+                break
+
+    expected_unit = sparse_of_vec(tensor_vec(p.unit, h.algebra.unit))
+    if c.coaction.apply(sparse_of_vec(p.unit)) != expected_unit:
+        failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
+
+    for j in range(dp):
+        lhs = {}
+        rhs = {}
+        for pa, val in dcols[j].items():
+            pi, ai = divmod(pa, dh)
+            for qb, w in dcols[pi].items():
+                accumulate(lhs, qb * dh + ai, val * w)
+            for bc, w in cop_cols[ai].items():
+                accumulate(rhs, pi * dh * dh + bc, val * w)
+        if lhs != rhs:
+            failures.append(
+                Failure(
+                    "coaction_coassociative",
+                    f"(δ⊗id)∘δ and (id⊗Δ)∘δ disagree on basis vector {j}",
+                    (j,),
+                )
+            )
+            break
+
+    for j in range(dp):
+        out: dict[int, Fraction] = {}
+        for pa, val in dcols[j].items():
+            pi, ai = divmod(pa, dh)
+            if eps[ai] != 0:
+                accumulate(out, pi, val * eps[ai])
+        if out != {j: Q1}:
+            failures.append(
+                Failure(
+                    "coaction_counital",
+                    f"(id⊗ε)∘δ is not the identity at basis vector {j}",
+                    (j,),
+                )
+            )
+            break
+
+    return CheckReport(not failures, tuple(failures))
+
+
+def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
+    """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
+    dp = c.algebra.dim
+    unit_p = sparse_of_vec(c.algebra.unit)
+    unit_pp = {i * dp + j: a * b for i, a in unit_p.items() for j, b in unit_p.items()}
+    return ell.apply(sparse_of_vec(c.hopf.algebra.unit)) == unit_pp
+
+
+
+def check_strong_connection(
+    c: ComoduleAlgebra, ell: LinearMap, require_unital: bool = False
+) -> CheckReport:
+    """Re-verify a claimed connection column by column.
+
+    Named axioms: right_colinearity, left_colinearity, splitting,
+    counit_product, and (when requested) unital.
+    """
+    return _check_strong_connection(c, ell, require_unital, delta_L(c).cols)
+
+
+def _check_strong_connection(
+    c: ComoduleAlgebra, ell: LinearMap, require_unital: bool, dl_cols
+) -> CheckReport:
+    """:func:`check_strong_connection` with the columns of
+    :func:`delta_L` given."""
+    p, h = c.algebra, c.hopf
+    dp, dh = p.dim, h.dim
+    if ell.source.dim != dh or ell.target.dim != dp * dp:
+        raise ValueError("connection has wrong shape")
+    failures: list[Failure] = []
+
+    ell_cols = ell.cols
+    delta_cols = c.coaction.cols
+    cop_cols = h.coproduct.cols
+    ptab = p.table
+    eps = h.counit_values
+    unit_p = sparse_of_vec(p.unit)
+
+    for col in range(dh):
+        lhs: dict[int, Fraction] = {}
+        rhs: dict[int, Fraction] = {}
+        for r, val in ell_cols[col].items():
+            u, q = divmod(r, dp)
+            for xa, w in delta_cols[q].items():
+                accumulate(lhs, u * dp * dh + xa, val * w)
+        for ba, w in cop_cols[col].items():
+            b, a = divmod(ba, dh)
+            for r, val in ell_cols[b].items():
+                u, x = divmod(r, dp)
+                accumulate(rhs, (u * dp + x) * dh + a, val * w)
+        if lhs != rhs:
+            failures.append(
+                Failure(
+                    "right_colinearity",
+                    f"(id⊗δ)∘ℓ and (ℓ⊗id)∘Δ disagree on basis vector {col}",
+                    (col,),
+                )
+            )
+            break
+
+    for col in range(dh):
+        lhs = {}
+        rhs = {}
+        for r, val in ell_cols[col].items():
+            pi, v = divmod(r, dp)
+            for au, w in dl_cols[pi].items():
+                accumulate(lhs, au * dp + v, val * w)
+        for ad, w in cop_cols[col].items():
+            a, d = divmod(ad, dh)
+            for r, val in ell_cols[d].items():
+                u, v = divmod(r, dp)
+                accumulate(rhs, (a * dp + u) * dp + v, val * w)
+        if lhs != rhs:
+            failures.append(
+                Failure(
+                    "left_colinearity",
+                    f"(δ_L⊗id)∘ℓ and (id⊗ℓ)∘Δ disagree on basis vector {col}",
+                    (col,),
+                )
+            )
+            break
+
+    for col in range(dh):
+        acc: dict[int, Fraction] = {}
+        for r, val in ell_cols[col].items():
+            pi, q = divmod(r, dp)
+            for wa, dval in delta_cols[q].items():
+                w, a = divmod(wa, dh)
+                for u, mv in ptab[pi][w].items():
+                    accumulate(acc, u * dh + a, val * dval * mv)
+        target = {u * dh + col: v for u, v in unit_p.items()}
+        if acc != target:
+            failures.append(
+                Failure(
+                    "splitting",
+                    f"the lifted canonical map does not send ℓ(e{col}) to 1⊗e{col}",
+                    (col,),
+                )
+            )
+            break
+
+    for col in range(dh):
+        acc = {}
+        for r, val in ell_cols[col].items():
+            pi, q = divmod(r, dp)
+            for u, mv in ptab[pi][q].items():
+                accumulate(acc, u, val * mv)
+        target = {u: eps[col] * v for u, v in unit_p.items()} if eps[col] != 0 else {}
+        if acc != target:
+            failures.append(
+                Failure(
+                    "counit_product",
+                    f"m∘ℓ misses unit∘ε on basis vector {col}",
+                    (col,),
+                )
+            )
+            break
+
+    if require_unital and not connection_unital(c, ell):
+        failures.append(Failure("unital", "ℓ(1) is not 1⊗1"))
+
+    return CheckReport(not failures, tuple(failures))

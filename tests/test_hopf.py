@@ -178,6 +178,25 @@ def test_check_hopf_flags_broken_counit():
     assert failed & {"counit_left", "counit_right", "counit_multiplicative", "counit_unital"}
 
 
+def test_check_hopf_reports_both_laws_of_a_pair():
+    """A failing left law does not hide the right one: kZ3 with S = id
+    breaks both antipode laws, and O(Z3) with ε doubled both counit
+    laws, each with its own first witness."""
+    g = FiniteGroup.cyclic(3)
+    kg = group_hopf(g)
+    no_antipode = make_hopf(kg.algebra, kg.coproduct, kg.counit, LinearMap.identity(kg.space))
+    failed = [(f.axiom, f.witness) for f in check_hopf(no_antipode).failures]
+    assert failed == [("antipode_left", (1,)), ("antipode_right", (1,))]
+
+    fun = function_hopf(g)
+    doubled = LinearMap.from_sparse_columns(
+        fun.space, fun.counit.target, [{k: 2 * v for k, v in c.items()} for c in fun.counit.cols]
+    )
+    report = check_hopf(make_hopf(fun.algebra, fun.coproduct, doubled, fun.antipode))
+    failed = [(f.axiom, f.witness) for f in report.failures]
+    assert failed[:2] == [("counit_left", (0,)), ("counit_right", (0,))]
+
+
 def test_sweedler_legs_recurrence():
     g = FiniteGroup.cyclic(4)
     for h in (function_hopf(g), group_hopf(g)):

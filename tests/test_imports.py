@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used or re-exported,
-and dense matrices stay at the document boundary."""
+dense matrices stay at the document boundary, and the axiom batteries
+stay in integer arithmetic."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,40 @@ def test_dense_rows_stay_at_the_document_boundary(path):
         and node.func.attr in ("column", "rows_sparse")
     ]
     assert not calls, f"{path.name} calls dense accessors: {calls}"
+
+
+# The axiom batteries by module, with `connection_unital`, the unital law
+# of the connection battery.
+BATTERIES = {
+    "algebra.py": ("check_algebra",),
+    "hopf.py": ("check_hopf",),
+    "comodule.py": (
+        "check_comodule",
+        "check_strong_connection",
+        "_check_strong_connection",
+        "connection_unital",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATTERIES))
+def test_batteries_read_no_dense_vectors(name):
+    """The batteries scale the structure maps, dense units included,
+    straight to integers: none of them, nested functions included,
+    converts a dense vector (``sparse_of_vec``, ``tensor_vec``) or sums
+    ``Fraction`` entries with ``accumulate``."""
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    forbidden = {"sparse_of_vec", "tensor_vec", "accumulate"}
+    for battery in BATTERIES[name]:
+        calls = sorted(
+            (node.func.id, node.lineno)
+            for node in ast.walk(functions[battery])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in forbidden
+        )
+        assert not calls, f"{name}:{battery} calls {calls}"
