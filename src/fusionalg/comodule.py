@@ -342,7 +342,11 @@ def connection_system(
     The rows encode, in order: right colinearity, left colinearity, the
     splitting property against the lifted canonical map, and (optionally)
     unitality.  Rows that would be identically zero are skipped, which is
-    deterministic and keeps replays aligned.
+    deterministic and keeps replays aligned.  A colinearity row differs
+    from another by a shift of every unknown (right colinearity in the
+    first leg p1, left colinearity in the second leg p2), so each is
+    built, tested for zero and reduced once and then added at each shift,
+    in the same order as row by row.
 
     The structure maps are scaled once to integers over their common
     denominator D, so every row is built in integer arithmetic: the
@@ -389,29 +393,35 @@ def _connection_system(
         if rhs or any(coeffs.values()):
             system.add_int_row(coeffs, rhs, row_den)
 
-    # right colinearity: (id⊗δ)∘ell = (ell⊗id)∘Δ
-    for u in range(dp):
-        for x in range(dp):
-            for a in range(dh):
-                drow = delta_rows[x * dh + a]
-                for col in range(dh):
-                    coeffs = {(u * dp + q) * dh + col: val for q, val in drow}
-                    for b, val in by_second[col][a]:
-                        key = (u * dp + x) * dh + b
-                        coeffs[key] = coeffs.get(key, 0) - val
-                    add(coeffs, 0, den)
+    # right colinearity: (id⊗δ)∘ell = (ell⊗id)∘Δ; row (u, x, a, col) is
+    # row (0, x, a, col) with every unknown moved by u·dP·dH
+    right = []
+    for x in range(dp):
+        for a in range(dh):
+            drow = delta_rows[x * dh + a]
+            for col in range(dh):
+                coeffs = {q * dh + col: val for q, val in drow}
+                for b, val in by_second[col][a]:
+                    key = x * dh + b
+                    coeffs[key] = coeffs.get(key, 0) - val
+                if any(coeffs.values()):
+                    right.append((coeffs, 0, den))
+    system.add_shifted_rows(right, range(0, dp * dp * dh, dp * dh))
 
-    # left colinearity: (δ_L⊗id)∘ell = (id⊗ell)∘Δ
+    # left colinearity: (δ_L⊗id)∘ell = (id⊗ell)∘Δ; row (a, u, v, col) is
+    # row (a, u, 0, col) with every unknown moved by v·dH
     for a in range(dh):
         for u in range(dp):
             lrow = dl_rows[a * dp + u]
-            for v in range(dp):
-                for col in range(dh):
-                    coeffs = {(pi * dp + v) * dh + col: val for pi, val in lrow}
-                    for d, val in by_first[col][a]:
-                        key = (u * dp + v) * dh + d
-                        coeffs[key] = coeffs.get(key, 0) - val
-                    add(coeffs, 0, den)
+            left = []
+            for col in range(dh):
+                coeffs = {pi * dp * dh + col: val for pi, val in lrow}
+                for d, val in by_first[col][a]:
+                    key = u * dp * dh + d
+                    coeffs[key] = coeffs.get(key, 0) - val
+                if any(coeffs.values()):
+                    left.append((coeffs, 0, den))
+            system.add_shifted_rows(left, range(0, dp * dh, dh))
 
     # splitting: (m⊗id)∘(id⊗δ)∘ell = 1 ⊗ (-)
     for u in range(dp):

@@ -479,25 +479,34 @@ class LinearSystem:
     common multiple of their denominators.  :meth:`add_int_row` takes a
     row already scaled to integers over some denominator and divides out
     the common factor; :meth:`add_row` is the same entry for rational
-    rows.  Forward elimination reduces each row in insertion order
-    against the pivot rows accumulated so far, pivoting on the least
-    unknown index, with integer arithmetic throughout; the solution
-    assigns zero to all free unknowns and back-substitutes.  A reduction
-    step scales the working row by ``b/g`` and subtracts ``a/g`` times the
-    pivot row (``a``, ``b`` the two leading entries, ``g`` their gcd); when
-    the scale is 1 the working row, always a copy, is updated in place.
-    Stored rows and pivot rows are never changed.  The whole procedure is
+    rows, and :meth:`add_shifted_rows` adds rows that differ only by a
+    shift of every unknown, reducing their common pattern once.  Forward
+    elimination reduces each row in insertion order against the pivot
+    rows accumulated so far, pivoting on the least unknown index, with
+    integer arithmetic throughout; the solution assigns zero to all free
+    unknowns and back-substitutes.  A reduction step scales the working
+    row by ``b/g`` and subtracts ``a/g`` times the pivot row (``a``,
+    ``b`` the two leading entries, ``g`` their gcd); when the scale is 1
+    the working row, always a copy, is updated in place.  Stored rows
+    and pivot rows are never changed.  The whole procedure is
     deterministic, so identical systems yield identical solutions bit
     for bit.
+
+    Elimination never mixes rows that share no unknown, even through
+    other rows, so the rows fall into components that it handles
+    independently.  The first pass eliminates only the rows whose
+    component holds a nonzero right-hand side.  Every other component is
+    homogeneous: it cannot contradict, and back substitution gives its
+    unknowns zero whether it is eliminated or not.  Solutions and
+    refutations are those of eliminating every row.
 
     An infeasible system is eliminated a second time with provenance:
     each working row carries integer multipliers of the stored rows over
     one running denominator, and only the returned Farkas certificate is
-    converted to multipliers of the rational rows.  Elimination never
-    mixes rows that share no unknown, even through other rows, so this
-    second pass runs only over the contradiction row's connected
-    component among the rows up to it, in their original order; its
-    multipliers are those of the full pass, key order included.
+    converted to multipliers of the rational rows.  This second pass runs
+    only over the contradiction row's component among the rows up to it,
+    in their original order; its multipliers are those of the full pass,
+    key order included.
     """
 
     def __init__(self, num_unknowns: int):
@@ -510,21 +519,39 @@ class LinearSystem:
     def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
         """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``,
         unknowns in ``0..num_unknowns-1``)."""
-        if den <= 0:
-            raise ValueError(f"row denominator must be positive, got {den}")
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= self.num_unknowns):
-            bad = next(c for c in coeffs if not 0 <= c < self.num_unknowns)
-            raise ValueError(
-                f"unknown {bad} is outside 0..{self.num_unknowns - 1}"
-            )
-        clean = {c: v for c, v in coeffs.items() if v}
-        g = gcd(den, rhs, *clean.values())
-        if g > 1:
-            clean = {c: v // g for c, v in clean.items()}
-            rhs //= g
-            den //= g
-        self._rows.append((clean, rhs, den))
+        self.add_shifted_rows([(coeffs, rhs, den)], [0])
         return len(self._rows) - 1
+
+    def add_shifted_rows(self, rows, shifts) -> None:
+        """For each shift s in turn, add every row ``(coeffs, rhs, den)``,
+        as :meth:`add_int_row` takes it, with each unknown c moved to c + s.
+
+        Each row is reduced to its stored form once (zero coefficients
+        dropped, the common factor divided out), and the range of the
+        unknowns is checked once, at the least and the largest shift.
+        """
+        rows, shifts = list(rows), list(shifts)
+        for _, _, den in rows:
+            if den <= 0:
+                raise ValueError(f"row denominator must be positive, got {den}")
+        cols = [c for coeffs, _, _ in rows for c in coeffs]
+        if cols and shifts:
+            for c in (min(cols) + min(shifts), max(cols) + max(shifts)):
+                if not 0 <= c < self.num_unknowns:
+                    raise ValueError(f"unknown {c} is outside 0..{self.num_unknowns - 1}")
+        stored = []
+        for coeffs, rhs, den in rows:
+            clean = {c: v for c, v in coeffs.items() if v}
+            g = gcd(den, rhs, *clean.values())
+            if g > 1:
+                clean = {c: v // g for c, v in clean.items()}
+                rhs //= g
+                den //= g
+            stored.append((clean, rhs, den))
+        append = self._rows.append
+        for s in shifts:
+            for coeffs, rhs, den in stored:
+                append(({c + s: v for c, v in coeffs.items()}, rhs, den))
 
     def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
         den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
@@ -574,17 +601,17 @@ class LinearSystem:
             g = 1
         return coeffs, rhs, g
 
-    def _component(self, idx: int) -> list[int]:
-        """The rows 0..idx that share unknowns with row ``idx``, directly
-        or through other rows, in increasing order."""
-        row_cols = [coeffs for coeffs, _, _ in self._rows[: idx + 1]]
+    def _reach(self, seeds, last: int) -> list[int]:
+        """The rows 0..last that share unknowns with a seed row, directly
+        or through other rows, the seeds included, in increasing order."""
+        row_cols = [coeffs for coeffs, _, _ in self._rows[: last + 1]]
         rows_of: list[list[int]] = [[] for _ in range(self.num_unknowns)]
         for k, coeffs in enumerate(row_cols):
             for c in coeffs:
                 rows_of[c].append(k)
         seen_cols: set[int] = set()
-        seen_rows = {idx}
-        stack = [idx]
+        seen_rows = set(seeds)
+        stack = list(seen_rows)
         while stack:
             for c in row_cols[stack.pop()]:
                 if c not in seen_cols:
@@ -601,10 +628,17 @@ class LinearSystem:
         With ``track``, each working row carries ``(mults, den)``: it
         equals the combination of the stored rows with integer
         multipliers ``mults`` divided by ``den``, kept in lowest terms.
-        A pass up to a row eliminates only that row's component.
+        A pass up to a row eliminates only that row's component; a full
+        pass only the components of the rows with a nonzero right-hand
+        side.
         """
         pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
-        rows = range(len(self._rows)) if upto is None else self._component(upto)
+        if upto is None:
+            rows = self._reach(
+                [k for k, (_, rhs, _) in enumerate(self._rows) if rhs], len(self._rows) - 1
+            )
+        else:
+            rows = self._reach([upto], upto)
         for idx in rows:
             coeffs, rhs, _ = self._rows[idx]
             coeffs = dict(coeffs)

@@ -1326,8 +1326,9 @@ def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     witnesses against the axioms they claim: connections, isomorphisms,
     point maps and Farkas multipliers; every recorded fact that needs no
     solving is re-derived as well.  Only ``num_rows`` of a found
-    connection and ``fusion_num_rows`` would need the solver, and are
-    taken as recorded.
+    connection and ``fusion_num_rows`` are taken as recorded: they are
+    the row count of the connection system, which needs no elimination,
+    but replay would have to build that system to count it.
 
     Returns ``(ok, problems)``.  A certificate whose envelope is wrong
     (kind, tool, or an unknown operation) raises

@@ -5,7 +5,9 @@ quotient, computed the way the library computed them when its subspaces
 held dense rows, and the product and tensor product of matrices, computed
 the way it computed them when its maps held dense rows.  It also keeps
 the library's earlier exact elimination, :class:`ParentElimination`, as
-a reference for the solver's outcomes, and the axiom batteries of
+a reference for the solver's outcomes, the row-by-row build of the
+connection system, :func:`connection_rows`, as a reference for its
+stored rows, and the axiom batteries of
 algebras, Hopf algebras, comodule algebras and strong connections as the
 library computed them in ``Fraction`` arithmetic, as references for the
 integer-scaled ones."""
@@ -21,6 +23,7 @@ from fusionalg.linalg import (
     LinearMap,
     LinearSystem,
     accumulate,
+    integer_scaled,
     sparse_of_vec,
     tensor_vec,
 )
@@ -180,9 +183,11 @@ def preimage(f_rows, n_source: int, w_basis, w_pivots):
 
 class ParentElimination(LinearSystem):
     """A linear system solved by the elimination the library ran before
-    unit-multiplier steps were done in place and the provenance pass was
-    restricted to the contradiction's component: every step copies the
-    working row, and the provenance pass re-runs rows 0..idx."""
+    unit-multiplier steps were done in place, the provenance pass was
+    restricted to the contradiction's component and the first pass to
+    the components with a nonzero right-hand side: every step copies the
+    working row, the first pass runs every row, and the provenance pass
+    re-runs rows 0..idx."""
 
     @staticmethod
     def _normalize(coeffs: dict[int, int], rhs: int) -> tuple[dict[int, int], int, int]:
@@ -302,6 +307,92 @@ class ParentElimination(LinearSystem):
                     acc -= v * values[c]
             values[col] = acc / coeffs[col]
         return tuple(values)
+
+
+# ---------------------------------------------------------------- connection rows
+
+def connection_rows(c: ComoduleAlgebra, require_unital: bool) -> list:
+    """The stored rows of the connection system, built one row at a time
+    in the order the library emits them: right colinearity over
+    (u, x, a, col), left colinearity over (a, u, v, col), splitting over
+    (u, a, col), and unitality over (p1, p2)."""
+    p, h = c.algebra, c.hopf
+    dp, dh = p.dim, h.dim
+    system = LinearSystem(dp * dp * dh)
+
+    den, (delta, dl, mult, cop, (unit_p, unit_h)) = integer_scaled(
+        c.coaction.cols,
+        delta_L(c).cols,
+        (prod for row in p.table for prod in row),
+        h.coproduct.cols,
+        (p.unit, h.algebra.unit),
+    )
+
+    def rows_of(cols, n_rows):
+        rows = [[] for _ in range(n_rows)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i].append((j, v))
+        return rows
+
+    delta_rows = rows_of(delta, dp * dh)
+    dl_rows = rows_of(dl, dh * dp)
+    mult_rows = rows_of(mult, dp)
+    by_second = [[[] for _ in range(dh)] for _ in range(dh)]
+    by_first = [[[] for _ in range(dh)] for _ in range(dh)]
+    for idx, row in enumerate(rows_of(cop, dh * dh)):
+        leg1, leg2 = divmod(idx, dh)
+        for col, val in row:
+            by_second[col][leg2].append((leg1, val))
+            by_first[col][leg1].append((leg2, val))
+
+    def add(coeffs, rhs, row_den):
+        if rhs or any(coeffs.values()):
+            system.add_int_row(coeffs, rhs, row_den)
+
+    for u in range(dp):
+        for x in range(dp):
+            for a in range(dh):
+                drow = delta_rows[x * dh + a]
+                for col in range(dh):
+                    coeffs = {(u * dp + q) * dh + col: val for q, val in drow}
+                    for b, val in by_second[col][a]:
+                        key = (u * dp + x) * dh + b
+                        coeffs[key] = coeffs.get(key, 0) - val
+                    add(coeffs, 0, den)
+
+    for a in range(dh):
+        for u in range(dp):
+            lrow = dl_rows[a * dp + u]
+            for v in range(dp):
+                for col in range(dh):
+                    coeffs = {(pi * dp + v) * dh + col: val for pi, val in lrow}
+                    for d, val in by_first[col][a]:
+                        key = (u * dp + v) * dh + d
+                        coeffs[key] = coeffs.get(key, 0) - val
+                    add(coeffs, 0, den)
+
+    for u in range(dp):
+        for a in range(dh):
+            lc_row = {}
+            for pw, mval in mult_rows[u]:
+                pi, w = divmod(pw, dp)
+                for q, dval in delta_rows[w * dh + a]:
+                    key = pi * dp + q
+                    lc_row[key] = lc_row.get(key, 0) + mval * dval
+            for col in range(dh):
+                coeffs = {r * dh + col: val for r, val in lc_row.items()}
+                add(coeffs, unit_p.get(u, 0) * den if a == col else 0, den * den)
+
+    if require_unital:
+        for p1 in range(dp):
+            for p2 in range(dp):
+                coeffs = {
+                    (p1 * dp + p2) * dh + col: val * den for col, val in unit_h.items()
+                }
+                add(coeffs, unit_p.get(p1, 0) * unit_p.get(p2, 0), den * den)
+
+    return system._rows
 
 
 # ---------------------------------------------------------------- axiom batteries

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dense_reference as ref
 from fusionalg import comodule
 from fusionalg.algebra import FDAlgebra, function_algebra
 from fusionalg.classical import fun_comodule
@@ -26,8 +27,9 @@ from fusionalg.comodule import (
     translation_inverse,
     trivial_coaction,
 )
-from fusionalg.groups import FiniteGroup, FiniteGSet
-from fusionalg.hopf import function_hopf, make_hopf, trivial_hopf
+from fusionalg.fusion import build_equivariant_fusion, chain_interval
+from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions
+from fusionalg.hopf import function_hopf, group_hopf, make_hopf, trivial_hopf
 from fusionalg.linalg import (
     Infeasibility,
     LinearMap,
@@ -39,6 +41,8 @@ from fusionalg.linalg import (
     tensor_vec,
 )
 from fusionalg.serialize import comodule_from_obj, comodule_to_obj, gset_from_obj
+from test_fusion import sweedler_h4
+from test_linalg import assert_matches_parent_elimination
 
 Q = Fraction
 
@@ -521,13 +525,16 @@ def test_connection_unital_compares_with_one_tensor_one(make):
 
 
 class _CountingRows(list):
-    """The stored rows of a system, counting the rows read one at a time."""
+    """The stored rows of a system, recording the index of each row read
+    one at a time."""
 
-    reads = 0
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read: list[int] = []
 
     def __getitem__(self, key):
         if isinstance(key, int):
-            self.reads += 1
+            self.read.append(key)
         return super().__getitem__(key)
 
 
@@ -536,6 +543,24 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _golden(name: str):
     return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def _counting_passes(monkeypatch, system) -> list[tuple[bool, list[int]]]:
+    """Make every elimination pass of ``system`` record the rows it reads:
+    the returned list fills with (track, row indices) per pass."""
+    run = LinearSystem._run
+    passes = []
+
+    def counted(self, upto, track):
+        rows, self._rows = self._rows, _CountingRows(self._rows)
+        try:
+            return run(self, upto, track)
+        finally:
+            passes.append((track, self._rows.read))
+            self._rows = rows
+
+    monkeypatch.setattr(LinearSystem, "_run", counted)
+    return passes
 
 
 @pytest.mark.parametrize(
@@ -553,21 +578,74 @@ def test_provenance_pass_eliminates_only_the_contradiction_component(
     contradiction row's component once, and no other row: 6 of the 46
     rows up to the contradiction, and 50 of 931."""
     system = connection_system(make(), False)
-    run = LinearSystem._run
-    reads = []
-
-    def counted(self, upto, track):
-        if not track:
-            return run(self, upto, track)
-        rows, self._rows = self._rows, _CountingRows(self._rows)
-        try:
-            return run(self, upto, track)
-        finally:
-            reads.append(self._rows.reads)
-            self._rows = rows
-
-    monkeypatch.setattr(LinearSystem, "_run", counted)
+    passes = _counting_passes(monkeypatch, system)
     outcome = system.solve()
     assert isinstance(outcome, Infeasibility)
     assert outcome.row_index == row_index
-    assert reads == [component]
+    assert [len(read) for track, read in passes if track] == [component]
+
+
+def test_untracked_pass_reads_only_the_rows_reached_from_a_right_hand_side(monkeypatch):
+    """On the O(Z3) m=2 fusion, the untracked pass reads each row that
+    shares unknowns, directly or through other rows, with a row whose
+    right-hand side is not zero, once and in order, and no row of a
+    homogeneous component."""
+    fusion = build_equivariant_fusion(chain_interval(2), regular_comodule(3))
+    system = connection_system(fusion.comodule, False)
+    seeds = [k for k, (_, rhs, _) in enumerate(system._rows) if rhs]
+    reached = system._reach(seeds, len(system) - 1)
+    assert seeds and len(reached) < len(system)
+    passes = _counting_passes(monkeypatch, system)
+    assert not isinstance(system.solve(), Infeasibility)
+    assert passes == [(False, reached)]
+
+
+def _on_itself(h) -> ComoduleAlgebra:
+    return ComoduleAlgebra(h.algebra, h, h.coproduct)
+
+
+# Connection systems compared with their references: every Z2 and Z3
+# action on up to four points, H4 and kS3 coacting on themselves, the
+# rescaled goldens and the O(Z3) m=2 fusion.
+REAL_SYSTEMS = {
+    "corpus-gsets": lambda: [
+        fun_comodule(gset)
+        for n in (2, 3)
+        for size in range(1, 5)
+        for gset in cyclic_actions(n, size)
+    ],
+    "sweedler-h4": lambda: [_on_itself(sweedler_h4())],
+    "kS3": lambda: [_on_itself(group_hopf(FiniteGroup.symmetric(3)))],
+    "rescaled-goldens": lambda: [
+        comodule_from_obj(_golden("comodule_rescaled_nonfree_z2")),
+        *(rescaled(n) for n in RESCALED),
+    ],
+    "fusion-z3-m2": lambda: [
+        build_equivariant_fusion(chain_interval(2), regular_comodule(3)).comodule
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
+def test_connection_rows_match_the_row_by_row_build(name):
+    """The stored rows, keys and key order included, are those of
+    building each row on its own, with and without unitality."""
+    for c in REAL_SYSTEMS[name]():
+        for unital in (False, True):
+            rows = connection_system(c, unital)._rows
+            expected = ref.connection_rows(c, unital)
+            assert rows == expected
+            assert [list(coeffs) for coeffs, _, _ in rows] == [
+                list(coeffs) for coeffs, _, _ in expected
+            ]
+
+
+@pytest.mark.parametrize("name", ["corpus-gsets", "sweedler-h4", "fusion-z3-m2"])
+def test_connection_systems_solve_as_the_parent_elimination(name):
+    """Solving a connection system gives the solution or refutation of
+    the elimination that runs every row, with and without unitality;
+    the unital rows join unknowns of otherwise homogeneous components to
+    a right-hand side."""
+    for c in REAL_SYSTEMS[name]():
+        for unital in (False, True):
+            assert_matches_parent_elimination(connection_system(c, unital))

@@ -2,6 +2,7 @@
 piecewise halves, and the pullback picture."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg import fusion as fusion_module
 from fusionalg.algebra import (
     FDAlgebra,
     check_algebra,
@@ -358,6 +360,76 @@ def test_lift_connection_rejects_a_non_connection():
     ell = LinearMap.from_rows(h.space, p.space.tensor(p.space), rows)
     with pytest.raises(AssertionError) as err:
         lift_connection(ef, pair, ell)
+    assert str(err.value) == (
+        "lifted image leaves the carrier: one-end condition on the left "
+        "factor, one-end condition on the right factor"
+    )
+
+
+def _regular_z2_lift():
+    inner = regular_comodule(2)
+    ef = build_equivariant_fusion(chain_interval(2), inner)
+    pair = make_sqrt_pair(chain_interval(2), default_profile(2))
+    return ef, pair, is_principal(inner).connection.map
+
+
+def test_successful_lift_computes_no_boundary_display(monkeypatch):
+    """A lift whose image lies in carrier ⊗ carrier reduces each column
+    once, by the carrier on both factors, and records all four flags."""
+    ef, pair, ell = _regular_z2_lift()
+    calls = []
+
+    def counted(left, right, vec):
+        calls.append((left, right))
+        return _tensor_coordinates(left, right, vec)
+
+    monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
+    lifted = lift_connection(ef, pair, ell)
+    assert lifted.corestricts == (True, True, True, True)
+    assert lifted.report.ok, lifted.report.failures
+    assert calls == [(ef.carrier, ef.carrier)] * ef.inner.hopf.dim
+
+
+def _outside_one_end(ef) -> dict:
+    """An ambient basis vector outside the one-end condition."""
+    return next(
+        {k: Q(1)}
+        for k in range(ef.ambient.dim)
+        if ef.cond_one.coordinates({k: Q(1)}) is None
+    )
+
+
+@pytest.mark.parametrize("outside", [False, True], ids=["smaller", "outside-a-condition"])
+def test_lift_into_a_hand_built_carrier_names_the_carrier_square(outside):
+    """With a carrier that drops one basis vector of cond_one ∩ cond_zero,
+    or that also takes in a vector outside the one-end condition, the
+    image of the genuine lift passes all four boundary displays but
+    misses the carrier square."""
+    ef, pair, ell = _regular_z2_lift()
+    vectors = list(ef.carrier.basis[:-1])
+    if outside:
+        vectors.append(_outside_one_end(ef))
+    carrier = Subspace(ef.ambient.space, *rref(vectors))
+    with pytest.raises(AssertionError) as err:
+        lift_connection(replace(ef, carrier=carrier), pair, ell)
+    assert str(err.value) == (
+        "lifted image passes the boundary displays but misses the carrier square"
+    )
+
+
+def test_lift_into_a_carrier_outside_the_conditions_checks_the_displays():
+    """A carrier that is not inside both conditions proves nothing about
+    them, even when the image lies in its square: with the whole ambient
+    as the carrier, a map that is no connection is still refused by the
+    displays it fails."""
+    ef, pair, _ = _regular_z2_lift()
+    p, h = ef.inner.algebra, ef.inner.hopf
+    rows = [[Q(0)] * h.dim for _ in range(p.dim * p.dim)]
+    rows[0 * p.dim + 1][0] = Q(1)  # row e0⊗e1, column e0
+    ell = LinearMap.from_rows(h.space, p.space.tensor(p.space), rows)
+    whole = replace(ef, carrier=Subspace.full(ef.ambient.space))
+    with pytest.raises(AssertionError) as err:
+        lift_connection(whole, pair, ell)
     assert str(err.value) == (
         "lifted image leaves the carrier: one-end condition on the left "
         "factor, one-end condition on the right factor"

@@ -625,6 +625,8 @@ def test_rows_with_unknowns_out_of_range_are_refused():
         system.add_row({5: Q(1)}, Q(1))
     with pytest.raises(ValueError, match="unknown -1 is outside 0..1"):
         system.add_int_row({0: 1, -1: 2}, 1)
+    with pytest.raises(ValueError, match="unknown 2 is outside 0..1"):
+        system.add_shifted_rows([({0: 1}, 0, 1), ({1: 1}, 1, 1)], [0, 1])
     assert len(system) == 0
 
 
@@ -647,9 +649,14 @@ def block_systems(draw):
     elimination meets row multipliers other than 1, and repeats a
     multiple of one of its rows, which cancels to ``0 = 0``; rows with
     no unknowns, ``0 = 0``, are spread among them.  Every right-hand side agrees with one drawn solution except
-    on a few drawn rows, which are then off by one."""
+    on a few drawn rows, which are then off by one.  Some blocks are
+    homogeneous: the solution is zero on them and none of their rows is
+    off.  When there are such blocks, a copy of another row, off by one,
+    may follow all the rows, so that a contradiction comes after
+    homogeneous rows."""
     n_blocks = draw(st.integers(3, 5))
     width = draw(st.integers(2, 4))
+    homogeneous = draw(st.sets(st.integers(0, n_blocks - 1), max_size=n_blocks - 1))
     blocks = []
     for b in range(n_blocks):
         cols = [u * n_blocks + b for u in range(width)]
@@ -659,13 +666,22 @@ def block_systems(draw):
         multiple = {c: factor * v for c, v in rows[draw(st.integers(0, len(rows) - 1))].items()}
         rows.insert(draw(st.integers(2, len(rows))), multiple)
         blocks.append(rows)
-    order = draw(st.permutations([b for b, rows in enumerate(blocks) for _ in rows]))
-    merged = [blocks[b].pop(0) for b in order]
+    owners = draw(st.permutations([b for b, rows in enumerate(blocks) for _ in rows]))
+    merged = [blocks[b].pop(0) for b in owners]
     for _ in range(draw(st.integers(0, 2))):
-        merged.insert(draw(st.integers(0, len(merged))), {})
+        k = draw(st.integers(0, len(merged)))
+        merged.insert(k, {})
+        owners.insert(k, None)
     n = n_blocks * width
-    solution = draw(st.lists(BLOCK_ENTRIES, min_size=n, max_size=n))
-    off = draw(st.sets(st.integers(0, len(merged) - 1), max_size=2))
+    solution = [
+        Q(0) if c % n_blocks in homogeneous else v
+        for c, v in enumerate(draw(st.lists(BLOCK_ENTRIES, min_size=n, max_size=n)))
+    ]
+    live = [k for k, b in enumerate(owners) if b not in homogeneous]
+    off = draw(st.sets(st.sampled_from(live), max_size=2))
+    if homogeneous and draw(st.booleans()):
+        merged.append(dict(merged[draw(st.sampled_from(live))]))
+        off.add(len(merged) - 1)
     return n, [
         (coeffs, sum((v * solution[c] for c, v in coeffs.items()), Q(1) if k in off else Q(0)))
         for k, coeffs in enumerate(merged)
@@ -677,13 +693,17 @@ def block_systems(draw):
 def test_elimination_matches_the_parent_elimination(system_rows):
     """Solutions, and a refutation's row, Farkas multipliers (in order)
     and residual, are those of the elimination that copies every
-    working row and tracks provenance over all rows up to the
-    contradiction."""
+    working row, eliminates homogeneous components too and tracks
+    provenance over all rows up to the contradiction."""
     n, rows = system_rows
     system = LinearSystem(n)
     for coeffs, rhs in rows:
         system.add_row(coeffs, rhs)
-    parent = ref.ParentElimination(n)
+    assert_matches_parent_elimination(system)
+
+
+def assert_matches_parent_elimination(system: LinearSystem) -> None:
+    parent = ref.ParentElimination(system.num_unknowns)
     parent._rows = list(system._rows)
     out, expected = system.solve(), parent.solve()
     assert isinstance(out, Infeasibility) == isinstance(expected, Infeasibility)
