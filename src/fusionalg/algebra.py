@@ -2,10 +2,11 @@
 
 An algebra is a labeled space, a unit vector, and its multiplication
 stored only as a sparse structure-constant table: ``table[i][j]`` maps
-each k to the nonzero coefficient of e_k in e_i·e_j, a sparse vector in
-the sense of :mod:`fusionalg.linalg`.  All checks report named axioms and
-a concrete witness (the basis triple or pair that fails), never just a
-boolean, so callers can surface actionable diagnostics.
+each k to the nonzero coefficient of e_k in e_i·e_j.  The unit and every
+product are sparse vectors in the sense of :mod:`fusionalg.linalg`.  All
+checks report named axioms and a concrete witness (the basis triple or
+pair that fails), never just a boolean, so callers can surface
+actionable diagnostics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import product
 
 from .linalg import (
     LinearMap,
-    Q0,
     Q1,
     Space,
     Subspace,
@@ -24,9 +24,7 @@ from .linalg import (
     integer_scaled,
     linear_combination,
     rat,
-    sparse_of_vec,
     tensor_vec,
-    zero_vec,
 )
 
 
@@ -53,20 +51,20 @@ class FDAlgebra:
     """Unital associative algebra on a labeled rational vector space.
 
     ``table[i][j] = {k: c}`` lists the nonzero structure constants of
-    e_i·e_j; build it through :meth:`from_structure` unless it is
-    already clean.
+    e_i·e_j and ``unit`` is the sparse unit vector; build it through
+    :meth:`from_structure` unless both are already clean.
     """
 
     space: Space
     table: list[list[dict[int, Fraction]]]
-    unit: tuple[Fraction, ...]
+    unit: dict[int, Fraction]
 
     def __post_init__(self):
         n = self.space.dim
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("structure-constant table must be dim x dim")
-        if len(self.unit) != n:
-            raise ValueError("unit vector has wrong length")
+        if any(not 0 <= k < n for k in self.unit):
+            raise ValueError(f"unit vector index outside 0..{n - 1}")
 
     @property
     def dim(self) -> int:
@@ -78,9 +76,11 @@ class FDAlgebra:
 
     @staticmethod
     def from_structure(space: Space, table, unit) -> "FDAlgebra":
-        """Build from structure constants table[i][j] = {k: coeff}, dropping
-        zero coefficients."""
+        """Build from structure constants table[i][j] = {k: coeff} and a
+        dense unit vector, dropping zero coefficients."""
         n = space.dim
+        if len(unit) != n:
+            raise ValueError("unit vector has wrong length")
         clean = []
         for row in table:
             out = []
@@ -89,14 +89,10 @@ class FDAlgebra:
                     raise ValueError(f"structure constant index outside 0..{n - 1}")
                 out.append({k: c for k, v in prod.items() if (c := rat(v))})
             clean.append(out)
-        return FDAlgebra(space, clean, tuple(rat(x) for x in unit))
-
-    def mult_vec(self, x, y) -> tuple[Fraction, ...]:
-        prod = mul_sparse(self.table, sparse_of_vec(x), sparse_of_vec(y))
-        return tuple(prod.get(k, Q0) for k in range(self.dim))
+        return FDAlgebra(space, clean, {i: c for i, x in enumerate(unit) if (c := rat(x))})
 
     def unit_map(self) -> LinearMap:
-        return LinearMap.from_columns(Space.scalar(), self.space, [self.unit])
+        return LinearMap.from_sparse_columns(Space.scalar(), self.space, [self.unit])
 
 
 def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -169,7 +165,7 @@ def function_algebra(n: int, labels: tuple[str, ...] | None = None) -> FDAlgebra
     table = [
         [({i: Q1} if i == j else {}) for j in range(n)] for i in range(n)
     ]
-    return FDAlgebra.from_structure(space, table, (Q1,) * n)
+    return FDAlgebra(space, table, {i: Q1 for i in range(n)})
 
 
 def scalar_algebra() -> FDAlgebra:
@@ -195,7 +191,7 @@ def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
                             for p, va in pa.items()
                             for q, vb in pb.items()
                         }
-    return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit))
+    return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit, db))
 
 
 def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
@@ -208,7 +204,7 @@ def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
         [{} for _ in range(da)] + [{da + k: v for k, v in prod.items()} for prod in row]
         for row in b.table
     ]
-    return FDAlgebra(space, table, tuple(a.unit) + tuple(b.unit))
+    return FDAlgebra(space, table, {**a.unit, **{da + k: v for k, v in b.unit.items()}})
 
 
 # ---------------------------------------------------------------- homomorphisms
@@ -262,7 +258,7 @@ def check_hom(hom: AlgebraHom) -> HomReport:
                 mult_ok = False
                 break
 
-    unital_ok = f.apply(sparse_of_vec(a.unit)) == sparse_of_vec(b.unit)
+    unital_ok = f.apply(a.unit) == b.unit
     if not unital_ok:
         failures.append(Failure("unital", "f(1) is not the target unit"))
 
@@ -285,13 +281,13 @@ class ClosureError(ValueError):
     """A subspace is not closed under the ambient product.
 
     Carries the offending pair of basis vectors of the subspace and the
-    product that escapes it.
+    product that escapes it, a sparse vector of the ambient algebra.
     """
 
-    def __init__(self, left_index: int, right_index: int, product):
+    def __init__(self, left_index: int, right_index: int, product: dict[int, Fraction]):
         self.left_index = left_index
         self.right_index = right_index
-        self.product = tuple(product)
+        self.product = product
         super().__init__(
             f"subspace is not multiplicatively closed: the product of basis "
             f"vectors {left_index} and {right_index} lies outside"
@@ -305,7 +301,7 @@ class SubalgebraWitness:
     ``algebra`` lives on the coordinate space of the subspace basis;
     ``inclusion`` embeds it back into the ambient algebra.  When the
     ambient unit does not lie in the subspace, ``unital`` is False and
-    the stored unit vector is zero (the induced algebra is non-unital).
+    the stored unit vector is empty (the induced algebra is non-unital).
     """
 
     ambient: FDAlgebra
@@ -333,11 +329,10 @@ def subalgebra_from_subspace(
             prod = mul_sparse(ambient.table, left, right)
             coords = sub.coordinates(prod)
             if coords is None:
-                raise ClosureError(i, j, (prod.get(k, Q0) for k in range(ambient.dim)))
+                raise ClosureError(i, j, dict(sorted(prod.items())))
             table[i][j] = coords
-    unit_coords = sub.coordinates(sparse_of_vec(ambient.unit))
-    unital = unit_coords is not None
-    unit = tuple(unit_coords.get(i, Q0) for i in range(d)) if unital else zero_vec(d)
-    algebra = FDAlgebra(space, table, unit)
+    unit = sub.coordinates(ambient.unit)
+    unital = unit is not None
+    algebra = FDAlgebra(space, table, unit if unital else {})
     inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
     return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     CheckReport,
@@ -55,6 +56,12 @@ class ComoduleAlgebra:
         dp, dh = self.algebra.dim, self.hopf.dim
         if self.coaction.source.dim != dp or self.coaction.target.dim != dp * dh:
             raise ValueError("coaction has wrong shape")
+
+    @cached_property
+    def left_coaction(self) -> LinearMap:
+        """:func:`delta_L`, built on first use and kept: the connection
+        system and the re-check of a connection both read it."""
+        return delta_L(self)
 
 
 def _unit_embedding(algebra: FDAlgebra, hopf: HopfAlgebra) -> LinearMap:
@@ -353,21 +360,13 @@ def connection_system(
     colinearity rows over D, the splitting and unit rows (products of
     two structure constants) over D².
     """
-    return _connection_system(c, require_unital, delta_L(c).cols)
-
-
-def _connection_system(
-    c: ComoduleAlgebra, require_unital: bool, dl_cols
-) -> LinearSystem:
-    """:func:`connection_system` with the columns of :func:`delta_L`
-    given."""
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
     den, (delta, dl, mult, cop, (unit_p, unit_h)) = integer_scaled(
         c.coaction.cols,
-        dl_cols,
+        c.left_coaction.cols,
         (prod for row in p.table for prod in row),
         h.coproduct.cols,
         (p.unit, h.algebra.unit),
@@ -466,8 +465,7 @@ def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
     """Build the connection system and solve it: the system, and a
     re-checked connection or the refutation."""
-    dl_cols = delta_L(c).cols
-    system = _connection_system(c, require_unital, dl_cols)
+    system = connection_system(c, require_unital)
     outcome = system.solve()
     if isinstance(outcome, Infeasibility):
         return system, outcome
@@ -478,7 +476,7 @@ def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
         c.algebra.space.tensor(c.algebra.space),
         (dict(enumerate(outcome[col::dh])) for col in range(dh)),
     )
-    report = _check_strong_connection(c, ell, require_unital, dl_cols)
+    report = check_strong_connection(c, ell, require_unital)
     if not report.ok:
         raise AssertionError(
             f"solver produced an invalid connection: {report.failures}"
@@ -513,14 +511,6 @@ def check_strong_connection(
     (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
     ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
     """
-    return _check_strong_connection(c, ell, require_unital, delta_L(c).cols)
-
-
-def _check_strong_connection(
-    c: ComoduleAlgebra, ell: LinearMap, require_unital: bool, dl_cols
-) -> CheckReport:
-    """:func:`check_strong_connection` with the columns of
-    :func:`delta_L` given."""
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
@@ -528,7 +518,7 @@ def _check_strong_connection(
     den, (ell_cols, delta_cols, dl, cop_cols, ptab, (eps, unit_p)) = integer_scaled(
         ell.cols,
         c.coaction.cols,
-        dl_cols,
+        c.left_coaction.cols,
         h.coproduct.cols,
         (prod for row in p.table for prod in row),
         (h.counit_values, p.unit),

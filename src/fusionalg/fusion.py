@@ -28,6 +28,7 @@ from .algebra import (
     check_hom,
     direct_sum_algebra,
     function_algebra,
+    mul_sparse,
     scalar_algebra,
     subalgebra_from_subspace,
     tensor_algebra,
@@ -48,10 +49,8 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
-    basis_vec,
     preimage,
     rref,
-    sparse_of_vec,
     tensor_vec,
 )
 
@@ -120,26 +119,30 @@ def chain_interval(m: int) -> BaseWithEnds:
 @dataclass(frozen=True)
 class SqrtPair:
     """Elements s, s' of the base with s² + s'² = 1, s vanishing at the
-    zero end and s' at the one end."""
+    zero end and s' at the one end, as sparse vectors."""
 
     base: BaseWithEnds
-    vanish_at_zero: tuple[Fraction, ...]  # s
-    vanish_at_one: tuple[Fraction, ...]  # s'
+    vanish_at_zero: dict[int, Fraction]  # s
+    vanish_at_one: dict[int, Fraction]  # s'
 
 
-def sqrt_pair_from_vectors(base: BaseWithEnds, s, s_prime) -> SqrtPair:
-    s = tuple(s)
-    s_prime = tuple(s_prime)
+def sqrt_pair_from_vectors(base: BaseWithEnds, s: dict, s_prime: dict) -> SqrtPair:
+    """Check that sparse vectors s, s' of the base form a square-root
+    pair."""
     alg = base.algebra
-    ss = alg.mult_vec(s, s)
-    pp = alg.mult_vec(s_prime, s_prime)
-    if tuple(a + b for a, b in zip(ss, pp)) != tuple(alg.unit):
+    if any(not 0 <= k < alg.dim for k in (*s, *s_prime)):
+        raise ValueError("the pair does not live on the base")
+    table = alg.table
+    squares = mul_sparse(table, s, s)
+    for k, v in mul_sparse(table, s_prime, s_prime).items():
+        accumulate(squares, k, v)
+    if squares != alg.unit:
         raise ValueError("the squares do not sum to the unit")
-    if alg.mult_vec(s, s_prime) != alg.mult_vec(s_prime, s):
+    if mul_sparse(table, s, s_prime) != mul_sparse(table, s_prime, s):
         raise ValueError("the pair does not commute")
-    if base.end_zero.apply(sparse_of_vec(s)):
+    if base.end_zero.apply(s):
         raise ValueError("s does not vanish at the zero end")
-    if base.end_one.apply(sparse_of_vec(s_prime)):
+    if base.end_one.apply(s_prime):
         raise ValueError("s' does not vanish at the one end")
     return SqrtPair(base, s, s_prime)
 
@@ -168,14 +171,16 @@ def make_sqrt_pair(base: BaseWithEnds, profile) -> SqrtPair:
         raise ValueError(
             "endpoint constraint violated: profile must start at 0 and end at 1"
         )
-    s = []
-    sp = []
+    s = {}
+    sp = {}
     for k, v in enumerate(values):
         rp = _exact_sqrt(1 - v * v)
         if rp is None:
             raise ValueError(f"1 - s^2 = {1 - v * v} is not a perfect square at point {k}")
-        s.append(v)
-        sp.append(rp)
+        if v:
+            s[k] = v
+        if rp:
+            sp[k] = rp
     return sqrt_pair_from_vectors(base, s, sp)
 
 
@@ -254,13 +259,12 @@ def build_fusion(base: BaseWithEnds, left: FDAlgebra, right: FDAlgebra) -> Fusio
     ident = LinearMap.identity(fiber.space)
     ev_zero = base.end_zero.kron(ident)
     ev_one = base.end_one.kron(ident)
+    dr = right.dim
     w_zero = Subspace.from_vectors(
-        fiber.space,
-        [tensor_vec(left.unit, basis_vec(right.dim, j)) for j in range(right.dim)],
+        fiber.space, [tensor_vec(left.unit, {j: Q1}, dr) for j in range(dr)]
     )
     w_one = Subspace.from_vectors(
-        fiber.space,
-        [tensor_vec(basis_vec(left.dim, i), right.unit) for i in range(left.dim)],
+        fiber.space, [tensor_vec({i: Q1}, right.unit, dr) for i in range(left.dim)]
     )
     carrier = preimage(ev_zero, w_zero).intersection(preimage(ev_one, w_one))
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix="f")
@@ -332,8 +336,7 @@ def _end_conditions(
     ident = LinearMap.identity(fiber.space)
     w_one = inner.coaction.image()
     w_zero = Subspace.from_vectors(
-        fiber.space,
-        [tensor_vec(p.unit, basis_vec(h.dim, a)) for a in range(h.dim)],
+        fiber.space, [tensor_vec(p.unit, {a: Q1}, h.dim) for a in range(h.dim)]
     )
     cond_one = preimage(base.end_one.kron(ident), w_one)
     cond_zero = preimage(base.end_zero.kron(ident), w_zero)
@@ -414,9 +417,8 @@ def lift_connection(
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
 
-    s = sparse_of_vec(sqrt.vanish_at_zero)
-    sp = sparse_of_vec(sqrt.vanish_at_one)
-    unit_p = sparse_of_vec(inner.algebra.unit)
+    s, sp = sqrt.vanish_at_zero, sqrt.vanish_at_one
+    unit_p = inner.algebra.unit
     s_cols = h.antipode.cols
     ell_cols = ell.cols
     legs3_cols = sweedler_legs(h, 3).cols
@@ -504,7 +506,6 @@ class TheoremCertificate:
 
     comodule: ComoduleAlgebra
     m: int
-    profile: tuple[Fraction, ...]
     input_verdict: PrincipalityVerdict
     fusion: EquivariantFusion
     lifted: LiftedConnection
@@ -512,7 +513,7 @@ class TheoremCertificate:
 
 
 def verify_theorem_main(
-    inner: ComoduleAlgebra, m: int, profile=None, sqrt: SqrtPair | None = None
+    inner: ComoduleAlgebra, m: int, sqrt: SqrtPair | None = None
 ) -> TheoremCertificate:
     """Principality of the inner comodule implies principality of its
     equivariant fusion — established twice over.
@@ -521,9 +522,10 @@ def verify_theorem_main(
     independently re-decides principality of the fusion; the two
     verdicts must agree.  A non-principal input is refused.
 
-    A ready-made square-root pair over the chain on 0..m may be passed
-    instead of a profile; its s-values are recorded as the profile of
-    the run.
+    The square-root pair lives on the chain 0..m; without one the run
+    uses the :func:`default_profile`.  For another profile, pass
+    ``make_sqrt_pair(chain_interval(m), profile)``.  The pair used is
+    ``cert.lifted.sqrt``.
     """
     input_verdict = is_principal(inner)
     if not input_verdict.principal:
@@ -532,15 +534,9 @@ def verify_theorem_main(
         )
     base = chain_interval(m)
     if sqrt is None:
-        if profile is None:
-            profile = default_profile(m)
-        sqrt = make_sqrt_pair(base, profile)
-    else:
-        if sqrt.base.algebra.space != base.algebra.space:
-            raise ValueError("square-root pair does not live on the chain 0..m")
-        if profile is not None:
-            raise ValueError("pass either a profile or a square-root pair")
-        profile = sqrt.vanish_at_zero
+        sqrt = make_sqrt_pair(base, default_profile(m))
+    elif sqrt.base.algebra.space != base.algebra.space:
+        raise ValueError("square-root pair does not live on the chain 0..m")
     fusion = build_equivariant_fusion(base, inner)
     lifted = lift_connection(fusion, sqrt, input_verdict.connection.map)
     if not lifted.report.ok:
@@ -555,7 +551,6 @@ def verify_theorem_main(
     return TheoremCertificate(
         inner,
         m,
-        tuple(Fraction(t) for t in profile),
         input_verdict,
         fusion,
         lifted,

@@ -25,7 +25,7 @@ from .algebra import (
     function_algebra,
 )
 from .groups import FiniteGroup
-from .linalg import LinearMap, Q0, Q1, Space, integer_scaled, linear_combination, nonzero
+from .linalg import LinearMap, Q1, Space, integer_scaled, linear_combination, nonzero
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class HopfAlgebra:
         return self.algebra.labels
 
     @property
-    def counit_values(self) -> list[Fraction]:
-        """ε(e_i) for each basis vector e_i."""
-        return [col.get(0, Q0) for col in self.counit.cols]
+    def counit_values(self) -> dict[int, Fraction]:
+        """ε(e_i) for each basis vector e_i, as a sparse vector."""
+        return {i: col[0] for i, col in enumerate(self.counit.cols) if col}
 
 
 def make_hopf(
@@ -256,8 +256,7 @@ def group_hopf(group: FiniteGroup) -> HopfAlgebra:
     table = [
         [{group.table[a][b]: Q1} for b in range(n)] for a in range(n)
     ]
-    unit = tuple(Q1 if g == group.identity else Q0 for g in range(n))
-    algebra = FDAlgebra.from_structure(space, table, unit)
+    algebra = FDAlgebra(space, table, {group.identity: Q1})
     coproduct = LinearMap.from_sparse_columns(
         space, space.tensor(space), ({g * n + g: Q1} for g in range(n))
     )

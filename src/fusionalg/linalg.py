@@ -71,30 +71,10 @@ class Space:
 
 # ---------------------------------------------------------------- vectors
 
-def zero_vec(n: int) -> tuple[Fraction, ...]:
-    return (Q0,) * n
-
-
-def basis_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Q1 if j == i else Q0 for j in range(n))
-
-
-def tensor_vec(u, v) -> tuple[Fraction, ...]:
-    """u (x) v in the flattened left-major ordering."""
-    n2 = len(v)
-    out = [Q0] * (len(u) * n2)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        base = i * n2
-        for j, b in enumerate(v):
-            if b != 0:
-                out[base + j] = a * b
-    return tuple(out)
-
-
-def sparse_of_vec(vec) -> dict[int, Fraction]:
-    return {i: v for i, v in enumerate(vec) if v != 0}
+def tensor_vec(u: dict, v: dict, dim_v: int) -> dict[int, Fraction]:
+    """u (x) v for sparse vectors in the flattened left-major ordering,
+    where v lives in a space of dimension ``dim_v``."""
+    return {i * dim_v + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
 def accumulate(acc: dict, key, val) -> None:
@@ -123,24 +103,20 @@ def linear_combination(vectors, coeffs: dict) -> dict:
 def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
     """Vectors scaled to integers over one common denominator.
 
-    Each family is an iterable of vectors, each a sparse dict or a dense
-    sequence of rationals.  Returns D, the least positive integer with
-    D·v an integer for every entry v of every vector, and each family as
-    the list of its vectors times D: sparse ``int`` vectors with no zeros
-    stored and the keys in the vector's own order.  A sum of products of
-    k entries computed on the scaled vectors is D^k times its rational
-    value, so an identity whose two sides have k and k' factors holds
-    exactly when it holds on the scaled vectors after the side with fewer
-    factors is multiplied by D^|k - k'|.
+    Each family is an iterable of sparse vectors.  Returns D, the least
+    positive integer with D·v an integer for every entry v of every
+    vector, and each family as the list of its vectors times D: sparse
+    ``int`` vectors with no zeros stored and the keys in the vector's own
+    order.  A sum of products of k entries computed on the scaled vectors
+    is D^k times its rational value, so an identity whose two sides have k
+    and k' factors holds exactly when it holds on the scaled vectors after
+    the side with fewer factors is multiplied by D^|k - k'|.
     """
-    entries = [
-        [vec.items() if isinstance(vec, dict) else tuple(enumerate(vec)) for vec in family]
-        for family in families
-    ]
-    den = lcm(*{v.denominator for family in entries for vec in family for _, v in vec})
+    families = [list(family) for family in families]
+    den = lcm(*{v.denominator for family in families for vec in family for v in vec.values()})
     return den, [
-        [{k: v.numerator * (den // v.denominator) for k, v in vec if v} for vec in family]
-        for family in entries
+        [{k: v.numerator * (den // v.denominator) for k, v in vec.items() if v} for vec in family]
+        for family in families
     ]
 
 
@@ -252,7 +228,10 @@ class LinearMap:
         cols = [tuple(map(rat, col)) for col in cols]
         if any(len(col) != target.dim for col in cols):
             raise ValueError("dimension mismatch: wrong column length")
-        return LinearMap.from_sparse_columns(source, target, map(sparse_of_vec, cols))
+        # the sparse constructor drops the zero entries
+        return LinearMap.from_sparse_columns(
+            source, target, (dict(enumerate(col)) for col in cols)
+        )
 
     @staticmethod
     def identity(space: Space) -> "LinearMap":
@@ -351,12 +330,11 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient: Space, vectors) -> "Subspace":
-        """The span of dense vectors."""
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient.dim:
-                raise ValueError("ambient mismatch in subspace construction")
-        return Subspace(ambient, *rref(map(sparse_of_vec, vecs)))
+        """The span of sparse vectors."""
+        vecs = list(vectors)
+        if any(not 0 <= k < ambient.dim for v in vecs for k in v):
+            raise ValueError("ambient mismatch in subspace construction")
+        return Subspace(ambient, *rref(vecs))
 
     @staticmethod
     def full(space: Space) -> "Subspace":

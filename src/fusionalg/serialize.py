@@ -63,6 +63,7 @@ from .comodule import (
 from .fusion import (
     BaseWithEnds,
     PreconditionError,
+    SqrtPair,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
@@ -76,7 +77,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet
 from .hopf import HopfAlgebra, check_hopf, make_hopf
-from .linalg import Infeasibility, LinearMap, Space
+from .linalg import Infeasibility, LinearMap, Q0, Space
 
 TOOL_NAME = "fusionalg"
 
@@ -160,8 +161,9 @@ def vector_from_obj(obj, length: int, where: str) -> tuple[Fraction, ...]:
     )
 
 
-def vector_to_obj(vec) -> list[str]:
-    return [rational_to_obj(v) for v in vec]
+def vector_to_obj(vec: dict[int, Fraction], length: int) -> list[str]:
+    """A sparse vector written out with ``length`` coordinates."""
+    return [rational_to_obj(vec.get(i, Q0)) for i in range(length)]
 
 
 def dense_map_from_obj(
@@ -177,7 +179,7 @@ def dense_map_from_obj(
 
 
 def dense_map_to_obj(m: LinearMap) -> list[list[str]]:
-    return [vector_to_obj(row) for row in m.rows]
+    return [[rational_to_obj(v) for v in row] for row in m.rows]
 
 
 def sparse_map_to_obj(m: LinearMap) -> dict:
@@ -237,7 +239,7 @@ def algebra_to_obj(a: FDAlgebra) -> dict:
     return {
         "kind": "algebra",
         "labels": list(a.labels),
-        "unit": vector_to_obj(a.unit),
+        "unit": vector_to_obj(a.unit, a.dim),
         "mult": mult,
     }
 
@@ -551,6 +553,8 @@ def load_json(path) -> dict | list:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def inline_paths(obj, base_dir, depth: int = 0):
@@ -590,7 +594,10 @@ def load_raw(path) -> tuple[str, dict]:
     raw = load_json(path)
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: expected a JSON object at top level")
-    raw = inline_paths(raw, Path(path).parent)
+    try:
+        raw = inline_paths(raw, Path(path).parent)
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: the document is nested too deeply") from exc
     kind = _str_from_obj(_get(raw, "kind", str(path)), f"{path}: kind")
     if kind not in _PARSERS:
         raise InputFormatError(
@@ -895,10 +902,11 @@ def _parse_theorem_main(scn: Scenario, inputs):
         _fail("params", "give either a profile or a sqrt pair, not both")
     else:
         where, make = "params.sqrt", sqrt_pair_from_vectors
-        vectors = tuple(
+        dense = (
             vector_from_obj(_get(sqrt, key, where), m + 1, f"{where}.{key}")
             for key in ("s", "s_prime")
         )
+        vectors = tuple({i: v for i, v in enumerate(vec) if v} for vec in dense)
     try:
         pair = make(chain_interval(m), *vectors)
     except ValueError as exc:
@@ -906,10 +914,10 @@ def _parse_theorem_main(scn: Scenario, inputs):
     return m, pair
 
 
-def _theorem_facts(com: ComoduleAlgebra, m: int, profile, ef_dim: int) -> dict:
+def _theorem_facts(com: ComoduleAlgebra, m: int, sqrt: SqrtPair, ef_dim: int) -> dict:
     return {
         "m": m,
-        "profile": [rational_to_obj(v) for v in profile],
+        "profile": vector_to_obj(sqrt.vanish_at_zero, m + 1),
         "dims": {"inner": com.algebra.dim, "hopf": com.hopf.dim, "fusion": ef_dim},
     }
 
@@ -919,7 +927,7 @@ def _run_theorem_main(args):
     cert = verify_theorem_main(com, m, sqrt=sqrt)
     ef_dim = cert.fusion.comodule.algebra.dim
     result = {
-        **_theorem_facts(com, m, cert.profile, ef_dim),
+        **_theorem_facts(com, m, cert.lifted.sqrt, ef_dim),
         "input_connection": sparse_map_to_obj(cert.input_verdict.connection.map),
         "input_connection_unital": cert.input_verdict.connection.unital,
         "lifted_connection": sparse_map_to_obj(cert.lifted.map),
@@ -943,7 +951,7 @@ def _replay_theorem_main(args, result):
     yield from _compare(
         result,
         {
-            **_theorem_facts(com, m, sqrt.vanish_at_zero, ef.algebra.dim),
+            **_theorem_facts(com, m, sqrt, ef.algebra.dim),
             "corestricts": [True] * 4,
             "fusion_num_unknowns": ef.algebra.dim ** 2 * com.hopf.dim,
         },

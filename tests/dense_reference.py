@@ -3,7 +3,9 @@ the sparse ones in ``fusionalg.linalg``: the reduced row echelon form,
 kernels, inverses, intersections, preimages and the projection onto a
 quotient, computed the way the library computed them when its subspaces
 held dense rows, and the product and tensor product of matrices, computed
-the way it computed them when its maps held dense rows.  It also keeps
+the way it computed them when its maps held dense rows, with the dense
+vectors (basis vectors, tensor products, and conversions to and from
+sparse dicts) the tests write expected values in.  It also keeps
 the library's earlier exact elimination, :class:`ParentElimination`, as
 a reference for the solver's outcomes, the row-by-row build of the
 connection system, :func:`connection_rows`, as a reference for its
@@ -24,8 +26,6 @@ from fusionalg.linalg import (
     LinearSystem,
     accumulate,
     integer_scaled,
-    sparse_of_vec,
-    tensor_vec,
 )
 
 Q0 = Fraction(0)
@@ -35,6 +35,20 @@ Q1 = Fraction(1)
 def dense(vec: dict, n: int) -> tuple[Fraction, ...]:
     """A sparse vector written out with n coordinates."""
     return tuple(vec.get(i, Q0) for i in range(n))
+
+
+def sparse(vec) -> dict[int, Fraction]:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {i: v for i, v in enumerate(vec) if v != 0}
+
+
+def basis_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(Q1 if j == i else Q0 for j in range(n))
+
+
+def tensor_vec(u, v) -> tuple[Fraction, ...]:
+    """u (x) v for dense vectors in the flattened left-major ordering."""
+    return tuple(a * b for a in u for b in v)
 
 
 def rref(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
@@ -407,7 +421,7 @@ def check_algebra(alg: FDAlgebra) -> CheckReport:
     n = alg.dim
     table = alg.table
     failures: list[Failure] = []
-    unit = sparse_of_vec(alg.unit)
+    unit = alg.unit
 
     assoc_failure = None
     for i in range(n):
@@ -460,9 +474,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     n = h.dim
     table = h.algebra.table
     delta = h.coproduct.cols
-    eps = h.counit_values
+    eps = dense(h.counit_values, n)
     s_cols = h.antipode.cols
-    unit = sparse_of_vec(h.algebra.unit)
+    unit = h.algebra.unit
 
     # coassociativity: both iterated coproducts agree on every basis vector
     for i in range(n):
@@ -619,7 +633,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     dcols = c.coaction.cols
     cop_cols = h.coproduct.cols
     ptab, htab = p.table, h.algebra.table
-    eps = h.counit_values
+    eps = dense(h.counit_values, dh)
 
     mult_ok = True
     for i in range(dp):
@@ -647,8 +661,8 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
                 mult_ok = False
                 break
 
-    expected_unit = sparse_of_vec(tensor_vec(p.unit, h.algebra.unit))
-    if c.coaction.apply(sparse_of_vec(p.unit)) != expected_unit:
+    expected_unit = sparse(tensor_vec(dense(p.unit, dp), dense(h.algebra.unit, dh)))
+    if c.coaction.apply(p.unit) != expected_unit:
         failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
 
     for j in range(dp):
@@ -692,9 +706,9 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
     dp = c.algebra.dim
-    unit_p = sparse_of_vec(c.algebra.unit)
+    unit_p = c.algebra.unit
     unit_pp = {i * dp + j: a * b for i, a in unit_p.items() for j, b in unit_p.items()}
-    return ell.apply(sparse_of_vec(c.hopf.algebra.unit)) == unit_pp
+    return ell.apply(c.hopf.algebra.unit) == unit_pp
 
 
 
@@ -706,14 +720,6 @@ def check_strong_connection(
     Named axioms: right_colinearity, left_colinearity, splitting,
     counit_product, and (when requested) unital.
     """
-    return _check_strong_connection(c, ell, require_unital, delta_L(c).cols)
-
-
-def _check_strong_connection(
-    c: ComoduleAlgebra, ell: LinearMap, require_unital: bool, dl_cols
-) -> CheckReport:
-    """:func:`check_strong_connection` with the columns of
-    :func:`delta_L` given."""
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
@@ -724,8 +730,9 @@ def _check_strong_connection(
     delta_cols = c.coaction.cols
     cop_cols = h.coproduct.cols
     ptab = p.table
-    eps = h.counit_values
-    unit_p = sparse_of_vec(p.unit)
+    eps = dense(h.counit_values, dh)
+    unit_p = p.unit
+    dl_cols = delta_L(c).cols
 
     for col in range(dh):
         lhs: dict[int, Fraction] = {}

@@ -27,7 +27,6 @@ import json
 import time
 from fractions import Fraction
 
-import dense_reference as ref
 from fusionalg.algebra import AlgebraHom, check_hom
 from fusionalg.classical import (
     diagonal_join_freeness,
@@ -45,13 +44,14 @@ from fusionalg.comodule import (
 )
 from fusionalg.fusion import (
     chain_interval,
+    make_sqrt_pair,
     piecewise_parts,
     pullback_identification,
     verify_theorem_main,
 )
 from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions, is_free
 from fusionalg.hopf import check_hopf, function_hopf, group_hopf, make_hopf
-from fusionalg.linalg import LinearMap, Subspace
+from fusionalg.linalg import LinearMap, Subspace, tensor_vec
 from fusionalg.serialize import (
     certificate_identity,
     comodule_to_obj,
@@ -268,16 +268,6 @@ def test_criterion_6_joins_of_regular_actions():
     )
 
 
-def embed_base_vector(vec, d_hopf, unit_h):
-    out = [Q(0)] * (len(vec) * d_hopf)
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
-        for a, u in enumerate(unit_h):
-            out[i * d_hopf + a] = v * u
-    return tuple(out)
-
-
 def test_criterion_7_pullback_of_halves():
     start = time.perf_counter()
     inner = fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2)))
@@ -298,17 +288,11 @@ def test_criterion_7_pullback_of_halves():
             ambient = half.inclusion.target
             got = Subspace.from_vectors(
                 ambient,
-                [
-                    ref.dense(half.inclusion.apply(b), ambient.dim)
-                    for b in coinvariants(half.comodule).subspace.basis
-                ],
+                [half.inclusion.apply(b) for b in coinvariants(half.comodule).subspace.basis],
             )
+            # C⊗P into C⊗P⊗H along x -> x⊗1
             expect = Subspace.from_vectors(
-                ambient,
-                [
-                    embed_base_vector(ref.dense(b, base_wit.ambient.dim), dh, unit_h)
-                    for b in base_wit.subspace.basis
-                ],
+                ambient, [tensor_vec(b, unit_h, dh) for b in base_wit.subspace.basis]
             )
             assert got == expect
     elapsed = time.perf_counter() - start
@@ -324,7 +308,9 @@ def test_criterion_8_profile_independence():
     for name, com, m in theorem_instances():
         default = verify_theorem_main(com, m)
         alternate_profile = (Q(0),) + (Q(4, 5),) * (m - 1) + (Q(1),)
-        alternate = verify_theorem_main(com, m, profile=alternate_profile)
+        alternate = verify_theorem_main(
+            com, m, make_sqrt_pair(chain_interval(m), alternate_profile)
+        )
         if m == 1:
             # only one profile exists on the two-point chain
             assert alternate.lifted.map.rows == default.lifted.map.rows

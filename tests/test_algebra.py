@@ -18,7 +18,7 @@ from fusionalg.algebra import (
     subalgebra_from_subspace,
     tensor_algebra,
 )
-from fusionalg.linalg import LinearMap, Space, Subspace, basis_vec
+from fusionalg.linalg import LinearMap, Space, Subspace
 
 Q = Fraction
 
@@ -46,8 +46,7 @@ def is_commutative(alg: FDAlgebra) -> bool:
     n = alg.dim
     for i in range(n):
         for j in range(i + 1, n):
-            ei, ej = basis_vec(n, i), basis_vec(n, j)
-            if alg.mult_vec(ei, ej) != alg.mult_vec(ej, ei):
+            if alg.table[i][j] != alg.table[j][i]:
                 return False
     return True
 
@@ -57,21 +56,19 @@ def test_function_algebra_axioms_and_structure():
     report = check_algebra(alg)
     assert report.ok, report.failures
     assert alg.dim == 3
-    assert alg.unit == (Q(1), Q(1), Q(1))
+    assert alg.unit == {0: Q(1), 1: Q(1), 2: Q(1)}
     assert is_commutative(alg)
     # idempotent basis: e_i * e_j = [i == j] e_i
     for i in range(3):
         for j in range(3):
-            prod = alg.mult_vec(basis_vec(3, i), basis_vec(3, j))
-            expect = basis_vec(3, i) if i == j else (Q(0),) * 3
-            assert prod == expect
+            assert alg.table[i][j] == ({i: Q(1)} if i == j else {})
 
 
 def test_scalar_algebra():
     alg = scalar_algebra()
     assert alg.dim == 1
     assert check_algebra(alg).ok
-    assert alg.unit == (Q(1),)
+    assert alg.unit == {0: Q(1)}
 
 
 def test_matrix_algebra_axioms():
@@ -85,7 +82,7 @@ def test_check_algebra_flags_broken_associativity():
     alg = matrix_algebra_2x2()
     table = [[dict(prod) for prod in row] for row in alg.table]
     table[0][0][0] += Q(1)  # perturb e11·e11
-    broken = FDAlgebra.from_structure(alg.space, table, alg.unit)
+    broken = FDAlgebra(alg.space, table, alg.unit)
     report = check_algebra(broken)
     assert not report.ok
     assert "associativity" in report.axioms_failed() or set(
@@ -95,7 +92,7 @@ def test_check_algebra_flags_broken_associativity():
 
 def test_check_algebra_flags_broken_unit():
     alg = function_algebra(2)
-    broken = FDAlgebra(alg.space, alg.table, (Q(1), Q(0)))
+    broken = FDAlgebra(alg.space, alg.table, {0: Q(1)})
     report = check_algebra(broken)
     assert not report.ok
     failed = set(report.axioms_failed())
@@ -107,12 +104,10 @@ def test_tensor_algebra_of_functions_is_functions():
     t = tensor_algebra(function_algebra(2), function_algebra(3))
     assert t.dim == 6
     assert check_algebra(t).ok
-    assert t.unit == (Q(1),) * 6
+    assert t.unit == {i: Q(1) for i in range(6)}
     for i in range(6):
         for j in range(6):
-            prod = t.mult_vec(basis_vec(6, i), basis_vec(6, j))
-            expect = basis_vec(6, i) if i == j else (Q(0),) * 6
-            assert prod == expect
+            assert t.table[i][j] == ({i: Q(1)} if i == j else {})
 
 
 def test_tensor_algebra_literally_associative():
@@ -154,12 +149,11 @@ def test_direct_sum_algebra():
     s = direct_sum_algebra(function_algebra(2), function_algebra(3))
     assert s.dim == 5
     assert check_algebra(s).ok
-    assert s.unit == (Q(1),) * 5
+    assert s.unit == {i: Q(1) for i in range(5)}
     # blocks multiply independently and cross terms vanish
     for i in range(2):
         for j in range(3):
-            prod = s.mult_vec(basis_vec(5, i), basis_vec(5, 2 + j))
-            assert all(v == 0 for v in prod)
+            assert s.table[i][2 + j] == {} == s.table[2 + j][i]
 
 
 def test_check_hom_identity_and_composition():
@@ -175,12 +169,8 @@ def test_check_hom_identity_and_composition():
         perm2 = list(range(3))
         rng.shuffle(perm1)
         rng.shuffle(perm2)
-        m1 = LinearMap.from_columns(
-            a.space, a.space, [basis_vec(3, perm1[j]) for j in range(3)]
-        )
-        m2 = LinearMap.from_columns(
-            a.space, a.space, [basis_vec(3, perm2[j]) for j in range(3)]
-        )
+        m1 = LinearMap.from_sparse_columns(a.space, a.space, [{perm1[j]: Q(1)} for j in range(3)])
+        m2 = LinearMap.from_sparse_columns(a.space, a.space, [{perm2[j]: Q(1)} for j in range(3)])
         assert check_hom(AlgebraHom(a, a, m1)).ok
         assert check_hom(AlgebraHom(a, a, m2)).ok
         composed = m2.compose(m1)
@@ -232,7 +222,7 @@ def test_subalgebra_diagonal_of_matrices():
     alg = matrix_algebra_2x2()
     diag = Subspace.from_vectors(
         alg.space,
-        [(Q(1), Q(0), Q(0), Q(0)), (Q(0), Q(0), Q(0), Q(1))],
+        [{0: Q(1)}, {3: Q(1)}],
     )
     wit = subalgebra_from_subspace(alg, diag)
     assert wit.unital and wit.algebra.dim == 2
@@ -242,26 +232,12 @@ def test_subalgebra_diagonal_of_matrices():
 def test_subalgebra_rejects_non_closed_span():
     alg = matrix_algebra_2x2()
     # span{e12 + e21} is not closed: its square is e11 + e22
-    line = Subspace.from_vectors(alg.space, [(Q(0), Q(1), Q(1), Q(0))])
+    line = Subspace.from_vectors(alg.space, [{1: Q(1), 2: Q(1)}])
     with pytest.raises(ClosureError) as exc:
         subalgebra_from_subspace(alg, line)
     err = exc.value
     assert err.left_index == 0 and err.right_index == 0
-    assert err.product == (Q(1), Q(0), Q(0), Q(1))
-
-
-def test_mult_vec_matches_table():
-    alg = matrix_algebra_2x2()
-    x = (Q(1, 2), Q(0), Q(-3), Q(2))
-    y = (Q(0), Q(5), Q(1), Q(-1, 3))
-    expect = [Q(0)] * 4
-    for i in range(4):
-        for j in range(4):
-            for k, c in alg.table[i][j].items():
-                expect[k] += x[i] * y[j] * c
-            dense = alg.mult_vec(basis_vec(4, i), basis_vec(4, j))
-            assert {k: v for k, v in enumerate(dense) if v != 0} == alg.table[i][j]
-    assert alg.mult_vec(x, y) == tuple(expect)
+    assert err.product == {0: Q(1), 3: Q(1)}
 
 
 @pytest.mark.parametrize("k", [-1, 2])
@@ -274,4 +250,16 @@ def test_algebra_rejects_a_table_of_the_wrong_shape():
     space = Space(("a", "b"))
     for table in ([[{}, {}]], [[{}, {}], [{}]], [[{}, {}, {}], [{}, {}, {}]]):
         with pytest.raises(ValueError):
-            FDAlgebra(space, table, (Q(1), Q(1)))
+            FDAlgebra(space, table, {0: Q(1), 1: Q(1)})
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_algebra_rejects_a_unit_key_outside_the_basis(k):
+    with pytest.raises(ValueError, match="unit vector index outside 0..1"):
+        FDAlgebra(Space(("a", "b")), [[{}, {}], [{}, {}]], {k: Q(1)})
+
+
+@pytest.mark.parametrize("unit", [(1,), (1, 1, 1)])
+def test_from_structure_rejects_a_dense_unit_of_the_wrong_length(unit):
+    with pytest.raises(ValueError, match="unit vector has wrong length"):
+        FDAlgebra.from_structure(Space(("a", "b")), [[{}, {}], [{}, {}]], unit)

@@ -207,11 +207,11 @@ def pool() -> tuple:
 def _table_bumped(a: FDAlgebra, i: int, j: int, k: int, delta) -> FDAlgebra:
     table = [[dict(prod) for prod in row] for row in a.table]
     table[i][j][k] = table[i][j].get(k, 0) + delta
-    return FDAlgebra.from_structure(a.space, table, a.unit)
+    return FDAlgebra.from_structure(a.space, table, ref.dense(a.unit, a.dim))
 
 
 def _unit_bumped(a: FDAlgebra, i: int, delta) -> FDAlgebra:
-    unit = list(a.unit)
+    unit = list(ref.dense(a.unit, a.dim))
     unit[i] += delta
     return FDAlgebra.from_structure(a.space, a.table, unit)
 

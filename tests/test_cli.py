@@ -75,6 +75,35 @@ def test_check_rejects_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _deeply_nested(tmp_path, command, depth):
+    """A document for ``command`` with an extra field ``x`` that nests
+    ``depth`` lists: a comodule for check, a certificate for
+    verify-certificate."""
+    doc = regular_comodule_file(tmp_path)
+    if command == "verify-certificate":
+        cert = tmp_path / "cert.json"
+        assert entry(["solve-connection", doc, "--output", str(cert)]) == 0
+        doc = str(cert)
+    text = Path(doc).read_text().rstrip()
+    assert text.endswith("}")
+    path = tmp_path / "deep.json"
+    path.write_text(text[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [900, 200_000])
+@pytest.mark.parametrize("command", ["check", "verify-certificate"])
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, command, depth):
+    """Nesting that overflows the JSON parser (200,000 levels) or the
+    path-reference walk (900 levels) exits 2 with an error line, not a
+    traceback with the axiom-failure code."""
+    path = _deeply_nested(tmp_path, command, depth)
+    capsys.readouterr()
+    assert entry([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "nested too deeply" in err
+
+
 def test_check_rejects_scenario_documents(tmp_path, capsys):
     path = write(tmp_path, "scn.json", scenario("discrete-join", params={"nx": 1, "ny": 1, "m": 1}))
     assert entry(["check", path]) == 2

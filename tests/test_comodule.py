@@ -36,8 +36,6 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
-    basis_vec,
-    sparse_of_vec,
     tensor_vec,
 )
 from fusionalg.serialize import comodule_from_obj, comodule_to_obj, gset_from_obj
@@ -128,7 +126,7 @@ def test_coinvariants_of_regular_action_are_constants():
     c = regular_comodule(3)
     wit = coinvariants(c)
     assert wit.algebra.dim == 1
-    assert wit.subspace.coordinates(sparse_of_vec(c.algebra.unit)) is not None
+    assert wit.subspace.coordinates(c.algebra.unit) is not None
 
 
 def test_coinvariants_count_orbits():
@@ -163,10 +161,9 @@ def test_lifted_canonical_closed_form():
             expect = [Q(0)] * (n * c.hopf.dim)
             for idx, v in c.coaction.cols[j].items():
                 y0, y1 = divmod(idx, c.hopf.dim)
-                prod = p.mult_vec(basis_vec(n, i), basis_vec(n, y0))
-                for u, w in enumerate(prod):
+                for u, w in p.table[i][y0].items():
                     expect[u * c.hopf.dim + y1] += w * v
-            assert lifted[i * n + j] == sparse_of_vec(expect)
+            assert lifted[i * n + j] == ref.sparse(expect)
 
 
 def test_canonical_map_bijective_iff_free():
@@ -183,8 +180,8 @@ def test_delta_L_of_trivial_coaction():
     c = trivial_coaction(p, h)
     dl = delta_L(c)
     for j in range(p.dim):
-        expect = tensor_vec(h.algebra.unit, basis_vec(p.dim, j))
-        assert dl.cols[j] == sparse_of_vec(expect)
+        expect = ref.tensor_vec(ref.dense(h.algebra.unit, h.dim), ref.basis_vec(p.dim, j))
+        assert dl.cols[j] == ref.sparse(expect)
 
 
 def test_delta_L_regular_closed_form():
@@ -251,8 +248,8 @@ def test_solver_connection_verifies():
     # the relaxed witness also satisfies a unital re-check exactly when
     # its unit value happens to be 1⊗1
     assert conn.unital == (
-        conn.map.apply(sparse_of_vec(c.hopf.algebra.unit))
-        == sparse_of_vec(tensor_vec(c.algebra.unit, c.algebra.unit))
+        conn.map.apply(c.hopf.algebra.unit)
+        == tensor_vec(c.algebra.unit, c.algebra.unit, c.algebra.dim)
     )
 
 
@@ -354,8 +351,8 @@ def test_verdict_invariant_under_basis_permutation():
     c = regular_comodule(3)
     n = c.algebra.dim
     perm = [1, 2, 0]
-    pm = LinearMap.from_columns(
-        c.algebra.space, c.algebra.space, [basis_vec(n, perm[j]) for j in range(n)]
+    pm = LinearMap.from_sparse_columns(
+        c.algebra.space, c.algebra.space, [{perm[j]: Q(1)} for j in range(n)]
     )
     pm_inv = pm.inverse()
     ident_h = LinearMap.identity(c.hopf.space)
@@ -364,10 +361,8 @@ def test_verdict_invariant_under_basis_permutation():
     for i, row in enumerate(c.algebra.table):
         for j, prod in enumerate(row):
             table[perm[i]][perm[j]] = {perm[k]: v for k, v in prod.items()}
-    new_unit = pm.apply(sparse_of_vec(c.algebra.unit))
-    new_alg = FDAlgebra.from_structure(
-        c.algebra.space, table, [new_unit.get(i, Q(0)) for i in range(n)]
-    )
+    new_unit = pm.apply(c.algebra.unit)
+    new_alg = FDAlgebra(c.algebra.space, table, dict(sorted(new_unit.items())))
     new_coaction = pm.kron(ident_h).compose(c.coaction).compose(pm_inv)
     permuted = ComoduleAlgebra(
         new_alg,
@@ -401,7 +396,7 @@ def _rescaled_algebra(a: FDAlgebra, s) -> FDAlgebra:
         [{k: v * s[i] * s[j] / s[k] for k, v in prod.items()} for j, prod in enumerate(row)]
         for i, row in enumerate(a.table)
     ]
-    return FDAlgebra.from_structure(a.space, table, tuple(u / x for u, x in zip(a.unit, s)))
+    return FDAlgebra(a.space, table, {i: u / s[i] for i, u in a.unit.items()})
 
 
 def rescaled_comodule(c: ComoduleAlgebra, p_scales, h_scales) -> ComoduleAlgebra:
@@ -513,8 +508,8 @@ def test_connection_unital_compares_with_one_tensor_one(make):
     """``connection_unital`` agrees with 1⊗1 written out densely, on the
     solver's connection and on one that misses the unit."""
     c = make()
-    p_unit, h_unit = c.algebra.unit, sparse_of_vec(c.hopf.algebra.unit)
-    expected = sparse_of_vec(tensor_vec(p_unit, p_unit))
+    p_unit, h_unit = ref.dense(c.algebra.unit, c.algebra.dim), c.hopf.algebra.unit
+    expected = ref.sparse(ref.tensor_vec(p_unit, p_unit))
     outcome = solve_strong_connection(c, require_unital=True)
     ells = [] if isinstance(outcome, Infeasibility) else [outcome.map]
     target = c.algebra.space.tensor(c.algebra.space)

@@ -52,9 +52,8 @@ from fusionalg.linalg import (
     LinearMap,
     Space,
     Subspace,
-    basis_vec,
     rref,
-    sparse_of_vec,
+    tensor_vec,
 )
 from fusionalg.serialize import comodule_from_obj
 
@@ -105,10 +104,11 @@ def test_base_with_ends_rejects_non_characters():
 def test_make_sqrt_pair_pythagorean_profile():
     base = chain_interval(2)
     pair = make_sqrt_pair(base, (0, Q(3, 5), 1))
-    assert pair.vanish_at_zero == (Q(0), Q(3, 5), Q(1))
-    assert pair.vanish_at_one == (Q(1), Q(4, 5), Q(0))
+    assert pair.vanish_at_zero == {1: Q(3, 5), 2: Q(1)}
+    assert pair.vanish_at_one == {0: Q(1), 1: Q(4, 5)}
     # pointwise s² + s'² = 1
-    for s, sp in zip(pair.vanish_at_zero, pair.vanish_at_one):
+    for k in range(3):
+        s, sp = pair.vanish_at_zero.get(k, 0), pair.vanish_at_one.get(k, 0)
         assert s * s + sp * sp == 1
 
 
@@ -123,7 +123,7 @@ def test_make_sqrt_pair_rejections():
     with pytest.raises(ValueError):
         make_sqrt_pair(base, (0, 1))  # wrong length
     pair = make_sqrt_pair(chain_interval(1), (0, 1))
-    assert pair.vanish_at_one == (Q(1), Q(0))
+    assert pair.vanish_at_one == {0: Q(1)}
 
 
 def test_default_profile():
@@ -136,14 +136,17 @@ def test_default_profile():
 def test_sqrt_pair_from_vectors_validation():
     base = chain_interval(1)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, (Q(1), Q(1)), (Q(0), Q(0)))
+        sqrt_pair_from_vectors(base, {0: Q(1), 1: Q(1)}, {})
     assert "does not vanish at the zero end" in str(exc.value)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, (Q(0), Q(0)), (Q(1), Q(1)))
+        sqrt_pair_from_vectors(base, {}, {0: Q(1), 1: Q(1)})
     assert "does not vanish at the one end" in str(exc.value)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, (Q(0), Q(2)), (Q(1), Q(0)))
+        sqrt_pair_from_vectors(base, {1: Q(2)}, {0: Q(1)})
     assert "squares do not sum to the unit" in str(exc.value)
+    with pytest.raises(ValueError) as exc:
+        sqrt_pair_from_vectors(base, {1: Q(1), 2: Q(1)}, {0: Q(1)})
+    assert "does not live on the base" in str(exc.value)
 
 
 # ---------------------------------------------------------------- plain fusion
@@ -166,9 +169,7 @@ def test_fusion_of_scalars_is_the_base():
         assert alg.dim == m + 1
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = alg.mult_vec(basis_vec(alg.dim, i), basis_vec(alg.dim, j))
-                expect = basis_vec(alg.dim, i) if i == j else (Q(0),) * alg.dim
-                assert prod == expect
+                assert alg.table[i][j] == ({i: Q(1)} if i == j else {})
 
 
 def test_fusion_with_one_point_chain_drops_middle():
@@ -236,16 +237,11 @@ def subspaces(draw, n: int) -> Subspace:
             max_size=count,
         )
     )
-    return Subspace.from_vectors(Space.of_dim(n), vectors)
+    return Subspace.from_vectors(Space.of_dim(n), map(ref.sparse, vectors))
 
 
 def first_non_pivot(sub: Subspace) -> int:
     return min(set(range(sub.ambient.dim)) - set(sub.pivots))
-
-
-def sparse_tensor(a: dict, b: dict, n2: int) -> dict:
-    """a (x) b for sparse vectors, b of length n2."""
-    return {p * n2 + q: x * y for p, x in a.items() for q, y in b.items()}
 
 
 def subspace_kron(u: Subspace, v: Subspace) -> Subspace:
@@ -253,7 +249,7 @@ def subspace_kron(u: Subspace, v: Subspace) -> Subspace:
     the basis whose coordinates ``_tensor_coordinates`` returns.  It is
     again in echelon form, so it is a ``Subspace`` as it stands."""
     n2 = v.ambient.dim
-    basis = tuple(sparse_tensor(a, b, n2) for a in u.basis for b in v.basis)
+    basis = tuple(tensor_vec(a, b, n2) for a in u.basis for b in v.basis)
     pivots = tuple(p * n2 + q for p in u.pivots for q in v.pivots)
     return Subspace(u.ambient.tensor(v.ambient), basis, pivots)
 
@@ -261,8 +257,8 @@ def subspace_kron(u: Subspace, v: Subspace) -> Subspace:
 def test_subspace_kron_pivots():
     s1 = Space.of_dim(3, "a")
     s2 = Space.of_dim(3, "b")
-    u = Subspace.from_vectors(s1, [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(3))])
-    v = Subspace.from_vectors(s2, [(Q(1), Q(1), Q(0))])
+    u = Subspace.from_vectors(s1, [{0: Q(1), 2: Q(2)}, {1: Q(1), 2: Q(3)}])
+    v = Subspace.from_vectors(s2, [{0: Q(1), 1: Q(1)}])
     w = subspace_kron(u, v)
     assert w.ambient == s1.tensor(s2)
     assert w.dim == u.dim * v.dim
@@ -272,9 +268,9 @@ def test_subspace_kron_pivots():
     # the product basis spans exactly the tensor products
     for a in u.basis:
         for b in v.basis:
-            assert w.coordinates(sparse_tensor(a, b, 3)) is not None
+            assert w.coordinates(tensor_vec(a, b, 3)) is not None
     direct = Subspace(
-        w.ambient, *rref(sparse_tensor(a, b, 3) for a in u.basis for b in v.basis)
+        w.ambient, *rref(tensor_vec(a, b, 3) for a in u.basis for b in v.basis)
     )
     assert w == direct
 
@@ -294,13 +290,13 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
     inside = [Q(0)] * (na * nb)
     for k, uk in enumerate(u.basis):
         for l, vl in enumerate(v.basis):
-            for idx, x in sparse_tensor(uk, vl, nb).items():
+            for idx, x in tensor_vec(uk, vl, nb).items():
                 inside[idx] += coeffs[k * v.dim + l] * x
-    inside = sparse_of_vec(inside)
-    assert _tensor_coordinates(u, v, inside) == sparse_of_vec(coeffs)
-    assert reference.coordinates(inside) == sparse_of_vec(coeffs)
+    inside = ref.sparse(inside)
+    assert _tensor_coordinates(u, v, inside) == ref.sparse(coeffs)
+    assert reference.coordinates(inside) == ref.sparse(coeffs)
 
-    anywhere = sparse_of_vec(
+    anywhere = ref.sparse(
         data.draw(st.lists(RATIONALS, min_size=na * nb, max_size=na * nb))
     )
     assert _tensor_coordinates(u, v, anywhere) == reference.coordinates(
@@ -309,13 +305,13 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
 
     if u.dim and v.dim < nb:
         # in U (x) B but not in U (x) V
-        x = sparse_tensor(u.basis[0], {first_non_pivot(v): Q(1)}, nb)
+        x = tensor_vec(u.basis[0], {first_non_pivot(v): Q(1)}, nb)
         assert _tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
         assert _tensor_coordinates(u, Subspace.full(v.ambient), x) is not None
     if v.dim and u.dim < na:
         # in A (x) V but not in U (x) V
-        x = sparse_tensor({first_non_pivot(u): Q(1)}, v.basis[0], nb)
+        x = tensor_vec({first_non_pivot(u): Q(1)}, v.basis[0], nb)
         assert _tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
         assert _tensor_coordinates(Subspace.full(u.ambient), v, x) is not None
@@ -440,7 +436,7 @@ def test_lift_into_a_carrier_outside_the_conditions_checks_the_displays():
 
 def test_verify_theorem_main_smallest_case():
     cert = verify_theorem_main(regular_comodule(2), 1)
-    assert cert.profile == (Q(0), Q(1))
+    assert cert.lifted.sqrt.vanish_at_zero == {1: Q(1)}
     assert cert.fusion.comodule.algebra.dim == 4
     assert cert.input_verdict.principal
     assert cert.fusion_verdict.principal
@@ -449,7 +445,7 @@ def test_verify_theorem_main_smallest_case():
 
 def test_verify_theorem_main_records_profile():
     cert = verify_theorem_main(regular_comodule(2), 2)
-    assert cert.profile == (Q(0), Q(3, 5), Q(1))
+    assert cert.lifted.sqrt.vanish_at_zero == {1: Q(3, 5), 2: Q(1)}
     assert cert.fusion.comodule.algebra.dim == 8
 
 
@@ -463,21 +459,23 @@ def test_verify_theorem_main_refuses_non_principal_input():
 
 def test_verify_theorem_main_sqrt_route():
     inner = regular_comodule(2)
-    pair = make_sqrt_pair(chain_interval(2), (0, Q(3, 5), 1))
-    by_profile = verify_theorem_main(inner, 2, profile=(0, Q(3, 5), 1))
+    pair = make_sqrt_pair(chain_interval(2), default_profile(2))
+    by_default = verify_theorem_main(inner, 2)
     by_pair = verify_theorem_main(inner, 2, sqrt=pair)
-    assert by_pair.profile == by_profile.profile
-    assert by_pair.lifted.map.rows == by_profile.lifted.map.rows
-    with pytest.raises(ValueError):
-        verify_theorem_main(inner, 2, profile=(0, Q(3, 5), 1), sqrt=pair)
+    assert by_pair.lifted.sqrt is pair
+    assert by_default.lifted.sqrt == pair
+    assert by_pair.lifted.map.rows == by_default.lifted.map.rows
+    with pytest.raises(TypeError):
+        verify_theorem_main(inner, 2, profile=(0, Q(3, 5), 1))
     with pytest.raises(ValueError):
         verify_theorem_main(inner, 3, sqrt=pair)  # pair lives on the m=2 chain
 
 
 def test_alternate_profile_changes_lift_not_verdicts():
     inner = regular_comodule(2)
-    a = verify_theorem_main(inner, 2, profile=(0, Q(3, 5), 1))
-    b = verify_theorem_main(inner, 2, profile=(0, Q(4, 5), 1))
+    base = chain_interval(2)
+    a = verify_theorem_main(inner, 2, make_sqrt_pair(base, (0, Q(3, 5), 1)))
+    b = verify_theorem_main(inner, 2, make_sqrt_pair(base, (0, Q(4, 5), 1)))
     assert a.lifted.map.rows != b.lifted.map.rows
     assert a.input_verdict.principal == b.input_verdict.principal
     assert a.fusion_verdict.principal == b.fusion_verdict.principal
@@ -535,17 +533,6 @@ def test_verify_theorem_main_hopf_coacting_on_itself(hopf, m):
 
 # ---------------------------------------------------------------- halves and pullback
 
-def embed_base_vector(vec, d_hopf, unit_h):
-    """C⊗P coordinates into C⊗P⊗H along x -> x⊗1."""
-    out = [Q(0)] * (len(vec) * d_hopf)
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
-        for a, u in enumerate(unit_h):
-            out[i * d_hopf + a] = v * u
-    return tuple(out)
-
-
 def test_piecewise_halves_dimensions():
     parts = piecewise_parts(chain_interval(1), regular_comodule(2))
     assert parts.lower_half.comodule.algebra.dim == 6
@@ -567,17 +554,11 @@ def test_piecewise_coinvariants_match_bases():
             ambient = half.inclusion.target
             got = Subspace.from_vectors(
                 ambient,
-                [
-                    ref.dense(half.inclusion.apply(b), ambient.dim)
-                    for b in coinvariants(half.comodule).subspace.basis
-                ],
+                [half.inclusion.apply(b) for b in coinvariants(half.comodule).subspace.basis],
             )
+            # C⊗P into C⊗P⊗H along x -> x⊗1
             expect = Subspace.from_vectors(
-                ambient,
-                [
-                    embed_base_vector(ref.dense(b, base_wit.ambient.dim), dh, unit_h)
-                    for b in base_wit.subspace.basis
-                ],
+                ambient, [tensor_vec(b, unit_h, dh) for b in base_wit.subspace.basis]
             )
             assert got == expect
 
@@ -608,7 +589,7 @@ def dense_mult(alg: FDAlgebra):
 
 def flip_rows(na: int, nb: int):
     """The rows of the braiding A (x) B -> B (x) A, (i, j) -> (j, i)."""
-    cols = [basis_vec(na * nb, j * na + i) for i in range(na) for j in range(nb)]
+    cols = [ref.basis_vec(na * nb, j * na + i) for i in range(na) for j in range(nb)]
     return tuple(zip(*cols))
 
 
@@ -660,7 +641,7 @@ def test_table_built_maps_match_the_dense_formulas(name):
         [ref.dense(b, n) for b in bal.killed.basis], bal.killed.pivots, n
     )
     for j in range(n):
-        assert bal.project({j: Q(1)}) == sparse_of_vec(row[j] for row in rows)
+        assert bal.project({j: Q(1)}) == ref.sparse(row[j] for row in rows)
     # the canonical map is the lifted one on the section, and factors it
     descended = ref.compose(lifted, tuple(zip(*section)), bal.space.dim)
     assert can.map.rows == descended

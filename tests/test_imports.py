@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used or re-exported,
-dense matrices stay at the document boundary, and the axiom batteries
-stay in integer arithmetic."""
+dense matrices stay at the document boundary, no module has a dense
+vector helper, and the axiom batteries stay in integer arithmetic."""
 
 import ast
 from pathlib import Path
@@ -76,6 +76,36 @@ def test_dense_rows_stay_at_the_document_boundary(path):
     assert not calls, f"{path.name} calls dense accessors: {calls}"
 
 
+DENSE_VECTOR_HELPERS = {"zero_vec", "basis_vec", "sparse_of_vec", "mult_vec"}
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The names a node defines, imports or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dense_vector_helpers(path):
+    """Vectors are sparse dicts in memory: no module defines, imports or
+    calls a helper that builds or converts a dense vector."""
+    tree = ast.parse(path.read_text())
+    found = sorted(
+        (name, node.lineno)
+        for node in ast.walk(tree)
+        for name in _names(node)
+        if name in DENSE_VECTOR_HELPERS
+    )
+    assert not found, f"{path.name} names dense vector helpers: {found}"
+
+
 # The axiom batteries by module, with `connection_unital`, the unital law
 # of the connection battery.
 BATTERIES = {
@@ -84,30 +114,27 @@ BATTERIES = {
     "comodule.py": (
         "check_comodule",
         "check_strong_connection",
-        "_check_strong_connection",
         "connection_unital",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BATTERIES))
-def test_batteries_read_no_dense_vectors(name):
-    """The batteries scale the structure maps, dense units included,
-    straight to integers: none of them, nested functions included,
-    converts a dense vector (``sparse_of_vec``, ``tensor_vec``) or sums
-    ``Fraction`` entries with ``accumulate``."""
+def test_batteries_sum_no_fractions(name):
+    """The batteries scale the structure maps straight to integers: none
+    of them, nested functions included, sums ``Fraction`` entries with
+    ``accumulate``."""
     path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
-    forbidden = {"sparse_of_vec", "tensor_vec", "accumulate"}
     for battery in BATTERIES[name]:
         calls = sorted(
-            (node.func.id, node.lineno)
+            node.lineno
             for node in ast.walk(functions[battery])
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id in forbidden
+            and node.func.id == "accumulate"
         )
-        assert not calls, f"{name}:{battery} calls {calls}"
+        assert not calls, f"{name}:{battery} calls accumulate at lines {calls}"

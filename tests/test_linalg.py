@@ -20,7 +20,6 @@ from fusionalg.linalg import (
     preimage,
     rat,
     rref,
-    sparse_of_vec,
     tensor_vec,
 )
 
@@ -65,14 +64,16 @@ def test_space_tensor_is_literally_associative():
 
 
 def test_tensor_vec_convention_left_factor_major():
-    # (i, j) lands at slot i*dimW + j
-    u = (Q(2), Q(3))
-    v = (Q(5), Q(7), Q(11))
-    t = tensor_vec(u, v)
-    assert len(t) == 6
+    # (i, j) lands at slot i*dimW + j, in increasing order
+    u = {0: Q(2), 1: Q(3)}
+    v = {0: Q(5), 1: Q(7), 2: Q(11)}
+    t = tensor_vec(u, v, 3)
+    assert list(t) == list(range(6))
     for i in range(2):
         for j in range(3):
             assert t[i * 3 + j] == u[i] * v[j]
+    assert tensor_vec({1: Q(2)}, {0: Q(5), 2: Q(-1)}, 3) == {3: Q(10), 5: Q(-2)}
+    assert tensor_vec({}, v, 3) == {}
 
 
 def test_rref_shape_and_pivots():
@@ -81,7 +82,7 @@ def test_rref_shape_and_pivots():
         (Q(1), Q(1), Q(1)),
         (Q(1), Q(3), Q(5)),
     ]
-    basis, pivots = rref(map(sparse_of_vec, rows))
+    basis, pivots = rref(map(ref.sparse, rows))
     assert pivots == (0, 1)
     assert basis[0] == {0: Q(1), 2: Q(-1)}
     assert basis[1] == {1: Q(1), 2: Q(2)}
@@ -125,8 +126,8 @@ def test_kron_on_basis_tensors():
         fg = f.kron(g)
         for i in range(a.dim):
             for j in range(b.dim):
-                expect = tensor_vec(ref.dense(f.cols[i], c.dim), ref.dense(g.cols[j], d.dim))
-                assert fg.apply({i * b.dim + j: Q(1)}) == sparse_of_vec(expect)
+                expect = tensor_vec(f.cols[i], g.cols[j], d.dim)
+                assert fg.apply({i * b.dim + j: Q(1)}) == expect
 
 
 def test_kron_bilinear_composition():
@@ -179,7 +180,7 @@ def test_preimage_membership():
     s = Space.of_dim(3, "s")
     t = Space.of_dim(2, "t")
     f = LinearMap.from_rows(s, t, [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]])
-    line = Subspace.from_vectors(t, [(Q(1), Q(0))])
+    line = Subspace.from_vectors(t, [{0: Q(1)}])
     pre = preimage(f, line)
     for v in pre.basis:
         assert line.coordinates(f.apply(v)) is not None
@@ -188,8 +189,8 @@ def test_preimage_membership():
 
 def test_subspace_equality_and_membership():
     s = Space.of_dim(3, "s")
-    u = Subspace.from_vectors(s, [(Q(1), Q(1), Q(0)), (Q(0), Q(0), Q(1))])
-    v = Subspace.from_vectors(s, [(Q(2), Q(2), Q(2)), (Q(0), Q(0), Q(5))])
+    u = Subspace.from_vectors(s, [{0: Q(1), 1: Q(1)}, {2: Q(1)}])
+    v = Subspace.from_vectors(s, [{0: Q(2), 1: Q(2), 2: Q(2)}, {2: Q(5)}])
     assert u == v  # reduced bases make equal spans literally equal
     inside = {0: Q(3), 1: Q(3), 2: Q(-1)}
     coords = u.coordinates(inside)
@@ -202,15 +203,21 @@ def test_subspace_equality_and_membership():
     assert incl.apply(coords) == inside
 
 
+@pytest.mark.parametrize("key", [-1, 3])
+def test_from_vectors_rejects_a_key_outside_the_ambient(key):
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        Subspace.from_vectors(Space.of_dim(3, "s"), [{0: Q(1)}, {key: Q(1)}])
+
+
 def test_intersection_commutative_idempotent():
     rng = random.Random(808)
     s = Space.of_dim(4, "s")
     for _ in range(20):
         u = Subspace.from_vectors(
-            s, [tuple(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
+            s, [ref.sparse(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
         )
         v = Subspace.from_vectors(
-            s, [tuple(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
+            s, [ref.sparse(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
         )
         uv = u.intersection(v)
         assert uv == v.intersection(u)
@@ -230,9 +237,7 @@ def quotient_by(killed: Subspace) -> BalancedTensor:
 
 def test_quotient_projection_section():
     s = Space.of_dim(4, "s")
-    killed = Subspace.from_vectors(
-        s, [(Q(1), Q(-1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(0))]
-    )
+    killed = Subspace.from_vectors(s, [{0: Q(1), 1: Q(-1)}, {2: Q(1)}])
     q = quotient_by(killed)
     assert q.space.dim == 2
     assert q.space.labels == ("[s1]", "[s3]")
@@ -276,7 +281,7 @@ def rational_matrices(draw, n_rows=None, n_cols=None):
 
 def as_subspace(space: Space, dense_echelon) -> Subspace:
     basis, pivots = dense_echelon
-    return Subspace(space, tuple(sparse_of_vec(b) for b in basis), pivots)
+    return Subspace(space, tuple(ref.sparse(b) for b in basis), pivots)
 
 
 @settings(max_examples=150)
@@ -284,15 +289,16 @@ def as_subspace(space: Space, dense_echelon) -> Subspace:
 def test_sparse_echelon_matches_the_dense_reference(rows):
     """Basis, pivots, rank and kernel agree with dense Gauss–Jordan."""
     n = len(rows[0])
-    basis, pivots = rref(map(sparse_of_vec, rows))
+    basis, pivots = rref(map(ref.sparse, rows))
     dense_basis, dense_pivots = ref.rref(rows)
     assert pivots == dense_pivots
-    assert basis == tuple(sparse_of_vec(b) for b in dense_basis)
+    assert basis == tuple(ref.sparse(b) for b in dense_basis)
     source, target = Space.of_dim(n, "s"), Space.of_dim(len(rows), "t")
     f = LinearMap(source, target, tuple(rows))
     assert f.rank() == len(dense_pivots)
     assert f.kernel() == as_subspace(source, ref.kernel(rows, n))
-    assert Subspace.from_vectors(source, rows) == as_subspace(source, (dense_basis, dense_pivots))
+    spanned = Subspace.from_vectors(source, map(ref.sparse, rows))
+    assert spanned == as_subspace(source, (dense_basis, dense_pivots))
 
 
 @settings(max_examples=100)
@@ -302,7 +308,7 @@ def test_dense_rows_round_trip_through_sparse_columns(rows):
     and the dense view gives the rows back."""
     f = LinearMap(Space.of_dim(len(rows[0]), "s"), Space.of_dim(len(rows), "t"), tuple(rows))
     assert f.rows == tuple(rows)
-    assert f.cols == tuple(sparse_of_vec(col) for col in zip(*rows))
+    assert f.cols == tuple(ref.sparse(col) for col in zip(*rows))
     assert all(v != 0 for col in f.cols for v in col.values())
 
 
@@ -370,7 +376,7 @@ def test_sparse_intersection_and_preimage_match_the_dense_reference(data):
     u_rows = data.draw(rational_matrices(n_cols=n))
     v_rows = data.draw(rational_matrices(n_cols=n))
     s = Space.of_dim(n, "s")
-    u, v = Subspace.from_vectors(s, u_rows), Subspace.from_vectors(s, v_rows)
+    u, v = (Subspace.from_vectors(s, map(ref.sparse, rows)) for rows in (u_rows, v_rows))
     expected = ref.intersection(ref.rref(u_rows)[0], ref.rref(v_rows)[0], n)
     assert u.intersection(v) == as_subspace(s, expected)
     # f: k^m -> k^n has the columns of a drawn matrix
@@ -387,7 +393,7 @@ def test_balanced_projection_matches_the_dense_quotient(rows, vectors):
     on basis vectors and on drawn vectors, and the quotient keeps the
     non-pivot coordinates."""
     n = len(rows[0])
-    killed = Subspace.from_vectors(Space.of_dim(n, "s"), rows)
+    killed = Subspace.from_vectors(Space.of_dim(n, "s"), map(ref.sparse, rows))
     projection, section = ref.quotient(*ref.rref(rows), n)
     q = quotient_by(killed)
     assert len(q.reps) == len(section) == n - killed.dim
@@ -395,7 +401,7 @@ def test_balanced_projection_matches_the_dense_quotient(rows, vectors):
         assert q.project({j: Q(1)}) == {i: row[j] for i, row in enumerate(projection) if row[j]}
     vec = vectors.draw(st.lists(ENTRIES, min_size=n, max_size=n))
     expected = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in projection]
-    assert q.project(sparse_of_vec(vec)) == sparse_of_vec(expected)
+    assert q.project(ref.sparse(vec)) == ref.sparse(expected)
 
 
 def test_linear_system_deterministic_solution():

@@ -34,6 +34,7 @@ from fusionalg.serialize import (
     inline_paths,
     load_document,
     make_certificate,
+    prepare,
     rational_from_obj,
     rational_to_obj,
     scenario_from_obj,
@@ -466,6 +467,27 @@ def test_certificates_match_golden_files(tmp_path, argv, golden):
     entry([argv[0], str(ROOT / argv[1]), "--output", str(out)])
     expected = json.loads((GOLDEN / f"{golden}.cert.json").read_text())
     assert certificate_identity(json.loads(out.read_text())) == certificate_identity(expected)
+
+
+REFS = sorted((ROOT / "perfbench" / "refs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", REFS, ids=lambda p: p.stem)
+def test_benchmark_references_are_reproduced(path):
+    """The benchmark's reference certificates, among them the only H4,
+    kS3 and O(S3) theorem-main ones, whose units are not all ones: the
+    recorded scenario run again gives the recorded result, and the
+    certificate replays."""
+    cert = json.loads(path.read_text())
+    op, args, failed = prepare(scenario_from_obj(cert["scenario"]))
+    assert not failed
+    result = op.run(args)[0]
+    assert canonical_json(result) == canonical_json(cert["result"])
+    assert verify_certificate(cert) == (True, [])
+
+
+def test_every_benchmark_reference_is_pinned():
+    assert len(REFS) == 9
 
 
 @pytest.mark.parametrize(
