@@ -131,9 +131,10 @@ def _join_index(nx: int, ng: int, m: int, k: int, x: int, g: int) -> int:
     return ng + (k - 1) * nx * ng + x * ng + g
 
 
-def diagonal_join(gset: FiniteGSet, m: int) -> FiniteGSet:
-    """The join of X and G carrying the diagonal action
-    (k, x, g)·h = (k, x·h, g·h) on classes."""
+def _join_action(gset: FiniteGSet, m: int, move_x: bool) -> FiniteGSet:
+    """The join of X and G in which h sends (k, x, g) to (k, x', g·h),
+    with x' = x·h when ``move_x`` and x' = x otherwise; a level-m class,
+    labeled by a point v of X, moves to the class of v·h either way."""
     if m < 1:
         raise ValueError("join needs a positive chain length")
     group = gset.group
@@ -147,44 +148,29 @@ def diagonal_join(gset: FiniteGSet, m: int) -> FiniteGSet:
             )
         for k in range(1, m):
             for x in range(nx):
+                xh = gset.act[x][h] if move_x else x
                 for g in range(ng):
                     act[_join_index(nx, ng, m, k, x, g)][h] = _join_index(
-                        nx, ng, m, k, gset.act[x][h], group.table[g][h]
+                        nx, ng, m, k, xh, group.table[g][h]
                     )
-        for x in range(nx):
-            act[_join_index(nx, ng, m, m, x, 0)][h] = _join_index(
-                nx, ng, m, m, gset.act[x][h], 0
+        for v in range(nx):
+            act[_join_index(nx, ng, m, m, v, 0)][h] = _join_index(
+                nx, ng, m, m, gset.act[v][h], 0
             )
     return FiniteGSet.from_table(group, points, act)
+
+
+def diagonal_join(gset: FiniteGSet, m: int) -> FiniteGSet:
+    """The join of X and G carrying the diagonal action
+    (k, x, g)·h = (k, x·h, g·h) on classes."""
+    return _join_action(gset, m, move_x=True)
 
 
 def gauged_join(gset: FiniteGSet, m: int) -> FiniteGSet:
     """The join of X and G where only the group coordinate moves:
     (k, x, g)·h = (k, x, g·h), with level-m classes labeled by the
     value x·g."""
-    if m < 1:
-        raise ValueError("join needs a positive chain length")
-    group = gset.group
-    nx, ng, points = _join_layout(gset, m)
-    size = len(points)
-    act = [[0] * group.order for _ in range(size)]
-    for h in range(group.order):
-        for g in range(ng):
-            act[_join_index(nx, ng, m, 0, 0, g)][h] = _join_index(
-                nx, ng, m, 0, 0, group.table[g][h]
-            )
-        for k in range(1, m):
-            for x in range(nx):
-                for g in range(ng):
-                    act[_join_index(nx, ng, m, k, x, g)][h] = _join_index(
-                        nx, ng, m, k, x, group.table[g][h]
-                    )
-        # a level-m class labeled by the value v moves to the class of v·h
-        for v in range(nx):
-            act[_join_index(nx, ng, m, m, v, 0)][h] = _join_index(
-                nx, ng, m, m, gset.act[v][h], 0
-            )
-    return FiniteGSet.from_table(group, points, act)
+    return _join_action(gset, m, move_x=False)
 
 
 @dataclass(frozen=True)

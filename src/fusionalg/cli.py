@@ -3,7 +3,8 @@
 Exit codes
     0  the run succeeded and every requested property holds
     1  an axiom check or certificate verification failed
-    2  malformed input (bad JSON, bad shapes, bad parameters)
+    2  malformed input (bad JSON, bad shapes, unknown fields, bad
+       parameters, a document beyond the byte cap)
     3  certified infeasible: a Farkas refutation was produced
     4  refused: a precondition of the requested construction fails
 
@@ -25,6 +26,7 @@ from .serialize import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_REFUSED,
+    KINDS,
     OPERATIONS,
     InputFormatError,
     canonical_json,
@@ -37,8 +39,26 @@ from .serialize import (
 )
 
 
+# The kinds `check` takes: those with an axiom battery.
+_CHECKABLE = tuple(kind for kind, doc in KINDS.items() if doc.battery)
+
+
 def _operations(command: str) -> list[str]:
     return [name for name, op in OPERATIONS.items() if op.command == command]
+
+
+def _a(words: str) -> str:
+    return ("an " if words[0] in "aeiou" else "a ") + words
+
+
+def _load(path, kinds: tuple[str, ...]) -> dict:
+    """The raw document at ``path``, which must be of one of ``kinds``."""
+    kind, raw = load_raw(path)
+    if kind not in kinds:
+        raise InputFormatError(
+            f"{path}: expected {_a(' or '.join(kinds))} document, not {_a(kind)}"
+        )
+    return raw
 
 
 def _finish(args, scenario_obj, result, lines, code, started) -> int:
@@ -87,22 +107,13 @@ def _document_scenario(args, inputs: dict, params: dict) -> dict:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    kind, raw = load_raw(args.file)
-    if kind in ("scenario", "certificate"):
-        raise InputFormatError(
-            f"{args.file}: check takes an algebra, hopf, comodule, group, "
-            f"or gset document, not a {kind}"
-        )
+    raw = _load(args.file, _CHECKABLE)
     return _run_scenario(args, _document_scenario(args, {"target": raw}, {}), started)
 
 
 def cmd_solve_connection(args) -> int:
     started = time.perf_counter()
-    kind, raw = load_raw(args.file)
-    if kind != "comodule":
-        raise InputFormatError(
-            f"{args.file}: expected a comodule document, got kind {kind!r}"
-        )
+    raw = _load(args.file, ("comodule",))
     scenario_obj = _document_scenario(
         args, {"comodule": raw}, {"unital": bool(args.unital)}
     )
@@ -111,22 +122,13 @@ def cmd_solve_connection(args) -> int:
 
 def cmd_scenario(args) -> int:
     started = time.perf_counter()
-    kind, raw = load_raw(args.file)
-    if kind != "scenario":
-        raise InputFormatError(
-            f"{args.file}: expected a scenario document, got kind {kind!r}"
-        )
-    return _run_scenario(args, raw, started)
+    return _run_scenario(args, _load(args.file, ("scenario",)), started)
 
 
 # ---------------------------------------------------------------- verify
 
 def cmd_verify_certificate(args) -> int:
-    kind, raw = load_raw(args.file)
-    if kind != "certificate":
-        raise InputFormatError(
-            f"{args.file}: expected a certificate, got kind {kind!r}"
-        )
+    raw = _load(args.file, ("certificate",))
     ok, problems = verify_certificate(raw)
     scn = raw.get("scenario", {})
     name = f"{scn.get('operation', '?')} {scn.get('id', '?')}"
@@ -163,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check",
         parents=[common],
-        help="run the axiom battery for an algebra, hopf, comodule, "
-        "group, or gset file",
+        help=f"run the axiom battery for {_a(', '.join(_CHECKABLE))} file",
     )
     p.add_argument("file")
     p.set_defaults(func=cmd_check)

@@ -361,11 +361,6 @@ def build_equivariant_fusion(
     )
 
 
-def coinvariants_of_fusion(fusion: EquivariantFusion) -> SubalgebraWitness:
-    """The gauge-fused base: coinvariants of the equivariant fusion."""
-    return coinvariants(fusion.comodule)
-
-
 # ---------------------------------------------------------------- lifting
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """File formats, the scenario operations, and replayable certificates.
 
-Input documents are JSON with a ``kind`` field naming what they carry:
-``algebra``, ``hopf``, ``comodule``, ``group``, ``gset``, or
-``scenario``.  Every rational entry is an exact integer or a ``"p/q"``
-string; floats are rejected because they are approximate.  A value of
-the form ``{"path": "other.json"}`` anywhere in a document is replaced
-by the content of that file, resolved relative to the referring file.
+Input documents are JSON with a ``kind`` field naming what they carry;
+:data:`KINDS` lists every kind with its decoder and its axiom battery.
+Every JSON object, nested ones included, is read through one field
+reader, which refuses any field the reader does not name, with its path
+(``params.profil: unknown field``).  Every rational entry is an exact
+integer or a ``"p/q"`` string; floats are rejected because they are
+approximate.  A value of the form ``{"path": "other.json"}`` anywhere in
+a document is replaced by the content of that file, resolved relative
+to the referring file; one document may read at most
+:data:`MAX_DOCUMENT_BYTES`, its references included.
 
 :data:`OPERATIONS` holds every operation a scenario can name: which
 command runs it, the input documents it reads, how its parameters are
@@ -19,7 +23,7 @@ form), the tool version, and the elapsed time.  Certificates serialize
 to canonical JSON (sorted keys, no whitespace), so two runs of the
 same scenario produce byte-identical files apart from the recorded
 ``timing_seconds``.  :func:`verify_certificate` replays one; it never
-re-runs the solver.
+runs the solver.
 """
 
 from __future__ import annotations
@@ -31,21 +35,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .algebra import (
-    AlgebraHom,
-    FDAlgebra,
-    Failure,
-    check_algebra,
-    check_hom,
-    function_algebra,
-)
+from .algebra import FDAlgebra, Failure, check_algebra
 from .classical import (
     diagonal_join,
     diagonal_join_freeness,
     discrete_join,
     fun_comodule,
     fun_of_join_vs_fusion,
-    gauged_join,
     gauged_join_iso,
     is_free,
 )
@@ -55,6 +51,7 @@ from .comodule import (
     canonical_map,
     check_comodule,
     check_strong_connection,
+    coinvariants,
     connection_system,
     connection_unital,
     is_principal,
@@ -68,7 +65,6 @@ from .fusion import (
     build_equivariant_fusion,
     build_fusion,
     chain_interval,
-    coinvariants_of_fusion,
     default_profile,
     make_sqrt_pair,
     pullback_identification,
@@ -81,8 +77,6 @@ from .linalg import Infeasibility, LinearMap, Q0, Space
 
 TOOL_NAME = "fusionalg"
 
-_MISSING = object()
-
 
 class InputFormatError(ValueError):
     """An input file does not match the documented formats."""
@@ -92,14 +86,27 @@ def _fail(where: str, msg: str) -> None:
     raise InputFormatError(f"{where}: {msg}")
 
 
-def _get(obj, key: str, where: str, default=_MISSING):
+def _fields(
+    obj, where: str, kind: str | None = None, required=(), optional: dict = {}
+) -> tuple:
+    """Read the JSON object at ``where``: the values of its ``required``
+    fields, then those of its ``optional`` ones, with their defaults
+    when absent.  A ``kind`` field must name ``kind``, and when absent it
+    means that kind; any field not named here is refused with its path."""
     if not isinstance(obj, dict):
         _fail(where, "expected a JSON object")
-    if key in obj:
-        return obj[key]
-    if default is _MISSING:
-        _fail(where, f"missing required field {key!r}")
-    return default
+    if kind is not None and obj.get("kind", kind) != kind:
+        _fail(where, f"expected kind {kind!r}, got {obj['kind']!r}")
+    for key in obj:
+        if key not in required and key not in optional and (kind is None or key != "kind"):
+            _fail(f"{where}.{key}", "unknown field")
+    for key in required:
+        if key not in obj:
+            _fail(where, f"missing required field {key!r}")
+    return (
+        *(obj[key] for key in required),
+        *(obj.get(key, default) for key, default in optional.items()),
+    )
 
 
 # ---------------------------------------------------------------- rationals
@@ -193,8 +200,9 @@ def sparse_map_to_obj(m: LinearMap) -> dict:
 def sparse_map_from_obj(
     obj, source: Space, target: Space, where: str
 ) -> LinearMap:
-    rows = _int_from_obj(_get(obj, "rows", where), f"{where}.rows", 0)
-    cols = _int_from_obj(_get(obj, "cols", where), f"{where}.cols", 0)
+    rows, cols, entries = _fields(obj, where, None, ("rows", "cols", "entries"))
+    rows = _int_from_obj(rows, f"{where}.rows", 0)
+    cols = _int_from_obj(cols, f"{where}.cols", 0)
     if rows != target.dim or cols != source.dim:
         _fail(
             where,
@@ -203,7 +211,7 @@ def sparse_map_from_obj(
         )
     columns: list[dict[int, Fraction]] = [{} for _ in range(cols)]
     seen = set()
-    for k, entry in enumerate(_list_from_obj(_get(obj, "entries", where), where)):
+    for k, entry in enumerate(_list_from_obj(entries, where)):
         ew = f"{where}.entries[{k}]"
         triple = _list_from_obj(entry, ew, 3)
         i = _int_from_obj(triple[0], f"{ew}[0]", 0)
@@ -245,14 +253,12 @@ def algebra_to_obj(a: FDAlgebra) -> dict:
 
 
 def algebra_from_obj(obj, where: str = "algebra") -> FDAlgebra:
-    kind = _get(obj, "kind", where, "algebra")
-    if kind != "algebra":
-        _fail(where, f"expected kind \"algebra\", got {kind!r}")
-    labels = _labels_from_obj(_get(obj, "labels", where), f"{where}.labels")
+    labels, unit, mult = _fields(obj, where, "algebra", ("labels", "unit", "mult"))
+    labels = _labels_from_obj(labels, f"{where}.labels")
     n = len(labels)
-    unit = vector_from_obj(_get(obj, "unit", where), n, f"{where}.unit")
+    unit = vector_from_obj(unit, n, f"{where}.unit")
     table = [[{} for _ in range(n)] for _ in range(n)]
-    for t, entry in enumerate(_list_from_obj(_get(obj, "mult", where), f"{where}.mult")):
+    for t, entry in enumerate(_list_from_obj(mult, f"{where}.mult")):
         ew = f"{where}.mult[{t}]"
         quad = _list_from_obj(entry, ew, 4)
         i = _int_from_obj(quad[0], f"{ew}[0]", 0)
@@ -280,28 +286,21 @@ def hopf_to_obj(h: HopfAlgebra) -> dict:
 
 
 def hopf_from_obj(obj, where: str = "hopf") -> HopfAlgebra:
-    kind = _get(obj, "kind", where, "hopf")
-    if kind != "hopf":
-        _fail(where, f"expected kind \"hopf\", got {kind!r}")
-    algebra = algebra_from_obj(_get(obj, "algebra", where), f"{where}.algebra")
+    algebra, coproduct, counit, antipode, antipode_inv = _fields(
+        obj, where, "hopf", ("algebra", "coproduct", "counit", "antipode"),
+        {"antipode_inv": None},
+    )
+    algebra = algebra_from_obj(algebra, f"{where}.algebra")
     sp = algebra.space
-    sq = sp.tensor(sp)
-    coproduct = dense_map_from_obj(
-        _get(obj, "coproduct", where), sp, sq, f"{where}.coproduct"
-    )
-    counit = dense_map_from_obj(
-        _get(obj, "counit", where), sp, Space.scalar(), f"{where}.counit"
-    )
-    antipode = dense_map_from_obj(
-        _get(obj, "antipode", where), sp, sp, f"{where}.antipode"
-    )
-    inv_obj = _get(obj, "antipode_inv", where, None)
-    antipode_inv = (
+    return make_hopf(
+        algebra,
+        dense_map_from_obj(coproduct, sp, sp.tensor(sp), f"{where}.coproduct"),
+        dense_map_from_obj(counit, sp, Space.scalar(), f"{where}.counit"),
+        dense_map_from_obj(antipode, sp, sp, f"{where}.antipode"),
         None
-        if inv_obj is None
-        else dense_map_from_obj(inv_obj, sp, sp, f"{where}.antipode_inv")
+        if antipode_inv is None
+        else dense_map_from_obj(antipode_inv, sp, sp, f"{where}.antipode_inv"),
     )
-    return make_hopf(algebra, coproduct, counit, antipode, antipode_inv)
 
 
 def comodule_to_obj(c: ComoduleAlgebra) -> dict:
@@ -314,13 +313,13 @@ def comodule_to_obj(c: ComoduleAlgebra) -> dict:
 
 
 def comodule_from_obj(obj, where: str = "comodule") -> ComoduleAlgebra:
-    kind = _get(obj, "kind", where, "comodule")
-    if kind != "comodule":
-        _fail(where, f"expected kind \"comodule\", got {kind!r}")
-    algebra = algebra_from_obj(_get(obj, "algebra", where), f"{where}.algebra")
-    hopf = hopf_from_obj(_get(obj, "hopf", where), f"{where}.hopf")
+    algebra, hopf, coaction = _fields(
+        obj, where, "comodule", ("algebra", "hopf", "coaction")
+    )
+    algebra = algebra_from_obj(algebra, f"{where}.algebra")
+    hopf = hopf_from_obj(hopf, f"{where}.hopf")
     coaction = dense_map_from_obj(
-        _get(obj, "coaction", where),
+        coaction,
         algebra.space,
         algebra.space.tensor(hopf.space),
         f"{where}.coaction",
@@ -336,46 +335,37 @@ def group_to_obj(g: FiniteGroup) -> dict:
     }
 
 
-def _group_shape_from_obj(obj, where: str):
-    kind = _get(obj, "kind", where, "group")
-    if kind != "group":
-        _fail(where, f"expected kind \"group\", got {kind!r}")
-    names = _labels_from_obj(_get(obj, "names", where), f"{where}.names")
-    n = len(names)
-    rows = _list_from_obj(_get(obj, "table", where), f"{where}.table", n)
-    table = []
-    for i, row in enumerate(rows):
-        rw = f"{where}.table[{i}]"
-        entries = _list_from_obj(row, rw, n)
-        table.append(
-            tuple(
-                _int_from_obj(v, f"{rw}[{j}]", 0) for j, v in enumerate(entries)
-            )
+class _TableAxiomsFailed(InputFormatError):
+    """A well-formed group or action table that fails its axioms."""
+
+    def __init__(self, where: str, axiom: str, detail: str):
+        super().__init__(f"{where}: {detail}")
+        self.where, self.failure = where, Failure(axiom, detail)
+
+
+def _table_from_obj(obj, where: str, rows: int, width: int) -> tuple:
+    """A ``rows`` x ``width`` table of indices."""
+    return tuple(
+        tuple(
+            _int_from_obj(v, f"{where}[{i}][{j}]", 0)
+            for j, v in enumerate(_list_from_obj(row, f"{where}[{i}]", width))
         )
-    return names, tuple(table)
+        for i, row in enumerate(_list_from_obj(obj, where, rows))
+    )
 
 
-def group_check_from_obj(
-    obj, where: str = "group"
-) -> tuple[FiniteGroup | None, list[Failure]]:
-    """Parse a group table and report axiom failures instead of raising.
-
-    Shape and type problems still raise :class:`InputFormatError`; a
-    well-formed table that fails the group axioms comes back as
-    ``(None, [failure])``.
-    """
-    names, table = _group_shape_from_obj(obj, where)
+def _from_table(where: str, axiom: str, build: Callable, *args):
     try:
-        return FiniteGroup.from_table(names, table), []
+        return build(*args)
     except ValueError as exc:
-        return None, [Failure("group_axioms", str(exc))]
+        raise _TableAxiomsFailed(where, axiom, str(exc)) from None
 
 
 def group_from_obj(obj, where: str = "group") -> FiniteGroup:
-    group, failures = group_check_from_obj(obj, where)
-    if group is None:
-        _fail(where, failures[0].detail)
-    return group
+    names, table = _fields(obj, where, "group", ("names", "table"))
+    names = _labels_from_obj(names, f"{where}.names")
+    table = _table_from_obj(table, f"{where}.table", len(names), len(names))
+    return _from_table(where, "group_axioms", FiniteGroup.from_table, names, table)
 
 
 def gset_to_obj(s: FiniteGSet) -> dict:
@@ -387,37 +377,12 @@ def gset_to_obj(s: FiniteGSet) -> dict:
     }
 
 
-def gset_check_from_obj(
-    obj, where: str = "gset"
-) -> tuple[FiniteGSet | None, list[Failure]]:
-    """Like :func:`group_check_from_obj`, for group actions."""
-    kind = _get(obj, "kind", where, "gset")
-    if kind != "gset":
-        _fail(where, f"expected kind \"gset\", got {kind!r}")
-    group = group_from_obj(_get(obj, "group", where), f"{where}.group")
-    points = _labels_from_obj(_get(obj, "points", where), f"{where}.points")
-    nx = len(points)
-    rows = _list_from_obj(_get(obj, "act", where), f"{where}.act", nx)
-    act = []
-    for i, row in enumerate(rows):
-        rw = f"{where}.act[{i}]"
-        entries = _list_from_obj(row, rw, group.order)
-        act.append(
-            tuple(
-                _int_from_obj(v, f"{rw}[{j}]", 0) for j, v in enumerate(entries)
-            )
-        )
-    try:
-        return FiniteGSet.from_table(group, points, act), []
-    except ValueError as exc:
-        return None, [Failure("action_axioms", str(exc))]
-
-
 def gset_from_obj(obj, where: str = "gset") -> FiniteGSet:
-    gset, failures = gset_check_from_obj(obj, where)
-    if gset is None:
-        _fail(where, failures[0].detail)
-    return gset
+    group, points, act = _fields(obj, where, "gset", ("group", "points", "act"))
+    group = group_from_obj(group, f"{where}.group")
+    points = _labels_from_obj(points, f"{where}.points")
+    act = _table_from_obj(act, f"{where}.act", len(points), group.order)
+    return _from_table(where, "action_axioms", FiniteGSet.from_table, group, points, act)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -436,8 +401,8 @@ class Scenario:
     params: dict
 
 
-def _operation_name(obj, where: str) -> str:
-    op = _str_from_obj(_get(obj, "operation", where), f"{where}.operation")
+def _operation_name(op, where: str) -> str:
+    op = _str_from_obj(op, f"{where}.operation")
     if op not in OPERATIONS:
         _fail(
             where,
@@ -448,13 +413,11 @@ def _operation_name(obj, where: str) -> str:
 
 
 def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
-    kind = _get(obj, "kind", where, "scenario")
-    if kind != "scenario":
-        _fail(where, f"expected kind \"scenario\", got {kind!r}")
-    sid = _str_from_obj(_get(obj, "id", where), f"{where}.id")
-    op = _operation_name(obj, where)
-    inputs = _get(obj, "inputs", where, {})
-    params = _get(obj, "params", where, {})
+    sid, op, inputs, params = _fields(
+        obj, where, "scenario", ("id", "operation"), {"inputs": {}, "params": {}}
+    )
+    sid = _str_from_obj(sid, f"{where}.id")
+    op = _operation_name(op, where)
     if not isinstance(inputs, dict):
         _fail(f"{where}.inputs", "expected a JSON object")
     if not isinstance(params, dict):
@@ -463,25 +426,18 @@ def scenario_from_obj(obj, where: str = "scenario") -> Scenario:
 
 
 def param_int(params: dict, name: str, where: str, minimum: int = 1) -> int:
-    return _int_from_obj(
-        _get(params, name, where), f"{where}.{name}", minimum
-    )
+    if name not in params:
+        _fail(where, f"missing required field {name!r}")
+    return _int_from_obj(params[name], f"{where}.{name}", minimum)
 
 
 def base_from_obj(obj, where: str) -> BaseWithEnds:
     """A raw base: an algebra with two evaluation rows."""
-    algebra = algebra_from_obj(_get(obj, "algebra", where), f"{where}.algebra")
-    end_zero = dense_map_from_obj(
-        [_get(obj, "end_zero", where)],
-        algebra.space,
-        Space.scalar(),
-        f"{where}.end_zero",
-    )
-    end_one = dense_map_from_obj(
-        [_get(obj, "end_one", where)],
-        algebra.space,
-        Space.scalar(),
-        f"{where}.end_one",
+    algebra, *ends = _fields(obj, where, None, ("algebra", "end_zero", "end_one"))
+    algebra = algebra_from_obj(algebra, f"{where}.algebra")
+    end_zero, end_one = (
+        dense_map_from_obj([row], algebra.space, Space.scalar(), f"{where}.{name}")
+        for row, name in zip(ends, ("end_zero", "end_one"))
     )
     try:
         return base_with_ends(algebra, end_zero, end_one)
@@ -503,6 +459,14 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # The joins of finite sets are bounded by the same number: the points of
 # a join are at most the ambient of the fusion of its function algebras.
 MAX_AMBIENT_DIM = 128
+# The most bytes one document may read: its own file and every file its
+# path references bring in, a file counted as often as it is referenced.
+# The largest certificate written today, an O(S3) benchmark reference,
+# has 13.6 KB, so 16 MiB leaves three orders of magnitude for
+# hand-written documents.  Without a total, references that double at
+# each level inline about 1 GB within the 20 levels the depth limit
+# allows; with it, such a chain is refused after 16 MiB of reading.
+MAX_DOCUMENT_BYTES = 16 * 2**20
 _FUSION_AMBIENT = "the fusion ambient dimension"
 
 
@@ -530,6 +494,8 @@ def _param_base(scn: Scenario, inputs) -> tuple[BaseWithEnds]:
     ``params.base``, or the chain 0..m for ``params.m``."""
     raw = scn.params.get("base")
     if raw is not None:
+        if "m" in scn.params:
+            _fail("params", "give either a base or m, not both")
         base = base_from_obj(raw, "params.base")
         _within_budget("params.base", base.dim * _fiber_dim(inputs))
         return (base,)
@@ -538,14 +504,68 @@ def _param_base(scn: Scenario, inputs) -> tuple[BaseWithEnds]:
     return (chain_interval(m),)
 
 
+# ---------------------------------------------------------------- kinds
+
+@dataclass(frozen=True)
+class DocumentKind:
+    """How a document of one kind is read: ``decode(obj, where)`` builds
+    its value, and ``battery(value)`` lists the value's axiom failures.
+    A kind without a battery cannot be checked; a certificate has no
+    decoder and stays raw for :func:`verify_certificate`."""
+
+    decode: Callable | None = None
+    battery: Callable | None = None
+
+
+def _checked_when_decoded(value) -> tuple:
+    """Group and action tables meet their axioms as they are decoded."""
+    return ()
+
+
+KINDS: dict[str, DocumentKind] = {
+    "algebra": DocumentKind(algebra_from_obj, lambda a: check_algebra(a).failures),
+    "hopf": DocumentKind(hopf_from_obj, lambda h: check_hopf(h).failures),
+    "comodule": DocumentKind(
+        comodule_from_obj,
+        lambda c: (*check_hopf(c.hopf).failures, *check_comodule(c).failures),
+    ),
+    "group": DocumentKind(group_from_obj, _checked_when_decoded),
+    "gset": DocumentKind(gset_from_obj, _checked_when_decoded),
+    "scenario": DocumentKind(scenario_from_obj),
+    "certificate": DocumentKind(),
+}
+
+
+def _kind(obj, where: str) -> str:
+    """The kind a document names, one of :data:`KINDS`."""
+    if not isinstance(obj, dict):
+        _fail(where, "expected a JSON object")
+    if "kind" not in obj:
+        _fail(where, "missing required field 'kind'")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        _fail(where, f"unknown kind {kind!r}; expected one of " + ", ".join(sorted(KINDS)))
+    return kind
+
+
 # ---------------------------------------------------------------- loading
 
 _MAX_PATH_DEPTH = 20
 
 
-def load_json(path) -> dict | list:
+def load_json(path, spent: list[int] | None = None) -> dict | list:
+    """Parse one JSON file.  ``spent[0]`` counts the bytes read for one
+    document; a file that takes it past :data:`MAX_DOCUMENT_BYTES` is
+    refused before it is read."""
     path = Path(path)
+    spent = [0] if spent is None else spent
     try:
+        spent[0] += path.stat().st_size
+        if spent[0] > MAX_DOCUMENT_BYTES:
+            raise InputFormatError(
+                f"{path}: the document reads more than {MAX_DOCUMENT_BYTES} "
+                "bytes, its path references included"
+            )
         text = path.read_text()
     except OSError as exc:
         raise InputFormatError(f"{path}: cannot read: {exc}") from exc
@@ -557,11 +577,13 @@ def load_json(path) -> dict | list:
         raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def inline_paths(obj, base_dir, depth: int = 0):
+def inline_paths(obj, base_dir, depth: int = 0, spent: list[int] | None = None):
     """Replace every ``{"path": ...}`` reference by the referenced file's
-    content, resolved relative to the referring file."""
+    content, resolved relative to the referring file; ``spent`` counts
+    the bytes read, as :func:`load_json` does."""
     if depth > _MAX_PATH_DEPTH:
         raise InputFormatError("path references nest too deeply")
+    spent = [0] if spent is None else spent
     if isinstance(obj, dict):
         if set(obj) == {"path"}:
             rel = _str_from_obj(obj["path"], "path reference")
@@ -570,41 +592,23 @@ def inline_paths(obj, base_dir, depth: int = 0):
                     f"path reference {rel!r} has no base directory"
                 )
             target = Path(base_dir) / rel
-            return inline_paths(load_json(target), target.parent, depth + 1)
-        return {k: inline_paths(v, base_dir, depth) for k, v in obj.items()}
+            return inline_paths(load_json(target, spent), target.parent, depth + 1, spent)
+        return {k: inline_paths(v, base_dir, depth, spent) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [inline_paths(v, base_dir, depth) for v in obj]
+        return [inline_paths(v, base_dir, depth, spent) for v in obj]
     return obj
-
-
-_PARSERS = {
-    "algebra": algebra_from_obj,
-    "hopf": hopf_from_obj,
-    "comodule": comodule_from_obj,
-    "group": group_from_obj,
-    "gset": gset_from_obj,
-    "scenario": scenario_from_obj,
-    "certificate": None,  # kept raw; use verify_certificate
-}
 
 
 def load_raw(path) -> tuple[str, dict]:
     """Load a JSON document without decoding it: ``(kind, raw object)``,
     with path references inlined, so the object is self-contained."""
-    raw = load_json(path)
-    if not isinstance(raw, dict):
-        raise InputFormatError(f"{path}: expected a JSON object at top level")
+    spent = [0]
+    raw = load_json(path, spent)
     try:
-        raw = inline_paths(raw, Path(path).parent)
+        raw = inline_paths(raw, Path(path).parent, spent=spent)
     except RecursionError as exc:
         raise InputFormatError(f"{path}: the document is nested too deeply") from exc
-    kind = _str_from_obj(_get(raw, "kind", str(path)), f"{path}: kind")
-    if kind not in _PARSERS:
-        raise InputFormatError(
-            f"{path}: unknown kind {kind!r}; expected one of "
-            + ", ".join(sorted(_PARSERS))
-        )
-    return kind, raw
+    return _kind(raw, str(path)), raw
 
 
 def load_document(path) -> tuple[str, dict, object]:
@@ -613,8 +617,8 @@ def load_document(path) -> tuple[str, dict, object]:
     Certificates are returned unparsed.
     """
     kind, raw = load_raw(path)
-    parser = _PARSERS[kind]
-    return kind, raw, raw if parser is None else parser(raw, kind)
+    decode = KINDS[kind].decode
+    return kind, raw, raw if decode is None else decode(raw, kind)
 
 
 # ---------------------------------------------------------------- certificates
@@ -659,8 +663,10 @@ def infeasibility_to_obj(inf: Infeasibility) -> dict:
 
 
 def infeasibility_from_obj(obj, where: str) -> Infeasibility:
-    row_index = _int_from_obj(_get(obj, "row_index", where), f"{where}.row_index", 0)
-    farkas_obj = _get(obj, "farkas", where)
+    row_index, farkas_obj, residual = _fields(
+        obj, where, None, ("row_index", "farkas", "residual")
+    )
+    row_index = _int_from_obj(row_index, f"{where}.row_index", 0)
     if not isinstance(farkas_obj, dict):
         _fail(f"{where}.farkas", "expected a JSON object")
     farkas = {}
@@ -670,7 +676,7 @@ def infeasibility_from_obj(obj, where: str) -> Infeasibility:
         except ValueError:
             _fail(f"{where}.farkas", f"key {key!r} is not a row index")
         farkas[idx] = rational_from_obj(v, f"{where}.farkas[{key}]")
-    residual = rational_from_obj(_get(obj, "residual", where), f"{where}.residual")
+    residual = rational_from_obj(residual, f"{where}.residual")
     return Infeasibility(row_index, farkas, residual)
 
 
@@ -704,35 +710,20 @@ def parse_checked(obj, where: str, kind: str | None = None):
     algebras, and comodule algebras get their named axiom checks (a
     comodule also checks its Hopf algebra); group and action tables get
     their table axioms, and come back with no value when they fail them.
-    Shape and type problems raise :class:`InputFormatError`.
+    Shape and type problems, a group table inside an action included,
+    raise :class:`InputFormatError`.
     """
-    if kind is None:
-        kind = _str_from_obj(_get(obj, "kind", where), f"{where}.kind")
-    if kind == "algebra":
-        value = algebra_from_obj(obj, where)
-        failures = list(check_algebra(value).failures)
-    elif kind == "hopf":
-        value = hopf_from_obj(obj, where)
-        failures = list(check_hopf(value).failures)
-    elif kind == "comodule":
-        value = comodule_from_obj(obj, where)
-        failures = list(check_hopf(value.hopf).failures) + list(
-            check_comodule(value).failures
-        )
-    elif kind == "group":
-        value, failures = group_check_from_obj(obj, where)
-    elif kind == "gset":
-        value, failures = gset_check_from_obj(obj, where)
-    else:
-        raise InputFormatError(f"{where}: cannot check kind {kind!r}")
-    return kind, value, failures
-
-
-def check_document_obj(obj, where: str = "input") -> tuple[str, list[Failure]]:
-    """Run the axiom battery matching a document's kind (see
-    :func:`parse_checked`): ``(kind, failures)``."""
-    kind, _, failures = parse_checked(obj, where)
-    return kind, failures
+    kind = kind or _kind(obj, where)
+    doc = KINDS[kind]
+    if doc.battery is None:
+        _fail(where, f"cannot check kind {kind!r}")
+    try:
+        value = doc.decode(obj, where)
+    except _TableAxiomsFailed as exc:
+        if exc.where != where:
+            raise
+        return kind, None, [exc.failure]
+    return kind, value, list(doc.battery(value))
 
 
 # ---------------------------------------------------------------- operations
@@ -750,31 +741,36 @@ class Operation:
     :func:`verify_certificate` replays it.
 
     ``inputs`` names the input documents and their kinds; each is
-    decoded once and its axioms checked.  ``parse(scn, inputs)``
-    validates the parameters against the decoded inputs, refusing a
-    fusion beyond :data:`MAX_AMBIENT_DIM`; the inputs in order, then the
-    parameters, are the arguments of ``run(args)``, which returns
-    ``(result, lines, exit code)``.  An operation whose result carries a
-    witness has ``replay(args, result)``, which yields problems without
-    solving; any other is replayed by running it again and comparing the
-    results field by field.
+    decoded once and its axioms checked, apart from one of kind
+    ``None``, which is passed on raw.  ``params`` names the parameters
+    the operation reads; a scenario with any other input or parameter is
+    refused.  ``parse(scn, inputs)`` validates the parameters against
+    the decoded inputs, refusing a fusion beyond
+    :data:`MAX_AMBIENT_DIM`; the inputs in order, then the parameters,
+    are the arguments of ``run(args)``, which returns ``(result, lines,
+    exit code)``.  An operation whose result carries a witness has
+    ``replay(args, result)``, which yields problems without solving; any
+    other is replayed by running it again and comparing the results
+    field by field.
     """
 
     command: str
-    inputs: tuple[tuple[str, str], ...]
+    inputs: tuple[tuple[str, str | None], ...]
     run: Callable
     replay: Callable | None = None
+    params: tuple[str, ...] = ()
     parse: Callable = lambda scn, inputs: ()
 
 
 def _ints(
     *names: str, ambient: Callable | None = None, measure: str = _FUSION_AMBIENT
-) -> Callable:
-    """A parse of the named positive integer parameters.  For an
-    operation that builds a fusion, ``ambient(*args)`` is the dimension
-    of its largest ambient, computed from the arguments of ``run``; a
-    join builds no fusion and is bounded by the ambient of the one it
-    models, which has at least as many points, named by ``measure``."""
+) -> dict:
+    """The ``params`` and ``parse`` of an operation whose parameters are
+    the named positive integers.  For an operation that builds a fusion,
+    ``ambient(*args)`` is the dimension of its largest ambient, computed
+    from the arguments of ``run``; a join builds no fusion and is bounded
+    by the ambient of the one it models, which has at least as many
+    points, named by ``measure``."""
 
     def parse(scn: Scenario, inputs) -> tuple[int, ...]:
         values = tuple(param_int(scn.params, name, "params") for name in names)
@@ -782,12 +778,12 @@ def _ints(
             _within_budget("params", ambient(*inputs, *values), measure)
         return values
 
-    return parse
+    return {"params": names, "parse": parse}
 
 
 def _run_check(args):
     (target,) = args
-    kind, failures = check_document_obj(target, "inputs.target")
+    kind, _, failures = parse_checked(target, "inputs.target")
     result = {
         "target_kind": kind,
         "ok": not failures,
@@ -865,7 +861,7 @@ def _run_fusion(args):
 def _run_equivariant_fusion(args):
     com, base = args
     fusion = build_equivariant_fusion(base, com)
-    coinv = coinvariants_of_fusion(fusion)
+    coinv = coinvariants(fusion.comodule)
     result = {
         "dims": {
             "inner": com.algebra.dim,
@@ -890,8 +886,7 @@ def _parse_theorem_main(scn: Scenario, inputs):
     from the default profile."""
     m = param_int(scn.params, "m", "params")
     _within_budget("params.m", (m + 1) * _fiber_dim(inputs))
-    profile = _get(scn.params, "profile", "params", None)
-    sqrt = _get(scn.params, "sqrt", "params", None)
+    profile, sqrt = scn.params.get("profile"), scn.params.get("sqrt")
     if sqrt is None:
         where, make = "params.profile", make_sqrt_pair
         if profile is None:
@@ -902,9 +897,10 @@ def _parse_theorem_main(scn: Scenario, inputs):
         _fail("params", "give either a profile or a sqrt pair, not both")
     else:
         where, make = "params.sqrt", sqrt_pair_from_vectors
+        s, s_prime = _fields(sqrt, where, None, ("s", "s_prime"))
         dense = (
-            vector_from_obj(_get(sqrt, key, where), m + 1, f"{where}.{key}")
-            for key in ("s", "s_prime")
+            vector_from_obj(s, m + 1, f"{where}.s"),
+            vector_from_obj(s_prime, m + 1, f"{where}.s_prime"),
         )
         vectors = tuple({i: v for i, v in enumerate(vec) if v} for vec in dense)
     try:
@@ -958,14 +954,14 @@ def _replay_theorem_main(args, result):
         "result",
     )
     ell, problems = _check_connection(
-        com, _get(result, "input_connection", "result"), "result.input_connection"
+        com, result.get("input_connection"), "result.input_connection"
     )
     yield from problems
     yield from _compare(
         result, {"input_connection_unital": connection_unital(com, ell)}, "result"
     )
     for key in ("lifted_connection", "fusion_connection"):
-        yield from _check_connection(ef, _get(result, key, "result"), f"result.{key}")[1]
+        yield from _check_connection(ef, result.get(key), f"result.{key}")[1]
 
 
 def _run_pullback(args):
@@ -1058,25 +1054,6 @@ def _run_gauged_join_iso(args):
     return result, lines, EXIT_OK
 
 
-def _replay_gauged_join_iso(args, result):
-    gset, m = args
-    diag = diagonal_join(gset, m)
-    gau = gauged_join(gset, m)
-    yield from _compare(result, {"m": m, "size": diag.size}, "result")
-    pm = _list_from_obj(result.get("point_map"), "result.point_map", diag.size)
-    pm = [
-        _int_from_obj(v, f"result.point_map[{i}]", 0) for i, v in enumerate(pm)
-    ]
-    if sorted(pm) != list(range(diag.size)):
-        yield "result.point_map is not a bijection"
-    elif not all(
-        pm[diag.act[p][g]] == gau.act[pm[p]][g]
-        for p in range(diag.size)
-        for g in range(gset.group.order)
-    ):
-        yield "result.point_map is not equivariant"
-
-
 def _run_join_vs_fusion(args):
     nx, ny, m = args
     iso = fun_of_join_vs_fusion(nx, ny, m)
@@ -1092,32 +1069,6 @@ def _run_join_vs_fusion(args):
         "the fusion of the two function algebras"
     ]
     return result, lines, EXIT_OK
-
-
-def _replay_join_vs_fusion(args, result):
-    nx, ny, m = args
-    join = discrete_join(nx, ny, m)
-    functions = function_algebra(join.size, tuple(f"δ{p}" for p in join.points))
-    fusion = build_fusion(chain_interval(m), function_algebra(nx), function_algebra(ny))
-    yield from _compare(
-        result,
-        {
-            "nx": nx,
-            "ny": ny,
-            "m": m,
-            "dims": {"join": join.size, "fusion": fusion.algebra.dim},
-        },
-        "result",
-    )
-    iso = sparse_map_from_obj(
-        _get(result, "iso", "result"),
-        functions.space,
-        fusion.algebra.space,
-        "result.iso",
-    )
-    report = check_hom(AlgebraHom(functions, fusion.algebra, iso))
-    if not (report.ok and report.bijective):
-        yield "result.iso is not an algebra isomorphism"
 
 
 def _run_diagonal_join_freeness(args):
@@ -1162,31 +1113,27 @@ def _replay_diagonal_join_freeness(args, result):
 
 _COMODULE = (("comodule", "comodule"),)
 _GSET = (("gset", "gset"),)
+_BASE = {"params": ("base", "m"), "parse": _param_base}
 
 # The operations, in the order the command line lists them.
 OPERATIONS: dict[str, Operation] = {
-    "check": Operation(
-        "check", (), _run_check,
-        parse=lambda scn, inputs: (_get(scn.inputs, "target", "inputs"),),
-    ),
+    "check": Operation("check", (("target", None),), _run_check),
     "solve-connection": Operation(
         "solve-connection", _COMODULE, _run_solve_connection, _replay_solve_connection,
-        lambda scn, inputs: (
-            _bool_from_obj(_get(scn.params, "unital", "params", False), "params.unital"),
-        ),
+        ("unital",),
+        lambda scn, inputs: (_bool_from_obj(scn.params.get("unital", False), "params.unital"),),
     ),
     "fusion": Operation(
-        "fusion", (("left", "algebra"), ("right", "algebra")), _run_fusion, parse=_param_base
+        "fusion", (("left", "algebra"), ("right", "algebra")), _run_fusion, **_BASE
     ),
-    "equivariant-fusion": Operation(
-        "fusion", _COMODULE, _run_equivariant_fusion, parse=_param_base
-    ),
+    "equivariant-fusion": Operation("fusion", _COMODULE, _run_equivariant_fusion, **_BASE),
     "theorem-main": Operation(
-        "fusion", _COMODULE, _run_theorem_main, _replay_theorem_main, _parse_theorem_main
+        "fusion", _COMODULE, _run_theorem_main, _replay_theorem_main,
+        ("m", "profile", "sqrt"), _parse_theorem_main,
     ),
     "pullback": Operation(
         "fusion", _COMODULE, _run_pullback,
-        parse=_ints(
+        **_ints(
             "m_lower", "m_upper",
             ambient=lambda com, lo, hi: (lo + hi + 1) * _fiber_dim((com,)),
         ),
@@ -1194,27 +1141,27 @@ OPERATIONS: dict[str, Operation] = {
     "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
     "discrete-join": Operation(
         "classical", (), _run_discrete_join,
-        parse=_ints(
+        **_ints(
             "nx", "ny", "m",
             ambient=lambda nx, ny, m: (m + 1) * nx * ny,
             measure="the join point bound (m+1)·nx·ny =",
         ),
     ),
     "gauged-join-iso": Operation(
-        "classical", _GSET, _run_gauged_join_iso, _replay_gauged_join_iso,
-        _ints(
+        "classical", _GSET, _run_gauged_join_iso,
+        **_ints(
             "m",
             ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order,
             measure="the join point bound (m+1)·|X|·|G| =",
         ),
     ),
     "join-vs-fusion": Operation(
-        "classical", (), _run_join_vs_fusion, _replay_join_vs_fusion,
-        _ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
+        "classical", (), _run_join_vs_fusion,
+        **_ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
     ),
     "diagonal-join-freeness": Operation(
         "classical", _GSET, _run_diagonal_join_freeness, _replay_diagonal_join_freeness,
-        _ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
+        **_ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
     ),
 }
 
@@ -1222,16 +1169,20 @@ OPERATIONS: dict[str, Operation] = {
 def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
     """Decode and validate a scenario once, for running or replaying it.
 
+    Refuses an input or a parameter the operation does not read.
     Returns the operation, the arguments of its ``run``, and
     ``(name, kind, failures)`` for every input document that fails its
     axioms; an operation must not run on such inputs.
     """
     op = OPERATIONS[scn.operation]
+    raws = _fields(scn.inputs, "inputs", None, tuple(name for name, _ in op.inputs))
+    _fields(scn.params, "params", None, (), dict.fromkeys(op.params))
     inputs, failed = [], []
-    for name, kind in op.inputs:
-        _, value, failures = parse_checked(
-            _get(scn.inputs, name, "inputs"), f"inputs.{name}", kind
-        )
+    for (name, kind), raw in zip(op.inputs, raws):
+        if kind is None:
+            inputs.append(raw)
+            continue
+        _, value, failures = parse_checked(raw, f"inputs.{name}", kind)
         inputs.append(value)
         if failures:
             failed.append((name, kind, failures))
@@ -1331,26 +1282,28 @@ def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     The scenario's inputs are decoded and their axioms checked, as a run
     does.  An operation whose result needs no solving runs again, and
     every recorded field must match.  The others re-check their
-    witnesses against the axioms they claim: connections, isomorphisms,
-    point maps and Farkas multipliers; every recorded fact that needs no
-    solving is re-derived as well.  Only ``num_rows`` of a found
-    connection and ``fusion_num_rows`` are taken as recorded: they are
-    the row count of the connection system, which needs no elimination,
-    but replay would have to build that system to count it.
+    witnesses against the axioms they claim, connections and Farkas
+    multipliers; every recorded fact that needs no solving is re-derived
+    as well.  Only ``num_rows`` of a found connection and
+    ``fusion_num_rows`` are taken as recorded: they are the row count of
+    the connection system, which needs no elimination, but replay would
+    have to build that system to count it.
 
     Returns ``(ok, problems)``.  A certificate whose envelope is wrong
-    (kind, tool, or an unknown operation) raises
+    (kind, tool, an unknown field, or an unknown operation) raises
     :class:`InputFormatError`; a malformed scenario or result inside it
     is a problem.
     """
-    if _get(cert, "kind", "certificate") != "certificate":
-        _fail("certificate", "expected kind \"certificate\"")
-    tool = _get(cert, "tool", "certificate")
-    if _get(tool, "name", "certificate.tool") != TOOL_NAME:
-        _fail("certificate.tool", f"unknown tool {tool.get('name')!r}")
-    scn_obj = _get(cert, "scenario", "certificate")
-    _operation_name(scn_obj, "certificate.scenario")
-    result = _get(cert, "result", "certificate")
+    tool, scn_obj, result, _ = _fields(
+        cert, "certificate", "certificate", ("tool", "scenario", "result"),
+        {"timing_seconds": None},
+    )
+    name, _ = _fields(tool, "certificate.tool", None, ("name",), {"version": None})
+    if name != TOOL_NAME:
+        _fail("certificate.tool", f"unknown tool {name!r}")
+    if not isinstance(scn_obj, dict):
+        _fail("certificate.scenario", "expected a JSON object")
+    _operation_name(scn_obj.get("operation"), "certificate.scenario")
     if not isinstance(result, dict):
         _fail("certificate.result", "expected a JSON object")
     problems: list[str] = []

@@ -22,6 +22,7 @@ from fusionalg.serialize import (
     algebra_to_obj,
     certificate_identity,
     comodule_to_obj,
+    group_to_obj,
     gset_to_obj,
     hopf_to_obj,
     verify_certificate,
@@ -515,8 +516,12 @@ def _refuse_to_build_joins(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget must be checked before a join is built")
 
-    for module in (fusionalg.classical, fusionalg.serialize):
-        for name in ("discrete_join", "diagonal_join", "gauged_join"):
+    # every join builder, and those serialize calls by its own name
+    for module, names in (
+        (fusionalg.classical, ("discrete_join", "diagonal_join", "gauged_join")),
+        (fusionalg.serialize, ("discrete_join", "diagonal_join")),
+    ):
+        for name in names:
             monkeypatch.setattr(module, name, refuse)
 
 
@@ -632,6 +637,171 @@ def test_every_operation_replays_without_solving(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(fusionalg.fusion, "lift_connection", refuse)
     assert entry(["verify-certificate", str(cert_path)]) == 0
     assert "certificate valid" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- unknown fields
+
+_DOCUMENTS = {
+    "algebra": lambda: algebra_to_obj(function_algebra(2)),
+    "hopf": lambda: hopf_to_obj(function_hopf(FiniteGroup.cyclic(2))),
+    "comodule": lambda: comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2)))),
+    "group": lambda: group_to_obj(FiniteGroup.cyclic(2)),
+    "gset": lambda: gset_to_obj(FiniteGSet.regular(FiniteGroup.cyclic(2))),
+}
+
+
+def _certificate_of(tmp_path, operation):
+    """The certificate of the small run of ``operation``."""
+    command, doc = _small_runs()[operation]
+    cert_path = tmp_path / "run.cert.json"
+    assert entry(command + [write(tmp_path, "run.json", doc), "--output", str(cert_path)]) == 0
+    return ["verify-certificate"], json.loads(cert_path.read_text())
+
+
+def _unknown_field_cases():
+    """``(source, keys, field, value, exit code, path)``: the command and
+    document that ``source(tmp_path)`` gives, the keys leading to the
+    object that gets the unknown field, and the path the refusal names."""
+    cases = []
+    for kind, keys in [
+        ("algebra", ()), ("hopf", ()), ("hopf", ("algebra",)), ("comodule", ()),
+        ("comodule", ("algebra",)), ("comodule", ("hopf",)),
+        ("comodule", ("hopf", "algebra")), ("group", ()), ("gset", ()), ("gset", ("group",)),
+    ]:
+        named = ".".join(("inputs.target",) + keys + ("x",))
+        source = lambda tmp_path, kind=kind: (["check"], _DOCUMENTS[kind]())
+        cases.append(pytest.param(source, keys, "x", 1, 2, named, id=f"check-{named}"))
+    # a field nested 400 lists deep is refused as well, not walked
+    source = lambda tmp_path: (["check"], _DOCUMENTS["comodule"]())
+    deep = json.loads("[" * 400 + "]" * 400)
+    cases.append(pytest.param(source, (), "x", deep, 2, "inputs.target.x", id="check-deep-x"))
+    for operation, (command, _) in _small_runs().items():
+        source = lambda tmp_path, operation=operation: _small_runs()[operation]
+        cert = lambda tmp_path, operation=operation: _certificate_of(tmp_path, operation)
+        # check and solve-connection take a document, whose scenario the
+        # command line writes itself
+        if command[0] in ("fusion", "classical"):
+            for keys, named in [((), "scenario.x"), (("inputs",), "inputs.x"),
+                                (("params",), "params.x")]:
+                cases.append(pytest.param(source, keys, "x", 1, 2, named,
+                                          id=f"{operation}-{named}"))
+        for keys, named in [(("scenario",), "certificate.scenario.x"),
+                            (("scenario", "inputs"), "inputs.x"),
+                            (("scenario", "params"), "params.x")]:
+            cases.append(pytest.param(cert, keys, "x", 1, 1, named,
+                                      id=f"certificate-{operation}-{named}"))
+    cert = lambda tmp_path: _certificate_of(tmp_path, "theorem-main")
+    cases += [
+        pytest.param(cert, (), "x", 1, 2, "certificate.x", id="certificate-envelope"),
+        pytest.param(cert, ("tool",), "x", 1, 2, "certificate.tool.x", id="certificate-tool"),
+        pytest.param(cert, ("scenario", "inputs", "comodule", "hopf"), "x", 1, 1,
+                     "inputs.comodule.hopf.x", id="certificate-inputs.comodule.hopf.x"),
+        # a misspelled profile is not the default profile
+        pytest.param(lambda tmp_path: _small_runs()["theorem-main"], ("params",), "profil",
+                     ["0", "4/5", "1"], 2, "params.profil", id="theorem-main-params.profil"),
+        pytest.param(cert, ("scenario", "params"), "profil", ["0", "4/5", "1"], 1,
+                     "params.profil", id="certificate-theorem-main-params.profil"),
+        pytest.param(lambda tmp_path: (["fusion"], _with_sqrt()), ("params", "sqrt"), "x", 1, 2,
+                     "params.sqrt.x", id="theorem-main-params.sqrt.x"),
+    ]
+    return cases
+
+
+def _with_sqrt():
+    doc = _small_runs()["theorem-main"][1]
+    doc["params"]["sqrt"] = {"s": ["0", "3/5", "1"], "s_prime": ["1", "4/5", "0"]}
+    return doc
+
+
+@pytest.mark.parametrize("source, keys, field, value, code, named", _unknown_field_cases())
+def test_unknown_field_is_refused_with_its_path(
+    tmp_path, capsys, source, keys, field, value, code, named
+):
+    """An unknown field in a document, a scenario, its inputs or params,
+    or a certificate's envelope exits 2 and names its path; inside a
+    certificate's recorded scenario it makes the certificate INVALID."""
+    command, doc = source(tmp_path)
+    holder = doc
+    for key in keys:
+        holder = holder[key]
+    holder[field] = value
+    path = write(tmp_path, "input.json", doc)
+    capsys.readouterr()
+    assert entry(command + [path]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("error: ") and f"{named}: unknown field" in err, err
+    else:
+        assert "certificate INVALID" in out and f"  {named}: unknown field" in out, out
+
+
+def test_a_base_is_read_strictly(tmp_path, capsys):
+    """A base with an unknown field is refused, and so is an ``m`` next
+    to a base, which the base would silently override."""
+    left = algebra_to_obj(function_algebra(1))
+    base = {"algebra": algebra_to_obj(function_algebra(2)), "end_zero": ["1", "0"],
+            "end_one": ["0", "1"]}
+    doc = scenario("fusion", inputs={"left": left, "right": left}, params={"base": base})
+    assert entry(["fusion", write(tmp_path, "scn.json", doc)]) == 0
+    doc["params"]["m"] = 5
+    capsys.readouterr()
+    assert entry(["fusion", write(tmp_path, "scn.json", doc)]) == 2
+    assert "params: give either a base or m, not both" in capsys.readouterr().err
+    del doc["params"]["m"]
+    base["y"] = 1
+    assert entry(["fusion", write(tmp_path, "scn.json", doc)]) == 2
+    assert "params.base.y: unknown field" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- document size
+
+def _doubling_chain(tmp_path, levels):
+    """Files c0 .. c{levels}: each but the last lists two references to
+    the next, so c0 inlines 2**levels copies of the last."""
+    (tmp_path / f"c{levels}.json").write_text('"leaf"')
+    for i in range(levels):
+        ref = {"path": f"c{i + 1}.json"}
+        (tmp_path / f"c{i}.json").write_text(json.dumps([ref, ref]))
+    return {"path": "c0.json"}
+
+
+@pytest.mark.parametrize("command", ["check", "verify-certificate"])
+def test_doubling_path_references_are_refused_past_the_byte_cap(
+    tmp_path, capsys, monkeypatch, command
+):
+    """Twelve levels of doubling references read about 240 KB from 13
+    small files; with the cap lowered to 64 KiB the reading stops there
+    and the command exits 2."""
+    import fusionalg.serialize
+
+    if command == "check":
+        doc = _DOCUMENTS["algebra"]()
+        doc["labels"] = _doubling_chain(tmp_path, 12)
+    else:
+        _, doc = _certificate_of(tmp_path, "discrete-join")
+        doc["result"] = _doubling_chain(tmp_path, 12)
+    path = write(tmp_path, "input.json", doc)
+    monkeypatch.setattr(fusionalg.serialize, "MAX_DOCUMENT_BYTES", 64 * 1024)
+    capsys.readouterr()
+    assert entry([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "reads more than 65536 bytes, its path references included" in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify-certificate"])
+def test_a_file_beyond_the_byte_cap_is_refused_before_it_is_read(tmp_path, capsys, command):
+    from fusionalg.serialize import MAX_DOCUMENT_BYTES
+
+    path = tmp_path / "huge.json"
+    with path.open("wb") as f:
+        f.truncate(MAX_DOCUMENT_BYTES + 1)  # sparse: all zero bytes, not valid JSON
+    assert entry([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: the document reads more than {MAX_DOCUMENT_BYTES} bytes, "
+        "its path references included\n"
+    )
 
 
 # ---------------------------------------------------------------- wiring

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used or re-exported,
 dense matrices stay at the document boundary, no module has a dense
-vector helper, and the axiom batteries stay in integer arithmetic."""
+vector helper, the axiom batteries stay in integer arithmetic, and no
+private helper is left unused."""
 
 import ast
 from pathlib import Path
@@ -30,15 +31,19 @@ def _annotations(tree: ast.Module):
                 yield arg and arg.annotation
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere, and names inside quoted annotations."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _quoted(tree: ast.Module):
+    """The names inside quoted annotations, with their lines."""
     for annotation in filter(None, _annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
-    return names
+                yield from ((n.id, node.lineno) for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, and names inside quoted annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {name for name, _ in _quoted(tree)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -138,3 +143,48 @@ def test_batteries_sum_no_fractions(name):
             and node.func.id == "accumulate"
         )
         assert not calls, f"{name}:{battery} calls accumulate at lines {calls}"
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level private functions, classes and constants, with
+    the line span of their definitions."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _uses(tree: ast.Module):
+    """Every name read, imported or reached as an attribute, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+    yield from _quoted(tree)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    """Every module-level private function, class or constant is used
+    somewhere in the package outside its own definition."""
+    uses = {source: list(_uses(ast.parse(source.read_text()))) for source in SOURCES}
+    dead = [
+        name
+        for name, first, last in _private_definitions(ast.parse(path.read_text()))
+        if not any(
+            used == name and (source != path or not first <= line <= last)
+            for source, found in uses.items()
+            for used, line in found
+        )
+    ]
+    assert not dead, f"{path.name} defines private names nothing uses: {dead}"

@@ -20,13 +20,10 @@ from fusionalg.serialize import (
     algebra_to_obj,
     canonical_json,
     certificate_identity,
-    check_document_obj,
     comodule_from_obj,
     comodule_to_obj,
-    group_check_from_obj,
     group_from_obj,
     group_to_obj,
-    gset_check_from_obj,
     gset_from_obj,
     gset_to_obj,
     hopf_from_obj,
@@ -34,6 +31,7 @@ from fusionalg.serialize import (
     inline_paths,
     load_document,
     make_certificate,
+    parse_checked,
     prepare,
     rational_from_obj,
     rational_to_obj,
@@ -153,11 +151,14 @@ def test_group_check_reports_axioms_instead_of_raising():
         "names": ["e", "a"],
         "table": [[0, 0], [0, 0]],
     }
-    group, failures = group_check_from_obj(bad)
-    assert group is None
+    kind, group, failures = parse_checked(bad, "group")
+    assert kind == "group" and group is None
     assert failures and failures[0].axiom == "group_axioms"
+    with pytest.raises(InputFormatError) as exc:
+        group_from_obj(bad)
+    assert str(exc.value) == f"group: {failures[0].detail}"
     with pytest.raises(InputFormatError):
-        group_check_from_obj({"kind": "group", "names": ["e"]})
+        parse_checked({"kind": "group", "names": ["e"]}, "group")
 
 
 def test_gset_check_reports_action_axioms():
@@ -168,8 +169,8 @@ def test_gset_check_reports_action_axioms():
         "points": ["p"],
         "act": [[1, 0]],
     }
-    gset, failures = gset_check_from_obj(bad)  # point index out of range
-    assert gset is None
+    kind, gset, failures = parse_checked(bad, "gset")  # point index out of range
+    assert kind == "gset" and gset is None
     assert failures and failures[0].axiom == "action_axioms"
     shifted = {
         "kind": "gset",
@@ -177,19 +178,27 @@ def test_gset_check_reports_action_axioms():
         "points": ["p", "q"],
         "act": [[1, 0], [0, 1]],
     }
-    gset, failures = gset_check_from_obj(shifted)
-    assert gset is None
+    kind, gset, failures = parse_checked(shifted, "gset")
+    assert kind == "gset" and gset is None
     assert failures and failures[0].axiom == "action_axioms"
+    with pytest.raises(InputFormatError) as exc:
+        gset_from_obj(shifted)
+    assert str(exc.value) == f"gset: {failures[0].detail}"
+    # a group table failing its axioms inside an action is malformed input
+    bad_group = dict(shifted, group={"names": ["e", "a"], "table": [[0, 0], [0, 0]]})
+    with pytest.raises(InputFormatError) as exc:
+        parse_checked(bad_group, "gset")
+    assert str(exc.value).startswith("gset.group: ")
 
 
-def test_check_document_obj_named_failures():
+def test_parse_checked_named_failures():
     g = FiniteGroup.cyclic(3)
     obj = hopf_to_obj(function_hopf(g))
-    kind, failures = check_document_obj(obj)
+    kind, _, failures = parse_checked(obj, "input")
     assert kind == "hopf" and not failures
     obj_bad = json.loads(json.dumps(obj))
     obj_bad["counit"][0][0] = "5"
-    kind, failures = check_document_obj(obj_bad)
+    kind, _, failures = parse_checked(obj_bad, "input")
     assert kind == "hopf"
     assert failures
     assert all(f.axiom for f in failures)
@@ -372,6 +381,9 @@ _PULLBACK = ("fusion", lambda: _scenario(
     {"m_lower": 1, "m_upper": 1},
 ))
 _JOIN_VS_FUSION = ("classical", lambda: _scenario("join-vs-fusion", params={"nx": 2, "ny": 2, "m": 2}))
+_GAUGED = ("classical", lambda: _scenario(
+    "gauged-join-iso", {"gset": gset_to_obj(_regular(2))}, {"m": 2}
+))
 _FREENESS = ("classical", lambda: _scenario("freeness", {"gset": gset_to_obj(_regular(3))}))
 _DIAGONAL = ("classical", lambda: _scenario(
     "diagonal-join-freeness", {"gset": gset_to_obj(_regular(2))}, {"m": 1}
@@ -408,6 +420,11 @@ _THEOREM = ("fusion", lambda: _scenario(
          "result.fusion_num_unknowns"),
         (_THEOREM, _set(["result", "profile", 1], lambda v: "4/5"), "result.profile[1]"),
         (_THEOREM, _set(["scenario", "params", "profile", 1], lambda v: "4/5"), "result.profile[1]"),
+        # replay runs the joins again: the recorded map must be the one computed
+        (_JOIN_VS_FUSION, _set(["result", "iso", "entries", 0, 2], lambda v: "2"),
+         "result.iso.entries[0][2]"),
+        (_GAUGED, _set(["result", "point_map"], lambda v: v[1:] + v[:1]),
+         "result.point_map[0]"),
     ],
 )
 def test_replay_rederives_recorded_facts(tmp_path, run, tamper, named):
