@@ -96,68 +96,44 @@ class DiscreteJoin:
         return self.ny + (k - 1) * self.nx * self.ny + x * self.ny + y
 
 
+def _labeled_join(xs: tuple[str, ...], ys: tuple[str, ...], m: int) -> DiscreteJoin:
+    """The join of the sets labeled ``xs`` and ``ys`` over the chain 0..m."""
+    if m < 1:
+        raise ValueError("join needs a positive chain length")
+    points = [f"(0,*,{y})" for y in ys]
+    for k in range(1, m):
+        points += [f"({k},{x},{y})" for x in xs for y in ys]
+    points += [f"({m},{x},*)" for x in xs]
+    return DiscreteJoin(len(xs), len(ys), m, tuple(points))
+
+
 def discrete_join(nx: int, ny: int, m: int) -> DiscreteJoin:
     if nx < 1 or ny < 1 or m < 1:
         raise ValueError("join needs nonempty sets and a positive chain length")
-    points = [f"(0,*,y{j})" for j in range(ny)]
-    for k in range(1, m):
-        for i in range(nx):
-            for j in range(ny):
-                points.append(f"({k},x{i},y{j})")
-    points += [f"({m},x{i},*)" for i in range(nx)]
-    return DiscreteJoin(nx, ny, m, tuple(points))
-
-
-def _join_layout(gset: FiniteGSet, m: int) -> tuple[int, int, list[str]]:
-    """Shared point layout for joins of a G-set with its group: classes
-    by group element at level 0, raw triples inside, classes by point of
-    the set at level m."""
-    group = gset.group
-    nx, ng = gset.size, group.order
-    points = [f"(0,*,{g})" for g in group.names]
-    for k in range(1, m):
-        for i in range(nx):
-            for g in group.names:
-                points.append(f"({k},{gset.points[i]},{g})")
-    points += [f"({m},{p},*)" for p in gset.points]
-    return nx, ng, points
-
-
-def _join_index(nx: int, ng: int, m: int, k: int, x: int, g: int) -> int:
-    if k == 0:
-        return g
-    if k == m:
-        return ng + (m - 1) * nx * ng + x
-    return ng + (k - 1) * nx * ng + x * ng + g
+    return _labeled_join(
+        tuple(f"x{i}" for i in range(nx)), tuple(f"y{j}" for j in range(ny)), m
+    )
 
 
 def _join_action(gset: FiniteGSet, m: int, move_x: bool) -> FiniteGSet:
     """The join of X and G in which h sends (k, x, g) to (k, x', g·h),
     with x' = x·h when ``move_x`` and x' = x otherwise; a level-m class,
     labeled by a point v of X, moves to the class of v·h either way."""
-    if m < 1:
-        raise ValueError("join needs a positive chain length")
     group = gset.group
-    nx, ng, points = _join_layout(gset, m)
-    size = len(points)
-    act = [[0] * group.order for _ in range(size)]
+    join = _labeled_join(gset.points, group.names, m)
+    at = join.point_index
+    act = [[0] * group.order for _ in range(join.size)]
     for h in range(group.order):
-        for g in range(ng):
-            act[_join_index(nx, ng, m, 0, 0, g)][h] = _join_index(
-                nx, ng, m, 0, 0, group.table[g][h]
-            )
+        for g in range(group.order):
+            act[at(0, 0, g)][h] = at(0, 0, group.table[g][h])
         for k in range(1, m):
-            for x in range(nx):
+            for x in range(gset.size):
                 xh = gset.act[x][h] if move_x else x
-                for g in range(ng):
-                    act[_join_index(nx, ng, m, k, x, g)][h] = _join_index(
-                        nx, ng, m, k, xh, group.table[g][h]
-                    )
-        for v in range(nx):
-            act[_join_index(nx, ng, m, m, v, 0)][h] = _join_index(
-                nx, ng, m, m, gset.act[v][h], 0
-            )
-    return FiniteGSet.from_table(group, points, act)
+                for g in range(group.order):
+                    act[at(k, x, g)][h] = at(k, xh, group.table[g][h])
+        for v in range(gset.size):
+            act[at(m, v, 0)][h] = at(m, gset.act[v][h], 0)
+    return FiniteGSet.from_table(group, join.points, act)
 
 
 def diagonal_join(gset: FiniteGSet, m: int) -> FiniteGSet:
@@ -193,14 +169,15 @@ def gauged_join_iso(gset: FiniteGSet, m: int) -> GaugedJoinIso:
     nx, ng = gset.size, group.order
     diag = diagonal_join(gset, m)
     gau = gauged_join(gset, m)
+    at = _labeled_join(gset.points, group.names, m).point_index
 
     def diag_class(k: int, x: int, g: int) -> int:
-        return _join_index(nx, ng, m, k, x if k > 0 else 0, g if k < m else 0)
+        return at(k, x if k > 0 else 0, g if k < m else 0)
 
     def gau_class(k: int, x: int, g: int) -> int:
         if k == m:
-            return _join_index(nx, ng, m, m, gset.act[x][g], 0)
-        return _join_index(nx, ng, m, k, x if k > 0 else 0, g)
+            return at(m, gset.act[x][g], 0)
+        return at(k, x if k > 0 else 0, g)
 
     point_map: list[int | None] = [None] * diag.size
     for k in range(m + 1):

@@ -327,7 +327,11 @@ def delta_L(c: ComoduleAlgebra) -> LinearMap:
 class StrongConnection:
     comodule: ComoduleAlgebra
     map: LinearMap  # H -> P (x) P
-    unital: bool
+
+    @cached_property
+    def unital(self) -> bool:
+        """:func:`connection_unital`, computed when first read."""
+        return connection_unital(self.comodule, self.map)
 
 
 def _rows_of(cols: list[dict[int, int]], n_rows: int) -> list[list[tuple[int, int]]]:
@@ -481,7 +485,7 @@ def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
         raise AssertionError(
             f"solver produced an invalid connection: {report.failures}"
         )
-    return system, StrongConnection(c, ell, connection_unital(c, ell))
+    return system, StrongConnection(c, ell)
 
 
 def solve_strong_connection(
@@ -634,12 +638,22 @@ def translation_inverse(
 
 @dataclass(frozen=True)
 class PrincipalityVerdict:
+    """A connection, or the refutation of every connection, with the row
+    count of the connection system."""
+
     comodule: ComoduleAlgebra
-    principal: bool
     connection: StrongConnection | None
     infeasibility: Infeasibility | None
-    num_unknowns: int
     num_rows: int
+
+    @property
+    def principal(self) -> bool:
+        return self.connection is not None
+
+    @property
+    def num_unknowns(self) -> int:
+        """The unknowns of the connection system, the entries of ℓ."""
+        return self.comodule.algebra.dim ** 2 * self.comodule.hopf.dim
 
 
 def is_principal(c: ComoduleAlgebra) -> PrincipalityVerdict:
@@ -652,10 +666,5 @@ def is_principal(c: ComoduleAlgebra) -> PrincipalityVerdict:
     system, outcome = _solve_connection(c, require_unital=False)
     principal = isinstance(outcome, StrongConnection)
     return PrincipalityVerdict(
-        c,
-        principal,
-        outcome if principal else None,
-        None if principal else outcome,
-        c.algebra.dim ** 2 * c.hopf.dim,
-        len(system),
+        c, outcome if principal else None, None if principal else outcome, len(system)
     )

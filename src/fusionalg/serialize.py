@@ -13,9 +13,10 @@ to the referring file; one document may read at most
 
 :data:`OPERATIONS` holds every operation a scenario can name: which
 command runs it, the input documents it reads, how its parameters are
-parsed, how it runs, and how a recorded result is replayed.  Running
-and replaying share the parse, so an input is decoded and checked
-against its axioms once, in one place.
+parsed, how it builds its result, and how the witnesses a result records
+are read back.  Running and replaying share the parse and the result
+builder, so an input is decoded and checked against its axioms once, and
+a result is written in one place.
 
 A certificate records one run — the fully inlined scenario, the
 result data (dimensions, verdicts, and the witness matrices in sparse
@@ -37,6 +38,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import FDAlgebra, Failure, check_algebra
 from .classical import (
+    DiagonalJoinFreeness,
     diagonal_join,
     diagonal_join_freeness,
     discrete_join,
@@ -47,20 +49,19 @@ from .classical import (
 )
 from .comodule import (
     ComoduleAlgebra,
+    PrincipalityVerdict,
     StrongConnection,
     canonical_map,
     check_comodule,
     check_strong_connection,
     coinvariants,
     connection_system,
-    connection_unital,
     is_principal,
     solve_strong_connection,
 )
 from .fusion import (
     BaseWithEnds,
     PreconditionError,
-    SqrtPair,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
@@ -748,16 +749,19 @@ class Operation:
     the decoded inputs, refusing a fusion beyond
     :data:`MAX_AMBIENT_DIM`; the inputs in order, then the parameters,
     are the arguments of ``run(args)``, which returns ``(result, lines,
-    exit code)``.  An operation whose result carries a witness has
-    ``replay(args, result)``, which yields problems without solving; any
-    other is replayed by running it again and comparing the results
-    field by field.
+    exit code)``.
+
+    An operation whose result carries a witness has a witness reader,
+    ``read(args, result)``: it decodes the recorded witnesses and
+    re-checks them without solving or lifting, and returns ``(found,
+    problems)``.  Its ``run(args, found)`` builds the result from
+    ``found`` in place of what the solver and the lift return.
     """
 
     command: str
     inputs: tuple[tuple[str, str | None], ...]
     run: Callable
-    replay: Callable | None = None
+    read: Callable | None = None
     params: tuple[str, ...] = ()
     parse: Callable = lambda scn, inputs: ()
 
@@ -800,18 +804,12 @@ def _run_check(args):
     return result, lines, EXIT_OK if not failures else EXIT_AXIOM_FAILURE
 
 
-def _solve_facts(com: ComoduleAlgebra, unital: bool) -> dict:
-    return {
+def _run_solve_connection(args, found=None):
+    com, unital = args
+    outcome = solve_strong_connection(com, require_unital=unital) if found is None else found
+    result = {
         "dims": {"algebra": com.algebra.dim, "hopf": com.hopf.dim},
         "unital_required": unital,
-    }
-
-
-def _run_solve_connection(args):
-    com, unital = args
-    outcome = solve_strong_connection(com, require_unital=unital)
-    result = {
-        **_solve_facts(com, unital),
         "feasible": isinstance(outcome, StrongConnection),
         **_witness_result(outcome),
     }
@@ -829,12 +827,10 @@ def _run_solve_connection(args):
     return result, lines, EXIT_INFEASIBLE
 
 
-def _replay_solve_connection(args, result):
+def _read_solve_connection(args, result):
     com, unital = args
-    yield from _compare(result, _solve_facts(com, unital), "result")
-    if result.get("feasible") is not (result.get("connection") is not None):
-        yield "result.feasible disagrees with the recorded witness"
-    yield from _replay_connection(com, result, unital)
+    outcome, _, problems = _read_outcome(com, result, unital)
+    return outcome, problems
 
 
 def _run_fusion(args):
@@ -910,27 +906,28 @@ def _parse_theorem_main(scn: Scenario, inputs):
     return m, pair
 
 
-def _theorem_facts(com: ComoduleAlgebra, m: int, sqrt: SqrtPair, ef_dim: int) -> dict:
-    return {
+def _run_theorem_main(args, found=None):
+    """``found``: the input connection, the fusion, the lifted map and
+    the fusion's verdict."""
+    com, m, sqrt = args
+    if found is None:
+        cert = verify_theorem_main(com, m, sqrt=sqrt)
+        found = cert.input_verdict.connection, cert.fusion, cert.lifted.map, cert.fusion_verdict
+    ell, fusion, lifted, verdict = found
+    ef_dim = fusion.comodule.algebra.dim
+    result = {
         "m": m,
         "profile": vector_to_obj(sqrt.vanish_at_zero, m + 1),
         "dims": {"inner": com.algebra.dim, "hopf": com.hopf.dim, "fusion": ef_dim},
-    }
-
-
-def _run_theorem_main(args):
-    com, m, sqrt = args
-    cert = verify_theorem_main(com, m, sqrt=sqrt)
-    ef_dim = cert.fusion.comodule.algebra.dim
-    result = {
-        **_theorem_facts(com, m, cert.lifted.sqrt, ef_dim),
-        "input_connection": sparse_map_to_obj(cert.input_verdict.connection.map),
-        "input_connection_unital": cert.input_verdict.connection.unital,
-        "lifted_connection": sparse_map_to_obj(cert.lifted.map),
-        "corestricts": list(cert.lifted.corestricts),
-        "fusion_connection": sparse_map_to_obj(cert.fusion_verdict.connection.map),
-        "fusion_num_unknowns": cert.fusion_verdict.num_unknowns,
-        "fusion_num_rows": cert.fusion_verdict.num_rows,
+        "input_connection": sparse_map_to_obj(ell.map),
+        "input_connection_unital": ell.unital,
+        "lifted_connection": sparse_map_to_obj(lifted),
+        # lift_connection returns only a lift inside all four boundary
+        # conditions, and refuses any other
+        "corestricts": [True] * 4,
+        "fusion_connection": sparse_map_to_obj(verdict.connection.map),
+        "fusion_num_unknowns": verdict.num_unknowns,
+        "fusion_num_rows": verdict.num_rows,
     }
     lines = [
         f"input comodule is principal (dimension {com.algebra.dim})",
@@ -941,27 +938,18 @@ def _run_theorem_main(args):
     return result, lines, EXIT_OK
 
 
-def _replay_theorem_main(args, result):
-    com, m, sqrt = args
-    ef = build_equivariant_fusion(sqrt.base, com).comodule
-    yield from _compare(
-        result,
-        {
-            **_theorem_facts(com, m, sqrt, ef.algebra.dim),
-            "corestricts": [True] * 4,
-            "fusion_num_unknowns": ef.algebra.dim ** 2 * com.hopf.dim,
-        },
-        "result",
+def _read_theorem_main(args, result):
+    com, _, sqrt = args
+    fusion = build_equivariant_fusion(sqrt.base, com)
+    ef, problems = fusion.comodule, []
+    ell, lifted, conn = (
+        _read_connection(c, result.get(key), f"result.{key}", problems)
+        for c, key in (
+            (com, "input_connection"), (ef, "lifted_connection"), (ef, "fusion_connection")
+        )
     )
-    ell, problems = _check_connection(
-        com, result.get("input_connection"), "result.input_connection"
-    )
-    yield from problems
-    yield from _compare(
-        result, {"input_connection_unital": connection_unital(com, ell)}, "result"
-    )
-    for key in ("lifted_connection", "fusion_connection"):
-        yield from _check_connection(ef, result.get(key), f"result.{key}")[1]
+    verdict = PrincipalityVerdict(ef, conn, None, _recorded_rows(result, "fusion_num_rows"))
+    return (ell, fusion, lifted.map, verdict), problems
 
 
 def _run_pullback(args):
@@ -987,26 +975,21 @@ def _run_pullback(args):
     return result, lines, EXIT_OK
 
 
-def _freeness_facts(gset: FiniteGSet, com: ComoduleAlgebra) -> dict:
-    return {
-        "size": gset.size,
-        "order": gset.group.order,
-        "free": is_free(gset),
-        "canonical_bijective": canonical_map(com).bijective,
-    }
-
-
-def _run_freeness(args):
+def _run_freeness(args, found=None):
     (gset,) = args
-    com = fun_comodule(gset)
-    facts = _freeness_facts(gset, com)
-    free, bijective = facts["free"], facts["canonical_bijective"]
-    verdict = is_principal(com)
+    verdict = is_principal(fun_comodule(gset)) if found is None else found
+    free, bijective = is_free(gset), canonical_map(verdict.comodule).bijective
     if not (free == bijective == verdict.principal):
         raise AssertionError(
             "freeness, bijectivity, and principality disagree"
         )
-    result = {**facts, **principality_result(verdict)}
+    result = {
+        "size": gset.size,
+        "order": gset.group.order,
+        "free": free,
+        "canonical_bijective": bijective,
+        **principality_result(verdict),
+    }
     lines = [
         f"action of a group of order {gset.group.order} on {gset.size} points",
         f"free: {'yes' if free else 'no'} (canonical map bijective: "
@@ -1016,12 +999,9 @@ def _run_freeness(args):
     return result, lines, EXIT_OK if free else EXIT_INFEASIBLE
 
 
-def _replay_freeness(args, result):
+def _read_freeness(args, result):
     (gset,) = args
-    com = fun_comodule(gset)
-    facts = _freeness_facts(gset, com)
-    yield from _compare(result, {**facts, "principal": facts["free"]}, "result")
-    yield from _replay_principality(com, result)
+    return _read_verdict(fun_comodule(gset), result)
 
 
 def _run_discrete_join(args):
@@ -1071,9 +1051,9 @@ def _run_join_vs_fusion(args):
     return result, lines, EXIT_OK
 
 
-def _run_diagonal_join_freeness(args):
+def _run_diagonal_join_freeness(args, found=None):
     gset, m = args
-    freeness = diagonal_join_freeness(gset, m)
+    freeness = diagonal_join_freeness(gset, m) if found is None else found
     result = {
         "m": m,
         "join_size": freeness.join.size,
@@ -1090,25 +1070,16 @@ def _run_diagonal_join_freeness(args):
     return result, lines, EXIT_OK if freeness.both_hold else EXIT_INFEASIBLE
 
 
-def _replay_diagonal_join_freeness(args, result):
+def _read_diagonal_join_freeness(args, result):
+    """The parts :func:`diagonal_join_freeness` assembles, with the
+    recorded verdict of the fusion in place of solving."""
     gset, m = args
     if not is_free(gset):
-        yield "inputs.gset: the action is not free"
-        return
+        return None, ["inputs.gset: the action is not free"]
     join = diagonal_join(gset, m)
-    join_free = is_free(join)
-    yield from _compare(
-        result,
-        {
-            "m": m,
-            "join_size": join.size,
-            "join_free": join_free,
-            "both_hold": join_free and result.get("principal") is True,
-        },
-        "result",
-    )
     fusion = build_equivariant_fusion(chain_interval(m), fun_comodule(gset))
-    yield from _replay_principality(fusion.comodule, result)
+    verdict, problems = _read_verdict(fusion.comodule, result)
+    return DiagonalJoinFreeness(gset, m, join, is_free(join), verdict), problems
 
 
 _COMODULE = (("comodule", "comodule"),)
@@ -1119,7 +1090,7 @@ _BASE = {"params": ("base", "m"), "parse": _param_base}
 OPERATIONS: dict[str, Operation] = {
     "check": Operation("check", (("target", None),), _run_check),
     "solve-connection": Operation(
-        "solve-connection", _COMODULE, _run_solve_connection, _replay_solve_connection,
+        "solve-connection", _COMODULE, _run_solve_connection, _read_solve_connection,
         ("unital",),
         lambda scn, inputs: (_bool_from_obj(scn.params.get("unital", False), "params.unital"),),
     ),
@@ -1128,7 +1099,7 @@ OPERATIONS: dict[str, Operation] = {
     ),
     "equivariant-fusion": Operation("fusion", _COMODULE, _run_equivariant_fusion, **_BASE),
     "theorem-main": Operation(
-        "fusion", _COMODULE, _run_theorem_main, _replay_theorem_main,
+        "fusion", _COMODULE, _run_theorem_main, _read_theorem_main,
         ("m", "profile", "sqrt"), _parse_theorem_main,
     ),
     "pullback": Operation(
@@ -1138,7 +1109,7 @@ OPERATIONS: dict[str, Operation] = {
             ambient=lambda com, lo, hi: (lo + hi + 1) * _fiber_dim((com,)),
         ),
     ),
-    "freeness": Operation("classical", _GSET, _run_freeness, _replay_freeness),
+    "freeness": Operation("classical", _GSET, _run_freeness, _read_freeness),
     "discrete-join": Operation(
         "classical", (), _run_discrete_join,
         **_ints(
@@ -1160,7 +1131,7 @@ OPERATIONS: dict[str, Operation] = {
         **_ints("nx", "ny", "m", ambient=lambda nx, ny, m: (m + 1) * nx * ny),
     ),
     "diagonal-join-freeness": Operation(
-        "classical", _GSET, _run_diagonal_join_freeness, _replay_diagonal_join_freeness,
+        "classical", _GSET, _run_diagonal_join_freeness, _read_diagonal_join_freeness,
         **_ints("m", ambient=lambda gset, m: (m + 1) * gset.size * gset.group.order),
     ),
 }
@@ -1193,10 +1164,14 @@ def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
 
 def _compare(recorded, found, where: str):
     """Yield a problem for every field of ``found`` that ``recorded``
-    does not hold with the same value and JSON type.  Objects, and lists
-    of equal length, are compared entry by entry, so a problem names the
+    does not hold with the same value and JSON type, and for every field
+    of ``recorded`` that ``found`` lacks.  Objects, and lists of equal
+    length, are compared entry by entry, so a problem names the
     innermost differing field."""
     if isinstance(found, dict) and isinstance(recorded, dict):
+        for key in recorded:
+            if key not in found:
+                yield f"{where}.{key}: not a field of this result"
         for key, value in found.items():
             yield from _compare(recorded.get(key), value, f"{where}.{key}")
     elif (
@@ -1210,84 +1185,80 @@ def _compare(recorded, found, where: str):
         yield f"{where}: recorded {recorded!r}, replay found {found!r}"
 
 
-def _check_connection(com: ComoduleAlgebra, obj, where: str, require_unital=False):
-    """A recorded connection of ``com`` and the problems of its axiom
-    re-check."""
+def _recorded_rows(result: dict, key: str) -> int:
+    """A row count taken as recorded: the connection system of a found
+    connection is never built in replay, so only its type is checked."""
+    return _int_from_obj(result.get(key), f"result.{key}", 0)
+
+
+def _read_connection(
+    com: ComoduleAlgebra, obj, where: str, problems: list, require_unital=False
+) -> StrongConnection:
+    """A recorded connection of ``com``; the axioms it fails are added
+    to ``problems``."""
     sp = com.algebra.space
     ell = sparse_map_from_obj(obj, com.hopf.space, sp.tensor(sp), where)
     report = check_strong_connection(com, ell, require_unital)
-    if report.ok:
-        return ell, []
-    return ell, [f"{where} fails " + ", ".join(report.axioms_failed())]
+    if not report.ok:
+        problems.append(f"{where} fails " + ", ".join(report.axioms_failed()))
+    return StrongConnection(com, ell)
 
 
-def _replay_connection(
-    com: ComoduleAlgebra, result: dict, require_unital: bool = False
-):
-    """Check the recorded connection or Farkas certificate of a result
-    against the comodule; returns the rebuilt connection system of a
-    refutation."""
+def _read_outcome(com: ComoduleAlgebra, result: dict, require_unital: bool):
+    """The recorded connection of a result, re-checked against the
+    axioms, or its Farkas refutation, recombined against the rebuilt
+    connection system: ``(outcome, system, problems)``, with the system
+    only for a refutation."""
+    problems: list[str] = []
     if result.get("connection") is not None:
-        ell, problems = _check_connection(
-            com, result["connection"], "result.connection", require_unital
+        ell = _read_connection(
+            com, result["connection"], "result.connection", problems, require_unital
         )
-        yield from problems
-        found = {"connection_unital": connection_unital(com, ell), "infeasibility": None}
-        yield from _compare(result, found, "result")
-        return None
+        return ell, None, problems
     if result.get("infeasibility") is None:
-        yield "result: records neither a connection nor a refutation"
-        return None
+        return None, None, ["result: records neither a connection nor a refutation"]
     inf = infeasibility_from_obj(result["infeasibility"], "result.infeasibility")
     system = connection_system(com, require_unital)
-    if not (0 <= inf.row_index < len(system)):
-        yield "result: infeasibility row index out of range"
-    elif any(not 0 <= i < len(system) for i in inf.farkas):
-        yield "result: multiplier row index out of range"
-    else:
-        coeffs, rhs = system.combine(inf.farkas)
-        if coeffs:
-            yield "result: multiplier combination does not cancel the unknowns"
-        if rhs == 0:
-            yield "result: multiplier combination has zero right-hand side"
-        elif rhs != inf.residual:
-            yield (
-                f"result: recombined residual {rhs} differs from the "
-                f"recorded {inf.residual}"
-            )
+    if any(not 0 <= i < len(system) for i in (inf.row_index, *inf.farkas)):
+        return None, system, ["result: a row index of the refutation is out of range"]
+    coeffs, rhs = system.combine(inf.farkas)
+    if coeffs:
+        problems.append("result: multiplier combination does not cancel the unknowns")
+    if rhs == 0:
+        problems.append("result: multiplier combination has zero right-hand side")
+    if problems:
+        return None, system, problems
     # Elimination meets rows in order, so the row that exposed the
     # contradiction is the last one the multipliers combine.
-    found = {"connection_unital": None, "infeasibility": {"row_index": max(inf.farkas, default=None)}}
-    yield from _compare(result, found, "result")
-    return system
+    return Infeasibility(max(inf.farkas), inf.farkas, rhs), system, []
 
 
-def _replay_principality(com: ComoduleAlgebra, result: dict):
-    """The fields :func:`principality_result` records, re-derived from
-    the recorded witness; the row count only for a refutation, whose
-    replay rebuilds the system."""
-    if result.get("principal") is not (result.get("connection") is not None):
-        yield "result.principal disagrees with the recorded witness"
-    n = com.algebra.dim
-    found = {"num_unknowns": n * n * com.hopf.dim}
-    system = yield from _replay_connection(com, result)
-    if system is not None:
-        found["num_rows"] = len(system)
-    yield from _compare(result, found, "result")
+def _read_verdict(com: ComoduleAlgebra, result: dict):
+    """The principality verdict a result records, its witness re-checked:
+    ``(verdict, problems)``.  A refutation's row count is that of the
+    rebuilt system; a found connection's is taken as recorded."""
+    outcome, system, problems = _read_outcome(com, result, False)
+    if problems:
+        return None, problems
+    if system is None:
+        return PrincipalityVerdict(com, outcome, None, _recorded_rows(result, "num_rows")), []
+    return PrincipalityVerdict(com, None, outcome, len(system)), []
 
 
 def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
     """Replay a certificate against its recorded scenario.
 
     The scenario's inputs are decoded and their axioms checked, as a run
-    does.  An operation whose result needs no solving runs again, and
-    every recorded field must match.  The others re-check their
-    witnesses against the axioms they claim, connections and Farkas
-    multipliers; every recorded fact that needs no solving is re-derived
-    as well.  Only ``num_rows`` of a found connection and
-    ``fusion_num_rows`` are taken as recorded: they are the row count of
-    the connection system, which needs no elimination, but replay would
-    have to build that system to count it.
+    does.  An operation whose result carries a witness reads it back
+    first: connections are re-checked against the axioms, and Farkas
+    multipliers recombined against the rebuilt constraint rows; a
+    witness that fails stops the replay.  Then the operation's own
+    ``run`` rebuilds the result, from the re-checked witnesses in place
+    of solving and lifting, and every recorded field must match, with no
+    field missing and none extra.  Only ``num_rows`` of a found
+    connection and ``fusion_num_rows`` are taken as recorded, and must be
+    non-negative integers: they are row counts of a connection system
+    that replay never builds.
 
     Returns ``(ok, problems)``.  A certificate whose envelope is wrong
     (kind, tool, an unknown field, or an unknown operation) raises
@@ -1315,10 +1286,12 @@ def verify_certificate(cert: dict) -> tuple[bool, list[str]]:
                 + ", ".join(f.axiom for f in failures)
                 for name, kind, failures in failed
             ]
-        elif op.replay is not None:
-            problems.extend(op.replay(args, result))
+        elif op.read is None:
+            problems = list(_compare(result, op.run(args)[0], "result"))
         else:
-            problems.extend(_compare(result, op.run(args)[0], "result"))
+            found, problems = op.read(args, result)
+            if not problems:
+                problems = list(_compare(result, op.run(args, found)[0], "result"))
     except (InputFormatError, PreconditionError) as exc:
         problems.append(str(exc))
     return not problems, problems

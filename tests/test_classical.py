@@ -1,5 +1,6 @@
 """Discrete joins of group actions and their function-algebra counterparts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,21 @@ def test_joins_are_valid_actions_and_freeness_transfers():
         gj_fixed = gauged_join(fixed, m)
         assert not is_free(dj_fixed)
         assert not is_free(gj_fixed)
+
+
+@pytest.mark.parametrize("join", [diagonal_join, gauged_join])
+def test_group_set_joins_lay_out_points_as_the_discrete_join(join):
+    """The join of X and G has the points of the discrete join of |X| and
+    |G| points, in the same order, with the points of X and the elements
+    of G in place of x_i and y_j."""
+    gset = FiniteGSet.regular(FiniteGroup.symmetric(3))
+    labels = {"x": gset.points, "y": gset.group.names}
+    for m in (1, 2, 3):
+        plain = discrete_join(gset.size, gset.group.order, m)
+        assert join(gset, m).points == tuple(
+            re.sub(r"([xy])(\d+)", lambda mo: labels[mo[1]][int(mo[2])], point)
+            for point in plain.points
+        )
 
 
 def test_gauged_join_iso_on_free_actions():

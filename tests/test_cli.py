@@ -460,10 +460,11 @@ def test_verify_certificate_reports_a_lowered_m_as_invalid(tmp_path, capsys):
     cert["scenario"]["params"]["m"] = 1
     lowered = write(tmp_path, "lowered.json", cert)
     assert entry(["verify-certificate", lowered]) == 1
-    out = capsys.readouterr().out
-    assert "certificate INVALID" in out
-    assert "result.m: recorded 2, replay found 1" in out
-    assert "result.lifted_connection: shape 64x2 does not match the expected 16x2" in out
+    # a witness that does not fit the scenario leaves no result to rebuild
+    assert capsys.readouterr().out == (
+        "certificate INVALID: theorem-main t\n"
+        "  result.lifted_connection: shape 64x2 does not match the expected 16x2\n"
+    )
 
 
 # Parameters that take each fusion-building operation of _small_runs
@@ -637,6 +638,64 @@ def test_every_operation_replays_without_solving(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(fusionalg.fusion, "lift_connection", refuse)
     assert entry(["verify-certificate", str(cert_path)]) == 0
     assert "certificate valid" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _recorded_certificates():
+    """The certificate of the small run of every operation, and every
+    golden certificate: ``source(tmp_path)`` gives it."""
+    cases = [
+        pytest.param(lambda tmp_path, op=op: _certificate_of(tmp_path, op)[1], id=op)
+        for op in _small_runs()
+    ]
+    cases += [
+        pytest.param(lambda tmp_path, path=path: json.loads(path.read_text()), id=path.stem)
+        for path in sorted(GOLDEN.glob("*.cert.json"))
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("source", _recorded_certificates())
+def test_a_field_the_result_does_not_have_is_refused(tmp_path, capsys, source):
+    """Replay rebuilds the whole result: a field it does not build, at
+    the top of the result or inside its dims, makes the certificate
+    INVALID and is named."""
+    cert = source(tmp_path)
+    assert verify_certificate(cert) == (True, [])
+    holders = {"result": cert["result"]}
+    if "dims" in cert["result"]:
+        holders["result.dims"] = cert["result"]["dims"]
+    for where, holder in holders.items():
+        holder["x"] = 1
+        path = write(tmp_path, "extra.json", cert)
+        capsys.readouterr()
+        assert entry(["verify-certificate", path]) == 1
+        assert f"\n  {where}.x: not a field of this result\n" in capsys.readouterr().out
+        del holder["x"]
+
+
+@pytest.mark.parametrize(
+    "golden, field, value, problem",
+    [
+        ("classical-scenario_freeness_regular_z3", "num_rows", "x", "an integer, got str"),
+        ("classical-scenario_freeness_regular_z3", "num_rows", -5, "an integer >= 0, got -5"),
+        ("classical-scenario_freeness_regular_z3", "num_rows", 1.5, "an integer, got float"),
+        ("classical-scenario_freeness_regular_z3", "num_rows", None, "an integer, got NoneType"),
+        ("fusion-scenario_theorem_main", "fusion_num_rows", "many", "an integer, got str"),
+    ],
+)
+def test_a_recorded_row_count_must_be_a_non_negative_integer(
+    tmp_path, capsys, golden, field, value, problem
+):
+    """The row counts of a found connection are taken as recorded, but
+    read as non-negative integers."""
+    cert = json.loads((GOLDEN / f"{golden}.cert.json").read_text())
+    assert cert["result"].get("connection", cert["result"].get("fusion_connection"))
+    cert["result"][field] = value
+    assert entry(["verify-certificate", write(tmp_path, "rows.json", cert)]) == 1
+    assert f"\n  result.{field}: expected {problem}\n" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- unknown fields
