@@ -316,21 +316,31 @@ def subalgebra_from_subspace(
 ) -> SubalgebraWitness:
     """Restrict the product of ``ambient`` to ``sub``.
 
+    The table and the echelon basis are scaled to integers over their own
+    denominators D_T and D_B, so each product of two scaled basis vectors,
+    D_T·D_B² times its value, is reduced in integers.
+
     Raises ClosureError when some product of subspace basis vectors falls
     outside the subspace.
     """
     if sub.ambient.dim != ambient.dim:
         raise ValueError("subspace does not live in the algebra")
-    d = sub.dim
+    n, d = ambient.dim, sub.dim
+    den_t, (flat,) = integer_scaled(p for row in ambient.table for p in row)
+    den_b, basis = sub.scaled_basis
+    scale = den_t * den_b * den_b
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
-    for i, left in enumerate(sub.basis):
-        for j, right in enumerate(sub.basis):
-            prod = mul_sparse(ambient.table, left, right)
-            coords = sub.coordinates(prod)
+    for i, left in enumerate(basis):
+        for j, right in enumerate(basis):
+            pairs = {a * n + b: x * y for a, x in left.items() for b, y in right.items()}
+            prod = linear_combination(flat, pairs)
+            if not prod:
+                continue
+            coords = sub.int_coordinates(prod)
             if coords is None:
-                raise ClosureError(i, j, dict(sorted(prod.items())))
-            table[i][j] = coords
+                raise ClosureError(i, j, {k: Fraction(v, scale) for k, v in sorted(prod.items())})
+            table[i][j] = {k: Fraction(v, scale) for k, v in coords.items()}
     unit = sub.coordinates(ambient.unit)
     unital = unit is not None
     algebra = FDAlgebra(space, table, unit if unital else {})

@@ -49,6 +49,9 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
+    integer_scaled,
+    linear_combination,
+    nonzero,
     preimage,
     rref,
     tensor_vec,
@@ -196,28 +199,28 @@ def default_profile(m: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------- tensor coordinates
 
 def _tensor_coordinates(
-    left: Subspace, right: Subspace, vec: dict[int, Fraction]
+    left: Subspace, right: Subspace, vec: dict[int, int], den: int
 ) -> dict[int, Fraction] | None:
-    """Sparse coordinates of a sparse vector of A (x) B in U (x) V, one
-    tensor factor at a time, where U = ``left`` ⊂ A and V = ``right`` ⊂ B;
-    None when the vector falls outside.
+    """Sparse coordinates of vec/den in U (x) V, one tensor factor at a
+    time, where ``vec`` is a sparse integer vector of A (x) B, U =
+    ``left`` ⊂ A and V = ``right`` ⊂ B; None when it falls outside.
 
-    Each column x[·, j] is reduced by U to coefficients α_k(j), then each
-    row α_k(·) is reduced by V to c_kl.  These are the coordinates in the
-    basis u_k (x) v_l of U (x) V, keyed k·dim V + l, where u and v are the
-    echelon bases: coordinates in a basis are unique, so this equals
-    reducing by that basis without building its ambient² vectors.
-    Passing a full subspace on one side tests membership in U (x) B or
-    A (x) V.
+    Each column vec[·, j] is reduced by U to coefficients α_k(j), then each
+    row α_k(·) is reduced by V to c_kl, in integers.  These are the
+    coordinates in the basis u_k (x) v_l of U (x) V, keyed k·dim V + l,
+    where u and v are the echelon bases: coordinates in a basis are
+    unique, so this equals reducing by that basis without building its
+    ambient² vectors.  Passing a full subspace on one side tests
+    membership in U (x) B or A (x) V.
     """
     nb = right.ambient.dim
-    columns: dict[int, dict[int, Fraction]] = {}
+    columns: dict[int, dict[int, int]] = {}
     for key, val in vec.items():
         i, j = divmod(key, nb)
         columns.setdefault(j, {})[i] = val
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for j, col in columns.items():
-        alpha = left.coordinates(col)
+        alpha = left.int_coordinates(col)
         if alpha is None:
             return None
         for k, a in alpha.items():
@@ -225,11 +228,11 @@ def _tensor_coordinates(
     dv = right.dim
     coords: dict[int, Fraction] = {}
     for k in sorted(rows):
-        c = right.coordinates(rows[k])
+        c = right.int_coordinates(rows[k])
         if c is None:
             return None
         for l, v in c.items():
-            coords[k * dv + l] = v
+            coords[k * dv + l] = Fraction(v, den)
     return coords
 
 
@@ -307,11 +310,16 @@ def _restrict_coaction(
     ``coaction``, a coaction of ``hopf`` on the ambient algebra."""
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix=prefix)
     full_h = Subspace.full(hopf.space)
+    den_c, (coaction_cols,) = integer_scaled(coaction.cols)
+    den_b, basis = carrier.scaled_basis
     cols = []
-    for vec in carrier.basis:
-        coords = _tensor_coordinates(carrier, full_h, coaction.apply(vec))
+    for i, vec in enumerate(basis):
+        image = linear_combination(coaction_cols, vec)  # D_c·D_b·δ(carrier.basis[i])
+        coords = _tensor_coordinates(carrier, full_h, image, den_c * den_b)
         if coords is None:
-            raise AssertionError("carrier is not stable under the coaction")
+            raise AssertionError(
+                f"carrier is not stable under the coaction: carrier basis vector {i}"
+            )
         cols.append(coords)
     space = witness.algebra.space
     restricted = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols)
@@ -412,53 +420,53 @@ def lift_connection(
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
 
-    s, sp = sqrt.vanish_at_zero, sqrt.vanish_at_one
-    unit_p = inner.algebra.unit
-    s_cols = h.antipode.cols
-    ell_cols = ell.cols
-    legs3_cols = sweedler_legs(h, 3).cols
-    cop_cols = h.coproduct.cols
+    # s, s', 1, S, ℓ, the legs of Δ² and Δ over one denominator D: a term
+    # of the first sum multiplies five scaled entries and one of the second
+    # six, so the first is taken D times and each column is D⁶ times its value
+    den, ((s, sp, unit_p), s_cols, ell_cols, legs3_cols, cop_cols) = integer_scaled(
+        (sqrt.vanish_at_zero, sqrt.vanish_at_one, inner.algebra.unit),
+        h.antipode.cols,
+        ell.cols,
+        sweedler_legs(h, 3).cols,
+        h.coproduct.cols,
+    )
+    sp_unit = tensor_vec(sp, unit_p, dp)  # s'⊗1
 
-    columns: list[dict[int, Fraction]] = []
+    columns: list[dict[int, int]] = []
     for c in range(dh):
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         for abd, v3 in legs3_cols[c].items():
             ab, d = divmod(abd, dh)
             a, b = divmod(ab, dh)
             for a2, sv in s_cols[a].items():
                 for r, lv in ell_cols[b].items():
                     p1, p2 = divmod(r, dp)
-                    w = v3 * sv * lv
+                    w = den * v3 * sv * lv
                     for k1, sk1 in s.items():
                         block = ((k1 * dp + p1) * dh + a2) * amb_dim
                         for k2, sk2 in s.items():
-                            accumulate(col, block + (k2 * dp + p2) * dh + d, w * sk1 * sk2)
+                            key = block + (k2 * dp + p2) * dh + d
+                            col[key] = col.get(key, 0) + w * sk1 * sk2
         for ab, v2 in cop_cols[c].items():
             a, b = divmod(ab, dh)
             for a2, sv in s_cols[a].items():
-                w = v2 * sv
-                for u1, uv1 in unit_p.items():
-                    for k1, sk1 in sp.items():
-                        block = ((k1 * dp + u1) * dh + a2) * amb_dim
-                        for u2, uv2 in unit_p.items():
-                            for k2, sk2 in sp.items():
-                                accumulate(
-                                    col,
-                                    block + (k2 * dp + u2) * dh + b,
-                                    w * uv1 * uv2 * sk1 * sk2,
-                                )
-        columns.append(col)
+                for x1, y1 in sp_unit.items():
+                    block = (x1 * dh + a2) * amb_dim
+                    for x2, y2 in sp_unit.items():
+                        key = block + x2 * dh + b
+                        col[key] = col.get(key, 0) + v2 * sv * y1 * y2
+        columns.append(nonzero(col))
 
     # a carrier inside both conditions puts carrier ⊗ carrier inside all
     # four displays, so they are needed only to name a failure
     carrier, one, zero = fusion.carrier, fusion.cond_one, fusion.cond_zero
     inside = all(
-        one.coordinates(vec) is not None and zero.coordinates(vec) is not None
-        for vec in carrier.basis
+        one.int_coordinates(vec) is not None and zero.int_coordinates(vec) is not None
+        for vec in carrier.scaled_basis[1]
     )
     ef_cols = []
     for col in columns:
-        coords = _tensor_coordinates(carrier, carrier, col)
+        coords = _tensor_coordinates(carrier, carrier, col, den**6)
         if coords is None:
             break
         ef_cols.append(coords)
@@ -468,7 +476,7 @@ def lift_connection(
         full_amb = Subspace.full(fusion.ambient.space)
         displays = ((one, full_amb), (zero, full_amb), (full_amb, one), (full_amb, zero))
         corestricts = tuple(
-            all(_tensor_coordinates(left, right, col) is not None for col in columns)
+            all(_tensor_coordinates(left, right, col, den**6) is not None for col in columns)
             for left, right in displays
         )
         if not all(corestricts):
@@ -482,7 +490,8 @@ def lift_connection(
             raise AssertionError(f"lifted image leaves the carrier: {failed}")
         if len(ef_cols) < len(columns):
             raise AssertionError(
-                "lifted image passes the boundary displays but misses the carrier square"
+                "lifted image passes the boundary displays but misses the carrier "
+                f"square at H basis vector {len(ef_cols)}"
             )
 
     ef_space = fusion.comodule.algebra.space

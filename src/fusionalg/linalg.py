@@ -373,13 +373,30 @@ class Subspace:
             _subtract(remainder, vec[p], self.basis[i])
         return coords, remainder
 
+    @cached_property
+    def scaled_basis(self) -> tuple[int, list[dict[int, int]]]:
+        """D and D·basis, the echelon basis over its common denominator."""
+        den, (basis,) = integer_scaled(self.basis)
+        return den, basis
+
+    def int_coordinates(self, vec: dict[int, int]) -> dict[int, int] | None:
+        """Coordinates of a sparse integer vector with no zeros stored, or
+        None if it lies outside.  In a reduced echelon basis they are the
+        entries at the pivots, keyed by basis index in increasing order,
+        and the vector lies inside exactly when D·vec = Σ coords[i]·(D·basis[i])."""
+        row_of = self._row_of_pivot
+        coords = {row_of[p]: vec[p] for p in sorted(k for k in vec if k in row_of)}
+        if len(self.pivots) == self.ambient.dim:
+            return coords
+        den, basis = self.scaled_basis
+        inside = linear_combination(basis, coords) == {k: den * v for k, v in vec.items()}
+        return coords if inside else None
+
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """Sparse coordinates of vec in the echelon basis, or None if outside."""
-        if len(self.pivots) == self.ambient.dim:
-            # the whole space: its echelon basis is the standard one
-            return {k: vec[k] for k in sorted(vec)}
-        coords, remainder = self.decompose(vec)
-        return None if remainder else coords
+        _, ((scaled,),) = integer_scaled((vec,))
+        coords = self.int_coordinates(scaled)
+        return None if coords is None else {i: vec[self.pivots[i]] for i in coords}
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient.dim != other.ambient.dim:

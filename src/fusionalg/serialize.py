@@ -454,7 +454,7 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # dimension n is the number of carrier rows, the n columns of the maps
 # on the ambient (the end evaluations, the coaction id (x) Δ and the
 # carrier's inclusion) and the connection system of the fusion.
-# At 128, O(Z4) theorem-main at m = 7 takes about 8 s and 130 MB
+# At 128, O(Z4) theorem-main at m = 7 takes 1.0–1.6 s and 132 MB
 # (Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
 # data/ and in the benchmark references (O(S3) and kS3 at m = 1) has 72.
 # The joins of finite sets are bounded by the same number: the points of

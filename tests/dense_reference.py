@@ -10,20 +10,32 @@ the library's earlier exact elimination, :class:`ParentElimination`, as
 a reference for the solver's outcomes, the row-by-row build of the
 connection system, :func:`connection_rows`, as a reference for its
 stored rows, and the axiom batteries of
-algebras, Hopf algebras, comodule algebras and strong connections as the
-library computed them in ``Fraction`` arithmetic, as references for the
-integer-scaled ones."""
+algebras, Hopf algebras, comodule algebras and strong connections, the
+restriction of a product to a subspace, the reduction into a tensor
+product of subspaces and the lift of a connection through the fusion as
+the library computed them in ``Fraction`` arithmetic, as references for
+the integer-scaled ones."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from fusionalg.algebra import CheckReport, FDAlgebra, Failure, mul_sparse
+from fusionalg.algebra import (
+    CheckReport,
+    ClosureError,
+    FDAlgebra,
+    Failure,
+    SubalgebraWitness,
+    mul_sparse,
+)
 from fusionalg.comodule import ComoduleAlgebra, delta_L
-from fusionalg.hopf import HopfAlgebra
+from fusionalg.fusion import EquivariantFusion, LiftedConnection, SqrtPair
+from fusionalg.hopf import HopfAlgebra, sweedler_legs
 from fusionalg.linalg import (
     Infeasibility,
     LinearMap,
     LinearSystem,
+    Space,
+    Subspace,
     accumulate,
     integer_scaled,
 )
@@ -818,3 +830,114 @@ def check_strong_connection(
         failures.append(Failure("unital", "ℓ(1) is not 1⊗1"))
 
     return CheckReport(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------- carrier restriction and lift
+
+
+def subalgebra_from_subspace(
+    ambient: FDAlgebra, sub: Subspace, label_prefix: str = "s"
+) -> SubalgebraWitness:
+    """Restrict the product of ``ambient`` to ``sub``, each basis product
+    formed and reduced in ``Fraction`` arithmetic."""
+    if sub.ambient.dim != ambient.dim:
+        raise ValueError("subspace does not live in the algebra")
+    d = sub.dim
+    space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
+    table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
+    for i, left in enumerate(sub.basis):
+        for j, right in enumerate(sub.basis):
+            prod = mul_sparse(ambient.table, left, right)
+            coords = sub.coordinates(prod)
+            if coords is None:
+                raise ClosureError(i, j, dict(sorted(prod.items())))
+            table[i][j] = coords
+    unit = sub.coordinates(ambient.unit)
+    unital = unit is not None
+    algebra = FDAlgebra(space, table, unit if unital else {})
+    inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
+    return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)
+
+
+def tensor_coordinates(
+    left: Subspace, right: Subspace, vec: dict[int, Fraction]
+) -> dict[int, Fraction] | None:
+    """Sparse coordinates of a sparse vector of A (x) B in U (x) V, keyed
+    k·dim V + l, or None: each column is reduced by U, then each row of
+    the coefficients by V, in ``Fraction`` arithmetic."""
+    nb = right.ambient.dim
+    columns: dict[int, dict[int, Fraction]] = {}
+    for key, val in vec.items():
+        i, j = divmod(key, nb)
+        columns.setdefault(j, {})[i] = val
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, col in columns.items():
+        alpha = left.coordinates(col)
+        if alpha is None:
+            return None
+        for k, a in alpha.items():
+            rows.setdefault(k, {})[j] = a
+    dv = right.dim
+    coords: dict[int, Fraction] = {}
+    for k in sorted(rows):
+        c = right.coordinates(rows[k])
+        if c is None:
+            return None
+        for l, v in c.items():
+            coords[k * dv + l] = v
+    return coords
+
+
+def lift_connection(fusion: EquivariantFusion, sqrt: SqrtPair, ell: LinearMap) -> LiftedConnection:
+    """The lifted connection with its columns assembled in ``Fraction``
+    arithmetic and reduced by :func:`tensor_coordinates`, every boundary
+    display computed."""
+    inner = fusion.inner
+    h = inner.hopf
+    dp, dh = inner.algebra.dim, h.dim
+    amb_dim = fusion.ambient.dim
+    s, sp = sqrt.vanish_at_zero, sqrt.vanish_at_one
+    unit_p = inner.algebra.unit
+    s_cols = h.antipode.cols
+    columns: list[dict[int, Fraction]] = []
+    for c in range(dh):
+        col: dict[int, Fraction] = {}
+        for abd, v3 in sweedler_legs(h, 3).cols[c].items():
+            ab, d = divmod(abd, dh)
+            a, b = divmod(ab, dh)
+            for a2, sv in s_cols[a].items():
+                for r, lv in ell.cols[b].items():
+                    p1, p2 = divmod(r, dp)
+                    for k1, sk1 in s.items():
+                        block = ((k1 * dp + p1) * dh + a2) * amb_dim
+                        for k2, sk2 in s.items():
+                            key = block + (k2 * dp + p2) * dh + d
+                            accumulate(col, key, v3 * sv * lv * sk1 * sk2)
+        for ab, v2 in h.coproduct.cols[c].items():
+            a, b = divmod(ab, dh)
+            for a2, sv in s_cols[a].items():
+                for u1, uv1 in unit_p.items():
+                    for k1, sk1 in sp.items():
+                        block = ((k1 * dp + u1) * dh + a2) * amb_dim
+                        for u2, uv2 in unit_p.items():
+                            for k2, sk2 in sp.items():
+                                accumulate(
+                                    col,
+                                    block + (k2 * dp + u2) * dh + b,
+                                    v2 * sv * uv1 * uv2 * sk1 * sk2,
+                                )
+        columns.append(col)
+    full = Subspace.full(fusion.ambient.space)
+    one, zero = fusion.cond_one, fusion.cond_zero
+    displays = ((one, full), (zero, full), (full, one), (full, zero))
+    corestricts = tuple(
+        all(tensor_coordinates(left, right, col) is not None for col in columns)
+        for left, right in displays
+    )
+    ef_cols = [tensor_coordinates(fusion.carrier, fusion.carrier, col) for col in columns]
+    if not all(corestricts) or None in ef_cols:
+        raise AssertionError("lifted image leaves the carrier")
+    ef_space = fusion.comodule.algebra.space
+    lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols)
+    report = check_strong_connection(fusion.comodule, lifted)
+    return LiftedConnection(fusion, sqrt, ell, lifted, corestricts, report)

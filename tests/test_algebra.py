@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dense_reference as ref
 from fusionalg.algebra import (
     AlgebraHom,
     ClosureError,
@@ -238,6 +241,54 @@ def test_subalgebra_rejects_non_closed_span():
     err = exc.value
     assert err.left_index == 0 and err.right_index == 0
     assert err.product == {0: Q(1), 3: Q(1)}
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _restriction(alg: FDAlgebra, sub: Subspace, restrict):
+    """What ``restrict`` makes of the subspace: the induced table, unit
+    and unitality, or the pair and product of a ClosureError."""
+    try:
+        wit = restrict(alg, sub)
+    except ClosureError as err:
+        return ("not closed", err.left_index, err.right_index, err.product)
+    return (wit.algebra.table, wit.algebra.unit, wit.unital, wit.inclusion)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_subalgebra_matches_the_fraction_reference(data):
+    """Random rational tables in a random basis f = T·e, in which span(e_0..e_{d-1})
+    is closed; its image under T⁻¹, with or without one more random vector,
+    restricts the same way in integers as in ``Fraction`` arithmetic."""
+    n = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, n))
+    space = Space.of_dim(n)
+    rationals = st.lists(RATIONALS, min_size=n, max_size=n)
+    hidden = [
+        [
+            ref.sparse(data.draw(rationals)[: d if i < d and j < d else n])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    t = LinearMap.from_columns(space, space, [data.draw(rationals) for _ in range(n)])
+    t_inv = t.inverse()
+    assume(t_inv is not None)
+    product = LinearMap.from_sparse_columns(
+        space.tensor(space), space, [p for row in hidden for p in row]
+    )
+    moved = t_inv.compose(product).compose(t.kron(t))
+    table = [[moved.cols[i * n + j] for j in range(n)] for i in range(n)]
+    unit = ref.sparse(data.draw(rationals))
+    alg = FDAlgebra(space, table, unit)
+    vectors = list(t_inv.cols[:d])
+    if data.draw(st.booleans()):
+        vectors.append(ref.sparse(data.draw(rationals)))
+    sub = Subspace.from_vectors(space, vectors)
+    expected = _restriction(alg, sub, ref.subalgebra_from_subspace)
+    assert _restriction(alg, sub, subalgebra_from_subspace) == expected
 
 
 @pytest.mark.parametrize("k", [-1, 2])

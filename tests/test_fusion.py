@@ -32,6 +32,8 @@ from fusionalg.comodule import (
 )
 from fusionalg.fusion import (
     PreconditionError,
+    _end_conditions,
+    _restrict_coaction,
     _tensor_coordinates,
     base_with_ends,
     build_equivariant_fusion,
@@ -51,6 +53,7 @@ from fusionalg.linalg import (
     LinearMap,
     Space,
     Subspace,
+    integer_scaled,
     rref,
     tensor_vec,
 )
@@ -274,6 +277,13 @@ def test_subspace_kron_pivots():
     assert w == direct
 
 
+def tensor_coordinates(u: Subspace, v: Subspace, vec: dict):
+    """``_tensor_coordinates`` of a sparse rational vector, scaled to
+    integers over its denominator."""
+    den, ((scaled,),) = integer_scaled((vec,))
+    return _tensor_coordinates(u, v, scaled, den)
+
+
 @settings(max_examples=80)
 @given(data=st.data())
 def test_tensor_coordinates_match_the_kron_reducer(data):
@@ -292,28 +302,29 @@ def test_tensor_coordinates_match_the_kron_reducer(data):
             for idx, x in tensor_vec(uk, vl, nb).items():
                 inside[idx] += coeffs[k * v.dim + l] * x
     inside = ref.sparse(inside)
-    assert _tensor_coordinates(u, v, inside) == ref.sparse(coeffs)
+    assert tensor_coordinates(u, v, inside) == ref.sparse(coeffs)
     assert reference.coordinates(inside) == ref.sparse(coeffs)
 
     anywhere = ref.sparse(
         data.draw(st.lists(RATIONALS, min_size=na * nb, max_size=na * nb))
     )
-    assert _tensor_coordinates(u, v, anywhere) == reference.coordinates(
+    assert tensor_coordinates(u, v, anywhere) == reference.coordinates(
         anywhere
     )
+    assert tensor_coordinates(u, v, anywhere) == ref.tensor_coordinates(u, v, anywhere)
 
     if u.dim and v.dim < nb:
         # in U (x) B but not in U (x) V
         x = tensor_vec(u.basis[0], {first_non_pivot(v): Q(1)}, nb)
-        assert _tensor_coordinates(u, v, x) is None
+        assert tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
-        assert _tensor_coordinates(u, Subspace.full(v.ambient), x) is not None
+        assert tensor_coordinates(u, Subspace.full(v.ambient), x) is not None
     if v.dim and u.dim < na:
         # in A (x) V but not in U (x) V
         x = tensor_vec({first_non_pivot(u): Q(1)}, v.basis[0], nb)
-        assert _tensor_coordinates(u, v, x) is None
+        assert tensor_coordinates(u, v, x) is None
         assert reference.coordinates(x) is None
-        assert _tensor_coordinates(Subspace.full(u.ambient), v, x) is not None
+        assert tensor_coordinates(Subspace.full(u.ambient), v, x) is not None
 
 
 # ---------------------------------------------------------------- lifting
@@ -374,9 +385,9 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
     ef, pair, ell = _regular_z2_lift()
     calls = []
 
-    def counted(left, right, vec):
+    def counted(left, right, vec, den):
         calls.append((left, right))
-        return _tensor_coordinates(left, right, vec)
+        return _tensor_coordinates(left, right, vec, den)
 
     monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
     lifted = lift_connection(ef, pair, ell)
@@ -408,8 +419,82 @@ def test_lift_into_a_hand_built_carrier_names_the_carrier_square(outside):
     with pytest.raises(AssertionError) as err:
         lift_connection(replace(ef, carrier=carrier), pair, ell)
     assert str(err.value) == (
-        "lifted image passes the boundary displays but misses the carrier square"
+        "lifted image passes the boundary displays but misses the carrier "
+        "square at H basis vector 0"
     )
+
+
+def test_lift_into_a_smaller_carrier_names_the_first_column_outside():
+    """Dropping carrier basis vector k leaves in the carrier square exactly
+    the columns of the genuine lift whose fusion coordinates avoid k; the
+    refusal names the first column that does not."""
+    inner = self_coaction(sweedler_h4())
+    ef = build_equivariant_fusion(chain_interval(1), inner)
+    pair = make_sqrt_pair(chain_interval(1), default_profile(1))
+    ell = is_principal(inner).connection.map
+    lifted = lift_connection(ef, pair, ell)
+    d = ef.carrier.dim
+    named = set()
+    for k in range(d):
+        uses = [any(k in divmod(key, d) for key in col) for col in lifted.map.cols]
+        if not any(uses):
+            continue
+        kept = ef.carrier.basis[:k] + ef.carrier.basis[k + 1 :]
+        carrier = Subspace(ef.ambient.space, *rref(kept))
+        with pytest.raises(AssertionError) as err:
+            lift_connection(replace(ef, carrier=carrier), pair, ell)
+        first = uses.index(True)
+        assert str(err.value) == (
+            "lifted image passes the boundary displays but misses the carrier "
+            f"square at H basis vector {first}"
+        )
+        named.add(first)
+    assert named == {0, 1, 2}
+
+
+def test_restriction_names_the_carrier_vector_the_coaction_moves():
+    """t₀⊗1⊗1 and t₁⊗1⊗1 are coaction-stable idempotents, t₁⊗δ₀⊗δ₀ is
+    an idempotent that the coaction moves; their span is a subalgebra
+    whose echelon basis vector 1, pivoting at t₁⊗δ₀⊗δ₀, is the first that
+    leaves the carrier under the coaction."""
+    inner = regular_comodule(2)
+    ambient, coaction, _, _ = _end_conditions(chain_interval(1), inner)
+    unit_ph = tensor_vec(inner.algebra.unit, inner.hopf.algebra.unit, 2)
+    carrier = Subspace.from_vectors(
+        ambient.space,
+        [tensor_vec({0: Q(1)}, unit_ph, 4), tensor_vec({1: Q(1)}, unit_ph, 4), {4: Q(1)}],
+    )
+    assert carrier.pivots == (0, 4, 5)
+    with pytest.raises(AssertionError) as err:
+        _restrict_coaction(ambient, coaction, inner.hopf, carrier, "c")
+    assert str(err.value) == (
+        "carrier is not stable under the coaction: carrier basis vector 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "inner, profile",
+    [
+        (lambda: regular_comodule(3), (0, Q(5, 13), Q(8, 17), 1)),
+        (lambda: self_coaction(sweedler_h4()), (0, Q(8, 17), 1)),
+    ],
+    ids=["O(Z3)-m3", "H4-m2"],
+)
+def test_lift_matches_the_fraction_reference(inner, profile):
+    """Square-root pairs over 13 and 17 (5/13, 12/13 and 8/17, 15/17):
+    the integer lift gives the map, boundary flags and report of the
+    ``Fraction`` reference, which computes every display."""
+    inner = inner()
+    m = len(profile) - 1
+    ef = build_equivariant_fusion(chain_interval(m), inner)
+    pair = make_sqrt_pair(chain_interval(m), profile)
+    ell = is_principal(inner).connection.map
+    lifted = lift_connection(ef, pair, ell)
+    expected = ref.lift_connection(ef, pair, ell)
+    assert lifted.map == expected.map
+    assert lifted.corestricts == expected.corestricts == (True,) * 4
+    assert lifted.report == expected.report
+    assert lifted.report.ok
 
 
 def test_lift_into_a_carrier_outside_the_conditions_checks_the_displays():

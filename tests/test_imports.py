@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used or re-exported,
 dense matrices stay at the document boundary, no module has a dense
-vector helper, the axiom batteries stay in integer arithmetic, and no
-private helper is left unused."""
+vector helper, the axiom batteries, the carrier restriction and the lift
+stay in integer arithmetic, and no private helper is left unused."""
 
 import ast
 from pathlib import Path
@@ -112,23 +112,30 @@ def test_no_dense_vector_helpers(path):
 
 
 # The axiom batteries by module, with `connection_unital`, the unital law
-# of the connection battery.
+# of the connection battery, and the code that restricts the product and
+# the coaction to a carrier and lifts a connection onto it.
 BATTERIES = {
-    "algebra.py": ("check_algebra",),
+    "algebra.py": ("check_algebra", "subalgebra_from_subspace"),
     "hopf.py": ("check_hopf",),
     "comodule.py": (
         "check_comodule",
         "check_strong_connection",
         "connection_unital",
     ),
+    "fusion.py": ("_tensor_coordinates", "_restrict_coaction", "lift_connection"),
 }
+
+# The `Fraction` loops: a sum of sparse entries, and a product of sparse
+# vectors through a structure-constant table.
+FRACTION_LOOPS = {"accumulate", "mul_sparse"}
 
 
 @pytest.mark.parametrize("name", sorted(BATTERIES))
 def test_batteries_sum_no_fractions(name):
-    """The batteries scale the structure maps straight to integers: none
-    of them, nested functions included, sums ``Fraction`` entries with
-    ``accumulate``."""
+    """The batteries, the carrier restriction and the lift scale their
+    structure maps straight to integers: none of them, nested functions
+    included, sums ``Fraction`` entries with ``accumulate`` or multiplies
+    them with ``mul_sparse``."""
     path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text())
     functions = {
@@ -136,13 +143,13 @@ def test_batteries_sum_no_fractions(name):
     }
     for battery in BATTERIES[name]:
         calls = sorted(
-            node.lineno
+            (node.func.id, node.lineno)
             for node in ast.walk(functions[battery])
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "accumulate"
+            and node.func.id in FRACTION_LOOPS
         )
-        assert not calls, f"{name}:{battery} calls accumulate at lines {calls}"
+        assert not calls, f"{name}:{battery} calls Fraction loops: {calls}"
 
 
 def _private_definitions(tree: ast.Module):
