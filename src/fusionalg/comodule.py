@@ -357,7 +357,8 @@ def connection_system(
     from another by a shift of every unknown (right colinearity in the
     first leg p1, left colinearity in the second leg p2), so each is
     built, tested for zero and reduced once and then added at each shift,
-    in the same order as row by row.
+    in the same order as row by row; the system keeps it as one block
+    and computes the shifted rows when they are read.
 
     The structure maps are scaled once to integers over their common
     denominator D, so every row is built in integer arithmetic: the
@@ -392,10 +393,6 @@ def connection_system(
             by_second[col][leg2].append((leg1, val))
             by_first[col][leg1].append((leg2, val))
 
-    def add(coeffs: dict[int, int], rhs: int, row_den: int) -> None:
-        if rhs or any(coeffs.values()):
-            system.add_int_row(coeffs, rhs, row_den)
-
     # right colinearity: (id⊗δ)∘ell = (ell⊗id)∘Δ; row (u, x, a, col) is
     # row (0, x, a, col) with every unknown moved by u·dP·dH
     right = []
@@ -426,7 +423,9 @@ def connection_system(
                     left.append((coeffs, 0, den))
             system.add_shifted_rows(left, range(0, dp * dh, dh))
 
-    # splitting: (m⊗id)∘(id⊗δ)∘ell = 1 ⊗ (-)
+    # splitting: (m⊗id)∘(id⊗δ)∘ell = 1 ⊗ (-); these rows and the unit
+    # rows go in as one block with the one shift 0
+    single = []
     for u in range(dp):
         for a in range(dh):
             lc_row: dict[int, int] = {}
@@ -437,7 +436,7 @@ def connection_system(
                     lc_row[key] = lc_row.get(key, 0) + mval * dval
             for col in range(dh):
                 coeffs = {r * dh + col: val for r, val in lc_row.items()}
-                add(coeffs, unit_p.get(u, 0) * den if a == col else 0, den * den)
+                single.append((coeffs, unit_p.get(u, 0) * den if a == col else 0, den * den))
 
     if require_unital:
         for p1 in range(dp):
@@ -445,8 +444,10 @@ def connection_system(
                 coeffs = {
                     (p1 * dp + p2) * dh + col: val * den for col, val in unit_h.items()
                 }
-                add(coeffs, unit_p.get(p1, 0) * unit_p.get(p2, 0), den * den)
-
+                single.append((coeffs, unit_p.get(p1, 0) * unit_p.get(p2, 0), den * den))
+    system.add_shifted_rows(
+        [row for row in single if row[1] or any(row[0].values())], range(1)
+    )
     return system
 
 

@@ -21,8 +21,10 @@ literal comparison, and coordinates and remainder one reduction sweep.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -469,31 +471,38 @@ def _combine_owned(
 class LinearSystem:
     """Sparse exact linear system solved by deterministic elimination.
 
-    Every row is stored as integers ``(coeffs, rhs, scale)``: the row's
+    Every row is held as integers ``(coeffs, rhs, scale)``: the row's
     rational coefficients and right-hand side times ``scale``, the least
     common multiple of their denominators.  :meth:`add_int_row` takes a
     row already scaled to integers over some denominator and divides out
     the common factor; :meth:`add_row` is the same entry for rational
     rows, and :meth:`add_shifted_rows` adds rows that differ only by a
-    shift of every unknown, reducing their common pattern once.  Forward
-    elimination reduces each row in insertion order against the pivot
-    rows accumulated so far, pivoting on the least unknown index, with
+    shift of every unknown, reducing their common pattern once.  The
+    system stores each such call as one block: its first row, its
+    reduced templates and its shifts as a ``range``; single rows go to
+    an open block with the one shift 0.  Row k is computed from its
+    block when it is read, through :meth:`row`, so rows keep the indices,
+    order, keys and scales of adding them one at a time, while memory
+    grows with the templates, not with the rows.  Forward elimination
+    reduces each row in insertion order against the pivot rows
+    accumulated so far, pivoting on the least unknown index, with
     integer arithmetic throughout; the solution assigns zero to all free
     unknowns and back-substitutes.  A reduction step scales the working
     row by ``b/g`` and subtracts ``a/g`` times the pivot row (``a``,
     ``b`` the two leading entries, ``g`` their gcd); when the scale is 1
-    the working row, always a copy, is updated in place.  Stored rows
-    and pivot rows are never changed.  The whole procedure is
+    the working row, always a copy, is updated in place.  Templates and
+    pivot rows are never changed.  The whole procedure is
     deterministic, so identical systems yield identical solutions bit
     for bit.
 
     Elimination never mixes rows that share no unknown, even through
     other rows, so the rows fall into components that it handles
     independently.  The first pass eliminates only the rows whose
-    component holds a nonzero right-hand side.  Every other component is
-    homogeneous: it cannot contradict, and back substitution gives its
-    unknowns zero whether it is eliminated or not.  Solutions and
-    refutations are those of eliminating every row.
+    component holds a nonzero right-hand side, found from an index of
+    the template keys without computing any other row.  Every other
+    component is homogeneous: it cannot contradict, and back
+    substitution gives its unknowns zero whether it is eliminated or
+    not.  Solutions and refutations are those of eliminating every row.
 
     An infeasible system is eliminated a second time with provenance:
     each working row carries integer multipliers of the stored rows over
@@ -506,26 +515,64 @@ class LinearSystem:
 
     def __init__(self, num_unknowns: int):
         self.num_unknowns = num_unknowns
-        self._rows: list[tuple[dict[int, int], int, int]] = []  # (coeffs, rhs, scale)
+        # (first row, templates (coeffs, rhs, scale), shifts): row
+        # first + i·len(templates) + t is template t moved by shifts[i]
+        self._blocks: list[tuple[int, list[tuple[dict[int, int], int, int]], range]] = []
+        self._open: list | None = None  # the templates of add_int_row's block
+        self._len = 0
+        self._key_index = None  # built by _index, dropped when rows are added
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._len
+
+    def _add_block(self, templates: list, shifts: range) -> None:
+        self._blocks.append((self._len, templates, shifts))
+        self._len += len(templates) * len(shifts)
 
     def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
         """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``,
         unknowns in ``0..num_unknowns-1``)."""
-        self.add_shifted_rows([(coeffs, rhs, den)], [0])
-        return len(self._rows) - 1
+        (template,) = self._templates([(coeffs, rhs, den)], (0,))
+        if self._open is None:
+            self._open = []
+            self._add_block(self._open, range(1))
+        self._open.append(template)
+        self._len += 1
+        self._key_index = None
+        return self._len - 1
 
     def add_shifted_rows(self, rows, shifts) -> None:
         """For each shift s in turn, add every row ``(coeffs, rhs, den)``,
         as :meth:`add_int_row` takes it, with each unknown c moved to c + s.
 
-        Each row is reduced to its stored form once (zero coefficients
+        Each row is reduced to its template once (zero coefficients
         dropped, the common factor divided out), and the range of the
         unknowns is checked once, at the least and the largest shift.
+        The shifts are kept as ranges: one block for each run of them
+        that steps up evenly.
         """
-        rows, shifts = list(rows), list(shifts)
+        shifts = list(shifts)
+        templates = self._templates(rows, shifts)
+        if not templates or not shifts:
+            return
+        runs: list[range] = []
+        for s in shifts:
+            if runs:
+                run = runs[-1]
+                step = run.step if len(run) > 1 else s - run.start
+                if step > 0 and s == run[-1] + step:
+                    runs[-1] = range(run.start, s + 1, step)
+                    continue
+            runs.append(range(s, s + 1))
+        self._open = None
+        self._key_index = None
+        for run in runs:
+            self._add_block(templates, run)
+
+    def _templates(self, rows, shifts) -> list[tuple[dict[int, int], int, int]]:
+        """The rows reduced to templates, after checking the denominators
+        and the range of the unknowns at the least and largest shift."""
+        rows = list(rows)
         for _, _, den in rows:
             if den <= 0:
                 raise ValueError(f"row denominator must be positive, got {den}")
@@ -534,7 +581,7 @@ class LinearSystem:
             for c in (min(cols) + min(shifts), max(cols) + max(shifts)):
                 if not 0 <= c < self.num_unknowns:
                     raise ValueError(f"unknown {c} is outside 0..{self.num_unknowns - 1}")
-        stored = []
+        templates = []
         for coeffs, rhs, den in rows:
             clean = {c: v for c, v in coeffs.items() if v}
             g = gcd(den, rhs, *clean.values())
@@ -542,11 +589,8 @@ class LinearSystem:
                 clean = {c: v // g for c, v in clean.items()}
                 rhs //= g
                 den //= g
-            stored.append((clean, rhs, den))
-        append = self._rows.append
-        for s in shifts:
-            for coeffs, rhs, den in stored:
-                append(({c + s: v for c, v in coeffs.items()}, rhs, den))
+            templates.append((clean, rhs, den))
+        return templates
 
     def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
         den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
@@ -556,8 +600,23 @@ class LinearSystem:
             den,
         )
 
+    def _template(self, k: int) -> tuple[dict[int, int], int, int, int]:
+        """Row k as ``(template coeffs, rhs, scale, shift)``."""
+        if not 0 <= k < self._len:
+            raise IndexError(f"row {k} is outside 0..{self._len - 1}")
+        block = bisect_right(self._blocks, k, key=itemgetter(0)) - 1
+        first, templates, shifts = self._blocks[block]
+        i, t = divmod(k - first, len(templates))
+        return (*templates[t], shifts[i])
+
+    def row(self, k: int) -> tuple[dict[int, int], int, int]:
+        """Row k as integers ``(coeffs, rhs, scale)``; ``coeffs`` is a new
+        dict, owned by the caller."""
+        coeffs, rhs, scale, shift = self._template(k)
+        return {c + shift: v for c, v in coeffs.items()}, rhs, scale
+
     def row_as_fractions(self, idx: int) -> tuple[dict[int, Fraction], Fraction]:
-        coeffs, rhs, scale = self._rows[idx]
+        coeffs, rhs, scale = self.row(idx)
         return (
             {c: Fraction(v, scale) for c, v in coeffs.items()},
             Fraction(rhs, scale),
@@ -569,7 +628,7 @@ class LinearSystem:
         acc: dict[int, int] = {}
         rhs = 0
         for idx, q in mults.items():
-            coeffs, row_rhs, _ = self._rows[idx]
+            coeffs, row_rhs, _ = self.row(idx)
             for c, v in coeffs.items():
                 acc[c] = acc.get(c, 0) + q * v
             rhs += q * row_rhs
@@ -579,7 +638,7 @@ class LinearSystem:
         """Evaluate a multiplier combination against the original rows."""
         # The multiplier of stored row k is farkas[k] / scale_k; bring
         # them all over one denominator and combine in integers.
-        per_row = {k: Fraction(v) / self._rows[k][2] for k, v in farkas.items()}
+        per_row = {k: Fraction(v) / self.row(k)[2] for k, v in farkas.items()}
         den = lcm(*(v.denominator for v in per_row.values()))
         coeffs, rhs = self._combine_int(
             {k: v.numerator * (den // v.denominator) for k, v in per_row.items()}
@@ -596,26 +655,68 @@ class LinearSystem:
             g = 1
         return coeffs, rhs, g
 
+    def _index(self) -> dict[tuple[int, int], dict[tuple[int, int], list]]:
+        """The template keys, to find the rows that hold an unknown.
+
+        Template key ``key`` of a block with shifts ``range(start, stop,
+        step)`` is unknown c = key + s in the row of shift s, so c − key
+        must lie in the range: with ``base = key + start`` and ``span =
+        stop − start`` rounded up to a multiple of ``step``, 0 ≤ c − base <
+        span and c ≡ base modulo ``step``.  The index groups the keys by
+        ``(step, span)`` and then by ``(base // span, base % step)``, so
+        the holders of c are in the buckets ``(c // span, c % step)`` and
+        ``(c // span − 1, c % step)`` of each group.  An entry is ``(base,
+        key, row of the least shift, rows per shift, template coeffs)``.
+        """
+        if self._key_index is None:
+            index: dict[tuple[int, int], dict[tuple[int, int], list]] = {}
+            for first, templates, shifts in self._blocks:
+                step, span = shifts.step, len(shifts) * shifts.step
+                buckets = index.setdefault((step, span), {})
+                for t, (coeffs, _, _) in enumerate(templates):
+                    for key in coeffs:
+                        base = key + shifts.start
+                        buckets.setdefault((base // span, base % step), []).append(
+                            (base, key, first + t, len(templates), coeffs)
+                        )
+            self._key_index = index
+        return self._key_index
+
     def _reach(self, seeds, last: int) -> list[int]:
         """The rows 0..last that share unknowns with a seed row, directly
-        or through other rows, the seeds included, in increasing order."""
-        row_cols = [coeffs for coeffs, _, _ in self._rows[: last + 1]]
-        rows_of: list[list[int]] = [[] for _ in range(self.num_unknowns)]
-        for k, coeffs in enumerate(row_cols):
-            for c in coeffs:
-                rows_of[c].append(k)
+        or through other rows, the seeds included, in increasing order.
+        Rows are found from :meth:`_index` and their unknowns read from
+        their templates, so no row is computed."""
+        groups = self._index().items()
         seen_cols: set[int] = set()
         seen_rows = set(seeds)
-        stack = list(seen_rows)
+        stack = [(coeffs, shift) for coeffs, _, _, shift in map(self._template, seen_rows)]
         while stack:
-            for c in row_cols[stack.pop()]:
-                if c not in seen_cols:
-                    seen_cols.add(c)
-                    for k in rows_of[c]:
-                        if k not in seen_rows:
-                            seen_rows.add(k)
-                            stack.append(k)
+            coeffs, shift = stack.pop()
+            for key in coeffs:
+                c = key + shift
+                if c in seen_cols:
+                    continue
+                seen_cols.add(c)
+                for (step, span), buckets in groups:
+                    q, r = c // span, c % step
+                    for bucket in (buckets.get((q, r)), buckets.get((q - 1, r))):
+                        for base, tkey, row0, per_shift, tcoeffs in bucket or ():
+                            if 0 <= c - base < span:
+                                k = row0 + (c - base) // step * per_shift
+                                if k <= last and k not in seen_rows:
+                                    seen_rows.add(k)
+                                    stack.append((tcoeffs, c - tkey))
         return sorted(seen_rows)
+
+    def _seeds(self) -> list[int]:
+        """The rows whose right-hand side is not zero."""
+        return [
+            first + i * len(templates) + t
+            for first, templates, shifts in self._blocks
+            for t in [t for t, (_, rhs, _) in enumerate(templates) if rhs]
+            for i in range(len(shifts))
+        ]
 
     def _run(self, upto: int | None, track: bool):
         """Forward elimination; returns ('infeasible', ...) or pivot data.
@@ -629,14 +730,11 @@ class LinearSystem:
         """
         pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
         if upto is None:
-            rows = self._reach(
-                [k for k, (_, rhs, _) in enumerate(self._rows) if rhs], len(self._rows) - 1
-            )
+            rows = self._reach(self._seeds(), self._len - 1)
         else:
             rows = self._reach([upto], upto)
         for idx in rows:
-            coeffs, rhs, _ = self._rows[idx]
-            coeffs = dict(coeffs)
+            coeffs, rhs, _ = self.row(idx)
             mults, den = ({idx: 1}, 1) if track else (None, 1)
             while coeffs:
                 j = min(coeffs)
@@ -707,7 +805,7 @@ class LinearSystem:
                     f"refute the system: {len(coeffs)} unknowns left, "
                     f"right-hand side {rhs}"
                 )
-            farkas = {k: Fraction(q * self._rows[k][2], den) for k, q in mults.items()}
+            farkas = {k: Fraction(q * self.row(k)[2], den) for k, q in mults.items()}
             return Infeasibility(idx, farkas, Fraction(rhs, den))
         _, pivots = outcome
         values = [Q0] * self.num_unknowns

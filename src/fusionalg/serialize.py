@@ -9,7 +9,8 @@ integer or a ``"p/q"`` string; floats are rejected because they are
 approximate.  A value of the form ``{"path": "other.json"}`` anywhere in
 a document is replaced by the content of that file, resolved relative
 to the referring file; one document may read at most
-:data:`MAX_DOCUMENT_BYTES`, its references included.
+:data:`MAX_DOCUMENT_BYTES` and nest at most :data:`MAX_JSON_DEPTH` levels
+deep, its references included.
 
 :data:`OPERATIONS` holds every operation a scenario can name: which
 command runs it, the input documents it reads, how its parameters are
@@ -30,6 +31,7 @@ runs the solver.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -453,8 +455,9 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # as sparse echelon rows and sparse columns; what grows with the ambient
 # dimension n is the number of carrier rows, the n columns of the maps
 # on the ambient (the end evaluations, the coaction id (x) Δ and the
-# carrier's inclusion) and the connection system of the fusion.
-# At 128, O(Z4) theorem-main at m = 7 takes 1.0–1.6 s and 132 MB
+# carrier's inclusion) and the templates of the fusion's connection
+# system, whose rows are computed when they are read.
+# At 128, O(Z4) theorem-main at m = 7 takes 0.6 s and 30 MB peak RSS
 # (Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
 # data/ and in the benchmark references (O(S3) and kS3 at m = 1) has 72.
 # The joins of finite sets are bounded by the same number: the points of
@@ -468,6 +471,13 @@ MAX_AMBIENT_DIM = 128
 # each level inline about 1 GB within the 20 levels the depth limit
 # allows; with it, such a chain is refused after 16 MiB of reading.
 MAX_DOCUMENT_BYTES = 16 * 2**20
+# The deepest nesting of arrays and objects one document may have, its
+# path references included.  The deepest document written today, a
+# certificate, nests 8 levels.  The bound is checked on each file's text
+# before it is parsed, so that neither the parser nor the walk that
+# inlines path references, one frame per level, meets the interpreter's
+# recursion limit (1000 by default).
+MAX_JSON_DEPTH = 512
 _FUSION_AMBIENT = "the fusion ambient dimension"
 
 
@@ -554,10 +564,26 @@ def _kind(obj, where: str) -> str:
 _MAX_PATH_DEPTH = 20
 
 
-def load_json(path, spent: list[int] | None = None) -> dict | list:
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_JSON_BRACKET = re.compile(r"[][{}]")
+
+
+def _nesting(text: str) -> int:
+    """How deep arrays and objects nest in a JSON text, counted from its
+    brackets outside strings, without parsing it."""
+    depth = deepest = 0
+    for bracket in _JSON_BRACKET.findall(_JSON_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def load_json(path, spent: list[int] | None = None, level: int = 0) -> dict | list:
     """Parse one JSON file.  ``spent[0]`` counts the bytes read for one
     document; a file that takes it past :data:`MAX_DOCUMENT_BYTES` is
-    refused before it is read."""
+    refused before it is read.  The file's content lands ``level``
+    arrays and objects deep in the document, which may nest at most
+    :data:`MAX_JSON_DEPTH` deep."""
     path = Path(path)
     spent = [0] if spent is None else spent
     try:
@@ -570,18 +596,24 @@ def load_json(path, spent: list[int] | None = None) -> dict | list:
         text = path.read_text()
     except OSError as exc:
         raise InputFormatError(f"{path}: cannot read: {exc}") from exc
+    if level + _nesting(text) > MAX_JSON_DEPTH:
+        raise InputFormatError(
+            f"{path}: the document is nested too deeply: more than "
+            f"{MAX_JSON_DEPTH} levels of arrays and objects, its path references included"
+        )
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputFormatError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def inline_paths(obj, base_dir, depth: int = 0, spent: list[int] | None = None):
+def inline_paths(
+    obj, base_dir, depth: int = 0, spent: list[int] | None = None, level: int = 0
+):
     """Replace every ``{"path": ...}`` reference by the referenced file's
     content, resolved relative to the referring file; ``spent`` counts
-    the bytes read, as :func:`load_json` does."""
+    the bytes read, and ``level`` the arrays and objects around ``obj``,
+    as :func:`load_json` takes them."""
     if depth > _MAX_PATH_DEPTH:
         raise InputFormatError("path references nest too deeply")
     spent = [0] if spent is None else spent
@@ -593,10 +625,19 @@ def inline_paths(obj, base_dir, depth: int = 0, spent: list[int] | None = None):
                     f"path reference {rel!r} has no base directory"
                 )
             target = Path(base_dir) / rel
-            return inline_paths(load_json(target, spent), target.parent, depth + 1, spent)
-        return {k: inline_paths(v, base_dir, depth, spent) for k, v in obj.items()}
+            return inline_paths(
+                load_json(target, spent, level), target.parent, depth + 1, spent, level
+            )
+        # loops, not comprehensions, so that each level takes one frame
+        inlined = {}
+        for k, v in obj.items():
+            inlined[k] = inline_paths(v, base_dir, depth, spent, level + 1)
+        return inlined
     if isinstance(obj, list):
-        return [inline_paths(v, base_dir, depth, spent) for v in obj]
+        inlined = []
+        for v in obj:
+            inlined.append(inline_paths(v, base_dir, depth, spent, level + 1))
+        return inlined
     return obj
 
 
@@ -604,11 +645,7 @@ def load_raw(path) -> tuple[str, dict]:
     """Load a JSON document without decoding it: ``(kind, raw object)``,
     with path references inlined, so the object is self-contained."""
     spent = [0]
-    raw = load_json(path, spent)
-    try:
-        raw = inline_paths(raw, Path(path).parent, spent=spent)
-    except RecursionError as exc:
-        raise InputFormatError(f"{path}: the document is nested too deeply") from exc
+    raw = inline_paths(load_json(path, spent), Path(path).parent, spent=spent)
     return _kind(raw, str(path)), raw
 
 

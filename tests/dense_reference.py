@@ -207,6 +207,11 @@ def preimage(f_rows, n_source: int, w_basis, w_pivots):
     return kernel(compose(projection, f_rows, n_source), n_source)
 
 
+def stored_rows(system: LinearSystem) -> list[tuple[dict[int, int], int, int]]:
+    """Every row of a system as ``(coeffs, rhs, scale)``, in order."""
+    return [system.row(k) for k in range(len(system))]
+
+
 class ParentElimination(LinearSystem):
     """A linear system solved by the elimination the library ran before
     unit-multiplier steps were done in place, the provenance pass was
@@ -233,10 +238,9 @@ class ParentElimination(LinearSystem):
         multipliers ``mults`` divided by ``den``, kept in lowest terms.
         """
         pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
-        end = len(self._rows) if upto is None else upto + 1
+        end = len(self) if upto is None else upto + 1
         for idx in range(end):
-            coeffs, rhs, _ = self._rows[idx]
-            coeffs = dict(coeffs)
+            coeffs, rhs, _ = self.row(idx)
             mults, den = ({idx: 1}, 1) if track else (None, 1)
             while coeffs:
                 j = min(coeffs)
@@ -321,7 +325,7 @@ class ParentElimination(LinearSystem):
                     f"refute the system: {len(coeffs)} unknowns left, "
                     f"right-hand side {rhs}"
                 )
-            farkas = {k: Fraction(q * self._rows[k][2], den) for k, q in mults.items()}
+            farkas = {k: Fraction(q * self.row(k)[2], den) for k, q in mults.items()}
             return Infeasibility(idx, farkas, Fraction(rhs, den))
         _, pivots = outcome
         values = [Q0] * self.num_unknowns
@@ -418,7 +422,7 @@ def connection_rows(c: ComoduleAlgebra, require_unital: bool) -> list:
                 }
                 add(coeffs, unit_p.get(p1, 0) * unit_p.get(p2, 0), den * den)
 
-    return system._rows
+    return stored_rows(system)
 
 
 # ---------------------------------------------------------------- axiom batteries

@@ -18,6 +18,7 @@ from fusionalg.hopf import function_hopf
 from fusionalg.algebra import function_algebra
 from fusionalg.comodule import trivial_coaction
 from fusionalg.serialize import (
+    MAX_JSON_DEPTH,
     OPERATIONS,
     algebra_to_obj,
     certificate_identity,
@@ -95,14 +96,28 @@ def _deeply_nested(tmp_path, command, depth):
 @pytest.mark.parametrize("depth", [900, 200_000])
 @pytest.mark.parametrize("command", ["check", "verify-certificate"])
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, command, depth):
-    """Nesting that overflows the JSON parser (200,000 levels) or the
-    path-reference walk (900 levels) exits 2 with an error line, not a
-    traceback with the axiom-failure code."""
+    """Nesting beyond the bound, deep enough to overflow the JSON parser
+    (200,000 levels) or the path-reference walk (900 levels), exits 2
+    with an error line, not a traceback with the axiom-failure code."""
     path = _deeply_nested(tmp_path, command, depth)
     capsys.readouterr()
     assert entry([command, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify-certificate"])
+def test_json_nesting_is_bounded_by_a_constant(tmp_path, capsys, command):
+    """A document nested exactly ``MAX_JSON_DEPTH`` levels deep is read,
+    and its extra field refused as unknown; one level more is refused as
+    nested too deeply.  Both exit 2."""
+    cases = ((MAX_JSON_DEPTH - 1, "x: unknown field"), (MAX_JSON_DEPTH, "nested too deeply"))
+    for depth, message in cases:
+        path = _deeply_nested(tmp_path, command, depth)
+        capsys.readouterr()
+        assert entry([command, path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and ("nested" in message) == ("nested" in err)
 
 
 def test_check_rejects_scenario_documents(tmp_path, capsys):

@@ -505,7 +505,7 @@ def test_integer_rows_are_stored_like_rational_rows(coeffs, rhs, extra):
     as_ints.add_int_row({c: int(v * den) for c, v in coeffs.items()}, int(rhs * den), den)
     as_fractions = LinearSystem(8)
     as_fractions.add_row(coeffs, rhs)
-    assert as_ints._rows == as_fractions._rows == [expected]
+    assert ref.stored_rows(as_ints) == ref.stored_rows(as_fractions) == [expected]
 
 
 def _reference_farkas(system, upto):
@@ -514,8 +514,7 @@ def _reference_farkas(system, upto):
     elimination the solver runs."""
     pivots = {}
     for idx in range(upto + 1):
-        coeffs, rhs, scale = system._rows[idx]
-        coeffs = dict(coeffs)
+        coeffs, rhs, scale = system.row(idx)
         prov = {idx: Fraction(scale)}
         while coeffs and min(coeffs) in pivots:
             j = min(coeffs)
@@ -710,7 +709,8 @@ def test_elimination_matches_the_parent_elimination(system_rows):
 
 def assert_matches_parent_elimination(system: LinearSystem) -> None:
     parent = ref.ParentElimination(system.num_unknowns)
-    parent._rows = list(system._rows)
+    for coeffs, rhs, scale in ref.stored_rows(system):
+        parent.add_int_row(coeffs, rhs, scale)
     out, expected = system.solve(), parent.solve()
     assert isinstance(out, Infeasibility) == isinstance(expected, Infeasibility)
     if isinstance(out, Infeasibility):
@@ -719,3 +719,93 @@ def assert_matches_parent_elimination(system: LinearSystem) -> None:
         assert out.residual == expected.residual
     else:
         assert out == expected
+
+
+@st.composite
+def shifted_blocks(draw):
+    """Calls that add rows over ``n`` unknowns: ``("shifted", templates,
+    shifts)`` for :meth:`LinearSystem.add_shifted_rows`, with shifts as a
+    range of length 1 or more, or a list in any order, and
+    ``("single", row)`` for :meth:`LinearSystem.add_int_row`.  A template
+    is an integer row ``(coeffs, rhs, den)`` over the unknowns
+    0..width-1, and every shift keeps it inside 0..n-1."""
+    n = draw(st.integers(1, 12))
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.integers(1, n))
+        template = st.tuples(
+            st.dictionaries(st.integers(0, width - 1), st.integers(-3, 3), max_size=3),
+            st.integers(-2, 2),
+            st.integers(1, 4),
+        )
+        room = n - width
+        kind = draw(st.sampled_from(["range", "list", "single"]))
+        if kind == "single":
+            coeffs, rhs, den = draw(template)
+            shift = draw(st.integers(0, room))
+            calls.append(("single", ({c + shift: v for c, v in coeffs.items()}, rhs, den)))
+            continue
+        if kind == "range":
+            start = draw(st.integers(0, room))
+            shifts = range(start, draw(st.integers(start + 1, room + 1)), draw(st.integers(1, 3)))
+        else:
+            shifts = draw(st.lists(st.integers(0, room), max_size=4))
+        calls.append(("shifted", draw(st.lists(template, max_size=3)), shifts))
+    return n, calls
+
+
+def _reference_reach(rows, seeds, last):
+    """The rows 0..last joined to a seed through shared unknowns, found
+    over the list of all rows."""
+    seen_rows, stack, seen_cols = set(seeds), list(seeds), set()
+    while stack:
+        for c in rows[stack.pop()][0]:
+            if c not in seen_cols:
+                seen_cols.add(c)
+                for k, (coeffs, _, _) in enumerate(rows[: last + 1]):
+                    if c in coeffs and k not in seen_rows:
+                        seen_rows.add(k)
+                        stack.append(k)
+    return sorted(seen_rows)
+
+
+@settings(max_examples=200)
+@given(shifted_blocks(), st.data())
+def test_blocks_read_as_the_rows_added_one_at_a_time(blocks, data):
+    """A system built from blocks of shifted templates has the length,
+    rows, reach, combinations and solution or refutation of the same
+    rows added one at a time, and refuses a row index outside it with
+    the same message."""
+    n, calls = blocks
+    system, single = LinearSystem(n), LinearSystem(n)
+    for call in calls:
+        if call[0] == "single":
+            system.add_int_row(*call[1])
+            single.add_int_row(*call[1])
+        else:
+            _, templates, shifts = call
+            system.add_shifted_rows(templates, shifts)
+            for s in shifts:
+                for coeffs, rhs, den in templates:
+                    single.add_int_row({c + s: v for c, v in coeffs.items()}, rhs, den)
+    assert len(system) == len(single)
+    rows = ref.stored_rows(single)
+    assert ref.stored_rows(system) == rows
+    for k in range(len(system)):
+        assert system.row_as_fractions(k) == single.row_as_fractions(k)
+    for k in (-1, len(system)):
+        message = f"row {k} is outside 0..{len(system) - 1}"
+        for s in (system, single):
+            with pytest.raises(IndexError, match=f"^{message}$"):
+                s.row_as_fractions(k)
+    for k in range(len(rows)):
+        reached = _reference_reach(rows, [k], len(rows) - 1)
+        assert system._reach([k], len(rows) - 1) == single._reach([k], len(rows) - 1) == reached
+    if rows:
+        last = data.draw(st.integers(0, len(rows) - 1))
+        seeds = data.draw(st.sets(st.integers(0, last), min_size=1, max_size=3))
+        reached = _reference_reach(rows, seeds, last)
+        assert system._reach(seeds, last) == single._reach(seeds, last) == reached
+        farkas = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), rationals, max_size=4))
+        assert system.combine(farkas) == single.combine(farkas)
+    assert system.solve() == single.solve()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fusionalg.groups import FiniteGroup, FiniteGSet
 from fusionalg.hopf import function_hopf
 from fusionalg.algebra import function_algebra
 from fusionalg.serialize import (
+    MAX_JSON_DEPTH,
     InputFormatError,
     algebra_from_obj,
     algebra_to_obj,
@@ -30,6 +32,7 @@ from fusionalg.serialize import (
     hopf_to_obj,
     inline_paths,
     load_document,
+    load_raw,
     make_certificate,
     parse_checked,
     prepare,
@@ -242,6 +245,23 @@ def test_inline_paths_depth_limit(tmp_path):
     with pytest.raises(InputFormatError) as exc:
         inline_paths({"path": "f0.json"}, tmp_path)
     assert "nest too deeply" in str(exc.value)
+
+
+def test_json_nesting_counts_path_references(tmp_path):
+    """A reference lands its file's content where it stands, so the
+    bound on nesting holds for the whole document: a reference one
+    level deep to a file ``MAX_JSON_DEPTH - 1`` levels deep is read, and
+    one ``MAX_JSON_DEPTH`` levels deep is refused, naming that file."""
+    outer, inner = tmp_path / "outer.json", tmp_path / "inner.json"
+    outer.write_text(json.dumps({"kind": "scenario", "x": {"path": "inner.json"}}))
+    for depth in (MAX_JSON_DEPTH - 1, MAX_JSON_DEPTH):
+        inner.write_text("[" * depth + "]" * depth)
+        if depth < MAX_JSON_DEPTH:
+            kind, raw = load_raw(outer)
+            assert kind == "scenario" and raw["x"] == json.loads(inner.read_text())
+        else:
+            with pytest.raises(InputFormatError, match=f"^{re.escape(str(inner))}: the document is nested"):
+                load_raw(outer)
 
 
 def test_load_document_kinds(tmp_path):
