@@ -21,6 +21,7 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
+    components,
     integer_scaled,
     linear_combination,
     rat,
@@ -316,9 +317,16 @@ def subalgebra_from_subspace(
 ) -> SubalgebraWitness:
     """Restrict the product of ``ambient`` to ``sub``.
 
-    The table and the echelon basis are scaled to integers over their own
-    denominators D_T and D_B, so each product of two scaled basis vectors,
-    D_T·D_B² times its value, is reduced in integers.
+    The nonempty table entries and the echelon basis are scaled to
+    integers over their own denominators D_T and D_B, so each product of
+    two scaled basis vectors, D_T·D_B² times its value, is reduced in
+    integers.
+
+    Ambient indices fall into parts (:func:`~fusionalg.linalg.components`)
+    that keep together a and b of every nonempty e_a·e_b and the support
+    of each basis vector.  Two basis vectors in different parts multiply
+    to zero, so only products within a part are formed; the others keep
+    one shared empty entry, as do the empty entries of the scaled table.
 
     Raises ClosureError when some product of subspace basis vectors falls
     outside the subspace.
@@ -326,13 +334,25 @@ def subalgebra_from_subspace(
     if sub.ambient.dim != ambient.dim:
         raise ValueError("subspace does not live in the algebra")
     n, d = ambient.dim, sub.dim
-    den_t, (flat,) = integer_scaled(p for row in ambient.table for p in row)
+    nonempty = [[b for b, p in enumerate(row) if p] for row in ambient.table]
+    keys = [a * n + b for a, bs in enumerate(nonempty) for b in bs]
+    den_t, (scaled,) = integer_scaled(ambient.table[k // n][k % n] for k in keys)
+    empty: dict = {}
+    flat = [empty] * (n * n)
+    for k, p in zip(keys, scaled):
+        flat[k] = p
     den_b, basis = sub.scaled_basis
+    part = components(n, [*([a, *bs] for a, bs in enumerate(nonempty)), *basis])
+    owner = [part[next(iter(vec))] for vec in basis]
+    members: dict[int, list[int]] = {}
+    for i, p in enumerate(owner):
+        members.setdefault(p, []).append(i)
     scale = den_t * den_b * den_b
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
-    table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
+    table: list[list[dict[int, Fraction]]] = [[empty] * d for _ in range(d)]
     for i, left in enumerate(basis):
-        for j, right in enumerate(basis):
+        for j in members[owner[i]]:
+            right = basis[j]
             pairs = {a * n + b: x * y for a, x in left.items() for b, y in right.items()}
             prod = linear_combination(flat, pairs)
             if not prod:

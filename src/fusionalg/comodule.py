@@ -39,6 +39,7 @@ from .linalg import (
     Space,
     Subspace,
     accumulate,
+    components,
     integer_scaled,
     linear_combination,
     nonzero,
@@ -89,6 +90,12 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     multiplied by D² to meet δ(e_i)·δ(e_j) (k = 4); both sides of
     coaction_unital and coaction_coassociative have k = 2; and
     (id⊗ε)∘δ(e_j) compares with D²·e_j.
+
+    Basis indices of P fall into parts (:func:`~fusionalg.linalg.components`)
+    that keep together i and j of every nonempty e_i·e_j, and each e_i with
+    the P-legs of δ(e_i).  Across two parts both sides of multiplicativity
+    are zero: e_i·e_j is, and so is the product of every P-leg of δ(e_i)
+    with every P-leg of δ(e_j).
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
@@ -100,8 +107,17 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
         (h.counit_values, p.unit, h.algebra.unit),
     )
     d2 = den * den
+    part = components(
+        dp,
+        (
+            [i, *(j for j in range(dp) if ptab[i * dp + j]), *(pa // dh for pa in dcols[i])]
+            for i in range(dp)
+        ),
+    )
 
     def multiplicative(i, j):
+        if part[i] != part[j]:
+            return True
         rhs: dict[int, int] = {}
         for pa, va in dcols[i].items():
             pi, ai = divmod(pa, dh)

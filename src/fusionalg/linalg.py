@@ -122,6 +122,24 @@ def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
     ]
 
 
+def components(n: int, groups) -> list[int]:
+    """The finest partition of range(n) that keeps each group of indices
+    (an iterable of ints) inside one part, as the least index of each
+    index's part."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for group in groups:
+        roots = sorted({find(k) for k in group})
+        for root in roots[1:]:
+            parent[root] = roots[0]
+    return [find(i) for i in range(n)]
+
+
 def _subtract(vec: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
     """vec -= c·row in place, dropping the entries that cancel."""
     for k, v in row.items():

@@ -457,8 +457,9 @@ def base_from_obj(obj, where: str) -> BaseWithEnds:
 # on the ambient (the end evaluations, the coaction id (x) Δ and the
 # carrier's inclusion) and the templates of the fusion's connection
 # system, whose rows are computed when they are read.
-# At 128, O(Z4) theorem-main at m = 7 takes 0.6 s and 30 MB peak RSS
-# (Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
+# At 128, O(Z4) theorem-main at m = 7 takes 0.35–0.50 s and 33 MB peak
+# RSS, the fusion build under 0.05 s of it (fastest of 3 calls, in 3
+# processes; Python 3.11, shared 2-vCPU virtual machine).  The largest scenario in
 # data/ and in the benchmark references (O(S3) and kS3 at m = 1) has 72.
 # The joins of finite sets are bounded by the same number: the points of
 # a join are at most the ambient of the fusion of its function algebras.

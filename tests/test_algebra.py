@@ -256,12 +256,9 @@ def _restriction(alg: FDAlgebra, sub: Subspace, restrict):
     return (wit.algebra.table, wit.algebra.unit, wit.unital, wit.inclusion)
 
 
-@settings(max_examples=60)
-@given(data=st.data())
-def test_subalgebra_matches_the_fraction_reference(data):
-    """Random rational tables in a random basis f = T·e, in which span(e_0..e_{d-1})
-    is closed; its image under T⁻¹, with or without one more random vector,
-    restricts the same way in integers as in ``Fraction`` arithmetic."""
+def _hidden_subalgebra(data) -> tuple[FDAlgebra, list[dict]]:
+    """A random rational table in a random basis f = T·e, in which
+    span(e_0..e_{d-1}) is closed, and the image of that span under T⁻¹."""
     n = data.draw(st.integers(1, 4))
     d = data.draw(st.integers(0, n))
     space = Space.of_dim(n)
@@ -282,11 +279,26 @@ def test_subalgebra_matches_the_fraction_reference(data):
     moved = t_inv.compose(product).compose(t.kron(t))
     table = [[moved.cols[i * n + j] for j in range(n)] for i in range(n)]
     unit = ref.sparse(data.draw(rationals))
-    alg = FDAlgebra(space, table, unit)
-    vectors = list(t_inv.cols[:d])
+    return FDAlgebra(space, table, unit), list(t_inv.cols[:d])
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_subalgebra_matches_the_fraction_reference(data):
+    """A closed span of a random algebra (:func:`_hidden_subalgebra`), or
+    of the direct sum of two, where the span meets both blocks and so
+    two or more parts, with or without one more random vector, restricts
+    the same way in integers as in ``Fraction`` arithmetic: the same
+    table, or the same first ClosureError pair and product."""
+    alg, vectors = _hidden_subalgebra(data)
     if data.draw(st.booleans()):
-        vectors.append(ref.sparse(data.draw(rationals)))
-    sub = Subspace.from_vectors(space, vectors)
+        right, more = _hidden_subalgebra(data)
+        vectors += [{alg.dim + k: v for k, v in vec.items()} for vec in more]
+        alg = direct_sum_algebra(alg, right)
+    if data.draw(st.booleans()):
+        extra = st.lists(RATIONALS, min_size=alg.dim, max_size=alg.dim)
+        vectors.append(ref.sparse(data.draw(extra)))
+    sub = Subspace.from_vectors(alg.space, vectors)
     expected = _restriction(alg, sub, ref.subalgebra_from_subspace)
     assert _restriction(alg, sub, subalgebra_from_subspace) == expected
 

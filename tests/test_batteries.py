@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from fusionalg.algebra import FDAlgebra, check_algebra
+from fusionalg.algebra import FDAlgebra, check_algebra, subalgebra_from_subspace
 from fusionalg.classical import fun_comodule
 from fusionalg.comodule import (
     ComoduleAlgebra,
@@ -27,12 +27,13 @@ from fusionalg.comodule import (
     connection_unital,
     solve_strong_connection,
 )
+from fusionalg.fusion import build_equivariant_fusion, chain_interval
 from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf
-from fusionalg.linalg import Infeasibility, LinearMap
-from fusionalg.serialize import comodule_from_obj
+from fusionalg.linalg import Infeasibility, LinearMap, Space, components
+from fusionalg.serialize import algebra_to_obj, base_from_obj, comodule_from_obj
 from test_comodule import RESCALED, _rescaled_map, _squares, rescaled_comodule
-from test_fusion import sweedler_h4
+from test_fusion import regular_comodule, self_coaction, sweedler_h4
 
 Q = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "comodule_rescaled_nonfree_z2.json"
@@ -179,18 +180,29 @@ def test_splitting_mutation_reports_axiom_and_witness():
 
 
 @cache
+def chain_fusions() -> tuple[ComoduleAlgebra, ...]:
+    """The O(Z2) m=2 and H4-on-itself m=1 fusions: on the chain each
+    splits into several parts."""
+    return tuple(
+        build_equivariant_fusion(chain_interval(m), inner).comodule
+        for inner, m in ((regular_comodule(2), 2), (self_coaction(sweedler_h4()), 1))
+    )
+
+
+@cache
 def pool() -> tuple:
     """(comodule, connection) pairs: every Z2 and Z3 action on up to four
-    points, H4 and kS3 coacting on themselves, and the golden input with
-    the orbit connection.  Without a connection the map is zero."""
+    points, H4 and kS3 coacting on themselves, the two chain fusions, and
+    the golden input with the orbit connection.  Without a connection the
+    map is zero."""
     comodules = [
         fun_comodule(gset)
         for n in (2, 3)
         for size in range(1, 5)
         for gset in cyclic_actions(n, size)
     ]
-    for h in (sweedler_h4(), group_hopf(FiniteGroup.symmetric(3))):
-        comodules.append(ComoduleAlgebra(h.algebra, h, h.coproduct))
+    comodules += [self_coaction(h) for h in (sweedler_h4(), group_hopf(FiniteGroup.symmetric(3)))]
+    comodules += chain_fusions()
     out = []
     for c in comodules:
         found = solve_strong_connection(c)
@@ -277,3 +289,76 @@ def test_integer_batteries_match_the_fraction_reference(case):
         assert check_strong_connection(c, ell, unital) == ref.check_strong_connection(
             c, ell, unital
         )
+
+
+# ---------------------------------------------------------------- parts
+
+
+def parts(c: ComoduleAlgebra) -> list[int]:
+    """The parts that ``check_comodule`` splits P into: i and j of each
+    nonempty e_i·e_j, and each e_i with the P-legs of δ(e_i)."""
+    dh = c.hopf.dim
+    return components(
+        c.algebra.dim,
+        (
+            [i, *(j for j, prod in enumerate(row) if prod), *(k // dh for k in col)]
+            for i, (row, col) in enumerate(zip(c.algebra.table, c.coaction.cols))
+        ),
+    )
+
+
+def coaction_bumps(c: ComoduleAlgebra):
+    """c with δ(e_i) moved by 2/3 on the leg e_p ⊗ h_0, for each i and the
+    first p in a part other than that of i."""
+    part = parts(c)
+    for i in range(c.algebra.dim):
+        p = next((p for p, q in enumerate(part) if q != part[i]), None)
+        if p is not None:
+            moved = bumped(c.coaction, i, p * c.hopf.dim, Q(2, 3))
+            yield ComoduleAlgebra(c.algebra, c.hopf, moved)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["z2-m2", "h4-m1"])
+def test_a_coaction_leg_in_another_part_is_reported_as_the_reference_reports_it(index):
+    """On the chain fusions, a leg of δ(e_i) moved into another part joins
+    the two parts; the report, first witness included, is the
+    reference's."""
+    c = chain_fusions()[index]
+    assert len(set(parts(c))) > 1
+    reports = [check_comodule(moved) for moved in coaction_bumps(c)]
+    assert len(reports) == c.algebra.dim
+    assert not any(report.ok for report in reports)
+    assert reports == [ref.check_comodule(moved) for moved in coaction_bumps(c)]
+
+
+def upper_triangular_base():
+    """T2, the upper-triangular 2×2 matrices e11, e12, e22, with the
+    diagonal entries as its ends, read as ``params.base`` is read.  Its
+    only central idempotents are 0 and 1."""
+    table = [[{} for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        table[i][j] = {k: 1}
+    algebra = FDAlgebra.from_structure(Space(("e11", "e12", "e22")), table, (1, 0, 1))
+    obj = {"algebra": algebra_to_obj(algebra), "end_zero": ["1", "0", "0"],
+           "end_one": ["0", "0", "1"]}
+    return base_from_obj(obj, "params.base")
+
+
+def test_a_fusion_over_the_upper_triangular_base_matches_the_fraction_reference():
+    """O(Z2) fused over T2: the parts are coarser than over the chain 0..2,
+    which has as many points as T2 has dimensions, and the restricted
+    algebra, the comodule battery and that battery on every coaction
+    entry moved by 2/3 are those of the reference."""
+    ef = build_equivariant_fusion(upper_triangular_base(), regular_comodule(2))
+    c = ef.comodule
+    assert len(set(parts(c))) < len(set(parts(chain_fusions()[0])))
+    expected = ref.subalgebra_from_subspace(ef.ambient, ef.carrier, "ef")
+    assert subalgebra_from_subspace(ef.ambient, ef.carrier, "ef") == expected
+    assert c.algebra == expected.algebra
+    report = check_comodule(c)
+    assert report.ok and report == ref.check_comodule(c)
+    dp, dh = c.algebra.dim, c.hopf.dim
+    for i in range(dp):
+        for row in range(dp * dh):
+            moved = ComoduleAlgebra(c.algebra, c.hopf, bumped(c.coaction, i, row, Q(2, 3)))
+            assert check_comodule(moved) == ref.check_comodule(moved)

@@ -2,6 +2,7 @@
 piecewise halves, and the pullback picture."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg import algebra as algebra_module
+from fusionalg import comodule as comodule_module
 from fusionalg import fusion as fusion_module
 from fusionalg.algebra import (
     FDAlgebra,
@@ -221,6 +224,27 @@ def test_fusion_coinvariants_count_join_orbits():
     ef2 = build_equivariant_fusion(chain_interval(2), fun_comodule(z2))
     assert coinvariants(ef1.comodule).algebra.dim == 2
     assert coinvariants(ef2.comodule).algebra.dim == 4
+
+
+def test_the_re_checks_form_only_products_within_a_part(monkeypatch):
+    """The O(Z4) m=7 build forms 104 carrier products and checks 416
+    pairs for multiplicativity of the coaction, each one sum through
+    ``linear_combination``, where every pair of the 104 carrier basis
+    vectors makes 10,816: basis vectors in different parts multiply to
+    zero, and so do the legs of their coactions."""
+    inner = regular_comodule(4)
+    calls: dict[str, int] = {}
+    for module in (algebra_module, comodule_module):
+        def counted(vectors, coeffs, original=module.linear_combination):
+            caller = sys._getframe(1).f_code.co_name
+            calls[caller] = calls.get(caller, 0) + 1
+            return original(vectors, coeffs)
+
+        monkeypatch.setattr(module, "linear_combination", counted)
+    ef = build_equivariant_fusion(chain_interval(7), inner)
+    assert ef.comodule.algebra.dim == 104
+    assert calls["subalgebra_from_subspace"] == 104
+    assert calls["multiplicative"] == 416
 
 
 # ---------------------------------------------------------------- tensor coordinates

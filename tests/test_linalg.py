@@ -17,6 +17,7 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
+    components,
     preimage,
     rat,
     rref,
@@ -809,3 +810,59 @@ def test_blocks_read_as_the_rows_added_one_at_a_time(blocks, data):
         farkas = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), rationals, max_size=4))
         assert system.combine(farkas) == single.combine(farkas)
     assert system.solve() == single.solve()
+
+
+# ---------------------------------------------------------------- components
+
+
+def _bfs_parts(n: int, groups) -> set[frozenset[int]]:
+    """The parts of range(n) joined by the groups, by breadth-first search
+    over the graph linking consecutive members of each group."""
+    neighbours = [set() for _ in range(n)]
+    for group in groups:
+        for a, b in zip(group, group[1:]):
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    seen: set[int] = set()
+    parts = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        part, queue = {start}, [start]
+        for k in queue:
+            for nb in neighbours[k] - part:
+                part.add(nb)
+                queue.append(nb)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
+@st.composite
+def index_groups(draw):
+    n = draw(st.integers(0, 12))
+    size = 4 if n else 0
+    member = st.integers(0, max(n - 1, 0))
+    groups = draw(st.lists(st.lists(member, max_size=size), max_size=8))
+    return n, groups
+
+
+@settings(max_examples=200)
+@given(index_groups())
+def test_components_match_a_breadth_first_search(case):
+    """As partitions, whatever the groups; each part is labelled by its
+    least index.  Covers n = 0, empty groups and singleton groups."""
+    n, groups = case
+    labels = components(n, groups)
+    parts: dict[int, set[int]] = {}
+    for i, label in enumerate(labels):
+        parts.setdefault(label, set()).add(i)
+    assert set(map(frozenset, parts.values())) == _bfs_parts(n, groups)
+    assert all(label == min(part) for label, part in parts.items())
+
+
+def test_components_of_edge_cases():
+    assert components(0, []) == []
+    assert components(0, [[]]) == []
+    assert components(3, [[], [1], [2, 2]]) == [0, 1, 2]
+    assert components(4, [[3, 1], [2], [1, 0]]) == [0, 0, 2, 0]
