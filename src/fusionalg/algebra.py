@@ -175,10 +175,13 @@ def scalar_algebra() -> FDAlgebra:
 
 def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     """Componentwise product on A (x) B: (e_i (x) f_j)·(e_k (x) f_l) is
-    e_i·e_k (x) f_j·f_l, so the table has nnz(A)·nnz(B) constants."""
+    e_i·e_k (x) f_j·f_l, so the table has nnz(A)·nnz(B) constants.  Two
+    constants are multiplied only when neither is 1, and the empty
+    entries are one shared, never-mutated ``{}``."""
     db = b.dim
     n = a.dim * db
-    table: list[list[dict[int, Fraction]]] = [[{} for _ in range(n)] for _ in range(n)]
+    empty: dict = {}
+    table: list[list[dict[int, Fraction]]] = [[empty] * n for _ in range(n)]
     for i, row_a in enumerate(a.table):
         for k, pa in enumerate(row_a):
             if not pa:
@@ -188,7 +191,7 @@ def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
                 for l, pb in enumerate(row_b):
                     if pb:
                         out[k * db + l] = {
-                            p * db + q: va * vb
+                            p * db + q: vb if va == 1 else va if vb == 1 else va * vb
                             for p, va in pa.items()
                             for q, vb in pb.items()
                         }

@@ -18,6 +18,7 @@ fusion is re-derived independently by the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 
@@ -45,14 +46,15 @@ from .comodule import (
 from .hopf import HopfAlgebra, sweedler_legs
 from .linalg import (
     LinearMap,
+    Q0,
     Q1,
     Space,
     Subspace,
     accumulate,
     integer_scaled,
+    kernel_vectors,
     linear_combination,
     nonzero,
-    preimage,
     rref,
     tensor_vec,
 )
@@ -84,6 +86,39 @@ class BaseWithEnds:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def splitting(self) -> tuple[list[dict], dict[int, Fraction], dict[int, Fraction]]:
+        """A basis of K = ker e₀ ∩ ker e₁ and c₀, c₁ with e₁(c₀) = 0 =
+        e₀(c₁) and e₀(c₀) = e₁(c₁) = D ≠ 0, so C = K ⊕ k·c₀ ⊕ k·c₁.  For
+        the pivots p, q of the characters' echelon form, where e₀ takes
+        the values a, b and e₁ the values c, d, D = ad - bc,
+        c₀ = d·e_p - c·e_q and c₁ = a·e_q - b·e_p."""
+        ends = (self.end_zero, self.end_one)
+        values = [{j: col[0] for j, col in enumerate(e.cols) if col} for e in ends]
+        rows, pivots = rref(values)
+        if len(pivots) != 2:
+            raise ValueError("the two end characters are not independent")
+        p, q = pivots
+        (a, b), (c, d) = ((v.get(p, Q0), v.get(q, Q0)) for v in values)
+        c_zero, c_one = nonzero({p: d, q: -c}), nonzero({p: -b, q: a})
+        return kernel_vectors(rows, self.dim), c_zero, c_one
+
+    def sections(self, w_zero: Subspace, w_one: Subspace) -> Subspace:
+        """{x ∈ C (x) F : (e₀ (x) id)x ∈ W₀ and (e₁ (x) id)x ∈ W₁} for
+        subspaces W₀, W₁ of one fiber F (W = F leaves an end free).  Over
+        the :attr:`splitting`, x = Σ k (x) f + c₀ (x) y₀ + c₁ (x) y₁ has
+        the values D·y₀ and D·y₁ at the ends, so this is the span of
+        K (x) F ⊕ c₀ (x) W₀ ⊕ c₁ (x) W₁, reduced by one rref."""
+        fiber = w_zero.ambient
+        if w_one.ambient != fiber:
+            raise ValueError("the two end conditions live in different fibers")
+        kernel, c_zero, c_one = self.splitting
+        n = fiber.dim
+        vectors = [tensor_vec(k, {f: Q1}, n) for k in kernel for f in range(n)]
+        vectors += [tensor_vec(c_zero, w, n) for w in w_zero.basis]
+        vectors += [tensor_vec(c_one, w, n) for w in w_one.basis]
+        return Subspace(self.algebra.space.tensor(fiber), *rref(vectors))
+
 
 def base_with_ends(
     algebra: FDAlgebra, end_zero: LinearMap, end_one: LinearMap
@@ -95,11 +130,9 @@ def base_with_ends(
         report = check_hom(AlgebraHom(algebra, scalars, end))
         if not report.ok:
             raise ValueError(f"the {name} end is not an algebra character")
-    # a character's values on the basis, as a sparse vector of the dual
-    values = [{j: col[0] for j, col in enumerate(e.cols) if col} for e in (end_zero, end_one)]
-    if len(rref(values)[1]) != 2:
-        raise ValueError("the two end characters are not independent")
-    return BaseWithEnds(algebra, end_zero, end_one)
+    base = BaseWithEnds(algebra, end_zero, end_one)
+    base.splitting  # raises unless the ends are independent
+    return base
 
 
 def chain_interval(m: int) -> BaseWithEnds:
@@ -259,9 +292,6 @@ class FusionAlgebra:
 def build_fusion(base: BaseWithEnds, left: FDAlgebra, right: FDAlgebra) -> FusionAlgebra:
     fiber = tensor_algebra(left, right)
     ambient = tensor_algebra(base.algebra, fiber)
-    ident = LinearMap.identity(fiber.space)
-    ev_zero = base.end_zero.kron(ident)
-    ev_one = base.end_one.kron(ident)
     dr = right.dim
     w_zero = Subspace.from_vectors(
         fiber.space, [tensor_vec(left.unit, {j: Q1}, dr) for j in range(dr)]
@@ -269,7 +299,7 @@ def build_fusion(base: BaseWithEnds, left: FDAlgebra, right: FDAlgebra) -> Fusio
     w_one = Subspace.from_vectors(
         fiber.space, [tensor_vec({i: Q1}, right.unit, dr) for i in range(left.dim)]
     )
-    carrier = preimage(ev_zero, w_zero).intersection(preimage(ev_one, w_one))
+    carrier = base.sections(w_zero, w_one)
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix="f")
     if not witness.unital:
         raise AssertionError("fusion carrier lost the unit")
@@ -335,37 +365,30 @@ def _restrict_coaction(
 def _end_conditions(
     base: BaseWithEnds, inner: ComoduleAlgebra
 ) -> tuple[FDAlgebra, LinearMap, Subspace, Subspace]:
-    """Ambient algebra, its coaction id (x) Δ, and the two half
-    conditions cutting out the equivariant carrier."""
+    """Ambient algebra, its coaction id (x) Δ, and the subspaces 1 (x) H
+    and δ(P) of the fiber P (x) H where the values at the zero and the
+    one end lie (see :meth:`BaseWithEnds.sections`)."""
     p, h = inner.algebra, inner.hopf
     fiber = tensor_algebra(p, h.algebra)
     ambient = tensor_algebra(base.algebra, fiber)
     coaction = LinearMap.identity(base.algebra.space.tensor(p.space)).kron(h.coproduct)
-    ident = LinearMap.identity(fiber.space)
-    w_one = inner.coaction.image()
     w_zero = Subspace.from_vectors(
         fiber.space, [tensor_vec(p.unit, {a: Q1}, h.dim) for a in range(h.dim)]
     )
-    cond_one = preimage(base.end_one.kron(ident), w_one)
-    cond_zero = preimage(base.end_zero.kron(ident), w_zero)
-    return ambient, coaction, cond_one, cond_zero
+    return ambient, coaction, w_zero, inner.coaction.image()
 
 
 def build_equivariant_fusion(
     base: BaseWithEnds, inner: ComoduleAlgebra
 ) -> EquivariantFusion:
-    ambient, coaction, cond_one, cond_zero = _end_conditions(base, inner)
-    carrier = cond_one.intersection(cond_zero)
+    ambient, coaction, w_zero, w_one = _end_conditions(base, inner)
+    full = Subspace.full(w_zero.ambient)
+    carrier = base.sections(w_zero, w_one)
+    cond_one = base.sections(full, w_one)
+    cond_zero = base.sections(w_zero, full)
     witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, "ef")
     return EquivariantFusion(
-        base,
-        inner,
-        ambient,
-        carrier,
-        cond_one,
-        cond_zero,
-        com,
-        witness.inclusion,
+        base, inner, ambient, carrier, cond_one, cond_zero, com, witness.inclusion
     )
 
 
@@ -577,8 +600,9 @@ class RestrictedComodule:
 def _build_half(
     base: BaseWithEnds, inner: ComoduleAlgebra, end: str, prefix: str
 ) -> RestrictedComodule:
-    ambient, coaction, cond_one, cond_zero = _end_conditions(base, inner)
-    carrier = cond_zero if end == "zero" else cond_one
+    ambient, coaction, w_zero, w_one = _end_conditions(base, inner)
+    full = Subspace.full(w_zero.ambient)
+    carrier = base.sections(w_zero, full) if end == "zero" else base.sections(full, w_one)
     witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, prefix)
     return RestrictedComodule(ambient, carrier, com, witness.inclusion)
 
@@ -607,18 +631,10 @@ def piecewise_parts(base: BaseWithEnds, inner: ComoduleAlgebra) -> PiecewisePart
     upper = _build_half(base, inner, "one", "hi")
     p = inner.algebra
     cp = tensor_algebra(base.algebra, p)
-    ident_p = LinearMap.identity(p.space)
+    full, coinv = Subspace.full(p.space), coinvariants(inner).subspace
     scalar_line = Subspace.from_vectors(p.space, [p.unit])
-    lower_base = subalgebra_from_subspace(
-        cp,
-        preimage(base.end_zero.kron(ident_p), scalar_line),
-        label_prefix="lb",
-    )
-    upper_base = subalgebra_from_subspace(
-        cp,
-        preimage(base.end_one.kron(ident_p), coinvariants(inner).subspace),
-        label_prefix="ub",
-    )
+    lower_base = subalgebra_from_subspace(cp, base.sections(scalar_line, full), label_prefix="lb")
+    upper_base = subalgebra_from_subspace(cp, base.sections(full, coinv), label_prefix="ub")
     return PiecewiseParts(base, inner, lower, upper, lower_base, upper_base)
 
 

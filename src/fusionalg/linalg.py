@@ -180,7 +180,7 @@ def rref(rows) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
     return tuple(echelon[p] for p in pivots), pivots
 
 
-def _kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
+def kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
     """Basis of the solution space of (rows) x = 0, one vector per free
     column."""
     rr, pivots = rref(rows)
@@ -310,7 +310,7 @@ class LinearMap:
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
-        vectors = _kernel_vectors(rows.values(), self.source.dim)
+        vectors = kernel_vectors(rows.values(), self.source.dim)
         return Subspace(self.source, *rref(vectors))
 
     def image(self) -> "Subspace":
@@ -360,10 +360,6 @@ class Subspace:
     def full(space: Space) -> "Subspace":
         n = space.dim
         return Subspace(space, tuple({i: Q1} for i in range(n)), tuple(range(n)))
-
-    @staticmethod
-    def zero(space: Space) -> "Subspace":
-        return Subspace(space, (), ())
 
     @property
     def dim(self) -> int:
@@ -417,38 +413,6 @@ class Subspace:
         _, ((scaled,),) = integer_scaled((vec,))
         coords = self.int_coordinates(scaled)
         return None if coords is None else {i: vec[self.pivots[i]] for i in coords}
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        if self.ambient.dim != other.ambient.dim:
-            raise ValueError("ambient mismatch in intersection")
-        du, dv = self.dim, other.dim
-        if du == 0 or dv == 0:
-            return Subspace.zero(self.ambient)
-        # Solve sum a_i u_i = sum b_j v_j: kernel of [U^T | -V^T].
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.ambient.dim)]
-        for k, u in enumerate(self.basis):
-            for r, x in u.items():
-                rows[r][k] = x
-        for j, v in enumerate(other.basis):
-            for r, x in v.items():
-                rows[r][du + j] = -x
-        vectors = []
-        for w in _kernel_vectors(rows, du + dv):
-            acc: dict[int, Fraction] = {}
-            for k, a in w.items():
-                if k < du:
-                    _subtract(acc, -a, self.basis[k])  # acc += a·u_k
-            vectors.append(acc)
-        return Subspace(self.ambient, *rref(vectors))
-
-
-def preimage(f: LinearMap, w: Subspace) -> Subspace:
-    """The subspace {x : f(x) in W} of the source: the kernel of f
-    followed by reduction modulo W."""
-    if w.ambient.dim != f.target.dim:
-        raise ValueError("ambient mismatch in preimage")
-    remainders = [w.decompose(col)[1] for col in f.cols]
-    return LinearMap.from_sparse_columns(f.source, f.target, remainders).kernel()
 
 
 # ---------------------------------------------------------------- sparse systems

@@ -114,6 +114,11 @@ def _fields(
 
 # ---------------------------------------------------------------- rationals
 
+# "p" and "p/q" in ASCII digits, the spellings documents use; int() reads
+# them as Fraction(str) would, and every other spelling goes to Fraction
+_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_obj(v, where: str = "value") -> Fraction:
     """An exact rational from an int or a "p/q" string."""
     if isinstance(v, bool):
@@ -124,6 +129,10 @@ def rational_from_obj(v, where: str = "value") -> Fraction:
         _fail(where, "floats are approximate; write the rational as \"p/q\"")
     if isinstance(v, str):
         try:
+            if m := _PLAIN_RATIONAL.fullmatch(v):
+                sign, num, den = m.groups()
+                num = -int(num) if sign else int(num)
+                return Fraction(num) if den is None else Fraction(num, int(den))
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             _fail(where, f"not a rational: {v!r} ({exc})")

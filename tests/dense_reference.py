@@ -1,6 +1,7 @@
 """Dense routines on row-major tuples of Fractions, kept as references for
 the sparse ones in ``fusionalg.linalg``: the reduced row echelon form,
-kernels, inverses, intersections, preimages and the projection onto a
+kernels, inverses, intersections, preimages (and the fusion end
+conditions as an intersection of two of them) and the projection onto a
 quotient, computed the way the library computed them when its subspaces
 held dense rows, and the product and tensor product of matrices, computed
 the way it computed them when its maps held dense rows, with the dense
@@ -205,6 +206,20 @@ def preimage(f_rows, n_source: int, w_basis, w_pivots):
     if not projection:
         return kernel([], n_source)
     return kernel(compose(projection, f_rows, n_source), n_source)
+
+
+def sections(base, w_zero: Subspace, w_one: Subspace):
+    """Echelon basis and pivots of the elements x of C (x) F with
+    (e₀ (x) id)x in W₀ and (e₁ (x) id)x in W₁: the intersection of the
+    two preimages, each the kernel of the projection modulo W after the
+    evaluation e (x) id."""
+    n, dim = w_zero.ambient.dim, base.dim * w_zero.ambient.dim
+    preimages = []
+    for end, w in ((base.end_zero, w_zero), (base.end_one, w_one)):
+        f_rows = kron(end.rows, identity(n), base.dim, n)
+        w_basis = tuple(dense(b, n) for b in w.basis)
+        preimages.append(preimage(f_rows, dim, w_basis, w.pivots)[0])
+    return intersection(*preimages, dim)
 
 
 def stored_rows(system: LinearSystem) -> list[tuple[dict[int, int], int, int]]:

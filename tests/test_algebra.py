@@ -21,7 +21,10 @@ from fusionalg.algebra import (
     subalgebra_from_subspace,
     tensor_algebra,
 )
+from fusionalg.groups import FiniteGroup
+from fusionalg.hopf import group_hopf
 from fusionalg.linalg import LinearMap, Space, Subspace
+from test_fusion import sweedler_h4
 
 Q = Fraction
 
@@ -139,6 +142,53 @@ def test_tensor_algebra_corner_embeddings():
         for j in range(b.dim):
             x, y = left.cols[i], right.cols[j]
             assert mul_sparse(t.table, x, y) == mul_sparse(t.table, y, x)
+
+
+def two_thirds_algebra() -> FDAlgebra:
+    """Fun(2) in the basis 1, (2/3)·δ₁, whose square is 2/3 times itself."""
+    table = [[{0: 1}, {1: 1}], [{1: 1}, {1: Q(2, 3)}]]
+    return FDAlgebra.from_structure(Space(("1", "y")), table, (1, 0))
+
+
+def fraction_tensor_table(a: FDAlgebra, b: FDAlgebra) -> list:
+    """The table of A (x) B with every pair of constants multiplied."""
+    db = b.dim
+    return [
+        [
+            {
+                p * db + q: va * vb
+                for p, va in a.table[i][k].items()
+                for q, vb in b.table[j][l].items()
+            }
+            for k in range(a.dim)
+            for l in range(db)
+        ]
+        for i in range(a.dim)
+        for j in range(db)
+    ]
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("h4", "ks3"), ("ks3", "h4"), ("h4", "h4"), ("thirds", "h4"), ("ks3", "thirds"),
+     ("thirds", "thirds")],
+)
+def test_tensor_algebra_matches_the_fraction_formula(left, right):
+    """Skipping products with a constant 1 leaves every constant as the
+    product gives it, on H4 (constants -1), kS3 and an algebra with the
+    constant 2/3."""
+    algebras = {
+        "h4": lambda: sweedler_h4().algebra,
+        "ks3": lambda: group_hopf(FiniteGroup.symmetric(3)).algebra,
+        "thirds": two_thirds_algebra,
+    }
+    a, b = algebras[left](), algebras[right]()
+    t = tensor_algebra(a, b)
+    assert t.space == a.space.tensor(b.space)
+    assert t.table == fraction_tensor_table(a, b)
+    assert all(type(v) is Fraction for row in t.table for prod in row for v in prod.values())
+    assert t.unit == {p * b.dim + q: x * y for p, x in a.unit.items() for q, y in b.unit.items()}
+    assert check_algebra(t).ok
 
 
 def test_tensor_algebra_preserves_commutativity():

@@ -30,10 +30,10 @@ from fusionalg.comodule import (
 from fusionalg.fusion import build_equivariant_fusion, chain_interval
 from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf
-from fusionalg.linalg import Infeasibility, LinearMap, Space, components
-from fusionalg.serialize import algebra_to_obj, base_from_obj, comodule_from_obj
+from fusionalg.linalg import Infeasibility, LinearMap, components
+from fusionalg.serialize import comodule_from_obj
 from test_comodule import RESCALED, _rescaled_map, _squares, rescaled_comodule
-from test_fusion import regular_comodule, self_coaction, sweedler_h4
+from test_fusion import regular_comodule, self_coaction, sweedler_h4, upper_triangular_base
 
 Q = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "comodule_rescaled_nonfree_z2.json"
@@ -329,19 +329,6 @@ def test_a_coaction_leg_in_another_part_is_reported_as_the_reference_reports_it(
     assert len(reports) == c.algebra.dim
     assert not any(report.ok for report in reports)
     assert reports == [ref.check_comodule(moved) for moved in coaction_bumps(c)]
-
-
-def upper_triangular_base():
-    """T2, the upper-triangular 2×2 matrices e11, e12, e22, with the
-    diagonal entries as its ends, read as ``params.base`` is read.  Its
-    only central idempotents are 0 and 1."""
-    table = [[{} for _ in range(3)] for _ in range(3)]
-    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
-        table[i][j] = {k: 1}
-    algebra = FDAlgebra.from_structure(Space(("e11", "e12", "e22")), table, (1, 0, 1))
-    obj = {"algebra": algebra_to_obj(algebra), "end_zero": ["1", "0", "0"],
-           "end_one": ["0", "0", "1"]}
-    return base_from_obj(obj, "params.base")
 
 
 def test_a_fusion_over_the_upper_triangular_base_matches_the_fraction_reference():

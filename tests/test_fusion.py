@@ -34,6 +34,7 @@ from fusionalg.comodule import (
     trivial_coaction,
 )
 from fusionalg.fusion import (
+    BaseWithEnds,
     PreconditionError,
     _end_conditions,
     _restrict_coaction,
@@ -60,13 +61,44 @@ from fusionalg.linalg import (
     rref,
     tensor_vec,
 )
-from fusionalg.serialize import comodule_from_obj
+from fusionalg.serialize import algebra_to_obj, base_from_obj, comodule_from_obj
 
 Q = Fraction
 
 
 def regular_comodule(n: int):
     return fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(n)))
+
+
+def skewed_chain(m: int) -> BaseWithEnds:
+    """The chain 0..m in the Vandermonde basis b_j = Σ_i (i+1)^j·δ_i, so
+    that neither end is a coordinate functional: e₀(b_j) = 1 and
+    e₁(b_j) = (m+1)^j."""
+    n = m + 1
+    space = Space.of_dim(n, "b")
+    change = LinearMap.from_rows(space, space, [[Q((i + 1) ** j) for j in range(n)] for i in range(n)])
+    back = change.inverse()
+    cols = change.cols
+    table = [
+        [back.apply({i: x * cols[k][i] for i, x in cols[j].items()}) for k in range(n)]
+        for j in range(n)
+    ]
+    unit = back.apply({i: Q(1) for i in range(n)})
+    ends = (LinearMap.from_rows(space, Space.scalar(), [change.rows[i]]) for i in (0, m))
+    return base_with_ends(FDAlgebra.from_structure(space, table, ref.dense(unit, n)), *ends)
+
+
+def upper_triangular_base():
+    """T2, the upper-triangular 2×2 matrices e11, e12, e22, with the
+    diagonal entries as its ends, read as ``params.base`` is read.  Its
+    only central idempotents are 0 and 1."""
+    table = [[{} for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        table[i][j] = {k: 1}
+    algebra = FDAlgebra.from_structure(Space(("e11", "e12", "e22")), table, (1, 0, 1))
+    obj = {"algebra": algebra_to_obj(algebra), "end_zero": ["1", "0", "0"],
+           "end_one": ["0", "0", "1"]}
+    return base_from_obj(obj, "params.base")
 
 
 def orbit_count(gset: FiniteGSet) -> int:
@@ -245,6 +277,104 @@ def test_the_re_checks_form_only_products_within_a_part(monkeypatch):
     assert ef.comodule.algebra.dim == 104
     assert calls["subalgebra_from_subspace"] == 104
     assert calls["multiplicative"] == 416
+
+
+def test_building_a_fusion_takes_no_kernel(monkeypatch):
+    """The carrier and both end conditions of the O(Z4) m=7 fusion come
+    from the closed form, with no kernel of an ambient-sized map."""
+    calls = []
+    original = LinearMap.kernel
+    monkeypatch.setattr(LinearMap, "kernel", lambda f: calls.append(f) or original(f))
+    ef = build_equivariant_fusion(chain_interval(7), regular_comodule(4))
+    assert ef.comodule.algebra.dim == 104
+    assert calls == []
+
+
+def fiber_conditions(inner: ComoduleAlgebra) -> tuple[Subspace, Subspace]:
+    """1 (x) H and δ(P), the subspaces of P (x) H the ends are valued in."""
+    p, h = inner.algebra, inner.hopf
+    fiber = p.space.tensor(h.space)
+    scalar = Subspace.from_vectors(fiber, [tensor_vec(p.unit, {a: Q(1)}, h.dim) for a in range(h.dim)])
+    return scalar, Subspace(fiber, *rref(inner.coaction.cols))
+
+
+def dense_sections(base, w_zero: Subspace, w_one: Subspace) -> Subspace:
+    """:meth:`BaseWithEnds.sections` as the intersection of the two dense
+    preimages."""
+    basis, pivots = ref.sections(base, w_zero, w_one)
+    space = base.algebra.space.tensor(w_zero.ambient)
+    return Subspace(space, tuple(map(ref.sparse, basis)), pivots)
+
+
+@pytest.mark.parametrize(
+    "base, inner",
+    [(lambda: chain_interval(m), lambda: regular_comodule(2)) for m in (1, 2, 3, 4)]
+    + [
+        (upper_triangular_base, lambda: regular_comodule(2)),
+        (lambda: skewed_chain(2), lambda: regular_comodule(2)),
+        (lambda: skewed_chain(1), lambda: self_coaction(sweedler_h4())),
+    ],
+    ids=["chain-m1", "chain-m2", "chain-m3", "chain-m4", "T2", "skewed-m2", "skewed-m1-H4"],
+)
+def test_closed_form_conditions_match_the_dense_preimages(base, inner):
+    """cond_zero, cond_one and the carrier, each K (x) F ⊕ c₀ (x) W₀ ⊕
+    c₁ (x) W₁ with W = F at a free end, equal the dense preimages of the
+    end conditions and their intersection; the lower and upper halves
+    of ``piecewise_parts`` are the one-end conditions, and its bases the
+    preimages in C (x) P."""
+    base, inner = base(), inner()
+    ef = build_equivariant_fusion(base, inner)
+    w_zero, w_one = fiber_conditions(inner)
+    full = Subspace.full(w_zero.ambient)
+    assert ef.cond_zero == dense_sections(base, w_zero, full)
+    assert ef.cond_one == dense_sections(base, full, w_one)
+    assert ef.carrier == dense_sections(base, w_zero, w_one)
+    parts = piecewise_parts(base, inner)
+    assert parts.lower_half.carrier == ef.cond_zero
+    assert parts.upper_half.carrier == ef.cond_one
+    p = inner.algebra
+    full_p = Subspace.full(p.space)
+    scalar_line = Subspace.from_vectors(p.space, [p.unit])
+    assert parts.lower_base.subspace == dense_sections(base, scalar_line, full_p)
+    assert parts.upper_base.subspace == dense_sections(base, full_p, coinvariants(inner).subspace)
+
+
+@pytest.mark.parametrize("base", [lambda: chain_interval(2), lambda: skewed_chain(2)], ids=["chain", "skewed"])
+def test_closed_form_plain_fusion_matches_the_dense_preimages(base):
+    """The carrier of Fun(2) fused with Fun(3): values 1 (x) Q at the
+    zero end and P (x) 1 at the one end."""
+    base = base()
+    left, right = function_algebra(2), function_algebra(3)
+    fusion = build_fusion(base, left, right)
+    fiber = left.space.tensor(right.space)
+    w_zero = Subspace.from_vectors(fiber, [tensor_vec(left.unit, {j: Q(1)}, 3) for j in range(3)])
+    w_one = Subspace.from_vectors(fiber, [tensor_vec({i: Q(1)}, right.unit, 3) for i in range(2)])
+    assert fusion.carrier == dense_sections(base, w_zero, w_one)
+    assert fusion.algebra.dim == (base.dim - 2) * 6 + 3 + 2
+
+
+@pytest.mark.parametrize("ends", ["zero-one", "zero-zero", "equal", "proportional"])
+def test_dependent_ends_are_refused_by_the_closed_form(ends):
+    """A base built directly with a zero end, or with ends that are
+    proportional, is refused by the closed form and by the fusion build
+    with the message ``base_with_ends`` gives for equal ends, never with
+    a division by zero."""
+    chain = chain_interval(2)
+    e0, e1 = chain.end_zero, chain.end_one
+    zero = LinearMap.from_sparse_columns(e0.source, e0.target, [{}] * 3)
+    twice = LinearMap.from_sparse_columns(e0.source, e0.target, [{0: Q(2)}, {}, {}])
+    pair = {"zero-one": (zero, e1), "zero-zero": (zero, zero), "equal": (e0, e0),
+            "proportional": (e0, twice)}[ends]
+    message = "^the two end characters are not independent$"
+    base = BaseWithEnds(chain.algebra, *pair)
+    full = Subspace.full(Space.of_dim(2))
+    with pytest.raises(ValueError, match=message):
+        base.sections(full, full)
+    with pytest.raises(ValueError, match=message):
+        build_equivariant_fusion(base, regular_comodule(2))
+    if ends == "equal":
+        with pytest.raises(ValueError, match=message):
+            base_with_ends(chain.algebra, *pair)
 
 
 # ---------------------------------------------------------------- tensor coordinates

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from fusionalg.comodule import BalancedTensor
+from fusionalg.fusion import BaseWithEnds
 from fusionalg.linalg import (
     Infeasibility,
     LinearMap,
@@ -18,11 +19,11 @@ from fusionalg.linalg import (
     Space,
     Subspace,
     components,
-    preimage,
     rat,
     rref,
     tensor_vec,
 )
+from test_fusion import skewed_chain
 
 Q = Fraction
 
@@ -169,23 +170,30 @@ def test_inverse_round_trip_and_singular():
 
 
 def test_preimage_of_image_is_everything():
+    """With W = F at both ends, the image of each evaluation e (x) id,
+    the sections are all of C (x) F."""
     rng = random.Random(707)
     for _ in range(20):
-        src = Space.of_dim(rng.randint(1, 4), "s")
-        tgt = Space.of_dim(rng.randint(1, 4), "t")
-        f = random_map(rng, src, tgt)
-        assert preimage(f, f.image()) == Subspace.full(src)
+        base = skewed_chain(rng.randint(1, 3))
+        fiber = Space.of_dim(rng.randint(1, 4), "f")
+        full = Subspace.full(fiber)
+        assert base.sections(full, full) == Subspace.full(base.algebra.space.tensor(fiber))
 
 
 def test_preimage_membership():
-    s = Space.of_dim(3, "s")
-    t = Space.of_dim(2, "t")
-    f = LinearMap.from_rows(s, t, [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]])
-    line = Subspace.from_vectors(t, [{0: Q(1)}])
-    pre = preimage(f, line)
-    for v in pre.basis:
-        assert line.coordinates(f.apply(v)) is not None
-    assert pre.dim == 2  # kernel (dim 1) plus one transversal direction
+    """The value at the constrained end of each basis vector lies in W,
+    and K (x) F ⊕ c (x) F ⊕ c' (x) W has dimension (dim C - 1)·dim F + dim W."""
+    base = skewed_chain(2)
+    fiber = Space.of_dim(2, "t")
+    line = Subspace.from_vectors(fiber, [{0: Q(1), 1: Q(2)}])
+    full = Subspace.full(fiber)
+    ident = LinearMap.identity(fiber)
+    for end, pre in ((base.end_zero, base.sections(line, full)), (base.end_one, base.sections(full, line))):
+        for v in pre.basis:
+            assert line.coordinates(end.kron(ident).apply(v)) is not None
+        assert pre.dim == 2 * 2 + 1
+    with pytest.raises(ValueError, match="different fibers"):
+        base.sections(line, Subspace.full(Space.of_dim(3, "t")))
 
 
 def test_subspace_equality_and_membership():
@@ -210,24 +218,30 @@ def test_from_vectors_rejects_a_key_outside_the_ambient(key):
         Subspace.from_vectors(Space.of_dim(3, "s"), [{0: Q(1)}, {key: Q(1)}])
 
 
-def test_intersection_commutative_idempotent():
+def test_sections_are_symmetric_in_the_ends():
+    """Swapping the two characters and the two conditions gives the same
+    subspace; it lies in both one-end subspaces, and its dimension is
+    (dim C - 2)·dim F + dim W₀ + dim W₁, the intersection's by the
+    dimension formula."""
     rng = random.Random(808)
     s = Space.of_dim(4, "s")
+    full = Subspace.full(s)
     for _ in range(20):
-        u = Subspace.from_vectors(
-            s, [ref.sparse(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
+        base = skewed_chain(rng.randint(1, 3))
+        u, v = (
+            Subspace.from_vectors(
+                s, [ref.sparse(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
+            )
+            for _ in range(2)
         )
-        v = Subspace.from_vectors(
-            s, [ref.sparse(Q(rng.randint(-2, 2)) for _ in range(4)) for _ in range(2)]
-        )
-        uv = u.intersection(v)
-        assert uv == v.intersection(u)
-        assert u.intersection(u) == u
+        uv = base.sections(u, v)
+        assert uv == BaseWithEnds(base.algebra, base.end_one, base.end_zero).sections(v, u)
+        lower, upper = base.sections(u, full), base.sections(full, v)
         for w in uv.basis:
-            assert u.coordinates(w) is not None and v.coordinates(w) is not None
-        # dimension formula dim(u) + dim(v) = dim(u+v) + dim(u∩v)
-        joined = Subspace(s, *rref(u.basis + v.basis))
-        assert u.dim + v.dim == joined.dim + uv.dim
+            assert lower.coordinates(w) is not None and upper.coordinates(w) is not None
+        assert uv.dim == (base.dim - 2) * 4 + u.dim + v.dim
+        joined = Subspace(uv.ambient, *rref(lower.basis + upper.basis))
+        assert lower.dim + upper.dim == joined.dim + uv.dim
 
 
 def quotient_by(killed: Subspace) -> BalancedTensor:
@@ -373,18 +387,20 @@ def test_sparse_inverse_matches_the_dense_reference(data):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_sparse_intersection_and_preimage_match_the_dense_reference(data):
-    n = data.draw(st.integers(1, 5))
+    """The closed form equals the intersection of the two dense
+    preimages, at both ends, one end and neither, over the chain in a
+    basis where neither character is a coordinate functional."""
+    n = data.draw(st.integers(1, 4))
     u_rows = data.draw(rational_matrices(n_cols=n))
     v_rows = data.draw(rational_matrices(n_cols=n))
     s = Space.of_dim(n, "s")
     u, v = (Subspace.from_vectors(s, map(ref.sparse, rows)) for rows in (u_rows, v_rows))
-    expected = ref.intersection(ref.rref(u_rows)[0], ref.rref(v_rows)[0], n)
-    assert u.intersection(v) == as_subspace(s, expected)
-    # f: k^m -> k^n has the columns of a drawn matrix
-    m = data.draw(st.integers(1, 4))
-    f_rows = data.draw(rational_matrices(n_rows=n, n_cols=m))
-    f = LinearMap(Space.of_dim(m, "x"), s, tuple(f_rows))
-    assert preimage(f, u) == as_subspace(f.source, ref.preimage(f_rows, m, *ref.rref(u_rows)))
+    full = Subspace.full(s)
+    base = skewed_chain(data.draw(st.integers(1, 3)))
+    space = base.algebra.space.tensor(s)
+    for w_zero, w_one in ((u, v), (u, full), (full, v), (full, full)):
+        expected = as_subspace(space, ref.sections(base, w_zero, w_one))
+        assert base.sections(w_zero, w_one) == expected
 
 
 @settings(max_examples=100)

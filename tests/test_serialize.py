@@ -65,6 +65,26 @@ def test_rational_codec():
         rational_from_obj("1/0")
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    ["3/5", "-7", "007", "-0/4", "12/18", "-0/0", "3/0", "-5/0", " 3/5", "+2", "1_0",
+     "1.5", "1e3", "٣", "3\n", "-", "/3", "3/-1", "--3", "9" * 5000, "-1/" + "9" * 5000],
+)
+def test_rational_strings_read_as_fraction_reads_them(spelling):
+    """Plain "p" and "p/q" strings are read with int(); every spelling,
+    accepted or refused, gives what Fraction(str) gave, with the same
+    message."""
+    try:
+        expected = Fraction(spelling)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InputFormatError) as err:
+            rational_from_obj(spelling, "v")
+        assert str(err.value) == f"v: not a rational: {spelling!r} ({exc})"
+    else:
+        got = rational_from_obj(spelling, "v")
+        assert type(got) is Fraction and got == expected
+
+
 def test_sparse_map_round_trip():
     src = Space.of_dim(3, "s")
     tgt = Space.of_dim(2, "t")
