@@ -108,12 +108,12 @@ def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[in
     return acc
 
 
-def first_failure(axiom: str, detail: str, holds, *dims) -> list[Failure]:
-    """The failure of ``axiom`` at the first index tuple of range(dims[0])
-    × range(dims[1]) × …, in lexicographic order, where ``holds(*index)``
-    is false, with ``detail`` formatted by that index; [] when it holds at
-    every one.  With no dims, ``holds()`` is called once."""
-    for w in product(*map(range, dims)):
+def first_failure(axiom: str, detail: str, holds, indices=((),)) -> list[Failure]:
+    """The failure of ``axiom`` at the first index tuple of ``indices``, in
+    their order, where ``holds(*index)`` is false, with ``detail``
+    formatted by that index; [] when it holds at every one.  By default
+    ``holds()`` is called once."""
+    for w in indices:
         if not holds(*w):
             return [Failure(axiom, detail.format(*w), w)]
     return []
@@ -143,17 +143,16 @@ def check_algebra(alg: FDAlgebra) -> CheckReport:
     def unit_times(i, left):
         return linear_combination(cols[i] if left else rows[i], unit) == {i: d2}
 
+    each = [(i,) for i in range(n)]
     failures = (
         first_failure(
             "associativity",
             "(e{0}·e{1})·e{2} differs from e{0}·(e{1}·e{2})",
             associative,
-            n,
-            n,
-            n,
+            product(range(n), repeat=3),
         )
-        + first_failure("unit_left", "1·e{0} is not e{0}", lambda i: unit_times(i, True), n)
-        + first_failure("unit_right", "e{0}·1 is not e{0}", lambda i: unit_times(i, False), n)
+        + first_failure("unit_left", "1·e{0} is not e{0}", lambda i: unit_times(i, True), each)
+        + first_failure("unit_right", "e{0}·1 is not e{0}", lambda i: unit_times(i, False), each)
     )
     return CheckReport(not failures, tuple(failures))
 
@@ -175,9 +174,9 @@ def scalar_algebra() -> FDAlgebra:
 
 def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     """Componentwise product on A (x) B: (e_i (x) f_j)·(e_k (x) f_l) is
-    e_i·e_k (x) f_j·f_l, so the table has nnz(A)·nnz(B) constants.  Two
-    constants are multiplied only when neither is 1, and the empty
-    entries are one shared, never-mutated ``{}``."""
+    e_i·e_k (x) f_j·f_l (:func:`~fusionalg.linalg.tensor_vec`), so the
+    table has nnz(A)·nnz(B) constants.  The empty entries are one shared,
+    never-mutated ``{}``."""
     db = b.dim
     n = a.dim * db
     empty: dict = {}
@@ -190,11 +189,7 @@ def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
                 out = table[i * db + j]
                 for l, pb in enumerate(row_b):
                     if pb:
-                        out[k * db + l] = {
-                            p * db + q: vb if va == 1 else va if vb == 1 else va * vb
-                            for p, va in pa.items()
-                            for q, vb in pb.items()
-                        }
+                        out[k * db + l] = tensor_vec(pa, pb, db)
     return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit, db))
 
 

@@ -95,7 +95,9 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     that keep together i and j of every nonempty e_i·e_j, and each e_i with
     the P-legs of δ(e_i).  Across two parts both sides of multiplicativity
     are zero: e_i·e_j is, and so is the product of every P-leg of δ(e_i)
-    with every P-leg of δ(e_j).
+    with every P-leg of δ(e_j).  So multiplicativity is checked only on
+    the pairs inside one part, in lexicographic order, which names the
+    first failure that a scan of every pair would name.
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
@@ -116,8 +118,6 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     )
 
     def multiplicative(i, j):
-        if part[i] != part[j]:
-            return True
         rhs: dict[int, int] = {}
         for pa, va in dcols[i].items():
             pi, ai = divmod(pa, dh)
@@ -155,13 +155,16 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
         return nonzero(out) == {j: d2}
 
     unit_pu = {i * dh + a: x * y for i, x in unit_p.items() for a, y in unit_h.items()}
+    each = [(i,) for i in range(dp)]
+    members: dict[int, list[int]] = {}
+    for i, q in enumerate(part):
+        members.setdefault(q, []).append(i)
     failures = (
         first_failure(
             "coaction_multiplicative",
             "δ(e{0}·e{1}) differs from δ(e{0})·δ(e{1})",
             multiplicative,
-            dp,
-            dp,
+            ((i, j) for i in range(dp) for j in members[part[i]]),
         )
         + first_failure(
             "coaction_unital",
@@ -172,13 +175,10 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
             "coaction_coassociative",
             "(δ⊗id)∘δ and (id⊗Δ)∘δ disagree on basis vector {}",
             coassociative,
-            dp,
+            each,
         )
         + first_failure(
-            "coaction_counital",
-            "(id⊗ε)∘δ is not the identity at basis vector {}",
-            counital,
-            dp,
+            "coaction_counital", "(id⊗ε)∘δ is not the identity at basis vector {}", counital, each
         )
     )
     return CheckReport(not failures, tuple(failures))
@@ -531,6 +531,11 @@ def check_strong_connection(
     colinearity law have k = 2; the lifted canonical map of ℓ(e_a)
     (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
     ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
+
+    (id⊗δ)∘ℓ(e_a) is formed once per column and dropped after it: it is
+    one side of right colinearity, and the lifted canonical map is m⊗id
+    applied to it, so both laws are decided for every column before the
+    first failure of each is named.
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
@@ -546,21 +551,30 @@ def check_strong_connection(
     )
     d2 = den * den
 
-    def right_colinear(col):
+    def right_colinear_and_splits(col):
+        # (id⊗δ)∘ℓ(e_col), e_u⊗e_x⊗e_b at (u·dP + x)·dH + b, is one side
+        # of right colinearity, and m⊗id of it is the lifted canonical map
         lhs: dict[int, int] = {}
-        rhs: dict[int, int] = {}
         for r, val in ell_cols[col].items():
             u, q = divmod(r, dp)
             base = u * dp * dh
-            for xa, w in delta_cols[q].items():
-                key = base + xa
+            for xb, w in delta_cols[q].items():
+                key = base + xb
                 lhs[key] = lhs.get(key, 0) + val * w
+        rhs: dict[int, int] = {}
         for ba, w in cop_cols[col].items():
             b, a = divmod(ba, dh)
             for r, val in ell_cols[b].items():
                 key = r * dh + a
                 rhs[key] = rhs.get(key, 0) + val * w
-        return nonzero(lhs) == nonzero(rhs)
+        can: dict[int, int] = {}
+        for uxb, val in lhs.items():
+            ux, b = divmod(uxb, dh)
+            for t, mv in ptab[ux].items():
+                key = t * dh + b
+                can[key] = can.get(key, 0) + val * mv
+        target = {u * dh + col: v * d2 for u, v in unit_p.items()}
+        return nonzero(lhs) == nonzero(rhs), nonzero(can) == target
 
     def left_colinear(col):
         lhs: dict[int, int] = {}
@@ -578,45 +592,34 @@ def check_strong_connection(
                 rhs[key] = rhs.get(key, 0) + val * w
         return nonzero(lhs) == nonzero(rhs)
 
-    def splits(col):
-        acc: dict[int, int] = {}
-        for r, val in ell_cols[col].items():
-            pi, q = divmod(r, dp)
-            row = pi * dp
-            for wa, dval in delta_cols[q].items():
-                w, a = divmod(wa, dh)
-                vd = val * dval
-                for u, mv in ptab[row + w].items():
-                    key = u * dh + a
-                    acc[key] = acc.get(key, 0) + vd * mv
-        return nonzero(acc) == {u * dh + col: v * d2 for u, v in unit_p.items()}
-
     def counit_product(col):
         e = eps.get(col)
         target = {u: e * v for u, v in unit_p.items()} if e else {}
         return linear_combination(ptab, ell_cols[col]) == target
 
+    each = [(col,) for col in range(dh)]
+    right, splits = zip(*map(right_colinear_and_splits, range(dh)))
     failures = (
         first_failure(
             "right_colinearity",
             "(id⊗δ)∘ℓ and (ℓ⊗id)∘Δ disagree on basis vector {}",
-            right_colinear,
-            dh,
+            lambda col: right[col],
+            each,
         )
         + first_failure(
             "left_colinearity",
             "(δ_L⊗id)∘ℓ and (id⊗ℓ)∘Δ disagree on basis vector {}",
             left_colinear,
-            dh,
+            each,
         )
         + first_failure(
             "splitting",
             "the lifted canonical map does not send ℓ(e{0}) to 1⊗e{0}",
-            splits,
-            dh,
+            lambda col: splits[col],
+            each,
         )
         + first_failure(
-            "counit_product", "m∘ℓ misses unit∘ε on basis vector {}", counit_product, dh
+            "counit_product", "m∘ℓ misses unit∘ε on basis vector {}", counit_product, each
         )
     )
     if require_unital and not connection_unital(c, ell):

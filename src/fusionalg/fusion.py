@@ -367,11 +367,14 @@ def _end_conditions(
 ) -> tuple[FDAlgebra, LinearMap, Subspace, Subspace]:
     """Ambient algebra, its coaction id (x) Δ, and the subspaces 1 (x) H
     and δ(P) of the fiber P (x) H where the values at the zero and the
-    one end lie (see :meth:`BaseWithEnds.sections`)."""
+    one end lie (see :meth:`BaseWithEnds.sections`).  Column x·dH + a of
+    id (x) Δ is Δ(e_a) moved to offset x·dH², for x in C (x) P."""
     p, h = inner.algebra, inner.hopf
     fiber = tensor_algebra(p, h.algebra)
     ambient = tensor_algebra(base.algebra, fiber)
-    coaction = LinearMap.identity(base.algebra.space.tensor(p.space)).kron(h.coproduct)
+    n, cops = base.dim * p.dim, h.coproduct.cols
+    cols = ({x * h.dim**2 + k: v for k, v in cop.items()} for x in range(n) for cop in cops)
+    coaction = LinearMap.from_sparse_columns(ambient.space, ambient.space.tensor(h.space), cols)
     w_zero = Subspace.from_vectors(
         fiber.space, [tensor_vec(p.unit, {a: Q1}, h.dim) for a in range(h.dim)]
     )

@@ -165,32 +165,26 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         return nonzero(acc) == ({k: e * u for k, u in unit.items()} if e else {})
 
     unit_sq = {p * n + q: a * b for p, a in unit.items() for q, b in unit.items()}
+    each, pairs = [(i,) for i in range(n)], [(i, j) for i in range(n) for j in range(n)]
     failures = (
         list(check_algebra(h.algebra).failures)
         + first_failure(
             "coassociativity",
             "iterated coproducts disagree on basis vector {}",
             coassociative,
-            n,
+            each,
         )
         + first_failure(
-            "counit_left",
-            "(ε⊗id)∘Δ is not the identity at {}",
-            lambda i: counital(i, True),
-            n,
+            "counit_left", "(ε⊗id)∘Δ is not the identity at {}", lambda i: counital(i, True), each
         )
         + first_failure(
-            "counit_right",
-            "(id⊗ε)∘Δ is not the identity at {}",
-            lambda i: counital(i, False),
-            n,
+            "counit_right", "(id⊗ε)∘Δ is not the identity at {}", lambda i: counital(i, False), each
         )
         + first_failure(
             "coproduct_multiplicative",
             "Δ(e{0}·e{1}) differs from Δ(e{0})·Δ(e{1})",
             multiplicative,
-            n,
-            n,
+            pairs,
         )
         + first_failure(
             "coproduct_unital",
@@ -201,21 +195,14 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
             "counit_multiplicative",
             "ε(e{0}·e{1}) differs from ε(e{0})ε(e{1})",
             lambda i, j: counit_of(rows[i][j]) == eps.get(i, 0) * eps.get(j, 0),
-            n,
-            n,
+            pairs,
         )
         + first_failure("counit_unital", "ε(1) is not 1", lambda: counit_of(unit) == d2)
         + first_failure(
-            "antipode_left",
-            "m∘(S⊗id)∘Δ misses unit∘ε at {}",
-            lambda i: antipode(i, True),
-            n,
+            "antipode_left", "m∘(S⊗id)∘Δ misses unit∘ε at {}", lambda i: antipode(i, True), each
         )
         + first_failure(
-            "antipode_right",
-            "m∘(id⊗S)∘Δ misses unit∘ε at {}",
-            lambda i: antipode(i, False),
-            n,
+            "antipode_right", "m∘(id⊗S)∘Δ misses unit∘ε at {}", lambda i: antipode(i, False), each
         )
     )
     if h.antipode_inv is None:

@@ -75,8 +75,13 @@ class Space:
 
 def tensor_vec(u: dict, v: dict, dim_v: int) -> dict[int, Fraction]:
     """u (x) v for sparse vectors in the flattened left-major ordering,
-    where v lives in a space of dimension ``dim_v``."""
-    return {i * dim_v + j: a * b for i, a in u.items() for j, b in v.items()}
+    where v lives in a space of dimension ``dim_v``.  Two constants are
+    multiplied only when neither is 1."""
+    return {
+        i * dim_v + j: b if a == 1 else a if b == 1 else a * b
+        for i, a in u.items()
+        for j, b in v.items()
+    }
 
 
 def accumulate(acc: dict, key, val) -> None:
@@ -109,15 +114,21 @@ def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
     positive integer with D·v an integer for every entry v of every
     vector, and each family as the list of its vectors times D: sparse
     ``int`` vectors with no zeros stored and the keys in the vector's own
-    order.  A sum of products of k entries computed on the scaled vectors
-    is D^k times its rational value, so an identity whose two sides have k
-    and k' factors holds exactly when it holds on the scaled vectors after
+    order.  Every empty vector comes back as one shared ``{}``, which no
+    caller may mutate: most entries of a structure table are empty.  A
+    sum of products of k entries computed on the scaled vectors is D^k
+    times its rational value, so an identity whose two sides have k and
+    k' factors holds exactly when it holds on the scaled vectors after
     the side with fewer factors is multiplied by D^|k - k'|.
     """
     families = [list(family) for family in families]
     den = lcm(*{v.denominator for family in families for vec in family for v in vec.values()})
+    empty: dict = {}
     return den, [
-        [{k: v.numerator * (den // v.denominator) for k, v in vec.items() if v} for vec in family]
+        [
+            {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v} if vec else empty
+            for vec in family
+        ]
         for family in families
     ]
 
@@ -291,13 +302,10 @@ class LinearMap:
         return LinearMap.from_sparse_columns(self.source, self.target, cols)
 
     def kron(self, other: "LinearMap") -> "LinearMap":
-        """Tensor product of maps in the global left-major ordering."""
+        """Tensor product of maps in the global left-major ordering, each
+        column a :func:`tensor_vec`."""
         n2 = other.target.dim
-        cols = [
-            {i * n2 + k: a * b for i, a in fa.items() for k, b in gb.items()}
-            for fa in self.cols
-            for gb in other.cols
-        ]
+        cols = [tensor_vec(fa, gb, n2) for fa in self.cols for gb in other.cols]
         return LinearMap.from_sparse_columns(
             self.source.tensor(other.source), self.target.tensor(other.target), cols
         )

@@ -9,8 +9,10 @@ cannot show.
 """
 
 import json
+import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg import algebra as algebra_module
+from fusionalg import comodule as comodule_module
+from fusionalg import fusion as fusion_module
+from fusionalg import hopf as hopf_module
+from fusionalg import linalg as linalg_module
 from fusionalg.algebra import FDAlgebra, check_algebra, subalgebra_from_subspace
 from fusionalg.classical import fun_comodule
 from fusionalg.comodule import (
@@ -31,12 +38,13 @@ from fusionalg.fusion import build_equivariant_fusion, chain_interval
 from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf
 from fusionalg.linalg import Infeasibility, LinearMap, components
-from fusionalg.serialize import comodule_from_obj
+from fusionalg.serialize import comodule_from_obj, sparse_map_from_obj, verify_certificate
 from test_comodule import RESCALED, _rescaled_map, _squares, rescaled_comodule
 from test_fusion import regular_comodule, self_coaction, sweedler_h4, upper_triangular_base
 
 Q = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "comodule_rescaled_nonfree_z2.json"
+REFS = sorted((Path(__file__).parents[1] / "perfbench" / "refs").glob("*.json"))
 
 
 def golden() -> ComoduleAlgebra:
@@ -349,3 +357,224 @@ def test_a_fusion_over_the_upper_triangular_base_matches_the_fraction_reference(
         for row in range(dp * dh):
             moved = ComoduleAlgebra(c.algebra, c.hopf, bumped(c.coaction, i, row, Q(2, 3)))
             assert check_comodule(moved) == ref.check_comodule(moved)
+
+
+@cache
+def t2_fusion() -> ComoduleAlgebra:
+    """O(Z2) fused over T2, which is one part."""
+    return build_equivariant_fusion(upper_triangular_base(), regular_comodule(2)).comodule
+
+
+def reindexed(c: ComoduleAlgebra, perm: list[int]) -> ComoduleAlgebra:
+    """c with basis vector e_i of P renamed e_perm[i]."""
+    p, dh = c.algebra, c.hopf.dim
+    n = p.dim
+    table = [[{}] * n for _ in range(n)]
+    for i, row in enumerate(p.table):
+        for j, prod in enumerate(row):
+            table[perm[i]][perm[j]] = {perm[k]: v for k, v in prod.items()}
+    cols = [{}] * n
+    for i, col in enumerate(c.coaction.cols):
+        cols[perm[i]] = {perm[k // dh] * dh + k % dh: v for k, v in col.items()}
+    unit = [Q(0)] * n
+    for i, v in p.unit.items():
+        unit[perm[i]] = v
+    coaction = LinearMap.from_sparse_columns(c.coaction.source, c.coaction.target, cols)
+    return ComoduleAlgebra(FDAlgebra.from_structure(p.space, table, unit), c.hopf, coaction)
+
+
+def table_bumped(c: ComoduleAlgebra, *pairs) -> ComoduleAlgebra:
+    """c with the first constant of each nonempty product e_i·e_j of
+    ``pairs`` moved by 2/3."""
+    p = c.algebra
+    for i, j in pairs:
+        p = _table_bumped(p, i, j, next(iter(p.table[i][j])), Q(2, 3))
+    return ComoduleAlgebra(p, c.hopf, c.coaction)
+
+
+def breaking_pairs(c: ComoduleAlgebra) -> list[tuple[int, int]]:
+    """In each part, the first two and the last two nonempty products
+    e_i·e_j whose moved constant breaks multiplicativity in the
+    reference."""
+    part = parts(c)
+    by_part: dict[int, list] = {}
+    for i, row in enumerate(c.algebra.table):
+        for j, prod in enumerate(row):
+            if prod and "coaction_multiplicative" in ref.check_comodule(
+                table_bumped(c, (i, j))
+            ).axioms_failed():
+                by_part.setdefault(part[i], []).append((i, j))
+    return sorted({pair for pairs in by_part.values() for pair in (*pairs[:2], *pairs[-2:])})
+
+
+FUSIONS = {
+    "z2-m2": lambda: chain_fusions()[0],
+    "h4-m1": lambda: chain_fusions()[1],
+    # the parts {0, 1}, {2, 3}, … of the O(Z2) m=2 fusion become {0, 4}, {1, 5}, …
+    "z2-m2-interleaved": lambda: reindexed(chain_fusions()[0], [0, 4, 1, 5, 2, 6, 3, 7]),
+    "t2": t2_fusion,
+}
+
+
+@pytest.mark.parametrize("which", list(FUSIONS))
+def test_the_first_multiplicativity_failure_is_that_of_a_scan_of_every_pair(which):
+    """Two table constants moved, each of which alone breaks
+    multiplicativity, in two parts of a chain fusion or at two pairs of
+    the one part over T2: the parts stay, and ``check_comodule``, which
+    scans only the pairs inside a part, gives the report, first failure
+    included, of the reference's scan of every pair in lexicographic
+    order.  (Two moves can also cancel, as when both idempotents of one
+    orbit are scaled alike.)"""
+    c = FUSIONS[which]()
+    part = parts(c)
+    failing = []
+    for x, y in combinations(breaking_pairs(c), 2):
+        moved = table_bumped(c, x, y)
+        assert parts(moved) == part
+        report = check_comodule(moved)
+        assert report == ref.check_comodule(moved)
+        if "coaction_multiplicative" in report.axioms_failed():
+            failing.append(part[x[0]] != part[y[0]])
+    if which == "t2":
+        assert len(set(part)) == 1 and len(failing) > 1
+    else:
+        assert sum(failing) > 1
+
+
+def test_the_first_multiplicativity_failure_follows_the_index_order_across_parts():
+    """In the H4-on-itself m=1 fusion with its basis reordered so that the
+    parts {0, 1, 4, 5} and {2, 3, 6, 7} interleave, e_0·e_1 moved by
+    2/3·e_0 first breaks multiplicativity at (5, 1), and e_2·e_2 moved by
+    2/3·e_2 at (2, 6).  Moved together, the first failure is (2, 6), as
+    in a scan of every pair, not (5, 1), the first in the part of e_0."""
+    c = reindexed(chain_fusions()[1], [0, 4, 1, 5, 2, 6, 3, 7])
+    assert parts(c) == [0, 0, 2, 2, 0, 0, 2, 2]
+    first = _table_bumped(c.algebra, 0, 1, 0, Q(2, 3))
+    second = _table_bumped(c.algebra, 2, 2, 2, Q(2, 3))
+    both = _table_bumped(first, 2, 2, 2, Q(2, 3))
+    witnesses = []
+    for algebra in (first, second, both):
+        moved = ComoduleAlgebra(algebra, c.hopf, c.coaction)
+        assert parts(moved) == parts(c)
+        report = check_comodule(moved)
+        assert report == ref.check_comodule(moved)
+        witnesses.append(report.failures[0].witness)
+    assert witnesses == [(5, 1), (2, 6), (2, 6)]
+
+
+def test_multiplicativity_is_checked_only_inside_a_part():
+    """On the O(Z4) m=7 fusion ``check_comodule`` calls ``multiplicative``
+    for the 416 pairs inside a part, not for all 10,816 pairs."""
+    c = build_equivariant_fusion(chain_interval(7), regular_comodule(4)).comodule
+    assert c.algebra.dim**2 == 10_816
+    calls = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "multiplicative":
+            calls.append(code.co_filename)
+
+    sys.setprofile(count)
+    try:
+        report = check_comodule(c)
+    finally:
+        sys.setprofile(None)
+    assert report.ok
+    assert calls == [comodule_module.__file__] * 416
+
+
+def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
+    """(m⊗id)∘(id⊗δ): P⊗P -> P⊗H, whose kernel splitting cannot see."""
+    p, h = c.algebra, c.hopf
+    sq = p.space.tensor(p.space)
+    mult = LinearMap.from_sparse_columns(sq, p.space, [prod for row in p.table for prod in row])
+    ident_p, ident_h = LinearMap.identity(p.space), LinearMap.identity(h.space)
+    return mult.kron(ident_h).compose(ident_p.kron(c.coaction))
+
+
+def connection_mutation(c: ComoduleAlgebra, ell: LinearMap, kind: str) -> LinearMap:
+    """ℓ broken in one of three ways: 5/7·ℓ, colinear both ways, breaks
+    only splitting (and counit_product); adding 2/3 of a vector in the
+    kernel of the lifted canonical map to the last column keeps splitting
+    and breaks right colinearity; adding 5/7·1⊗1 as well breaks both."""
+    dp, last = c.algebra.dim, c.hopf.dim - 1
+    cols = [dict(col) for col in ell.cols]
+    if kind == "splitting":
+        cols = [{r: Q(5, 7) * v for r, v in col.items()} for col in cols]
+    else:
+        added = {r: Q(2, 3) * v for r, v in lifted_canonical(c).kernel().basis[0].items()}
+        if kind == "both":
+            for i, x in c.algebra.unit.items():
+                for j, y in c.algebra.unit.items():
+                    added[i * dp + j] = added.get(i * dp + j, 0) + Q(5, 7) * x * y
+        for r, v in added.items():
+            cols[last][r] = cols[last].get(r, 0) + v
+    return LinearMap.from_sparse_columns(ell.source, ell.target, cols)
+
+
+# failures named at the parent of the change that forms (id⊗δ)∘ℓ once per column
+CONNECTION_MUTATIONS = [
+    ("z2-m2", "splitting", {"splitting": (0,), "counit_product": (0,)}),
+    ("z2-m2", "right", {"right_colinearity": (0,), "left_colinearity": (0,)}),
+    (
+        "z2-m2",
+        "both",
+        {
+            "right_colinearity": (0,),
+            "left_colinearity": (0,),
+            "splitting": (1,),
+            "counit_product": (1,),
+        },
+    ),
+    ("h4-m1", "splitting", {"splitting": (0,), "counit_product": (0,)}),
+    ("h4-m1", "right", {"right_colinearity": (3,)}),
+    ("h4-m1", "both", {"right_colinearity": (3,), "splitting": (3,), "counit_product": (3,)}),
+]
+
+
+@pytest.mark.parametrize(
+    "which, kind, expected", CONNECTION_MUTATIONS, ids=[f"{w}-{k}" for w, k, _ in CONNECTION_MUTATIONS]
+)
+def test_connection_mutations_name_each_failing_axiom_and_column(which, kind, expected):
+    """A solved connection of a chain fusion broken so that only splitting,
+    only right colinearity or both fail: every failing axiom is named with
+    its first column, as in the reference."""
+    c = chain_fusions()[["z2-m2", "h4-m1"].index(which)]
+    ell = solve_strong_connection(c).map
+    assert check_strong_connection(c, ell).ok
+    moved = connection_mutation(c, ell, kind)
+    report = check_strong_connection(c, moved)
+    assert failures(report) == expected
+    assert report == ref.check_strong_connection(c, moved)
+
+
+def test_no_battery_writes_into_a_shared_empty_vector(monkeypatch):
+    """``integer_scaled`` returns every empty vector of one call as one
+    shared ``{}``.  Every battery, the fusion builds and the replay of each
+    of the nine benchmark references leave each such ``{}`` empty."""
+    original = linalg_module.integer_scaled
+    shared = []
+
+    def recording(*families):
+        den, scaled = original(*families)
+        empties = {id(vec): vec for family in scaled for vec in family if not vec}
+        assert len(empties) <= 1
+        shared.extend(empties.values())
+        return den, scaled
+
+    for module in (linalg_module, algebra_module, comodule_module, fusion_module, hopf_module):
+        monkeypatch.setattr(module, "integer_scaled", recording)
+    for path in REFS:
+        cert = json.loads(path.read_text())
+        scn, result = cert["scenario"], cert["result"]
+        com = comodule_from_obj(scn["inputs"]["comodule"])
+        assert check_algebra(com.algebra).ok and check_hopf(com.hopf).ok
+        assert check_comodule(com).ok
+        sq = com.algebra.space.tensor(com.algebra.space)
+        for key in ("connection", "input_connection"):
+            if result.get(key) is not None:
+                ell = sparse_map_from_obj(result[key], com.hopf.space, sq, key)
+                assert check_strong_connection(com, ell).ok
+                connection_unital(com, ell)
+        assert verify_certificate(cert) == (True, [])
+    assert shared and all(vec == {} for vec in shared)
