@@ -236,40 +236,20 @@ class HomReport:
 def check_hom(hom: AlgebraHom) -> HomReport:
     """Check f(xy) = f(x)f(y) on basis pairs and f(1) = 1, plus rank data."""
     a, b, f = hom.source, hom.target, hom.map
-    ta, tb = a.table, b.table
-    failures: list[Failure] = []
-
-    mult_ok = True
-    for i in range(a.dim):
-        if not mult_ok:
-            break
-        for j in range(a.dim):
-            lhs = f.apply(ta[i][j])
-            rhs = mul_sparse(tb, f.cols[i], f.cols[j])
-            if lhs != rhs:
-                failures.append(
-                    Failure(
-                        "multiplicative",
-                        f"f(e{i}·e{j}) differs from f(e{i})·f(e{j})",
-                        (i, j),
-                    )
-                )
-                mult_ok = False
-                break
-
-    unital_ok = f.apply(a.unit) == b.unit
-    if not unital_ok:
-        failures.append(Failure("unital", "f(1) is not the target unit"))
-
+    failures = first_failure(
+        "multiplicative",
+        "f(e{0}·e{1}) differs from f(e{0})·f(e{1})",
+        lambda i, j: f.apply(a.table[i][j]) == mul_sparse(b.table, f.cols[i], f.cols[j]),
+        product(range(a.dim), repeat=2),
+    ) + first_failure("unital", "f(1) is not the target unit", lambda: f.apply(a.unit) == b.unit)
+    failed = {failure.axiom for failure in failures}
     rank = f.rank()
-    injective = rank == a.dim
-    surjective = rank == b.dim
     return HomReport(
-        ok=mult_ok and unital_ok,
-        multiplicative=mult_ok,
-        unital=unital_ok,
-        injective=injective,
-        surjective=surjective,
+        ok=not failures,
+        multiplicative="multiplicative" not in failed,
+        unital="unital" not in failed,
+        injective=rank == a.dim,
+        surjective=rank == b.dim,
         failures=tuple(failures),
     )
 

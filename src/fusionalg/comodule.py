@@ -42,8 +42,10 @@ from .linalg import (
     components,
     integer_scaled,
     linear_combination,
-    nonzero,
+    on_left,
+    on_right,
     rref,
+    tensor_mul,
 )
 
 
@@ -101,12 +103,13 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
-    den, (dcols, cop_cols, ptab, htab, (eps, unit_p, unit_h)) = integer_scaled(
+    den, (dcols, cop_cols, ptab, htab, eps_cols, (unit_p, unit_h)) = integer_scaled(
         c.coaction.cols,
         h.coproduct.cols,
         (prod for row in p.table for prod in row),
         (prod for row in h.algebra.table for prod in row),
-        (h.counit_values, p.unit, h.algebra.unit),
+        h.counit.cols,
+        (p.unit, h.algebra.unit),
     )
     d2 = den * den
     part = components(
@@ -118,41 +121,16 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     )
 
     def multiplicative(i, j):
-        rhs: dict[int, int] = {}
-        for pa, va in dcols[i].items():
-            pi, ai = divmod(pa, dh)
-            for qb, vb in dcols[j].items():
-                qi, bi = divmod(qb, dh)
-                vab = va * vb
-                hprod = htab[ai * dh + bi]
-                for u, mv in ptab[pi * dp + qi].items():
-                    vabm = vab * mv
-                    for w, hv in hprod.items():
-                        key = u * dh + w
-                        rhs[key] = rhs.get(key, 0) + vabm * hv
         lhs = linear_combination(dcols, ptab[i * dp + j])
-        return {k: v * d2 for k, v in lhs.items()} == nonzero(rhs)
+        return {k: v * d2 for k, v in lhs.items()} == tensor_mul(
+            dcols[i], dcols[j], ptab, dp, htab, dh
+        )
 
     def coassociative(j):
-        lhs: dict[int, int] = {}
-        rhs: dict[int, int] = {}
-        for pa, val in dcols[j].items():
-            pi, ai = divmod(pa, dh)
-            for qb, w in dcols[pi].items():
-                key = qb * dh + ai
-                lhs[key] = lhs.get(key, 0) + val * w
-            for bc, w in cop_cols[ai].items():
-                key = pi * dh * dh + bc
-                rhs[key] = rhs.get(key, 0) + val * w
-        return nonzero(lhs) == nonzero(rhs)
+        return on_left(dcols[j], dcols, dh) == on_right(dcols[j], cop_cols, dh, dh * dh)
 
     def counital(j):
-        out: dict[int, int] = {}
-        for pa, val in dcols[j].items():
-            pi, ai = divmod(pa, dh)
-            if ai in eps:
-                out[pi] = out.get(pi, 0) + val * eps[ai]
-        return nonzero(out) == {j: d2}
+        return on_right(dcols[j], eps_cols, dh, 1) == {j: d2}
 
     unit_pu = {i * dh + a: x * y for i, x in unit_p.items() for a, y in unit_h.items()}
     each = [(i,) for i in range(dp)]
@@ -255,18 +233,10 @@ def balanced_tensor(
 
 def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
     """Sparse columns of P (x) V -> P (x) W, x (x) v -> x·f(v)' (x) f(v)'',
-    for a map f: V -> P (x) W."""
+    for a map f: V -> P (x) W: left multiplication by x on the first leg,
+    whose columns are the row ``p.table[x]``."""
     width = f.target.dim // p.dim
-    cols = []
-    for x in range(p.dim):
-        for image in f.cols:
-            col: dict[int, Fraction] = {}
-            for key, val in image.items():
-                q, a = divmod(key, width)
-                for k, coeff in p.table[x][q].items():
-                    accumulate(col, k * width + a, val * coeff)
-            cols.append(col)
-    return cols
+    return [on_left(image, p.table[x], width) for x in range(p.dim) for image in f.cols]
 
 
 @dataclass(frozen=True)
@@ -322,20 +292,14 @@ def canonical_map(c: ComoduleAlgebra) -> CanonicalMap:
 
 def delta_L(c: ComoduleAlgebra) -> LinearMap:
     """The companion left coaction P -> H (x) P built from the inverse
-    antipode: x -> S^{-1}(x_(1)) (x) x_(0)."""
+    antipode: x -> S^{-1}(x_(1)) (x) x_(0), the coaction followed by
+    e_q (x) e_a -> S^{-1}(e_a) (x) e_q."""
     if c.hopf.antipode_inv is None:
         raise ValueError("left coaction needs an invertible antipode")
     p, h = c.algebra, c.hopf
-    dp, dh = p.dim, h.dim
-    s_inv = h.antipode_inv.cols
-    cols = []
-    for coaction_x in c.coaction.cols:
-        col: dict[int, Fraction] = {}
-        for qa, val in coaction_x.items():
-            q, a = divmod(qa, dh)
-            for b, s in s_inv[a].items():
-                accumulate(col, b * dp + q, val * s)
-        cols.append(col)
+    dp, s_inv = p.dim, h.antipode_inv.cols
+    flip = [{b * dp + q: v for b, v in s_inv[a].items()} for q in range(dp) for a in range(h.dim)]
+    cols = [linear_combination(flip, col) for col in c.coaction.cols]
     return LinearMap.from_sparse_columns(p.space, h.space.tensor(p.space), cols)
 
 
@@ -552,45 +516,13 @@ def check_strong_connection(
     d2 = den * den
 
     def right_colinear_and_splits(col):
-        # (id⊗δ)∘ℓ(e_col), e_u⊗e_x⊗e_b at (u·dP + x)·dH + b, is one side
-        # of right colinearity, and m⊗id of it is the lifted canonical map
-        lhs: dict[int, int] = {}
-        for r, val in ell_cols[col].items():
-            u, q = divmod(r, dp)
-            base = u * dp * dh
-            for xb, w in delta_cols[q].items():
-                key = base + xb
-                lhs[key] = lhs.get(key, 0) + val * w
-        rhs: dict[int, int] = {}
-        for ba, w in cop_cols[col].items():
-            b, a = divmod(ba, dh)
-            for r, val in ell_cols[b].items():
-                key = r * dh + a
-                rhs[key] = rhs.get(key, 0) + val * w
-        can: dict[int, int] = {}
-        for uxb, val in lhs.items():
-            ux, b = divmod(uxb, dh)
-            for t, mv in ptab[ux].items():
-                key = t * dh + b
-                can[key] = can.get(key, 0) + val * mv
+        lhs = on_right(ell_cols[col], delta_cols, dp, dp * dh)
+        rhs = on_left(cop_cols[col], ell_cols, dh)
         target = {u * dh + col: v * d2 for u, v in unit_p.items()}
-        return nonzero(lhs) == nonzero(rhs), nonzero(can) == target
+        return lhs == rhs, on_left(lhs, ptab, dh) == target
 
     def left_colinear(col):
-        lhs: dict[int, int] = {}
-        rhs: dict[int, int] = {}
-        for r, val in ell_cols[col].items():
-            pi, v = divmod(r, dp)
-            for au, w in dl[pi].items():
-                key = au * dp + v
-                lhs[key] = lhs.get(key, 0) + val * w
-        for ad, w in cop_cols[col].items():
-            a, d = divmod(ad, dh)
-            base = a * dp * dp
-            for r, val in ell_cols[d].items():
-                key = base + r
-                rhs[key] = rhs.get(key, 0) + val * w
-        return nonzero(lhs) == nonzero(rhs)
+        return on_left(ell_cols[col], dl, dp) == on_right(cop_cols[col], ell_cols, dh, dp * dp)
 
     def counit_product(col):
         e = eps.get(col)

@@ -404,9 +404,9 @@ class LiftedConnection:
 
     ``corestricts`` records the four boundary memberships of the image
     (one-end and zero-end condition, on each tensor factor), and
-    ``report`` is the full axiom battery on the fusion.  The flags are
-    all true when the image lies in carrier ⊗ carrier and every carrier
-    basis vector lies in both conditions; otherwise each is computed.
+    ``report`` is the full axiom battery on the fusion.  A returned lift
+    always records four trues: :func:`lift_connection` computes the
+    displays only to name a failure, and then raises.
     """
 
     fusion: EquivariantFusion

@@ -107,6 +107,51 @@ def linear_combination(vectors, coeffs: dict) -> dict:
     return nonzero(acc)
 
 
+# One structure map, given by its sparse columns, on one tensor leg, and the
+# product in A (x) B: sparse int or Fraction vectors in, no zeros stored out.
+
+def on_left(vec: dict, f_cols, width: int) -> dict:
+    """(f (x) id)(vec) for vec in V (x) W, where dim W = ``width``."""
+    acc: dict = {}
+    for key, x in vec.items():
+        i, j = divmod(key, width)
+        for k, v in f_cols[i].items():
+            out = k * width + j
+            acc[out] = acc.get(out, 0) + x * v
+    return nonzero(acc)
+
+
+def on_right(vec: dict, f_cols, dim_v: int, dim_w: int) -> dict:
+    """(id (x) f)(vec) for vec in U (x) V and f: V -> W, where dim V =
+    ``dim_v`` and dim W = ``dim_w``."""
+    acc: dict = {}
+    for key, x in vec.items():
+        i, j = divmod(key, dim_v)
+        base = i * dim_w
+        for k, v in f_cols[j].items():
+            out = base + k
+            acc[out] = acc.get(out, 0) + x * v
+    return nonzero(acc)
+
+
+def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int) -> dict:
+    """x·y in A (x) B, from the flattened tables: ``table_a[i·dim_a + k]``
+    is e_i·e_k in A, and likewise for B."""
+    acc: dict = {}
+    for ij, u in x.items():
+        i, j = divmod(ij, dim_b)
+        for kl, v in y.items():
+            k, l = divmod(kl, dim_b)
+            uv = u * v
+            right = table_b[j * dim_b + l]
+            for p, a in table_a[i * dim_a + k].items():
+                uva = uv * a
+                for q, b in right.items():
+                    out = p * dim_b + q
+                    acc[out] = acc.get(out, 0) + uva * b
+    return nonzero(acc)
+
+
 def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
     """Vectors scaled to integers over one common denominator.
 
@@ -469,11 +514,11 @@ class LinearSystem:
     rows, and :meth:`add_shifted_rows` adds rows that differ only by a
     shift of every unknown, reducing their common pattern once.  The
     system stores each such call as one block: its first row, its
-    reduced templates and its shifts as a ``range``; single rows go to
-    an open block with the one shift 0.  Row k is computed from its
-    block when it is read, through :meth:`row`, so rows keep the indices,
-    order, keys and scales of adding them one at a time, while memory
-    grows with the templates, not with the rows.  Forward elimination
+    reduced templates and its shifts as a ``range``; a single row is a
+    block of one template with the one shift 0.  Row k is computed from
+    its block when it is read, through :meth:`row`, so rows keep the
+    indices, order, keys and scales of adding them one at a time, while
+    memory grows with the templates, not with the rows.  Forward elimination
     reduces each row in insertion order against the pivot rows
     accumulated so far, pivoting on the least unknown index, with
     integer arithmetic throughout; the solution assigns zero to all free
@@ -508,27 +553,16 @@ class LinearSystem:
         # (first row, templates (coeffs, rhs, scale), shifts): row
         # first + i·len(templates) + t is template t moved by shifts[i]
         self._blocks: list[tuple[int, list[tuple[dict[int, int], int, int]], range]] = []
-        self._open: list | None = None  # the templates of add_int_row's block
         self._len = 0
         self._key_index = None  # built by _index, dropped when rows are added
 
     def __len__(self) -> int:
         return self._len
 
-    def _add_block(self, templates: list, shifts: range) -> None:
-        self._blocks.append((self._len, templates, shifts))
-        self._len += len(templates) * len(shifts)
-
     def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
         """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``,
-        unknowns in ``0..num_unknowns-1``)."""
-        (template,) = self._templates([(coeffs, rhs, den)], (0,))
-        if self._open is None:
-            self._open = []
-            self._add_block(self._open, range(1))
-        self._open.append(template)
-        self._len += 1
-        self._key_index = None
+        unknowns in ``0..num_unknowns-1``) and return its index."""
+        self.add_shifted_rows([(coeffs, rhs, den)], (0,))
         return self._len - 1
 
     def add_shifted_rows(self, rows, shifts) -> None:
@@ -554,10 +588,10 @@ class LinearSystem:
                     runs[-1] = range(run.start, s + 1, step)
                     continue
             runs.append(range(s, s + 1))
-        self._open = None
         self._key_index = None
         for run in runs:
-            self._add_block(templates, run)
+            self._blocks.append((self._len, templates, run))
+            self._len += len(templates) * len(run)
 
     def _templates(self, rows, shifts) -> list[tuple[dict[int, int], int, int]]:
         """The rows reduced to templates, after checking the denominators

@@ -12,6 +12,7 @@ from fusionalg.algebra import (
     AlgebraHom,
     ClosureError,
     FDAlgebra,
+    Failure,
     check_algebra,
     check_hom,
     direct_sum_algebra,
@@ -250,6 +251,28 @@ def test_check_hom_flags_failures():
     rep2 = check_hom(AlgebraHom(a, a, double))
     assert not rep2.ok
     assert not rep2.multiplicative
+
+
+def test_check_hom_names_the_first_failing_pair():
+    """The first failing pair in row-major order, with its detail and
+    witness, then the unit; the flags follow the failures."""
+    a, b = function_algebra(3), function_algebra(2)
+    # unital, and e_0·e_0 is kept, but f(e_0·e_1) = 0 while f(e_0)·f(e_1) = -δ1
+    images = [{0: Q(1), 1: Q(1)}, {1: Q(-1)}, {1: Q(1)}]
+    f = LinearMap.from_sparse_columns(a.space, b.space, images)
+    rep = check_hom(AlgebraHom(a, b, f))
+    assert (rep.ok, rep.multiplicative, rep.unital) == (False, False, True)
+    assert rep.failures == (
+        Failure("multiplicative", "f(e0·e1) differs from f(e0)·f(e1)", (0, 1)),
+    )
+    # f(δ1) = 2δ1 first breaks the product at (1, 1), and f(1) = δ0 + 2δ1
+    g = LinearMap.from_sparse_columns(b.space, b.space, [{0: Q(1)}, {1: Q(2)}])
+    rep = check_hom(AlgebraHom(b, b, g))
+    assert (rep.ok, rep.multiplicative, rep.unital) == (False, False, False)
+    assert rep.failures == (
+        Failure("multiplicative", "f(e1·e1) differs from f(e1)·f(e1)", (1, 1)),
+        Failure("unital", "f(1) is not the target unit", ()),
+    )
 
 
 def test_subalgebra_span_of_unit():

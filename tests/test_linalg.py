@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg.algebra import FDAlgebra, mul_sparse, tensor_algebra
 from fusionalg.comodule import BalancedTensor
 from fusionalg.fusion import BaseWithEnds
 from fusionalg.linalg import (
@@ -19,8 +20,11 @@ from fusionalg.linalg import (
     Space,
     Subspace,
     components,
+    on_left,
+    on_right,
     rat,
     rref,
+    tensor_mul,
     tensor_vec,
 )
 from test_fusion import skewed_chain
@@ -882,3 +886,98 @@ def test_components_of_edge_cases():
     assert components(0, [[]]) == []
     assert components(3, [[], [1], [2, 2]]) == [0, 1, 2]
     assert components(4, [[3, 1], [2], [1, 0]]) == [0, 0, 2, 0]
+
+
+# ---------------------------------------------------------------- tensor legs
+
+def random_entry(rng, kind):
+    """A nonzero int, or a nonzero Fraction with a denominator up to 3."""
+    num = rng.choice((-3, -2, -1, 1, 2, 3))
+    return num if kind == "int" else Q(num, rng.randint(1, 3))
+
+
+def random_columns(rng, n_cols, n_rows, kind, density=0.5):
+    """Sparse columns with no zeros stored; column 1 repeats column 0, so
+    a vector that holds e_0 and e_1 with opposite entries cancels."""
+    cols = [
+        {i: random_entry(rng, kind) for i in range(n_rows) if rng.random() < density}
+        for _ in range(n_cols)
+    ]
+    if n_cols > 1:
+        cols[1] = dict(cols[0])
+    return cols
+
+
+def cancelling_vector(rng, dim_v, dim_w, kind):
+    """A sparse vector of V (x) W with opposite entries at e_0 (x) e_j and
+    e_1 (x) e_j, and some random others."""
+    vec = {
+        k: random_entry(rng, kind) for k in range(dim_v * dim_w) if rng.random() < 0.4
+    }
+    j = rng.randrange(dim_w)
+    c = random_entry(rng, kind)
+    vec[j], vec[dim_w + j] = c, -c
+    return vec
+
+
+def as_column(vec, space: Space) -> LinearMap:
+    """The map k -> space sending 1 to ``vec``."""
+    return LinearMap.from_sparse_columns(Space.scalar(), space, [vec])
+
+
+def assert_sparse_result(got, expect):
+    assert got == expect
+    assert all(v != 0 for v in got.values())
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("seed", range(12))
+def test_leg_maps_match_kron_with_the_identity(seed, kind):
+    """on_left is (f (x) id) and on_right is (id (x) f), on vectors whose
+    terms cancel, with no zeros stored and the inputs left as they were."""
+    rng = random.Random(seed)
+    dv, dw, dx = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
+    v, w, x = Space.of_dim(dv, "v"), Space.of_dim(dw, "w"), Space.of_dim(dx, "x")
+    f_cols = random_columns(rng, dv, dx, kind)
+    f = LinearMap.from_sparse_columns(v, x, f_cols)
+    ident = LinearMap.identity(w)
+    left = cancelling_vector(rng, dv, dw, kind)
+    # the same kind of vector in W (x) V, whose f-leg is the right one
+    right = {
+        k % dw * dv + k // dw: val for k, val in cancelling_vector(rng, dv, dw, kind).items()
+    }
+    saved = [dict(c) for c in f_cols], dict(left), dict(right)
+    expect_left = f.kron(ident).compose(as_column(left, v.tensor(w))).cols[0]
+    expect_right = ident.kron(f).compose(as_column(right, w.tensor(v))).cols[0]
+    assert_sparse_result(on_left(left, f_cols, dw), expect_left)
+    assert_sparse_result(on_right(right, f_cols, dv, dx), expect_right)
+    assert ([dict(c) for c in f_cols], left, right) == saved
+
+
+def random_algebra(rng, n, kind) -> FDAlgebra:
+    """Structure constants at random, not associative in general; for
+    n > 1, e_1·e_k equals e_0·e_k, so products with opposite legs e_0 and
+    e_1 cancel."""
+    flat = random_columns(rng, n * n, n, kind, density=0.4)
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if n > 1:
+        rows[1] = [dict(p) for p in rows[0]]
+    return FDAlgebra(Space.of_dim(n, "a"), rows, {})
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
+    """tensor_mul on the two flattened tables is the product of
+    tensor_algebra, on factors whose terms cancel."""
+    rng = random.Random(100 + seed)
+    da, db = rng.randint(2, 3), rng.randint(1, 3)
+    a, b = random_algebra(rng, da, kind), random_algebra(rng, db, kind)
+    flat_a = [p for row in a.table for p in row]
+    flat_b = [p for row in b.table for p in row]
+    t = tensor_algebra(a, b)
+    for _ in range(4):
+        x = cancelling_vector(rng, da, db, kind)
+        y = cancelling_vector(rng, da, db, kind)
+        got = tensor_mul(x, y, flat_a, da, flat_b, db)
+        assert_sparse_result(got, mul_sparse(t.table, x, y))
