@@ -2,8 +2,9 @@
 
 An algebra is a labeled space, a unit vector, and its multiplication
 stored only as a sparse structure-constant table: ``table[i][j]`` maps
-each k to the nonzero coefficient of e_k in e_i·e_j.  The unit and every
-product are sparse vectors in the sense of :mod:`fusionalg.linalg`.  All
+each k to the nonzero coefficient of e_k in e_i·e_j.  The table and the
+unit hold integers over one shared denominator, as the maps of
+:mod:`fusionalg.linalg` do.  All
 checks report named axioms and a concrete witness (the basis triple or
 pair that fails), never just a boolean, so callers can surface
 actionable diagnostics.
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .linalg import (
     LinearMap,
-    Q1,
     Space,
     Subspace,
-    accumulate,
+    common_den,
     components,
     integer_scaled,
     linear_combination,
@@ -52,13 +52,16 @@ class FDAlgebra:
     """Unital associative algebra on a labeled rational vector space.
 
     ``table[i][j] = {k: c}`` lists the nonzero structure constants of
-    e_i·e_j and ``unit`` is the sparse unit vector; build it through
-    :meth:`from_structure` unless both are already clean.
+    e_i·e_j and ``unit`` is the sparse unit vector, both as integers over
+    ``den``, the least positive integer that makes them all integers.
+    Rational input is scaled, and zeros dropped, when the algebra is
+    built.
     """
 
     space: Space
-    table: list[list[dict[int, Fraction]]]
-    unit: dict[int, Fraction]
+    table: list[list[dict[int, int]]]
+    unit: dict[int, int]
+    den: int = 1
 
     def __post_init__(self):
         n = self.space.dim
@@ -66,6 +69,10 @@ class FDAlgebra:
             raise ValueError("structure-constant table must be dim x dim")
         if any(not 0 <= k < n for k in self.unit):
             raise ValueError(f"unit vector index outside 0..{n - 1}")
+        den, (unit, *flat) = integer_scaled([self.unit, *chain.from_iterable(self.table)], self.den)
+        object.__setattr__(self, "table", [flat[i * n : (i + 1) * n] for i in range(n)])
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "den", den)
 
     @property
     def dim(self) -> int:
@@ -82,30 +89,21 @@ class FDAlgebra:
         n = space.dim
         if len(unit) != n:
             raise ValueError("unit vector has wrong length")
-        clean = []
-        for row in table:
-            out = []
-            for prod in row:
-                if any(not 0 <= k < n for k in prod):
-                    raise ValueError(f"structure constant index outside 0..{n - 1}")
-                out.append({k: c for k, v in prod.items() if (c := rat(v))})
-            clean.append(out)
-        return FDAlgebra(space, clean, {i: c for i, x in enumerate(unit) if (c := rat(x))})
+        if any(not 0 <= k < n for row in table for prod in row for k in prod):
+            raise ValueError(f"structure constant index outside 0..{n - 1}")
+        exact = [[{k: rat(v) for k, v in prod.items()} for prod in row] for row in table]
+        return FDAlgebra(space, exact, {i: rat(x) for i, x in enumerate(unit)})
+
+    def over(self, den: int) -> tuple[list[dict[int, int]], dict[int, int]]:
+        """The table flattened (e_i·e_j at i·n + j) and the unit, over ``den``."""
+        f = den // self.den
+        flat = [self.unit, *chain.from_iterable(self.table)]
+        if f != 1:
+            flat = [{k: v * f for k, v in p.items()} for p in flat]
+        return flat[1:], flat[0]
 
     def unit_map(self) -> LinearMap:
-        return LinearMap.from_sparse_columns(Space.scalar(), self.space, [self.unit])
-
-
-def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Product of sparse vectors through a structure-constant table."""
-    acc: dict[int, Fraction] = {}
-    for i, a in x.items():
-        row = table[i]
-        for j, b in y.items():
-            ab = a * b
-            for k, c in row[j].items():
-                accumulate(acc, k, ab * c)
-    return acc
+        return LinearMap.from_sparse_columns(Space.scalar(), self.space, [self.unit], self.den)
 
 
 def first_failure(axiom: str, detail: str, holds, indices=((),)) -> list[Failure]:
@@ -122,17 +120,15 @@ def first_failure(axiom: str, detail: str, holds, indices=((),)) -> list[Failure
 def check_algebra(alg: FDAlgebra) -> CheckReport:
     """Associativity plus two-sided unit, with the first failing witness.
 
-    The table and the unit are scaled once to integers over their common
-    denominator D (:func:`~fusionalg.linalg.integer_scaled`).  Both sides
+    The table and the unit are read over their denominator D: both sides
     of associativity are products of two scaled constants and compare as
     they are; 1·e_i and e_i·1, also products of two, compare with
     D²·e_i.
     """
     n = alg.dim
-    den, (flat, (unit,)) = integer_scaled((p for row in alg.table for p in row), (alg.unit,))
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]  # rows[i][m] = e_i·e_m
+    rows, unit = alg.table, alg.unit  # rows[i][m] = e_i·e_m
     cols = list(zip(*rows))  # cols[k][m] = e_m·e_k
-    d2 = den * den
+    d2 = alg.den * alg.den
 
     def associative(i, j, k):
         # (e_i·e_j)·e_k against e_i·(e_j·e_k)
@@ -162,10 +158,8 @@ def check_algebra(alg: FDAlgebra) -> CheckReport:
 def function_algebra(n: int, labels: tuple[str, ...] | None = None) -> FDAlgebra:
     """Functions on an n-point set with the pointwise product."""
     space = Space(labels if labels is not None else tuple(f"δ{i}" for i in range(n)))
-    table = [
-        [({i: Q1} if i == j else {}) for j in range(n)] for i in range(n)
-    ]
-    return FDAlgebra(space, table, {i: Q1 for i in range(n)})
+    table = [[({i: 1} if i == j else {}) for j in range(n)] for i in range(n)]
+    return FDAlgebra(space, table, {i: 1 for i in range(n)})
 
 
 def scalar_algebra() -> FDAlgebra:
@@ -175,12 +169,13 @@ def scalar_algebra() -> FDAlgebra:
 def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     """Componentwise product on A (x) B: (e_i (x) f_j)·(e_k (x) f_l) is
     e_i·e_k (x) f_j·f_l (:func:`~fusionalg.linalg.tensor_vec`), so the
-    table has nnz(A)·nnz(B) constants.  The empty entries are one shared,
-    never-mutated ``{}``."""
+    table has nnz(A)·nnz(B) constants, over the product of the two
+    denominators.  The empty entries are one shared, never-mutated
+    ``{}``."""
     db = b.dim
     n = a.dim * db
     empty: dict = {}
-    table: list[list[dict[int, Fraction]]] = [[empty] * n for _ in range(n)]
+    table: list[list[dict[int, int]]] = [[empty] * n for _ in range(n)]
     for i, row_a in enumerate(a.table):
         for k, pa in enumerate(row_a):
             if not pa:
@@ -190,7 +185,7 @@ def tensor_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
                 for l, pb in enumerate(row_b):
                     if pb:
                         out[k * db + l] = tensor_vec(pa, pb, db)
-    return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit, db))
+    return FDAlgebra(a.space.tensor(b.space), table, tensor_vec(a.unit, b.unit, db), a.den * b.den)
 
 
 def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
@@ -199,11 +194,11 @@ def direct_sum_algebra(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
     space = Space(
         tuple(f"L·{l}" for l in a.labels) + tuple(f"R·{l}" for l in b.labels)
     )
-    table = [list(row) + [{} for _ in range(db)] for row in a.table] + [
-        [{} for _ in range(da)] + [{da + k: v for k, v in prod.items()} for prod in row]
-        for row in b.table
-    ]
-    return FDAlgebra(space, table, {**a.unit, **{da + k: v for k, v in b.unit.items()}})
+    den, ((table_a, unit_a), (table_b, unit_b)) = common_den(a, b)
+    shifted = [{da + k: v for k, v in prod.items()} for prod in table_b]
+    table = [table_a[i * da : (i + 1) * da] + [{}] * db for i in range(da)]
+    table += [[{}] * da + shifted[j * db : (j + 1) * db] for j in range(db)]
+    return FDAlgebra(space, table, {**unit_a, **{da + k: v for k, v in unit_b.items()}}, den)
 
 
 # ---------------------------------------------------------------- homomorphisms
@@ -234,14 +229,30 @@ class HomReport:
 
 
 def check_hom(hom: AlgebraHom) -> HomReport:
-    """Check f(xy) = f(x)f(y) on basis pairs and f(1) = 1, plus rank data."""
+    """Check f(xy) = f(x)f(y) on basis pairs and f(1) = 1, plus rank data.
+
+    Both tables, both units and f are read over their common denominator
+    D: f(e_i·e_j) multiplies two scaled entries and f(e_i)·f(e_j) three,
+    so the first is taken D times, and f(1) (two) compares with D·1.
+    """
     a, b, f = hom.source, hom.target, hom.map
+    den, ((table_a, unit_a), (table_b, unit_b), cols) = common_den(a, b, f)
+
+    def multiplies(i, j):
+        lhs = linear_combination(cols, table_a[i * a.dim + j])
+        pairs = {p * b.dim + q: x * y for p, x in cols[i].items() for q, y in cols[j].items()}
+        return {k: v * den for k, v in lhs.items()} == linear_combination(table_b, pairs)
+
     failures = first_failure(
         "multiplicative",
         "f(e{0}·e{1}) differs from f(e{0})·f(e{1})",
-        lambda i, j: f.apply(a.table[i][j]) == mul_sparse(b.table, f.cols[i], f.cols[j]),
+        multiplies,
         product(range(a.dim), repeat=2),
-    ) + first_failure("unital", "f(1) is not the target unit", lambda: f.apply(a.unit) == b.unit)
+    ) + first_failure(
+        "unital",
+        "f(1) is not the target unit",
+        lambda: linear_combination(cols, unit_a) == {k: v * den for k, v in unit_b.items()},
+    )
     failed = {failure.axiom for failure in failures}
     rank = f.rank()
     return HomReport(
@@ -260,13 +271,14 @@ class ClosureError(ValueError):
     """A subspace is not closed under the ambient product.
 
     Carries the offending pair of basis vectors of the subspace and the
-    product that escapes it, a sparse vector of the ambient algebra.
+    product that escapes it, a sparse rational vector of the ambient
+    algebra, given as ``product/den``.
     """
 
-    def __init__(self, left_index: int, right_index: int, product: dict[int, Fraction]):
+    def __init__(self, left_index: int, right_index: int, product: dict, den: int = 1):
         self.left_index = left_index
         self.right_index = right_index
-        self.product = product
+        self.product = {k: Fraction(v, den) for k, v in sorted(product.items())}
         super().__init__(
             f"subspace is not multiplicatively closed: the product of basis "
             f"vectors {left_index} and {right_index} lies outside"
@@ -295,16 +307,17 @@ def subalgebra_from_subspace(
 ) -> SubalgebraWitness:
     """Restrict the product of ``ambient`` to ``sub``.
 
-    The nonempty table entries and the echelon basis are scaled to
-    integers over their own denominators D_T and D_B, so each product of
-    two scaled basis vectors, D_T·D_B² times its value, is reduced in
-    integers.
+    The table is read over its denominator D_T and the echelon basis
+    over its own, D_B (:attr:`~fusionalg.linalg.Subspace.scaled_basis`),
+    so each product of two scaled basis vectors, D_T·D_B² times its
+    value, is reduced in integers, and the induced table is built over
+    D_T·D_B².
 
     Ambient indices fall into parts (:func:`~fusionalg.linalg.components`)
     that keep together a and b of every nonempty e_a·e_b and the support
     of each basis vector.  Two basis vectors in different parts multiply
     to zero, so only products within a part are formed; the others keep
-    one shared empty entry, as do the empty entries of the scaled table.
+    one shared empty entry.
 
     Raises ClosureError when some product of subspace basis vectors falls
     outside the subspace.
@@ -312,22 +325,18 @@ def subalgebra_from_subspace(
     if sub.ambient.dim != ambient.dim:
         raise ValueError("subspace does not live in the algebra")
     n, d = ambient.dim, sub.dim
-    nonempty = [[b for b, p in enumerate(row) if p] for row in ambient.table]
-    keys = [a * n + b for a, bs in enumerate(nonempty) for b in bs]
-    den_t, (scaled,) = integer_scaled(ambient.table[k // n][k % n] for k in keys)
-    empty: dict = {}
-    flat = [empty] * (n * n)
-    for k, p in zip(keys, scaled):
-        flat[k] = p
+    flat = [prod for row in ambient.table for prod in row]
     den_b, basis = sub.scaled_basis
-    part = components(n, [*([a, *bs] for a, bs in enumerate(nonempty)), *basis])
+    nonempty = ([a, *(b for b, p in enumerate(row) if p)] for a, row in enumerate(ambient.table))
+    part = components(n, [*nonempty, *basis])
     owner = [part[next(iter(vec))] for vec in basis]
     members: dict[int, list[int]] = {}
     for i, p in enumerate(owner):
         members.setdefault(p, []).append(i)
-    scale = den_t * den_b * den_b
+    scale = ambient.den * den_b * den_b
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
-    table: list[list[dict[int, Fraction]]] = [[empty] * d for _ in range(d)]
+    empty: dict = {}
+    table: list[list[dict[int, int]]] = [[empty] * d for _ in range(d)]
     for i, left in enumerate(basis):
         for j in members[owner[i]]:
             right = basis[j]
@@ -337,10 +346,12 @@ def subalgebra_from_subspace(
                 continue
             coords = sub.int_coordinates(prod)
             if coords is None:
-                raise ClosureError(i, j, {k: Fraction(v, scale) for k, v in sorted(prod.items())})
-            table[i][j] = {k: Fraction(v, scale) for k, v in coords.items()}
-    unit = sub.coordinates(ambient.unit)
+                raise ClosureError(i, j, prod, scale)
+            table[i][j] = coords
+    # the coordinates of the unit, over D_T, taken over D_T·D_B²
+    unit = sub.int_coordinates(ambient.unit)
     unital = unit is not None
-    algebra = FDAlgebra(space, table, unit if unital else {})
-    inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
+    unit = {k: v * den_b * den_b for k, v in unit.items()} if unital else {}
+    algebra = FDAlgebra(space, table, unit, scale)
+    inclusion = LinearMap.from_sparse_columns(space, ambient.space, basis, den_b)
     return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)

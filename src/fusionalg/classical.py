@@ -27,7 +27,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet, cyclic_actions, is_free
 from .hopf import function_hopf
-from .linalg import LinearMap, Q1
+from .linalg import LinearMap
 
 __all__ = [
     "FiniteGroup",
@@ -58,7 +58,7 @@ def fun_comodule(gset: FiniteGSet) -> ComoduleAlgebra:
     cols: list[dict] = [{} for _ in range(gset.size)]
     for x in range(gset.size):
         for g in range(dh):
-            cols[gset.act[x][g]][x * dh + g] = Q1
+            cols[gset.act[x][g]][x * dh + g] = 1
     coaction = LinearMap.from_sparse_columns(p.space, p.space.tensor(h.space), cols)
     com = ComoduleAlgebra(p, h, coaction)
     report = check_comodule(com)
@@ -229,7 +229,7 @@ def fun_of_join_vs_fusion(nx: int, ny: int, m: int) -> JoinFusionIso:
     for k in range(m + 1):
         for x in range(nx):
             for y in range(ny):
-                indicators[join.point_index(k, x, y)][(k * nx + x) * ny + y] = Q1
+                indicators[join.point_index(k, x, y)][(k * nx + x) * ny + y] = 1
     cols = []
     for vec in indicators:
         coords = fusion.carrier.coordinates(vec)

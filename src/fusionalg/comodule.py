@@ -27,7 +27,6 @@ from .algebra import (
     Failure,
     SubalgebraWitness,
     first_failure,
-    mul_sparse,
     subalgebra_from_subspace,
 )
 from .hopf import HopfAlgebra
@@ -35,12 +34,10 @@ from .linalg import (
     Infeasibility,
     LinearMap,
     LinearSystem,
-    Q1,
     Space,
     Subspace,
-    accumulate,
+    common_den,
     components,
-    integer_scaled,
     linear_combination,
     on_left,
     on_right,
@@ -70,7 +67,7 @@ class ComoduleAlgebra:
 def _unit_embedding(algebra: FDAlgebra, hopf: HopfAlgebra) -> LinearMap:
     """The map P -> P (x) H, x -> x (x) 1."""
     k = LinearMap.identity(algebra.space).kron(hopf.algebra.unit_map())
-    return LinearMap.from_sparse_columns(algebra.space, algebra.space.tensor(hopf.space), k.cols)
+    return LinearMap.from_sparse_columns(algebra.space, k.target, k.cols, k.den)
 
 
 def trivial_coaction(algebra: FDAlgebra, hopf: HopfAlgebra) -> ComoduleAlgebra:
@@ -85,12 +82,11 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     The identification P (x) k = P is literal on coordinates because the
     scalar factor is one-dimensional.
 
-    The coaction, Δ, both tables, ε and both units are scaled once to
-    integers over their common denominator D
-    (:func:`~fusionalg.linalg.integer_scaled`), so a side that multiplies
-    k scaled constants is D^k times its value.  δ(e_i·e_j) (k = 2) is
-    multiplied by D² to meet δ(e_i)·δ(e_j) (k = 4); both sides of
-    coaction_unital and coaction_coassociative have k = 2; and
+    The coaction, Δ, both tables, ε and both units are read over their
+    common denominator D (:func:`~fusionalg.linalg.common_den`), so a side
+    that multiplies k scaled constants is D^k times its value.  δ(e_i·e_j)
+    (k = 2) is multiplied by D² to meet δ(e_i)·δ(e_j) (k = 4); both sides
+    of coaction_unital and coaction_coassociative have k = 2; and
     (id⊗ε)∘δ(e_j) compares with D²·e_j.
 
     Basis indices of P fall into parts (:func:`~fusionalg.linalg.components`)
@@ -103,13 +99,8 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
-    den, (dcols, cop_cols, ptab, htab, eps_cols, (unit_p, unit_h)) = integer_scaled(
-        c.coaction.cols,
-        h.coproduct.cols,
-        (prod for row in p.table for prod in row),
-        (prod for row in h.algebra.table for prod in row),
-        h.counit.cols,
-        (p.unit, h.algebra.unit),
+    den, (dcols, cop_cols, (ptab, unit_p), (htab, unit_h), eps_cols) = common_den(
+        c.coaction, h.coproduct, p, h.algebra, h.counit
     )
     d2 = den * den
     part = components(
@@ -218,25 +209,27 @@ def balanced_tensor(
     p = c.algebra
     dp = p.dim
     relations = []
-    for b in coinv.subspace.basis:
-        left = [mul_sparse(p.table, {i: Q1}, b) for i in range(dp)]
-        right = [mul_sparse(p.table, b, {j: Q1}) for j in range(dp)]
+    # the relations span the same subspace in any scale
+    for b in coinv.subspace.scaled_basis[1]:
+        left = [linear_combination(row, b) for row in p.table]  # e_i·b
+        right = [linear_combination(col, b) for col in zip(*p.table)]  # b·e_j
         for i in range(dp):
             for j in range(dp):
-                rel = {k * dp + j: v for k, v in left[i].items()}
-                for k, v in right[j].items():
-                    accumulate(rel, i * dp + k, -v)
-                relations.append(rel)
+                xb = {k * dp + j: v for k, v in left[i].items()}  # (x·b) ⊗ y
+                by = {i * dp + k: v for k, v in right[j].items()}  # x ⊗ (b·y)
+                relations.append(linear_combination((xb, by), {0: 1, 1: -1}))
     killed = Subspace(p.space.tensor(p.space), *rref(relations))
     return BalancedTensor(c, coinv, killed)
 
 
-def _times_first_leg(p: FDAlgebra, f: LinearMap) -> list[dict[int, Fraction]]:
-    """Sparse columns of P (x) V -> P (x) W, x (x) v -> x·f(v)' (x) f(v)'',
-    for a map f: V -> P (x) W: left multiplication by x on the first leg,
-    whose columns are the row ``p.table[x]``."""
+def _times_first_leg(p: FDAlgebra, f: LinearMap) -> LinearMap:
+    """The map P (x) V -> P (x) W, x (x) v -> x·f(v)' (x) f(v)'', for a map
+    f: V -> P (x) W: left multiplication by x on the first leg, whose
+    columns are the row ``p.table[x]``, over the product of the two
+    denominators."""
     width = f.target.dim // p.dim
-    return [on_left(image, p.table[x], width) for x in range(p.dim) for image in f.cols]
+    cols = [on_left(image, p.table[x], width) for x in range(p.dim) for image in f.cols]
+    return LinearMap.from_sparse_columns(p.space.tensor(f.source), f.target, cols, p.den * f.den)
 
 
 @dataclass(frozen=True)
@@ -261,21 +254,19 @@ def canonical_map(c: ComoduleAlgebra) -> CanonicalMap:
     """
     coinv = coinvariants(c)
     bal = balanced_tensor(c, coinv)
-    p = c.algebra
-    p_h = p.space.tensor(c.hopf.space)
+    p_h = c.algebra.space.tensor(c.hopf.space)
     # x (x) y -> x·y_(0) (x) y_(1) on P (x) P
-    lifted = LinearMap.from_sparse_columns(
-        p.space.tensor(p.space), p_h, _times_first_leg(p, c.coaction)
-    )
-    for rel in bal.killed.basis:
-        if lifted.apply(rel):
+    lifted = _times_first_leg(c.algebra, c.coaction)
+    for rel in bal.killed.scaled_basis[1]:
+        if linear_combination(lifted.cols, rel):
             raise AssertionError(
                 "canonical map is not well defined on the balanced quotient"
             )
     reps = bal.reps
-    descended = LinearMap.from_sparse_columns(bal.space, p_h, [lifted.cols[r] for r in reps])
-    for j, col in enumerate(lifted.cols):
-        if descended.apply(bal.project({j: Q1})) != col:
+    cols = [lifted.cols[r] for r in reps]
+    descended = LinearMap.from_sparse_columns(bal.space, p_h, cols, lifted.den)
+    for j in range(len(lifted.cols)):
+        if descended.apply(bal.project({j: 1})) != lifted.apply({j: 1}):
             raise AssertionError("canonical map does not factor the lifted map")
     rank = descended.rank()
     return CanonicalMap(
@@ -300,7 +291,8 @@ def delta_L(c: ComoduleAlgebra) -> LinearMap:
     dp, s_inv = p.dim, h.antipode_inv.cols
     flip = [{b * dp + q: v for b, v in s_inv[a].items()} for q in range(dp) for a in range(h.dim)]
     cols = [linear_combination(flip, col) for col in c.coaction.cols]
-    return LinearMap.from_sparse_columns(p.space, h.space.tensor(p.space), cols)
+    den = h.antipode_inv.den * c.coaction.den
+    return LinearMap.from_sparse_columns(p.space, h.space.tensor(p.space), cols, den)
 
 
 @dataclass(frozen=True)
@@ -340,21 +332,17 @@ def connection_system(
     in the same order as row by row; the system keeps it as one block
     and computes the shifted rows when they are read.
 
-    The structure maps are scaled once to integers over their common
-    denominator D, so every row is built in integer arithmetic: the
-    colinearity rows over D, the splitting and unit rows (products of
-    two structure constants) over D².
+    The structure maps are read over their common denominator D, so
+    every row is built in integer arithmetic: the colinearity rows over
+    D, the splitting and unit rows (products of two structure constants)
+    over D².
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     system = LinearSystem(dp * dp * dh)
 
-    den, (delta, dl, mult, cop, (unit_p, unit_h)) = integer_scaled(
-        c.coaction.cols,
-        c.left_coaction.cols,
-        (prod for row in p.table for prod in row),
-        h.coproduct.cols,
-        (p.unit, h.algebra.unit),
+    den, (delta, dl, (mult, unit_p), cop, (_, unit_h)) = common_den(
+        c.coaction, c.left_coaction, p, h.coproduct, h.algebra
     )
     delta_rows = _rows_of(delta, dp * dh)  # row x·dH+a -> [(q, val)]
     dl_rows = _rows_of(dl, dh * dp)  # row a·dP+u -> [(p, val)]
@@ -434,14 +422,11 @@ def connection_system(
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1.
 
-    The units and ℓ are scaled to integers over their common denominator,
-    so both ℓ(1) and 1 (x) 1, products of two scaled entries, compare as
-    they are.
+    The units and ℓ are read over their common denominator, so both ℓ(1)
+    and 1 (x) 1, products of two scaled entries, compare as they are.
     """
+    _, ((_, unit_h), (_, unit_p), cols) = common_den(c.hopf.algebra, c.algebra, ell)
     dp = c.algebra.dim
-    _, ((unit_h, unit_p), cols) = integer_scaled(
-        (c.hopf.algebra.unit, c.algebra.unit), ell.cols
-    )
     return linear_combination(cols, unit_h) == {
         i * dp + j: x * y for i, x in unit_p.items() for j, y in unit_p.items()
     }
@@ -489,9 +474,9 @@ def check_strong_connection(
     counit_product, and (when requested) unital.
 
     ℓ, the coaction, δ_L, Δ, the table of P, ε and the unit of P are
-    scaled once to integers over their common denominator D
-    (:func:`~fusionalg.linalg.integer_scaled`), so a side that multiplies
-    k scaled entries is D^k times its value.  Both sides of each
+    read over their common denominator D
+    (:func:`~fusionalg.linalg.common_den`), so a side that multiplies k
+    scaled entries is D^k times its value.  Both sides of each
     colinearity law have k = 2; the lifted canonical map of ℓ(e_a)
     (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
     ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
@@ -505,13 +490,8 @@ def check_strong_connection(
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
-    den, (ell_cols, delta_cols, dl, cop_cols, ptab, (eps, unit_p)) = integer_scaled(
-        ell.cols,
-        c.coaction.cols,
-        c.left_coaction.cols,
-        h.coproduct.cols,
-        (prod for row in p.table for prod in row),
-        (h.counit_values, p.unit),
+    den, (ell_cols, delta_cols, dl, cop_cols, (ptab, unit_p), eps_cols) = common_den(
+        ell, c.coaction, c.left_coaction, h.coproduct, p, h.counit
     )
     d2 = den * den
 
@@ -525,7 +505,7 @@ def check_strong_connection(
         return on_left(ell_cols[col], dl, dp) == on_right(cop_cols[col], ell_cols, dh, dp * dp)
 
     def counit_product(col):
-        e = eps.get(col)
+        e = eps_cols[col].get(0)
         target = {u: e * v for u, v in unit_p.items()} if e else {}
         return linear_combination(ptab, ell_cols[col]) == target
 
@@ -572,11 +552,9 @@ def translation_inverse(
     if can is None:
         can = canonical_map(c)
     bal = can.balanced
-    t = LinearMap.from_sparse_columns(
-        c.algebra.space.tensor(c.hopf.space),
-        bal.space,
-        [bal.project(col) for col in _times_first_leg(c.algebra, ell)],
-    )
+    times = _times_first_leg(c.algebra, ell)
+    projected = [bal.project(col) for col in times.cols]
+    t = LinearMap.from_sparse_columns(times.source, bal.space, projected, times.den)
     if not t.compose(can.map).is_identity():
         raise AssertionError(
             "translation inverse fails on the balanced tensor side"

@@ -29,7 +29,6 @@ from .algebra import (
     check_hom,
     direct_sum_algebra,
     function_algebra,
-    mul_sparse,
     scalar_algebra,
     subalgebra_from_subspace,
     tensor_algebra,
@@ -46,12 +45,11 @@ from .comodule import (
 from .hopf import HopfAlgebra, sweedler_legs
 from .linalg import (
     LinearMap,
-    Q0,
     Q1,
     Space,
     Subspace,
     accumulate,
-    integer_scaled,
+    common_den,
     kernel_vectors,
     linear_combination,
     nonzero,
@@ -89,17 +87,17 @@ class BaseWithEnds:
     @cached_property
     def splitting(self) -> tuple[list[dict], dict[int, Fraction], dict[int, Fraction]]:
         """A basis of K = ker e₀ ∩ ker e₁ and c₀, c₁ with e₁(c₀) = 0 =
-        e₀(c₁) and e₀(c₀) = e₁(c₁) = D ≠ 0, so C = K ⊕ k·c₀ ⊕ k·c₁.  For
-        the pivots p, q of the characters' echelon form, where e₀ takes
-        the values a, b and e₁ the values c, d, D = ad - bc,
-        c₀ = d·e_p - c·e_q and c₁ = a·e_q - b·e_p."""
+        e₀(c₁) and e₀(c₀), e₁(c₁) ≠ 0, so C = K ⊕ k·c₀ ⊕ k·c₁.  For the
+        pivots p, q of the characters' echelon form, where the stored
+        columns of e₀ hold a, b and those of e₁ hold c, d, so that
+        ad - bc ≠ 0, c₀ = d·e_p - c·e_q and c₁ = a·e_q - b·e_p."""
         ends = (self.end_zero, self.end_one)
         values = [{j: col[0] for j, col in enumerate(e.cols) if col} for e in ends]
         rows, pivots = rref(values)
         if len(pivots) != 2:
             raise ValueError("the two end characters are not independent")
         p, q = pivots
-        (a, b), (c, d) = ((v.get(p, Q0), v.get(q, Q0)) for v in values)
+        (a, b), (c, d) = ((v.get(p, 0), v.get(q, 0)) for v in values)
         c_zero, c_one = nonzero({p: d, q: -c}), nonzero({p: -b, q: a})
         return kernel_vectors(rows, self.dim), c_zero, c_one
 
@@ -143,7 +141,7 @@ def chain_interval(m: int) -> BaseWithEnds:
     algebra = function_algebra(m + 1, labels)
     end_zero, end_one = (
         LinearMap.from_sparse_columns(
-            algebra.space, Space.scalar(), ({0: Q1} if k == end else {} for k in range(m + 1))
+            algebra.space, Space.scalar(), ({0: 1} if k == end else {} for k in range(m + 1))
         )
         for end in (0, m)
     )
@@ -161,26 +159,39 @@ class SqrtPair:
     vanish_at_zero: dict[int, Fraction]  # s
     vanish_at_one: dict[int, Fraction]  # s'
 
+    @property
+    def columns(self) -> LinearMap:
+        """s and s' as the two columns of a map to the base, in integers."""
+        pair = (self.vanish_at_zero, self.vanish_at_one)
+        return LinearMap.from_sparse_columns(Space.of_dim(2), self.base.algebra.space, pair)
+
 
 def sqrt_pair_from_vectors(base: BaseWithEnds, s: dict, s_prime: dict) -> SqrtPair:
     """Check that sparse vectors s, s' of the base form a square-root
-    pair."""
+    pair.  Read over their denominator D, s and s' multiply through the
+    table of the base to D² times the products, in the scale of its unit."""
     alg = base.algebra
     if any(not 0 <= k < alg.dim for k in (*s, *s_prime)):
         raise ValueError("the pair does not live on the base")
-    table = alg.table
-    squares = mul_sparse(table, s, s)
-    for k, v in mul_sparse(table, s_prime, s_prime).items():
-        accumulate(squares, k, v)
-    if squares != alg.unit:
+    pair = SqrtPair(base, s, s_prime)
+    columns = pair.columns
+    n, (x, y), den = alg.dim, columns.cols, columns.den
+    flat = [prod for row in alg.table for prod in row]
+
+    def times(u, v):
+        pairs = {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
+        return linear_combination(flat, pairs)
+
+    squares = linear_combination((times(x, x), times(y, y)), {0: 1, 1: 1})
+    if squares != {k: v * den * den for k, v in alg.unit.items()}:
         raise ValueError("the squares do not sum to the unit")
-    if mul_sparse(table, s, s_prime) != mul_sparse(table, s_prime, s):
+    if times(x, y) != times(y, x):
         raise ValueError("the pair does not commute")
-    if base.end_zero.apply(s):
+    if linear_combination(base.end_zero.cols, x):
         raise ValueError("s does not vanish at the zero end")
-    if base.end_one.apply(s_prime):
+    if linear_combination(base.end_one.cols, y):
         raise ValueError("s' does not vanish at the one end")
-    return SqrtPair(base, s, s_prime)
+    return pair
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -232,11 +243,12 @@ def default_profile(m: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------- tensor coordinates
 
 def _tensor_coordinates(
-    left: Subspace, right: Subspace, vec: dict[int, int], den: int
-) -> dict[int, Fraction] | None:
-    """Sparse coordinates of vec/den in U (x) V, one tensor factor at a
-    time, where ``vec`` is a sparse integer vector of A (x) B, U =
-    ``left`` ⊂ A and V = ``right`` ⊂ B; None when it falls outside.
+    left: Subspace, right: Subspace, vec: dict[int, int]
+) -> dict[int, int] | None:
+    """Sparse coordinates of vec in U (x) V, one tensor factor at a time,
+    where ``vec`` is a sparse integer vector of A (x) B, U = ``left`` ⊂ A
+    and V = ``right`` ⊂ B; None when it falls outside.  They are integers
+    in the scale of ``vec``.
 
     Each column vec[·, j] is reduced by U to coefficients α_k(j), then each
     row α_k(·) is reduced by V to c_kl, in integers.  These are the
@@ -259,13 +271,13 @@ def _tensor_coordinates(
         for k, a in alpha.items():
             rows.setdefault(k, {})[j] = a
     dv = right.dim
-    coords: dict[int, Fraction] = {}
+    coords: dict[int, int] = {}
     for k in sorted(rows):
         c = right.int_coordinates(rows[k])
         if c is None:
             return None
         for l, v in c.items():
-            coords[k * dv + l] = Fraction(v, den)
+            coords[k * dv + l] = v
     return coords
 
 
@@ -340,19 +352,19 @@ def _restrict_coaction(
     ``coaction``, a coaction of ``hopf`` on the ambient algebra."""
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix=prefix)
     full_h = Subspace.full(hopf.space)
-    den_c, (coaction_cols,) = integer_scaled(coaction.cols)
     den_b, basis = carrier.scaled_basis
     cols = []
     for i, vec in enumerate(basis):
-        image = linear_combination(coaction_cols, vec)  # D_c·D_b·δ(carrier.basis[i])
-        coords = _tensor_coordinates(carrier, full_h, image, den_c * den_b)
+        image = linear_combination(coaction.cols, vec)  # D_c·D_b·δ(carrier.basis[i])
+        coords = _tensor_coordinates(carrier, full_h, image)
         if coords is None:
             raise AssertionError(
                 f"carrier is not stable under the coaction: carrier basis vector {i}"
             )
         cols.append(coords)
     space = witness.algebra.space
-    restricted = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols)
+    den = coaction.den * den_b
+    restricted = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols, den)
     com = ComoduleAlgebra(witness.algebra, hopf, restricted)
     report = check_comodule(com)
     if not report.ok:
@@ -374,7 +386,8 @@ def _end_conditions(
     ambient = tensor_algebra(base.algebra, fiber)
     n, cops = base.dim * p.dim, h.coproduct.cols
     cols = ({x * h.dim**2 + k: v for k, v in cop.items()} for x in range(n) for cop in cops)
-    coaction = LinearMap.from_sparse_columns(ambient.space, ambient.space.tensor(h.space), cols)
+    target = ambient.space.tensor(h.space)
+    coaction = LinearMap.from_sparse_columns(ambient.space, target, cols, h.coproduct.den)
     w_zero = Subspace.from_vectors(
         fiber.space, [tensor_vec(p.unit, {a: Q1}, h.dim) for a in range(h.dim)]
     )
@@ -449,12 +462,8 @@ def lift_connection(
     # s, s', 1, S, ℓ, the legs of Δ² and Δ over one denominator D: a term
     # of the first sum multiplies five scaled entries and one of the second
     # six, so the first is taken D times and each column is D⁶ times its value
-    den, ((s, sp, unit_p), s_cols, ell_cols, legs3_cols, cop_cols) = integer_scaled(
-        (sqrt.vanish_at_zero, sqrt.vanish_at_one, inner.algebra.unit),
-        h.antipode.cols,
-        ell.cols,
-        sweedler_legs(h, 3).cols,
-        h.coproduct.cols,
+    den, ((s, sp), (_, unit_p), s_cols, ell_cols, legs3_cols, cop_cols) = common_den(
+        sqrt.columns, inner.algebra, h.antipode, ell, sweedler_legs(h, 3), h.coproduct
     )
     sp_unit = tensor_vec(sp, unit_p, dp)  # s'⊗1
 
@@ -492,7 +501,7 @@ def lift_connection(
     )
     ef_cols = []
     for col in columns:
-        coords = _tensor_coordinates(carrier, carrier, col, den**6)
+        coords = _tensor_coordinates(carrier, carrier, col)
         if coords is None:
             break
         ef_cols.append(coords)
@@ -502,7 +511,7 @@ def lift_connection(
         full_amb = Subspace.full(fusion.ambient.space)
         displays = ((one, full_amb), (zero, full_amb), (full_amb, one), (full_amb, zero))
         corestricts = tuple(
-            all(_tensor_coordinates(left, right, col, den**6) is not None for col in columns)
+            all(_tensor_coordinates(left, right, col) is not None for col in columns)
             for left, right in displays
         )
         if not all(corestricts):
@@ -521,9 +530,7 @@ def lift_connection(
             )
 
     ef_space = fusion.comodule.algebra.space
-    lifted = LinearMap.from_sparse_columns(
-        h.space, ef_space.tensor(ef_space), ef_cols
-    )
+    lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols, den**6)
     report = check_strong_connection(fusion.comodule, lifted)
     return LiftedConnection(fusion, sqrt, ell, lifted, corestricts, report)
 
@@ -683,18 +690,18 @@ def pullback_identification(
         lower.comodule.algebra, upper.comodule.algebra
     )
     d1 = lower.comodule.algebra.dim
-    minus_bottom = [{i: -v for i, v in col.items()} for col in bottom_of_upper.cols]
-    boundary = LinearMap.from_sparse_columns(
-        sum_alg.space, ident_ph.target, top_of_lower.cols + tuple(minus_bottom)
-    )
+    den, (top, bottom) = common_den(top_of_lower, bottom_of_upper)
+    cols = [*top, *({i: -v for i, v in col.items()} for col in bottom)]
+    boundary = LinearMap.from_sparse_columns(sum_alg.space, ident_ph.target, cols, den)
     fiber_carrier = boundary.kernel()
 
     # the blockwise coaction on the direct sum, restricted to the fiber product
+    den, (low_cols, up_cols) = common_den(lower.comodule.coaction, upper.comodule.coaction)
     blockwise = LinearMap.from_sparse_columns(
         sum_alg.space,
         sum_alg.space.tensor(h.space),
-        list(lower.comodule.coaction.cols)
-        + [{d1 * dh + pa: w for pa, w in col.items()} for col in upper.comodule.coaction.cols],
+        [*low_cols, *({d1 * dh + pa: w for pa, w in col.items()} for col in up_cols)],
+        den,
     )
     fiber_witness, fiber_com = _restrict_coaction(sum_alg, blockwise, h, fiber_carrier, "pb")
     fiber = RestrictedComodule(
@@ -736,7 +743,7 @@ def pullback_identification(
     ident_h = LinearMap.identity(h.space)
     lhs = fusion.comodule.coaction.compose(glue)
     rhs = glue.kron(ident_h).compose(fiber_com.coaction)
-    if lhs.cols != rhs.cols:
+    if (lhs.cols, lhs.den) != (rhs.cols, rhs.den):
         raise AssertionError("gluing map does not intertwine the coactions")
 
     return PullbackIdentification(inner, lower, upper, fiber, fusion, glue)

@@ -14,7 +14,6 @@ because the scalar factor has dimension one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     CheckReport,
@@ -27,9 +26,8 @@ from .algebra import (
 from .groups import FiniteGroup
 from .linalg import (
     LinearMap,
-    Q1,
     Space,
-    integer_scaled,
+    common_den,
     linear_combination,
     on_left,
     on_right,
@@ -56,11 +54,6 @@ class HopfAlgebra:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.algebra.labels
-
-    @property
-    def counit_values(self) -> dict[int, Fraction]:
-        """ε(e_i) for each basis vector e_i, as a sparse vector."""
-        return {i: col[0] for i, col in enumerate(self.counit.cols) if col}
 
 
 def make_hopf(
@@ -95,9 +88,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     coproduct_unital, counit_multiplicative, counit_unital,
     antipode_left, antipode_right, antipode_bijective.
 
-    The table, Δ, ε, S and the unit are scaled once to integers over
-    their common denominator D (:func:`~fusionalg.linalg.integer_scaled`),
-    so a side that multiplies k scaled constants is D^k times its value.
+    The table, Δ, ε, S and the unit are read over their common
+    denominator D (:func:`~fusionalg.linalg.common_den`), so a side that
+    multiplies k scaled constants is D^k times its value.
     Both sides of coassociativity, coproduct_unital and
     counit_multiplicative have k = 2; the counit laws compare with
     D²·e_i and counit_unital with D²; Δ(e_i·e_j) (k = 2) is multiplied
@@ -105,12 +98,8 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     with D·ε(e_i)·1.  Bijectivity of S composes the stored maps.
     """
     n = h.dim
-    den, (flat, delta, s_cols, eps_cols, (unit,)) = integer_scaled(
-        (p for row in h.algebra.table for p in row),  # flat[i·n + j] = e_i·e_j
-        h.coproduct.cols,
-        h.antipode.cols,
-        h.counit.cols,
-        (h.algebra.unit,),
+    den, ((flat, unit), delta, s_cols, eps_cols) = common_den(  # flat[i·n + j] = e_i·e_j
+        h.algebra, h.coproduct, h.antipode, h.counit
     )
     eps = [col.get(0, 0) for col in eps_cols]
     d2 = den * den
@@ -202,13 +191,13 @@ def function_hopf(group: FiniteGroup) -> HopfAlgebra:
     labels = tuple(f"δ{name}" for name in group.names)
     algebra = function_algebra(n, labels)
     space = algebra.space
-    cop_cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    cop_cols: list[dict[int, int]] = [{} for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            cop_cols[group.table[a][b]][a * n + b] = Q1
+            cop_cols[group.table[a][b]][a * n + b] = 1
     coproduct = LinearMap.from_sparse_columns(space, space.tensor(space), cop_cols)
     counit = LinearMap.from_sparse_columns(
-        space, Space.scalar(), ({0: Q1} if g == group.identity else {} for g in range(n))
+        space, Space.scalar(), ({0: 1} if g == group.identity else {} for g in range(n))
     )
     return make_hopf(algebra, coproduct, counit, _inversion(group, space))
 
@@ -217,20 +206,18 @@ def group_hopf(group: FiniteGroup) -> HopfAlgebra:
     """The group algebra: basis the group, grouplike coproduct Δg = g⊗g."""
     n = group.order
     space = Space(tuple(group.names))
-    table = [
-        [{group.table[a][b]: Q1} for b in range(n)] for a in range(n)
-    ]
-    algebra = FDAlgebra(space, table, {group.identity: Q1})
+    table = [[{group.table[a][b]: 1} for b in range(n)] for a in range(n)]
+    algebra = FDAlgebra(space, table, {group.identity: 1})
     coproduct = LinearMap.from_sparse_columns(
-        space, space.tensor(space), ({g * n + g: Q1} for g in range(n))
+        space, space.tensor(space), ({g * n + g: 1} for g in range(n))
     )
-    counit = LinearMap.from_sparse_columns(space, Space.scalar(), ({0: Q1} for _ in range(n)))
+    counit = LinearMap.from_sparse_columns(space, Space.scalar(), ({0: 1} for _ in range(n)))
     return make_hopf(algebra, coproduct, counit, _inversion(group, space))
 
 
 def _inversion(group: FiniteGroup, space: Space) -> LinearMap:
     """The antipode of both group constructions: e_g -> e_{g^-1}."""
-    cols = ({group.inverse[g]: Q1} for g in range(group.order))
+    cols = ({group.inverse[g]: 1} for g in range(group.order))
     return LinearMap.from_sparse_columns(space, space, cols)
 
 

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals with labeled bases.
 
-Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  A sparse vector is a dict from basis index to nonzero
-Fraction, summed with :func:`accumulate`.  A linear map f: V -> W is
-stored as its dim(V) columns, each the sparse image of a basis vector,
-and it takes and returns sparse vectors; a dense row-major matrix enters
-and leaves only at the document boundary.
+A sparse vector is a dict from basis index to a nonzero entry.  A linear
+map f: V -> W is stored as its dim(V) columns, each the sparse image of a
+basis vector, in ``int`` entries over one least positive ``den``: rational
+input is scaled once, when the map is built or decoded.  The kernels
+(:func:`linear_combination`, :func:`on_left`, :func:`on_right`,
+:func:`tensor_mul`) sum sparse ``int`` vectors.  ``fractions.Fraction``
+is left where it is the data: subspace bases, solutions, refutations,
+and the dense matrices at the document boundary.
 
 One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
@@ -24,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from fractions import Fraction
 from math import gcd, lcm
@@ -73,7 +76,7 @@ class Space:
 
 # ---------------------------------------------------------------- vectors
 
-def tensor_vec(u: dict, v: dict, dim_v: int) -> dict[int, Fraction]:
+def tensor_vec(u: dict, v: dict, dim_v: int) -> dict:
     """u (x) v for sparse vectors in the flattened left-major ordering,
     where v lives in a space of dimension ``dim_v``.  Two constants are
     multiplied only when neither is 1."""
@@ -108,7 +111,7 @@ def linear_combination(vectors, coeffs: dict) -> dict:
 
 
 # One structure map, given by its sparse columns, on one tensor leg, and the
-# product in A (x) B: sparse int or Fraction vectors in, no zeros stored out.
+# product in A (x) B: sparse int vectors in, no zeros stored out.
 
 def on_left(vec: dict, f_cols, width: int) -> dict:
     """(f (x) id)(vec) for vec in V (x) W, where dim W = ``width``."""
@@ -152,30 +155,38 @@ def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int) -> di
     return nonzero(acc)
 
 
-def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
-    """Vectors scaled to integers over one common denominator.
-
-    Each family is an iterable of sparse vectors.  Returns D, the least
-    positive integer with D·v an integer for every entry v of every
-    vector, and each family as the list of its vectors times D: sparse
-    ``int`` vectors with no zeros stored and the keys in the vector's own
-    order.  Every empty vector comes back as one shared ``{}``, which no
-    caller may mutate: most entries of a structure table are empty.  A
-    sum of products of k entries computed on the scaled vectors is D^k
-    times its rational value, so an identity whose two sides have k and
-    k' factors holds exactly when it holds on the scaled vectors after
-    the side with fewer factors is multiplied by D^|k - k'|.
-    """
-    families = [list(family) for family in families]
-    den = lcm(*{v.denominator for family in families for vec in family for v in vec.values()})
-    empty: dict = {}
-    return den, [
-        [
-            {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v} if vec else empty
-            for vec in family
+def integer_scaled(vectors, den: int = 1) -> tuple[int, list[dict[int, int]]]:
+    """The list of sparse rational vectors v/den as integers over their
+    least common denominator D: returns D and the vectors times D/den,
+    with ``int`` entries, no zeros stored and the keys in each vector's
+    own order.  A vector that needs no change comes back as itself."""
+    values = [*chain.from_iterable(map(dict.values, filter(None, vectors)))]
+    if 0 in values or any(type(v) is not int for v in values):
+        scale = lcm(*(v.denominator for v in values))
+        vectors = [
+            {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v} if vec else vec
+            for vec in vectors
         ]
-        for family in families
-    ]
+        den, values = den * scale, [*chain.from_iterable(map(dict.values, filter(None, vectors)))]
+    g = gcd(den, *values)
+    if g != 1:
+        vectors = [{k: v // g for k, v in vec.items()} if vec else vec for vec in vectors]
+    return den // g, vectors
+
+
+def common_den(*parts) -> tuple[int, list]:
+    """D, the lcm of the ``den`` of each part (a map, an algebra or a
+    square-root pair), and the integers of each part over D, its
+    ``over(D)``.  A sum of products of k of them is D^k times its
+    rational value."""
+    den = lcm(*(part.den for part in parts))
+    return den, [part.over(den) for part in parts]
+
+
+def rationals(vec: dict[int, int], den: int) -> dict:
+    """A sparse integer vector over ``den`` as exact rational entries:
+    as it is over 1, else in Fractions."""
+    return vec if den == 1 else {k: Fraction(v, den) for k, v in vec.items()}
 
 
 def components(n: int, groups) -> list[int]:
@@ -224,9 +235,9 @@ def rref(rows) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
         if not vec:
             continue
         lead = min(vec)
-        scale = vec[lead]
-        if scale != 1:
-            vec = {k: v / scale for k, v in vec.items()}
+        if vec[lead] != 1:
+            inverse = Q1 / vec[lead]  # a Fraction, for int rows too
+            vec = {k: v * inverse for k, v in vec.items()}
         for other in echelon.values():
             c = other.get(lead)
             if c:
@@ -255,44 +266,46 @@ def kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
 class LinearMap:
     """A linear map given by the sparse columns of its matrix.
 
-    ``cols[j]`` is the image of the j-th source basis vector, a sparse
-    vector of the target with no zeros stored, so literal equality of the
-    fields is equality of maps.  A dense row-major matrix enters only
-    through the constructor and leaves only through :attr:`rows`.
+    ``cols[j]`` is ``den`` times the image of the j-th source basis
+    vector, a sparse ``int`` vector of the target with no zeros stored,
+    and ``den`` is the least positive integer that makes every entry an
+    integer, so literal equality of the fields is equality of maps.
+    Every constructor scales its rational input once; a dense row-major
+    matrix enters only through the constructor and leaves only through
+    :attr:`rows`.
     """
 
     source: Space
     target: Space
-    cols: tuple[dict[int, Fraction], ...]
+    cols: tuple[dict[int, int], ...]
+    den: int
 
     def __init__(self, source: Space, target: Space, rows):
         """The map whose dense row-major matrix is ``rows``."""
         if len(rows) != target.dim:
             raise ValueError("dimension mismatch: wrong number of rows")
-        cols: list[dict[int, Fraction]] = [{} for _ in range(source.dim)]
-        for i, row in enumerate(rows):
-            if len(row) != source.dim:
-                raise ValueError("dimension mismatch: wrong row length")
-            for j, v in enumerate(row):
-                if v != 0:
-                    cols[j][i] = v
-        self._set(source, target, cols)
+        if any(len(row) != source.dim for row in rows):
+            raise ValueError("dimension mismatch: wrong row length")
+        cols = [{i: row[j] for i, row in enumerate(rows)} for j in range(source.dim)]
+        self._set(source, target, cols, 1)  # the scaling drops the zero entries
 
-    def _set(self, source: Space, target: Space, cols) -> None:
-        cols = tuple({i: v for i, v in col.items() if v != 0} for col in cols)
+    def _set(self, source: Space, target: Space, cols, den: int) -> None:
+        den, cols = integer_scaled([nonzero(col) for col in cols], den)
         if len(cols) != source.dim:
             raise ValueError("dimension mismatch: wrong number of columns")
         if any(not 0 <= i < target.dim for col in cols for i in col):
             raise ValueError("dimension mismatch: column entry outside the target")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "den", den)
 
     @staticmethod
-    def from_sparse_columns(source: Space, target: Space, cols) -> "LinearMap":
-        """The map whose column j is the sparse vector ``cols[j]``."""
+    def from_sparse_columns(source: Space, target: Space, cols, den: int = 1) -> "LinearMap":
+        """The map whose column j is the sparse rational vector
+        ``cols[j]/den``."""
         f = object.__new__(LinearMap)
-        f._set(source, target, cols)
+        f._set(source, target, cols, den)
         return f
 
     @staticmethod
@@ -311,55 +324,55 @@ class LinearMap:
 
     @staticmethod
     def identity(space: Space) -> "LinearMap":
-        return LinearMap.from_sparse_columns(space, space, ({i: Q1} for i in range(space.dim)))
+        return LinearMap.from_sparse_columns(space, space, ({i: 1} for i in range(space.dim)))
+
+    def over(self, den: int) -> tuple[dict[int, int], ...]:
+        """The columns over ``den``, a multiple of :attr:`den`."""
+        f = den // self.den
+        return self.cols if f == 1 else tuple({i: v * f for i, v in c.items()} for c in self.cols)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense row-major matrix."""
-        return tuple(
-            tuple(col.get(i, Q0) for col in self.cols) for i in range(self.target.dim)
-        )
+        """The dense row-major matrix, in Fractions."""
+        cols = [{i: Fraction(v, self.den) for i, v in col.items()} for col in self.cols]
+        return tuple(tuple(col.get(i, Q0) for col in cols) for i in range(self.target.dim))
 
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """The image of a sparse vector."""
-        out: dict[int, Fraction] = {}
+    def apply(self, vec: dict) -> dict:
+        """The image of a sparse rational vector, in exact rationals."""
+        out: dict = {}
         for j, x in vec.items():
             for i, v in self.cols[j].items():
                 accumulate(out, i, v * x)
-        return out
+        return rationals(out, self.den)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self . other)."""
         if other.target.dim != self.source.dim:
             raise ValueError("dimension mismatch in composition")
-        return LinearMap.from_sparse_columns(
-            other.source, self.target, [self.apply(col) for col in other.cols]
-        )
+        cols = [linear_combination(self.cols, col) for col in other.cols]
+        return LinearMap.from_sparse_columns(other.source, self.target, cols, self.den * other.den)
 
     def sub(self, other: "LinearMap") -> "LinearMap":
         if self.source.dim != other.source.dim or self.target.dim != other.target.dim:
             raise ValueError("dimension mismatch in difference")
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            col = dict(a)
-            _subtract(col, Q1, b)
-            cols.append(col)
-        return LinearMap.from_sparse_columns(self.source, self.target, cols)
+        den = lcm(self.den, other.den)
+        coeffs = {0: den // self.den, 1: -(den // other.den)}
+        cols = [linear_combination(pair, coeffs) for pair in zip(self.cols, other.cols)]
+        return LinearMap.from_sparse_columns(self.source, self.target, cols, den)
 
     def kron(self, other: "LinearMap") -> "LinearMap":
         """Tensor product of maps in the global left-major ordering, each
         column a :func:`tensor_vec`."""
         n2 = other.target.dim
         cols = [tensor_vec(fa, gb, n2) for fa in self.cols for gb in other.cols]
-        return LinearMap.from_sparse_columns(
-            self.source.tensor(other.source), self.target.tensor(other.target), cols
-        )
+        source, target = self.source.tensor(other.source), self.target.tensor(other.target)
+        return LinearMap.from_sparse_columns(source, target, cols, self.den * other.den)
 
     def rank(self) -> int:
         return len(rref(self.cols)[1])
 
     def kernel(self) -> "Subspace":
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows.setdefault(i, {})[j] = v
@@ -370,20 +383,20 @@ class LinearMap:
         return Subspace(self.target, *rref(self.cols))
 
     def inverse(self) -> "LinearMap | None":
-        # [A^T | I] reduces to [I | (A^-1)^T]: row j carries column j of A^-1
+        # [A^T | I] reduces to [I | (A^-1)^T]: row j carries column j of
+        # A^-1, here of (den·A)^-1 = A^-1/den
         n = self.source.dim
         if self.target.dim != n:
             return None
-        rr, pivots = rref({**col, n + j: Q1} for j, col in enumerate(self.cols))
+        rr, pivots = rref({**col, n + j: 1} for j, col in enumerate(self.cols))
         if pivots != tuple(range(n)):
             return None
-        cols = ({k - n: v for k, v in row.items() if k >= n} for row in rr)
+        cols = ({k - n: v * self.den for k, v in row.items() if k >= n} for row in rr)
         return LinearMap.from_sparse_columns(self.target, self.source, cols)
 
     def is_identity(self) -> bool:
-        return self.source.dim == self.target.dim and all(
-            col == {j: Q1} for j, col in enumerate(self.cols)
-        )
+        identity = tuple({j: 1} for j in range(self.source.dim))
+        return self.target.dim == self.source.dim and self.den == 1 and self.cols == identity
 
 
 # ---------------------------------------------------------------- subspaces
@@ -445,8 +458,7 @@ class Subspace:
     @cached_property
     def scaled_basis(self) -> tuple[int, list[dict[int, int]]]:
         """D and D·basis, the echelon basis over its common denominator."""
-        den, (basis,) = integer_scaled(self.basis)
-        return den, basis
+        return integer_scaled(self.basis)
 
     def int_coordinates(self, vec: dict[int, int]) -> dict[int, int] | None:
         """Coordinates of a sparse integer vector with no zeros stored, or
@@ -463,7 +475,7 @@ class Subspace:
 
     def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """Sparse coordinates of vec in the echelon basis, or None if outside."""
-        _, ((scaled,),) = integer_scaled((vec,))
+        _, (scaled,) = integer_scaled([vec])
         coords = self.int_coordinates(scaled)
         return None if coords is None else {i: vec[self.pivots[i]] for i in coords}
 
@@ -617,12 +629,8 @@ class LinearSystem:
         return templates
 
     def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
-        den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
-        return self.add_int_row(
-            {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()},
-            rhs.numerator * (den // rhs.denominator),
-            den,
-        )
+        den, (coeffs, rhs) = integer_scaled([coeffs, {0: rhs}])
+        return self.add_int_row(coeffs, rhs.get(0, 0), den)
 
     def _template(self, k: int) -> tuple[dict[int, int], int, int, int]:
         """Row k as ``(template coeffs, rhs, scale, shift)``."""
@@ -663,10 +671,8 @@ class LinearSystem:
         # The multiplier of stored row k is farkas[k] / scale_k; bring
         # them all over one denominator and combine in integers.
         per_row = {k: Fraction(v) / self.row(k)[2] for k, v in farkas.items()}
-        den = lcm(*(v.denominator for v in per_row.values()))
-        coeffs, rhs = self._combine_int(
-            {k: v.numerator * (den // v.denominator) for k, v in per_row.items()}
-        )
+        den, (mults,) = integer_scaled([per_row])
+        coeffs, rhs = self._combine_int(mults)
         return {c: Fraction(v, den) for c, v in coeffs.items()}, Fraction(rhs, den)
 
     @staticmethod

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +77,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet
 from .hopf import HopfAlgebra, check_hopf, make_hopf
-from .linalg import Infeasibility, LinearMap, Q0, Space
+from .linalg import Infeasibility, LinearMap, Q0, Space, rationals
 
 TOOL_NAME = "fusionalg"
 
@@ -117,10 +118,14 @@ def _fields(
 # "p" and "p/q" in ASCII digits, the spellings documents use; int() reads
 # them as Fraction(str) would, and every other spelling goes to Fraction
 _PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+# The exponent of a spelling like "1e5000": Fraction(str) writes out 10 to
+# its power, so it is held to the digit limit int() keeps on the others.
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 def rational_from_obj(v, where: str = "value") -> Fraction:
-    """An exact rational from an int or a "p/q" string."""
+    """An exact rational from an int or a "p/q" string.  A spelling with
+    an exponent beyond ``sys.get_int_max_str_digits()`` is refused."""
     if isinstance(v, bool):
         _fail(where, "expected a rational, got a boolean")
     if isinstance(v, int):
@@ -133,9 +138,12 @@ def rational_from_obj(v, where: str = "value") -> Fraction:
                 sign, num, den = m.groups()
                 num = -int(num) if sign else int(num)
                 return Fraction(num) if den is None else Fraction(num, int(den))
-            return Fraction(v)
+            exponent, limit = _EXPONENT.search(v), sys.get_int_max_str_digits()
+            if not (exponent and limit and abs(int(exponent[1])) > limit):
+                return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             _fail(where, f"not a rational: {v!r} ({exc})")
+        _fail(where, f"not a rational: {v!r} (its exponent exceeds {limit} digits)")
     _fail(where, f"expected a rational, got {type(v).__name__}")
 
 
@@ -180,7 +188,7 @@ def vector_from_obj(obj, length: int, where: str) -> tuple[Fraction, ...]:
     )
 
 
-def vector_to_obj(vec: dict[int, Fraction], length: int) -> list[str]:
+def vector_to_obj(vec: dict, length: int) -> list[str]:
     """A sparse vector written out with ``length`` coordinates."""
     return [rational_to_obj(vec.get(i, Q0)) for i in range(length)]
 
@@ -204,7 +212,9 @@ def dense_map_to_obj(m: LinearMap) -> list[list[str]]:
 def sparse_map_to_obj(m: LinearMap) -> dict:
     """{"rows", "cols", "entries": [[i, j, "p/q"], ...]} sorted row-major."""
     entries = sorted(
-        [i, j, rational_to_obj(v)] for j, col in enumerate(m.cols) for i, v in col.items()
+        [i, j, rational_to_obj(v)]
+        for j, col in enumerate(m.cols)
+        for i, v in rationals(col, m.den).items()
     )
     return {"rows": m.target.dim, "cols": m.source.dim, "entries": entries}
 
@@ -254,12 +264,12 @@ def algebra_to_obj(a: FDAlgebra) -> dict:
         [i, j, k, rational_to_obj(v)]
         for i, row in enumerate(a.table)
         for j, prod in enumerate(row)
-        for k, v in sorted(prod.items())
+        for k, v in sorted(rationals(prod, a.den).items())
     ]
     return {
         "kind": "algebra",
         "labels": list(a.labels),
-        "unit": vector_to_obj(a.unit, a.dim),
+        "unit": vector_to_obj(rationals(a.unit, a.den), a.dim),
         "mult": mult,
     }
 

@@ -15,20 +15,27 @@ algebras, Hopf algebras, comodule algebras and strong connections, the
 restriction of a product to a subspace, the reduction into a tensor
 product of subspaces and the lift of a connection through the fusion as
 the library computed them in ``Fraction`` arithmetic, as references for
-the integer-scaled ones."""
+the integer-scaled ones, and the check of an algebra map, :func:`check_hom`.
+
+The references keep their own ``Fraction`` loops (:func:`accumulate`,
+:func:`mul_sparse`, :func:`delta_L` and the library's earlier multi-family
+:func:`integer_scaled`), and they read the integer columns of a map and
+the integer table and unit of an algebra through their ``den``, with
+:func:`fcols`, :func:`ftable` and :func:`funit`."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from fusionalg.algebra import (
+    AlgebraHom,
     CheckReport,
     ClosureError,
     FDAlgebra,
     Failure,
+    HomReport,
     SubalgebraWitness,
-    mul_sparse,
 )
-from fusionalg.comodule import ComoduleAlgebra, delta_L
+from fusionalg.comodule import ComoduleAlgebra
 from fusionalg.fusion import EquivariantFusion, LiftedConnection, SqrtPair
 from fusionalg.hopf import HopfAlgebra, sweedler_legs
 from fusionalg.linalg import (
@@ -37,12 +44,98 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
-    accumulate,
-    integer_scaled,
 )
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+def fcols(f: LinearMap) -> list[dict[int, Fraction]]:
+    """The columns of a map as ``Fraction`` vectors: its ``cols`` over its
+    ``den``."""
+    return [{i: Fraction(v, f.den) for i, v in col.items()} for col in f.cols]
+
+
+def ftable(a: FDAlgebra) -> list[list[dict[int, Fraction]]]:
+    """The structure constants of an algebra as ``Fraction`` vectors."""
+    return [[{k: Fraction(v, a.den) for k, v in p.items()} for p in row] for row in a.table]
+
+
+def funit(a: FDAlgebra) -> dict[int, Fraction]:
+    """The unit of an algebra as a ``Fraction`` vector."""
+    return {k: Fraction(v, a.den) for k, v in a.unit.items()}
+
+
+def counit_values(h: HopfAlgebra) -> dict[int, Fraction]:
+    """ε(e_i) for each basis vector e_i, as a sparse vector."""
+    return {i: col[0] for i, col in enumerate(fcols(h.counit)) if col}
+
+
+def accumulate(acc: dict, key, val) -> None:
+    """Add ``val`` at ``key`` of a sparse vector, dropping a zero sum."""
+    nv = acc.get(key, Q0) + val
+    if nv == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = nv
+
+
+def apply(f: LinearMap, vec: dict) -> dict[int, Fraction]:
+    """The image of a sparse vector under f, summed in ``Fraction``s."""
+    out: dict[int, Fraction] = {}
+    cols = fcols(f)
+    for j, x in vec.items():
+        for i, v in cols[j].items():
+            accumulate(out, i, v * x)
+    return out
+
+
+def mul_sparse(table, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Product of sparse vectors through a structure-constant table."""
+    acc: dict[int, Fraction] = {}
+    for i, a in x.items():
+        row = table[i]
+        for j, b in y.items():
+            ab = a * b
+            for k, c in row[j].items():
+                accumulate(acc, k, ab * c)
+    return acc
+
+
+def linear_combination(vectors, coeffs: dict) -> dict:
+    """Σ coeffs[k]·vectors[k] for sparse vectors, with no zeros stored."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        for i, v in vectors[k].items():
+            acc[i] = acc.get(i, 0) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def delta_L(c: ComoduleAlgebra) -> list[dict[int, Fraction]]:
+    """The columns of the left coaction P -> H (x) P, x -> S^{-1}(x_(1))
+    (x) x_(0): the coaction followed by e_q (x) e_a -> S^{-1}(e_a) (x) e_q."""
+    p, h = c.algebra, c.hopf
+    dp, s_inv = p.dim, fcols(h.antipode_inv)
+    flip = [{b * dp + q: v for b, v in s_inv[a].items()} for q in range(dp) for a in range(h.dim)]
+    return [linear_combination(flip, col) for col in fcols(c.coaction)]
+
+
+def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
+    """Each family of sparse ``Fraction`` vectors times D, the least
+    positive integer that makes every entry of every vector an integer."""
+    families = [list(family) for family in families]
+    den = lcm(*{v.denominator for family in families for vec in family for v in vec.values()})
+    return den, [
+        [{k: v.numerator * (den // v.denominator) for k, v in vec.items() if v} for vec in family]
+        for family in families
+    ]
+
+
+def coordinates(sub: Subspace, vec: dict) -> dict[int, Fraction] | None:
+    """Coordinates of a sparse vector in the echelon basis, or None if it
+    lies outside: the reduction by the basis leaves no remainder."""
+    coords, remainder = sub.decompose(vec)
+    return None if remainder else coords
 
 
 def dense(vec: dict, n: int) -> tuple[Fraction, ...]:
@@ -366,11 +459,11 @@ def connection_rows(c: ComoduleAlgebra, require_unital: bool) -> list:
     system = LinearSystem(dp * dp * dh)
 
     den, (delta, dl, mult, cop, (unit_p, unit_h)) = integer_scaled(
-        c.coaction.cols,
-        delta_L(c).cols,
-        (prod for row in p.table for prod in row),
-        h.coproduct.cols,
-        (p.unit, h.algebra.unit),
+        fcols(c.coaction),
+        delta_L(c),
+        (prod for row in ftable(p) for prod in row),
+        fcols(h.coproduct),
+        (funit(p), funit(h.algebra)),
     )
 
     def rows_of(cols, n_rows):
@@ -450,9 +543,9 @@ def connection_rows(c: ComoduleAlgebra, require_unital: bool) -> list:
 def check_algebra(alg: FDAlgebra) -> CheckReport:
     """Associativity plus two-sided unit, with the first failing witness."""
     n = alg.dim
-    table = alg.table
+    table = ftable(alg)
     failures: list[Failure] = []
-    unit = alg.unit
+    unit = funit(alg)
 
     assoc_failure = None
     for i in range(n):
@@ -503,11 +596,11 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     """
     failures: list[Failure] = list(check_algebra(h.algebra).failures)
     n = h.dim
-    table = h.algebra.table
-    delta = h.coproduct.cols
-    eps = dense(h.counit_values, n)
-    s_cols = h.antipode.cols
-    unit = h.algebra.unit
+    table = ftable(h.algebra)
+    delta = fcols(h.coproduct)
+    eps = dense(counit_values(h), n)
+    s_cols = fcols(h.antipode)
+    unit = funit(h.algebra)
 
     # coassociativity: both iterated coproducts agree on every basis vector
     for i in range(n):
@@ -571,7 +664,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
         if not mult_ok:
             break
         for j in range(n):
-            lhs = h.coproduct.apply(table[i][j])
+            lhs = apply(h.coproduct, table[i][j])
             rhs = tensor_square_product(delta[i], delta[j])
             if lhs != rhs:
                 failures.append(
@@ -587,7 +680,7 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     unit_sq = {
         p * n + q: a * b for p, a in unit.items() for q, b in unit.items()
     }
-    if h.coproduct.apply(unit) != unit_sq:
+    if apply(h.coproduct, unit) != unit_sq:
         failures.append(Failure("coproduct_unital", "Δ(1) is not 1⊗1"))
 
     eps_mult_ok = True
@@ -661,17 +754,17 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
     failures: list[Failure] = []
-    dcols = c.coaction.cols
-    cop_cols = h.coproduct.cols
-    ptab, htab = p.table, h.algebra.table
-    eps = dense(h.counit_values, dh)
+    dcols = fcols(c.coaction)
+    cop_cols = fcols(h.coproduct)
+    ptab, htab = ftable(p), ftable(h.algebra)
+    eps = dense(counit_values(h), dh)
 
     mult_ok = True
     for i in range(dp):
         if not mult_ok:
             break
         for j in range(dp):
-            lhs = c.coaction.apply(ptab[i][j])
+            lhs = apply(c.coaction, ptab[i][j])
             rhs: dict[int, Fraction] = {}
             for pa, va in dcols[i].items():
                 pi, ai = divmod(pa, dh)
@@ -692,8 +785,8 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
                 mult_ok = False
                 break
 
-    expected_unit = sparse(tensor_vec(dense(p.unit, dp), dense(h.algebra.unit, dh)))
-    if c.coaction.apply(p.unit) != expected_unit:
+    expected_unit = sparse(tensor_vec(dense(funit(p), dp), dense(funit(h.algebra), dh)))
+    if apply(c.coaction, funit(p)) != expected_unit:
         failures.append(Failure("coaction_unital", "δ(1) is not 1⊗1"))
 
     for j in range(dp):
@@ -737,9 +830,9 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1."""
     dp = c.algebra.dim
-    unit_p = c.algebra.unit
+    unit_p = funit(c.algebra)
     unit_pp = {i * dp + j: a * b for i, a in unit_p.items() for j, b in unit_p.items()}
-    return ell.apply(c.hopf.algebra.unit) == unit_pp
+    return apply(ell, funit(c.hopf.algebra)) == unit_pp
 
 
 
@@ -757,13 +850,13 @@ def check_strong_connection(
         raise ValueError("connection has wrong shape")
     failures: list[Failure] = []
 
-    ell_cols = ell.cols
-    delta_cols = c.coaction.cols
-    cop_cols = h.coproduct.cols
-    ptab = p.table
-    eps = dense(h.counit_values, dh)
-    unit_p = p.unit
-    dl_cols = delta_L(c).cols
+    ell_cols = fcols(ell)
+    delta_cols = fcols(c.coaction)
+    cop_cols = fcols(h.coproduct)
+    ptab = ftable(p)
+    eps = dense(counit_values(h), dh)
+    unit_p = funit(p)
+    dl_cols = delta_L(c)
 
     for col in range(dh):
         lhs: dict[int, Fraction] = {}
@@ -851,6 +944,36 @@ def check_strong_connection(
     return CheckReport(not failures, tuple(failures))
 
 
+def check_hom(hom: AlgebraHom) -> HomReport:
+    """f(xy) = f(x)f(y) on basis pairs and f(1) = 1 in ``Fraction``
+    arithmetic, with the first failing pair, plus rank data from the
+    dense echelon form."""
+    a, b, f = hom.source, hom.target, hom.map
+    table_a, table_b, cols = ftable(a), ftable(b), fcols(f)
+    failures: list[Failure] = []
+    for i in range(a.dim):
+        if failures:
+            break
+        for j in range(a.dim):
+            if apply(f, table_a[i][j]) != mul_sparse(table_b, cols[i], cols[j]):
+                failures.append(
+                    Failure("multiplicative", f"f(e{i}·e{j}) differs from f(e{i})·f(e{j})", (i, j))
+                )
+                break
+    if apply(f, funit(a)) != funit(b):
+        failures.append(Failure("unital", "f(1) is not the target unit"))
+    failed = {failure.axiom for failure in failures}
+    rank = len(rref(f.rows)[1])
+    return HomReport(
+        ok=not failures,
+        multiplicative="multiplicative" not in failed,
+        unital="unital" not in failed,
+        injective=rank == a.dim,
+        surjective=rank == b.dim,
+        failures=tuple(failures),
+    )
+
+
 # ---------------------------------------------------------------- carrier restriction and lift
 
 
@@ -864,14 +987,15 @@ def subalgebra_from_subspace(
     d = sub.dim
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
+    ambient_table = ftable(ambient)
     for i, left in enumerate(sub.basis):
         for j, right in enumerate(sub.basis):
-            prod = mul_sparse(ambient.table, left, right)
-            coords = sub.coordinates(prod)
+            prod = mul_sparse(ambient_table, left, right)
+            coords = coordinates(sub, prod)
             if coords is None:
                 raise ClosureError(i, j, dict(sorted(prod.items())))
             table[i][j] = coords
-    unit = sub.coordinates(ambient.unit)
+    unit = coordinates(sub, funit(ambient))
     unital = unit is not None
     algebra = FDAlgebra(space, table, unit if unital else {})
     inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
@@ -891,7 +1015,7 @@ def tensor_coordinates(
         columns.setdefault(j, {})[i] = val
     rows: dict[int, dict[int, Fraction]] = {}
     for j, col in columns.items():
-        alpha = left.coordinates(col)
+        alpha = coordinates(left, col)
         if alpha is None:
             return None
         for k, a in alpha.items():
@@ -899,7 +1023,7 @@ def tensor_coordinates(
     dv = right.dim
     coords: dict[int, Fraction] = {}
     for k in sorted(rows):
-        c = right.coordinates(rows[k])
+        c = coordinates(right, rows[k])
         if c is None:
             return None
         for l, v in c.items():
@@ -916,23 +1040,24 @@ def lift_connection(fusion: EquivariantFusion, sqrt: SqrtPair, ell: LinearMap) -
     dp, dh = inner.algebra.dim, h.dim
     amb_dim = fusion.ambient.dim
     s, sp = sqrt.vanish_at_zero, sqrt.vanish_at_one
-    unit_p = inner.algebra.unit
-    s_cols = h.antipode.cols
+    unit_p = funit(inner.algebra)
+    s_cols = fcols(h.antipode)
+    ell_cols, cop_cols, legs3_cols = fcols(ell), fcols(h.coproduct), fcols(sweedler_legs(h, 3))
     columns: list[dict[int, Fraction]] = []
     for c in range(dh):
         col: dict[int, Fraction] = {}
-        for abd, v3 in sweedler_legs(h, 3).cols[c].items():
+        for abd, v3 in legs3_cols[c].items():
             ab, d = divmod(abd, dh)
             a, b = divmod(ab, dh)
             for a2, sv in s_cols[a].items():
-                for r, lv in ell.cols[b].items():
+                for r, lv in ell_cols[b].items():
                     p1, p2 = divmod(r, dp)
                     for k1, sk1 in s.items():
                         block = ((k1 * dp + p1) * dh + a2) * amb_dim
                         for k2, sk2 in s.items():
                             key = block + (k2 * dp + p2) * dh + d
                             accumulate(col, key, v3 * sv * lv * sk1 * sk2)
-        for ab, v2 in h.coproduct.cols[c].items():
+        for ab, v2 in cop_cols[c].items():
             a, b = divmod(ab, dh)
             for a2, sv in s_cols[a].items():
                 for u1, uv1 in unit_p.items():

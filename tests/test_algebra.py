@@ -17,7 +17,6 @@ from fusionalg.algebra import (
     check_hom,
     direct_sum_algebra,
     function_algebra,
-    mul_sparse,
     scalar_algebra,
     subalgebra_from_subspace,
     tensor_algebra,
@@ -141,8 +140,9 @@ def test_tensor_algebra_corner_embeddings():
     # the two corners commute elementwise and generate the product
     for i in range(a.dim):
         for j in range(b.dim):
-            x, y = left.cols[i], right.cols[j]
-            assert mul_sparse(t.table, x, y) == mul_sparse(t.table, y, x)
+            x, y = ref.fcols(left)[i], ref.fcols(right)[j]
+            table = ref.ftable(t)
+            assert ref.mul_sparse(table, x, y) == ref.mul_sparse(table, y, x)
 
 
 def two_thirds_algebra() -> FDAlgebra:
@@ -154,12 +154,13 @@ def two_thirds_algebra() -> FDAlgebra:
 def fraction_tensor_table(a: FDAlgebra, b: FDAlgebra) -> list:
     """The table of A (x) B with every pair of constants multiplied."""
     db = b.dim
+    table_a, table_b = ref.ftable(a), ref.ftable(b)
     return [
         [
             {
                 p * db + q: va * vb
-                for p, va in a.table[i][k].items()
-                for q, vb in b.table[j][l].items()
+                for p, va in table_a[i][k].items()
+                for q, vb in table_b[j][l].items()
             }
             for k in range(a.dim)
             for l in range(db)
@@ -177,7 +178,7 @@ def fraction_tensor_table(a: FDAlgebra, b: FDAlgebra) -> list:
 def test_tensor_algebra_matches_the_fraction_formula(left, right):
     """Skipping products with a constant 1 leaves every constant as the
     product gives it, on H4 (constants -1), kS3 and an algebra with the
-    constant 2/3."""
+    constant 2/3; the table holds ints over its denominator."""
     algebras = {
         "h4": lambda: sweedler_h4().algebra,
         "ks3": lambda: group_hopf(FiniteGroup.symmetric(3)).algebra,
@@ -186,9 +187,11 @@ def test_tensor_algebra_matches_the_fraction_formula(left, right):
     a, b = algebras[left](), algebras[right]()
     t = tensor_algebra(a, b)
     assert t.space == a.space.tensor(b.space)
-    assert t.table == fraction_tensor_table(a, b)
-    assert all(type(v) is Fraction for row in t.table for prod in row for v in prod.values())
-    assert t.unit == {p * b.dim + q: x * y for p, x in a.unit.items() for q, y in b.unit.items()}
+    assert ref.ftable(t) == fraction_tensor_table(a, b)
+    assert all(type(v) is int for row in t.table for prod in row for v in prod.values())
+    unit_a, unit_b = ref.funit(a), ref.funit(b)
+    expected_unit = {p * b.dim + q: x * y for p, x in unit_a.items() for q, y in unit_b.items()}
+    assert ref.funit(t) == expected_unit
     assert check_algebra(t).ok
 
 

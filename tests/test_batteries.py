@@ -10,6 +10,7 @@ cannot show.
 
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -20,26 +21,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from fusionalg import algebra as algebra_module
 from fusionalg import comodule as comodule_module
-from fusionalg import fusion as fusion_module
-from fusionalg import hopf as hopf_module
-from fusionalg import linalg as linalg_module
-from fusionalg.algebra import FDAlgebra, check_algebra, subalgebra_from_subspace
+from fusionalg.algebra import (
+    AlgebraHom,
+    FDAlgebra,
+    check_algebra,
+    check_hom,
+    function_algebra,
+    scalar_algebra,
+    subalgebra_from_subspace,
+)
 from fusionalg.classical import fun_comodule
 from fusionalg.comodule import (
     ComoduleAlgebra,
     check_comodule,
     check_strong_connection,
+    coinvariants,
     connection_unital,
     solve_strong_connection,
 )
-from fusionalg.fusion import build_equivariant_fusion, chain_interval
+from fusionalg.fusion import (
+    build_equivariant_fusion,
+    build_fusion,
+    chain_interval,
+    pullback_identification,
+)
 from fusionalg.groups import FiniteGroup, FiniteGSet, cyclic_actions
 from fusionalg.hopf import check_hopf, group_hopf, make_hopf
 from fusionalg.linalg import Infeasibility, LinearMap, components
 from fusionalg.serialize import comodule_from_obj, sparse_map_from_obj, verify_certificate
-from test_comodule import RESCALED, _rescaled_map, _squares, rescaled_comodule
+from test_comodule import (
+    RESCALED,
+    _rescaled_algebra,
+    _rescaled_map,
+    _squares,
+    rescaled_comodule,
+)
 from test_fusion import regular_comodule, self_coaction, sweedler_h4, upper_triangular_base
 
 Q = Fraction
@@ -54,7 +71,7 @@ def golden() -> ComoduleAlgebra:
 
 def bumped(f: LinearMap, col: int, row: int, delta) -> LinearMap:
     """f with ``delta`` added to the entry at (row, col)."""
-    cols = [dict(c) for c in f.cols]
+    cols = ref.fcols(f)
     cols[col][row] = cols[col].get(row, 0) + delta
     return LinearMap.from_sparse_columns(f.source, f.target, cols)
 
@@ -65,7 +82,7 @@ def leg_scaled(c: ComoduleAlgebra, ell: LinearMap, first: bool, index: int, fact
     only reads the other leg's coaction."""
     dp = c.algebra.dim
     cols = []
-    for col in ell.cols:
+    for col in ref.fcols(ell):
         cols.append(
             {
                 r: v * factor if divmod(r, dp)[0 if first else 1] == index else v
@@ -176,7 +193,7 @@ def test_splitting_mutation_reports_axiom_and_witness():
     map misses 1⊗e0 at the fixed point.)"""
     c, ell = free_orbit_connection()
     scaled = LinearMap.from_sparse_columns(
-        ell.source, ell.target, [{r: Q(5, 7) * v for r, v in col.items()} for col in ell.cols]
+        ell.source, ell.target, [{r: Q(5, 7) * v for r, v in col.items()} for col in ref.fcols(ell)]
     )
     assert failures(check_strong_connection(c, scaled)) == {
         "splitting": (0,),
@@ -225,15 +242,15 @@ def pool() -> tuple:
 
 
 def _table_bumped(a: FDAlgebra, i: int, j: int, k: int, delta) -> FDAlgebra:
-    table = [[dict(prod) for prod in row] for row in a.table]
+    table = ref.ftable(a)
     table[i][j][k] = table[i][j].get(k, 0) + delta
-    return FDAlgebra.from_structure(a.space, table, ref.dense(a.unit, a.dim))
+    return FDAlgebra.from_structure(a.space, table, ref.dense(ref.funit(a), a.dim))
 
 
 def _unit_bumped(a: FDAlgebra, i: int, delta) -> FDAlgebra:
-    unit = list(ref.dense(a.unit, a.dim))
+    unit = list(ref.dense(ref.funit(a), a.dim))
     unit[i] += delta
-    return FDAlgebra.from_structure(a.space, a.table, unit)
+    return FDAlgebra.from_structure(a.space, ref.ftable(a), unit)
 
 
 PLACES = (
@@ -297,6 +314,67 @@ def test_integer_batteries_match_the_fraction_reference(case):
         assert check_strong_connection(c, ell, unital) == ref.check_strong_connection(
             c, ell, unital
         )
+
+
+# ---------------------------------------------------------------- algebra maps
+
+
+@cache
+def hom_cases() -> dict[str, AlgebraHom]:
+    """Algebra maps of every kind the library checks: subalgebra
+    inclusions (coinvariants, fusion carriers), the end characters of a
+    chain, the pullback glue, and a map between function algebras in
+    rescaled bases, whose map and target table have denominators."""
+    cases = {}
+    for name, c in (("regular-z3", regular_comodule(3)), ("h4", self_coaction(sweedler_h4()))):
+        w = coinvariants(c)
+        cases[f"coinvariants-{name}"] = AlgebraHom(w.algebra, c.algebra, w.inclusion)
+    fusion = build_fusion(chain_interval(2), function_algebra(2), function_algebra(3))
+    cases["fusion-carrier"] = AlgebraHom(fusion.algebra, fusion.ambient, fusion.inclusion)
+    ef = build_equivariant_fusion(chain_interval(1), self_coaction(sweedler_h4()))
+    cases["equivariant-carrier"] = AlgebraHom(ef.comodule.algebra, ef.ambient, ef.inclusion)
+    base = chain_interval(3)
+    for end in ("end_zero", "end_one"):
+        cases[end] = AlgebraHom(base.algebra, scalar_algebra(), getattr(base, end))
+    glue = pullback_identification(regular_comodule(2), 1, 1)
+    cases["pullback-glue"] = AlgebraHom(glue.fiber.comodule.algebra, glue.fusion.comodule.algebra, glue.glue)
+    scales = (Q(5, 2), Q(1, 3), Q(-4))
+    a = function_algebra(3)
+    rescaled = _rescaled_algebra(a, scales)
+    # e_i = e'_i / s_i
+    back = LinearMap.from_sparse_columns(a.space, a.space, [{i: 1 / s} for i, s in enumerate(scales)])
+    assert rescaled.den != 1 and back.den != 1
+    cases["rescaled"] = AlgebraHom(a, rescaled, back)
+    return cases
+
+
+HOM_CASES = [
+    "coinvariants-h4",
+    "coinvariants-regular-z3",
+    "end_one",
+    "end_zero",
+    "equivariant-carrier",
+    "fusion-carrier",
+    "pullback-glue",
+    "rescaled",
+]
+
+
+@pytest.mark.parametrize("name", HOM_CASES)
+def test_check_hom_matches_the_fraction_reference(name):
+    """The whole report, witnesses included, is the reference's on each
+    map and on the map with one entry, first of column 0 or of the last
+    column, moved by 2/3; each moved map fails."""
+    assert sorted(hom_cases()) == HOM_CASES
+    hom = hom_cases()[name]
+    report = check_hom(hom)
+    assert report.ok and report == ref.check_hom(hom)
+    f = hom.map
+    for col in (0, f.source.dim - 1):
+        row = next(iter(f.cols[col]), 0)
+        moved = AlgebraHom(hom.source, hom.target, bumped(f, col, row, Q(2, 3)))
+        report = check_hom(moved)
+        assert not report.ok and report == ref.check_hom(moved)
 
 
 # ---------------------------------------------------------------- parts
@@ -370,14 +448,14 @@ def reindexed(c: ComoduleAlgebra, perm: list[int]) -> ComoduleAlgebra:
     p, dh = c.algebra, c.hopf.dim
     n = p.dim
     table = [[{}] * n for _ in range(n)]
-    for i, row in enumerate(p.table):
+    for i, row in enumerate(ref.ftable(p)):
         for j, prod in enumerate(row):
             table[perm[i]][perm[j]] = {perm[k]: v for k, v in prod.items()}
     cols = [{}] * n
-    for i, col in enumerate(c.coaction.cols):
+    for i, col in enumerate(ref.fcols(c.coaction)):
         cols[perm[i]] = {perm[k // dh] * dh + k % dh: v for k, v in col.items()}
     unit = [Q(0)] * n
-    for i, v in p.unit.items():
+    for i, v in ref.funit(p).items():
         unit[perm[i]] = v
     coaction = LinearMap.from_sparse_columns(c.coaction.source, c.coaction.target, cols)
     return ComoduleAlgebra(FDAlgebra.from_structure(p.space, table, unit), c.hopf, coaction)
@@ -487,7 +565,7 @@ def lifted_canonical(c: ComoduleAlgebra) -> LinearMap:
     """(m⊗id)∘(id⊗δ): P⊗P -> P⊗H, whose kernel splitting cannot see."""
     p, h = c.algebra, c.hopf
     sq = p.space.tensor(p.space)
-    mult = LinearMap.from_sparse_columns(sq, p.space, [prod for row in p.table for prod in row])
+    mult = LinearMap.from_sparse_columns(sq, p.space, [prod for row in p.table for prod in row], p.den)
     ident_p, ident_h = LinearMap.identity(p.space), LinearMap.identity(h.space)
     return mult.kron(ident_h).compose(ident_p.kron(c.coaction))
 
@@ -498,14 +576,15 @@ def connection_mutation(c: ComoduleAlgebra, ell: LinearMap, kind: str) -> Linear
     kernel of the lifted canonical map to the last column keeps splitting
     and breaks right colinearity; adding 5/7·1⊗1 as well breaks both."""
     dp, last = c.algebra.dim, c.hopf.dim - 1
-    cols = [dict(col) for col in ell.cols]
+    cols = ref.fcols(ell)
     if kind == "splitting":
         cols = [{r: Q(5, 7) * v for r, v in col.items()} for col in cols]
     else:
         added = {r: Q(2, 3) * v for r, v in lifted_canonical(c).kernel().basis[0].items()}
         if kind == "both":
-            for i, x in c.algebra.unit.items():
-                for j, y in c.algebra.unit.items():
+            unit = ref.funit(c.algebra)
+            for i, x in unit.items():
+                for j, y in unit.items():
                     added[i * dp + j] = added.get(i * dp + j, 0) + Q(5, 7) * x * y
         for r, v in added.items():
             cols[last][r] = cols[last].get(r, 0) + v
@@ -549,21 +628,20 @@ def test_connection_mutations_name_each_failing_axiom_and_column(which, kind, ex
 
 
 def test_no_battery_writes_into_a_shared_empty_vector(monkeypatch):
-    """``integer_scaled`` returns every empty vector of one call as one
-    shared ``{}``.  Every battery, the fusion builds and the replay of each
-    of the nine benchmark references leave each such ``{}`` empty."""
-    original = linalg_module.integer_scaled
-    shared = []
+    """The tables that ``tensor_algebra`` and ``subalgebra_from_subspace``
+    build hold their empty entries as one shared ``{}``, which scaling
+    the table keeps.  Every battery, the fusion builds and the replay of
+    each of the nine benchmark references leave each such ``{}`` empty."""
+    original = FDAlgebra.__post_init__
+    shared = {}
 
-    def recording(*families):
-        den, scaled = original(*families)
-        empties = {id(vec): vec for family in scaled for vec in family if not vec}
-        assert len(empties) <= 1
-        shared.extend(empties.values())
-        return den, scaled
+    def recording(self):
+        original(self)
+        empties = Counter(id(prod) for row in self.table for prod in row if not prod)
+        for row in self.table:
+            shared.update((id(prod), prod) for prod in row if not prod and empties[id(prod)] > 1)
 
-    for module in (linalg_module, algebra_module, comodule_module, fusion_module, hopf_module):
-        monkeypatch.setattr(module, "integer_scaled", recording)
+    monkeypatch.setattr(FDAlgebra, "__post_init__", recording)
     for path in REFS:
         cert = json.loads(path.read_text())
         scn, result = cert["scenario"], cert["result"]
@@ -577,4 +655,4 @@ def test_no_battery_writes_into_a_shared_empty_vector(monkeypatch):
                 assert check_strong_connection(com, ell).ok
                 connection_unital(com, ell)
         assert verify_certificate(cert) == (True, [])
-    assert shared and all(vec == {} for vec in shared)
+    assert shared and all(vec == {} for vec in shared.values())

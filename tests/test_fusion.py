@@ -433,9 +433,10 @@ def test_subspace_kron_pivots():
 
 def tensor_coordinates(u: Subspace, v: Subspace, vec: dict):
     """``_tensor_coordinates`` of a sparse rational vector, scaled to
-    integers over its denominator."""
-    den, ((scaled,),) = integer_scaled((vec,))
-    return _tensor_coordinates(u, v, scaled, den)
+    integers over its denominator and read back over it."""
+    den, (scaled,) = integer_scaled([vec])
+    coords = _tensor_coordinates(u, v, scaled)
+    return None if coords is None else {k: Q(c, den) for k, c in coords.items()}
 
 
 @settings(max_examples=80)
@@ -539,9 +540,9 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
     ef, pair, ell = _regular_z2_lift()
     calls = []
 
-    def counted(left, right, vec, den):
+    def counted(left, right, vec):
         calls.append((left, right))
-        return _tensor_coordinates(left, right, vec, den)
+        return _tensor_coordinates(left, right, vec)
 
     monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
     lifted = lift_connection(ef, pair, ell)
@@ -818,7 +819,7 @@ def dense_mult(alg: FDAlgebra):
     """The rows of the multiplication A (x) A -> A."""
     n = alg.dim
     rows = [[Q(0)] * (n * n) for _ in range(n)]
-    for i, row in enumerate(alg.table):
+    for i, row in enumerate(ref.ftable(alg)):
         for j, prod in enumerate(row):
             for k, v in prod.items():
                 rows[k][i * n + j] = v
@@ -867,7 +868,7 @@ def test_table_built_maps_match_the_dense_formulas(name):
     lifted = ref.compose(
         ref.kron(mult, id_h, n, dh), ref.kron(id_p, c.coaction.rows, dp, dp), n
     )
-    lifted_cols = _times_first_leg(p, c.coaction)
+    lifted_cols = ref.fcols(_times_first_leg(p, c.coaction))
     assert [ref.dense(col, dp * dh) for col in lifted_cols] == list(zip(*lifted))
     twist = ref.compose(ref.kron(h.antipode_inv.rows, id_p, dh, dp), flip_rows(dp, dh), dp * dh)
     assert delta_L(c).rows == ref.compose(twist, c.coaction.rows, dp)

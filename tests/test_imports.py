@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used or re-exported,
 dense matrices stay at the document boundary, no module has a dense
-vector helper, the axiom batteries, the carrier restriction and the lift
-stay in integer arithmetic, and no private helper is left unused."""
+vector helper, the axiom batteries, the carrier restriction, the lift,
+the connection system and the kernels stay in integer arithmetic, and no
+private helper is left unused."""
 
 import ast
 from pathlib import Path
@@ -112,30 +113,38 @@ def test_no_dense_vector_helpers(path):
 
 
 # The axiom batteries by module, with `connection_unital`, the unital law
-# of the connection battery, and the code that restricts the product and
-# the coaction to a carrier and lifts a connection onto it.
+# of the connection battery, the check of an algebra map, the code that
+# restricts the product and the coaction to a carrier and lifts a
+# connection onto it, the connection system and the maps it is built from,
+# and the kernels they all sum with.
 BATTERIES = {
-    "algebra.py": ("check_algebra", "subalgebra_from_subspace"),
+    "linalg.py": ("linear_combination", "on_left", "on_right", "tensor_mul"),
+    "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace"),
     "hopf.py": ("check_hopf",),
     "comodule.py": (
         "check_comodule",
         "check_strong_connection",
         "connection_unital",
+        "connection_system",
+        "delta_L",
+        "_times_first_leg",
     ),
     "fusion.py": ("_tensor_coordinates", "_restrict_coaction", "lift_connection"),
 }
 
 # The `Fraction` loops: a sum of sparse entries, and a product of sparse
-# vectors through a structure-constant table.
-FRACTION_LOOPS = {"accumulate", "mul_sparse"}
+# vectors through a structure-constant table; the scaling of rational
+# vectors to integers; and `Fraction` itself.
+FRACTION_CALLS = {"accumulate", "mul_sparse", "integer_scaled", "Fraction"}
 
 
 @pytest.mark.parametrize("name", sorted(BATTERIES))
 def test_batteries_sum_no_fractions(name):
-    """The batteries, the carrier restriction and the lift scale their
-    structure maps straight to integers: none of them, nested functions
-    included, sums ``Fraction`` entries with ``accumulate`` or multiplies
-    them with ``mul_sparse``."""
+    """The batteries, the carrier restriction, the lift, the connection
+    system and the kernels read the integers that maps and tables store:
+    none of them, nested functions included, sums ``Fraction`` entries
+    with ``accumulate``, multiplies them with ``mul_sparse``, re-scales
+    with ``integer_scaled`` or constructs a ``Fraction``."""
     path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text())
     functions = {
@@ -147,7 +156,7 @@ def test_batteries_sum_no_fractions(name):
             for node in ast.walk(functions[battery])
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id in FRACTION_LOOPS
+            and node.func.id in FRACTION_CALLS
         )
         assert not calls, f"{name}:{battery} calls Fraction loops: {calls}"
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from fusionalg.algebra import FDAlgebra, mul_sparse, tensor_algebra
+from fusionalg.algebra import FDAlgebra, tensor_algebra
 from fusionalg.comodule import BalancedTensor
 from fusionalg.fusion import BaseWithEnds
 from fusionalg.linalg import (
@@ -20,6 +20,7 @@ from fusionalg.linalg import (
     Space,
     Subspace,
     components,
+    integer_scaled,
     on_left,
     on_right,
     rat,
@@ -132,7 +133,7 @@ def test_kron_on_basis_tensors():
         fg = f.kron(g)
         for i in range(a.dim):
             for j in range(b.dim):
-                expect = tensor_vec(f.cols[i], g.cols[j], d.dim)
+                expect = tensor_vec(ref.fcols(f)[i], ref.fcols(g)[j], d.dim)
                 assert fg.apply({i * b.dim + j: Q(1)}) == expect
 
 
@@ -324,11 +325,13 @@ def test_sparse_echelon_matches_the_dense_reference(rows):
 @given(rows=rational_matrices())
 def test_dense_rows_round_trip_through_sparse_columns(rows):
     """The constructor keeps only the nonzero entries, column by column,
-    and the dense view gives the rows back."""
+    as integers over the least denominator, and the dense view gives the
+    rows back."""
     f = LinearMap(Space.of_dim(len(rows[0]), "s"), Space.of_dim(len(rows), "t"), tuple(rows))
     assert f.rows == tuple(rows)
-    assert f.cols == tuple(ref.sparse(col) for col in zip(*rows))
-    assert all(v != 0 for col in f.cols for v in col.values())
+    assert ref.fcols(f) == [ref.sparse(col) for col in zip(*rows)]
+    assert all(type(v) is int and v != 0 for col in f.cols for v in col.values())
+    assert gcd(f.den, *(v for col in f.cols for v in col.values())) == 1
 
 
 def test_map_shapes_are_checked():
@@ -930,11 +933,23 @@ def assert_sparse_result(got, expect):
     assert all(v != 0 for v in got.values())
 
 
+def scaled(vec: dict) -> tuple[int, dict[int, int]]:
+    """A sparse rational vector as integers over its least denominator."""
+    den, (ints,) = integer_scaled([vec])
+    return den, ints
+
+
+def read_over(vec: dict[int, int], den: int) -> dict[int, Fraction]:
+    return {k: Fraction(v, den) for k, v in vec.items()}
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 @pytest.mark.parametrize("seed", range(12))
 def test_leg_maps_match_kron_with_the_identity(seed, kind):
     """on_left is (f (x) id) and on_right is (id (x) f), on vectors whose
-    terms cancel, with no zeros stored and the inputs left as they were."""
+    terms cancel, with no zeros stored and the inputs left as they were.
+    Rational entries ("fraction") are scaled to integers first: the
+    result is the product of the two denominators times the image."""
     rng = random.Random(seed)
     dv, dw, dx = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
     v, w, x = Space.of_dim(dv, "v"), Space.of_dim(dw, "w"), Space.of_dim(dx, "x")
@@ -946,12 +961,16 @@ def test_leg_maps_match_kron_with_the_identity(seed, kind):
     right = {
         k % dw * dv + k // dw: val for k, val in cancelling_vector(rng, dv, dw, kind).items()
     }
-    saved = [dict(c) for c in f_cols], dict(left), dict(right)
-    expect_left = f.kron(ident).compose(as_column(left, v.tensor(w))).cols[0]
-    expect_right = ident.kron(f).compose(as_column(right, w.tensor(v))).cols[0]
-    assert_sparse_result(on_left(left, f_cols, dw), expect_left)
-    assert_sparse_result(on_right(right, f_cols, dv, dx), expect_right)
-    assert ([dict(c) for c in f_cols], left, right) == saved
+    (den_l, left_ints), (den_r, right_ints) = scaled(left), scaled(right)
+    saved = [dict(c) for c in f.cols], dict(left_ints), dict(right_ints)
+    expect_left = ref.fcols(f.kron(ident).compose(as_column(left, v.tensor(w))))[0]
+    expect_right = ref.fcols(ident.kron(f).compose(as_column(right, w.tensor(v))))[0]
+    got_left = on_left(left_ints, f.cols, dw)
+    got_right = on_right(right_ints, f.cols, dv, dx)
+    assert_sparse_result(read_over(got_left, f.den * den_l), expect_left)
+    assert_sparse_result(read_over(got_right, f.den * den_r), expect_right)
+    assert all(type(x) is int for x in (*got_left.values(), *got_right.values()))
+    assert ([dict(c) for c in f.cols], left_ints, right_ints) == saved
 
 
 def random_algebra(rng, n, kind) -> FDAlgebra:
@@ -969,7 +988,8 @@ def random_algebra(rng, n, kind) -> FDAlgebra:
 @pytest.mark.parametrize("seed", range(12))
 def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
     """tensor_mul on the two flattened tables is the product of
-    tensor_algebra, on factors whose terms cancel."""
+    tensor_algebra, on factors whose terms cancel, scaled by the
+    denominators of both tables and both factors."""
     rng = random.Random(100 + seed)
     da, db = rng.randint(2, 3), rng.randint(1, 3)
     a, b = random_algebra(rng, da, kind), random_algebra(rng, db, kind)
@@ -977,7 +997,7 @@ def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
     flat_b = [p for row in b.table for p in row]
     t = tensor_algebra(a, b)
     for _ in range(4):
-        x = cancelling_vector(rng, da, db, kind)
-        y = cancelling_vector(rng, da, db, kind)
+        (den_x, x), (den_y, y) = (scaled(cancelling_vector(rng, da, db, kind)) for _ in "xy")
         got = tensor_mul(x, y, flat_a, da, flat_b, db)
-        assert_sparse_result(got, mul_sparse(t.table, x, y))
+        expect = ref.mul_sparse(ref.ftable(t), read_over(x, den_x), read_over(y, den_y))
+        assert_sparse_result(read_over(got, a.den * b.den * den_x * den_y), expect)

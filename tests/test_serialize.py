@@ -73,7 +73,8 @@ def test_rational_codec():
 def test_rational_strings_read_as_fraction_reads_them(spelling):
     """Plain "p" and "p/q" strings are read with int(); every spelling,
     accepted or refused, gives what Fraction(str) gave, with the same
-    message."""
+    message.  The one exception, an exponent beyond the digit limit, is
+    :func:`test_exponents_beyond_the_digit_limit_are_refused`."""
     try:
         expected = Fraction(spelling)
     except (ValueError, ZeroDivisionError) as exc:
@@ -83,6 +84,30 @@ def test_rational_strings_read_as_fraction_reads_them(spelling):
     else:
         got = rational_from_obj(spelling, "v")
         assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("spelling", ["1e5000", "1e-5000", "1E+5000", " 2.5e5000\n"])
+def test_exponents_beyond_the_digit_limit_are_refused(spelling):
+    """Fraction(str) writes out 10 to the power of an exponent, so one
+    longer than ``sys.get_int_max_str_digits()`` is refused, as a plain
+    spelling with more digits is; "1e3" still reads as 1000."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputFormatError) as err:
+        rational_from_obj(spelling, "v")
+    assert str(err.value) == f"v: not a rational: {spelling!r} (its exponent exceeds {limit} digits)"
+    assert rational_from_obj("1e3") == 1000
+    assert rational_from_obj(f"1e{limit}") == 10**limit
+
+
+def test_an_oversized_exponent_exits_2_naming_the_field(tmp_path, capsys):
+    """``check`` on an algebra document whose unit holds "1e5000" exits 2
+    and names the field."""
+    alg = algebra_to_obj(function_algebra(2))
+    alg["unit"][1] = "1e5000"
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(alg))
+    assert entry(["check", str(path)]) == 2
+    assert "unit[1]" in capsys.readouterr().err
 
 
 def test_sparse_map_round_trip():
