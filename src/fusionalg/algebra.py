@@ -308,10 +308,9 @@ def subalgebra_from_subspace(
     """Restrict the product of ``ambient`` to ``sub``.
 
     The table is read over its denominator D_T and the echelon basis
-    over its own, D_B (:attr:`~fusionalg.linalg.Subspace.scaled_basis`),
-    so each product of two scaled basis vectors, D_T·D_B² times its
-    value, is reduced in integers, and the induced table is built over
-    D_T·D_B².
+    over its own, D_B (:attr:`~fusionalg.linalg.Subspace.den`), so each
+    product of two basis rows, D_T·D_B² times its value, is reduced in
+    integers, and the induced table is built over D_T·D_B².
 
     Ambient indices fall into parts (:func:`~fusionalg.linalg.components`)
     that keep together a and b of every nonempty e_a·e_b and the support
@@ -326,7 +325,7 @@ def subalgebra_from_subspace(
         raise ValueError("subspace does not live in the algebra")
     n, d = ambient.dim, sub.dim
     flat = [prod for row in ambient.table for prod in row]
-    den_b, basis = sub.scaled_basis
+    den_b, basis = sub.den, sub.basis
     nonempty = ([a, *(b for b, p in enumerate(row) if p)] for a, row in enumerate(ambient.table))
     part = components(n, [*nonempty, *basis])
     owner = [part[next(iter(vec))] for vec in basis]
@@ -344,12 +343,12 @@ def subalgebra_from_subspace(
             prod = linear_combination(flat, pairs)
             if not prod:
                 continue
-            coords = sub.int_coordinates(prod)
+            coords = sub.coordinates(prod)
             if coords is None:
                 raise ClosureError(i, j, prod, scale)
             table[i][j] = coords
     # the coordinates of the unit, over D_T, taken over D_T·D_B²
-    unit = sub.int_coordinates(ambient.unit)
+    unit = sub.coordinates(ambient.unit)
     unital = unit is not None
     unit = {k: v * den_b * den_b for k, v in unit.items()} if unital else {}
     algebra = FDAlgebra(space, table, unit, scale)

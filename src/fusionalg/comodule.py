@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
@@ -191,12 +190,12 @@ class BalancedTensor:
         labels = self.killed.ambient.labels
         return Space(tuple(f"[{labels[c]}]" for c in self.reps))
 
-    def project(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """The class of a sparse vector of P (x) P, in the basis of ``space``."""
-        _, remainder = self.killed.decompose(vec)
+    def project(self, vec: dict[int, int]) -> dict[int, int]:
+        """``killed.den`` times the class of a sparse integer vector of
+        P (x) P, in the basis of ``space`` and the scale of ``vec``."""
         # the non-pivot coordinate c is preceded by c - (pivots below c) others
         pivots = self.killed.pivots
-        return {c - bisect_left(pivots, c): v for c, v in remainder.items()}
+        return {c - bisect_left(pivots, c): v for c, v in self.killed.remainder(vec).items()}
 
 
 def balanced_tensor(
@@ -210,7 +209,7 @@ def balanced_tensor(
     dp = p.dim
     relations = []
     # the relations span the same subspace in any scale
-    for b in coinv.subspace.scaled_basis[1]:
+    for b in coinv.subspace.basis:
         left = [linear_combination(row, b) for row in p.table]  # e_i·b
         right = [linear_combination(col, b) for col in zip(*p.table)]  # b·e_j
         for i in range(dp):
@@ -257,17 +256,21 @@ def canonical_map(c: ComoduleAlgebra) -> CanonicalMap:
     p_h = c.algebra.space.tensor(c.hopf.space)
     # x (x) y -> x·y_(0) (x) y_(1) on P (x) P
     lifted = _times_first_leg(c.algebra, c.coaction)
-    for rel in bal.killed.scaled_basis[1]:
+    for rel in bal.killed.basis:
         if linear_combination(lifted.cols, rel):
             raise AssertionError(
                 "canonical map is not well defined on the balanced quotient"
             )
     reps = bal.reps
     cols = [lifted.cols[r] for r in reps]
-    descended = LinearMap.from_sparse_columns(bal.space, p_h, cols, lifted.den)
-    for j in range(len(lifted.cols)):
-        if descended.apply(bal.project({j: 1})) != lifted.apply({j: 1}):
+    # over lifted.den·killed.den: the descended image of each class, and
+    # the lifted image of each basis vector
+    for j, col in enumerate(lifted.cols):
+        if linear_combination(cols, bal.project({j: 1})) != {
+            k: v * bal.killed.den for k, v in col.items()
+        }:
             raise AssertionError("canonical map does not factor the lifted map")
+    descended = LinearMap.from_sparse_columns(bal.space, p_h, cols, lifted.den)
     rank = descended.rank()
     return CanonicalMap(
         c,
@@ -554,7 +557,8 @@ def translation_inverse(
     bal = can.balanced
     times = _times_first_leg(c.algebra, ell)
     projected = [bal.project(col) for col in times.cols]
-    t = LinearMap.from_sparse_columns(times.source, bal.space, projected, times.den)
+    den = times.den * bal.killed.den
+    t = LinearMap.from_sparse_columns(times.source, bal.space, projected, den)
     if not t.compose(can.map).is_identity():
         raise AssertionError(
             "translation inverse fails on the balanced tensor side"

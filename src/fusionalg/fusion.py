@@ -45,10 +45,8 @@ from .comodule import (
 from .hopf import HopfAlgebra, sweedler_legs
 from .linalg import (
     LinearMap,
-    Q1,
     Space,
     Subspace,
-    accumulate,
     common_den,
     kernel_vectors,
     linear_combination,
@@ -85,7 +83,7 @@ class BaseWithEnds:
         return self.algebra.dim
 
     @cached_property
-    def splitting(self) -> tuple[list[dict], dict[int, Fraction], dict[int, Fraction]]:
+    def splitting(self) -> tuple[list[dict[int, int]], dict[int, int], dict[int, int]]:
         """A basis of K = ker e₀ ∩ ker e₁ and c₀, c₁ with e₁(c₀) = 0 =
         e₀(c₁) and e₀(c₀), e₁(c₁) ≠ 0, so C = K ⊕ k·c₀ ⊕ k·c₁.  For the
         pivots p, q of the characters' echelon form, where the stored
@@ -93,7 +91,7 @@ class BaseWithEnds:
         ad - bc ≠ 0, c₀ = d·e_p - c·e_q and c₁ = a·e_q - b·e_p."""
         ends = (self.end_zero, self.end_one)
         values = [{j: col[0] for j, col in enumerate(e.cols) if col} for e in ends]
-        rows, pivots = rref(values)
+        rows, pivots, _ = rref(values)
         if len(pivots) != 2:
             raise ValueError("the two end characters are not independent")
         p, q = pivots
@@ -112,7 +110,7 @@ class BaseWithEnds:
             raise ValueError("the two end conditions live in different fibers")
         kernel, c_zero, c_one = self.splitting
         n = fiber.dim
-        vectors = [tensor_vec(k, {f: Q1}, n) for k in kernel for f in range(n)]
+        vectors = [tensor_vec(k, {f: 1}, n) for k in kernel for f in range(n)]
         vectors += [tensor_vec(c_zero, w, n) for w in w_zero.basis]
         vectors += [tensor_vec(c_one, w, n) for w in w_one.basis]
         return Subspace(self.algebra.space.tensor(fiber), *rref(vectors))
@@ -265,7 +263,7 @@ def _tensor_coordinates(
         columns.setdefault(j, {})[i] = val
     rows: dict[int, dict[int, int]] = {}
     for j, col in columns.items():
-        alpha = left.int_coordinates(col)
+        alpha = left.coordinates(col)
         if alpha is None:
             return None
         for k, a in alpha.items():
@@ -273,7 +271,7 @@ def _tensor_coordinates(
     dv = right.dim
     coords: dict[int, int] = {}
     for k in sorted(rows):
-        c = right.int_coordinates(rows[k])
+        c = right.coordinates(rows[k])
         if c is None:
             return None
         for l, v in c.items():
@@ -306,10 +304,10 @@ def build_fusion(base: BaseWithEnds, left: FDAlgebra, right: FDAlgebra) -> Fusio
     ambient = tensor_algebra(base.algebra, fiber)
     dr = right.dim
     w_zero = Subspace.from_vectors(
-        fiber.space, [tensor_vec(left.unit, {j: Q1}, dr) for j in range(dr)]
+        fiber.space, [tensor_vec(left.unit, {j: 1}, dr) for j in range(dr)]
     )
     w_one = Subspace.from_vectors(
-        fiber.space, [tensor_vec({i: Q1}, right.unit, dr) for i in range(left.dim)]
+        fiber.space, [tensor_vec({i: 1}, right.unit, dr) for i in range(left.dim)]
     )
     carrier = base.sections(w_zero, w_one)
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix="f")
@@ -352,10 +350,9 @@ def _restrict_coaction(
     ``coaction``, a coaction of ``hopf`` on the ambient algebra."""
     witness = subalgebra_from_subspace(ambient, carrier, label_prefix=prefix)
     full_h = Subspace.full(hopf.space)
-    den_b, basis = carrier.scaled_basis
     cols = []
-    for i, vec in enumerate(basis):
-        image = linear_combination(coaction.cols, vec)  # D_c·D_b·δ(carrier.basis[i])
+    for i, vec in enumerate(carrier.basis):
+        image = linear_combination(coaction.cols, vec)  # D_c·D_b·δ(echelon row i)
         coords = _tensor_coordinates(carrier, full_h, image)
         if coords is None:
             raise AssertionError(
@@ -363,7 +360,7 @@ def _restrict_coaction(
             )
         cols.append(coords)
     space = witness.algebra.space
-    den = coaction.den * den_b
+    den = coaction.den * carrier.den
     restricted = LinearMap.from_sparse_columns(space, space.tensor(hopf.space), cols, den)
     com = ComoduleAlgebra(witness.algebra, hopf, restricted)
     report = check_comodule(com)
@@ -389,7 +386,7 @@ def _end_conditions(
     target = ambient.space.tensor(h.space)
     coaction = LinearMap.from_sparse_columns(ambient.space, target, cols, h.coproduct.den)
     w_zero = Subspace.from_vectors(
-        fiber.space, [tensor_vec(p.unit, {a: Q1}, h.dim) for a in range(h.dim)]
+        fiber.space, [tensor_vec(p.unit, {a: 1}, h.dim) for a in range(h.dim)]
     )
     return ambient, coaction, w_zero, inner.coaction.image()
 
@@ -496,8 +493,8 @@ def lift_connection(
     # four displays, so they are needed only to name a failure
     carrier, one, zero = fusion.carrier, fusion.cond_one, fusion.cond_zero
     inside = all(
-        one.int_coordinates(vec) is not None and zero.int_coordinates(vec) is not None
-        for vec in carrier.scaled_basis[1]
+        one.coordinates(vec) is not None and zero.coordinates(vec) is not None
+        for vec in carrier.basis
     )
     ef_cols = []
     for col in columns:
@@ -708,27 +705,20 @@ def pullback_identification(
         sum_alg, fiber_carrier, fiber_com, fiber_witness.inclusion
     )
 
+    # each half's inclusion sends coordinate j to its j-th carrier vector:
+    # levels 0..m_lower keep their place, and level 0 of the upper half is
+    # the shared fiber, present from the lower part
     fusion = build_equivariant_fusion(chain_interval(m_lower + m_upper), inner)
-    glue_cols = []
-    for vec in fiber_carrier.basis:
-        # each half's inclusion sends coordinate j to its j-th carrier vector
-        img = {}
-        for j, val in vec.items():
-            if j < d1:
-                # levels 0..m_lower keep their place
-                for idx, x in lower.carrier.basis[j].items():
-                    accumulate(img, idx, val * x)
-            else:
-                for idx, x in upper.carrier.basis[j - d1].items():
-                    # level 0 is the shared fiber, present from the lower part
-                    if idx >= dph:
-                        accumulate(img, m_lower * dph + idx, val * x)
-        coords = fusion.carrier.coordinates(img)
-        if coords is None:
-            raise AssertionError("glued section leaves the fusion carrier")
-        glue_cols.append(coords)
+    den, (low_cols, up_cols) = common_den(lower.inclusion, upper.inclusion)
+    shift = m_lower * dph
+    cols = [*low_cols, *({shift + i: v for i, v in col.items() if i >= dph} for col in up_cols)]
+    place = LinearMap.from_sparse_columns(sum_alg.space, fusion.ambient.space, cols, den)
+    sections = place.compose(fiber_witness.inclusion)
+    glue_cols = [fusion.carrier.coordinates(col) for col in sections.cols]
+    if None in glue_cols:
+        raise AssertionError("glued section leaves the fusion carrier")
     glue = LinearMap.from_sparse_columns(
-        fiber_com.algebra.space, fusion.comodule.algebra.space, glue_cols
+        fiber_com.algebra.space, fusion.comodule.algebra.space, glue_cols, sections.den
     )
 
     if glue.inverse() is None:

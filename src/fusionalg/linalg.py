@@ -6,8 +6,8 @@ basis vector, in ``int`` entries over one least positive ``den``: rational
 input is scaled once, when the map is built or decoded.  The kernels
 (:func:`linear_combination`, :func:`on_left`, :func:`on_right`,
 :func:`tensor_mul`) sum sparse ``int`` vectors.  ``fractions.Fraction``
-is left where it is the data: subspace bases, solutions, refutations,
-and the dense matrices at the document boundary.
+is left where it is the data: solutions, refutations, and the dense
+matrices at the document boundary.
 
 One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
@@ -16,9 +16,9 @@ convention kron is strictly associative on coordinates, i.e.
 ``a.kron(b).kron(c)`` and ``a.kron(b.kron(c))`` are the same matrix,
 and compositions across re-bracketed tensor factors need no shuffling.
 
-Subspaces carry their basis as sparse rows in reduced row echelon form
-(monic pivots, zeros above and below), which makes subspace equality a
-literal comparison, and coordinates and remainder one reduction sweep.
+Subspaces carry their reduced row echelon basis as sparse ``int`` rows
+over one least ``den``, which makes subspace equality a literal
+comparison, and coordinates the entries at the pivots.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 def rat(value) -> Fraction:
@@ -85,15 +84,6 @@ def tensor_vec(u: dict, v: dict, dim_v: int) -> dict:
         for i, a in u.items()
         for j, b in v.items()
     }
-
-
-def accumulate(acc: dict, key, val) -> None:
-    """Add ``val`` at ``key`` of a sparse vector, dropping a zero sum."""
-    nv = acc.get(key, Q0) + val
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 def nonzero(vec: dict) -> dict:
@@ -207,52 +197,92 @@ def components(n: int, groups) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def _subtract(vec: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
-    """vec -= c·row in place, dropping the entries that cancel."""
-    for k, v in row.items():
-        accumulate(vec, k, -c * v)
-
-
 # ---------------------------------------------------------------- echelon
 
-def rref(rows) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-    """Reduced row echelon form of sparse rows: (nonzero rows, pivot
-    columns), each row monic at its pivot, its least column, and zero at
-    every other pivot.
+def _combine_owned(
+    vec: dict[int, int], fv: int, fo: int, other: dict[int, int]
+) -> dict[int, int]:
+    """fv·vec − fo·other with the entries that cancel dropped.  ``vec``
+    must be owned by the caller: it is updated in place when ``fv`` is 1,
+    and copied, scaled, otherwise; either way the keys come out in the
+    same order."""
+    if fv != 1:
+        vec = {c: fv * v for c, v in vec.items()}
+    for c, v in other.items():
+        nv = vec.get(c, 0) - fo * v
+        if nv:
+            vec[c] = nv
+        else:
+            vec.pop(c, None)
+    return vec
 
-    Each row is reduced by the rows kept so far; a remainder becomes a new
-    row, pivoting on its least column, which is then cleared from the
-    others.  The reduced echelon form of a span is unique, so the order of
-    the rows does not change the result.
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero sparse integer vector divided by the gcd of its entries,
+    signed so that the entry at its least column is positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
+
+
+def rref(rows) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], int]:
+    """Reduced row echelon form of sparse rows with exact rational
+    entries: (rows, pivot columns, den).  Each returned row is ``den``
+    times a reduced echelon row, so it holds ``den`` at its pivot, its
+    least column, and zero at every other pivot; ``den`` is the least
+    positive integer that makes every entry an integer.
+
+    Integer Gauss–Jordan: the rows are scaled to integers once, and each
+    is reduced by the rows kept so far, each kept primitive (its entries
+    coprime, its pivot entry positive).  A remainder becomes a new row,
+    pivoting on its least column, which is then cleared from the others.
+    The reduced echelon form of a span is unique, and so is its primitive
+    scaling, so neither the order nor the scale of the rows changes the
+    result.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
+    _, rows = integer_scaled(list(rows))
+    echelon: dict[int, dict[int, int]] = {}
+    support: set[int] = set()  # every column a kept row has held
     for row in rows:
-        vec = dict(row)
+        vec = dict(row)  # owned: _combine_owned may update it in place
         # a kept row is zero at every other pivot, so clearing one pivot
         # never changes the entry at another
         for p in [k for k in vec if k in echelon]:
-            _subtract(vec, vec[p], echelon[p])
+            kept = echelon[p]
+            a, b = vec[p], kept[p]
+            g = gcd(a, b)
+            vec = _combine_owned(vec, b // g, a // g, kept)
         if not vec:
             continue
+        vec = _primitive(vec)
         lead = min(vec)
-        if vec[lead] != 1:
-            inverse = Q1 / vec[lead]  # a Fraction, for int rows too
-            vec = {k: v * inverse for k, v in vec.items()}
-        for other in echelon.values():
-            c = other.get(lead)
-            if c:
-                _subtract(other, c, vec)
+        if lead in support:
+            b = vec[lead]
+            for q, other in echelon.items():
+                c = other.get(lead)
+                if c:
+                    g = gcd(b, c)
+                    echelon[q] = _primitive(_combine_owned(other, b // g, c // g, vec))
+        support.update(vec)
         echelon[lead] = vec
     pivots = tuple(sorted(echelon))
-    return tuple(echelon[p] for p in pivots), pivots
+    den = lcm(*(echelon[p][p] for p in pivots))
+    basis = []
+    for p in pivots:
+        row, f = echelon[p], den // echelon[p][p]
+        basis.append(row if f == 1 else {k: v * f for k, v in row.items()})
+    return tuple(basis), pivots, den
 
 
-def kernel_vectors(rows, n_cols: int) -> list[dict[int, Fraction]]:
-    """Basis of the solution space of (rows) x = 0, one vector per free
-    column."""
-    rr, pivots = rref(rows)
+def kernel_vectors(rows, n_cols: int) -> list[dict[int, int]]:
+    """Basis of the solution space of (rows) x = 0, one integer vector per
+    free column f: D·e_f − Σ_p r_p[f]·e_p, with r_p the row that
+    :func:`rref` returns for pivot p and D its ``den``, which is D times
+    the solution with x_f = 1 and every other free unknown 0."""
+    rr, pivots, den = rref(rows)
     pivot_set = set(pivots)
-    free = {f: {f: Q1} for f in range(n_cols) if f not in pivot_set}
+    free = {f: {f: den} for f in range(n_cols) if f not in pivot_set}
     for row, p in zip(rr, pivots):
         for f, v in row.items():
             if f != p:
@@ -286,11 +316,11 @@ class LinearMap:
             raise ValueError("dimension mismatch: wrong number of rows")
         if any(len(row) != source.dim for row in rows):
             raise ValueError("dimension mismatch: wrong row length")
-        cols = [{i: row[j] for i, row in enumerate(rows)} for j in range(source.dim)]
-        self._set(source, target, cols, 1)  # the scaling drops the zero entries
+        cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(source.dim)]
+        self._set(source, target, *integer_scaled(cols))
 
-    def _set(self, source: Space, target: Space, cols, den: int) -> None:
-        den, cols = integer_scaled([nonzero(col) for col in cols], den)
+    def _set(self, source: Space, target: Space, den: int, cols: list[dict[int, int]]) -> None:
+        """Store integer columns over a least ``den``, owned by the map."""
         if len(cols) != source.dim:
             raise ValueError("dimension mismatch: wrong number of columns")
         if any(not 0 <= i < target.dim for col in cols for i in col):
@@ -303,9 +333,10 @@ class LinearMap:
     @staticmethod
     def from_sparse_columns(source: Space, target: Space, cols, den: int = 1) -> "LinearMap":
         """The map whose column j is the sparse rational vector
-        ``cols[j]/den``."""
+        ``cols[j]/den``, copied so that the map shares no dict with its
+        caller."""
         f = object.__new__(LinearMap)
-        f._set(source, target, cols, den)
+        f._set(source, target, *integer_scaled([nonzero(col) for col in cols], den))
         return f
 
     @staticmethod
@@ -339,11 +370,7 @@ class LinearMap:
 
     def apply(self, vec: dict) -> dict:
         """The image of a sparse rational vector, in exact rationals."""
-        out: dict = {}
-        for j, x in vec.items():
-            for i, v in self.cols[j].items():
-                accumulate(out, i, v * x)
-        return rationals(out, self.den)
+        return rationals(linear_combination(self.cols, vec), self.den)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self . other)."""
@@ -384,15 +411,15 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap | None":
         # [A^T | I] reduces to [I | (A^-1)^T]: row j carries column j of
-        # A^-1, here of (den·A)^-1 = A^-1/den
+        # A^-1, here of (den·A)^-1 = A^-1/den, and over the rows' den D
         n = self.source.dim
         if self.target.dim != n:
             return None
-        rr, pivots = rref({**col, n + j: 1} for j, col in enumerate(self.cols))
+        rr, pivots, den = rref({**col, n + j: 1} for j, col in enumerate(self.cols))
         if pivots != tuple(range(n)):
             return None
         cols = ({k - n: v * self.den for k, v in row.items() if k >= n} for row in rr)
-        return LinearMap.from_sparse_columns(self.target, self.source, cols)
+        return LinearMap.from_sparse_columns(self.target, self.source, cols, den)
 
     def is_identity(self) -> bool:
         identity = tuple({j: 1} for j in range(self.source.dim))
@@ -403,20 +430,23 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace with a reduced-row-echelon basis (canonical form).
+    """A subspace with its reduced-row-echelon basis (canonical form).
 
-    ``basis[i]`` is the sparse echelon row whose pivot is ``pivots[i]``.
-    Equality of subspaces is literal equality of the dataclass fields;
-    the RREF normalization makes that sound.
+    ``basis[i]`` is ``den`` times the echelon row whose pivot is
+    ``pivots[i]``: a sparse ``int`` row, ``den`` at its pivot and zero at
+    every other.  ``den`` is the least positive integer that makes every
+    entry an integer, so equality of subspaces is literal equality of the
+    dataclass fields.
     """
 
     ambient: Space
-    basis: tuple[dict[int, Fraction], ...]
+    basis: tuple[dict[int, int], ...]
     pivots: tuple[int, ...]
+    den: int
 
     @staticmethod
     def from_vectors(ambient: Space, vectors) -> "Subspace":
-        """The span of sparse vectors."""
+        """The span of sparse rational vectors."""
         vecs = list(vectors)
         if any(not 0 <= k < ambient.dim for v in vecs for k in v):
             raise ValueError("ambient mismatch in subspace construction")
@@ -425,7 +455,7 @@ class Subspace:
     @staticmethod
     def full(space: Space) -> "Subspace":
         n = space.dim
-        return Subspace(space, tuple({i: Q1} for i in range(n)), tuple(range(n)))
+        return Subspace(space, tuple({i: 1} for i in range(n)), tuple(range(n)), 1)
 
     @property
     def dim(self) -> int:
@@ -435,49 +465,30 @@ class Subspace:
     def _row_of_pivot(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.pivots)}
 
-    def decompose(
-        self, vec: dict[int, Fraction]
-    ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        """Split a sparse vector as Σ coords[i]·basis[i] + remainder.
+    def remainder(self, vec: dict[int, int]) -> dict[int, int]:
+        """``den`` times what is left of a sparse integer vector after
+        reduction by the echelon basis: D·vec − Σ vec[p]·basis[p] over the
+        pivots p.  It is zero at every pivot, and empty exactly when the
+        vector lies inside."""
+        row_of, basis = self._row_of_pivot, self.basis
+        acc = {k: self.den * v for k, v in vec.items()}
+        for p, x in vec.items():
+            i = row_of.get(p)
+            if i is not None:
+                for k, v in basis[i].items():
+                    acc[k] = acc.get(k, 0) - x * v
+        return nonzero(acc)
 
-        Returns ``(coords, remainder)``: the coordinates, keyed by basis
-        index in increasing order, and a remainder that is zero at every
-        pivot.  The vector lies in the subspace exactly when the
-        remainder is empty.
-        """
-        remainder = dict(vec)
-        coords = {}
-        row_of = self._row_of_pivot
-        # subtracting one basis row leaves every other pivot entry as it was
-        for p in sorted(k for k in vec if k in row_of):
-            i = row_of[p]
-            coords[i] = vec[p]
-            _subtract(remainder, vec[p], self.basis[i])
-        return coords, remainder
-
-    @cached_property
-    def scaled_basis(self) -> tuple[int, list[dict[int, int]]]:
-        """D and D·basis, the echelon basis over its common denominator."""
-        return integer_scaled(self.basis)
-
-    def int_coordinates(self, vec: dict[int, int]) -> dict[int, int] | None:
-        """Coordinates of a sparse integer vector with no zeros stored, or
-        None if it lies outside.  In a reduced echelon basis they are the
-        entries at the pivots, keyed by basis index in increasing order,
-        and the vector lies inside exactly when D·vec = Σ coords[i]·(D·basis[i])."""
+    def coordinates(self, vec: dict[int, int]) -> dict[int, int] | None:
+        """Coordinates of a sparse integer vector, or None if it lies
+        outside.  In a reduced echelon basis they are the entries at the
+        pivots, keyed by basis index in increasing order: vec =
+        Σ coords[i]·basis[i]/den, integers in the scale of ``vec``."""
         row_of = self._row_of_pivot
         coords = {row_of[p]: vec[p] for p in sorted(k for k in vec if k in row_of)}
-        if len(self.pivots) == self.ambient.dim:
+        if len(self.pivots) == self.ambient.dim or not self.remainder(vec):
             return coords
-        den, basis = self.scaled_basis
-        inside = linear_combination(basis, coords) == {k: den * v for k, v in vec.items()}
-        return coords if inside else None
-
-    def coordinates(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """Sparse coordinates of vec in the echelon basis, or None if outside."""
-        _, (scaled,) = integer_scaled([vec])
-        coords = self.int_coordinates(scaled)
-        return None if coords is None else {i: vec[self.pivots[i]] for i in coords}
+        return None
 
 
 # ---------------------------------------------------------------- sparse systems
@@ -495,24 +506,6 @@ class Infeasibility:
     row_index: int
     farkas: dict[int, Fraction]
     residual: Fraction
-
-
-def _combine_owned(
-    vec: dict[int, int], fv: int, fo: int, other: dict[int, int]
-) -> dict[int, int]:
-    """fv·vec − fo·other with the entries that cancel dropped.  ``vec``
-    must be owned by the caller: it is updated in place when ``fv`` is 1,
-    and copied, scaled, otherwise; either way the keys come out in the
-    same order."""
-    if fv != 1:
-        vec = {c: fv * v for c, v in vec.items()}
-    for c, v in other.items():
-        nv = vec.get(c, 0) - fo * v
-        if nv:
-            vec[c] = nv
-        else:
-            vec.pop(c, None)
-    return vec
 
 
 class LinearSystem:

@@ -15,13 +15,15 @@ algebras, Hopf algebras, comodule algebras and strong connections, the
 restriction of a product to a subspace, the reduction into a tensor
 product of subspaces and the lift of a connection through the fusion as
 the library computed them in ``Fraction`` arithmetic, as references for
-the integer-scaled ones, and the check of an algebra map, :func:`check_hom`.
+the integer-scaled ones, the check of an algebra map, :func:`check_hom`,
+and the gluing map of a pullback identification, :func:`pullback_glue`.
 
 The references keep their own ``Fraction`` loops (:func:`accumulate`,
 :func:`mul_sparse`, :func:`delta_L` and the library's earlier multi-family
 :func:`integer_scaled`), and they read the integer columns of a map and
-the integer table and unit of an algebra through their ``den``, with
-:func:`fcols`, :func:`ftable` and :func:`funit`."""
+the integer table and unit of an algebra and the integer echelon basis
+of a subspace through their ``den``, with :func:`fcols`, :func:`ftable`,
+:func:`funit` and :func:`fbasis`."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,7 +38,12 @@ from fusionalg.algebra import (
     SubalgebraWitness,
 )
 from fusionalg.comodule import ComoduleAlgebra
-from fusionalg.fusion import EquivariantFusion, LiftedConnection, SqrtPair
+from fusionalg.fusion import (
+    EquivariantFusion,
+    LiftedConnection,
+    PullbackIdentification,
+    SqrtPair,
+)
 from fusionalg.hopf import HopfAlgebra, sweedler_legs
 from fusionalg.linalg import (
     Infeasibility,
@@ -131,10 +138,32 @@ def integer_scaled(*families) -> tuple[int, list[list[dict[int, int]]]]:
     ]
 
 
+def fbasis(sub: Subspace) -> list[dict[int, Fraction]]:
+    """The reduced echelon basis of a subspace as ``Fraction`` vectors:
+    its ``basis`` over its ``den``."""
+    return [{k: Fraction(v, sub.den) for k, v in row.items()} for row in sub.basis]
+
+
+def subspace(space: Space, basis, pivots) -> Subspace:
+    """The subspace with a dense reduced echelon basis: its rows as sparse
+    integers over their least common denominator."""
+    den = lcm(*(v.denominator for row in basis for v in row))
+    rows = tuple({i: int(v * den) for i, v in enumerate(row) if v} for row in basis)
+    return Subspace(space, rows, tuple(pivots), den)
+
+
 def coordinates(sub: Subspace, vec: dict) -> dict[int, Fraction] | None:
     """Coordinates of a sparse vector in the echelon basis, or None if it
-    lies outside: the reduction by the basis leaves no remainder."""
-    coords, remainder = sub.decompose(vec)
+    lies outside: the reduction by the basis, pivot by pivot in
+    ``Fraction`` arithmetic, leaves no remainder."""
+    remainder = dict(vec)
+    coords = {}
+    for i, (p, row) in enumerate(zip(sub.pivots, fbasis(sub))):
+        c = remainder.get(p)
+        if c:
+            coords[i] = c
+            for k, v in row.items():
+                accumulate(remainder, k, -c * v)
     return None if remainder else coords
 
 
@@ -310,7 +339,7 @@ def sections(base, w_zero: Subspace, w_one: Subspace):
     preimages = []
     for end, w in ((base.end_zero, w_zero), (base.end_one, w_one)):
         f_rows = kron(end.rows, identity(n), base.dim, n)
-        w_basis = tuple(dense(b, n) for b in w.basis)
+        w_basis = tuple(dense(b, n) for b in fbasis(w))
         preimages.append(preimage(f_rows, dim, w_basis, w.pivots)[0])
     return intersection(*preimages, dim)
 
@@ -988,8 +1017,9 @@ def subalgebra_from_subspace(
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     table: list[list[dict[int, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
     ambient_table = ftable(ambient)
-    for i, left in enumerate(sub.basis):
-        for j, right in enumerate(sub.basis):
+    basis = fbasis(sub)
+    for i, left in enumerate(basis):
+        for j, right in enumerate(basis):
             prod = mul_sparse(ambient_table, left, right)
             coords = coordinates(sub, prod)
             if coords is None:
@@ -998,7 +1028,7 @@ def subalgebra_from_subspace(
     unit = coordinates(sub, funit(ambient))
     unital = unit is not None
     algebra = FDAlgebra(space, table, unit if unital else {})
-    inclusion = LinearMap.from_sparse_columns(space, ambient.space, sub.basis)
+    inclusion = LinearMap.from_sparse_columns(space, ambient.space, basis)
     return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)
 
 
@@ -1085,3 +1115,34 @@ def lift_connection(fusion: EquivariantFusion, sqrt: SqrtPair, ell: LinearMap) -
     lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols)
     report = check_strong_connection(fusion.comodule, lifted)
     return LiftedConnection(fusion, sqrt, ell, lifted, corestricts, report)
+
+
+def pullback_glue(pb: PullbackIdentification) -> LinearMap:
+    """The gluing map of a pullback identification, each basis vector of
+    the fiber product placed through the halves' carrier bases and reduced
+    by the fusion carrier in ``Fraction`` arithmetic, as the library
+    computed it before it composed the halves' integer inclusions."""
+    dph = pb.inner.algebra.dim * pb.inner.hopf.dim
+    m_lower = pb.lower.ambient.dim // dph - 1
+    d1 = pb.lower.comodule.algebra.dim
+    lower, upper = fbasis(pb.lower.carrier), fbasis(pb.upper.carrier)
+    glue_cols = []
+    for vec in fbasis(pb.fiber.carrier):
+        img: dict[int, Fraction] = {}
+        for j, val in vec.items():
+            if j < d1:
+                # levels 0..m_lower keep their place
+                for idx, x in lower[j].items():
+                    accumulate(img, idx, val * x)
+            else:
+                for idx, x in upper[j - d1].items():
+                    # level 0 is the shared fiber, present from the lower part
+                    if idx >= dph:
+                        accumulate(img, m_lower * dph + idx, val * x)
+        coords = coordinates(pb.fusion.carrier, img)
+        if coords is None:
+            raise AssertionError("glued section leaves the fusion carrier")
+        glue_cols.append(coords)
+    return LinearMap.from_sparse_columns(
+        pb.fiber.comodule.algebra.space, pb.fusion.comodule.algebra.space, glue_cols
+    )

@@ -377,6 +377,25 @@ def test_check_hom_matches_the_fraction_reference(name):
         assert not report.ok and report == ref.check_hom(moved)
 
 
+@pytest.mark.parametrize(
+    "name, m_lower, m_upper",
+    [("regular-z3", 1, 1), ("regular-z3", 1, 2), ("rescaled-z2", 1, 1)],
+)
+def test_pullback_glue_matches_the_fraction_reference(name, m_lower, m_upper):
+    """The glue composed from the halves' integer inclusions is the map
+    the ``Fraction`` loop builds; the rescaled O(Z2) has halves whose
+    carriers are over a ``den`` other than 1."""
+    if name == "rescaled-z2":
+        gset = FiniteGSet.regular(FiniteGroup.cyclic(2))
+        inner = rescaled_comodule(fun_comodule(gset), (Q(2, 3), Q(5, 7)), (Q(3, 2), Q(1, 5)))
+    else:
+        inner = regular_comodule(3)
+    pb = pullback_identification(inner, m_lower, m_upper)
+    if name == "rescaled-z2":
+        assert (pb.lower.carrier.den, pb.upper.carrier.den) == (15, 225)
+    assert pb.glue == ref.pullback_glue(pb)
+
+
 # ---------------------------------------------------------------- parts
 
 
@@ -580,7 +599,7 @@ def connection_mutation(c: ComoduleAlgebra, ell: LinearMap, kind: str) -> Linear
     if kind == "splitting":
         cols = [{r: Q(5, 7) * v for r, v in col.items()} for col in cols]
     else:
-        added = {r: Q(2, 3) * v for r, v in lifted_canonical(c).kernel().basis[0].items()}
+        added = {r: Q(2, 3) * v for r, v in ref.fbasis(lifted_canonical(c).kernel())[0].items()}
         if kind == "both":
             unit = ref.funit(c.algebra)
             for i, x in unit.items():

@@ -21,6 +21,7 @@ from fusionalg.linalg import (
     Subspace,
     components,
     integer_scaled,
+    linear_combination,
     on_left,
     on_right,
     rat,
@@ -89,14 +90,15 @@ def test_rref_shape_and_pivots():
         (Q(1), Q(1), Q(1)),
         (Q(1), Q(3), Q(5)),
     ]
-    basis, pivots = rref(map(ref.sparse, rows))
+    basis, pivots, den = rref(map(ref.sparse, rows))
     assert pivots == (0, 1)
-    assert basis[0] == {0: Q(1), 2: Q(-1)}
-    assert basis[1] == {1: Q(1), 2: Q(2)}
+    assert den == 1
+    assert basis[0] == {0: 1, 2: -1}
+    assert basis[1] == {1: 1, 2: 2}
     # pivot columns of a reduced basis are unit columns
     for r, p in enumerate(pivots):
         for s in range(len(basis)):
-            assert basis[s].get(p, Q(0)) == (Q(1) if s == r else Q(0))
+            assert basis[s].get(p, 0) == (den if s == r else 0)
     # no zeros are stored, so equal spans give equal rows
     assert all(v != 0 for row in basis for v in row.values())
 
@@ -195,7 +197,8 @@ def test_preimage_membership():
     ident = LinearMap.identity(fiber)
     for end, pre in ((base.end_zero, base.sections(line, full)), (base.end_one, base.sections(full, line))):
         for v in pre.basis:
-            assert line.coordinates(end.kron(ident).apply(v)) is not None
+            # membership does not depend on the scale of the image
+            assert line.coordinates(linear_combination(end.kron(ident).cols, v)) is not None
         assert pre.dim == 2 * 2 + 1
     with pytest.raises(ValueError, match="different fibers"):
         base.sections(line, Subspace.full(Space.of_dim(3, "t")))
@@ -206,14 +209,11 @@ def test_subspace_equality_and_membership():
     u = Subspace.from_vectors(s, [{0: Q(1), 1: Q(1)}, {2: Q(1)}])
     v = Subspace.from_vectors(s, [{0: Q(2), 1: Q(2), 2: Q(2)}, {2: Q(5)}])
     assert u == v  # reduced bases make equal spans literally equal
-    inside = {0: Q(3), 1: Q(3), 2: Q(-1)}
+    inside = {0: 3, 1: 3, 2: -1}
     coords = u.coordinates(inside)
-    assert coords == {0: Q(3), 1: Q(-1)}
-    assert u.decompose(inside) == (coords, {})
-    assert u.coordinates({0: Q(1)}) is None
-    # the remainder is zero at every pivot
-    assert u.decompose({0: Q(1)}) == ({0: Q(1)}, {1: Q(-1)})
-    incl = LinearMap.from_sparse_columns(Space.of_dim(u.dim, "c"), s, u.basis)
+    assert coords == {0: 3, 1: -1}
+    assert u.coordinates({0: 1}) is None
+    incl = LinearMap.from_sparse_columns(Space.of_dim(u.dim, "c"), s, u.basis, u.den)
     assert incl.apply(coords) == inside
 
 
@@ -259,17 +259,18 @@ def test_quotient_projection_section():
     s = Space.of_dim(4, "s")
     killed = Subspace.from_vectors(s, [{0: Q(1), 1: Q(-1)}, {2: Q(1)}])
     q = quotient_by(killed)
+    assert killed.den == 1
     assert q.space.dim == 2
     assert q.space.labels == ("[s1]", "[s3]")
     # the section sends the i-th class to its representative coordinate
     for i, c in enumerate(q.reps):
-        assert q.project({c: Q(1)}) == {i: Q(1)}
+        assert q.project({c: 1}) == {i: 1}
     for k in killed.basis:
         assert q.project(k) == {}
     # a class and its representative project equally
-    vec = {0: Q(5), 1: Q(2), 2: Q(7), 3: Q(1)}
-    shifted = {i: vec[i] + killed.basis[0].get(i, Q(0)) for i in vec}
-    assert q.project(vec) == q.project(shifted) == {0: Q(7), 1: Q(1)}
+    vec = {0: 5, 1: 2, 2: 7, 3: 1}
+    shifted = {i: vec[i] + killed.basis[0].get(i, 0) for i in vec}
+    assert q.project(vec) == q.project(shifted) == {0: 7, 1: 1}
 
 
 # Rational entries, mostly zero, for matrices compared against the dense
@@ -299,26 +300,45 @@ def rational_matrices(draw, n_rows=None, n_cols=None):
     return rows
 
 
-def as_subspace(space: Space, dense_echelon) -> Subspace:
-    basis, pivots = dense_echelon
-    return Subspace(space, tuple(ref.sparse(b) for b in basis), pivots)
-
-
 @settings(max_examples=150)
-@given(rows=rational_matrices())
-def test_sparse_echelon_matches_the_dense_reference(rows):
-    """Basis, pivots, rank and kernel agree with dense Gauss–Jordan."""
+@given(rows=rational_matrices(), data=st.data())
+def test_sparse_echelon_matches_the_dense_reference(rows, data):
+    """Basis, pivots, rank and kernel agree with dense Gauss–Jordan, the
+    basis read over its ``den``.  The integer rows hold ``den`` at every
+    pivot, ``den`` is least, and neither the order nor the scale of the
+    spanning rows changes a field."""
     n = len(rows[0])
-    basis, pivots = rref(map(ref.sparse, rows))
+    basis, pivots, den = rref(map(ref.sparse, rows))
     dense_basis, dense_pivots = ref.rref(rows)
     assert pivots == dense_pivots
-    assert basis == tuple(ref.sparse(b) for b in dense_basis)
+    assert [read_over(b, den) for b in basis] == [ref.sparse(b) for b in dense_basis]
+    assert all(type(v) is int and v != 0 for row in basis for v in row.values())
+    assert all(row[p] == den for row, p in zip(basis, pivots))
+    assert gcd(den, *(v for row in basis for v in row.values())) == 1
+    # integer rows give the same form, and rref neither changes nor keeps them
+    _, ints = integer_scaled([ref.sparse(row) for row in rows])
+    copies = [dict(row) for row in ints]
+    assert rref(ints) == (basis, pivots, den)
+    assert ints == copies
+    assert not any(b is r for b in rref(ints)[0] for r in ints)
     source, target = Space.of_dim(n, "s"), Space.of_dim(len(rows), "t")
     f = LinearMap(source, target, tuple(rows))
     assert f.rank() == len(dense_pivots)
-    assert f.kernel() == as_subspace(source, ref.kernel(rows, n))
+    assert f.kernel() == ref.subspace(source, *ref.kernel(rows, n))
     spanned = Subspace.from_vectors(source, map(ref.sparse, rows))
-    assert spanned == as_subspace(source, (dense_basis, dense_pivots))
+    assert spanned == ref.subspace(source, dense_basis, dense_pivots)
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    moved = [{k: c * v for k, v in ref.sparse(rows[i]).items()} for i, c in zip(order, scales)]
+    other = Subspace.from_vectors(source, moved)
+    fields = ("ambient", "basis", "pivots", "den")
+    assert [getattr(other, f) for f in fields] == [getattr(spanned, f) for f in fields]
 
 
 @settings(max_examples=100)
@@ -367,8 +387,8 @@ def test_sparse_map_operations_match_the_dense_reference(data):
         tuple(x - y for x, y in zip(r, s)) for r, s in zip(a_rows, c_rows)
     )
     assert a.rank() == len(ref.rref(a_rows)[1])
-    assert a.image() == as_subspace(sn, ref.rref(list(zip(*a_rows))))
-    assert a.kernel() == as_subspace(sk, ref.kernel(a_rows, k))
+    assert a.image() == ref.subspace(sn, *ref.rref(list(zip(*a_rows))))
+    assert a.kernel() == ref.subspace(sk, *ref.kernel(a_rows, k))
 
 
 @settings(max_examples=100)
@@ -406,7 +426,7 @@ def test_sparse_intersection_and_preimage_match_the_dense_reference(data):
     base = skewed_chain(data.draw(st.integers(1, 3)))
     space = base.algebra.space.tensor(s)
     for w_zero, w_one in ((u, v), (u, full), (full, v), (full, full)):
-        expected = as_subspace(space, ref.sections(base, w_zero, w_one))
+        expected = ref.subspace(space, *ref.sections(base, w_zero, w_one))
         assert base.sections(w_zero, w_one) == expected
 
 
@@ -421,11 +441,15 @@ def test_balanced_projection_matches_the_dense_quotient(rows, vectors):
     projection, section = ref.quotient(*ref.rref(rows), n)
     q = quotient_by(killed)
     assert len(q.reps) == len(section) == n - killed.dim
+    # project returns killed.den times the class, in the scale of its input
     for j in range(n):
-        assert q.project({j: Q(1)}) == {i: row[j] for i, row in enumerate(projection) if row[j]}
+        assert read_over(q.project({j: 1}), killed.den) == {
+            i: row[j] for i, row in enumerate(projection) if row[j]
+        }
     vec = vectors.draw(st.lists(ENTRIES, min_size=n, max_size=n))
     expected = [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in projection]
-    assert q.project(ref.sparse(vec)) == ref.sparse(expected)
+    den, ints = scaled(ref.sparse(vec))
+    assert read_over(q.project(ints), den * killed.den) == ref.sparse(expected)
 
 
 def test_linear_system_deterministic_solution():
