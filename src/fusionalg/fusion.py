@@ -51,6 +51,8 @@ from .linalg import (
     kernel_vectors,
     linear_combination,
     nonzero,
+    on_left,
+    on_right,
     rref,
     tensor_vec,
 )
@@ -326,17 +328,28 @@ class EquivariantFusion:
 
     Inside C (x) P (x) H, with H coacting on the last leg by its
     coproduct, the carrier degenerates to the coaction image δ(P) at the
-    one end and to the scalar fiber 1 (x) H at the zero end.
+    one end and to the scalar fiber 1 (x) H at the zero end.  Each end
+    condition alone is computed when it is first read.
     """
 
     base: BaseWithEnds
     inner: ComoduleAlgebra
     ambient: FDAlgebra  # C (x) P (x) H
     carrier: Subspace
-    cond_one: Subspace  # the one-end condition alone
-    cond_zero: Subspace  # the zero-end condition alone
+    w_zero: Subspace  # 1 (x) H in the fiber P (x) H
+    w_one: Subspace  # δ(P) in the fiber
     comodule: ComoduleAlgebra
     inclusion: LinearMap
+
+    @cached_property
+    def cond_one(self) -> Subspace:
+        """The one-end condition alone."""
+        return self.base.sections(Subspace.full(self.w_one.ambient), self.w_one)
+
+    @cached_property
+    def cond_zero(self) -> Subspace:
+        """The zero-end condition alone."""
+        return self.base.sections(self.w_zero, Subspace.full(self.w_zero.ambient))
 
 
 def _restrict_coaction(
@@ -395,13 +408,10 @@ def build_equivariant_fusion(
     base: BaseWithEnds, inner: ComoduleAlgebra
 ) -> EquivariantFusion:
     ambient, coaction, w_zero, w_one = _end_conditions(base, inner)
-    full = Subspace.full(w_zero.ambient)
     carrier = base.sections(w_zero, w_one)
-    cond_one = base.sections(full, w_one)
-    cond_zero = base.sections(w_zero, full)
     witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, "ef")
     return EquivariantFusion(
-        base, inner, ambient, carrier, cond_one, cond_zero, com, witness.inclusion
+        base, inner, ambient, carrier, w_zero, w_one, com, witness.inclusion
     )
 
 
@@ -415,8 +425,11 @@ class LiftedConnection:
     ``corestricts`` records the four boundary memberships of the image
     (one-end and zero-end condition, on each tensor factor), and
     ``report`` is the full axiom battery on the fusion.  A returned lift
-    always records four trues: :func:`lift_connection` computes the
-    displays only to name a failure, and then raises.
+    always records four trues: its fiber tensors lie in W₁ ⊗ W₁ and
+    W₀ ⊗ W₀, and for a square-root pair, with e₀(s) = e₁(s') = 0 and
+    e₁(s)² = e₀(s')² = 1, those two memberships are the four displays.
+    :func:`lift_connection` computes the displays only to name a
+    failure, and then raises.
     """
 
     fusion: EquivariantFusion
@@ -425,6 +438,101 @@ class LiftedConnection:
     map: LinearMap  # H -> EF (x) EF in fusion coordinates
     corestricts: tuple[bool, bool, bool, bool]
     report: CheckReport
+
+
+def _fiber_tensors(inner: ComoduleAlgebra, sqrt: SqrtPair, ell: LinearMap) -> tuple:
+    """The two tensors in F (x) F, F = P (x) H, that the lift puts at
+    the base points: for each H basis vector e_c,
+
+        T₁(e_c) = ℓ(h₂)'⊗S(h₁) ⊗ ℓ(h₂)''⊗h₃,   T₂(e_c) = 1⊗S(h₁) ⊗ 1⊗h₂.
+
+    s, s', 1, S, ℓ and the legs of Δ² and Δ are read over one
+    denominator D; a term of T₁ multiplies three scaled entries and one
+    of T₂ four, so T₁ is taken D times and each tensor is D⁴ times its
+    value.  Returns D, s, s' and the lists of T₁ and T₂."""
+    h = inner.hopf
+    dp, dh = inner.algebra.dim, h.dim
+    df = dp * dh
+    den, ((s, sp), (_, unit_p), s_cols, ell_cols, legs3_cols, cop_cols) = common_den(
+        sqrt.columns, inner.algebra, h.antipode, ell, sweedler_legs(h, 3), h.coproduct
+    )
+    t_one, t_two = [], []
+    for c in range(dh):
+        t1: dict[int, int] = {}
+        for abd, v3 in legs3_cols[c].items():
+            ab, d = divmod(abd, dh)
+            a, b = divmod(ab, dh)
+            for a2, sv in s_cols[a].items():
+                for r, lv in ell_cols[b].items():
+                    p1, p2 = divmod(r, dp)
+                    key = (p1 * dh + a2) * df + p2 * dh + d
+                    t1[key] = t1.get(key, 0) + den * v3 * sv * lv
+        t2: dict[int, int] = {}
+        for ab, v2 in cop_cols[c].items():
+            a, b = divmod(ab, dh)
+            for a2, sv in s_cols[a].items():
+                for u1, y1 in unit_p.items():
+                    for u2, y2 in unit_p.items():
+                        key = (u1 * dh + a2) * df + u2 * dh + b
+                        t2[key] = t2.get(key, 0) + v2 * sv * y1 * y2
+        t_one.append(nonzero(t1))
+        t_two.append(nonzero(t2))
+    return den, s, sp, t_one, t_two
+
+
+def _square_sum(
+    one: dict[int, int], two: dict[int, int], dims: tuple[int, int], f_cols, dim_w: int
+) -> dict[int, int]:
+    """(f (x) f)(x ⊕ y) for x in U (x) U and y in V (x) V, read in
+    (U ⊕ V) (x) (U ⊕ V), where ``dims`` is (dim U, dim V) and f: U ⊕ V
+    -> W is given by its sparse columns, those of U first."""
+    du, dv = dims
+    n = du + dv
+    vec = {}
+    for key, x in one.items():
+        i, j = divmod(key, du)
+        vec[i * n + j] = x
+    for key, y in two.items():
+        i, j = divmod(key, dv)
+        vec[(du + i) * n + du + j] = y
+    return on_left(on_right(vec, f_cols, n, dim_w), f_cols, dim_w)
+
+
+def _refusal(
+    fusion: EquivariantFusion,
+    s: dict[int, int],
+    sp: dict[int, int],
+    t_one: list[dict[int, int]],
+    t_two: list[dict[int, int]],
+) -> str:
+    """Why the lift is refused.  Each column (J (x) J)(T₁ ⊕ T₂), J =
+    [s⊗· | s'⊗·], is expanded in the ambient, and checked against the
+    four boundary displays, then against carrier (x) carrier."""
+    df, n = fusion.w_one.ambient.dim, fusion.ambient.dim
+    places = [{k * df + f: v for k, v in x.items()} for x in (s, sp) for f in range(df)]
+    columns = [_square_sum(t1, t2, (df, df), places, n) for t1, t2 in zip(t_one, t_two)]
+    one, zero = fusion.cond_one, fusion.cond_zero
+    full = Subspace.full(fusion.ambient.space)
+    displays = {
+        "one-end condition on the left factor": (one, full),
+        "zero-end condition on the left factor": (zero, full),
+        "one-end condition on the right factor": (full, one),
+        "zero-end condition on the right factor": (full, zero),
+    }
+    failed = [
+        name
+        for name, (left, right) in displays.items()
+        if any(_tensor_coordinates(left, right, col) is None for col in columns)
+    ]
+    if failed:
+        return f"lifted image leaves the carrier: {', '.join(failed)}"
+    for c, col in enumerate(columns):
+        if _tensor_coordinates(fusion.carrier, fusion.carrier, col) is None:
+            return (
+                "lifted image passes the boundary displays but misses the carrier "
+                f"square at H basis vector {c}"
+            )
+    return "lifted image lies in the carrier square, but s (x) W₁ or s' (x) W₀ does not"
 
 
 def lift_connection(
@@ -436,100 +544,62 @@ def lift_connection(
 
         s⊗ℓ(h₂)'⊗S(h₁) ⊗ s⊗ℓ(h₂)''⊗h₃  +  s'⊗1⊗S(h₁) ⊗ s'⊗1⊗h₂
 
-    summed over the tensor legs of the iterated coproduct.  The image is
-    expressed in fusion coordinates, that is in carrier ⊗ carrier, and
-    re-verified as a strong connection there.  The carrier is
-    cond_one ∩ cond_zero, so once every carrier basis vector is checked
-    to lie in both conditions, an image in carrier ⊗ carrier meets all
-    four boundary conditions and ``corestricts`` is recorded as all
-    true.  Only when the image misses the carrier square, or the carrier
-    is not inside both conditions, are the four displays computed: a
-    failing one is named, and an image that passes them all but misses
-    the carrier square is refused as such.
+    summed over the tensor legs of the iterated coproduct: that is
+    (J (x) J)(T₁(h) ⊕ T₂(h)) for the two fiber tensors in F (x) F,
+    F = P (x) H, of :func:`_fiber_tensors`, and J = [s⊗· | s'⊗·] from
+    F ⊕ F to C (x) F.  At the one end s' vanishes and s² = 1, so both
+    factors of the image meet the one-end condition exactly when
+    T₁ ∈ W₁ (x) W₁, W₁ = δ(P); at the zero end s vanishes and s'² = 1,
+    so both meet the zero-end condition exactly when T₂ ∈ W₀ (x) W₀,
+    W₀ = 1 (x) H.  These two memberships, decided on the fiber, are the
+    four displays, so a lift that passes them records ``corestricts``
+    as all true.  J maps W₁ ⊕ W₀ into the carrier, as s⊗w and s'⊗u meet
+    both end conditions: with a_i and b_i the carrier coordinates of
+    s⊗w_i and s'⊗u_i, taken once, the fusion coordinates of the image
+    are Σ c_ij a_i⊗a_j + Σ d_ij b_i⊗b_j for the coordinates c of T₁ and
+    d of T₂.  Coordinates in a basis are unique, so these are those of
+    the image in carrier (x) carrier, found with no ambient² vector
+    built.  The image is re-verified as a strong connection there.
+
+    When a fiber tensor leaves its square, or a carrier other than the
+    sections of W₀ and W₁ misses some s⊗w or s'⊗u, the lift is refused,
+    and :func:`_refusal` expands the image in the ambient to name a
+    failing display, else the first column outside the carrier square.
     """
     inner = fusion.inner
     h = inner.hopf
     dp, dh = inner.algebra.dim, h.dim
-    amb_dim = fusion.ambient.dim
     if sqrt.base.algebra.space != fusion.base.algebra.space:
         raise ValueError("square-root pair lives on a different base")
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
 
-    # s, s', 1, S, ℓ, the legs of Δ² and Δ over one denominator D: a term
-    # of the first sum multiplies five scaled entries and one of the second
-    # six, so the first is taken D times and each column is D⁶ times its value
-    den, ((s, sp), (_, unit_p), s_cols, ell_cols, legs3_cols, cop_cols) = common_den(
-        sqrt.columns, inner.algebra, h.antipode, ell, sweedler_legs(h, 3), h.coproduct
-    )
-    sp_unit = tensor_vec(sp, unit_p, dp)  # s'⊗1
-
-    columns: list[dict[int, int]] = []
-    for c in range(dh):
-        col: dict[int, int] = {}
-        for abd, v3 in legs3_cols[c].items():
-            ab, d = divmod(abd, dh)
-            a, b = divmod(ab, dh)
-            for a2, sv in s_cols[a].items():
-                for r, lv in ell_cols[b].items():
-                    p1, p2 = divmod(r, dp)
-                    w = den * v3 * sv * lv
-                    for k1, sk1 in s.items():
-                        block = ((k1 * dp + p1) * dh + a2) * amb_dim
-                        for k2, sk2 in s.items():
-                            key = block + (k2 * dp + p2) * dh + d
-                            col[key] = col.get(key, 0) + w * sk1 * sk2
-        for ab, v2 in cop_cols[c].items():
-            a, b = divmod(ab, dh)
-            for a2, sv in s_cols[a].items():
-                for x1, y1 in sp_unit.items():
-                    block = (x1 * dh + a2) * amb_dim
-                    for x2, y2 in sp_unit.items():
-                        key = block + x2 * dh + b
-                        col[key] = col.get(key, 0) + v2 * sv * y1 * y2
-        columns.append(nonzero(col))
-
-    # a carrier inside both conditions puts carrier ⊗ carrier inside all
-    # four displays, so they are needed only to name a failure
-    carrier, one, zero = fusion.carrier, fusion.cond_one, fusion.cond_zero
-    inside = all(
-        one.coordinates(vec) is not None and zero.coordinates(vec) is not None
-        for vec in carrier.basis
-    )
+    den, s, sp, t_one, t_two = _fiber_tensors(inner, sqrt, ell)
+    carrier, w_one, w_zero = fusion.carrier, fusion.w_one, fusion.w_zero
+    # J on W₁ ⊕ W₀ in carrier coordinates: s⊗w and s'⊗u for the bases w
+    # of W₁ and u of W₀ read over one den, D₀·D₁, so that each lifted
+    # column is D⁶·(D₀·D₁)² times its value
+    df = dp * dh
+    split = [
+        carrier.coordinates(tensor_vec({k: f * v for k, v in x.items()}, w, df))
+        for x, sub, f in ((s, w_one, w_zero.den), (sp, w_zero, w_one.den))
+        for w in sub.basis
+    ]
     ef_cols = []
-    for col in columns:
-        coords = _tensor_coordinates(carrier, carrier, col)
-        if coords is None:
+    for t1, t2 in zip(t_one, t_two) if None not in split else ():
+        c = _tensor_coordinates(w_one, w_one, t1)
+        d = None if c is None else _tensor_coordinates(w_zero, w_zero, t2)
+        if d is None:
             break
-        ef_cols.append(coords)
-    if inside and len(ef_cols) == len(columns):
-        corestricts = (True,) * 4
-    else:
-        full_amb = Subspace.full(fusion.ambient.space)
-        displays = ((one, full_amb), (zero, full_amb), (full_amb, one), (full_amb, zero))
-        corestricts = tuple(
-            all(_tensor_coordinates(left, right, col) is not None for col in columns)
-            for left, right in displays
-        )
-        if not all(corestricts):
-            names = (
-                "one-end condition on the left factor",
-                "zero-end condition on the left factor",
-                "one-end condition on the right factor",
-                "zero-end condition on the right factor",
-            )
-            failed = ", ".join(n for n, ok in zip(names, corestricts) if not ok)
-            raise AssertionError(f"lifted image leaves the carrier: {failed}")
-        if len(ef_cols) < len(columns):
-            raise AssertionError(
-                "lifted image passes the boundary displays but misses the carrier "
-                f"square at H basis vector {len(ef_cols)}"
-            )
+        ef_cols.append(_square_sum(c, d, (w_one.dim, w_zero.dim), split, carrier.dim))
+    if len(ef_cols) < dh:
+        raise AssertionError(_refusal(fusion, s, sp, t_one, t_two))
 
     ef_space = fusion.comodule.algebra.space
-    lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols, den**6)
+    den_ef = den**6 * (w_zero.den * w_one.den) ** 2
+    lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols, den_ef)
     report = check_strong_connection(fusion.comodule, lifted)
-    return LiftedConnection(fusion, sqrt, ell, lifted, corestricts, report)
+    return LiftedConnection(fusion, sqrt, ell, lifted, (True,) * 4, report)
 
 
 # ---------------------------------------------------------------- the theorem

@@ -323,7 +323,8 @@ class LinearMap:
         """Store integer columns over a least ``den``, owned by the map."""
         if len(cols) != source.dim:
             raise ValueError("dimension mismatch: wrong number of columns")
-        if any(not 0 <= i < target.dim for col in cols for i in col):
+        n = target.dim
+        if any(not 0 <= i < n for col in cols for i in col):
             raise ValueError("dimension mismatch: column entry outside the target")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -121,6 +121,8 @@ _PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 # The exponent of a spelling like "1e5000": Fraction(str) writes out 10 to
 # its power, so it is held to the digit limit int() keeps on the others.
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+# An integer spelling that int() reads under any digit limit (at least 640).
+_PLAIN_INT = re.compile(r"-?[0-9]{1,18}")
 
 
 def rational_from_obj(v, where: str = "value") -> Fraction:
@@ -193,15 +195,28 @@ def vector_to_obj(vec: dict, length: int) -> list[str]:
     return [rational_to_obj(vec.get(i, Q0)) for i in range(length)]
 
 
+def _dense_entry(v, row: str, j: int):
+    """Entry j of a dense matrix row: a plain integer, an ``int`` or a
+    short decimal spelling, as an ``int``, with no ``Fraction`` built
+    (most entries are 0 or 1); any other value as
+    :func:`rational_from_obj` reads it at ``row[j]``, with its message."""
+    if type(v) is int:
+        return v
+    if type(v) is str and _PLAIN_INT.fullmatch(v):
+        return int(v)
+    return rational_from_obj(v, f"{row}[{j}]")
+
+
 def dense_map_from_obj(
     obj, source: Space, target: Space, where: str
 ) -> LinearMap:
     """A linear map from a dense row-major matrix (target dim rows)."""
     rows = _list_from_obj(obj, where, target.dim)
-    parsed = tuple(
-        vector_from_obj(row, source.dim, f"{where}[{i}]")
-        for i, row in enumerate(rows)
-    )
+    parsed = []
+    for i, row in enumerate(rows):
+        at = f"{where}[{i}]"
+        entries = _list_from_obj(row, at, source.dim)
+        parsed.append(tuple(_dense_entry(v, at, j) for j, v in enumerate(entries)))
     return LinearMap(source, target, parsed)
 
 

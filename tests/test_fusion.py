@@ -2,6 +2,7 @@
 piecewise halves, and the pullback picture."""
 
 import json
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -534,8 +535,9 @@ def _regular_z2_lift():
 
 
 def test_successful_lift_computes_no_boundary_display(monkeypatch):
-    """A lift whose image lies in carrier ⊗ carrier reduces each column
-    once, by the carrier on both factors, and records all four flags."""
+    """A successful lift reduces its two fiber tensors in the fiber, by
+    W₁ ⊗ W₁ and W₀ ⊗ W₀, never by a subspace of the ambient, records all
+    four flags, and expands nothing into the ambient."""
     ef, pair, ell = _regular_z2_lift()
     calls = []
 
@@ -543,11 +545,16 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
         calls.append((left, right))
         return _tensor_coordinates(left, right, vec)
 
+    def refused(*args):
+        raise AssertionError("a successful lift expanded its image into the ambient")
+
     monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
+    monkeypatch.setattr(fusion_module, "_refusal", refused)
     lifted = lift_connection(ef, pair, ell)
     assert lifted.corestricts == (True, True, True, True)
     assert lifted.report.ok, lifted.report.failures
-    assert calls == [(ef.carrier, ef.carrier)] * ef.inner.hopf.dim
+    assert calls == [(ef.w_one, ef.w_one), (ef.w_zero, ef.w_zero)] * ef.inner.hopf.dim
+    assert all(left.ambient != ef.ambient.space for left, _ in calls)
 
 
 def _outside_one_end(ef) -> dict:
@@ -649,6 +656,73 @@ def test_lift_matches_the_fraction_reference(inner, profile):
     assert lifted.corestricts == expected.corestricts == (True,) * 4
     assert lifted.report == expected.report
     assert lifted.report.ok
+
+
+def _upper_triangular_lift(inner):
+    """The fusion of ``inner`` over T2, the pair s = e22, s' = e11, and
+    the solver's connection on ``inner``."""
+    base = upper_triangular_base()
+    ef = build_equivariant_fusion(base, inner)
+    pair = sqrt_pair_from_vectors(base, {2: Q(1)}, {0: Q(1)})
+    return ef, pair, is_principal(inner).connection.map
+
+
+UPPER_TRIANGULAR_INNERS = {
+    "O(Z2)": lambda: regular_comodule(2),
+    "O(Z3)": lambda: regular_comodule(3),
+    "H4": lambda: self_coaction(sweedler_h4()),
+}
+
+
+@pytest.mark.parametrize("inner", UPPER_TRIANGULAR_INNERS.values(), ids=UPPER_TRIANGULAR_INNERS)
+def test_lift_over_the_upper_triangular_base_matches_the_fraction_reference(inner):
+    """Over the noncommutative base T2, whose carrier is one part and
+    whose kernel K is not spanned by points, the lift through the fiber
+    gives the map, flags and report of the ``Fraction`` reference, which
+    reduces every ambient² column, and passes its battery."""
+    ef, pair, ell = _upper_triangular_lift(inner())
+    lifted = lift_connection(ef, pair, ell)
+    expected = ref.lift_connection(ef, pair, ell)
+    assert lifted.map == expected.map
+    assert lifted.corestricts == expected.corestricts == (True,) * 4
+    assert lifted.report == expected.report
+    assert lifted.report.ok, lifted.report.failures
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _regular_z2_lift(),
+        lambda: _upper_triangular_lift(regular_comodule(3)),
+        lambda: _upper_triangular_lift(self_coaction(sweedler_h4())),
+    ],
+    ids=["O(Z2)-chain-m2", "O(Z3)-T2", "H4-T2"],
+)
+def test_lift_of_a_changed_connection_agrees_with_the_fraction_reference(make):
+    """ℓ with one entry changed, at a seeded position to a seeded value
+    (zero among them): the lift and the ``Fraction`` reference both
+    refuse it, or both return the same map, flags and report."""
+    rng = random.Random(23)
+    ef, pair, ell = make()
+    outcomes = set()
+    for _ in range(16):
+        cols = ref.fcols(ell)
+        c, r = rng.randrange(ell.source.dim), rng.randrange(ell.target.dim)
+        cols[c][r] = rng.choice([Q(0), Q(1), Q(-1), Q(1, 2), Q(-3, 5)])
+        changed = LinearMap.from_sparse_columns(ell.source, ell.target, cols)
+        try:
+            expected = ref.lift_connection(ef, pair, changed)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                lift_connection(ef, pair, changed)
+            outcomes.add("refused")
+            continue
+        lifted = lift_connection(ef, pair, changed)
+        assert lifted.map == expected.map
+        assert lifted.corestricts == expected.corestricts
+        assert lifted.report == expected.report
+        outcomes.add("lifted")
+    assert outcomes == {"refused", "lifted"}
 
 
 def test_lift_into_a_carrier_outside_the_conditions_checks_the_displays():

@@ -115,9 +115,9 @@ def test_no_dense_vector_helpers(path):
 # The axiom batteries by module, with `connection_unital`, the unital law
 # of the connection battery, the check of an algebra map, the code that
 # restricts the product and the coaction to a carrier and lifts a
-# connection onto it, the connection system and the maps it is built from,
-# the kernels they all sum with, the integer echelon form with the kernel
-# built on it, and the pullback glue.
+# connection onto it with its fiber helpers, the connection system and
+# the maps it is built from, the kernels they all sum with, the integer
+# echelon form with the kernel built on it, and the pullback glue.
 BATTERIES = {
     "linalg.py": (
         "linear_combination",
@@ -140,6 +140,9 @@ BATTERIES = {
     "fusion.py": (
         "_tensor_coordinates",
         "_restrict_coaction",
+        "_fiber_tensors",
+        "_square_sum",
+        "_refusal",
         "lift_connection",
         "pullback_identification",
     ),

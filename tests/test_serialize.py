@@ -24,6 +24,7 @@ from fusionalg.serialize import (
     certificate_identity,
     comodule_from_obj,
     comodule_to_obj,
+    dense_map_from_obj,
     group_from_obj,
     group_to_obj,
     gset_from_obj,
@@ -594,3 +595,29 @@ def test_certificates_do_not_depend_on_the_hash_seed(tmp_path, argv):
         assert out.exists(), proc.stderr
         identities.append(certificate_identity(json.loads(out.read_text())))
     assert identities[0] == identities[1]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [0, 7, -3, "0", "1", "-1", "007", "-0", "3/5", "-6/4", "1e3", "٣", " 2", "9" * 30, 10**40],
+)
+def test_dense_map_entries_read_as_rationals(entry):
+    """A dense matrix reads every accepted entry, an ``int`` or a plain
+    integer spelling read directly or any other through
+    ``rational_from_obj``, as the same map that the rationals give."""
+    space = Space.of_dim(2)
+    row = [entry, "1/2"]
+    got = dense_map_from_obj([row], space, Space.scalar(), "m")
+    expected = LinearMap(space, Space.scalar(), [[rational_from_obj(v) for v in row]])
+    assert got == expected
+
+
+@pytest.mark.parametrize("entry", [True, False, 0.5, None, [1], "one", "1/0", "9" * 5000])
+def test_dense_map_entries_refused_as_rational_from_obj_refuses(entry):
+    """A bool, a float or any other value that is no plain integer is
+    refused with the message ``rational_from_obj`` gives at that entry."""
+    with pytest.raises(InputFormatError) as expected:
+        rational_from_obj(entry, "m[0][1]")
+    with pytest.raises(InputFormatError) as err:
+        dense_map_from_obj([[0, entry]], Space.of_dim(2), Space.scalar(), "m")
+    assert str(err.value) == str(expected.value)
