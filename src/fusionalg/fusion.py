@@ -153,45 +153,41 @@ def chain_interval(m: int) -> BaseWithEnds:
 @dataclass(frozen=True)
 class SqrtPair:
     """Elements s, s' of the base with s² + s'² = 1, s vanishing at the
-    zero end and s' at the one end, as sparse vectors."""
+    zero end and s' at the one end, as sparse vectors, checked when built:
+    read over their denominator D, s and s' multiply through the table of
+    the base to D² times the products, in the scale of its unit."""
 
     base: BaseWithEnds
     vanish_at_zero: dict[int, Fraction]  # s
     vanish_at_one: dict[int, Fraction]  # s'
+
+    def __post_init__(self):
+        alg = self.base.algebra
+        if any(not 0 <= k < alg.dim for k in (*self.vanish_at_zero, *self.vanish_at_one)):
+            raise ValueError("the pair does not live on the base")
+        columns = self.columns
+        n, (x, y), den = alg.dim, columns.cols, columns.den
+        flat = [prod for row in alg.table for prod in row]
+
+        def times(u, v):
+            pairs = {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
+            return linear_combination(flat, pairs)
+
+        squares = linear_combination((times(x, x), times(y, y)), {0: 1, 1: 1})
+        if squares != {k: v * den * den for k, v in alg.unit.items()}:
+            raise ValueError("the squares do not sum to the unit")
+        if times(x, y) != times(y, x):
+            raise ValueError("the pair does not commute")
+        if linear_combination(self.base.end_zero.cols, x):
+            raise ValueError("s does not vanish at the zero end")
+        if linear_combination(self.base.end_one.cols, y):
+            raise ValueError("s' does not vanish at the one end")
 
     @property
     def columns(self) -> LinearMap:
         """s and s' as the two columns of a map to the base, in integers."""
         pair = (self.vanish_at_zero, self.vanish_at_one)
         return LinearMap.from_sparse_columns(Space.of_dim(2), self.base.algebra.space, pair)
-
-
-def sqrt_pair_from_vectors(base: BaseWithEnds, s: dict, s_prime: dict) -> SqrtPair:
-    """Check that sparse vectors s, s' of the base form a square-root
-    pair.  Read over their denominator D, s and s' multiply through the
-    table of the base to D² times the products, in the scale of its unit."""
-    alg = base.algebra
-    if any(not 0 <= k < alg.dim for k in (*s, *s_prime)):
-        raise ValueError("the pair does not live on the base")
-    pair = SqrtPair(base, s, s_prime)
-    columns = pair.columns
-    n, (x, y), den = alg.dim, columns.cols, columns.den
-    flat = [prod for row in alg.table for prod in row]
-
-    def times(u, v):
-        pairs = {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
-        return linear_combination(flat, pairs)
-
-    squares = linear_combination((times(x, x), times(y, y)), {0: 1, 1: 1})
-    if squares != {k: v * den * den for k, v in alg.unit.items()}:
-        raise ValueError("the squares do not sum to the unit")
-    if times(x, y) != times(y, x):
-        raise ValueError("the pair does not commute")
-    if linear_combination(base.end_zero.cols, x):
-        raise ValueError("s does not vanish at the zero end")
-    if linear_combination(base.end_one.cols, y):
-        raise ValueError("s' does not vanish at the one end")
-    return pair
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -228,7 +224,7 @@ def make_sqrt_pair(base: BaseWithEnds, profile) -> SqrtPair:
             s[k] = v
         if rp:
             sp[k] = rp
-    return sqrt_pair_from_vectors(base, s, sp)
+    return SqrtPair(base, s, sp)
 
 
 def default_profile(m: int) -> tuple[Fraction, ...]:
@@ -329,7 +325,8 @@ class EquivariantFusion:
     Inside C (x) P (x) H, with H coacting on the last leg by its
     coproduct, the carrier degenerates to the coaction image δ(P) at the
     one end and to the scalar fiber 1 (x) H at the zero end.  Each end
-    condition alone is computed when it is first read.
+    condition alone is computed only when read: the lift decides both on
+    the fiber, through ``w_one`` and ``w_zero``, and reads neither.
     """
 
     base: BaseWithEnds
@@ -428,8 +425,7 @@ class LiftedConnection:
     always records four trues: its fiber tensors lie in W₁ ⊗ W₁ and
     W₀ ⊗ W₀, and for a square-root pair, with e₀(s) = e₁(s') = 0 and
     e₁(s)² = e₀(s')² = 1, those two memberships are the four displays.
-    :func:`lift_connection` computes the displays only to name a
-    failure, and then raises.
+    A lift that fails one is refused, with the failing displays named.
     """
 
     fusion: EquivariantFusion
@@ -499,40 +495,27 @@ def _square_sum(
 
 
 def _refusal(
-    fusion: EquivariantFusion,
-    s: dict[int, int],
-    sp: dict[int, int],
-    t_one: list[dict[int, int]],
-    t_two: list[dict[int, int]],
+    fusion: EquivariantFusion, t_one: list[dict[int, int]], t_two: list[dict[int, int]]
 ) -> str:
-    """Why the lift is refused.  Each column (J (x) J)(T₁ ⊕ T₂), J =
-    [s⊗· | s'⊗·], is expanded in the ambient, and checked against the
-    four boundary displays, then against carrier (x) carrier."""
-    df, n = fusion.w_one.ambient.dim, fusion.ambient.dim
-    places = [{k * df + f: v for k, v in x.items()} for x in (s, sp) for f in range(df)]
-    columns = [_square_sum(t1, t2, (df, df), places, n) for t1, t2 in zip(t_one, t_two)]
-    one, zero = fusion.cond_one, fusion.cond_zero
-    full = Subspace.full(fusion.ambient.space)
+    """Why the lift is refused, read on the fiber tensors (see
+    :func:`lift_connection`): the displays they fail, else that the
+    carrier misses some s⊗w or s'⊗u."""
+    w_one, w_zero = fusion.w_one, fusion.w_zero
+    full = Subspace.full(w_one.ambient)
     displays = {
-        "one-end condition on the left factor": (one, full),
-        "zero-end condition on the left factor": (zero, full),
-        "one-end condition on the right factor": (full, one),
-        "zero-end condition on the right factor": (full, zero),
+        "one-end condition on the left factor": (w_one, full, t_one),
+        "zero-end condition on the left factor": (w_zero, full, t_two),
+        "one-end condition on the right factor": (full, w_one, t_one),
+        "zero-end condition on the right factor": (full, w_zero, t_two),
     }
     failed = [
         name
-        for name, (left, right) in displays.items()
-        if any(_tensor_coordinates(left, right, col) is None for col in columns)
+        for name, (left, right, tensors) in displays.items()
+        if any(_tensor_coordinates(left, right, t) is None for t in tensors)
     ]
     if failed:
         return f"lifted image leaves the carrier: {', '.join(failed)}"
-    for c, col in enumerate(columns):
-        if _tensor_coordinates(fusion.carrier, fusion.carrier, col) is None:
-            return (
-                "lifted image passes the boundary displays but misses the carrier "
-                f"square at H basis vector {c}"
-            )
-    return "lifted image lies in the carrier square, but s (x) W₁ or s' (x) W₀ does not"
+    return "lifted image passes the boundary displays, but the carrier misses s (x) W₁ or s' (x) W₀"
 
 
 def lift_connection(
@@ -547,29 +530,29 @@ def lift_connection(
     summed over the tensor legs of the iterated coproduct: that is
     (J (x) J)(T₁(h) ⊕ T₂(h)) for the two fiber tensors in F (x) F,
     F = P (x) H, of :func:`_fiber_tensors`, and J = [s⊗· | s'⊗·] from
-    F ⊕ F to C (x) F.  At the one end s' vanishes and s² = 1, so both
-    factors of the image meet the one-end condition exactly when
-    T₁ ∈ W₁ (x) W₁, W₁ = δ(P); at the zero end s vanishes and s'² = 1,
-    so both meet the zero-end condition exactly when T₂ ∈ W₀ (x) W₀,
-    W₀ = 1 (x) H.  These two memberships, decided on the fiber, are the
-    four displays, so a lift that passes them records ``corestricts``
-    as all true.  J maps W₁ ⊕ W₀ into the carrier, as s⊗w and s'⊗u meet
-    both end conditions: with a_i and b_i the carrier coordinates of
-    s⊗w_i and s'⊗u_i, taken once, the fusion coordinates of the image
-    are Σ c_ij a_i⊗a_j + Σ d_ij b_i⊗b_j for the coordinates c of T₁ and
-    d of T₂.  Coordinates in a basis are unique, so these are those of
-    the image in carrier (x) carrier, found with no ambient² vector
-    built.  The image is re-verified as a strong connection there.
+    F ⊕ F to C (x) F.  At the one end s' vanishes and s² = 1, and s⊗· is
+    injective, so a factor of the image meets the one-end condition
+    exactly when T₁ lies in W₁ = δ(P) on that factor; at the zero end s
+    vanishes and s'² = 1, so it meets the zero-end condition exactly
+    when T₂ lies in W₀ = 1 (x) H there.  The four displays are thus
+    T₁ ∈ W₁ (x) W₁ and T₂ ∈ W₀ (x) W₀, decided on the fiber, and a
+    returned lift records ``corestricts`` as all true.  J maps W₁ ⊕ W₀
+    into the carrier, as s⊗w and s'⊗u meet both end conditions: with a_i
+    and b_i the carrier coordinates of s⊗w_i and s'⊗u_i, taken once, the
+    fusion coordinates of the image are Σ c_ij a_i⊗a_j + Σ d_ij b_i⊗b_j
+    for the coordinates c of T₁ and d of T₂.  Coordinates in a basis are
+    unique, so these are those of the image in carrier (x) carrier,
+    found with no ambient² vector built.  The image is re-verified as a
+    strong connection there.
 
     When a fiber tensor leaves its square, or a carrier other than the
-    sections of W₀ and W₁ misses some s⊗w or s'⊗u, the lift is refused,
-    and :func:`_refusal` expands the image in the ambient to name a
-    failing display, else the first column outside the carrier square.
+    sections of W₀ and W₁ misses some s⊗w or s'⊗u, the lift is refused
+    with the reason :func:`_refusal` reads on the same fiber tensors.
     """
     inner = fusion.inner
     h = inner.hopf
     dp, dh = inner.algebra.dim, h.dim
-    if sqrt.base.algebra.space != fusion.base.algebra.space:
+    if sqrt.base != fusion.base:
         raise ValueError("square-root pair lives on a different base")
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
@@ -593,7 +576,7 @@ def lift_connection(
             break
         ef_cols.append(_square_sum(c, d, (w_one.dim, w_zero.dim), split, carrier.dim))
     if len(ef_cols) < dh:
-        raise AssertionError(_refusal(fusion, s, sp, t_one, t_two))
+        raise AssertionError(_refusal(fusion, t_one, t_two))
 
     ef_space = fusion.comodule.algebra.space
     den_ef = den**6 * (w_zero.den * w_one.den) ** 2
@@ -639,7 +622,7 @@ def verify_theorem_main(
     base = chain_interval(m)
     if sqrt is None:
         sqrt = make_sqrt_pair(base, default_profile(m))
-    elif sqrt.base.algebra.space != base.algebra.space:
+    elif sqrt.base != base:
         raise ValueError("square-root pair does not live on the chain 0..m")
     fusion = build_equivariant_fusion(base, inner)
     lifted = lift_connection(fusion, sqrt, input_verdict.connection.map)

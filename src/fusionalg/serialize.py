@@ -65,6 +65,7 @@ from .comodule import (
 from .fusion import (
     BaseWithEnds,
     PreconditionError,
+    SqrtPair,
     base_with_ends,
     build_equivariant_fusion,
     build_fusion,
@@ -72,7 +73,6 @@ from .fusion import (
     default_profile,
     make_sqrt_pair,
     pullback_identification,
-    sqrt_pair_from_vectors,
     verify_theorem_main,
 )
 from .groups import FiniteGroup, FiniteGSet
@@ -964,7 +964,7 @@ def _parse_theorem_main(scn: Scenario, inputs):
     elif profile is not None:
         _fail("params", "give either a profile or a sqrt pair, not both")
     else:
-        where, make = "params.sqrt", sqrt_pair_from_vectors
+        where, make = "params.sqrt", SqrtPair
         s, s_prime = _fields(sqrt, where, None, ("s", "s_prime"))
         dense = (
             vector_from_obj(s, m + 1, f"{where}.s"),

@@ -1064,7 +1064,8 @@ def tensor_coordinates(
 def lift_connection(fusion: EquivariantFusion, sqrt: SqrtPair, ell: LinearMap) -> LiftedConnection:
     """The lifted connection with its columns assembled in ``Fraction``
     arithmetic and reduced by :func:`tensor_coordinates`, every boundary
-    display computed."""
+    display computed on the ambient.  A refusal names the displays that
+    fail, in the library's wording and order."""
     inner = fusion.inner
     h = inner.hopf
     dp, dh = inner.algebra.dim, h.dim
@@ -1103,14 +1104,22 @@ def lift_connection(fusion: EquivariantFusion, sqrt: SqrtPair, ell: LinearMap) -
         columns.append(col)
     full = Subspace.full(fusion.ambient.space)
     one, zero = fusion.cond_one, fusion.cond_zero
-    displays = ((one, full), (zero, full), (full, one), (full, zero))
+    displays = {
+        "one-end condition on the left factor": (one, full),
+        "zero-end condition on the left factor": (zero, full),
+        "one-end condition on the right factor": (full, one),
+        "zero-end condition on the right factor": (full, zero),
+    }
     corestricts = tuple(
         all(tensor_coordinates(left, right, col) is not None for col in columns)
-        for left, right in displays
+        for left, right in displays.values()
     )
+    if not all(corestricts):
+        failed = [name for name, ok in zip(displays, corestricts) if not ok]
+        raise AssertionError(f"lifted image leaves the carrier: {', '.join(failed)}")
     ef_cols = [tensor_coordinates(fusion.carrier, fusion.carrier, col) for col in columns]
-    if not all(corestricts) or None in ef_cols:
-        raise AssertionError("lifted image leaves the carrier")
+    if None in ef_cols:
+        raise AssertionError("lifted image misses the carrier square")
     ef_space = fusion.comodule.algebra.space
     lifted = LinearMap.from_sparse_columns(h.space, ef_space.tensor(ef_space), ef_cols)
     report = check_strong_connection(fusion.comodule, lifted)

@@ -37,6 +37,7 @@ from fusionalg.comodule import (
 from fusionalg.fusion import (
     BaseWithEnds,
     PreconditionError,
+    SqrtPair,
     _end_conditions,
     _restrict_coaction,
     _tensor_coordinates,
@@ -49,7 +50,6 @@ from fusionalg.fusion import (
     make_sqrt_pair,
     piecewise_parts,
     pullback_identification,
-    sqrt_pair_from_vectors,
     verify_theorem_main,
 )
 from fusionalg.groups import FiniteGroup, FiniteGSet
@@ -71,14 +71,21 @@ def regular_comodule(n: int):
     return fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(n)))
 
 
+def vandermonde(m: int) -> LinearMap:
+    """b_j -> Σ_i (i+1)^j·δ_i on the chain 0..m: the values at the points
+    of the basis vectors of :func:`skewed_chain`."""
+    n = m + 1
+    space = Space.of_dim(n, "b")
+    return LinearMap.from_rows(space, space, [[Q((i + 1) ** j) for j in range(n)] for i in range(n)])
+
+
 def skewed_chain(m: int) -> BaseWithEnds:
     """The chain 0..m in the Vandermonde basis b_j = Σ_i (i+1)^j·δ_i, so
     that neither end is a coordinate functional: e₀(b_j) = 1 and
     e₁(b_j) = (m+1)^j."""
     n = m + 1
-    space = Space.of_dim(n, "b")
-    change = LinearMap.from_rows(space, space, [[Q((i + 1) ** j) for j in range(n)] for i in range(n)])
-    back = change.inverse()
+    change = vandermonde(m)
+    space, back = change.source, change.inverse()
     cols = change.cols
     table = [
         [back.apply({i: x * cols[k][i] for i, x in cols[j].items()}) for k in range(n)]
@@ -171,20 +178,39 @@ def test_default_profile():
     make_sqrt_pair(base, default_profile(4))  # always admissible
 
 
-def test_sqrt_pair_from_vectors_validation():
+def test_sqrt_pair_validation():
+    """Every ``SqrtPair`` is checked when it is built."""
     base = chain_interval(1)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, {0: Q(1), 1: Q(1)}, {})
+        SqrtPair(base, {0: Q(1), 1: Q(1)}, {})
     assert "does not vanish at the zero end" in str(exc.value)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, {}, {0: Q(1), 1: Q(1)})
+        SqrtPair(base, {}, {0: Q(1), 1: Q(1)})
     assert "does not vanish at the one end" in str(exc.value)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, {1: Q(2)}, {0: Q(1)})
+        SqrtPair(base, {1: Q(2)}, {0: Q(1)})
     assert "squares do not sum to the unit" in str(exc.value)
     with pytest.raises(ValueError) as exc:
-        sqrt_pair_from_vectors(base, {1: Q(1), 2: Q(1)}, {0: Q(1)})
+        SqrtPair(base, {1: Q(1), 2: Q(1)}, {0: Q(1)})
     assert "does not live on the base" in str(exc.value)
+
+
+def test_sqrt_pair_refuses_a_pair_that_does_not_commute():
+    """Over 2×2 matrices, s = (3/5)·diag(1, -1) and s' = (4/5)·(e12 + e21)
+    have s² + s'² = 1 but anticommute.  The pair is checked before the
+    ends, so any two functionals serve as ends here."""
+    table = [[{} for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            (i, j), (k, l) = divmod(a, 2), divmod(b, 2)
+            if j == k:
+                table[a][b] = {2 * i + l: 1}
+    algebra = FDAlgebra.from_structure(Space(("e11", "e12", "e21", "e22")), table, (1, 0, 0, 1))
+    end = LinearMap.from_sparse_columns(algebra.space, Space.scalar(), [{0: 1}, {}, {}, {}])
+    base = BaseWithEnds(algebra, end, end)
+    with pytest.raises(ValueError) as exc:
+        SqrtPair(base, {0: Q(3, 5), 3: Q(-3, 5)}, {1: Q(4, 5), 2: Q(4, 5)})
+    assert str(exc.value) == "the pair does not commute"
 
 
 # ---------------------------------------------------------------- plain fusion
@@ -493,6 +519,22 @@ def test_lift_connection_base_mismatch():
         lift_connection(ef, wrong, ell)
 
 
+def test_lift_connection_refuses_a_pair_on_the_swapped_ends():
+    """A pair on the chain with its two ends swapped has the chain's
+    labels but not its base, and is refused as a pair on another base."""
+    chain = chain_interval(2)
+    swapped = base_with_ends(chain.algebra, chain.end_one, chain.end_zero)
+    pair = SqrtPair(swapped, {0: Q(1), 1: Q(3, 5)}, {1: Q(4, 5), 2: Q(1)})
+    inner = regular_comodule(2)
+    ef = build_equivariant_fusion(chain, inner)
+    with pytest.raises(ValueError) as err:
+        lift_connection(ef, pair, is_principal(inner).connection.map)
+    assert str(err.value) == "square-root pair lives on a different base"
+    with pytest.raises(ValueError) as err:
+        verify_theorem_main(inner, 2, sqrt=pair)
+    assert str(err.value) == "square-root pair does not live on the chain 0..m"
+
+
 def test_lift_connection_shape_guard():
     inner = regular_comodule(2)
     ef = build_equivariant_fusion(chain_interval(2), inner)
@@ -511,33 +553,57 @@ def test_lifted_connection_satisfies_all_boundary_displays():
     assert lifted.report.ok, lifted.report.failures
 
 
+def _chain_lift(inner, profile):
+    """The fusion of ``inner`` over the chain, the pair of ``profile``,
+    and the solver's connection on ``inner``."""
+    base = chain_interval(len(profile) - 1)
+    ef = build_equivariant_fusion(base, inner)
+    return ef, make_sqrt_pair(base, profile), is_principal(inner).connection.map
+
+
+def _regular_z2_lift():
+    return _chain_lift(regular_comodule(2), default_profile(2))
+
+
+def _non_connection(ef) -> LinearMap:
+    """ℓ(e0) = e0⊗e1, ℓ = 0 elsewhere: no connection on ``ef.inner``."""
+    p, h = ef.inner.algebra, ef.inner.hopf
+    cols = [{} for _ in range(h.dim)]
+    cols[0] = {0 * p.dim + 1: 1}
+    return LinearMap.from_sparse_columns(h.space, p.space.tensor(p.space), cols)
+
+
 def test_lift_connection_rejects_a_non_connection():
-    inner = regular_comodule(2)
-    ef = build_equivariant_fusion(chain_interval(2), inner)
-    pair = make_sqrt_pair(chain_interval(2), default_profile(2))
-    p, h = inner.algebra, inner.hopf
-    rows = [[Q(0)] * h.dim for _ in range(p.dim * p.dim)]
-    rows[0 * p.dim + 1][0] = Q(1)  # row e0⊗e1, column e0
-    ell = LinearMap.from_rows(h.space, p.space.tensor(p.space), rows)
+    ef, pair, _ = _regular_z2_lift()
     with pytest.raises(AssertionError) as err:
-        lift_connection(ef, pair, ell)
+        lift_connection(ef, pair, _non_connection(ef))
     assert str(err.value) == (
         "lifted image leaves the carrier: one-end condition on the left "
         "factor, one-end condition on the right factor"
     )
 
 
-def _regular_z2_lift():
-    inner = regular_comodule(2)
-    ef = build_equivariant_fusion(chain_interval(2), inner)
-    pair = make_sqrt_pair(chain_interval(2), default_profile(2))
-    return ef, pair, is_principal(inner).connection.map
+def _negative_chain_lift(inner):
+    """The chain 0..2 with s = (0, -3/5, -1) and s' = (-1, 4/5, 0), so
+    that e₁(s) = e₀(s') = -1."""
+    base = chain_interval(2)
+    pair = SqrtPair(base, {1: Q(-3, 5), 2: Q(-1)}, {0: Q(-1), 1: Q(4, 5)})
+    return build_equivariant_fusion(base, inner), pair, is_principal(inner).connection.map
+
+
+def _skewed_chain_lift(inner):
+    """The skewed chain 0..2, whose ends are no coordinate functionals,
+    with the chain pair (0, 3/5, 1), (1, 4/5, 0) moved into its basis."""
+    base = skewed_chain(2)
+    back = vandermonde(2).inverse()
+    pair = SqrtPair(base, back.apply({1: Q(3, 5), 2: Q(1)}), back.apply({0: Q(1), 1: Q(4, 5)}))
+    return build_equivariant_fusion(base, inner), pair, is_principal(inner).connection.map
 
 
 def test_successful_lift_computes_no_boundary_display(monkeypatch):
     """A successful lift reduces its two fiber tensors in the fiber, by
     W₁ ⊗ W₁ and W₀ ⊗ W₀, never by a subspace of the ambient, records all
-    four flags, and expands nothing into the ambient."""
+    four flags, and names no refusal."""
     ef, pair, ell = _regular_z2_lift()
     calls = []
 
@@ -546,7 +612,7 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
         return _tensor_coordinates(left, right, vec)
 
     def refused(*args):
-        raise AssertionError("a successful lift expanded its image into the ambient")
+        raise AssertionError("a successful lift computed a refusal")
 
     monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
     monkeypatch.setattr(fusion_module, "_refusal", refused)
@@ -555,6 +621,26 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
     assert lifted.report.ok, lifted.report.failures
     assert calls == [(ef.w_one, ef.w_one), (ef.w_zero, ef.w_zero)] * ef.inner.hopf.dim
     assert all(left.ambient != ef.ambient.space for left, _ in calls)
+
+
+def test_refused_lift_names_its_displays_on_the_fiber(monkeypatch):
+    """A refused lift names the displays it fails from the fiber tensors:
+    every ``_tensor_coordinates`` call takes two subspaces of F = P (x) H,
+    and neither end condition of the ambient is computed."""
+    ef, pair, _ = _regular_z2_lift()
+    calls = []
+
+    def counted(left, right, vec):
+        calls.append((left.ambient, right.ambient))
+        return _tensor_coordinates(left, right, vec)
+
+    monkeypatch.setattr(fusion_module, "_tensor_coordinates", counted)
+    with pytest.raises(AssertionError) as err:
+        lift_connection(ef, pair, _non_connection(ef))
+    assert str(err.value).startswith("lifted image leaves the carrier: ")
+    fiber = ef.w_one.ambient
+    assert calls and set(calls) == {(fiber, fiber)}
+    assert "cond_one" not in vars(ef) and "cond_zero" not in vars(ef)
 
 
 def _outside_one_end(ef) -> dict:
@@ -566,12 +652,18 @@ def _outside_one_end(ef) -> dict:
     )
 
 
+MISSES_THE_SPLITTING = (
+    "lifted image passes the boundary displays, but the carrier misses "
+    "s (x) W₁ or s' (x) W₀"
+)
+
+
 @pytest.mark.parametrize("outside", [False, True], ids=["smaller", "outside-a-condition"])
 def test_lift_into_a_hand_built_carrier_names_the_carrier_square(outside):
     """With a carrier that drops one basis vector of cond_one ∩ cond_zero,
     or that also takes in a vector outside the one-end condition, the
-    image of the genuine lift passes all four boundary displays but
-    misses the carrier square."""
+    genuine lift passes all four boundary displays, but the carrier
+    misses some s⊗w or s'⊗u."""
     ef, pair, ell = _regular_z2_lift()
     vectors = list(ef.carrier.basis[:-1])
     if outside:
@@ -579,38 +671,21 @@ def test_lift_into_a_hand_built_carrier_names_the_carrier_square(outside):
     carrier = Subspace(ef.ambient.space, *rref(vectors))
     with pytest.raises(AssertionError) as err:
         lift_connection(replace(ef, carrier=carrier), pair, ell)
-    assert str(err.value) == (
-        "lifted image passes the boundary displays but misses the carrier "
-        "square at H basis vector 0"
-    )
+    assert str(err.value) == MISSES_THE_SPLITTING
 
 
-def test_lift_into_a_smaller_carrier_names_the_first_column_outside():
-    """Dropping carrier basis vector k leaves in the carrier square exactly
-    the columns of the genuine lift whose fusion coordinates avoid k; the
-    refusal names the first column that does not."""
+def test_lift_into_a_smaller_carrier_is_refused_for_every_dropped_vector():
+    """Every carrier basis vector k of H4 on itself over the chain 0..1
+    takes part in some s⊗w or s'⊗u, so dropping any one of them refuses
+    the genuine lift, which passes all four displays."""
     inner = self_coaction(sweedler_h4())
-    ef = build_equivariant_fusion(chain_interval(1), inner)
-    pair = make_sqrt_pair(chain_interval(1), default_profile(1))
-    ell = is_principal(inner).connection.map
-    lifted = lift_connection(ef, pair, ell)
-    d = ef.carrier.dim
-    named = set()
-    for k in range(d):
-        uses = [any(k in divmod(key, d) for key in col) for col in lifted.map.cols]
-        if not any(uses):
-            continue
+    ef, pair, ell = _chain_lift(inner, default_profile(1))
+    for k in range(ef.carrier.dim):
         kept = ef.carrier.basis[:k] + ef.carrier.basis[k + 1 :]
         carrier = Subspace(ef.ambient.space, *rref(kept))
         with pytest.raises(AssertionError) as err:
             lift_connection(replace(ef, carrier=carrier), pair, ell)
-        first = uses.index(True)
-        assert str(err.value) == (
-            "lifted image passes the boundary displays but misses the carrier "
-            f"square at H basis vector {first}"
-        )
-        named.add(first)
-    assert named == {0, 1, 2}
+        assert str(err.value) == MISSES_THE_SPLITTING
 
 
 def test_restriction_names_the_carrier_vector_the_coaction_moves():
@@ -633,23 +708,21 @@ def test_restriction_names_the_carrier_vector_the_coaction_moves():
     )
 
 
-@pytest.mark.parametrize(
-    "inner, profile",
-    [
-        (lambda: regular_comodule(3), (0, Q(5, 13), Q(8, 17), 1)),
-        (lambda: self_coaction(sweedler_h4()), (0, Q(8, 17), 1)),
-    ],
-    ids=["O(Z3)-m3", "H4-m2"],
-)
-def test_lift_matches_the_fraction_reference(inner, profile):
-    """Square-root pairs over 13 and 17 (5/13, 12/13 and 8/17, 15/17):
-    the integer lift gives the map, boundary flags and report of the
-    ``Fraction`` reference, which computes every display."""
-    inner = inner()
-    m = len(profile) - 1
-    ef = build_equivariant_fusion(chain_interval(m), inner)
-    pair = make_sqrt_pair(chain_interval(m), profile)
-    ell = is_principal(inner).connection.map
+LIFTS = {
+    "O(Z3)-m3": lambda: _chain_lift(regular_comodule(3), (0, Q(5, 13), Q(8, 17), 1)),
+    "H4-m2": lambda: _chain_lift(self_coaction(sweedler_h4()), (0, Q(8, 17), 1)),
+    "O(Z3)-skewed-m2": lambda: _skewed_chain_lift(regular_comodule(3)),
+    "H4-negative-m2": lambda: _negative_chain_lift(self_coaction(sweedler_h4())),
+}
+
+
+@pytest.mark.parametrize("make", LIFTS.values(), ids=LIFTS)
+def test_lift_matches_the_fraction_reference(make):
+    """Square-root pairs over 13 and 17 (5/13, 12/13 and 8/17, 15/17), a
+    pair with the end values -1, and a base whose ends are no coordinate
+    functionals: the integer lift gives the map, boundary flags and
+    report of the ``Fraction`` reference, which computes every display."""
+    ef, pair, ell = make()
     lifted = lift_connection(ef, pair, ell)
     expected = ref.lift_connection(ef, pair, ell)
     assert lifted.map == expected.map
@@ -663,7 +736,7 @@ def _upper_triangular_lift(inner):
     the solver's connection on ``inner``."""
     base = upper_triangular_base()
     ef = build_equivariant_fusion(base, inner)
-    pair = sqrt_pair_from_vectors(base, {2: Q(1)}, {0: Q(1)})
+    pair = SqrtPair(base, {2: Q(1)}, {0: Q(1)})
     return ef, pair, is_principal(inner).connection.map
 
 
@@ -695,13 +768,16 @@ def test_lift_over_the_upper_triangular_base_matches_the_fraction_reference(inne
         lambda: _regular_z2_lift(),
         lambda: _upper_triangular_lift(regular_comodule(3)),
         lambda: _upper_triangular_lift(self_coaction(sweedler_h4())),
+        lambda: _skewed_chain_lift(regular_comodule(2)),
+        lambda: _negative_chain_lift(regular_comodule(2)),
     ],
-    ids=["O(Z2)-chain-m2", "O(Z3)-T2", "H4-T2"],
+    ids=["O(Z2)-chain-m2", "O(Z3)-T2", "H4-T2", "O(Z2)-skewed-m2", "O(Z2)-negative-m2"],
 )
 def test_lift_of_a_changed_connection_agrees_with_the_fraction_reference(make):
     """ℓ with one entry changed, at a seeded position to a seeded value
     (zero among them): the lift and the ``Fraction`` reference both
-    refuse it, or both return the same map, flags and report."""
+    refuse it, naming the same failing displays, or both return the same
+    map, flags and report."""
     rng = random.Random(23)
     ef, pair, ell = make()
     outcomes = set()
@@ -712,9 +788,10 @@ def test_lift_of_a_changed_connection_agrees_with_the_fraction_reference(make):
         changed = LinearMap.from_sparse_columns(ell.source, ell.target, cols)
         try:
             expected = ref.lift_connection(ef, pair, changed)
-        except AssertionError:
-            with pytest.raises(AssertionError):
+        except AssertionError as refused:
+            with pytest.raises(AssertionError) as err:
                 lift_connection(ef, pair, changed)
+            assert str(err.value) == str(refused)
             outcomes.add("refused")
             continue
         lifted = lift_connection(ef, pair, changed)
@@ -731,13 +808,9 @@ def test_lift_into_a_carrier_outside_the_conditions_checks_the_displays():
     as the carrier, a map that is no connection is still refused by the
     displays it fails."""
     ef, pair, _ = _regular_z2_lift()
-    p, h = ef.inner.algebra, ef.inner.hopf
-    rows = [[Q(0)] * h.dim for _ in range(p.dim * p.dim)]
-    rows[0 * p.dim + 1][0] = Q(1)  # row e0⊗e1, column e0
-    ell = LinearMap.from_rows(h.space, p.space.tensor(p.space), rows)
     whole = replace(ef, carrier=Subspace.full(ef.ambient.space))
     with pytest.raises(AssertionError) as err:
-        lift_connection(whole, pair, ell)
+        lift_connection(whole, pair, _non_connection(ef))
     assert str(err.value) == (
         "lifted image leaves the carrier: one-end condition on the left "
         "factor, one-end condition on the right factor"
