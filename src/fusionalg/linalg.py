@@ -226,6 +226,52 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
     return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
+class _Echelon:
+    """Sparse integer rows in reduced echelon form, kept as they come:
+    ``rows`` maps each lead, a row's least column, to its row, which is
+    primitive (its entries coprime), positive at its lead and zero at
+    every other lead."""
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, int]] = {}
+        # every column but a lead -> the leads of the rows that hold it
+        self._holders: dict[int, set[int]] = {}
+
+    def remainder(self, vec: dict[int, int]) -> dict[int, int]:
+        """An owned sparse integer row after one fraction-free step per
+        lead it holds, which leaves it zero at every lead: a kept row is
+        zero at every other lead, so no step changes the entry at one."""
+        rows = self.rows
+        for p in [c for c in vec if c in rows]:
+            row = rows[p]
+            a, b = vec[p], row[p]
+            g = gcd(a, b)
+            vec = _combine_owned(vec, b // g, a // g, row)
+        return vec
+
+    def keep(self, vec: dict[int, int]) -> None:
+        """Keep a nonzero remainder, made primitive, under its least
+        column, and clear that column from every row that holds it."""
+        rows, holders = self.rows, self._holders
+        vec = _primitive(vec)
+        lead = min(vec)
+        for c in vec:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
+        b = vec[lead]
+        for p in holders.pop(lead, ()):
+            a = rows[p][lead]
+            g = gcd(a, b)
+            row = _combine_owned(rows[p], b // g, a // g, vec)
+            for c in vec:
+                if c in row:
+                    holders[c].add(p)
+                elif c != lead:
+                    holders[c].discard(p)
+            rows[p] = _primitive(row)
+        rows[lead] = vec
+
+
 def rref(rows) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], int]:
     """Reduced row echelon form of sparse rows with exact rational
     entries: (rows, pivot columns, den).  Each returned row is ``den``
@@ -233,44 +279,24 @@ def rref(rows) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], int]:
     least column, and zero at every other pivot; ``den`` is the least
     positive integer that makes every entry an integer.
 
-    Integer Gauss–Jordan: the rows are scaled to integers once, and each
-    is reduced by the rows kept so far, each kept primitive (its entries
-    coprime, its pivot entry positive).  A remainder becomes a new row,
-    pivoting on its least column, which is then cleared from the others.
-    The reduced echelon form of a span is unique, and so is its primitive
-    scaling, so neither the order nor the scale of the rows changes the
-    result.
+    Integer Gauss–Jordan (:class:`_Echelon`): the rows are scaled to
+    integers once, and each is reduced by the rows kept so far; a
+    remainder becomes a new row.  The reduced echelon form of a span is
+    unique, and so is its primitive scaling, so neither the order nor the
+    scale of the rows changes the result.
     """
     _, rows = integer_scaled(list(rows))
-    echelon: dict[int, dict[int, int]] = {}
-    support: set[int] = set()  # every column a kept row has held
+    echelon = _Echelon()
     for row in rows:
-        vec = dict(row)  # owned: _combine_owned may update it in place
-        # a kept row is zero at every other pivot, so clearing one pivot
-        # never changes the entry at another
-        for p in [k for k in vec if k in echelon]:
-            kept = echelon[p]
-            a, b = vec[p], kept[p]
-            g = gcd(a, b)
-            vec = _combine_owned(vec, b // g, a // g, kept)
-        if not vec:
-            continue
-        vec = _primitive(vec)
-        lead = min(vec)
-        if lead in support:
-            b = vec[lead]
-            for q, other in echelon.items():
-                c = other.get(lead)
-                if c:
-                    g = gcd(b, c)
-                    echelon[q] = _primitive(_combine_owned(other, b // g, c // g, vec))
-        support.update(vec)
-        echelon[lead] = vec
-    pivots = tuple(sorted(echelon))
-    den = lcm(*(echelon[p][p] for p in pivots))
+        vec = echelon.remainder(dict(row))  # a copy: it may be updated in place
+        if vec:
+            echelon.keep(vec)
+    kept = echelon.rows
+    pivots = tuple(sorted(kept))
+    den = lcm(*(kept[p][p] for p in pivots))
     basis = []
     for p in pivots:
-        row, f = echelon[p], den // echelon[p][p]
+        row, f = kept[p], den // kept[p][p]
         basis.append(row if f == 1 else {k: v * f for k, v in row.items()})
     return tuple(basis), pivots, den
 
@@ -524,34 +550,33 @@ class LinearSystem:
     block of one template with the one shift 0.  Row k is computed from
     its block when it is read, through :meth:`row`, so rows keep the
     indices, order, keys and scales of adding them one at a time, while
-    memory grows with the templates, not with the rows.  Forward elimination
-    reduces each row in insertion order against the pivot rows
-    accumulated so far, pivoting on the least unknown index, with
-    integer arithmetic throughout; the solution assigns zero to all free
-    unknowns and back-substitutes.  A reduction step scales the working
-    row by ``b/g`` and subtracts ``a/g`` times the pivot row (``a``,
-    ``b`` the two leading entries, ``g`` their gcd); when the scale is 1
-    the working row, always a copy, is updated in place.  Templates and
-    pivot rows are never changed.  The whole procedure is
-    deterministic, so identical systems yield identical solutions bit
-    for bit.
+    memory grows with the templates, not with the rows.
+
+    :meth:`solve` decides the system by integer Gauss–Jordan
+    (:class:`_Echelon`, :meth:`_decide`), with the right-hand side as one
+    more column after the unknowns.  The leads of a span do not depend on
+    how its rows are reduced, the solution with every unknown but a lead
+    zero is unique, and so is the first row that makes the rows before it
+    inconsistent, so solutions and refutations are fixed by the rows
+    alone, bit for bit.
 
     Elimination never mixes rows that share no unknown, even through
     other rows, so the rows fall into components that it handles
-    independently.  The first pass eliminates only the rows whose
-    component holds a nonzero right-hand side, found from an index of
-    the template keys without computing any other row.  Every other
-    component is homogeneous: it cannot contradict, and back
-    substitution gives its unknowns zero whether it is eliminated or
-    not.  Solutions and refutations are those of eliminating every row.
+    independently.  The decision pass reads only the rows whose
+    component holds a nonzero right-hand side, each once and in order,
+    found from an index of the template keys without computing any other
+    row.  Every other component is homogeneous: it cannot contradict,
+    and its unknowns are zero whether it is reduced or not.
 
-    An infeasible system is eliminated a second time with provenance:
-    each working row carries integer multipliers of the stored rows over
-    one running denominator, and only the returned Farkas certificate is
-    converted to multipliers of the rational rows.  This second pass runs
-    only over the contradiction row's component among the rows up to it,
-    in their original order; its multipliers are those of the full pass,
-    key order included.
+    An infeasible system is eliminated a second time, in row echelon
+    form with provenance (:meth:`_provenance`): each working row carries
+    integer multipliers of the stored rows over one running denominator,
+    and only the returned Farkas certificate is converted to multipliers
+    of the rational rows.  This pass runs only over the contradiction
+    row's component among the rows up to it, in their original order;
+    its multipliers are those of eliminating every row up to it, key
+    order included.  Either pass reads a row as a new dict, so templates
+    are never changed.
     """
 
     def __init__(self, num_unknowns: int):
@@ -568,7 +593,7 @@ class LinearSystem:
     def add_int_row(self, coeffs: dict[int, int], rhs: int = 0, den: int = 1) -> int:
         """Add the row ``coeffs/den · x = rhs/den`` (integers, ``den > 0``,
         unknowns in ``0..num_unknowns-1``) and return its index."""
-        self.add_shifted_rows([(coeffs, rhs, den)], (0,))
+        self.add_shifted_rows([(coeffs, rhs, den)], range(1))
         return self._len - 1
 
     def add_shifted_rows(self, rows, shifts) -> None:
@@ -579,21 +604,23 @@ class LinearSystem:
         dropped, the common factor divided out), and the range of the
         unknowns is checked once, at the least and the largest shift.
         The shifts are kept as ranges: one block for each run of them
-        that steps up evenly.
+        that steps up evenly, and one for a ``range`` with a positive step.
         """
-        shifts = list(shifts)
+        if isinstance(shifts, range) and shifts.step > 0:
+            runs = [shifts]
+        else:
+            shifts, runs = list(shifts), []
+            for s in shifts:
+                if runs:
+                    run = runs[-1]
+                    step = run.step if len(run) > 1 else s - run.start
+                    if step > 0 and s == run[-1] + step:
+                        runs[-1] = range(run.start, s + 1, step)
+                        continue
+                runs.append(range(s, s + 1))
         templates = self._templates(rows, shifts)
         if not templates or not shifts:
             return
-        runs: list[range] = []
-        for s in shifts:
-            if runs:
-                run = runs[-1]
-                step = run.step if len(run) > 1 else s - run.start
-                if step > 0 and s == run[-1] + step:
-                    runs[-1] = range(run.start, s + 1, step)
-                    continue
-            runs.append(range(s, s + 1))
         self._key_index = None
         for run in runs:
             self._blocks.append((self._len, templates, run))
@@ -742,24 +769,36 @@ class LinearSystem:
             for i in range(len(shifts))
         ]
 
-    def _run(self, upto: int | None, track: bool):
-        """Forward elimination; returns ('infeasible', ...) or pivot data.
+    def _decide(self) -> dict[int, dict[int, int]] | int:
+        """The reduced echelon rows, keyed by lead, of the rows reached
+        from a nonzero right-hand side, each with its right-hand side as
+        the entry at column ``num_unknowns``; or the index of the first of
+        those rows that contradicts the rows before it, whose remainder
+        leads at that column."""
+        n = self.num_unknowns
+        echelon = _Echelon()
+        for idx in self._reach(self._seeds(), self._len - 1):
+            vec, rhs, _ = self.row(idx)
+            if rhs:
+                vec[n] = rhs
+            vec = echelon.remainder(vec)
+            if vec:
+                if min(vec) == n:
+                    return idx
+                echelon.keep(vec)
+        return echelon.rows
 
-        With ``track``, each working row carries ``(mults, den)``: it
-        equals the combination of the stored rows with integer
-        multipliers ``mults`` divided by ``den``, kept in lowest terms.
-        A pass up to a row eliminates only that row's component; a full
-        pass only the components of the rows with a nonzero right-hand
-        side.
+    def _provenance(self, upto: int) -> tuple[int, dict[int, int], int] | None:
+        """The first contradiction among the rows up to ``upto`` that share
+        unknowns with it, as ``(row, mults, den)``, or None.  Each working
+        row carries ``(mults, den)``: it equals the combination of the
+        stored rows with integer multipliers ``mults`` divided by ``den``,
+        kept in lowest terms.
         """
-        pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int] | None]] = {}
-        if upto is None:
-            rows = self._reach(self._seeds(), self._len - 1)
-        else:
-            rows = self._reach([upto], upto)
-        for idx in rows:
+        pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int]]] = {}
+        for idx in self._reach([upto], upto):
             coeffs, rhs, _ = self.row(idx)
-            mults, den = ({idx: 1}, 1) if track else (None, 1)
+            mults, den = {idx: 1}, 1
             while coeffs:
                 j = min(coeffs)
                 hit = pivots.get(j)
@@ -776,29 +815,25 @@ class LinearSystem:
                 g2 = 1
                 if coeffs:
                     coeffs, rhs, g2 = self._normalize(coeffs, rhs)
-                if track:
-                    pm, pden = pp
-                    # mr·(mults/den) − mp·(pm/pden), then divided by g2.
-                    common = lcm(den, pden)
-                    mults = _combine_owned(
-                        mults, mr * (common // den), mp * (common // pden), pm
-                    )
-                    den = common * g2
-                    g3 = gcd(den, *mults.values())
-                    if g3 > 1:
-                        mults = {k: v // g3 for k, v in mults.items()}
-                        den //= g3
+                pm, pden = pp
+                # mr·(mults/den) − mp·(pm/pden), then divided by g2.
+                common = lcm(den, pden)
+                mults = _combine_owned(mults, mr * (common // den), mp * (common // pden), pm)
+                den = common * g2
+                g3 = gcd(den, *mults.values())
+                if g3 > 1:
+                    mults = {k: v // g3 for k, v in mults.items()}
+                    den //= g3
             if coeffs:
                 lead = min(coeffs)
                 if coeffs[lead] < 0:
                     coeffs = {c: -v for c, v in coeffs.items()}
                     rhs = -rhs
-                    if track:
-                        mults = {k: -v for k, v in mults.items()}
-                pivots[lead] = (coeffs, rhs, (mults, den) if track else None)
+                    mults = {k: -v for k, v in mults.items()}
+                pivots[lead] = (coeffs, rhs, (mults, den))
             elif rhs != 0:
-                return ("infeasible", idx, rhs, (mults, den) if track else None)
-        return ("ok", pivots)
+                return idx, mults, den
+        return None
 
     def solve(self):
         """Return a tuple of Fraction values, or an Infeasibility.
@@ -806,38 +841,34 @@ class LinearSystem:
         A refutation is checked before it is returned: its multipliers
         must cancel every unknown and leave a nonzero right-hand side.
         """
-        outcome = self._run(None, track=False)
-        if outcome[0] == "infeasible":
-            _, idx, _, _ = outcome
-            redo = self._run(idx, track=True)
-            if redo[0] != "infeasible":
-                raise AssertionError(
-                    "infeasibility did not reproduce under provenance: the fast "
-                    f"pass met a contradiction at row {idx}, the provenance pass "
-                    f"none in rows 0..{idx}"
-                )
-            _, idx2, _, (mults, den) = redo
-            if idx2 != idx:
-                raise AssertionError(
-                    "provenance pass diverged from the fast pass: contradiction "
-                    f"at row {idx2} under provenance, at row {idx} without"
-                )
-            coeffs, rhs = self._combine_int(mults)
-            if coeffs or rhs == 0:
-                raise AssertionError(
-                    f"Farkas multipliers of the contradiction at row {idx} do not "
-                    f"refute the system: {len(coeffs)} unknowns left, "
-                    f"right-hand side {rhs}"
-                )
-            farkas = {k: Fraction(q * self.row(k)[2], den) for k, q in mults.items()}
-            return Infeasibility(idx, farkas, Fraction(rhs, den))
-        _, pivots = outcome
-        values = [Q0] * self.num_unknowns
-        for col in sorted(pivots, reverse=True):
-            coeffs, rhs, _ = pivots[col]
-            acc = Fraction(rhs)
-            for c, v in coeffs.items():
-                if c != col:
-                    acc -= v * values[c]
-            values[col] = acc / coeffs[col]
-        return tuple(values)
+        outcome = self._decide()
+        if isinstance(outcome, dict):
+            # every unknown but a lead is free, and zero
+            n = self.num_unknowns
+            values = [Q0] * n
+            for lead, row in outcome.items():
+                values[lead] = Fraction(row.get(n, 0), row[lead])
+            return tuple(values)
+        idx = outcome
+        redo = self._provenance(idx)
+        if redo is None:
+            raise AssertionError(
+                "infeasibility did not reproduce under provenance: the decision "
+                f"pass met a contradiction at row {idx}, the provenance pass "
+                f"none in rows 0..{idx}"
+            )
+        idx2, mults, den = redo
+        if idx2 != idx:
+            raise AssertionError(
+                "provenance pass diverged from the decision pass: contradiction "
+                f"at row {idx2} under provenance, at row {idx} without"
+            )
+        coeffs, rhs = self._combine_int(mults)
+        if coeffs or rhs == 0:
+            raise AssertionError(
+                f"Farkas multipliers of the contradiction at row {idx} do not "
+                f"refute the system: {len(coeffs)} unknowns left, "
+                f"right-hand side {rhs}"
+            )
+        farkas = {k: Fraction(q * self.row(k)[2], den) for k, q in mults.items()}
+        return Infeasibility(idx, farkas, Fraction(rhs, den))

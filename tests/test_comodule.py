@@ -531,8 +531,10 @@ def _golden(name: str):
 def _counting_passes(monkeypatch, system) -> tuple[list[tuple[bool, list[int]]], list[int]]:
     """Make ``system`` record the index of every row it computes through
     ``LinearSystem.row``: returns a list that fills with (track, row
-    indices) per elimination pass, and one that fills with every index."""
-    run, row = LinearSystem._run, LinearSystem.row
+    indices) per elimination pass, ``track`` false for the decision pass
+    and true for the provenance pass, and one that fills with every
+    index."""
+    decide, provenance, row = LinearSystem._decide, LinearSystem._provenance, LinearSystem.row
     passes, reads = [], []
 
     def counted_row(self, k):
@@ -540,15 +542,19 @@ def _counting_passes(monkeypatch, system) -> tuple[list[tuple[bool, list[int]]],
             reads.append(k)
         return row(self, k)
 
-    def counted_run(self, upto, track):
-        start = len(reads)
-        try:
-            return run(self, upto, track)
-        finally:
-            passes.append((track, reads[start:]))
+    def counted(run, track):
+        def pass_(self, *args):
+            start = len(reads)
+            try:
+                return run(self, *args)
+            finally:
+                passes.append((track, reads[start:]))
+
+        return pass_
 
     monkeypatch.setattr(LinearSystem, "row", counted_row)
-    monkeypatch.setattr(LinearSystem, "_run", counted_run)
+    monkeypatch.setattr(LinearSystem, "_decide", counted(decide, False))
+    monkeypatch.setattr(LinearSystem, "_provenance", counted(provenance, True))
     return passes, reads
 
 
@@ -575,7 +581,7 @@ def test_provenance_pass_eliminates_only_the_contradiction_component(
 
 
 def test_untracked_pass_reads_only_the_rows_reached_from_a_right_hand_side(monkeypatch):
-    """On the O(Z3) m=2 fusion, the untracked pass reads each row that
+    """On the O(Z3) m=2 fusion, the decision pass reads each row that
     shares unknowns, directly or through other rows, with a row whose
     right-hand side is not zero, once and in order, and no row of a
     homogeneous component; finding them computes no row, so the whole

@@ -117,15 +117,21 @@ def test_no_dense_vector_helpers(path):
 # restricts the product and the coaction to a carrier and lifts a
 # connection onto it with its fiber helpers, the connection system and
 # the maps it is built from, the kernels they all sum with, the integer
-# echelon form with the kernel built on it, and the pullback glue.
+# Gauss–Jordan steps, the echelon form and the kernel built on them, the
+# solver's decision pass (on the same steps) and provenance pass, and the
+# pullback glue.  A method is named ``Class.method``.
 BATTERIES = {
     "linalg.py": (
         "linear_combination",
         "on_left",
         "on_right",
         "tensor_mul",
+        "_Echelon.remainder",
+        "_Echelon.keep",
         "rref",
         "kernel_vectors",
+        "LinearSystem._decide",
+        "LinearSystem._provenance",
     ),
     "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace"),
     "hopf.py": ("check_hopf",),
@@ -161,16 +167,22 @@ ALLOWED_CALLS = {("linalg.py", "rref"): {"integer_scaled"}}
 @pytest.mark.parametrize("name", sorted(BATTERIES))
 def test_batteries_sum_no_fractions(name):
     """The batteries, the carrier restriction, the lift, the connection
-    system, the kernels, the echelon form and the pullback glue read the
-    integers that maps, tables and subspaces store: none of them, nested
-    functions included, sums ``Fraction`` entries with ``accumulate``,
-    multiplies them with ``mul_sparse``, re-scales with
-    ``integer_scaled`` (but for :data:`ALLOWED_CALLS`) or constructs a
-    ``Fraction``."""
+    system, the kernels, the echelon form, the solver's passes and the
+    pullback glue read the integers that maps, tables, subspaces and
+    systems store: none of them, nested functions included, sums
+    ``Fraction`` entries with ``accumulate``, multiplies them with
+    ``mul_sparse``, re-scales with ``integer_scaled`` (but for
+    :data:`ALLOWED_CALLS`) or constructs a ``Fraction``."""
     path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    } | {
+        f"{node.name}.{method.name}": method
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
     }
     for battery in BATTERIES[name]:
         refused = FRACTION_CALLS - ALLOWED_CALLS.get((name, battery), set())

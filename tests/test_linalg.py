@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
@@ -630,25 +630,20 @@ def _refutable_system():
 
 def test_solve_names_both_rows_when_provenance_diverges(monkeypatch):
     system = _refutable_system()
-    run = LinearSystem._run
+    provenance = LinearSystem._provenance
 
-    def shifted(self, upto, track):
-        outcome = run(self, upto, track)
-        if track:
-            return (outcome[0], outcome[1] + 7, *outcome[2:])
-        return outcome
+    def shifted(self, upto):
+        idx, mults, den = provenance(self, upto)
+        return idx + 7, mults, den
 
-    monkeypatch.setattr(LinearSystem, "_run", shifted)
+    monkeypatch.setattr(LinearSystem, "_provenance", shifted)
     with pytest.raises(AssertionError, match="at row 8 under provenance, at row 1 without"):
         system.solve()
 
 
 def test_solve_names_the_row_when_provenance_finds_no_contradiction(monkeypatch):
     system = _refutable_system()
-    run = LinearSystem._run
-    monkeypatch.setattr(
-        LinearSystem, "_run", lambda self, upto, track: ("ok", {}) if track else run(self, upto, track)
-    )
+    monkeypatch.setattr(LinearSystem, "_provenance", lambda self, upto: None)
     with pytest.raises(AssertionError, match="contradiction at row 1, the provenance pass none"):
         system.solve()
 
@@ -657,15 +652,13 @@ def test_solve_checks_its_farkas_multipliers(monkeypatch):
     """A refutation whose multipliers do not cancel the unknowns is an
     internal error, not a certificate."""
     system = _refutable_system()
-    run = LinearSystem._run
+    provenance = LinearSystem._provenance
 
-    def wrong_multipliers(self, upto, track):
-        outcome = run(self, upto, track)
-        if track:
-            return (*outcome[:3], ({1: 1}, 1))
-        return outcome
+    def wrong_multipliers(self, upto):
+        idx, _, _ = provenance(self, upto)
+        return idx, {1: 1}, 1
 
-    monkeypatch.setattr(LinearSystem, "_run", wrong_multipliers)
+    monkeypatch.setattr(LinearSystem, "_provenance", wrong_multipliers)
     with pytest.raises(AssertionError, match="do not refute the system: 2 unknowns left"):
         system.solve()
 
@@ -767,6 +760,51 @@ def assert_matches_parent_elimination(system: LinearSystem) -> None:
         assert out.residual == expected.residual
     else:
         assert out == expected
+
+
+MULTI_BIT = st.builds(Q, st.integers(-(2**20), 2**20), st.integers(1, 2**10))
+
+
+@st.composite
+def dense_systems(draw):
+    """Dense rows over up to six unknowns with multi-bit ``p/q`` entries,
+    some of them a combination of two earlier rows, so that they reduce
+    to ``0 = 0``.  Every right-hand side agrees with one drawn solution
+    except on at most one drawn row, which is then off by a nonzero
+    amount.  A new lead of such rows is rarely 1 after its row is made
+    primitive, so clearing it scales the rows kept before by more than
+    1."""
+    n = draw(st.integers(1, 6))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(MULTI_BIT), draw(MULTI_BIT)
+            rows.append({c: a * u.get(c, 0) + b * v.get(c, 0) for c in range(n)})
+        else:
+            rows.append(draw(st.fixed_dictionaries({c: MULTI_BIT for c in range(n)})))
+    solution = draw(st.lists(MULTI_BIT, min_size=n, max_size=n))
+    off = draw(st.sets(st.integers(0, len(rows) - 1), max_size=1))
+    shift = draw(MULTI_BIT.filter(bool))
+    return n, [
+        (row, sum((v * solution[c] for c, v in row.items()), shift if k in off else Q(0)))
+        for k, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=200)
+@given(dense_systems())
+@example((2, [({0: Q(1), 1: Q(1)}, Q(1)), ({0: Q(1), 1: Q(3)}, Q(2))]))
+def test_dense_multi_bit_systems_match_the_parent_elimination(system_rows):
+    """Solutions, and a refutation's row, Farkas multipliers (in order)
+    and residual, are those of the parent elimination on dense rows with
+    multi-bit entries.  In the explicit example the second row leaves
+    2·x1 = 1, and clearing x1 from the first row scales it by 2."""
+    n, rows = system_rows
+    system = LinearSystem(n)
+    for coeffs, rhs in rows:
+        system.add_row(coeffs, rhs)
+    assert_matches_parent_elimination(system)
 
 
 @st.composite
