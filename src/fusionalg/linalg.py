@@ -524,10 +524,12 @@ class Subspace:
 class Infeasibility:
     """Certified inconsistency of a linear system.
 
-    ``farkas`` maps original row indices to rational multipliers whose
-    combination of the rows has zero coefficients and nonzero right-hand
-    side ``residual``.  ``row_index`` is the row whose reduction exposed
-    the contradiction.
+    ``farkas`` maps original row indices, in increasing order, to
+    nonzero rational multipliers whose combination of the rows has zero
+    coefficients and nonzero right-hand side ``residual``.
+    ``row_index`` is the first row that contradicts the rows before it,
+    and its multiplier is 1, which fixes the scale: the multipliers and
+    the residual depend on the rows alone.
     """
 
     row_index: int
@@ -568,15 +570,15 @@ class LinearSystem:
     row.  Every other component is homogeneous: it cannot contradict,
     and its unknowns are zero whether it is reduced or not.
 
-    An infeasible system is eliminated a second time, in row echelon
-    form with provenance (:meth:`_provenance`): each working row carries
-    integer multipliers of the stored rows over one running denominator,
-    and only the returned Farkas certificate is converted to multipliers
-    of the rational rows.  This pass runs only over the contradiction
-    row's component among the rows up to it, in their original order;
-    its multipliers are those of eliminating every row up to it, key
-    order included.  Either pass reads a row as a new dict, so templates
-    are never changed.
+    A refutation is read from the rows the decision pass kept, with no
+    second elimination.  The kept rows before the contradiction row are
+    consistent and lead at distinct unknowns, so their coefficients are
+    independent, and the contradiction row's depend on those of the kept
+    rows of its component: the combinations of these rows that cancel
+    every unknown are the multiples of one kernel vector of their
+    transposed coefficients (:func:`kernel_vectors`), scaled so that the
+    contradiction row's multiplier is 1.  A row is read as a new dict, so
+    templates are never changed.
     """
 
     def __init__(self, num_unknowns: int):
@@ -696,16 +698,6 @@ class LinearSystem:
         coeffs, rhs = self._combine_int(mults)
         return {c: Fraction(v, den) for c, v in coeffs.items()}, Fraction(rhs, den)
 
-    @staticmethod
-    def _normalize(coeffs: dict[int, int], rhs: int) -> tuple[dict[int, int], int, int]:
-        g = gcd(rhs, *coeffs.values())
-        if g > 1:
-            coeffs = {c: v // g for c, v in coeffs.items()}
-            rhs //= g
-        else:
-            g = 1
-        return coeffs, rhs, g
-
     def _index(self) -> dict[tuple[int, int], dict[tuple[int, int], list]]:
         """The template keys, to find the rows that hold an unknown.
 
@@ -769,14 +761,15 @@ class LinearSystem:
             for i in range(len(shifts))
         ]
 
-    def _decide(self) -> dict[int, dict[int, int]] | int:
+    def _decide(self) -> dict[int, dict[int, int]] | tuple[int, list[int]]:
         """The reduced echelon rows, keyed by lead, of the rows reached
         from a nonzero right-hand side, each with its right-hand side as
-        the entry at column ``num_unknowns``; or the index of the first of
-        those rows that contradicts the rows before it, whose remainder
-        leads at that column."""
+        the entry at column ``num_unknowns``; or, for the first of those
+        rows that contradicts the rows before it, whose remainder leads at
+        that column, its index and the indices, in order, of the rows
+        whose remainders were kept before it."""
         n = self.num_unknowns
-        echelon = _Echelon()
+        echelon, kept = _Echelon(), []
         for idx in self._reach(self._seeds(), self._len - 1):
             vec, rhs, _ = self.row(idx)
             if rhs:
@@ -784,56 +777,10 @@ class LinearSystem:
             vec = echelon.remainder(vec)
             if vec:
                 if min(vec) == n:
-                    return idx
+                    return idx, kept
                 echelon.keep(vec)
+                kept.append(idx)
         return echelon.rows
-
-    def _provenance(self, upto: int) -> tuple[int, dict[int, int], int] | None:
-        """The first contradiction among the rows up to ``upto`` that share
-        unknowns with it, as ``(row, mults, den)``, or None.  Each working
-        row carries ``(mults, den)``: it equals the combination of the
-        stored rows with integer multipliers ``mults`` divided by ``den``,
-        kept in lowest terms.
-        """
-        pivots: dict[int, tuple[dict[int, int], int, tuple[dict[int, int], int]]] = {}
-        for idx in self._reach([upto], upto):
-            coeffs, rhs, _ = self.row(idx)
-            mults, den = {idx: 1}, 1
-            while coeffs:
-                j = min(coeffs)
-                hit = pivots.get(j)
-                if hit is None:
-                    break
-                pc, pr, pp = hit
-                a = coeffs[j]
-                b = pc[j]
-                g = gcd(a, b)
-                mr = b // g
-                mp = a // g
-                coeffs = _combine_owned(coeffs, mr, mp, pc)
-                rhs = mr * rhs - mp * pr
-                g2 = 1
-                if coeffs:
-                    coeffs, rhs, g2 = self._normalize(coeffs, rhs)
-                pm, pden = pp
-                # mr·(mults/den) − mp·(pm/pden), then divided by g2.
-                common = lcm(den, pden)
-                mults = _combine_owned(mults, mr * (common // den), mp * (common // pden), pm)
-                den = common * g2
-                g3 = gcd(den, *mults.values())
-                if g3 > 1:
-                    mults = {k: v // g3 for k, v in mults.items()}
-                    den //= g3
-            if coeffs:
-                lead = min(coeffs)
-                if coeffs[lead] < 0:
-                    coeffs = {c: -v for c, v in coeffs.items()}
-                    rhs = -rhs
-                    mults = {k: -v for k, v in mults.items()}
-                pivots[lead] = (coeffs, rhs, (mults, den))
-            elif rhs != 0:
-                return idx, mults, den
-        return None
 
     def solve(self):
         """Return a tuple of Fraction values, or an Infeasibility.
@@ -841,34 +788,34 @@ class LinearSystem:
         A refutation is checked before it is returned: its multipliers
         must cancel every unknown and leave a nonzero right-hand side.
         """
+        n = self.num_unknowns
         outcome = self._decide()
         if isinstance(outcome, dict):
             # every unknown but a lead is free, and zero
-            n = self.num_unknowns
             values = [Q0] * n
             for lead, row in outcome.items():
                 values[lead] = Fraction(row.get(n, 0), row[lead])
             return tuple(values)
-        idx = outcome
-        redo = self._provenance(idx)
-        if redo is None:
-            raise AssertionError(
-                "infeasibility did not reproduce under provenance: the decision "
-                f"pass met a contradiction at row {idx}, the provenance pass "
-                f"none in rows 0..{idx}"
-            )
-        idx2, mults, den = redo
-        if idx2 != idx:
-            raise AssertionError(
-                "provenance pass diverged from the decision pass: contradiction "
-                f"at row {idx2} under provenance, at row {idx} without"
-            )
-        coeffs, rhs = self._combine_int(mults)
+        idx, kept = outcome
+        component = set(self._reach([idx], idx))
+        order = [k for k in kept if k in component] + [idx]
+        rows, scales, transposed = {}, {}, {}
+        for j, k in enumerate(order):
+            coeffs, rhs, scales[k] = self.row(k)
+            for c, v in coeffs.items():
+                transposed.setdefault(c, {})[j] = v
+            rows[k] = {**coeffs, n: rhs}
+        # the contradiction row, last, is the one free column
+        (kernel,) = kernel_vectors(transposed.values(), len(order))
+        mults = {k: kernel[j] for j, k in enumerate(order) if j in kernel}
+        coeffs = linear_combination(rows, mults)
+        rhs = coeffs.pop(n, 0)
         if coeffs or rhs == 0:
             raise AssertionError(
                 f"Farkas multipliers of the contradiction at row {idx} do not "
                 f"refute the system: {len(coeffs)} unknowns left, "
                 f"right-hand side {rhs}"
             )
-        farkas = {k: Fraction(q * self.row(k)[2], den) for k, q in mults.items()}
+        den = mults[idx] * scales[idx]
+        farkas = {k: Fraction(q * scales[k], den) for k, q in mults.items()}
         return Infeasibility(idx, farkas, Fraction(rhs, den))

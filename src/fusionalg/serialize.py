@@ -1215,7 +1215,8 @@ def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
     Refuses an input or a parameter the operation does not read.
     Returns the operation, the arguments of its ``run``, and
     ``(name, kind, failures)`` for every input document that fails its
-    axioms; an operation must not run on such inputs.
+    axioms; an operation must not run on such inputs, and its parameters
+    are not read, since their bounds may be computed from the inputs.
     """
     op = OPERATIONS[scn.operation]
     raws = _fields(scn.inputs, "inputs", None, tuple(name for name, _ in op.inputs))
@@ -1229,6 +1230,8 @@ def prepare(scn: Scenario) -> tuple[Operation, tuple, list]:
         inputs.append(value)
         if failures:
             failed.append((name, kind, failures))
+    if failed:
+        return op, tuple(inputs), failed
     return op, (*inputs, *op.parse(scn, tuple(inputs))), failed
 
 

@@ -713,6 +713,31 @@ def test_a_recorded_row_count_must_be_a_non_negative_integer(
     assert f"\n  result.{field}: expected {problem}\n" in capsys.readouterr().out
 
 
+def _join_freeness_with_a_bad_action() -> dict:
+    """The diagonal-join-freeness golden certificate, its G-set acting
+    with an entry out of range."""
+    cert = json.loads((GOLDEN / "classical-scenario_diagonal_join_freeness.cert.json").read_text())
+    cert["scenario"]["inputs"]["gset"]["act"][1][2] = 5
+    return cert
+
+
+def test_classical_reports_a_failing_gset_before_its_budget(tmp_path, capsys):
+    """The join's budget is computed from the G-set, so a G-set that
+    fails its axioms is reported, with exit 1, before the parameters
+    are read."""
+    path = write(tmp_path, "scn.json", _join_freeness_with_a_bad_action()["scenario"])
+    assert entry(["classical", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL action_axioms: action entry out of range" in out
+    assert "input gset fails the gset axioms; nothing to solve" in out
+
+
+def test_a_certificate_of_a_failing_gset_is_invalid(tmp_path, capsys):
+    path = write(tmp_path, "cert.json", _join_freeness_with_a_bad_action())
+    assert entry(["verify-certificate", path]) == 1
+    assert "\n  inputs.gset: the gset fails action_axioms\n" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- unknown fields
 
 _DOCUMENTS = {

@@ -528,13 +528,11 @@ def _golden(name: str):
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
 
-def _counting_passes(monkeypatch, system) -> tuple[list[tuple[bool, list[int]]], list[int]]:
+def _counting_reads(monkeypatch, system) -> tuple[list[list[int]], list[int]]:
     """Make ``system`` record the index of every row it computes through
-    ``LinearSystem.row``: returns a list that fills with (track, row
-    indices) per elimination pass, ``track`` false for the decision pass
-    and true for the provenance pass, and one that fills with every
-    index."""
-    decide, provenance, row = LinearSystem._decide, LinearSystem._provenance, LinearSystem.row
+    ``LinearSystem.row``: returns a list that fills with the row indices
+    of each decision pass, and one that fills with every index."""
+    decide, row = LinearSystem._decide, LinearSystem.row
     passes, reads = [], []
 
     def counted_row(self, k):
@@ -542,19 +540,15 @@ def _counting_passes(monkeypatch, system) -> tuple[list[tuple[bool, list[int]]],
             reads.append(k)
         return row(self, k)
 
-    def counted(run, track):
-        def pass_(self, *args):
-            start = len(reads)
-            try:
-                return run(self, *args)
-            finally:
-                passes.append((track, reads[start:]))
-
-        return pass_
+    def counted_decide(self):
+        start = len(reads)
+        try:
+            return decide(self)
+        finally:
+            passes.append(reads[start:])
 
     monkeypatch.setattr(LinearSystem, "row", counted_row)
-    monkeypatch.setattr(LinearSystem, "_decide", counted(decide, False))
-    monkeypatch.setattr(LinearSystem, "_provenance", counted(provenance, True))
+    monkeypatch.setattr(LinearSystem, "_decide", counted_decide)
     return passes, reads
 
 
@@ -566,18 +560,24 @@ def _counting_passes(monkeypatch, system) -> tuple[list[tuple[bool, list[int]]],
     ],
     ids=["comodule_rescaled_nonfree_z2", "gset_nonfree_z4"],
 )
-def test_provenance_pass_eliminates_only_the_contradiction_component(
+def test_refutation_reads_only_the_contradiction_component(
     monkeypatch, make, row_index, component
 ):
-    """On the golden refutations, the tracked pass reads each row of the
-    contradiction row's component once, and no other row: 6 of the 46
-    rows up to the contradiction, and 50 of 931."""
+    """On the golden refutations, reading the Farkas multipliers after
+    the decision pass computes only rows of the contradiction row's
+    component, each at most once: 6 of the 46 rows up to the
+    contradiction, and 50 of 931."""
     system = connection_system(make(), False)
-    passes, _ = _counting_passes(monkeypatch, system)
+    reached = system._reach([row_index], row_index)
+    passes, reads = _counting_reads(monkeypatch, system)
     outcome = system.solve()
     assert isinstance(outcome, Infeasibility)
     assert outcome.row_index == row_index
-    assert [len(read) for track, read in passes if track] == [component]
+    assert len(reached) == component
+    [decided] = passes
+    after = reads[len(decided):]
+    assert set(after) <= set(reached) and len(after) == len(set(after))
+    assert set(outcome.farkas) <= set(after)
 
 
 def test_untracked_pass_reads_only_the_rows_reached_from_a_right_hand_side(monkeypatch):
@@ -591,9 +591,9 @@ def test_untracked_pass_reads_only_the_rows_reached_from_a_right_hand_side(monke
     seeds = [k for k, (_, rhs, _) in enumerate(ref.stored_rows(system)) if rhs]
     reached = system._reach(seeds, len(system) - 1)
     assert seeds and len(reached) < len(system)
-    passes, reads = _counting_passes(monkeypatch, system)
+    passes, reads = _counting_reads(monkeypatch, system)
     assert not isinstance(system.solve(), Infeasibility)
-    assert passes == [(False, reached)]
+    assert passes == [reached]
     assert reads == reached
 
 

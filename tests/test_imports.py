@@ -118,8 +118,9 @@ def test_no_dense_vector_helpers(path):
 # connection onto it with its fiber helpers, the connection system and
 # the maps it is built from, the kernels they all sum with, the integer
 # Gauss–Jordan steps, the echelon form and the kernel built on them, the
-# solver's decision pass (on the same steps) and provenance pass, and the
-# pullback glue.  A method is named ``Class.method``.
+# solver's decision pass (on the same steps; a refutation's multipliers
+# are a kernel vector over its kept rows), and the pullback glue.  A
+# method is named ``Class.method``.
 BATTERIES = {
     "linalg.py": (
         "linear_combination",
@@ -131,7 +132,6 @@ BATTERIES = {
         "rref",
         "kernel_vectors",
         "LinearSystem._decide",
-        "LinearSystem._provenance",
     ),
     "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace"),
     "hopf.py": ("check_hopf",),

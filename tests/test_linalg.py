@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg import linalg
 from fusionalg.algebra import FDAlgebra, tensor_algebra
 from fusionalg.comodule import BalancedTensor
 from fusionalg.fusion import BaseWithEnds
@@ -606,9 +607,9 @@ def _reference_farkas(system, upto):
     )
 )
 def test_farkas_multipliers_match_fraction_provenance(rows):
-    """The integer provenance pass returns the multipliers, in the same
-    order, that tracking Fraction multipliers through the elimination
-    gives, and they refute the system."""
+    """The multipliers are those that tracking Fraction multipliers
+    through a row echelon elimination gives, over the multiplier of the
+    contradiction row, which is 1; and they refute the system."""
     system = LinearSystem(5)
     for coeffs, rhs in rows:
         system.add_row(coeffs, rhs)
@@ -616,7 +617,9 @@ def test_farkas_multipliers_match_fraction_provenance(rows):
     if not isinstance(out, Infeasibility):
         return
     reference = _reference_farkas(system, out.row_index)
-    assert list(out.farkas.items()) == list(reference.items())
+    scale = reference[out.row_index]
+    assert out.farkas == {k: v / scale for k, v in reference.items()}
+    assert list(out.farkas) == sorted(out.farkas) and out.farkas[out.row_index] == 1
     coeffs, rhs = system.combine(out.farkas)
     assert coeffs == {} and rhs == out.residual != 0
 
@@ -628,37 +631,13 @@ def _refutable_system():
     return system
 
 
-def test_solve_names_both_rows_when_provenance_diverges(monkeypatch):
-    system = _refutable_system()
-    provenance = LinearSystem._provenance
-
-    def shifted(self, upto):
-        idx, mults, den = provenance(self, upto)
-        return idx + 7, mults, den
-
-    monkeypatch.setattr(LinearSystem, "_provenance", shifted)
-    with pytest.raises(AssertionError, match="at row 8 under provenance, at row 1 without"):
-        system.solve()
-
-
-def test_solve_names_the_row_when_provenance_finds_no_contradiction(monkeypatch):
-    system = _refutable_system()
-    monkeypatch.setattr(LinearSystem, "_provenance", lambda self, upto: None)
-    with pytest.raises(AssertionError, match="contradiction at row 1, the provenance pass none"):
-        system.solve()
-
-
 def test_solve_checks_its_farkas_multipliers(monkeypatch):
     """A refutation whose multipliers do not cancel the unknowns is an
     internal error, not a certificate."""
     system = _refutable_system()
-    provenance = LinearSystem._provenance
-
-    def wrong_multipliers(self, upto):
-        idx, _, _ = provenance(self, upto)
-        return idx, {1: 1}, 1
-
-    monkeypatch.setattr(LinearSystem, "_provenance", wrong_multipliers)
+    # the kernel vector of the kept row 0 and the contradiction row 1,
+    # with the multiplier of row 0 dropped
+    monkeypatch.setattr(linalg, "kernel_vectors", lambda rows, n_cols: [{1: 1}])
     with pytest.raises(AssertionError, match="do not refute the system: 2 unknowns left"):
         system.solve()
 
@@ -737,10 +716,11 @@ def block_systems(draw):
 @settings(max_examples=200)
 @given(block_systems())
 def test_elimination_matches_the_parent_elimination(system_rows):
-    """Solutions, and a refutation's row, Farkas multipliers (in order)
-    and residual, are those of the elimination that copies every
-    working row, eliminates homogeneous components too and tracks
-    provenance over all rows up to the contradiction."""
+    """Solutions, and a refutation's row, and its Farkas multipliers and
+    residual up to the scale that makes the contradiction row's
+    multiplier 1, are those of the elimination that copies every working
+    row, eliminates homogeneous components too and tracks provenance
+    over all rows up to the contradiction."""
     n, rows = system_rows
     system = LinearSystem(n)
     for coeffs, rhs in rows:
@@ -756,8 +736,9 @@ def assert_matches_parent_elimination(system: LinearSystem) -> None:
     assert isinstance(out, Infeasibility) == isinstance(expected, Infeasibility)
     if isinstance(out, Infeasibility):
         assert out.row_index == expected.row_index
-        assert list(out.farkas.items()) == list(expected.farkas.items())
-        assert out.residual == expected.residual
+        scale = expected.farkas[expected.row_index]
+        assert out.farkas == {k: v / scale for k, v in expected.farkas.items()}
+        assert out.residual == expected.residual / scale
     else:
         assert out == expected
 
@@ -796,15 +777,43 @@ def dense_systems(draw):
 @given(dense_systems())
 @example((2, [({0: Q(1), 1: Q(1)}, Q(1)), ({0: Q(1), 1: Q(3)}, Q(2))]))
 def test_dense_multi_bit_systems_match_the_parent_elimination(system_rows):
-    """Solutions, and a refutation's row, Farkas multipliers (in order)
-    and residual, are those of the parent elimination on dense rows with
-    multi-bit entries.  In the explicit example the second row leaves
-    2·x1 = 1, and clearing x1 from the first row scales it by 2."""
+    """Solutions, and a refutation's row, and its Farkas multipliers and
+    residual up to scale, are those of the parent elimination on dense
+    rows with multi-bit entries.  In the explicit example the second row
+    leaves 2·x1 = 1, and clearing x1 from the first row scales it by 2."""
     n, rows = system_rows
     system = LinearSystem(n)
     for coeffs, rhs in rows:
         system.add_row(coeffs, rhs)
     assert_matches_parent_elimination(system)
+
+
+ROW_FACTORS = st.builds(Q, st.integers(-(2**10), 2**10).filter(bool), st.integers(1, 2**10))
+
+
+@settings(max_examples=200)
+@given(st.one_of(block_systems(), dense_systems()), st.lists(ROW_FACTORS, min_size=1))
+@example((2, [({0: Q(1), 1: Q(1)}, Q(1)), ({0: Q(2), 1: Q(2)}, Q(3))]), [Q(3), Q(-1, 2)])
+def test_a_refutation_is_fixed_by_the_rows(system_rows, factors):
+    """Multiplying each row k by a nonzero c_k, the factors taken in turn,
+    keeps the solution, or the contradiction row idx with multipliers
+    farkas[k]·c_idx/c_k, 1 at idx, and residual c_idx·residual: the
+    refutation depends on the rows, not on how elimination scaled them."""
+    n, rows = system_rows
+    system, scaled = LinearSystem(n), LinearSystem(n)
+    c = [factors[k % len(factors)] for k in range(len(rows))]
+    for (coeffs, rhs), ck in zip(rows, c):
+        system.add_row(coeffs, rhs)
+        scaled.add_row({u: ck * v for u, v in coeffs.items()}, ck * rhs)
+    out, out_scaled = system.solve(), scaled.solve()
+    if not isinstance(out, Infeasibility):
+        assert out_scaled == out
+        return
+    idx = out.row_index
+    assert out_scaled.row_index == idx
+    assert out.farkas[idx] == out_scaled.farkas[idx] == 1
+    assert out_scaled.farkas == {k: v * c[idx] / c[k] for k, v in out.farkas.items()}
+    assert out_scaled.residual == c[idx] * out.residual
 
 
 @st.composite
