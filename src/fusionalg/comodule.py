@@ -88,6 +88,12 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     of coaction_unital and coaction_coassociative have k = 2; and
     (id⊗ε)∘δ(e_j) compares with D²·e_j.
 
+    Multiplicativity, coassociativity and counitality are each decided by
+    one sparse vector that the law owns: its left side is added into it,
+    its right side is subtracted through the negated coaction column
+    δ(e_i) or the negated D²·e_j, and the law holds when every entry is
+    zero.
+
     Basis indices of P fall into parts (:func:`~fusionalg.linalg.components`)
     that keep together i and j of every nonempty e_i·e_j, and each e_i with
     the P-legs of δ(e_i).  Across two parts both sides of multiplicativity
@@ -110,17 +116,19 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
         ),
     )
 
+    neg_dcols = [{k: -v for k, v in col.items()} for col in dcols]
+
     def multiplicative(i, j):
-        lhs = linear_combination(dcols, ptab[i * dp + j])
-        return {k: v * d2 for k, v in lhs.items()} == tensor_mul(
-            dcols[i], dcols[j], ptab, dp, htab, dh
-        )
+        acc = linear_combination(dcols, {k: c * d2 for k, c in ptab[i * dp + j].items()})
+        tensor_mul(neg_dcols[i], dcols[j], ptab, dp, htab, dh, acc)
+        return not any(acc.values())
 
     def coassociative(j):
-        return on_left(dcols[j], dcols, dh) == on_right(dcols[j], cop_cols, dh, dh * dh)
+        acc = on_left(dcols[j], dcols, dh, {})
+        return not any(on_right(neg_dcols[j], cop_cols, dh, dh * dh, acc).values())
 
     def counital(j):
-        return on_right(dcols[j], eps_cols, dh, 1) == {j: d2}
+        return not any(on_right(dcols[j], eps_cols, dh, 1, {j: -d2}).values())
 
     unit_pu = {i * dh + a: x * y for i, x in unit_p.items() for a, y in unit_h.items()}
     each = [(i,) for i in range(dp)]
@@ -442,12 +450,15 @@ def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
     outcome = system.solve()
     if isinstance(outcome, Infeasibility):
         return system, outcome
-    # unknown (r, col) sits at r·dH + col, so column col is every dH-th value
+    # unknown (r, col) sits at r·dH + col
     dh = c.hopf.dim
+    cols: list[dict] = [{} for _ in range(dh)]
+    for u, value in enumerate(outcome):
+        if value:
+            r, col = divmod(u, dh)
+            cols[col][r] = value
     ell = LinearMap.from_sparse_columns(
-        c.hopf.space,
-        c.algebra.space.tensor(c.algebra.space),
-        (dict(enumerate(outcome[col::dh])) for col in range(dh)),
+        c.hopf.space, c.algebra.space.tensor(c.algebra.space), cols
     )
     report = check_strong_connection(c, ell, require_unital)
     if not report.ok:
@@ -484,10 +495,15 @@ def check_strong_connection(
     (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
     ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
 
-    (id⊗δ)∘ℓ(e_a) is formed once per column and dropped after it: it is
-    one side of right colinearity, and the lifted canonical map is m⊗id
-    applied to it, so both laws are decided for every column before the
-    first failure of each is named.
+    Each two-sided law is decided by one sparse vector that it owns: its
+    left side is added into it, its right side is subtracted through the
+    negated column Δ(e_a) or the negated target, never a negated column
+    of ℓ, and the law holds when every entry is zero.  (id⊗δ)∘ℓ(e_a) is
+    formed once per column and dropped after it.  The lifted canonical
+    map is m⊗id applied to it, which is added first into the negated
+    D²·1⊗e_a for splitting; then (ℓ⊗id)∘Δ(e_a) is subtracted from it in
+    place for right colinearity.  So both laws are decided for every
+    column before the first failure of each is named.
     """
     p, h = c.algebra, c.hopf
     dp, dh = p.dim, h.dim
@@ -498,19 +514,24 @@ def check_strong_connection(
     )
     d2 = den * den
 
+    neg_cop = [{k: -v for k, v in col.items()} for col in cop_cols]
+
     def right_colinear_and_splits(col):
-        lhs = on_right(ell_cols[col], delta_cols, dp, dp * dh)
-        rhs = on_left(cop_cols[col], ell_cols, dh)
-        target = {u * dh + col: v * d2 for u, v in unit_p.items()}
-        return lhs == rhs, on_left(lhs, ptab, dh) == target
+        acc = on_right(ell_cols[col], delta_cols, dp, dp * dh, {})
+        split = on_left(acc, ptab, dh, {u * dh + col: -v * d2 for u, v in unit_p.items()})
+        on_left(neg_cop[col], ell_cols, dh, acc)
+        return not any(acc.values()), not any(split.values())
 
     def left_colinear(col):
-        return on_left(ell_cols[col], dl, dp) == on_right(cop_cols[col], ell_cols, dh, dp * dp)
+        acc = on_left(ell_cols[col], dl, dp, {})
+        return not any(on_right(neg_cop[col], ell_cols, dh, dp * dp, acc).values())
 
     def counit_product(col):
+        # the table is the columns of m: P (x) P -> P, so m∘ℓ(e_a) is
+        # m (x) id on (P (x) P) (x) k
         e = eps_cols[col].get(0)
-        target = {u: e * v for u, v in unit_p.items()} if e else {}
-        return linear_combination(ptab, ell_cols[col]) == target
+        acc = {u: -e * v for u, v in unit_p.items()} if e else {}
+        return not any(on_left(ell_cols[col], ptab, 1, acc).values())
 
     each = [(col,) for col in range(dh)]
     right, splits = zip(*map(right_colinear_and_splits, range(dh)))

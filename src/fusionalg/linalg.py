@@ -5,9 +5,12 @@ map f: V -> W is stored as its dim(V) columns, each the sparse image of a
 basis vector, in ``int`` entries over one least positive ``den``: rational
 input is scaled once, when the map is built or decoded.  The kernels
 (:func:`linear_combination`, :func:`on_left`, :func:`on_right`,
-:func:`tensor_mul`) sum sparse ``int`` vectors.  ``fractions.Fraction``
-is left where it is the data: solutions, refutations, and the dense
-matrices at the document boundary.
+:func:`tensor_mul`) sum sparse ``int`` vectors.  The last three also
+add into a sparse vector ``acc`` that the caller owns and return it with
+its zeros kept, so that a two-sided law is decided by adding one side
+and subtracting the other into one vector and testing every entry for
+zero.  ``fractions.Fraction`` is left where it is the data: solutions,
+refutations, and the dense matrices at the document boundary.
 
 One global convention drives every tensor construction in this package:
 the basis of V (x) W is ordered lexicographically with the left factor
@@ -101,36 +104,47 @@ def linear_combination(vectors, coeffs: dict) -> dict:
 
 
 # One structure map, given by its sparse columns, on one tensor leg, and the
-# product in A (x) B: sparse int vectors in, no zeros stored out.
+# product in A (x) B: sparse int vectors in.  Without ``acc`` the result is a
+# new vector with no zeros stored; with ``acc``, a vector the caller owns
+# (never a shared structure-table entry), the result is added into it and
+# ``acc`` is returned with its zeros kept.
 
-def on_left(vec: dict, f_cols, width: int) -> dict:
+def on_left(vec: dict, f_cols, width: int, acc: dict | None = None) -> dict:
     """(f (x) id)(vec) for vec in V (x) W, where dim W = ``width``."""
-    acc: dict = {}
+    fresh = acc is None
+    if fresh:
+        acc = {}
     for key, x in vec.items():
         i, j = divmod(key, width)
         for k, v in f_cols[i].items():
             out = k * width + j
             acc[out] = acc.get(out, 0) + x * v
-    return nonzero(acc)
+    return nonzero(acc) if fresh else acc
 
 
-def on_right(vec: dict, f_cols, dim_v: int, dim_w: int) -> dict:
+def on_right(vec: dict, f_cols, dim_v: int, dim_w: int, acc: dict | None = None) -> dict:
     """(id (x) f)(vec) for vec in U (x) V and f: V -> W, where dim V =
     ``dim_v`` and dim W = ``dim_w``."""
-    acc: dict = {}
+    fresh = acc is None
+    if fresh:
+        acc = {}
     for key, x in vec.items():
         i, j = divmod(key, dim_v)
         base = i * dim_w
         for k, v in f_cols[j].items():
             out = base + k
             acc[out] = acc.get(out, 0) + x * v
-    return nonzero(acc)
+    return nonzero(acc) if fresh else acc
 
 
-def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int) -> dict:
+def tensor_mul(
+    x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int, acc: dict | None = None
+) -> dict:
     """x·y in A (x) B, from the flattened tables: ``table_a[i·dim_a + k]``
     is e_i·e_k in A, and likewise for B."""
-    acc: dict = {}
+    fresh = acc is None
+    if fresh:
+        acc = {}
     for ij, u in x.items():
         i, j = divmod(ij, dim_b)
         for kl, v in y.items():
@@ -142,7 +156,7 @@ def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int) -> di
                 for q, b in right.items():
                     out = p * dim_b + q
                     acc[out] = acc.get(out, 0) + uva * b
-    return nonzero(acc)
+    return nonzero(acc) if fresh else acc
 
 
 def integer_scaled(vectors, den: int = 1) -> tuple[int, list[dict[int, int]]]:
@@ -693,7 +707,7 @@ class LinearSystem:
         """Evaluate a multiplier combination against the original rows."""
         # The multiplier of stored row k is farkas[k] / scale_k; bring
         # them all over one denominator and combine in integers.
-        per_row = {k: Fraction(v) / self.row(k)[2] for k, v in farkas.items()}
+        per_row = {k: Fraction(v) / self._template(k)[2] for k, v in farkas.items()}
         den, (mults,) = integer_scaled([per_row])
         coeffs, rhs = self._combine_int(mults)
         return {c: Fraction(v, den) for c, v in coeffs.items()}, Fraction(rhs, den)

@@ -552,6 +552,19 @@ def _counting_reads(monkeypatch, system) -> tuple[list[list[int]], list[int]]:
     return passes, reads
 
 
+def test_combine_computes_each_row_once(monkeypatch):
+    """Re-checking the three Farkas multipliers of the golden
+    ``comodule_rescaled_nonfree_z2`` refutation computes each of their
+    rows once, for its scale and its entries both."""
+    system = connection_system(comodule_from_obj(_golden("comodule_rescaled_nonfree_z2")), False)
+    outcome = system.solve()
+    assert isinstance(outcome, Infeasibility) and len(outcome.farkas) == 3
+    _, reads = _counting_reads(monkeypatch, system)
+    coeffs, rhs = system.combine(outcome.farkas)
+    assert coeffs == {} and rhs
+    assert reads == list(outcome.farkas)
+
+
 @pytest.mark.parametrize(
     "make, row_index, component",
     [

@@ -16,6 +16,7 @@ import dense_reference as ref
 from fusionalg import algebra as algebra_module
 from fusionalg import comodule as comodule_module
 from fusionalg import fusion as fusion_module
+from fusionalg import linalg as linalg_module
 from fusionalg.algebra import (
     FDAlgebra,
     check_algebra,
@@ -28,6 +29,7 @@ from fusionalg.comodule import (
     _times_first_leg,
     canonical_map,
     check_comodule,
+    check_strong_connection,
     coinvariants,
     delta_L,
     is_principal,
@@ -621,6 +623,38 @@ def test_successful_lift_computes_no_boundary_display(monkeypatch):
     assert lifted.report.ok, lifted.report.failures
     assert calls == [(ef.w_one, ef.w_one), (ef.w_zero, ef.w_zero)] * ef.inner.hopf.dim
     assert all(left.ambient != ef.ambient.space for left, _ in calls)
+
+
+def test_the_lifted_re_check_decides_each_law_in_one_accumulation(monkeypatch):
+    """On the O(Z4) m=7 lifted map, ``check_strong_connection`` makes no
+    ``nonzero`` copy: each colinearity law adds both of its sides into one
+    vector per column, splitting and the counit product into one more
+    each, and every ``on_left`` or ``on_right`` call adds into it."""
+    ef, pair, ell = _chain_lift(regular_comodule(4), default_profile(7))
+    lifted = lift_connection(ef, pair, ell)
+    copies, nonzero = [], linalg_module.nonzero
+    monkeypatch.setattr(linalg_module, "nonzero", lambda vec: copies.append(vec) or nonzero(vec))
+    sums: dict[str, list] = {}
+    for name in ("on_left", "on_right"):
+        def counted(*args, original=getattr(comodule_module, name)):
+            acc = original(*args)
+            sums.setdefault(sys._getframe(1).f_code.co_name, []).append(acc)
+            return acc
+
+        monkeypatch.setattr(comodule_module, name, counted)
+    assert check_strong_connection(ef.comodule, lifted.map).ok
+    assert copies == []
+    dh = ef.inner.hopf.dim
+    assert {law: len(accs) for law, accs in sums.items()} == {
+        "right_colinear_and_splits": 3 * dh,
+        "left_colinear": 2 * dh,
+        "counit_product": dh,
+    }
+    assert {law: len({id(acc) for acc in accs}) for law, accs in sums.items()} == {
+        "right_colinear_and_splits": 2 * dh,
+        "left_colinear": dh,
+        "counit_product": dh,
+    }
 
 
 def test_refused_lift_names_its_displays_on_the_fiber(monkeypatch):
