@@ -240,8 +240,8 @@ def check_hom(hom: AlgebraHom) -> HomReport:
 
     def multiplies(i, j):
         lhs = linear_combination(cols, table_a[i * a.dim + j])
-        pairs = {p * b.dim + q: x * y for p, x in cols[i].items() for q, y in cols[j].items()}
-        return {k: v * den for k, v in lhs.items()} == linear_combination(table_b, pairs)
+        rhs = linear_combination(table_b, tensor_vec(cols[i], cols[j], b.dim))
+        return {k: v * den for k, v in lhs.items()} == rhs
 
     failures = first_failure(
         "multiplicative",
@@ -338,9 +338,7 @@ def subalgebra_from_subspace(
     table: list[list[dict[int, int]]] = [[empty] * d for _ in range(d)]
     for i, left in enumerate(basis):
         for j in members[owner[i]]:
-            right = basis[j]
-            pairs = {a * n + b: x * y for a, x in left.items() for b, y in right.items()}
-            prod = linear_combination(flat, pairs)
+            prod = linear_combination(flat, tensor_vec(left, basis[j], n))
             if not prod:
                 continue
             coords = sub.coordinates(prod)

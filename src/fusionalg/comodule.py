@@ -42,6 +42,7 @@ from .linalg import (
     on_right,
     rref,
     tensor_mul,
+    tensor_vec,
 )
 
 
@@ -130,7 +131,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     def counital(j):
         return not any(on_right(dcols[j], eps_cols, dh, 1, {j: -d2}).values())
 
-    unit_pu = {i * dh + a: x * y for i, x in unit_p.items() for a, y in unit_h.items()}
+    unit_pu = tensor_vec(unit_p, unit_h, dh)
     each = [(i,) for i in range(dp)]
     members: dict[int, list[int]] = {}
     for i, q in enumerate(part):
@@ -235,7 +236,7 @@ def _times_first_leg(p: FDAlgebra, f: LinearMap) -> LinearMap:
     columns are the row ``p.table[x]``, over the product of the two
     denominators."""
     width = f.target.dim // p.dim
-    cols = [on_left(image, p.table[x], width) for x in range(p.dim) for image in f.cols]
+    cols = [on_left(image, p.table[x], width, {}) for x in range(p.dim) for image in f.cols]
     return LinearMap.from_sparse_columns(p.space.tensor(f.source), f.target, cols, p.den * f.den)
 
 
@@ -437,10 +438,7 @@ def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     and 1 (x) 1, products of two scaled entries, compare as they are.
     """
     _, ((_, unit_h), (_, unit_p), cols) = common_den(c.hopf.algebra, c.algebra, ell)
-    dp = c.algebra.dim
-    return linear_combination(cols, unit_h) == {
-        i * dp + j: x * y for i, x in unit_p.items() for j, y in unit_p.items()
-    }
+    return linear_combination(cols, unit_h) == tensor_vec(unit_p, unit_p, c.algebra.dim)
 
 
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):

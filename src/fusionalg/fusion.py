@@ -170,8 +170,7 @@ class SqrtPair:
         flat = [prod for row in alg.table for prod in row]
 
         def times(u, v):
-            pairs = {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
-            return linear_combination(flat, pairs)
+            return linear_combination(flat, tensor_vec(u, v, n))
 
         squares = linear_combination((times(x, x), times(y, y)), {0: 1, 1: 1})
         if squares != {k: v * den * den for k, v in alg.unit.items()}:
@@ -481,7 +480,8 @@ def _square_sum(
 ) -> dict[int, int]:
     """(f (x) f)(x ⊕ y) for x in U (x) U and y in V (x) V, read in
     (U ⊕ V) (x) (U ⊕ V), where ``dims`` is (dim U, dim V) and f: U ⊕ V
-    -> W is given by its sparse columns, those of U first."""
+    -> W is given by its sparse columns, those of U first; a new vector
+    with its zeros kept."""
     du, dv = dims
     n = du + dv
     vec = {}
@@ -491,7 +491,7 @@ def _square_sum(
     for key, y in two.items():
         i, j = divmod(key, dv)
         vec[(du + i) * n + du + j] = y
-    return on_left(on_right(vec, f_cols, n, dim_w), f_cols, dim_w)
+    return on_left(on_right(vec, f_cols, n, dim_w, {}), f_cols, dim_w, {})
 
 
 def _refusal(

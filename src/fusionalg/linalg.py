@@ -5,11 +5,14 @@ map f: V -> W is stored as its dim(V) columns, each the sparse image of a
 basis vector, in ``int`` entries over one least positive ``den``: rational
 input is scaled once, when the map is built or decoded.  The kernels
 (:func:`linear_combination`, :func:`on_left`, :func:`on_right`,
-:func:`tensor_mul`) sum sparse ``int`` vectors.  The last three also
-add into a sparse vector ``acc`` that the caller owns and return it with
-its zeros kept, so that a two-sided law is decided by adding one side
-and subtracting the other into one vector and testing every entry for
-zero.  ``fractions.Fraction`` is left where it is the data: solutions,
+:func:`tensor_mul`) sum sparse ``int`` vectors.  The first returns a
+new vector with no zeros; the last three add into a sparse vector
+``acc`` that the caller owns and return it with its zeros kept, so that
+a two-sided law is decided by adding one side and subtracting the other
+into one vector and testing every entry for zero.  Zeros are dropped
+where a vector is stored (:meth:`LinearMap.from_sparse_columns`,
+:func:`integer_scaled`) or by :func:`nonzero`.
+``fractions.Fraction`` is left where it is the data: solutions,
 refutations, and the dense matrices at the document boundary.
 
 One global convention drives every tensor construction in this package:
@@ -104,47 +107,35 @@ def linear_combination(vectors, coeffs: dict) -> dict:
 
 
 # One structure map, given by its sparse columns, on one tensor leg, and the
-# product in A (x) B: sparse int vectors in.  Without ``acc`` the result is a
-# new vector with no zeros stored; with ``acc``, a vector the caller owns
-# (never a shared structure-table entry), the result is added into it and
-# ``acc`` is returned with its zeros kept.
+# product in A (x) B: sparse int vectors in, added into ``acc``, a vector the
+# caller owns (a new dict, never a shared structure-table entry), which is
+# returned with its zeros kept.
 
-def on_left(vec: dict, f_cols, width: int, acc: dict | None = None) -> dict:
+def on_left(vec: dict, f_cols, width: int, acc: dict) -> dict:
     """(f (x) id)(vec) for vec in V (x) W, where dim W = ``width``."""
-    fresh = acc is None
-    if fresh:
-        acc = {}
     for key, x in vec.items():
         i, j = divmod(key, width)
         for k, v in f_cols[i].items():
             out = k * width + j
             acc[out] = acc.get(out, 0) + x * v
-    return nonzero(acc) if fresh else acc
+    return acc
 
 
-def on_right(vec: dict, f_cols, dim_v: int, dim_w: int, acc: dict | None = None) -> dict:
+def on_right(vec: dict, f_cols, dim_v: int, dim_w: int, acc: dict) -> dict:
     """(id (x) f)(vec) for vec in U (x) V and f: V -> W, where dim V =
     ``dim_v`` and dim W = ``dim_w``."""
-    fresh = acc is None
-    if fresh:
-        acc = {}
     for key, x in vec.items():
         i, j = divmod(key, dim_v)
         base = i * dim_w
         for k, v in f_cols[j].items():
             out = base + k
             acc[out] = acc.get(out, 0) + x * v
-    return nonzero(acc) if fresh else acc
+    return acc
 
 
-def tensor_mul(
-    x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int, acc: dict | None = None
-) -> dict:
+def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int, acc: dict) -> dict:
     """x·y in A (x) B, from the flattened tables: ``table_a[i·dim_a + k]``
     is e_i·e_k in A, and likewise for B."""
-    fresh = acc is None
-    if fresh:
-        acc = {}
     for ij, u in x.items():
         i, j = divmod(ij, dim_b)
         for kl, v in y.items():
@@ -156,7 +147,7 @@ def tensor_mul(
                 for q, b in right.items():
                     out = p * dim_b + q
                     acc[out] = acc.get(out, 0) + uva * b
-    return nonzero(acc) if fresh else acc
+    return acc
 
 
 def integer_scaled(vectors, den: int = 1) -> tuple[int, list[dict[int, int]]]:
@@ -612,35 +603,22 @@ class LinearSystem:
         self.add_shifted_rows([(coeffs, rhs, den)], range(1))
         return self._len - 1
 
-    def add_shifted_rows(self, rows, shifts) -> None:
-        """For each shift s in turn, add every row ``(coeffs, rhs, den)``,
-        as :meth:`add_int_row` takes it, with each unknown c moved to c + s.
+    def add_shifted_rows(self, rows, shifts: range) -> None:
+        """For each shift s in ``shifts``, a ``range`` with a positive
+        step, add every row ``(coeffs, rhs, den)``, as :meth:`add_int_row`
+        takes it, with each unknown c moved to c + s.
 
         Each row is reduced to its template once (zero coefficients
         dropped, the common factor divided out), and the range of the
         unknowns is checked once, at the least and the largest shift.
-        The shifts are kept as ranges: one block for each run of them
-        that steps up evenly, and one for a ``range`` with a positive step.
+        The call is kept as one block of the templates and ``shifts``.
         """
-        if isinstance(shifts, range) and shifts.step > 0:
-            runs = [shifts]
-        else:
-            shifts, runs = list(shifts), []
-            for s in shifts:
-                if runs:
-                    run = runs[-1]
-                    step = run.step if len(run) > 1 else s - run.start
-                    if step > 0 and s == run[-1] + step:
-                        runs[-1] = range(run.start, s + 1, step)
-                        continue
-                runs.append(range(s, s + 1))
         templates = self._templates(rows, shifts)
         if not templates or not shifts:
             return
         self._key_index = None
-        for run in runs:
-            self._blocks.append((self._len, templates, run))
-            self._len += len(templates) * len(run)
+        self._blocks.append((self._len, templates, shifts))
+        self._len += len(templates) * len(shifts)
 
     def _templates(self, rows, shifts) -> list[tuple[dict[int, int], int, int]]:
         """The rows reduced to templates, after checking the denominators

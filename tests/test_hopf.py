@@ -1,9 +1,12 @@
 """Hopf algebras on function spaces and group rings, plus axiom checking."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from fusionalg import hopf as hopf_module
+from fusionalg import linalg as linalg_module
 from fusionalg.algebra import check_algebra
 from fusionalg.groups import FiniteGroup
 from fusionalg.hopf import (
@@ -15,6 +18,7 @@ from fusionalg.hopf import (
     trivial_hopf,
 )
 from fusionalg.linalg import LinearMap, tensor_vec
+from test_fusion import sweedler_h4
 
 Q = Fraction
 
@@ -194,6 +198,66 @@ def test_check_hopf_reports_both_laws_of_a_pair():
     report = check_hopf(make_hopf(fun.algebra, fun.coproduct, doubled, fun.antipode))
     failed = [(f.axiom, f.witness) for f in report.failures]
     assert failed[:2] == [("counit_left", (0,)), ("counit_right", (0,))]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: group_hopf(FiniteGroup.symmetric(3)),
+        lambda: function_hopf(FiniteGroup.symmetric(3)),
+        sweedler_h4,
+    ],
+    ids=["kS3", "O(S3)", "H4"],
+)
+def test_check_hopf_decides_each_law_in_one_accumulation(monkeypatch, build):
+    """Coassociativity, the counit laws and multiplicativity each add
+    both sides into one vector per basis vector or pair, and each
+    antipode law applies m to its legs into one more, so these laws make
+    no ``nonzero`` copy.  Every ``on_left``, ``on_right`` and
+    ``tensor_mul`` call adds into a vector of its law, never into a
+    structure vector of H."""
+    h = build()
+    n = h.dim
+    laws = {"coassociative", "counital", "multiplicative", "antipode"}
+    copied, nonzero = [], linalg_module.nonzero
+
+    def recording(vec):
+        frame, callers = sys._getframe(1), set()
+        while frame.f_code.co_name != "check_hopf":
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        copied.append(callers & laws)
+        return nonzero(vec)
+
+    monkeypatch.setattr(linalg_module, "nonzero", recording)
+    sums: dict[str, list] = {}
+    for name in ("on_left", "on_right", "tensor_mul"):
+        def counted(*args, original=getattr(hopf_module, name)):
+            acc = original(*args)
+            sums.setdefault(sys._getframe(1).f_code.co_name, []).append(acc)
+            return acc
+
+        monkeypatch.setattr(hopf_module, name, counted)
+    assert check_hopf(h).ok
+    assert copied and not any(copied)
+    assert {law: len(accs) for law, accs in sums.items()} == {
+        "coassociative": 2 * n,
+        "counital": 2 * n,
+        "multiplicative": 2 * n * n,
+        "antipode": 4 * n,
+    }
+    assert {law: len({id(acc) for acc in accs}) for law, accs in sums.items()} == {
+        "coassociative": n,
+        "counital": 2 * n,
+        "multiplicative": n * n,
+        "antipode": 4 * n,
+    }
+    structure = [
+        h.algebra.unit,
+        *(prod for row in h.algebra.table for prod in row),
+        *(col for f in (h.coproduct, h.counit, h.antipode) for col in f.cols),
+    ]
+    assert not {id(acc) for accs in sums.values() for acc in accs} & set(map(id, structure))
 
 
 def test_sweedler_legs_recurrence():

@@ -651,7 +651,7 @@ def test_rows_with_unknowns_out_of_range_are_refused():
     with pytest.raises(ValueError, match="unknown -1 is outside 0..1"):
         system.add_int_row({0: 1, -1: 2}, 1)
     with pytest.raises(ValueError, match="unknown 2 is outside 0..1"):
-        system.add_shifted_rows([({0: 1}, 0, 1), ({1: 1}, 1, 1)], [0, 1])
+        system.add_shifted_rows([({0: 1}, 0, 1), ({1: 1}, 1, 1)], range(2))
     assert len(system) == 0
 
 
@@ -820,7 +820,7 @@ def test_a_refutation_is_fixed_by_the_rows(system_rows, factors):
 def shifted_blocks(draw):
     """Calls that add rows over ``n`` unknowns: ``("shifted", templates,
     shifts)`` for :meth:`LinearSystem.add_shifted_rows`, with shifts as a
-    range of length 1 or more, or a list in any order, and
+    range of length 1 or more with a positive step, and
     ``("single", row)`` for :meth:`LinearSystem.add_int_row`.  A template
     is an integer row ``(coeffs, rhs, den)`` over the unknowns
     0..width-1, and every shift keeps it inside 0..n-1."""
@@ -834,17 +834,14 @@ def shifted_blocks(draw):
             st.integers(1, 4),
         )
         room = n - width
-        kind = draw(st.sampled_from(["range", "list", "single"]))
+        kind = draw(st.sampled_from(["range", "single"]))
         if kind == "single":
             coeffs, rhs, den = draw(template)
             shift = draw(st.integers(0, room))
             calls.append(("single", ({c + shift: v for c, v in coeffs.items()}, rhs, den)))
             continue
-        if kind == "range":
-            start = draw(st.integers(0, room))
-            shifts = range(start, draw(st.integers(start + 1, room + 1)), draw(st.integers(1, 3)))
-        else:
-            shifts = draw(st.lists(st.integers(0, room), max_size=4))
+        start = draw(st.integers(0, room))
+        shifts = range(start, draw(st.integers(start + 1, room + 1)), draw(st.integers(1, 3)))
         calls.append(("shifted", draw(st.lists(template, max_size=3)), shifts))
     return n, calls
 
@@ -999,9 +996,28 @@ def as_column(vec, space: Space) -> LinearMap:
     return LinearMap.from_sparse_columns(Space.scalar(), space, [vec])
 
 
-def assert_sparse_result(got, expect):
-    assert got == expect
-    assert all(v != 0 for v in got.values())
+def assert_adds_into(kernel, image: dict, scale: int, dim: int, rng):
+    """Call ``kernel(acc)`` on an ``acc`` preloaded on some output keys of
+    a space of dimension ``dim``, one of them cancelling an entry of the
+    rational ``image`` taken over ``scale``.  The kernel returns that
+    same dict, holding ``int`` entries that are the preload plus the
+    image, and the cancelled entry stays, as a zero."""
+    image = {k: Fraction(v * scale) for k, v in image.items()}
+    assert all(v.denominator == 1 for v in image.values())
+    preload = {rng.randrange(dim): random_entry(rng, "int") for _ in range(2)}
+    cancel = min(image, default=None)
+    if cancel is not None:
+        preload[cancel] = -int(image[cancel])
+    acc = dict(preload)
+    got = kernel(acc)
+    assert got is acc
+    expect = dict(preload)
+    for k, v in image.items():
+        expect[k] = expect.get(k, 0) + v
+    assert linalg.nonzero(got) == linalg.nonzero(expect)
+    assert all(type(v) is int for v in got.values())
+    if cancel is not None:
+        assert cancel in got and got[cancel] == 0
 
 
 def scaled(vec: dict) -> tuple[int, dict[int, int]]:
@@ -1018,9 +1034,10 @@ def read_over(vec: dict[int, int], den: int) -> dict[int, Fraction]:
 @pytest.mark.parametrize("seed", range(12))
 def test_leg_maps_match_kron_with_the_identity(seed, kind):
     """on_left is (f (x) id) and on_right is (id (x) f), on vectors whose
-    terms cancel, with no zeros stored and the inputs left as they were.
-    Rational entries ("fraction") are scaled to integers first: the
-    result is the product of the two denominators times the image."""
+    terms cancel, added into a preloaded ``acc`` (:func:`assert_adds_into`)
+    with the inputs left as they were.  Rational entries ("fraction") are
+    scaled to integers first: the image is the product of the two
+    denominators times the map's."""
     rng = random.Random(seed)
     dv, dw, dx = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
     v, w, x = Space.of_dim(dv, "v"), Space.of_dim(dw, "w"), Space.of_dim(dx, "x")
@@ -1036,11 +1053,16 @@ def test_leg_maps_match_kron_with_the_identity(seed, kind):
     saved = [dict(c) for c in f.cols], dict(left_ints), dict(right_ints)
     expect_left = ref.fcols(f.kron(ident).compose(as_column(left, v.tensor(w))))[0]
     expect_right = ref.fcols(ident.kron(f).compose(as_column(right, w.tensor(v))))[0]
-    got_left = on_left(left_ints, f.cols, dw)
-    got_right = on_right(right_ints, f.cols, dv, dx)
-    assert_sparse_result(read_over(got_left, f.den * den_l), expect_left)
-    assert_sparse_result(read_over(got_right, f.den * den_r), expect_right)
-    assert all(type(x) is int for x in (*got_left.values(), *got_right.values()))
+    assert_adds_into(
+        lambda acc: on_left(left_ints, f.cols, dw, acc), expect_left, f.den * den_l, dx * dw, rng
+    )
+    assert_adds_into(
+        lambda acc: on_right(right_ints, f.cols, dv, dx, acc),
+        expect_right,
+        f.den * den_r,
+        dw * dx,
+        rng,
+    )
     assert ([dict(c) for c in f.cols], left_ints, right_ints) == saved
 
 
@@ -1058,9 +1080,10 @@ def random_algebra(rng, n, kind) -> FDAlgebra:
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 @pytest.mark.parametrize("seed", range(12))
 def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
-    """tensor_mul on the two flattened tables is the product of
-    tensor_algebra, on factors whose terms cancel, scaled by the
-    denominators of both tables and both factors."""
+    """tensor_mul on the two flattened tables adds the product of
+    tensor_algebra into a preloaded ``acc`` (:func:`assert_adds_into`),
+    on factors whose terms cancel, scaled by the denominators of both
+    tables and both factors."""
     rng = random.Random(100 + seed)
     da, db = rng.randint(2, 3), rng.randint(1, 3)
     a, b = random_algebra(rng, da, kind), random_algebra(rng, db, kind)
@@ -1069,6 +1092,11 @@ def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
     t = tensor_algebra(a, b)
     for _ in range(4):
         (den_x, x), (den_y, y) = (scaled(cancelling_vector(rng, da, db, kind)) for _ in "xy")
-        got = tensor_mul(x, y, flat_a, da, flat_b, db)
         expect = ref.mul_sparse(ref.ftable(t), read_over(x, den_x), read_over(y, den_y))
-        assert_sparse_result(read_over(got, a.den * b.den * den_x * den_y), expect)
+        assert_adds_into(
+            lambda acc: tensor_mul(x, y, flat_a, da, flat_b, db, acc),
+            expect,
+            a.den * b.den * den_x * den_y,
+            da * db,
+            rng,
+        )
