@@ -24,6 +24,7 @@ from .linalg import (
     components,
     integer_scaled,
     linear_combination,
+    on_left,
     rat,
     tensor_vec,
 )
@@ -121,20 +122,19 @@ def check_algebra(alg: FDAlgebra) -> CheckReport:
     """Associativity plus two-sided unit, with the first failing witness.
 
     The table and the unit are read over their denominator D: both sides
-    of associativity are products of two scaled constants and compare as
-    they are; 1·e_i and e_i·1, also products of two, compare with
-    D²·e_i.
+    of associativity, products of two scaled constants, go into one vector
+    with e_i·(e_j·e_k) subtracted through the negated e_j·e_k; 1·e_i and
+    e_i·1, also products of two, compare with D²·e_i.
     """
     n = alg.dim
     rows, unit = alg.table, alg.unit  # rows[i][m] = e_i·e_m
     cols = list(zip(*rows))  # cols[k][m] = e_m·e_k
+    neg = [[{m: -v for m, v in prod.items()} for prod in row] for row in rows]
     d2 = alg.den * alg.den
 
     def associative(i, j, k):
-        # (e_i·e_j)·e_k against e_i·(e_j·e_k)
-        return linear_combination(cols[k], rows[i][j]) == linear_combination(
-            rows[i], rows[j][k]
-        )
+        acc = on_left(rows[i][j], cols[k], 1, {})
+        return not any(on_left(neg[j][k], rows[i], 1, acc).values())
 
     def unit_times(i, left):
         return linear_combination(cols[i] if left else rows[i], unit) == {i: d2}
@@ -234,9 +234,23 @@ def check_hom(hom: AlgebraHom) -> HomReport:
     Both tables, both units and f are read over their common denominator
     D: f(e_i·e_j) multiplies two scaled entries and f(e_i)·f(e_j) three,
     so the first is taken D times, and f(1) (two) compares with D·1.
+
+    As in :func:`~fusionalg.comodule.check_comodule`, only pairs inside
+    one part (:func:`~fusionalg.linalg.components`) are checked, in
+    lexicographic order: parts join each nonempty e_i·e_j of either
+    algebra and each i with the support of f(e_i), target index t taken
+    as a.dim + t, so across two parts both sides are zero.
     """
     a, b, f = hom.source, hom.target, hom.map
     den, ((table_a, unit_a), (table_b, unit_b), cols) = common_den(a, b, f)
+    na, nb = a.dim, b.dim
+    part = components(na + nb, chain(
+        ([i, *(j for j in range(na) if table_a[i * na + j]), *(na + t for t in cols[i])]
+         for i in range(na)),
+        ([na + t, *(na + u for u in range(nb) if table_b[t * nb + u])] for t in range(nb))))
+    members: dict[int, list[int]] = {}
+    for i in range(na):
+        members.setdefault(part[i], []).append(i)
 
     def multiplies(i, j):
         lhs = linear_combination(cols, table_a[i * a.dim + j])
@@ -247,7 +261,7 @@ def check_hom(hom: AlgebraHom) -> HomReport:
         "multiplicative",
         "f(e{0}·e{1}) differs from f(e{0})·f(e{1})",
         multiplies,
-        product(range(a.dim), repeat=2),
+        ((i, j) for i in range(na) for j in members[part[i]]),
     ) + first_failure(
         "unital",
         "f(1) is not the target unit",

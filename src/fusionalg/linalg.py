@@ -178,12 +178,6 @@ def common_den(*parts) -> tuple[int, list]:
     return den, [part.over(den) for part in parts]
 
 
-def rationals(vec: dict[int, int], den: int) -> dict:
-    """A sparse integer vector over ``den`` as exact rational entries:
-    as it is over 1, else in Fractions."""
-    return vec if den == 1 else {k: Fraction(v, den) for k, v in vec.items()}
-
-
 def components(n: int, groups) -> list[int]:
     """The finest partition of range(n) that keeps each group of indices
     (an iterable of ints) inside one part, as the least index of each
@@ -401,8 +395,10 @@ class LinearMap:
         return tuple(tuple(col.get(i, Q0) for col in cols) for i in range(self.target.dim))
 
     def apply(self, vec: dict) -> dict:
-        """The image of a sparse rational vector, in exact rationals."""
-        return rationals(linear_combination(self.cols, vec), self.den)
+        """The image of a sparse rational vector, in exact rationals: as
+        it is over a ``den`` of 1, else in Fractions."""
+        out, den = linear_combination(self.cols, vec), self.den
+        return out if den == 1 else {k: Fraction(v, den) for k, v in out.items()}
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self . other)."""

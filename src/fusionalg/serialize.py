@@ -36,6 +36,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from . import __version__
@@ -77,7 +78,7 @@ from .fusion import (
 )
 from .groups import FiniteGroup, FiniteGSet
 from .hopf import HopfAlgebra, check_hopf, make_hopf
-from .linalg import Infeasibility, LinearMap, Q0, Space, rationals
+from .linalg import Infeasibility, LinearMap, Q0, Space
 
 TOOL_NAME = "fusionalg"
 
@@ -115,14 +116,13 @@ def _fields(
 
 # ---------------------------------------------------------------- rationals
 
-# "p" and "p/q" in ASCII digits, the spellings documents use; int() reads
-# them as Fraction(str) would, and every other spelling goes to Fraction
-_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 # The exponent of a spelling like "1e5000": Fraction(str) writes out 10 to
 # its power, so it is held to the digit limit int() keeps on the others.
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-# An integer spelling that int() reads under any digit limit (at least 640).
-_PLAIN_INT = re.compile(r"-?[0-9]{1,18}")
+# "p" and "p/q" with q ≠ 0 and each part in at most 18 digits, the spellings
+# documents use, which int() reads under any digit limit (at least 640) as
+# Fraction(str) would; every other spelling goes to Fraction
+_SHORT_RATIONAL = re.compile(r"(-?[0-9]{1,18})(?:/(?!0+\Z)([0-9]{1,18}))?")
 
 
 def rational_from_obj(v, where: str = "value") -> Fraction:
@@ -136,10 +136,8 @@ def rational_from_obj(v, where: str = "value") -> Fraction:
         _fail(where, "floats are approximate; write the rational as \"p/q\"")
     if isinstance(v, str):
         try:
-            if m := _PLAIN_RATIONAL.fullmatch(v):
-                sign, num, den = m.groups()
-                num = -int(num) if sign else int(num)
-                return Fraction(num) if den is None else Fraction(num, int(den))
+            if pq := _short_rational(v):
+                return Fraction(*pq)
             exponent, limit = _EXPONENT.search(v), sys.get_int_max_str_digits()
             if not (exponent and limit and abs(int(exponent[1])) > limit):
                 return Fraction(v)
@@ -149,8 +147,23 @@ def rational_from_obj(v, where: str = "value") -> Fraction:
     _fail(where, f"expected a rational, got {type(v).__name__}")
 
 
-def rational_to_obj(v: Fraction) -> str:
-    return str(v)
+def rational_to_obj(v, den: int = 1) -> str:
+    """``str(Fraction(v, den))`` for den > 0: over 1 ``str(v)``, else
+    spelled from the integers v and den."""
+    if den == 1:
+        return str(v)
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
+def _short_rational(v) -> tuple[int, int] | None:
+    """p and q > 0 of an ``int`` or of a short "p" or "p/q" spelling, read
+    with no ``Fraction`` built; None for any other value."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and (m := _SHORT_RATIONAL.fullmatch(v)):
+        return int(m[1]), int(m[2] or 1)
+    return None
 
 
 def _int_from_obj(v, where: str, minimum: int | None = None) -> int:
@@ -185,9 +198,7 @@ def _list_from_obj(v, where: str, length: int | None = None) -> list:
 
 def vector_from_obj(obj, length: int, where: str) -> tuple[Fraction, ...]:
     entries = _list_from_obj(obj, where, length)
-    return tuple(
-        rational_from_obj(v, f"{where}[{i}]") for i, v in enumerate(entries)
-    )
+    return tuple(Fraction(_dense_entry(v, where, i)) for i, v in enumerate(entries))
 
 
 def vector_to_obj(vec: dict, length: int) -> list[str]:
@@ -196,15 +207,14 @@ def vector_to_obj(vec: dict, length: int) -> list[str]:
 
 
 def _dense_entry(v, row: str, j: int):
-    """Entry j of a dense matrix row: a plain integer, an ``int`` or a
-    short decimal spelling, as an ``int``, with no ``Fraction`` built
-    (most entries are 0 or 1); any other value as
+    """Entry j of a dense matrix row: an integer (most entries are 0 or
+    1) as an ``int`` and any other short spelling as a ``Fraction``
+    (:func:`_short_rational`); any other value as
     :func:`rational_from_obj` reads it at ``row[j]``, with its message."""
-    if type(v) is int:
-        return v
-    if type(v) is str and _PLAIN_INT.fullmatch(v):
-        return int(v)
-    return rational_from_obj(v, f"{row}[{j}]")
+    pq = _short_rational(v)
+    if pq is None:
+        return rational_from_obj(v, f"{row}[{j}]")
+    return pq[0] if pq[1] == 1 else Fraction(*pq)
 
 
 def dense_map_from_obj(
@@ -227,9 +237,7 @@ def dense_map_to_obj(m: LinearMap) -> list[list[str]]:
 def sparse_map_to_obj(m: LinearMap) -> dict:
     """{"rows", "cols", "entries": [[i, j, "p/q"], ...]} sorted row-major."""
     entries = sorted(
-        [i, j, rational_to_obj(v)]
-        for j, col in enumerate(m.cols)
-        for i, v in rationals(col, m.den).items()
+        [i, j, rational_to_obj(v, m.den)] for j, col in enumerate(m.cols) for i, v in col.items()
     )
     return {"rows": m.target.dim, "cols": m.source.dim, "entries": entries}
 
@@ -246,20 +254,33 @@ def sparse_map_from_obj(
             f"shape {rows}x{cols} does not match the expected "
             f"{target.dim}x{source.dim}",
         )
-    columns: list[dict[int, Fraction]] = [{} for _ in range(cols)]
-    seen = set()
+    # a well-formed entry is read straight into int columns; any other is checked
+    columns: list[dict[int, int]] = [{} for _ in range(cols)]
+    fractional = []  # (column, row, q) of each entry with q > 1
     for k, entry in enumerate(_list_from_obj(entries, where)):
-        ew = f"{where}.entries[{k}]"
-        triple = _list_from_obj(entry, ew, 3)
-        i = _int_from_obj(triple[0], f"{ew}[0]", 0)
-        j = _int_from_obj(triple[1], f"{ew}[1]", 0)
-        if i >= rows or j >= cols:
-            _fail(ew, f"index ({i},{j}) outside a {rows}x{cols} matrix")
-        if (i, j) in seen:
-            _fail(ew, f"duplicate entry at ({i},{j})")
-        seen.add((i, j))
-        columns[j][i] = rational_from_obj(triple[2], f"{ew}[2]")
-    return LinearMap.from_sparse_columns(source, target, columns)
+        i, j, v = entry if type(entry) is list and len(entry) == 3 else (-1, -1, None)
+        if not (type(i) is type(j) is int and 0 <= i < rows and 0 <= j < cols
+                and i not in columns[j] and (pq := _short_rational(v))):
+            ew = f"{where}.entries[{k}]"
+            triple = _list_from_obj(entry, ew, 3)
+            i, j = (_int_from_obj(x, f"{ew}[{pos}]", 0) for pos, x in enumerate(triple[:2]))
+            if i >= rows or j >= cols:
+                _fail(ew, f"index ({i},{j}) outside a {rows}x{cols} matrix")
+            if i in columns[j]:
+                _fail(ew, f"duplicate entry at ({i},{j})")
+            v = rational_from_obj(triple[2], f"{ew}[2]")
+            pq = v.numerator, v.denominator
+        columns[j][i], q = pq
+        if q != 1:
+            fractional.append((columns[j], i, q))
+    den = lcm(*(q for _, _, q in fractional))
+    if den != 1:
+        for col in columns:
+            for i in col:
+                col[i] *= den
+        for col, i, q in fractional:
+            col[i] //= q
+    return LinearMap.from_sparse_columns(source, target, columns, den)
 
 
 # ---------------------------------------------------------------- documents
@@ -276,15 +297,15 @@ def _labels_from_obj(obj, where: str) -> tuple[str, ...]:
 
 def algebra_to_obj(a: FDAlgebra) -> dict:
     mult = [
-        [i, j, k, rational_to_obj(v)]
+        [i, j, k, rational_to_obj(v, a.den)]
         for i, row in enumerate(a.table)
         for j, prod in enumerate(row)
-        for k, v in sorted(rationals(prod, a.den).items())
+        for k, v in sorted(prod.items())
     ]
     return {
         "kind": "algebra",
         "labels": list(a.labels),
-        "unit": vector_to_obj(rationals(a.unit, a.den), a.dim),
+        "unit": [rational_to_obj(a.unit.get(i, 0), a.den) for i in range(a.dim)],
         "mult": mult,
     }
 
@@ -296,16 +317,18 @@ def algebra_from_obj(obj, where: str = "algebra") -> FDAlgebra:
     unit = vector_from_obj(unit, n, f"{where}.unit")
     table = [[{} for _ in range(n)] for _ in range(n)]
     for t, entry in enumerate(_list_from_obj(mult, f"{where}.mult")):
-        ew = f"{where}.mult[{t}]"
-        quad = _list_from_obj(entry, ew, 4)
-        i = _int_from_obj(quad[0], f"{ew}[0]", 0)
-        j = _int_from_obj(quad[1], f"{ew}[1]", 0)
-        k = _int_from_obj(quad[2], f"{ew}[2]", 0)
-        if i >= n or j >= n or k >= n:
-            _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
-        if k in table[i][j]:
-            _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
-        table[i][j][k] = rational_from_obj(quad[3], f"{ew}[3]")
+        i, j, k, v = entry if type(entry) is list and len(entry) == 4 else (-1, -1, -1, None)
+        if not (type(i) is type(j) is type(k) is int and 0 <= min(i, j, k) and max(i, j, k) < n
+                and k not in table[i][j] and _short_rational(v)):
+            ew = f"{where}.mult[{t}]"
+            quad = _list_from_obj(entry, ew, 4)
+            i, j, k = (_int_from_obj(x, f"{ew}[{pos}]", 0) for pos, x in enumerate(quad[:3]))
+            if i >= n or j >= n or k >= n:
+                _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
+            if k in table[i][j]:
+                _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
+            v = rational_from_obj(quad[3], f"{ew}[3]")
+        table[i][j][k] = v
     return FDAlgebra.from_structure(Space(labels), table, unit)
 
 
@@ -381,14 +404,16 @@ class _TableAxiomsFailed(InputFormatError):
 
 
 def _table_from_obj(obj, where: str, rows: int, width: int) -> tuple:
-    """A ``rows`` x ``width`` table of indices."""
-    return tuple(
-        tuple(
-            _int_from_obj(v, f"{where}[{i}][{j}]", 0)
-            for j, v in enumerate(_list_from_obj(row, f"{where}[{i}]", width))
-        )
-        for i, row in enumerate(_list_from_obj(obj, where, rows))
-    )
+    """A ``rows`` x ``width`` table of indices; only a row that is not a
+    list of ``width`` non-negative ints is checked entry by entry."""
+    table = []
+    for i, row in enumerate(_list_from_obj(obj, where, rows)):
+        if not (type(row) is list and len(row) == width and all(type(v) is int for v in row)
+                and min(row, default=0) >= 0):
+            row = _list_from_obj(row, f"{where}[{i}]", width)
+            row = [_int_from_obj(v, f"{where}[{i}][{j}]", 0) for j, v in enumerate(row)]
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _from_table(where: str, axiom: str, build: Callable, *args):

@@ -1,6 +1,7 @@
 """Finite-dimensional algebras: axiom checks, constructions, homs, subalgebras."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from fusionalg import algebra as algebra_module
+from fusionalg import linalg as linalg_module
 from fusionalg.algebra import (
     AlgebraHom,
     ClosureError,
@@ -21,10 +24,11 @@ from fusionalg.algebra import (
     subalgebra_from_subspace,
     tensor_algebra,
 )
+from fusionalg.fusion import pullback_identification
 from fusionalg.groups import FiniteGroup
 from fusionalg.hopf import group_hopf
 from fusionalg.linalg import LinearMap, Space, Subspace
-from test_fusion import sweedler_h4
+from test_fusion import regular_comodule, sweedler_h4
 
 Q = Fraction
 
@@ -276,6 +280,86 @@ def test_check_hom_names_the_first_failing_pair():
         Failure("multiplicative", "f(e1·e1) differs from f(e1)·f(e1)", (1, 1)),
         Failure("unital", "f(1) is not the target unit", ()),
     )
+
+
+def test_check_hom_checks_only_pairs_inside_one_part(monkeypatch):
+    """On the O(Z3) pullback glue at m_lower = m_upper = 2, a map between
+    33-dimensional algebras, multiplicativity is decided on fewer than
+    all 33² pairs, and the report is the reference's."""
+    pb = pullback_identification(regular_comodule(3), 2, 2)
+    hom = AlgebraHom(pb.fiber.comodule.algebra, pb.fusion.comodule.algebra, pb.glue)
+    calls, first_failure = [], algebra_module.first_failure
+
+    def counting(axiom, detail, holds, indices=((),)):
+        if axiom == "multiplicative":
+            def holds(*w, decide=holds):
+                calls.append(w)
+                return decide(*w)
+        return first_failure(axiom, detail, holds, indices)
+
+    monkeypatch.setattr(algebra_module, "first_failure", counting)
+    report = check_hom(hom)
+    assert hom.source.dim == hom.target.dim == 33
+    assert report.ok and report == ref.check_hom(hom)
+    assert 0 < len(calls) < 33**2
+    assert calls == sorted(calls)
+
+
+def test_check_hom_names_a_failure_in_a_later_part():
+    """f(e_0) = δ0 + δ1, f(e_1) = δ2, f(e_2) = 3δ3 and f(e_3) = 2δ4 put
+    the source into four parts; the product first breaks at (2, 2), in
+    the third, which is the pair a scan of every pair names."""
+    a, b = function_algebra(4), function_algebra(5)
+    f = LinearMap.from_sparse_columns(a.space, b.space, [{0: 1, 1: 1}, {2: 1}, {3: 3}, {4: 2}])
+    hom = AlgebraHom(a, b, f)
+    report = check_hom(hom)
+    assert report == ref.check_hom(hom)
+    assert [(x.axiom, x.witness) for x in report.failures] == [
+        ("multiplicative", (2, 2)),
+        ("unital", ()),
+    ]
+
+
+def test_check_hom_by_parts_matches_the_reference_on_random_maps():
+    """Derandomized: sparse maps with entries -1, 1 and 2 between
+    function algebras, kZ3 and Sweedler's H4, which fail at pairs spread
+    over their parts or pass, give the reference's whole report."""
+    rng = random.Random(17)
+    algebras = [
+        function_algebra(3),
+        function_algebra(4),
+        group_hopf(FiniteGroup.cyclic(3)).algebra,
+        sweedler_h4().algebra,
+    ]
+    for _ in range(120):
+        a, b = rng.choice(algebras), rng.choice(algebras)
+        cols = [
+            {t: rng.choice((-1, 1, 2)) for t in range(b.dim) if rng.random() < 0.15}
+            for _ in range(a.dim)
+        ]
+        hom = AlgebraHom(a, b, LinearMap.from_sparse_columns(a.space, b.space, cols))
+        assert check_hom(hom) == ref.check_hom(hom)
+
+
+def test_check_algebra_decides_associativity_in_one_accumulation(monkeypatch):
+    """Associativity adds (e_i·e_j)·e_k into one vector and subtracts
+    e_i·(e_j·e_k) from it, so on kS3 the law makes no ``nonzero`` copy;
+    the unit laws still make theirs."""
+    alg = group_hopf(FiniteGroup.symmetric(3)).algebra
+    copied, nonzero = [], linalg_module.nonzero
+
+    def recording(vec):
+        frame, callers = sys._getframe(1), set()
+        while frame.f_code.co_name != "check_algebra":
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        copied.append(callers)
+        return nonzero(vec)
+
+    monkeypatch.setattr(linalg_module, "nonzero", recording)
+    assert check_algebra(alg).ok
+    assert copied and all("unit_times" in callers for callers in copied)
+    assert not any("associative" in callers for callers in copied)
 
 
 def test_subalgebra_span_of_unit():

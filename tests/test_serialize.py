@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -143,6 +144,79 @@ def test_sparse_map_validation():
             tgt,
             "m",
         )
+
+
+def test_sparse_map_codec_round_trips_integer_maps():
+    """Derandomized: an integer map over each den from 1 to 60, with
+    negative, reducible and 40-digit entries, is written with every value
+    spelled as ``str(Fraction(v, den))`` and read back as the same map,
+    also through JSON text."""
+    rng = random.Random(29)
+    src, tgt = Space.of_dim(4, "s"), Space.of_dim(5, "t")
+    for den in range(1, 61):
+        for _ in range(3):
+            cols = [
+                {
+                    i: rng.choice((rng.randint(-9, 9) * rng.choice((1, den, 2 * den)),
+                                   rng.randint(-(10**40), 10**40)))
+                    for i in rng.sample(range(tgt.dim), rng.randint(0, tgt.dim))
+                }
+                for _ in range(src.dim)
+            ]
+            m = LinearMap.from_sparse_columns(src, tgt, cols, den)
+            obj = sparse_map_to_obj(m)
+            spelled = {(i, j): str(Q(v, m.den)) for j, col in enumerate(m.cols) for i, v in col.items()}
+            assert {(i, j): v for i, j, v in obj["entries"]} == spelled
+            assert [tuple(e[:2]) for e in obj["entries"]] == sorted(spelled)
+            for doc in (obj, json.loads(json.dumps(obj))):
+                back = sparse_map_from_obj(doc, src, tgt, "m")
+                assert (back.cols, back.den) == (m.cols, m.den)
+
+
+def _digits_refused(v):
+    """The message ``int()`` gives for a spelling beyond its digit limit."""
+    try:
+        int(v)
+    except ValueError as exc:
+        return f"not a rational: {v!r} ({exc})"
+    raise AssertionError("within the digit limit")
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "bad, where, message",
+    [
+        (5, "", "expected a list, got int"),
+        ([0, 1], "", "expected 3 entries, got 2"),
+        ([True, 1, "1"], "[0]", "expected an integer, got bool"),
+        ([-1, 1, "1"], "[0]", "expected an integer >= 0, got -1"),
+        ([0, 2, "1"], "", "index (0,2) outside a 3x2 matrix"),
+        ([3, 1, "1"], "", "index (3,1) outside a 3x2 matrix"),
+        ([0, 0, "5"], "", "duplicate entry at (0,0)"),
+        ([0, 1, "1/0"], "[2]", "not a rational: '1/0' (Fraction(1, 0))"),
+        ([0, 1, 0.5], "[2]", 'floats are approximate; write the rational as "p/q"'),
+        ([0, 1, "1e5000"], "[2]", f"not a rational: '1e5000' (its exponent exceeds {LIMIT} digits)"),
+        ([0, 1, "1" * 5000], "[2]", _digits_refused("1" * 5000)),
+        ([0, 1, "2/4"], None, None),
+    ],
+    ids=["non-list", "2-list", "bool-index", "negative-index", "column-outside",
+         "row-outside", "duplicate", "zero-denominator", "float", "exponent",
+         "5000-digits", "reducible"],
+)
+def test_sparse_map_entries_refused_with_their_location(bad, where, message):
+    """The first malformed entry of a sparse map is refused with its
+    location and the message each check gives; "2/4" reads as 1/2."""
+    src, tgt = Space.of_dim(2), Space.of_dim(3)
+    obj = {"rows": 3, "cols": 2, "entries": [[0, 0, "1"], bad, [9, 9, "x"]]}
+    if message is None:
+        obj["entries"].pop()
+        assert sparse_map_from_obj(obj, src, tgt, "m").rows == ((1, Q(1, 2)), (0, 0), (0, 0))
+        return
+    with pytest.raises(InputFormatError) as err:
+        sparse_map_from_obj(obj, src, tgt, "m")
+    assert str(err.value) == f"m.entries[1]{where}: {message}"
 
 
 def test_algebra_round_trip():
