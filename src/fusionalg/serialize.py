@@ -317,18 +317,16 @@ def algebra_from_obj(obj, where: str = "algebra") -> FDAlgebra:
     unit = vector_from_obj(unit, n, f"{where}.unit")
     table = [[{} for _ in range(n)] for _ in range(n)]
     for t, entry in enumerate(_list_from_obj(mult, f"{where}.mult")):
-        i, j, k, v = entry if type(entry) is list and len(entry) == 4 else (-1, -1, -1, None)
-        if not (type(i) is type(j) is type(k) is int and 0 <= min(i, j, k) and max(i, j, k) < n
-                and k not in table[i][j] and _short_rational(v)):
-            ew = f"{where}.mult[{t}]"
-            quad = _list_from_obj(entry, ew, 4)
-            i, j, k = (_int_from_obj(x, f"{ew}[{pos}]", 0) for pos, x in enumerate(quad[:3]))
-            if i >= n or j >= n or k >= n:
-                _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
-            if k in table[i][j]:
-                _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
-            v = rational_from_obj(quad[3], f"{ew}[3]")
-        table[i][j][k] = v
+        ew = f"{where}.mult[{t}]"
+        quad = _list_from_obj(entry, ew, 4)
+        i = _int_from_obj(quad[0], f"{ew}[0]", 0)
+        j = _int_from_obj(quad[1], f"{ew}[1]", 0)
+        k = _int_from_obj(quad[2], f"{ew}[2]", 0)
+        if i >= n or j >= n or k >= n:
+            _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
+        if k in table[i][j]:
+            _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
+        table[i][j][k] = rational_from_obj(quad[3], f"{ew}[3]")
     return FDAlgebra.from_structure(Space(labels), table, unit)
 
 
@@ -404,16 +402,14 @@ class _TableAxiomsFailed(InputFormatError):
 
 
 def _table_from_obj(obj, where: str, rows: int, width: int) -> tuple:
-    """A ``rows`` x ``width`` table of indices; only a row that is not a
-    list of ``width`` non-negative ints is checked entry by entry."""
-    table = []
-    for i, row in enumerate(_list_from_obj(obj, where, rows)):
-        if not (type(row) is list and len(row) == width and all(type(v) is int for v in row)
-                and min(row, default=0) >= 0):
-            row = _list_from_obj(row, f"{where}[{i}]", width)
-            row = [_int_from_obj(v, f"{where}[{i}][{j}]", 0) for j, v in enumerate(row)]
-        table.append(tuple(row))
-    return tuple(table)
+    """A ``rows`` x ``width`` table of indices."""
+    return tuple(
+        tuple(
+            _int_from_obj(v, f"{where}[{i}][{j}]", 0)
+            for j, v in enumerate(_list_from_obj(row, f"{where}[{i}]", width))
+        )
+        for i, row in enumerate(_list_from_obj(obj, where, rows))
+    )
 
 
 def _from_table(where: str, axiom: str, build: Callable, *args):
