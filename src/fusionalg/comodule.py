@@ -120,7 +120,7 @@ def check_comodule(c: ComoduleAlgebra) -> CheckReport:
     neg_dcols = [{k: -v for k, v in col.items()} for col in dcols]
 
     def multiplicative(i, j):
-        acc = linear_combination(dcols, {k: c * d2 for k, c in ptab[i * dp + j].items()})
+        acc = on_left({k: c * d2 for k, c in ptab[i * dp + j].items()}, dcols, 1, {})
         tensor_mul(neg_dcols[i], dcols[j], ptab, dp, htab, dh, acc)
         return not any(acc.values())
 

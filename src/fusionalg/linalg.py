@@ -33,7 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -550,10 +549,13 @@ class LinearSystem:
     shift of every unknown, reducing their common pattern once.  The
     system stores each such call as one block: its first row, its
     reduced templates and its shifts as a ``range``; a single row is a
-    block of one template with the one shift 0.  Row k is computed from
-    its block when it is read, through :meth:`row`, so rows keep the
-    indices, order, keys and scales of adding them one at a time, while
-    memory grows with the templates, not with the rows.
+    block of one template with the one shift 0.  A template is a copy of
+    the caller's row; a row over ``den`` 1 is already reduced, so only
+    its zeros, if it has any, are dropped.  Row k is computed from its
+    block when it is read, through :meth:`row`, which finds the block by
+    a binary search of the blocks' first rows, so rows keep the indices,
+    order, keys and scales of adding them one at a time, while memory
+    grows with the templates, not with the rows.
 
     :meth:`solve` decides the system by integer Gauss–Jordan
     (:class:`_Echelon`, :meth:`_decide`), with the right-hand side as one
@@ -587,6 +589,7 @@ class LinearSystem:
         # (first row, templates (coeffs, rhs, scale), shifts): row
         # first + i·len(templates) + t is template t moved by shifts[i]
         self._blocks: list[tuple[int, list[tuple[dict[int, int], int, int]], range]] = []
+        self._starts: list[int] = []  # the first row of each block
         self._len = 0
         self._key_index = None  # built by _index, dropped when rows are added
 
@@ -605,20 +608,25 @@ class LinearSystem:
         takes it, with each unknown c moved to c + s.
 
         Each row is reduced to its template once (zero coefficients
-        dropped, the common factor divided out), and the range of the
-        unknowns is checked once, at the least and the largest shift.
-        The call is kept as one block of the templates and ``shifts``.
+        dropped, the common factor divided out; a row over ``den`` 1 has
+        none to divide), and the range of the unknowns is checked once,
+        at the least and the largest shift.  The call is kept as one
+        block of the templates and ``shifts``.
         """
         templates = self._templates(rows, shifts)
         if not templates or not shifts:
             return
         self._key_index = None
         self._blocks.append((self._len, templates, shifts))
+        self._starts.append(self._len)
         self._len += len(templates) * len(shifts)
 
     def _templates(self, rows, shifts) -> list[tuple[dict[int, int], int, int]]:
         """The rows reduced to templates, after checking the denominators
-        and the range of the unknowns at the least and largest shift."""
+        and the range of the unknowns at the least and largest shift.
+        Each template owns a new dict.  Over ``den`` 1 the gcd of a row is
+        1, so its template is its copy, with zeros dropped if it holds
+        any; a row over a larger ``den`` is divided by its gcd."""
         rows = list(rows)
         for _, _, den in rows:
             if den <= 0:
@@ -630,13 +638,16 @@ class LinearSystem:
                     raise ValueError(f"unknown {c} is outside 0..{self.num_unknowns - 1}")
         templates = []
         for coeffs, rhs, den in rows:
-            clean = {c: v for c, v in coeffs.items() if v}
-            g = gcd(den, rhs, *clean.values())
+            if 0 in coeffs.values():
+                coeffs = {c: v for c, v in coeffs.items() if v}
+            else:
+                coeffs = dict(coeffs)  # a copy, so that no template is the caller's
+            g = gcd(den, rhs, *coeffs.values()) if den > 1 else 1  # gcd(1, …) is 1
             if g > 1:
-                clean = {c: v // g for c, v in clean.items()}
+                coeffs = {c: v // g for c, v in coeffs.items()}
                 rhs //= g
                 den //= g
-            templates.append((clean, rhs, den))
+            templates.append((coeffs, rhs, den))
         return templates
 
     def add_row(self, coeffs: dict[int, Fraction], rhs: Fraction = Q0) -> int:
@@ -647,8 +658,7 @@ class LinearSystem:
         """Row k as ``(template coeffs, rhs, scale, shift)``."""
         if not 0 <= k < self._len:
             raise IndexError(f"row {k} is outside 0..{self._len - 1}")
-        block = bisect_right(self._blocks, k, key=itemgetter(0)) - 1
-        first, templates, shifts = self._blocks[block]
+        first, templates, shifts = self._blocks[bisect_right(self._starts, k) - 1]
         i, t = divmod(k - first, len(templates))
         return (*templates[t], shifts[i])
 

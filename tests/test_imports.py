@@ -119,8 +119,9 @@ def test_no_dense_vector_helpers(path):
 # the maps it is built from, the kernels they all sum with, the integer
 # Gauss–Jordan steps, the echelon form and the kernel built on them, the
 # solver's decision pass (on the same steps; a refutation's multipliers
-# are a kernel vector over its kept rows), and the pullback glue.  A
-# method is named ``Class.method``.
+# are a kernel vector over its kept rows) with the row path it reads
+# through (the templates, a row, the key index and the reach), and the
+# pullback glue.  A method is named ``Class.method``.
 BATTERIES = {
     "linalg.py": (
         "linear_combination",
@@ -131,6 +132,10 @@ BATTERIES = {
         "_Echelon.keep",
         "rref",
         "kernel_vectors",
+        "LinearSystem._templates",
+        "LinearSystem.row",
+        "LinearSystem._index",
+        "LinearSystem._reach",
         "LinearSystem._decide",
     ),
     "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace"),

@@ -663,7 +663,31 @@ def test_rows_over_a_non_positive_denominator_are_refused(den):
     assert len(system) == 0
 
 
-BLOCK_ENTRIES = st.sampled_from(sorted({Q(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
+@pytest.mark.parametrize(
+    "coeffs, rhs, den, stored",
+    [
+        ({1: 2, 3: -1}, 1, 1, ({1: 2, 3: -1}, 1, 1)),  # over den 1, no zero: copied
+        ({1: 2, 2: 0, 3: -1}, 1, 1, ({1: 2, 3: -1}, 1, 1)),  # a zero dropped
+        ({1: 4, 3: -2}, 6, 2, ({1: 2, 3: -1}, 3, 1)),  # a common factor divided out
+        ({1: 2, 3: -1}, 1, 3, ({1: 2, 3: -1}, 1, 3)),  # over den 3, coprime
+    ],
+)
+def test_a_system_keeps_no_dict_of_its_caller(coeffs, rhs, den, stored):
+    """Changing a row's dict after adding it, singly or shifted, leaves
+    every stored row as it was added."""
+    system = LinearSystem(6)
+    single, shifted = dict(coeffs), dict(coeffs)
+    system.add_int_row(single, rhs, den)
+    system.add_shifted_rows([(shifted, rhs, den)], range(0, 3, 2))
+    for added in (single, shifted):
+        added[1] = 7
+        added[0] = 5
+        added.pop(3)
+    moved = ({c + 2: v for c, v in stored[0].items()}, *stored[1:])
+    assert [system.row(k) for k in range(3)] == [stored, stored, moved]
+
+
+BLOCK_ENTRIES =st.sampled_from(sorted({Q(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
 
 
 @st.composite
