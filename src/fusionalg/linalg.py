@@ -641,8 +641,8 @@ class LinearSystem:
             if 0 in coeffs.values():
                 coeffs = {c: v for c, v in coeffs.items() if v}
             else:
-                coeffs = dict(coeffs)  # a copy, so that no template is the caller's
-            g = gcd(den, rhs, *coeffs.values()) if den > 1 else 1  # gcd(1, …) is 1
+                coeffs = dict(coeffs)
+            g = gcd(den, rhs, *coeffs.values()) if den > 1 else 1
             if g > 1:
                 coeffs = {c: v // g for c, v in coeffs.items()}
                 rhs //= g
