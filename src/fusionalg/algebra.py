@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 
 from .linalg import (
     LinearMap,
@@ -24,8 +24,10 @@ from .linalg import (
     components,
     integer_scaled,
     linear_combination,
+    nonzero,
     on_left,
     rat,
+    tensor_mul,
     tensor_vec,
 )
 
@@ -118,19 +120,36 @@ def first_failure(axiom: str, detail: str, holds, indices=((),)) -> list[Failure
     return []
 
 
+def algebra_parts(alg: FDAlgebra) -> list[int]:
+    """The finest partition of the basis (:func:`~fusionalg.linalg.components`)
+    that keeps i, j and the support of each nonempty e_i·e_j in one part:
+    a product of two or three basis vectors not in one part is zero."""
+    n = alg.dim
+    return components(n, (
+        [i, *(j for j, prod in enumerate(row) if prod), *chain.from_iterable(row)]
+        for i, row in enumerate(alg.table)))
+
+
 def check_algebra(alg: FDAlgebra) -> CheckReport:
     """Associativity plus two-sided unit, with the first failing witness.
 
     The table and the unit are read over their denominator D: both sides
     of associativity, products of two scaled constants, go into one vector
     with e_i·(e_j·e_k) subtracted through the negated e_j·e_k; 1·e_i and
-    e_i·1, also products of two, compare with D²·e_i.
+    e_i·1, also products of two, compare with D²·e_i.  Associativity is
+    checked only on triples inside one part (:func:`algebra_parts`), in
+    lexicographic order: the others make both sides zero, so the first
+    failure named is the one a scan of every triple names.
     """
     n = alg.dim
     rows, unit = alg.table, alg.unit  # rows[i][m] = e_i·e_m
     cols = list(zip(*rows))  # cols[k][m] = e_m·e_k
     neg = [[{m: -v for m, v in prod.items()} for prod in row] for row in rows]
     d2 = alg.den * alg.den
+    part = algebra_parts(alg)
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(part[i], []).append(i)
 
     def associative(i, j, k):
         acc = on_left(rows[i][j], cols[k], 1, {})
@@ -145,7 +164,7 @@ def check_algebra(alg: FDAlgebra) -> CheckReport:
             "associativity",
             "(e{0}·e{1})·e{2} differs from e{0}·(e{1}·e{2})",
             associative,
-            product(range(n), repeat=3),
+            ((i, j, k) for i in range(n) for j in members[part[i]] for k in members[part[i]]),
         )
         + first_failure("unit_left", "1·e{0} is not e{0}", lambda i: unit_times(i, True), each)
         + first_failure("unit_right", "e{0}·1 is not e{0}", lambda i: unit_times(i, False), each)
@@ -304,12 +323,11 @@ class SubalgebraWitness:
     """A subspace recognized as a subalgebra, with the induced structure.
 
     ``algebra`` lives on the coordinate space of the subspace basis;
-    ``inclusion`` embeds it back into the ambient algebra.  When the
+    ``inclusion`` embeds it back into the ambient space.  When the
     ambient unit does not lie in the subspace, ``unital`` is False and
     the stored unit vector is empty (the induced algebra is non-unital).
     """
 
-    ambient: FDAlgebra
     subspace: Subspace
     algebra: FDAlgebra
     inclusion: LinearMap
@@ -319,50 +337,58 @@ class SubalgebraWitness:
 def subalgebra_from_subspace(
     ambient: FDAlgebra, sub: Subspace, label_prefix: str = "s"
 ) -> SubalgebraWitness:
-    """Restrict the product of ``ambient`` to ``sub``.
+    """Restrict the product of ``ambient`` A to ``sub``, as that of k (x) A
+    (:func:`restrict_product`)."""
+    return restrict_product(scalar_algebra(), ambient, sub, label_prefix)
 
-    The table is read over its denominator D_T and the echelon basis
-    over its own, D_B (:attr:`~fusionalg.linalg.Subspace.den`), so each
-    product of two basis rows, D_T·D_B² times its value, is reduced in
-    integers, and the induced table is built over D_T·D_B².
 
-    Ambient indices fall into parts (:func:`~fusionalg.linalg.components`)
-    that keep together a and b of every nonempty e_a·e_b and the support
-    of each basis vector.  Two basis vectors in different parts multiply
-    to zero, so only products within a part are formed; the others keep
-    one shared empty entry.
+def restrict_product(
+    left: FDAlgebra, right: FDAlgebra, sub: Subspace, label_prefix: str = "s"
+) -> SubalgebraWitness:
+    """Restrict the product of A (x) B, A = ``left`` and B = ``right``, to
+    ``sub``, building no table of A (x) B: each product of two basis rows
+    is :func:`~fusionalg.linalg.tensor_mul` over the tables of A and B.
+    With the tables over D_A and D_B and the echelon basis over D_S
+    (:attr:`~fusionalg.linalg.Subspace.den`), it is reduced in integers,
+    and the induced table is built over D_A·D_B·D_S².
+
+    Only products within a part are formed; the others keep one shared
+    empty entry.  The parts are the products of a part of A and one of B
+    (:func:`algebra_parts`), joined by the support of each basis vector,
+    so basis vectors in different parts multiply to zero.
 
     Raises ClosureError when some product of subspace basis vectors falls
     outside the subspace.
     """
-    if sub.ambient.dim != ambient.dim:
+    da, db = left.dim, right.dim
+    if sub.ambient.dim != da * db:
         raise ValueError("subspace does not live in the algebra")
-    n, d = ambient.dim, sub.dim
-    flat = [prod for row in ambient.table for prod in row]
-    den_b, basis = sub.den, sub.basis
-    nonempty = ([a, *(b for b, p in enumerate(row) if p)] for a, row in enumerate(ambient.table))
-    part = components(n, [*nonempty, *basis])
-    owner = [part[next(iter(vec))] for vec in basis]
+    (table_a, unit_a), (table_b, unit_b) = left.over(left.den), right.over(right.den)
+    part_a, part_b = algebra_parts(left), algebra_parts(right)
+    d, den_s, basis = sub.dim, sub.den, sub.basis
+    cells = [[part_a[key // db] * db + part_b[key % db] for key in vec] for vec in basis]
+    part = components(da * db, cells)
+    owner = [part[vec_cells[0]] for vec_cells in cells]
     members: dict[int, list[int]] = {}
     for i, p in enumerate(owner):
         members.setdefault(p, []).append(i)
-    scale = ambient.den * den_b * den_b
+    scale = left.den * right.den * den_s * den_s
     space = Space(tuple(f"{label_prefix}{i}" for i in range(d)))
     empty: dict = {}
     table: list[list[dict[int, int]]] = [[empty] * d for _ in range(d)]
-    for i, left in enumerate(basis):
+    for i, x in enumerate(basis):
         for j in members[owner[i]]:
-            prod = linear_combination(flat, tensor_vec(left, basis[j], n))
+            prod = nonzero(tensor_mul(x, basis[j], table_a, da, table_b, db, {}))
             if not prod:
                 continue
             coords = sub.coordinates(prod)
             if coords is None:
                 raise ClosureError(i, j, prod, scale)
             table[i][j] = coords
-    # the coordinates of the unit, over D_T, taken over D_T·D_B²
-    unit = sub.coordinates(ambient.unit)
+    # the coordinates of the unit, over D_A·D_B, taken over the scale
+    unit = sub.coordinates(tensor_vec(unit_a, unit_b, db))
     unital = unit is not None
-    unit = {k: v * den_b * den_b for k, v in unit.items()} if unital else {}
+    unit = {k: v * den_s * den_s for k, v in unit.items()} if unital else {}
     algebra = FDAlgebra(space, table, unit, scale)
-    inclusion = LinearMap.from_sparse_columns(space, ambient.space, basis, den_b)
-    return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)
+    inclusion = LinearMap.from_sparse_columns(space, sub.ambient, basis, den_s)
+    return SubalgebraWitness(sub, algebra, inclusion, unital)

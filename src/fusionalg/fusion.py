@@ -29,8 +29,8 @@ from .algebra import (
     check_hom,
     direct_sum_algebra,
     function_algebra,
+    restrict_product,
     scalar_algebra,
-    subalgebra_from_subspace,
     tensor_algebra,
 )
 from .comodule import (
@@ -284,35 +284,31 @@ class FusionAlgebra:
 
     Inside C (x) P (x) Q the carrier is cut out by two boundary
     conditions: values at the zero end lie in 1 (x) Q, values at the one
-    end lie in P (x) 1.
+    end lie in P (x) 1.  The table of C (x) P (x) Q is built only when read.
     """
 
     base: BaseWithEnds
     left: FDAlgebra  # P
     right: FDAlgebra  # Q
-    ambient: FDAlgebra  # C (x) P (x) Q
     carrier: Subspace
     algebra: FDAlgebra
     inclusion: LinearMap
 
+    @cached_property
+    def ambient(self) -> FDAlgebra:
+        return tensor_algebra(self.base.algebra, tensor_algebra(self.left, self.right))
+
 
 def build_fusion(base: BaseWithEnds, left: FDAlgebra, right: FDAlgebra) -> FusionAlgebra:
-    fiber = tensor_algebra(left, right)
-    ambient = tensor_algebra(base.algebra, fiber)
-    dr = right.dim
-    w_zero = Subspace.from_vectors(
-        fiber.space, [tensor_vec(left.unit, {j: 1}, dr) for j in range(dr)]
-    )
-    w_one = Subspace.from_vectors(
-        fiber.space, [tensor_vec({i: 1}, right.unit, dr) for i in range(left.dim)]
-    )
+    dl, dr = left.dim, right.dim
+    fiber = left.space.tensor(right.space)
+    w_zero = Subspace.from_vectors(fiber, [tensor_vec(left.unit, {j: 1}, dr) for j in range(dr)])
+    w_one = Subspace.from_vectors(fiber, [tensor_vec({i: 1}, right.unit, dr) for i in range(dl)])
     carrier = base.sections(w_zero, w_one)
-    witness = subalgebra_from_subspace(ambient, carrier, label_prefix="f")
+    witness = restrict_product(tensor_algebra(base.algebra, left), right, carrier, "f")
     if not witness.unital:
         raise AssertionError("fusion carrier lost the unit")
-    return FusionAlgebra(
-        base, left, right, ambient, carrier, witness.algebra, witness.inclusion
-    )
+    return FusionAlgebra(base, left, right, carrier, witness.algebra, witness.inclusion)
 
 
 # ---------------------------------------------------------------- equivariant fusion
@@ -325,17 +321,22 @@ class EquivariantFusion:
     coproduct, the carrier degenerates to the coaction image δ(P) at the
     one end and to the scalar fiber 1 (x) H at the zero end.  Each end
     condition alone is computed only when read: the lift decides both on
-    the fiber, through ``w_one`` and ``w_zero``, and reads neither.
+    the fiber, through ``w_one`` and ``w_zero``, and reads neither.  So is
+    the table of C (x) P (x) H.
     """
 
     base: BaseWithEnds
     inner: ComoduleAlgebra
-    ambient: FDAlgebra  # C (x) P (x) H
     carrier: Subspace
     w_zero: Subspace  # 1 (x) H in the fiber P (x) H
     w_one: Subspace  # δ(P) in the fiber
     comodule: ComoduleAlgebra
     inclusion: LinearMap
+
+    @cached_property
+    def ambient(self) -> FDAlgebra:
+        p, h = self.inner.algebra, self.inner.hopf.algebra
+        return tensor_algebra(self.base.algebra, tensor_algebra(p, h))
 
     @cached_property
     def cond_one(self) -> Subspace:
@@ -349,19 +350,21 @@ class EquivariantFusion:
 
 
 def _restrict_coaction(
-    ambient: FDAlgebra,
+    factors: tuple[FDAlgebra, FDAlgebra],
     coaction: LinearMap,
     hopf: HopfAlgebra,
     carrier: Subspace,
     prefix: str,
 ) -> tuple[SubalgebraWitness, ComoduleAlgebra]:
-    """Subalgebra structure on ``carrier`` plus the restriction of
-    ``coaction``, a coaction of ``hopf`` on the ambient algebra."""
-    witness = subalgebra_from_subspace(ambient, carrier, label_prefix=prefix)
+    """Subalgebra structure on ``carrier`` in A (x) B, the two ``factors``,
+    plus the restriction of id (x) ``coaction``, a coaction of ``hopf`` on B."""
+    witness = restrict_product(*factors, carrier, prefix)
     full_h = Subspace.full(hopf.space)
+    db = coaction.source.dim
     cols = []
     for i, vec in enumerate(carrier.basis):
-        image = linear_combination(coaction.cols, vec)  # D_c·D_b·δ(echelon row i)
+        # D_c·D_b·(id (x) δ)(echelon row i)
+        image = nonzero(on_right(vec, coaction.cols, db, db * hopf.dim, {}))
         coords = _tensor_coordinates(carrier, full_h, image)
         if coords is None:
             raise AssertionError(
@@ -382,33 +385,25 @@ def _restrict_coaction(
 
 def _end_conditions(
     base: BaseWithEnds, inner: ComoduleAlgebra
-) -> tuple[FDAlgebra, LinearMap, Subspace, Subspace]:
-    """Ambient algebra, its coaction id (x) Δ, and the subspaces 1 (x) H
-    and δ(P) of the fiber P (x) H where the values at the zero and the
-    one end lie (see :meth:`BaseWithEnds.sections`).  Column x·dH + a of
-    id (x) Δ is Δ(e_a) moved to offset x·dH², for x in C (x) P."""
+) -> tuple[tuple[FDAlgebra, FDAlgebra], Subspace, Subspace]:
+    """The factors C (x) P and H of the ambient algebra, on whose last
+    leg H coacts by Δ, and the subspaces 1 (x) H and δ(P) of the fiber
+    P (x) H where the values at the zero and the one end lie (see
+    :meth:`BaseWithEnds.sections`)."""
     p, h = inner.algebra, inner.hopf
-    fiber = tensor_algebra(p, h.algebra)
-    ambient = tensor_algebra(base.algebra, fiber)
-    n, cops = base.dim * p.dim, h.coproduct.cols
-    cols = ({x * h.dim**2 + k: v for k, v in cop.items()} for x in range(n) for cop in cops)
-    target = ambient.space.tensor(h.space)
-    coaction = LinearMap.from_sparse_columns(ambient.space, target, cols, h.coproduct.den)
     w_zero = Subspace.from_vectors(
-        fiber.space, [tensor_vec(p.unit, {a: 1}, h.dim) for a in range(h.dim)]
+        p.space.tensor(h.space), [tensor_vec(p.unit, {a: 1}, h.dim) for a in range(h.dim)]
     )
-    return ambient, coaction, w_zero, inner.coaction.image()
+    return (tensor_algebra(base.algebra, p), h.algebra), w_zero, inner.coaction.image()
 
 
 def build_equivariant_fusion(
     base: BaseWithEnds, inner: ComoduleAlgebra
 ) -> EquivariantFusion:
-    ambient, coaction, w_zero, w_one = _end_conditions(base, inner)
+    factors, w_zero, w_one = _end_conditions(base, inner)
     carrier = base.sections(w_zero, w_one)
-    witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, "ef")
-    return EquivariantFusion(
-        base, inner, ambient, carrier, w_zero, w_one, com, witness.inclusion
-    )
+    witness, com = _restrict_coaction(factors, inner.hopf.coproduct, inner.hopf, carrier, "ef")
+    return EquivariantFusion(base, inner, carrier, w_zero, w_one, com, witness.inclusion)
 
 
 # ---------------------------------------------------------------- lifting
@@ -649,22 +644,29 @@ def verify_theorem_main(
 
 @dataclass(frozen=True)
 class RestrictedComodule:
-    """A subalgebra of an ambient comodule with its restricted coaction."""
+    """A subalgebra of an ambient comodule with its restricted coaction.
+    The ambient, built only when read, is A (x) B for the two ``factors``,
+    and A for k (x) A."""
 
-    ambient: FDAlgebra
+    factors: tuple[FDAlgebra, FDAlgebra]
     carrier: Subspace
     comodule: ComoduleAlgebra
     inclusion: LinearMap
+
+    @cached_property
+    def ambient(self) -> FDAlgebra:
+        left, right = self.factors
+        return right if left.dim == 1 else tensor_algebra(left, right)
 
 
 def _build_half(
     base: BaseWithEnds, inner: ComoduleAlgebra, end: str, prefix: str
 ) -> RestrictedComodule:
-    ambient, coaction, w_zero, w_one = _end_conditions(base, inner)
+    factors, w_zero, w_one = _end_conditions(base, inner)
     full = Subspace.full(w_zero.ambient)
     carrier = base.sections(w_zero, full) if end == "zero" else base.sections(full, w_one)
-    witness, com = _restrict_coaction(ambient, coaction, inner.hopf, carrier, prefix)
-    return RestrictedComodule(ambient, carrier, com, witness.inclusion)
+    witness, com = _restrict_coaction(factors, inner.hopf.coproduct, inner.hopf, carrier, prefix)
+    return RestrictedComodule(factors, carrier, com, witness.inclusion)
 
 
 @dataclass(frozen=True)
@@ -689,12 +691,11 @@ class PiecewiseParts:
 def piecewise_parts(base: BaseWithEnds, inner: ComoduleAlgebra) -> PiecewiseParts:
     lower = _build_half(base, inner, "zero", "lo")
     upper = _build_half(base, inner, "one", "hi")
-    p = inner.algebra
-    cp = tensor_algebra(base.algebra, p)
+    c, p = base.algebra, inner.algebra
     full, coinv = Subspace.full(p.space), coinvariants(inner).subspace
     scalar_line = Subspace.from_vectors(p.space, [p.unit])
-    lower_base = subalgebra_from_subspace(cp, base.sections(scalar_line, full), label_prefix="lb")
-    upper_base = subalgebra_from_subspace(cp, base.sections(full, coinv), label_prefix="ub")
+    lower_base = restrict_product(c, p, base.sections(scalar_line, full), "lb")
+    upper_base = restrict_product(c, p, base.sections(full, coinv), "ub")
     return PiecewiseParts(base, inner, lower, upper, lower_base, upper_base)
 
 
@@ -753,10 +754,9 @@ def pullback_identification(
         [*low_cols, *({d1 * dh + pa: w for pa, w in col.items()} for col in up_cols)],
         den,
     )
-    fiber_witness, fiber_com = _restrict_coaction(sum_alg, blockwise, h, fiber_carrier, "pb")
-    fiber = RestrictedComodule(
-        sum_alg, fiber_carrier, fiber_com, fiber_witness.inclusion
-    )
+    factors = (scalar_algebra(), sum_alg)
+    fiber_witness, fiber_com = _restrict_coaction(factors, blockwise, h, fiber_carrier, "pb")
+    fiber = RestrictedComodule(factors, fiber_carrier, fiber_com, fiber_witness.inclusion)
 
     # each half's inclusion sends coordinate j to its j-th carrier vector:
     # levels 0..m_lower keep their place, and level 0 of the upper half is
@@ -765,7 +765,7 @@ def pullback_identification(
     den, (low_cols, up_cols) = common_den(lower.inclusion, upper.inclusion)
     shift = m_lower * dph
     cols = [*low_cols, *({shift + i: v for i, v in col.items() if i >= dph} for col in up_cols)]
-    place = LinearMap.from_sparse_columns(sum_alg.space, fusion.ambient.space, cols, den)
+    place = LinearMap.from_sparse_columns(sum_alg.space, fusion.carrier.ambient, cols, den)
     sections = place.compose(fiber_witness.inclusion)
     glue_cols = [fusion.carrier.coordinates(col) for col in sections.cols]
     if None in glue_cols:

@@ -314,20 +314,23 @@ def algebra_from_obj(obj, where: str = "algebra") -> FDAlgebra:
     labels, unit, mult = _fields(obj, where, "algebra", ("labels", "unit", "mult"))
     labels = _labels_from_obj(labels, f"{where}.labels")
     n = len(labels)
-    unit = vector_from_obj(unit, n, f"{where}.unit")
+    unit = _list_from_obj(unit, f"{where}.unit", n)
+    unit = {i: x for i, v in enumerate(unit) if (x := _dense_entry(v, f"{where}.unit", i))}
     table = [[{} for _ in range(n)] for _ in range(n)]
     for t, entry in enumerate(_list_from_obj(mult, f"{where}.mult")):
-        ew = f"{where}.mult[{t}]"
-        quad = _list_from_obj(entry, ew, 4)
-        i = _int_from_obj(quad[0], f"{ew}[0]", 0)
-        j = _int_from_obj(quad[1], f"{ew}[1]", 0)
-        k = _int_from_obj(quad[2], f"{ew}[2]", 0)
-        if i >= n or j >= n or k >= n:
-            _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
-        if k in table[i][j]:
-            _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
-        table[i][j][k] = rational_from_obj(quad[3], f"{ew}[3]")
-    return FDAlgebra.from_structure(Space(labels), table, unit)
+        i, j, k, v = entry if type(entry) is list and len(entry) == 4 else (-1, -1, -1, None)
+        if not (type(i) is type(j) is type(k) is int and 0 <= min(i, j, k) and max(i, j, k) < n
+                and k not in table[i][j] and (pq := _short_rational(v))):
+            ew = f"{where}.mult[{t}]"
+            quad = _list_from_obj(entry, ew, 4)
+            i, j, k = (_int_from_obj(x, f"{ew}[{pos}]", 0) for pos, x in enumerate(quad[:3]))
+            if i >= n or j >= n or k >= n:
+                _fail(ew, f"index triple ({i},{j},{k}) outside dimension {n}")
+            if k in table[i][j]:
+                _fail(ew, f"duplicate structure constant at ({i},{j},{k})")
+            pq = rational_from_obj(quad[3], f"{ew}[3]"), 1
+        table[i][j][k] = pq[0] if pq[1] == 1 else Fraction(*pq)
+    return FDAlgebra(Space(labels), table, unit)
 
 
 def hopf_to_obj(h: HopfAlgebra) -> dict:
@@ -594,7 +597,8 @@ KINDS: dict[str, DocumentKind] = {
     "hopf": DocumentKind(hopf_from_obj, lambda h: check_hopf(h).failures),
     "comodule": DocumentKind(
         comodule_from_obj,
-        lambda c: (*check_hopf(c.hopf).failures, *check_comodule(c).failures),
+        lambda c: (*check_algebra(c.algebra).failures, *check_hopf(c.hopf).failures,
+                   *check_comodule(c).failures),
     ),
     "group": DocumentKind(group_from_obj, _checked_when_decoded),
     "gset": DocumentKind(gset_from_obj, _checked_when_decoded),
@@ -802,10 +806,10 @@ def parse_checked(obj, where: str, kind: str | None = None):
 
     ``kind`` is read from the document unless given.  Algebras, Hopf
     algebras, and comodule algebras get their named axiom checks (a
-    comodule also checks its Hopf algebra); group and action tables get
-    their table axioms, and come back with no value when they fail them.
-    Shape and type problems, a group table inside an action included,
-    raise :class:`InputFormatError`.
+    comodule also checks its algebra and its Hopf algebra); group and
+    action tables get their table axioms, and come back with no value
+    when they fail them.  Shape and type problems, a group table inside
+    an action included, raise :class:`InputFormatError`.
     """
     kind = kind or _kind(obj, where)
     doc = KINDS[kind]
@@ -934,7 +938,7 @@ def _run_fusion(args):
             "left": left.dim,
             "right": right.dim,
             "base": base.dim,
-            "ambient": fusion.ambient.dim,
+            "ambient": fusion.carrier.ambient.dim,
             "fusion": fusion.algebra.dim,
         },
         "carrier_pivots": list(fusion.carrier.pivots),
@@ -956,7 +960,7 @@ def _run_equivariant_fusion(args):
             "inner": com.algebra.dim,
             "hopf": com.hopf.dim,
             "base": base.dim,
-            "ambient": fusion.ambient.dim,
+            "ambient": fusion.carrier.ambient.dim,
             "fusion": fusion.comodule.algebra.dim,
         },
         "carrier_pivots": list(fusion.carrier.pivots),

@@ -1029,7 +1029,7 @@ def subalgebra_from_subspace(
     unital = unit is not None
     algebra = FDAlgebra(space, table, unit if unital else {})
     inclusion = LinearMap.from_sparse_columns(space, ambient.space, basis)
-    return SubalgebraWitness(ambient, sub, algebra, inclusion, unital)
+    return SubalgebraWitness(sub, algebra, inclusion, unital)
 
 
 def tensor_coordinates(

@@ -362,6 +362,60 @@ def test_check_algebra_decides_associativity_in_one_accumulation(monkeypatch):
     assert not any("associative" in callers for callers in copied)
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [("O(S3)", 6), ("H4", 64), ("kS3", 216), ("O(S3) + kS3", 6 + 216)],
+)
+def test_check_algebra_checks_associativity_inside_each_part(monkeypatch, name, expected):
+    """Associativity is checked on the triples inside one part only: one
+    in each of the six parts of O(S3), all of H4 and kS3, which are one
+    part each, and those of each block of a direct sum."""
+    ks3 = group_hopf(FiniteGroup.symmetric(3)).algebra
+    alg = {
+        "O(S3)": lambda: function_algebra(6),
+        "H4": lambda: sweedler_h4().algebra,
+        "kS3": lambda: ks3,
+        "O(S3) + kS3": lambda: direct_sum_algebra(function_algebra(6), ks3),
+    }[name]()
+    triples, first_failure = [], algebra_module.first_failure
+
+    def counting(axiom, detail, holds, indices=((),)):
+        if axiom == "associativity":
+            indices = list(indices)
+            triples.extend(indices)
+        return first_failure(axiom, detail, holds, indices)
+
+    monkeypatch.setattr(algebra_module, "first_failure", counting)
+    assert check_algebra(alg).ok
+    assert len(triples) == expected
+    assert triples == sorted(triples)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_check_algebra_names_the_first_failure_of_a_full_scan(data):
+    """On random tables, mostly not associative, alone or as the second
+    block of a direct sum after an associative or a random block, the
+    checks inside each part name the same first failures as the
+    ``Fraction`` reference, which scans every triple."""
+    alg, _ = _hidden_subalgebra(data)
+    first = data.draw(st.sampled_from(["none", "associative", "random"]))
+    if first != "none":
+        left = function_algebra(2) if first == "associative" else _hidden_subalgebra(data)[0]
+        alg = direct_sum_algebra(left, alg)
+    assert check_algebra(alg) == ref.check_algebra(alg)
+
+
+def test_check_algebra_parts_hold_the_products():
+    """e0·e0 = e1 and e1·e1 = e1, so (e0·e0)·e1 = e1 but e0·(e0·e1) = 0:
+    a part that held only the factors of each product would split 0 from
+    1 and miss the failure at (0, 0, 1)."""
+    alg = FDAlgebra(Space.of_dim(2), [[{1: 1}, {}], [{}, {1: 1}]], {})
+    report = check_algebra(alg)
+    assert report.failures[0].witness == (0, 0, 1)
+    assert report == ref.check_algebra(alg)
+
+
 def test_subalgebra_span_of_unit():
     alg = function_algebra(3)
     line = Subspace.from_vectors(alg.space, [alg.unit])

@@ -15,8 +15,9 @@ from fusionalg.classical import fun_comodule
 from fusionalg.cli import entry
 from fusionalg.groups import FiniteGroup, FiniteGSet
 from fusionalg.hopf import function_hopf
-from fusionalg.algebra import function_algebra
+from fusionalg.algebra import FDAlgebra, function_algebra
 from fusionalg.comodule import trivial_coaction
+from fusionalg.linalg import Space
 from fusionalg.serialize import (
     MAX_JSON_DEPTH,
     OPERATIONS,
@@ -171,6 +172,31 @@ def test_solve_connection_checks_axioms_first(tmp_path, capsys):
     obj = comodule_to_obj(fun_comodule(FiniteGSet.regular(FiniteGroup.cyclic(2))))
     obj["coaction"][0][0] = "5"
     path = write(tmp_path, "skewed.json", obj)
+    assert entry(["solve-connection", path]) == 1
+    assert "nothing to solve" in capsys.readouterr().out
+
+
+def _non_associative_comodule() -> dict:
+    """O(Z2) coacting trivially on span{1, x, y} with x·x = y, x·y = x and
+    every other product of x and y zero: (x·x)·x = 0, x·(x·x) = x."""
+    products = {(1, 1): {2: 1}, (1, 2): {1: 1}}
+    table = [
+        [{j: 1} if i == 0 else {i: 1} if j == 0 else products.get((i, j), {}) for j in range(3)]
+        for i in range(3)
+    ]
+    algebra = FDAlgebra(Space(("1", "x", "y")), table, {0: 1})
+    return comodule_to_obj(trivial_coaction(algebra, function_hopf(FiniteGroup.cyclic(2))))
+
+
+def test_check_names_a_non_associative_comodule_algebra(tmp_path, capsys):
+    """A comodule document's algebra meets its own battery: the coaction
+    and the Hopf algebra pass, but associativity fails at (x, x, x), and
+    neither ``check`` nor ``solve-connection`` goes on."""
+    path = write(tmp_path, "nonassoc.json", _non_associative_comodule())
+    assert entry(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL associativity: (e1·e1)·e1 differs from e1·(e1·e1)" in out
+    assert "check failed" in out
     assert entry(["solve-connection", path]) == 1
     assert "nothing to solve" in capsys.readouterr().out
 

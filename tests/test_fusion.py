@@ -18,10 +18,14 @@ from fusionalg import comodule as comodule_module
 from fusionalg import fusion as fusion_module
 from fusionalg import linalg as linalg_module
 from fusionalg.algebra import (
+    ClosureError,
     FDAlgebra,
     check_algebra,
     function_algebra,
+    restrict_product,
     scalar_algebra,
+    subalgebra_from_subspace,
+    tensor_algebra,
 )
 from fusionalg.classical import diagonal_join, fun_comodule
 from fusionalg.comodule import (
@@ -288,8 +292,8 @@ def test_fusion_coinvariants_count_join_orbits():
 
 
 def test_the_re_checks_form_only_products_within_a_part(monkeypatch):
-    """The O(Z4) m=7 build forms 104 carrier products, each one sum
-    through ``linear_combination``, and checks 416 pairs for
+    """The O(Z4) m=7 build forms 104 carrier products, each one
+    ``tensor_mul`` over the factor tables, and checks 416 pairs for
     multiplicativity of the coaction, each one call of the law, where
     every pair of the 104 carrier basis vectors makes 10,816: basis
     vectors in different parts multiply to zero, and so do the legs of
@@ -297,10 +301,10 @@ def test_the_re_checks_form_only_products_within_a_part(monkeypatch):
     inner = regular_comodule(4)
     calls: dict[str, int] = {}
 
-    def counted(vectors, coeffs, original=algebra_module.linear_combination):
+    def counted(*args, original=algebra_module.tensor_mul):
         caller = sys._getframe(1).f_code.co_name
         calls[caller] = calls.get(caller, 0) + 1
-        return original(vectors, coeffs)
+        return original(*args)
 
     pairs, first_failure = [], comodule_module.first_failure
 
@@ -311,11 +315,11 @@ def test_the_re_checks_form_only_products_within_a_part(monkeypatch):
                 return decide(*w)
         return first_failure(axiom, detail, holds, indices)
 
-    monkeypatch.setattr(algebra_module, "linear_combination", counted)
+    monkeypatch.setattr(algebra_module, "tensor_mul", counted)
     monkeypatch.setattr(comodule_module, "first_failure", counting)
     ef = build_equivariant_fusion(chain_interval(7), inner)
     assert ef.comodule.algebra.dim == 104
-    assert calls["subalgebra_from_subspace"] == 104
+    assert calls == {"restrict_product": 104}
     assert len(pairs) == 416
 
 
@@ -739,15 +743,15 @@ def test_restriction_names_the_carrier_vector_the_coaction_moves():
     whose echelon basis vector 1, pivoting at t₁⊗δ₀⊗δ₀, is the first that
     leaves the carrier under the coaction."""
     inner = regular_comodule(2)
-    ambient, coaction, _, _ = _end_conditions(chain_interval(1), inner)
+    factors, _, _ = _end_conditions(chain_interval(1), inner)
     unit_ph = tensor_vec(inner.algebra.unit, inner.hopf.algebra.unit, 2)
     carrier = Subspace.from_vectors(
-        ambient.space,
+        factors[0].space.tensor(factors[1].space),
         [tensor_vec({0: Q(1)}, unit_ph, 4), tensor_vec({1: Q(1)}, unit_ph, 4), {4: Q(1)}],
     )
     assert carrier.pivots == (0, 4, 5)
     with pytest.raises(AssertionError) as err:
-        _restrict_coaction(ambient, coaction, inner.hopf, carrier, "c")
+        _restrict_coaction(factors, inner.hopf.coproduct, inner.hopf, carrier, "c")
     assert str(err.value) == (
         "carrier is not stable under the coaction: carrier basis vector 1"
     )
@@ -1002,6 +1006,100 @@ def test_pullback_identification_dimensions():
     out12 = pullback_identification(inner, 1, 2)
     assert out12.fusion.comodule.algebra.dim == 12
     assert out12.glue.inverse() is not None
+
+
+# ---------------------------------------------------------------- factor-wise restriction
+
+FACTORWISE_INNERS = {
+    "O(Z2)": lambda: regular_comodule(2),
+    "O(Z3)": lambda: regular_comodule(3),
+    "H4": lambda: self_coaction(sweedler_h4()),
+    "kS3": lambda: self_coaction(group_hopf(FiniteGroup.symmetric(3))),
+}
+
+
+def _explicit_ambient(base: FDAlgebra, left: FDAlgebra, right: FDAlgebra) -> FDAlgebra:
+    return tensor_algebra(base, tensor_algebra(left, right))
+
+
+def _assert_restricts_as_explicit(built, ambient: FDAlgebra, algebra: FDAlgebra, prefix: str):
+    """``built``, restricted from the factor tables, has the algebra and
+    inclusion of the restriction from the explicit ambient table, which
+    it builds only when read, equal to that table."""
+    assert "ambient" not in vars(built)
+    explicit = subalgebra_from_subspace(ambient, built.carrier, prefix)
+    assert (algebra, built.inclusion) == (explicit.algebra, explicit.inclusion)
+    assert built.ambient == ambient
+    assert "ambient" in vars(built)
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [(name, m) for name in ("O(Z3)", "H4", "kS3") for m in (1, 2, 3)]
+    + [(name, "T2") for name in ("O(Z2)", "O(Z3)", "H4")]
+    + [("O(Z3)", "skewed"), ("rescaled-nonfree-z2", 2)],
+)
+def test_equivariant_fusion_restricts_as_the_explicit_ambient(name, m):
+    """On the chain 0..m, on T2, on the chain 0..2 in a basis where some
+    carrier vectors meet several products of parts of the factors, and
+    for tables over denominators 210 and 6, the fusion built from the
+    tables of C (x) P and H equals the restriction from the table of
+    C (x) (P (x) H)."""
+    inner = FACTORWISE_INNERS.get(name, rescaled_nonfree_z2)()
+    base = {"T2": upper_triangular_base, "skewed": lambda: skewed_chain(2)}.get(
+        m, lambda: chain_interval(m)
+    )()
+    ef = build_equivariant_fusion(base, inner)
+    ambient = _explicit_ambient(base.algebra, inner.algebra, inner.hopf.algebra)
+    _assert_restricts_as_explicit(ef, ambient, ef.comodule.algebra, "ef")
+
+
+def test_pullback_pieces_restrict_as_the_explicit_ambient():
+    """The two halves restrict from their factors as from C (x) P (x) H,
+    the fiber from the direct sum of the halves, and the bases of the
+    piecewise parts from C (x) P."""
+    inner = regular_comodule(3)
+    pb = pullback_identification(inner, 1, 2)
+    p, h = inner.algebra, inner.hopf.algebra
+    for half, m, prefix in ((pb.lower, 1, "lo"), (pb.upper, 2, "hi")):
+        ambient = _explicit_ambient(chain_interval(m).algebra, p, h)
+        _assert_restricts_as_explicit(half, ambient, half.comodule.algebra, prefix)
+    fiber = pb.fiber
+    assert fiber.factors[0] == scalar_algebra()
+    _assert_restricts_as_explicit(fiber, fiber.factors[1], fiber.comodule.algebra, "pb")
+    base = chain_interval(2)
+    parts = piecewise_parts(base, inner)
+    cp = tensor_algebra(base.algebra, p)
+    for wit, prefix in ((parts.lower_base, "lb"), (parts.upper_base, "ub")):
+        assert wit == subalgebra_from_subspace(cp, wit.subspace, prefix)
+
+
+@pytest.mark.parametrize("base", ["chain", "T2"])
+def test_build_fusion_restricts_as_the_explicit_ambient(base):
+    """The plain fusion of O(Z2) and the noncommutative H4 restricts from
+    the tables of C (x) P and Q as from the table of C (x) P (x) Q."""
+    base = upper_triangular_base() if base == "T2" else chain_interval(2)
+    left, right = function_algebra(2), sweedler_h4().algebra
+    fusion = build_fusion(base, left, right)
+    ambient = _explicit_ambient(base.algebra, left, right)
+    _assert_restricts_as_explicit(fusion, ambient, fusion.algebra, "f")
+
+
+def test_factor_wise_restriction_names_the_product_a_non_closed_span_escapes():
+    """span{t₀⊗1⊗(g + x)} in C (x) H4 (x) H4 is not closed: (g + x)² = 1.
+    The factor-wise restriction raises the ClosureError of the explicit
+    ambient, with the same pair and product."""
+    inner = self_coaction(sweedler_h4())
+    base = chain_interval(1)
+    cp = tensor_algebra(base.algebra, inner.algebra)
+    ambient = _explicit_ambient(base.algebra, inner.algebra, inner.hopf.algebra)
+    line = Subspace.from_vectors(ambient.space, [{1: 1, 2: 1}])
+    with pytest.raises(ClosureError) as factor_wise:
+        restrict_product(cp, inner.hopf.algebra, line)
+    with pytest.raises(ClosureError) as explicit:
+        subalgebra_from_subspace(ambient, line)
+    errors = (factor_wise.value, explicit.value)
+    assert [(e.left_index, e.right_index, e.product) for e in errors] == [(0, 0, {0: 1})] * 2
 
 
 # ---------------------------------------------------------------- dense references

@@ -138,7 +138,7 @@ BATTERIES = {
         "LinearSystem._reach",
         "LinearSystem._decide",
     ),
-    "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace"),
+    "algebra.py": ("check_algebra", "check_hom", "subalgebra_from_subspace", "restrict_product"),
     "hopf.py": ("check_hopf",),
     "comodule.py": (
         "check_comodule",
