@@ -730,13 +730,25 @@ def test_a_field_the_result_does_not_have_is_refused(tmp_path, capsys, source):
 def test_a_recorded_row_count_must_be_a_non_negative_integer(
     tmp_path, capsys, golden, field, value, problem
 ):
-    """The row counts of a found connection are taken as recorded, but
-    read as non-negative integers."""
+    """The row counts of a found connection are read as non-negative
+    integers before they are compared (``num_rows``) or taken as
+    recorded (``fusion_num_rows``)."""
     cert = json.loads((GOLDEN / f"{golden}.cert.json").read_text())
     assert cert["result"].get("connection", cert["result"].get("fusion_connection"))
     cert["result"][field] = value
     assert entry(["verify-certificate", write(tmp_path, "rows.json", cert)]) == 1
     assert f"\n  result.{field}: expected {problem}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows", [134, 136, 1_000_000])
+def test_a_found_connection_records_the_rows_of_its_system(tmp_path, capsys, rows):
+    """Replay rebuilds the connection system of a found connection and
+    compares its row count: 135 for the regular O(Z3)-set."""
+    cert = json.loads((GOLDEN / "classical-scenario_freeness_regular_z3.cert.json").read_text())
+    assert cert["result"]["connection"] and cert["result"]["num_rows"] == 135
+    cert["result"]["num_rows"] = rows
+    assert entry(["verify-certificate", write(tmp_path, "rows.json", cert)]) == 1
+    assert f"\n  result.num_rows: recorded {rows}, replay found 135\n" in capsys.readouterr().out
 
 
 def _join_freeness_with_a_bad_action() -> dict:

@@ -10,7 +10,7 @@ import pytest
 
 import dense_reference as ref
 from fusionalg import comodule
-from fusionalg.algebra import FDAlgebra, function_algebra
+from fusionalg.algebra import FDAlgebra, function_algebra, subalgebra_from_subspace
 from fusionalg.classical import fun_comodule
 from fusionalg.comodule import (
     ComoduleAlgebra,
@@ -37,10 +37,11 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
+    linear_combination,
     tensor_vec,
 )
 from fusionalg.serialize import comodule_from_obj, comodule_to_obj, gset_from_obj
-from test_fusion import sweedler_h4
+from test_fusion import self_coaction, sweedler_h4
 from test_linalg import assert_matches_parent_elimination
 
 Q = Fraction
@@ -679,3 +680,63 @@ def test_the_connection_system_holds_its_templates_not_its_rows():
         tracemalloc.stop()
     assert len(system) == 261_248
     assert built < solved < 8 * 2**20
+
+
+# ---------------------------------------------------------------- the canonical map
+
+# Free and non-free O(G)-sets with several orbits, Hopf algebras coacting
+# on themselves (B = k, so no balanced relation survives), and a
+# comodule over a rescaled basis.
+CANONICAL_CASES = {
+    "free-two-orbit-z3": lambda: two_orbit_comodule(3),
+    "nonfree-z2": nonfree_z2_comodule,
+    "nonfree-z4": lambda: fun_comodule(gset_from_obj(_golden("gset_nonfree_z4"))),
+    "sweedler-h4": lambda: self_coaction(sweedler_h4()),
+    "kS3": lambda: self_coaction(group_hopf(FiniteGroup.symmetric(3))),
+    "golden-rescaled-nonfree-z2": lambda: comodule_from_obj(_golden("comodule_rescaled_nonfree_z2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_the_descended_map_factors_the_lifted_map(name):
+    """descended∘project is ``killed.den`` times the lifted map on every
+    basis vector of P⊗P, and project(e_p) at a pivot p is minus the
+    killed row with pivot p, reindexed: the facts that make
+    well-definedness enough for the canonical map to factor."""
+    c = CANONICAL_CASES[name]()
+    can = canonical_map(c)
+    bal, descended = can.balanced, can.map
+    killed, reps = bal.killed, bal.reps
+    lifted = _times_first_leg(c.algebra, c.coaction)
+    for j, col in enumerate(lifted.cols):
+        image = linear_combination(descended.cols, bal.project({j: 1}))
+        assert {k: v * lifted.den for k, v in image.items()} == {
+            k: v * descended.den * killed.den for k, v in col.items()
+        }
+    for row, p in zip(killed.basis, killed.pivots):
+        assert bal.project({p: 1}) == {reps.index(k): -v for k, v in row.items() if k != p}
+    for r in reps:
+        assert bal.project({r: 1}) == {reps.index(r): killed.den}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_coinvariants_are_the_kernel_of_the_coaction_minus_the_unit_embedding(name):
+    c = CANONICAL_CASES[name]()
+    ker = c.coaction.sub(comodule._unit_embedding(c.algebra, c.hopf)).kernel()
+    assert coinvariants(c) == subalgebra_from_subspace(c.algebra, ker, label_prefix="b")
+
+
+def test_canonical_map_refuses_a_coaction_it_cannot_descend():
+    """A coaction on k³ over O(Z2) that is no comodule but has unital
+    coinvariants: the balanced relations do not die under the lifted
+    map, and the canonical map says so."""
+    p, h = function_algebra(3), function_hopf(FiniteGroup.cyclic(2))
+    cols = [{0: 1, 1: 1}, {0: -1, 2: -1, 5: 1}, {0: 1, 2: 2, 3: 1, 4: 1}]
+    c = ComoduleAlgebra(p, h, LinearMap.from_sparse_columns(p.space, p.space.tensor(h.space), cols))
+    assert check_comodule(c).axioms_failed() == (
+        "coaction_multiplicative", "coaction_coassociative", "coaction_counital"
+    )
+    coinv = coinvariants(c)
+    assert coinv.unital and coinv.algebra.dim == 2
+    with pytest.raises(AssertionError, match="^canonical map is not well defined on the balanced"):
+        canonical_map(c)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used or re-exported,
 dense matrices stay at the document boundary, no module has a dense
 vector helper, the axiom batteries, the carrier restriction, the lift,
-the connection system and the kernels stay in integer arithmetic, and no
-private helper is left unused."""
+the connection system, the canonical map and the kernels stay in integer
+arithmetic, and no private helper is left unused."""
 
 import ast
 from pathlib import Path
@@ -147,6 +147,10 @@ BATTERIES = {
         "connection_system",
         "delta_L",
         "_times_first_leg",
+        "coinvariants",
+        "balanced_tensor",
+        "canonical_map",
+        "translation_inverse",
     ),
     "fusion.py": (
         "_tensor_coordinates",
@@ -172,9 +176,10 @@ ALLOWED_CALLS = {("linalg.py", "rref"): {"integer_scaled"}}
 @pytest.mark.parametrize("name", sorted(BATTERIES))
 def test_batteries_sum_no_fractions(name):
     """The batteries, the carrier restriction, the lift, the connection
-    system, the kernels, the echelon form, the solver's passes and the
-    pullback glue read the integers that maps, tables, subspaces and
-    systems store: none of them, nested functions included, sums
+    system, the canonical map and its translation inverse, the kernels,
+    the echelon form, the solver's passes and the pullback glue read the
+    integers that maps, tables, subspaces and systems store: none of
+    them, nested functions included, sums
     ``Fraction`` entries with ``accumulate``, multiplies them with
     ``mul_sparse``, re-scales with ``integer_scaled`` (but for
     :data:`ALLOWED_CALLS`) or constructs a ``Fraction``."""
