@@ -441,11 +441,16 @@ def connection_system(
 def connection_unital(c: ComoduleAlgebra, ell: LinearMap) -> bool:
     """Whether a map H -> P (x) P sends the unit to 1 (x) 1.
 
-    The units and ℓ are read over their common denominator, so both ℓ(1)
-    and 1 (x) 1, products of two scaled entries, compare as they are.
+    Each map is read at its own scale: ℓ(1), H's unit over its ``den``
+    D_H against ℓ over E = ℓ.den, is D_H·E times its value, and 1 (x) 1
+    is D_P² times its value, so D_P²·ℓ(1) compares with
+    D_H·E·(1 (x) 1).  No table is read.
     """
-    _, ((_, unit_h), (_, unit_p), cols) = common_den(c.hopf.algebra, c.algebra, ell)
-    return linear_combination(cols, unit_h) == tensor_vec(unit_p, unit_p, c.algebra.dim)
+    p, ha = c.algebra, c.hopf.algebra
+    d2, scale = p.den * p.den, ha.den * ell.den
+    return {k: v * d2 for k, v in linear_combination(ell.cols, ha.unit).items()} == {
+        k: v * scale for k, v in tensor_vec(p.unit, p.unit, p.dim).items()
+    }
 
 
 def _solve_connection(c: ComoduleAlgebra, require_unital: bool):
@@ -492,13 +497,16 @@ def check_strong_connection(
     Named axioms: right_colinearity, left_colinearity, splitting,
     counit_product, and (when requested) unital.
 
-    ℓ, the coaction, δ_L, Δ, the table of P, ε and the unit of P are
-    read over their common denominator D
-    (:func:`~fusionalg.linalg.common_den`), so a side that multiplies k
-    scaled entries is D^k times its value.  Both sides of each
-    colinearity law have k = 2; the lifted canonical map of ℓ(e_a)
-    (k = 3) compares with D²·1⊗e_a, and m∘ℓ(e_a) (k = 2) with
-    ε(e_a)·1 (k = 2).  Unitality is :func:`connection_unital`.
+    The coaction, δ_L, Δ, the table of P, ε and the unit of P are read
+    over their common denominator D
+    (:func:`~fusionalg.linalg.common_den`) and ℓ over its own, E =
+    ``ell.den``, so a side that multiplies j structure entries and one
+    entry of ℓ is D^j·E times its value; ℓ is never rescaled.  Both
+    sides of each colinearity law have scale D·E; the lifted canonical
+    map of ℓ(e_a) (D²·E) compares with D·E·1⊗e_a, whose 1 is over D;
+    and m∘ℓ(e_a) (D·E), on its dim P entries, is multiplied by D to
+    compare with E·ε(e_a)·1 (D²·E).  Unitality is
+    :func:`connection_unital`.
 
     Each two-sided law is decided by one sparse vector that it owns: its
     left side is added into it, its right side is subtracted through the
@@ -506,7 +514,7 @@ def check_strong_connection(
     of ℓ, and the law holds when every entry is zero.  (id⊗δ)∘ℓ(e_a) is
     formed once per column and dropped after it.  The lifted canonical
     map is m⊗id applied to it, which is added first into the negated
-    D²·1⊗e_a for splitting; then (ℓ⊗id)∘Δ(e_a) is subtracted from it in
+    D·E·1⊗e_a for splitting; then (ℓ⊗id)∘Δ(e_a) is subtracted from it in
     place for right colinearity.  So both laws are decided for every
     column before the first failure of each is named.
     """
@@ -514,16 +522,17 @@ def check_strong_connection(
     dp, dh = p.dim, h.dim
     if ell.source.dim != dh or ell.target.dim != dp * dp:
         raise ValueError("connection has wrong shape")
-    den, (ell_cols, delta_cols, dl, cop_cols, (ptab, unit_p), eps_cols) = common_den(
-        ell, c.coaction, c.left_coaction, h.coproduct, p, h.counit
+    den, (delta_cols, dl, cop_cols, (ptab, unit_p), eps_cols) = common_den(
+        c.coaction, c.left_coaction, h.coproduct, p, h.counit
     )
-    d2 = den * den
+    ell_cols, ell_den = ell.cols, ell.den
+    scale = den * ell_den
 
     neg_cop = [{k: -v for k, v in col.items()} for col in cop_cols]
 
     def right_colinear_and_splits(col):
         acc = on_right(ell_cols[col], delta_cols, dp, dp * dh, {})
-        split = on_left(acc, ptab, dh, {u * dh + col: -v * d2 for u, v in unit_p.items()})
+        split = on_left(acc, ptab, dh, {u * dh + col: -v * scale for u, v in unit_p.items()})
         on_left(neg_cop[col], ell_cols, dh, acc)
         return not any(acc.values()), not any(split.values())
 
@@ -534,9 +543,11 @@ def check_strong_connection(
     def counit_product(col):
         # the table is the columns of m: P (x) P -> P, so m∘ℓ(e_a) is
         # m (x) id on (P (x) P) (x) k
-        e = eps_cols[col].get(0)
-        acc = {u: -e * v for u, v in unit_p.items()} if e else {}
-        return not any(on_left(ell_cols[col], ptab, 1, acc).values())
+        e = eps_cols[col].get(0, 0) * ell_den
+        prod = on_left(ell_cols[col], ptab, 1, {})
+        return all(
+            den * prod.get(u, 0) == e * unit_p.get(u, 0) for u in prod.keys() | unit_p.keys()
+        )
 
     each = [(col,) for col in range(dh)]
     right, splits = zip(*map(right_colinear_and_splits, range(dh)))

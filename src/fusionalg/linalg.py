@@ -134,13 +134,17 @@ def on_right(vec: dict, f_cols, dim_v: int, dim_w: int, acc: dict) -> dict:
 
 def tensor_mul(x: dict, y: dict, table_a, dim_a: int, table_b, dim_b: int, acc: dict) -> dict:
     """x·y in A (x) B, from the flattened tables: ``table_a[i·dim_a + k]``
-    is e_i·e_k in A, and likewise for B."""
+    is e_i·e_k in A, and likewise for B.  A pair of terms whose B factors
+    multiply to zero costs one lookup: no coefficient is multiplied and
+    ``table_a`` is not read for it."""
     for ij, u in x.items():
         i, j = divmod(ij, dim_b)
         for kl, v in y.items():
             k, l = divmod(kl, dim_b)
-            uv = u * v
             right = table_b[j * dim_b + l]
+            if not right:
+                continue
+            uv = u * v
             for p, a in table_a[i * dim_a + k].items():
                 uva = uv * a
                 for q, b in right.items():

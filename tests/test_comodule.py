@@ -1,6 +1,7 @@
 """Comodule algebras: coinvariants, the canonical map, and strong connections."""
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -37,6 +38,7 @@ from fusionalg.linalg import (
     LinearSystem,
     Space,
     Subspace,
+    common_den,
     linear_combination,
     tensor_vec,
 )
@@ -463,6 +465,84 @@ def test_verdicts_survive_a_rescaled_basis(name):
         if isinstance(outcome, Infeasibility):
             coeffs, rhs = system.combine(outcome.farkas)
             assert coeffs == {} and rhs == outcome.residual != 0
+
+
+def _structure_den(c: ComoduleAlgebra) -> int:
+    """The common denominator of the structure maps a re-check reads."""
+    h = c.hopf
+    return common_den(c.coaction, c.left_coaction, h.coproduct, c.algebra, h.counit)[0]
+
+
+def _scaled_columns(ell: LinearMap, factor) -> LinearMap:
+    return LinearMap.from_sparse_columns(
+        ell.source,
+        ell.target,
+        [{k: v * factor for k, v in col.items()} for col in ell.cols],
+        ell.den,
+    )
+
+
+def _rescaled_connection(factor, moved: bool):
+    """The solver's connection on the rescaled regular-z3 comodule times
+    ``factor``, and with one entry moved by 2/3 when ``moved``."""
+    c = rescaled("regular-z3")
+    ell = _scaled_columns(solve_strong_connection(c).map, factor)
+    if moved:
+        cols = [dict(col) for col in ref.fcols(ell)]
+        cols[1][min(cols[1])] += Q(2, 3)
+        ell = LinearMap.from_sparse_columns(ell.source, ell.target, cols)
+    return c, ell, factor == 1 and not moved
+
+
+def _seeded_over_seven(make, seed: int):
+    """A map with seeded entries in -3..3 over 7 on a comodule that has
+    no connection."""
+    c, rng = make(), random.Random(seed)
+    dp, dh = c.algebra.dim, c.hopf.dim
+    cols = [
+        {r: rng.randint(-3, 3) for r in range(dp * dp) if rng.random() < 0.5} for _ in range(dh)
+    ]
+    sq = c.algebra.space.tensor(c.algebra.space)
+    return c, LinearMap.from_sparse_columns(c.hopf.space, sq, cols, 7), False
+
+
+# Maps H -> P (x) P over a denominator other than that of the structure
+# maps, which is above 1: the solver's connection on the rescaled
+# regular-z3 comodule times 1, 1/7 and 5/3, each also with one entry
+# moved, and seeded maps over 7 on the rescaled comodules that have no
+# connection.
+OWN_SCALE_CASES = {
+    **{
+        f"regular-z3-times-{factor}{'-moved' * moved}": partial(_rescaled_connection, factor, moved)
+        for factor in (Q(1), Q(1, 7), Q(5, 3))
+        for moved in (False, True)
+    },
+    **{
+        f"{name}-seeded-{seed}": partial(_seeded_over_seven, make, seed)
+        for name, make in (
+            (
+                "golden-nonfree-z2",
+                lambda: comodule_from_obj(_golden("comodule_rescaled_nonfree_z2")),
+            ),
+            ("rescaled-nonfree-z2", partial(rescaled, "nonfree-z2")),
+        )
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWN_SCALE_CASES))
+def test_a_re_check_at_the_map_s_own_scale_matches_the_reference(name):
+    """ℓ is read over its own denominator and the structure maps over
+    theirs: ok, failure names, messages and witnesses, in order, are
+    those of the ``Fraction`` reference, with and without unitality."""
+    c, ell, ok = OWN_SCALE_CASES[name]()
+    assert _structure_den(c) > 1 and ell.den not in (1, _structure_den(c))
+    for unital in (False, True):
+        report = check_strong_connection(c, ell, unital)
+        assert report == ref.check_strong_connection(c, ell, unital)
+        assert connection_unital(c, ell) == ref.connection_unital(c, ell)
+    assert check_strong_connection(c, ell).ok == ok
 
 
 @pytest.mark.parametrize(

@@ -672,6 +672,25 @@ def test_the_lifted_re_check_decides_each_law_in_one_accumulation(monkeypatch):
     }
 
 
+def test_the_lifted_re_check_rescales_no_map(monkeypatch):
+    """The O(Z4) m=7 lifted map is over a denominator above 1 and the
+    structure maps of the fusion over 1: ``check_strong_connection``
+    reads every map at its own scale, so each ``FDAlgebra.over`` and
+    ``LinearMap.over`` call it makes has the factor 1."""
+    ef, pair, ell = _chain_lift(regular_comodule(4), default_profile(7))
+    lifted = lift_connection(ef, pair, ell)
+    assert lifted.map.den > 1
+    factors = []
+    for cls in (FDAlgebra, LinearMap):
+        def over(self, den, original=cls.over):
+            factors.append(den // self.den)
+            return original(self, den)
+
+        monkeypatch.setattr(cls, "over", over)
+    assert check_strong_connection(ef.comodule, lifted.map).ok
+    assert factors and set(factors) == {1}
+
+
 def test_refused_lift_names_its_displays_on_the_fiber(monkeypatch):
     """A refused lift names the displays it fails from the fiber tensors:
     every ``_tensor_coordinates`` call takes two subspaces of F = P (x) H,

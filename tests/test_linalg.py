@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from fusionalg import linalg
-from fusionalg.algebra import FDAlgebra, tensor_algebra
+from fusionalg.algebra import FDAlgebra, function_algebra, tensor_algebra
 from fusionalg.comodule import BalancedTensor
 from fusionalg.fusion import BaseWithEnds
 from fusionalg.linalg import (
@@ -1124,3 +1124,56 @@ def test_tensor_mul_matches_the_tensor_algebra(seed, kind):
             da * db,
             rng,
         )
+
+
+class _LastRead(list):
+    """A flattened table that keeps the product it was last read for."""
+
+    last = None
+
+    def __getitem__(self, k):
+        self.last = prod = super().__getitem__(k)
+        return prod
+
+
+class _ReadAfter(list):
+    """A flattened table that may be read only right after a nonempty
+    product of ``other``; it counts its reads."""
+
+    def __init__(self, items, other: _LastRead):
+        super().__init__(items)
+        self.other, self.reads = other, 0
+
+    def __getitem__(self, k):
+        assert self.other.last, "table_a read for a pair whose B product is empty"
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_mul_reads_no_a_product_for_an_empty_b_product(seed):
+    """A pair of terms whose B factors multiply to zero reads nothing of
+    ``table_a``: on random tables with a product emptied and on O(Z4),
+    where 4 of the 16 products are not empty, ``table_a`` is read once
+    for each pair with a nonempty B product, and the result is that of
+    the plain tables."""
+    rng = random.Random(200 + seed)
+    if seed % 2:
+        a = b = function_algebra(4)
+    else:
+        a = random_algebra(rng, rng.randint(2, 3), "int")
+        b = random_algebra(rng, rng.randint(2, 3), "int")
+    da, db = a.dim, b.dim
+    flat_a = [p for row in a.table for p in row]
+    flat_b = [p for row in b.table for p in row]
+    if seed % 2 == 0:
+        flat_b[rng.randrange(db * db)] = {}
+    x, y = (cancelling_vector(rng, da, db, "int") for _ in "xy")
+    table_b = _LastRead(flat_b)
+    table_a = _ReadAfter(flat_a, table_b)
+    assert tensor_mul(x, y, table_a, da, table_b, db, {}) == tensor_mul(
+        x, y, flat_a, da, flat_b, db, {}
+    )
+    assert table_a.reads == sum(
+        1 for ij in x for kl in y if flat_b[ij % db * db + kl % db]
+    )

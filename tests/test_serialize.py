@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionalg import serialize
 from fusionalg.classical import fun_comodule
 from fusionalg.cli import entry
 from fusionalg.groups import FiniteGroup, FiniteGSet
@@ -695,3 +696,246 @@ def test_dense_map_entries_refused_as_rational_from_obj_refuses(entry):
     with pytest.raises(InputFormatError) as err:
         dense_map_from_obj([[0, entry]], Space.of_dim(2), Space.scalar(), "m")
     assert str(err.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------- the replay comparison
+
+def compare_walk(recorded, found, where: str):
+    """The replay comparison as a plain walk, one generator frame per
+    JSON node, kept as the reference for ``serialize._compare``."""
+    if isinstance(found, dict) and isinstance(recorded, dict):
+        for key in recorded:
+            if key not in found:
+                yield f"{where}.{key}: not a field of this result"
+        for key, value in found.items():
+            yield from compare_walk(recorded.get(key), value, f"{where}.{key}")
+    elif (
+        isinstance(found, list)
+        and isinstance(recorded, list)
+        and len(found) == len(recorded)
+    ):
+        for i, (rec, value) in enumerate(zip(recorded, found)):
+            yield from compare_walk(rec, value, f"{where}[{i}]")
+    elif type(recorded) is not type(found) or recorded != found:
+        yield f"{where}: recorded {recorded!r}, replay found {found!r}"
+
+
+GOLDEN_CERTS = sorted(GOLDEN.glob("*.cert.json"))
+
+
+def _replayed(cert: dict):
+    """The result that replay rebuilds for a certificate, from its
+    re-checked witnesses."""
+    op, args, failed = prepare(scenario_from_obj(cert["scenario"], "certificate.scenario"))
+    assert not failed
+    if op.read is None:
+        return op.run(args)[0]
+    found, problems = op.read(args, cert["result"])
+    assert problems == []
+    return op.run(args, found)[0]
+
+
+def _nodes(obj, path=()):
+    """Every node of a JSON tree with its path, containers first."""
+    yield path, obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, (*path, key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _nodes(value, (*path, i))
+
+
+def _replaced(obj, path, value):
+    """A deep copy of ``obj`` with the node at ``path`` set to ``value``
+    (or removed, for ``_REMOVED``)."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, dict):
+        out = dict(obj)
+        if value is _REMOVED and not rest:
+            del out[head]
+        else:
+            out[head] = _replaced(obj[head], rest, value)
+        return out
+    out = list(obj)
+    out[head] = _replaced(obj[head], rest, value)
+    return out if isinstance(obj, list) else tuple(out)
+
+
+_REMOVED = object()
+_KEYS = {
+    "dimension": {"fusion", "join", "fiber", "lower", "upper", "hopf", "inner", "algebra",
+                  "rows", "cols", "size", "order", "join_size"},
+    "m": {"m", "m_lower", "m_upper", "nx", "ny"},
+    "num_rows": {"num_rows", "fusion_num_rows", "num_unknowns", "fusion_num_unknowns"},
+}
+
+
+def _one_field_changes(result):
+    """Each kind of one-field change of a recorded result, at the first
+    and the last node where it applies."""
+    nodes = list(_nodes(result))
+    kinds = {
+        "witness": [
+            (p, str(Fraction(v) + 1)) for p, v in nodes
+            if isinstance(v, str) and {"entries", "farkas", "residual"} & set(map(str, p))
+        ],
+        **{
+            kind: [(p, v + 1) for p, v in nodes if p and p[-1] in keys and type(v) is int]
+            for kind, keys in _KEYS.items()
+        },
+        "profile": [(p, "4/5") for p, v in nodes if "profile" in p and isinstance(v, str)],
+        "shortened list": [(p, v[:-1]) for p, v in nodes if isinstance(v, list) and v],
+        "key added": [(p, {**v, "extra": 1}) for p, v in nodes if isinstance(v, dict)],
+        # a removed null is not missed: the walk reads a missing key as null
+        "key removed": [
+            (p, _REMOVED) for p, v in nodes if p and isinstance(p[-1], str) and v is not None
+        ],
+    }
+    for kind, changes in kinds.items():
+        for path, value in {tuple(c[0]): c for c in changes[:1] + changes[-1:]}.values():
+            yield kind, _replaced(result, path, value)
+
+
+def _type_changes(tree):
+    """Changes of one node's JSON type and not its value (``==`` holds
+    for the first four): true and 1, 1 and 1.0, "1" and 1, a list and a
+    tuple, at the first and the last node where each applies."""
+    nodes = [(p, v) for p, v in _nodes(tree) if p]
+    kinds = {
+        "bool to int": [(p, int(v)) for p, v in nodes if type(v) is bool],
+        "int to bool": [(p, bool(v)) for p, v in nodes if type(v) is int and v in (0, 1)],
+        "int to float": [(p, float(v)) for p, v in nodes if type(v) is int],
+        "int to str": [(p, str(v)) for p, v in nodes if type(v) is int],
+        "str to int": [
+            (p, int(v)) for p, v in nodes if isinstance(v, str) and re.fullmatch(r"-?\d+", v)
+        ],
+        "list to tuple": [(p, tuple(v)) for p, v in nodes if isinstance(v, list)],
+    }
+    for kind, changes in kinds.items():
+        for path, value in {tuple(c[0]): c for c in changes[:1] + changes[-1:]}.values():
+            yield kind, _replaced(tree, path, value)
+
+
+def _assert_compares_as_the_walk(recorded, found):
+    problems = list(serialize._compare(recorded, found, "result"))
+    assert problems == list(compare_walk(recorded, found, "result"))
+    return problems
+
+
+@pytest.mark.parametrize("path", GOLDEN_CERTS, ids=lambda p: p.name.removesuffix(".cert.json"))
+def test_the_comparison_yields_the_problems_of_the_walk(path, monkeypatch):
+    """On every golden certificate against its own replay, ``_compare``
+    finds no problem and walks nothing below the result; with one field
+    of the recorded result changed, or one node's JSON type changed on
+    either side, it yields exactly the problems of the plain walk."""
+    cert = json.loads(path.read_text())
+    recorded, found = cert["result"], _replayed(cert)
+    calls, compare = [], serialize._compare
+    monkeypatch.setattr(serialize, "_compare", lambda *args: calls.append(args) or compare(*args))
+    assert _assert_compares_as_the_walk(recorded, found) == []
+    assert len(calls) == 1
+    changed = [*_one_field_changes(recorded), *_type_changes(recorded)]
+    assert {kind for kind, _ in changed} >= {"key added", "key removed", "int to str"}
+    for kind, tampered in changed:
+        assert _assert_compares_as_the_walk(tampered, found), kind
+    for kind, tampered in _type_changes(found):
+        assert _assert_compares_as_the_walk(recorded, tampered), kind
+
+
+def test_every_kind_of_change_meets_a_golden():
+    kinds = set()
+    for path in GOLDEN_CERTS:
+        result = json.loads(path.read_text())["result"]
+        kinds |= {kind for kind, _ in (*_one_field_changes(result), *_type_changes(result))}
+    assert kinds == {
+        "witness", "dimension", "m", "num_rows", "profile", "shortened list", "key added",
+        "key removed", "bool to int", "int to bool", "int to float", "int to str", "str to int",
+        "list to tuple",
+    }
+
+
+def test_the_comparison_walks_what_json_cannot_hold():
+    """A ``Fraction`` found where an equal int is recorded is reported,
+    as the walk reports it, and does not raise."""
+    assert _assert_compares_as_the_walk({"a": [1, 2]}, {"a": [Fraction(1), 2]}) == [
+        "result.a[0]: recorded 1, replay found Fraction(1, 1)"
+    ]
+    cert = json.loads((GOLDEN / "fusion-scenario_theorem_main.cert.json").read_text())
+    found = _replayed(cert)
+    found["m"] = Fraction(found["m"])
+    assert _assert_compares_as_the_walk(cert["result"], found) == [
+        f"result.m: recorded {cert['result']['m']}, replay found {found['m']!r}"
+    ]
+
+
+# ---------------------------------------------------------------- dense maps
+
+def dense_map_through_rows(obj, source: Space, target: Space, where: str) -> LinearMap:
+    """``dense_map_from_obj`` as it read a matrix into rows for the dense
+    constructor, kept as the reference for the read into columns."""
+    rows = serialize._list_from_obj(obj, where, target.dim)
+    parsed = []
+    for i, row in enumerate(rows):
+        at = f"{where}[{i}]"
+        entries = serialize._list_from_obj(row, at, source.dim)
+        parsed.append(tuple(serialize._dense_entry(v, at, j) for j, v in enumerate(entries)))
+    return LinearMap(source, target, parsed)
+
+
+def _same_map(f: LinearMap, g: LinearMap) -> bool:
+    """Equal maps whose columns also hold their keys in the same order."""
+    return f == g and [list(col) for col in f.cols] == [list(col) for col in g.cols]
+
+
+def _read_both(obj, source, target, where):
+    """Both reads of a dense matrix: the map, or the error text."""
+    out = []
+    for read in (dense_map_from_obj, dense_map_through_rows):
+        try:
+            out.append(read(obj, source, target, where))
+        except InputFormatError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_dense_maps_of_every_document_read_as_through_rows(monkeypatch):
+    """Every dense map of the ``data/`` documents, the golden inputs and
+    the scenarios of the golden certificates is the map the rows gave,
+    its keys in the same order."""
+    seen = []
+
+    def checked(obj, source, target, where):
+        got, expected = _read_both(obj, source, target, where)
+        assert isinstance(got, LinearMap) and _same_map(got, expected), where
+        seen.append(where)
+        return got
+
+    monkeypatch.setattr(serialize, "dense_map_from_obj", checked)
+    for path in sorted((ROOT / "data").glob("*.json")) + sorted(GOLDEN.glob("*.json")):
+        if path.name.endswith(".cert.json"):
+            prepare(scenario_from_obj(json.loads(path.read_text())["scenario"]))
+        else:
+            load_document(path)
+    assert len(seen) > 30
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, "0/1", "-0"], ["2/4", "0", 1]],
+        [["0", "0", "0"], [0, "-0", "0/1"]],
+        [["2/4", "-6/4", "0"], ["0", "1", "0/7"]],
+        [[0, "0", "1"], ["0", False, "2/4"]],
+        [["0", "0/1", "-0"], ["0", "0", True]],
+        [["0", "0"], ["0", "0", "0"]],
+        [["0", "0", "0"]],
+    ],
+)
+def test_dense_rows_of_zeros_read_as_through_rows(rows):
+    """Rows of ``0``, ``"0/1"``, ``"-0"``, ``"0"``, ``"2/4"`` and a bool
+    give the map, or the error text, of the read through rows."""
+    got, expected = _read_both(rows, Space.of_dim(3), Space.of_dim(2, "f"), "m")
+    assert _same_map(got, expected) if isinstance(expected, LinearMap) else got == expected
